@@ -423,6 +423,30 @@ def evaluate(expr, fw: Framework, line_assignment, seed: int):
     their structural avoid sets; the same (expression, seed) pair always
     evaluates identically.
     """
+    return _evaluator(fw, line_assignment, seed)(expr)
+
+
+_UNSET = object()
+
+
+def _evaluator(fw: Framework, line_assignment, seed: int):
+    """`evaluate` as a one-argument function that memoizes by subexpression.
+
+    Equal subexpressions evaluate identically under one (placement,
+    assignment, seed), so each is evaluated once however often it recurs.
+    """
+    memo = {}
+
+    def ev(expr):
+        value = memo.get(expr, _UNSET)
+        if value is _UNSET:
+            value = memo[expr] = _node_value(expr, ev, fw, line_assignment, seed)
+        return value
+    return ev
+
+
+def _node_value(expr, ev, fw: Framework, line_assignment, seed: int):
+    """Value of one node, its subexpressions evaluated by `ev`."""
     if isinstance(expr, PointConst):
         try:
             return fw.placement[expr.vertex]
@@ -437,47 +461,39 @@ def evaluate(expr, fw: Framework, line_assignment, seed: int):
             raise PreconditionError(f"assigned line for {key} misses its point")
         return line
     if isinstance(expr, Join):
-        return join(evaluate(expr.a, fw, line_assignment, seed),
-                    evaluate(expr.b, fw, line_assignment, seed))
+        return join(ev(expr.a), ev(expr.b))
     if isinstance(expr, Meet):
-        return meet(evaluate(expr.a, fw, line_assignment, seed),
-                    evaluate(expr.b, fw, line_assignment, seed))
+        return meet(ev(expr.a), ev(expr.b))
     if isinstance(expr, GenericPointOn):
-        line = evaluate(expr.line, fw, line_assignment, seed)
+        line = ev(expr.line)
         if line is TRUE:
             return TRUE
-        avoid = [evaluate(a, fw, line_assignment, seed) for a in expr.avoid]
-        avoid = [a for a in avoid if a is not TRUE]
+        avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
         return pick_generic_point_on(line, avoid, _node_seed(expr, seed))
     if isinstance(expr, GenericLineThrough):
-        point = evaluate(expr.point, fw, line_assignment, seed)
+        point = ev(expr.point)
         if point is TRUE:
             return TRUE
-        avoid = [evaluate(a, fw, line_assignment, seed) for a in expr.avoid]
-        avoid = [a for a in avoid if a is not TRUE]
+        avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
         return pick_generic_line_through(point, avoid, _node_seed(expr, seed))
     if isinstance(expr, Concurrent3):
-        return rel_concurrent(evaluate(expr.a, fw, line_assignment, seed),
-                              evaluate(expr.b, fw, line_assignment, seed),
-                              evaluate(expr.c, fw, line_assignment, seed))
+        return rel_concurrent(ev(expr.a), ev(expr.b), ev(expr.c))
     if isinstance(expr, Collinear3):
-        return rel_collinear(evaluate(expr.a, fw, line_assignment, seed),
-                             evaluate(expr.b, fw, line_assignment, seed),
-                             evaluate(expr.c, fw, line_assignment, seed))
+        return rel_collinear(ev(expr.a), ev(expr.b), ev(expr.c))
     if isinstance(expr, Incident):
-        return rel_incident(evaluate(expr.point, fw, line_assignment, seed),
-                            evaluate(expr.line, fw, line_assignment, seed))
+        return rel_incident(ev(expr.point), ev(expr.line))
     raise InputError(f"not an expression: {expr!r}")
 
 
 def fulfilled_with_witness(system: ConditionSystem, fw: Framework,
                            witness, seed: int) -> bool:
-    """Conjunction of all conditions under one slot assignment."""
+    """Conjunction of all conditions under one slot assignment; a
+    subexpression shared by several conditions is evaluated once."""
     for slot in system.xi.slots:
         if slot not in witness:
             raise InputError(f"witness misses slot {slot}")
-    return all(evaluate(cond.expr, fw, witness, seed)
-               for cond in system.conditions)
+    ev = _evaluator(fw, witness, seed)
+    return all(ev(cond.expr) for cond in system.conditions)
 
 
 # --------------------------------------------------------------------------

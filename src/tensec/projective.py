@@ -24,7 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
 from .errors import GeometryError, InputError
 from .numeric import scalar_from_string, scalar_to_string
@@ -36,14 +37,14 @@ def _canonical_triple(triple):
         raise InputError("homogeneous triples have exactly 3 entries")
     if not any(xs):
         raise GeometryError("zero triple is not a projective element")
-    mult = 1
-    for x in xs:
-        d = x.denominator
-        mult = mult // gcd(mult, d) * d
-    ints = [int(x * mult) for x in xs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    mult = lcm(*(x.denominator for x in xs))
+    return _canonical_ints([x.numerator * (mult // x.denominator) for x in xs])
+
+
+def _canonical_ints(ints):
+    """Normal form of a nonzero integer triple up to scale: coprime entries,
+    first nonzero entry positive."""
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     for v in ints:
@@ -342,17 +343,42 @@ def lines_in_general_position(lines) -> bool:
     return len(points) == n * (n - 1) // 2
 
 
+def _integer_duals(forces):
+    """Force duals times one common denominator, as integer triples.
+
+    A common positive scale changes neither which subset sums vanish nor
+    which lines they span.
+    """
+    den = lcm(*(x.denominator for f in forces for x in f.dual))
+    return [tuple(x.numerator * (den // x.denominator) for x in f.dual)
+            for f in forces]
+
+
+def _proper_subset_sums(start, vectors):
+    """Yield start plus the sum of each proper subset of `vectors`, in mask
+    order 0, 1, ..., 2^n - 2.
+
+    Each sum is the sum for the mask without its lowest set bit plus one
+    vector, so the enumeration costs one triple addition per mask.
+    """
+    count = (1 << len(vectors)) - 1
+    if not count:
+        return
+    sums = [start]
+    yield start
+    for mask in range(1, count):
+        low = mask & -mask
+        a = sums[mask ^ low]
+        b = vectors[low.bit_length() - 1]
+        total = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+        sums.append(total)
+        yield total
+
+
 def nonvanishing_proper_subsets(forces) -> bool:
     """True iff no proper nonempty 0/1-combination of the forces vanishes."""
-    n = len(forces)
-    for mask in range(1, (1 << n) - 1):
-        total = ZERO_FORCE
-        for i in range(n):
-            if mask >> i & 1:
-                total = total + forces[i]
-        if total.is_zero():
-            return False
-    return True
+    sums = _proper_subset_sums((0, 0, 0), _integer_duals(forces))
+    return all(any(total) for total in islice(sums, 1, None))
 
 
 def partial_sum_lines_distinct(forces) -> bool:
@@ -360,14 +386,12 @@ def partial_sum_lines_distinct(forces) -> bool:
     proper 0/1-tuples (a_2..a_s) are pairwise distinct.
 
     Assumes no proper nonempty subset vanishes, so every partial sum has a
-    line of force.
+    line of force; a vanishing partial sum raises GeometryError.
     """
-    s = len(forces)
+    duals = _integer_duals(forces)
     lines = []
-    for mask in range((1 << (s - 1)) - 1):
-        total = forces[0]
-        for i in range(1, s):
-            if mask >> (i - 1) & 1:
-                total = total + forces[i]
-        lines.append(line_of_force(total))
+    for total in _proper_subset_sums(duals[0], duals[1:]):
+        if not any(total):
+            raise GeometryError("zero force has no line of force")
+        lines.append(_canonical_ints(total))
     return len(set(lines)) == len(lines)

@@ -116,10 +116,20 @@ class Quantization:
     `interior_labels` maps (vertex id, index >= 1) to a line through that
     vertex's point, following the fixed interior-edge enumeration; glued
     edges are always labeled by their edge lines.
+
+    `framing` memoizes each vertex scheme and each associated framing, keyed
+    by (vertex, unordered edge pair): the framing is route-independent, so
+    symmetric in the pair.  Strong genericity is checked by
+    `associated_framing`, once per framing that needs a surgery.  The memo
+    lives and dies with the instance; nothing is cached at module level.
     """
 
     rgraph: ResolutionGraph
     interior_labels: dict = field(default_factory=dict)
+    _schemes: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _framings: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         fw = self.rgraph.framework
@@ -159,6 +169,17 @@ class Quantization:
             else:
                 labels[te] = self.interior_labels[(v, order.index(te) + 1)]
         return ResolutionScheme(tree, self.framework.placement[v], labels)
+
+    def framing(self, v: str, edge_a, edge_b) -> ProjLine:
+        """Associated framing of two incident edges at vertex v."""
+        key = (v, frozenset((edge_a, edge_b)))
+        line = self._framings.get(key)
+        if line is None:
+            scheme = self._schemes.get(v)
+            if scheme is None:
+                scheme = self._schemes[v] = self.scheme_at(v)
+            line = self._framings[key] = associated_framing(scheme, edge_a, edge_b)
+        return line
 
     def is_generic(self) -> bool:
         try:
@@ -211,8 +232,7 @@ def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
         v = cycle[m]
         e_prev = edge_key(cycle[(m - 1) % k], v)
         e_next = edge_key(v, cycle[(m + 1) % k])
-        scheme = q.scheme_at(v)
-        framings.append(associated_framing(scheme, e_prev, e_next))
+        framings.append(q.framing(v, e_prev, e_next))
         points.append(fw.placement[v])
     return FramedCycle(points, framings)
 

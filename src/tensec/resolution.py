@@ -283,9 +283,19 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> Resol
     the other; the fresh interior edge is labeled by the line of force of
     the two forces meeting at the new node.  `pairing` = (v3, v5) selects
     which neighbors come together (defaults to the smallest of each side).
+
+    Raises GenericityError unless the scheme is strongly generic.  Walks of
+    several surgeries (`associated_framing`, `enumerate_equivalent_schemes`)
+    check that once and rewire directly: a surgery keeps the leaf forces up
+    to one scale, and strong genericity depends on nothing else.
     """
     if not is_strongly_generic(s):
         raise GenericityError("scheme is not strongly generic")
+    return _hf_rewire(s, interior_edge, pairing)
+
+
+def _hf_rewire(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionScheme:
+    """`scheme_hf_surgery` without its strong-genericity check."""
     v1, v2 = interior_edge
     if not s.tree.is_interior(tree_edge(v1, v2)):
         raise InputError(f"({v1},{v2}) is not an interior edge")
@@ -330,6 +340,11 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b,
 
     `route` picks the processing end ("forward" from leaf_a, "backward" from
     leaf_b); the result is route-independent.
+
+    Strong genericity is checked once, before the first surgery, and raises
+    GenericityError when it fails; a pair of leaves that already share a
+    node needs no surgery and no check.  The later schemes of the walk have
+    the same leaf forces up to scale, so they are strongly generic too.
     """
     if leaf_a == leaf_b:
         raise InputError("framing needs two distinct leaf labels")
@@ -342,12 +357,14 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b,
             mid = path[1]
             third = next(n for n in current.tree.adjacency[mid] if n not in (na, nb))
             return current.label(mid, third)
+        if current is s and not is_strongly_generic(s):
+            raise GenericityError("scheme is not strongly generic")
         if route == "forward":
-            current = scheme_hf_surgery(current, (path[1], path[2]),
-                                        pairing=(path[0], path[3]))
+            current = _hf_rewire(current, (path[1], path[2]),
+                                 pairing=(path[0], path[3]))
         else:
-            current = scheme_hf_surgery(current, (path[-3], path[-2]),
-                                        pairing=(path[-4], path[-1]))
+            current = _hf_rewire(current, (path[-3], path[-2]),
+                                 pairing=(path[-4], path[-1]))
 
 
 def topology_sort_key(key):
@@ -360,7 +377,8 @@ def enumerate_equivalent_schemes(s: ResolutionScheme):
     """One scheme per leaf-labeled tree topology, reached by surgeries.
 
     Breadth-first closure over all interior edges and both pairings;
-    deterministic order (sorted by topology key).
+    deterministic order (sorted by topology key).  Strong genericity is
+    checked once, on `s`; every surgery keeps it.
     """
     if not is_strongly_generic(s):
         raise GenericityError("scheme is not strongly generic")
@@ -374,7 +392,7 @@ def enumerate_equivalent_schemes(s: ResolutionScheme):
             side2 = [n for n in cur.tree.adjacency[v2] if n != v1]
             for n3 in side1:
                 for n5 in side2:
-                    nxt = scheme_hf_surgery(cur, e, pairing=(n3, n5))
+                    nxt = _hf_rewire(cur, e, pairing=(n3, n5))
                     key = nxt.tree.topology_key()
                     if key not in seen:
                         seen[key] = nxt

@@ -161,6 +161,56 @@ def test_cross_process_byte_determinism(files):
     assert e.stdout == f.stdout
 
 
+def check_wheel6(monkeypatch, capsys):
+    """`check --format json` on the seeded 6-spoke wheel in tests/golden; the
+    relative input path keeps the report independent of the checkout."""
+    monkeypatch.chdir(GOLDEN)
+    assert main(["check", "wheel6_framework.json", "--seed", "6",
+                 "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+def test_check_golden_wheel6(monkeypatch, capsys):
+    # a hub of degree 6: three interior line slots and framings that need
+    # up to three surgeries
+    out = check_wheel6(monkeypatch, capsys)
+    assert out == (GOLDEN / "wheel6_check.json").read_text()
+    report = json.loads(out)
+    assert report["verdict"] == "YES"
+    assert report["verdict_sources_agree"] is True
+
+
+def test_check_walks_each_framing_once(monkeypatch, capsys):
+    """Framings are computed once per (vertex, unordered edge pair), and
+    strong genericity at most once per framing walk that needs a surgery."""
+    import tensec.quantization as quantization
+    import tensec.resolution as resolution
+
+    framing = resolution.associated_framing
+    strongly_generic = resolution.is_strongly_generic
+    counts = {"framings": 0, "surgery_walks": 0, "genericity_checks": 0}
+    keys = set()
+
+    def counted_framing(s, leaf_a, leaf_b, route="forward"):
+        counts["framings"] += 1
+        keys.add((s.base, frozenset((leaf_a, leaf_b))))
+        tree = s.tree
+        if len(tree.path(tree.leaf_node(leaf_a), tree.leaf_node(leaf_b))) > 3:
+            counts["surgery_walks"] += 1
+        return framing(s, leaf_a, leaf_b, route)
+
+    def counted_genericity(s):
+        counts["genericity_checks"] += 1
+        return strongly_generic(s)
+
+    monkeypatch.setattr(quantization, "associated_framing", counted_framing)
+    monkeypatch.setattr(resolution, "is_strongly_generic", counted_genericity)
+    check_wheel6(monkeypatch, capsys)
+    assert counts["surgery_walks"] > 0
+    assert counts["framings"] == len(keys)
+    assert counts["genericity_checks"] <= counts["surgery_walks"]
+
+
 def test_env_seed_fallback(files):
     import os
 

@@ -8,6 +8,8 @@ from tensec.errors import GeometryError
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
                                ZERO_FORCE, affine_vector, force_between, join,
                                line_of_force, lines_in_general_position, meet,
+                               nonvanishing_proper_subsets,
+                               partial_sum_lines_distinct,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident)
 
@@ -210,3 +212,94 @@ def test_lines_in_general_position():
     generic = [ProjLine((0, 1, 0)), ProjLine((1, 0, 0)), ProjLine((1, 1, -1))]
     assert lines_in_general_position(generic)
     assert not lines_in_general_position([X_AXIS, X_AXIS, Y_AXIS])
+
+
+# The Fraction-valued subset tests as they were before the integer
+# enumeration replaced them; kept verbatim as the reference.
+
+def reference_nonvanishing_proper_subsets(forces) -> bool:
+    """True iff no proper nonempty 0/1-combination of the forces vanishes."""
+    n = len(forces)
+    for mask in range(1, (1 << n) - 1):
+        total = ZERO_FORCE
+        for i in range(n):
+            if mask >> i & 1:
+                total = total + forces[i]
+        if total.is_zero():
+            return False
+    return True
+
+
+def reference_partial_sum_lines_distinct(forces) -> bool:
+    """True iff the 2^(s-1) - 1 lines of F1 + sum(a_i F_i, i >= 2) over all
+    proper 0/1-tuples (a_2..a_s) are pairwise distinct.
+
+    Assumes no proper nonempty subset vanishes, so every partial sum has a
+    line of force.
+    """
+    s = len(forces)
+    lines = []
+    for mask in range((1 << (s - 1)) - 1):
+        total = forces[0]
+        for i in range(1, s):
+            if mask >> (i - 1) & 1:
+                total = total + forces[i]
+        lines.append(line_of_force(total))
+    return len(set(lines)) == len(lines)
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+any_force = st.builds(Force, st.tuples(small_fractions, small_fractions,
+                                      small_fractions))
+
+
+@st.composite
+def with_vanishing_subset(draw):
+    """Forces one of whose proper subsets sums to zero, in shuffled order."""
+    base = draw(st.lists(any_force, min_size=2, max_size=7))
+    subset = draw(st.lists(st.sampled_from(range(len(base))), min_size=1,
+                           max_size=len(base) - 1, unique=True))
+    total = ZERO_FORCE
+    for i in subset:
+        total = total + base[i]
+    return draw(st.permutations(base + [-total]))
+
+
+@st.composite
+def with_equal_partial_sum_lines(draw):
+    """F1, A, t(F1 + A), ...: the partial sums F1 + A and F1 + A + t(F1 + A)
+    share a line whenever t is not 0 or -1."""
+    first, a = draw(any_force), draw(any_force)
+    t = draw(small_fractions.filter(lambda x: x not in (0, -1)))
+    rest = draw(st.lists(any_force, max_size=5))
+    return [first] + draw(st.permutations([a, (first + a).scaled(t)] + rest))
+
+
+def _outcome(test, forces):
+    try:
+        return test(forces)
+    except GeometryError:
+        return GeometryError
+
+
+@given(st.one_of(st.lists(any_force, min_size=3, max_size=8),
+                 with_vanishing_subset(), with_equal_partial_sum_lines()))
+@settings(max_examples=300, deadline=None)
+def test_integer_subset_tests_match_fraction_reference(forces):
+    assert (_outcome(nonvanishing_proper_subsets, forces)
+            == _outcome(reference_nonvanishing_proper_subsets, forces))
+    assert (_outcome(partial_sum_lines_distinct, forces)
+            == _outcome(reference_partial_sum_lines_distinct, forces))
+
+
+def test_integer_subset_tests_on_built_cases():
+    f, g, h = Force((1, 2, 0)), Force((0, 1, Fraction(1, 3))), Force((5, -1, 2))
+    assert nonvanishing_proper_subsets([f, g, h])
+    assert partial_sum_lines_distinct([f, g, h])
+    # a proper subset of four forces sums to zero
+    assert not nonvanishing_proper_subsets([f, g, -(f + g), h])
+    # f + g and f + g + 2(f + g) span one line
+    assert not partial_sum_lines_distinct([f, g, (f + g).scaled(2), h])
+    # the partial sum f + (-f) vanishes and has no line of force
+    with pytest.raises(GeometryError):
+        partial_sum_lines_distinct([f, -f, h])

@@ -159,17 +159,39 @@ def test_forceload_rejects_bad_seed_and_nongeneric_scheme():
         scheme_forceload(bad, (4, 5), Force(L12.coeffs))
 
 
+def twisted_example():
+    """The worked example with leaf e25 moved onto the line of e13."""
+    s = worked_example()
+    labels = dict(s.labels)
+    labels[tree_edge(2, 5)] = L13  # same line as leaf e13 on the other side
+    return scheme_with_lines(labels, s.tree)
+
+
 def test_strong_genericity_small_cases():
     assert is_strongly_generic(distinct_lines_scheme(3, 1))
     assert is_strongly_generic(distinct_lines_scheme(4, 1))
     # four leaves, two of them on the same line: weakly generic when they are
     # not adjacent, but the partial sums collide
-    s = worked_example()
-    labels = dict(s.labels)
-    labels[tree_edge(2, 5)] = L13  # same line as leaf e13 on the other side
-    twisted = scheme_with_lines(labels, s.tree)
+    twisted = twisted_example()
     assert is_weakly_generic(twisted)
     assert not is_strongly_generic(twisted)
+
+
+def test_genericity_guard_before_first_surgery():
+    twisted = twisted_example()
+    # e13 and e25 meet only after one surgery, which needs strong genericity
+    with pytest.raises(GenericityError):
+        associated_framing(twisted, "e13", "e25")
+    with pytest.raises(GenericityError):
+        associated_framing(twisted, "e13", "e25", route="backward")
+    with pytest.raises(GenericityError):
+        scheme_hf_surgery(twisted, (4, 5))
+    with pytest.raises(GenericityError):
+        enumerate_equivalent_schemes(twisted)
+    # leaves that already share a node need no surgery: their framing is the
+    # shared interior label
+    assert associated_framing(twisted, "e13", "e14") == L12
+    assert associated_framing(twisted, "e26", "e25") == L12
 
 
 def test_surgery_matches_hand_computation():

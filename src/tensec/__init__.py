@@ -6,8 +6,6 @@ spaces are computed as exact null spaces, framed-cycle monodromies as exact
 that are cross-validated against the null-space oracle.
 """
 
-from .numeric import KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -1,16 +1,12 @@
-"""Pure-Python integer elimination kernel.
+"""Integer elimination kernel.
 
-Fraction-free (Bareiss) row reduction over Python integers.  This is the
-reference implementation of the kernel API; ``tensec._kernel`` is a Cython
-build of the same routine selected at import time by :mod:`tensec.numeric`.
-Both must produce bit-identical output.
+Fraction-free (Bareiss) row reduction over Python integers, the one
+elimination routine behind :mod:`tensec.numeric`.
 
 The one-step Bareiss recurrence keeps every intermediate entry equal to a
 minor determinant of the input, so the division by the previous pivot is
 always exact and coefficient growth stays polynomial in the input size.
 """
-
-BACKEND = "python"
 
 
 def echelon_int(rows, ncols):

@@ -13,6 +13,7 @@ Exit codes: 0 run completed (verdict inside the report), 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -58,29 +59,14 @@ def _emit(report: dict, text_lines, fmt: str):
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-class _Phases:
-    """Wall-clock per phase, reported on stderr only (keeps stdout stable)."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.entries = []
-
-    def measure(self, name: str):
-        phases = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                phases.entries.append((name, time.perf_counter() - self.t0))
-
-        return _Ctx()
-
-    def dump(self):
-        if self.enabled:
-            for name, dt in self.entries:
-                print(f"[timing] {name}: {dt:.3f}s", file=sys.stderr)
+@contextlib.contextmanager
+def _phase(args, name: str):
+    """Wall-clock time of a phase, reported on stderr with --timings only
+    (keeps stdout stable)."""
+    t0 = time.perf_counter()
+    yield
+    if args.timings:
+        print(f"[timing] {name}: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +76,17 @@ def cmd_check(args) -> int:
     fw = framework_from_json(_load_json(args.framework))
     fw.graph.require_min_degree(3)
     chart = _parse_chart(args.chart)
-    phases = _Phases(args.timings)
     report = {"command": "check", "input": args.framework, "seed": args.seed}
 
-    with phases.measure("general-position"):
+    with _phase(args, "general-position"):
         gp = framework_in_general_position(fw)
     report["general_position"] = gp
     if not gp:
         report["verdict"] = "UNDECIDED"
         _emit(report, ["general position: NO", "verdict: UNDECIDED"], args.format)
-        phases.dump()
         return 3
 
-    with phases.measure("oracle"):
+    with _phase(args, "oracle"):
         basis = self_stress_basis(fw, chart)
         stress = find_nonparallelizable_stress(fw, chart, seed=args.seed)
     report["stress_dim"] = len(basis)
@@ -113,7 +97,7 @@ def cmd_check(args) -> int:
     oracle = stress is not None
     report["oracle_nonparallelizable"] = oracle
 
-    with phases.measure("quantization"):
+    with _phase(args, "quantization"):
         quant = None
         if stress is not None:
             quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart))
@@ -132,7 +116,7 @@ def cmd_check(args) -> int:
                 report["quantization_note"] = str(exc)
     report["quantization_consistent"] = consistent
 
-    with phases.measure("conditions"):
+    with _phase(args, "conditions"):
         system = generate_system(fw.graph, mode=args.cycles)
         if system.xi.dimension == 0:
             witness = {}
@@ -170,7 +154,6 @@ def cmd_check(args) -> int:
         f"tensegrity: {report['verdict']}",
     ]
     _emit(report, lines, args.format)
-    phases.dump()
     return 0
 
 
@@ -225,15 +208,14 @@ def _draw_sample(g, constrained, index: int, sample_seed: int):
 def cmd_verify(args) -> int:
     g = graph_from_json(_load_json(args.graph))
     g.require_min_degree(3)
-    phases = _Phases(args.timings)
-    with phases.measure("compile"):
+    with _phase(args, "compile"):
         system = generate_system(g, mode=args.cycles)
     xi_dim = system.xi.dimension
     constrained = _constrained_generator(g)
     samples = []
     mismatches = []
     positives = negatives = unknown = 0
-    with phases.measure("samples"):
+    with _phase(args, "samples"):
         for i in range(args.samples):
             sample_seed = args.seed * 1000003 + i
             fw = _draw_sample(g, constrained, i, sample_seed)
@@ -284,7 +266,6 @@ def cmd_verify(args) -> int:
         lines.append(f"  mismatch at sample {m['index']} (seed {m['seed']}): "
                      f"oracle={m['oracle']} conditions={m['conditions']}")
     _emit(report, lines, args.format)
-    phases.dump()
     return 0
 
 

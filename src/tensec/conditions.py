@@ -17,7 +17,6 @@ framed cycle by symbolic projections down to a three-line relation.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
@@ -25,9 +24,9 @@ from .framework import (Framework, Graph, edge_key, enumerate_simple_cycles,
                         framework_in_general_position)
 from .projective import (TRUE, join, meet, pick_generic_line_through,
                          pick_generic_point_on, rel_collinear,
-                         rel_concurrent, rel_incident)
-from .quantization import fundamental_cycles, interior_edge_order
-from .resolution import BinaryTree, default_tree, tree_edge
+                         rel_concurrent, rel_incident, sub_seed)
+from .quantization import fundamental_cycles
+from .resolution import default_tree, tree_edge, tree_labels, walk_to_shared_node
 
 
 # --------------------------------------------------------------------------
@@ -238,54 +237,6 @@ def _surgery_expression(p, l12, l13, l14, l25, l26):
     return Join(p, p3)
 
 
-def _symbolic_scheme(g: Graph, trees: dict, vertex: str):
-    """(tree, labels) with expression labels: edge lines at leaf edges,
-    configuration-space variables at interior edges."""
-    tree = trees[vertex]
-    labels = {}
-    order = interior_edge_order(tree)
-    for te in tree.edges():
-        u, w = te
-        if tree.degree(u) == 1 or tree.degree(w) == 1:
-            leaf = u if tree.degree(u) == 1 else w
-            i, j = tree.leaf_labels[leaf]
-            labels[te] = Join(PointConst(i), PointConst(j))
-        else:
-            labels[te] = LineVar(vertex, order.index(te) + 1)
-    return tree, labels
-
-
-def _symbolic_surgery(tree: BinaryTree, labels: dict, base_expr, edge, pairing):
-    v1, v2 = edge
-    n3, n5 = pairing
-    side1 = [n for n in tree.adjacency[v1] if n != v2]
-    side2 = [n for n in tree.adjacency[v2] if n != v1]
-    n4 = side1[0] if side1[1] == n3 else side1[1]
-    n6 = side2[0] if side2[1] == n5 else side2[1]
-    new_label = _surgery_expression(
-        base_expr,
-        labels[tree_edge(v1, v2)],
-        labels[tree_edge(v1, n3)],
-        labels[tree_edge(v1, n4)],
-        labels[tree_edge(v2, n5)],
-        labels[tree_edge(v2, n6)],
-    )
-    a = tree.fresh_node()
-    b = a + 1
-    adjacency = {u: list(vs) for u, vs in tree.adjacency.items() if u not in (v1, v2)}
-    for node, old, new in ((n3, v1, a), (n5, v2, a), (n4, v1, b), (n6, v2, b)):
-        adjacency[node] = [new if x == old else x for x in adjacency[node]]
-    adjacency[a] = [n3, n5, b]
-    adjacency[b] = [n4, n6, a]
-    out_labels = {e: x for e, x in labels.items() if v1 not in e and v2 not in e}
-    out_labels[tree_edge(a, n3)] = labels[tree_edge(v1, n3)]
-    out_labels[tree_edge(a, n5)] = labels[tree_edge(v2, n5)]
-    out_labels[tree_edge(b, n4)] = labels[tree_edge(v1, n4)]
-    out_labels[tree_edge(b, n6)] = labels[tree_edge(v2, n6)]
-    out_labels[tree_edge(a, b)] = new_label
-    return BinaryTree(adjacency, tree.leaf_labels), out_labels
-
-
 def framing_expression(g: Graph, trees: dict, vertex: str, edge_a, edge_b):
     """Expression for the associated framing of two edges at a vertex.
 
@@ -302,18 +253,17 @@ def framing_expression(g: Graph, trees: dict, vertex: str, edge_a, edge_b):
                   if edge_key(vertex, u) not in (edge_a, edge_b)]
         third = others[0]
         return Join(PointConst(third[0]), PointConst(third[1]))
-    tree, labels = _symbolic_scheme(g, trees, vertex)
+    # expression labels: edge lines at leaf edges, configuration-space
+    # variables at interior edges
+    labels = tree_labels(trees[vertex], lambda i, j: Join(PointConst(i), PointConst(j)),
+                         lambda k: LineVar(vertex, k))
     base = PointConst(vertex)
-    while True:
-        na = tree.leaf_node(edge_a)
-        nb = tree.leaf_node(edge_b)
-        path = tree.path(na, nb)
-        if len(path) == 3:
-            mid = path[1]
-            third = next(n for n in tree.adjacency[mid] if n not in (na, nb))
-            return labels[tree_edge(mid, third)]
-        tree, labels = _symbolic_surgery(tree, labels, base,
-                                         (path[1], path[2]), (path[0], path[3]))
+
+    def surgery_expression(tree, labels, h):
+        return _surgery_expression(base, *(labels[tree_edge(*e)] for e in h))
+
+    return walk_to_shared_node(trees[vertex], labels, edge_a, edge_b,
+                               surgery_expression)
 
 
 def cycle_condition_expression(cycle_points, framing_exprs, variant: str = "paper"):
@@ -410,11 +360,6 @@ def generate_system(g: Graph, fw: Framework | None = None,
 # --------------------------------------------------------------------------
 # Evaluation
 
-def _node_seed(e, seed: int) -> int:
-    digest = zlib.crc32(to_sexpr(e).encode("utf-8"))
-    return (seed * 0x9E3779B1 + digest) & 0x7FFFFFFF
-
-
 def evaluate(expr, fw: Framework, line_assignment, seed: int):
     """Bottom-up evaluation over a placement and a slot assignment.
 
@@ -469,13 +414,13 @@ def _node_value(expr, ev, fw: Framework, line_assignment, seed: int):
         if line is TRUE:
             return TRUE
         avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
-        return pick_generic_point_on(line, avoid, _node_seed(expr, seed))
+        return pick_generic_point_on(line, avoid, sub_seed(seed, to_sexpr(expr)))
     if isinstance(expr, GenericLineThrough):
         point = ev(expr.point)
         if point is TRUE:
             return TRUE
         avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
-        return pick_generic_line_through(point, avoid, _node_seed(expr, seed))
+        return pick_generic_line_through(point, avoid, sub_seed(seed, to_sexpr(expr)))
     if isinstance(expr, Concurrent3):
         return rel_concurrent(ev(expr.a), ev(expr.b), ev(expr.c))
     if isinstance(expr, Collinear3):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, InputError, PreconditionError
-from .numeric import ExactMatrix, nullspace_basis
+from .numeric import ExactMatrix, nullspace_basis, solve_in_span
 from .projective import (
     TRUE,
     ProjLine,
@@ -97,19 +97,8 @@ def line_basis(l: ProjLine, origin: ProjPoint):
 def _solve_in_basis(vec, b1: ProjPoint, b2: ProjPoint):
     """Exact (x, y) with vec = x*b1.coords + y*b2.coords; GeometryError if
     vec is not in the span."""
-    a, b = b1.coords, b2.coords
-    v = [Fraction(x) for x in vec]
-    for r in range(3):
-        for s in range(r + 1, 3):
-            det = Fraction(a[r] * b[s] - a[s] * b[r])
-            if det:
-                x = (v[r] * b[s] - v[s] * b[r]) / det
-                y = (a[r] * v[s] - a[s] * v[r]) / det
-                t = 3 - r - s
-                if x * a[t] + y * b[t] != v[t]:
-                    raise GeometryError("vector not on the line")
-                return (x, y)
-    raise GeometryError("degenerate basis")
+    return solve_in_span(vec, b1.coords, b2.coords,
+                         "vector not on the line", "degenerate basis")
 
 
 def _mat_mul(m2, m1):

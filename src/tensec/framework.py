@@ -25,6 +25,7 @@ from .projective import (
     ProjLine,
     ProjPoint,
     ZERO_FORCE,
+    _cross,
     _dot,
     affine_vector,
     join,
@@ -39,12 +40,6 @@ def edge_key(u: str, v: str):
     if u == v:
         raise InputError(f"loop edge at {u!r}")
     return (u, v) if u < v else (v, u)
-
-
-def _cross3(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 class Graph:
@@ -174,6 +169,17 @@ def is_equilibrium(fw: Framework, fl: ForceLoad) -> bool:
     return all(vertex_force_sum(fw, fl, v).is_zero() for v in fw.graph.vertices)
 
 
+def _chart_points(fw: Framework, chart: AffineChart) -> dict:
+    """Representative of every placed point scaled so <p, V> = 1."""
+    normalized = {}
+    for v in fw.graph.vertices:
+        n = chart.normalize(fw.placement[v])
+        if n is None:
+            raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
+        normalized[v] = n
+    return normalized
+
+
 def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
     """Exact basis of the self-stress space of the framework in a chart.
 
@@ -183,15 +189,8 @@ def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
     oracle the rest of the package is validated against.
     """
     chart = chart or AffineChart.standard()
-    normalized = {}
-    for v in fw.graph.vertices:
-        n = chart.normalize(fw.placement[v])
-        if n is None:
-            raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
-        normalized[v] = n
-    field = chart.field
-    drop = next(i for i in range(3) if field[i] != 0)
-    keep = [i for i in range(3) if i != drop]
+    normalized = _chart_points(fw, chart)
+    _drop, keep = chart.axes()
     edges = fw.graph.edges
     col = {e: j for j, e in enumerate(edges)}
     rows = []
@@ -211,17 +210,12 @@ def forceload_from_stress(fw: Framework, w: Stress,
     chart = chart or AffineChart.standard()
     if set(w.weights) != set(fw.graph.edges):
         raise InputError("stress keys do not match framework edges")
-    normalized = {}
-    for v in fw.graph.vertices:
-        n = chart.normalize(fw.placement[v])
-        if n is None:
-            raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
-        normalized[v] = n
+    normalized = _chart_points(fw, chart)
     forces = {}
     for (u, v), weight in w.weights.items():
         # dual = w * cross(n_v, n_u) gives iota_V F_{u,v} = w (n_u - n_v);
         # the chart representatives must be used as-is, not recanonicalized.
-        dual = _cross3(normalized[v], normalized[u])
+        dual = _cross(normalized[v], normalized[u])
         f = Force(tuple(weight * d for d in dual))
         forces[(u, v)] = f
         forces[(v, u)] = -f
@@ -232,12 +226,7 @@ def stress_of_forceload(fw: Framework, fl: ForceLoad,
                         chart: AffineChart | None = None) -> Stress:
     """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (p_i - p_j)."""
     chart = chart or AffineChart.standard()
-    normalized = {}
-    for v in fw.graph.vertices:
-        n = chart.normalize(fw.placement[v])
-        if n is None:
-            raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
-        normalized[v] = n
+    normalized = _chart_points(fw, chart)
     weights = {}
     for u, v in fw.graph.edges:
         vec = affine_vector(fl.force(u, v), chart)

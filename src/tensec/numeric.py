@@ -3,33 +3,21 @@
 Scalars are :class:`fractions.Fraction` (arbitrary precision, always in
 lowest terms with positive denominator).  Matrices are immutable grids of
 Fractions.  ``nullspace_basis`` and ``solve_linear`` are exact; they clear
-denominators and run a fraction-free integer elimination in a kernel that is
-either the compiled ``tensec._kernel`` or the pure-Python fallback, selected
-at import.  Set ``TENSEC_PURE_PYTHON=1`` to force the fallback.
+denominators and run the fraction-free (Bareiss) integer elimination of
+``tensec._kernel``, which is pure Python.  ``primitive`` is the normal form
+of a rational vector up to scale, shared by null-space bases and by
+projective points and lines.
 
 All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import InputError
-
-from . import _kernel_py
-
-if os.environ.get("TENSEC_PURE_PYTHON"):
-    _kernel = _kernel_py
-else:
-    try:
-        from . import _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _kernel_py
-
-#: Name of the elimination backend in use ("cython" or "python").
-KERNEL_BACKEND = _kernel.BACKEND
+from . import _kernel
+from .errors import GeometryError, InputError
 
 Scalar = Fraction
 
@@ -95,18 +83,58 @@ class ExactMatrix:
         return f"ExactMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
+def clear_denominators(values):
+    """The rationals (ints or Fractions) times the lcm of their
+    denominators, as a list of ints."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def primitive(values):
+    """Normal form of a rational vector up to nonzero scale: clear
+    denominators, divide by the gcd, make the first nonzero entry positive.
+
+    Returns a tuple of ints; a zero vector stays zero.  Entries are read
+    through ``numerator`` and ``denominator``, so an integer vector is never
+    converted to Fractions.
+    """
+    ints = clear_denominators(values)
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v:
+            if v < 0:
+                ints = [-u for u in ints]
+            break
+    return tuple(ints)
+
+
+def solve_in_span(v, a, b, off_span: str, parallel: str):
+    """Exact (x, y) with x a + y b = v for rational triples a, b and v.
+
+    Solves on the first nonzero 2x2 minor of (a, b) and checks the third
+    coordinate.  Raises GeometryError with the message `off_span` when v is
+    not in the span, and with `parallel` when a and b are dependent.
+    """
+    for r in range(3):
+        for t in range(r + 1, 3):
+            det = Fraction(a[r] * b[t] - a[t] * b[r])
+            if det:
+                x = (v[r] * b[t] - v[t] * b[r]) / det
+                y = (a[r] * v[t] - a[t] * v[r]) / det
+                u = 3 - r - t
+                if x * a[u] + y * b[u] != v[u]:
+                    raise GeometryError(off_span)
+                return x, y
+    raise GeometryError(parallel)
+
+
 def _integer_rows(m: ExactMatrix):
     """Scale each row by the lcm of its denominators (row scaling does not
     change the null space or the solution set of m x = b when b is scaled
     alongside, which callers do by augmenting first)."""
-    out = []
-    for row in m.entries:
-        mult = 1
-        for x in row:
-            d = x.denominator
-            mult = mult // gcd(mult, d) * d
-        out.append([int(x * mult) for x in row])
-    return out
+    return [clear_denominators(row) for row in m.entries]
 
 
 def _echelon(m: ExactMatrix):
@@ -115,27 +143,6 @@ def _echelon(m: ExactMatrix):
 
 def rank(m: ExactMatrix) -> int:
     return len(_echelon(m)[1])
-
-
-def _normalize_vector(vec):
-    """Clear denominators, divide by the gcd, make the first nonzero entry
-    positive.  Keeps basis vectors canonical and integer-valued."""
-    mult = 1
-    for x in vec:
-        d = x.denominator
-        mult = mult // gcd(mult, d) * d
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
 
 
 def nullspace_basis(m: ExactMatrix):
@@ -162,7 +169,7 @@ def nullspace_basis(m: ExactMatrix):
                 if x[j]:
                     s += Fraction(reduced[r][j]) * x[j]
             x[pc] = -s / reduced[r][pc]
-        basis.append(_normalize_vector(x))
+        basis.append(tuple(Fraction(v) for v in primitive(x)))
     return basis
 
 
@@ -174,7 +181,7 @@ def solve_linear(m: ExactMatrix, b):
     if m.rows == 0:
         return tuple(Fraction(0) for _ in range(m.cols))
     aug = ExactMatrix([list(row) + [b[i]] for i, row in enumerate(m.entries)])
-    reduced, pivots = _kernel.echelon_int(_integer_rows(aug), m.cols + 1)
+    reduced, pivots = _echelon(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     n = m.cols

@@ -22,37 +22,23 @@ it.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
 
 from .errors import GeometryError, InputError
-from .numeric import scalar_from_string, scalar_to_string
+from .numeric import (clear_denominators, primitive, scalar_from_string,
+                      scalar_to_string)
 
 
 def _canonical_triple(triple):
-    xs = [Fraction(x) for x in triple]
+    xs = tuple(triple)
     if len(xs) != 3:
         raise InputError("homogeneous triples have exactly 3 entries")
     if not any(xs):
         raise GeometryError("zero triple is not a projective element")
-    mult = lcm(*(x.denominator for x in xs))
-    return _canonical_ints([x.numerator * (mult // x.denominator) for x in xs])
-
-
-def _canonical_ints(ints):
-    """Normal form of a nonzero integer triple up to scale: coprime entries,
-    first nonzero entry positive."""
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    return primitive(xs)
 
 
 def _cross(a, b):
@@ -250,6 +236,12 @@ class AffineChart:
     def field(self):
         return self.infinity_line.coeffs
 
+    def axes(self):
+        """(drop, keep): the first coordinate where V is nonzero, and the two
+        other coordinates, which serve as the chart's affine coordinates."""
+        drop = next(i for i in range(3) if self.field[i] != 0)
+        return drop, [i for i in range(3) if i != drop]
+
     def normalize(self, p: ProjPoint):
         """Representative of p scaled so <p, V> = 1; None if p is at infinity."""
         s = Fraction(_dot(p.coords, self.field))
@@ -266,36 +258,52 @@ def affine_vector(f: Force, chart: AffineChart):
     return tuple(Fraction(x) for x in _cross(f.dual, chart.field))
 
 
-def _two_points_on(l: ProjLine):
-    """Two deterministic independent rational points on a line.
+def _orthogonal_triples(t):
+    """The nonzero ones of (b,-a,0), (c,0,-a), (0,c,-b) for t = (a, b, c).
 
-    For line (a, b, c) the candidates (b,-a,0), (c,0,-a), (0,c,-b) all lie on
-    it, and the cross product of any two of them is a coordinate of the line
-    times (a, b, c), so a pair is independent iff that coordinate is nonzero.
+    Each is orthogonal to t: as points they lie on the line t, as lines they
+    pass through the point t.  The cross product of any two of them is a
+    coordinate of t times t, so a pair is independent iff that coordinate is
+    nonzero.
     """
-    a, b, c = l.coeffs
-    cands = [(b, -a, 0), (c, 0, -a), (0, c, -b)]
-    keep = [t for t in cands if any(t)]
+    a, b, c = t
+    return [u for u in ((b, -a, 0), (c, 0, -a), (0, c, -b)) if any(u)]
+
+
+def _independent_pair(t, degenerate: str):
+    """First independent pair of `_orthogonal_triples(t)`."""
+    keep = _orthogonal_triples(t)
     for i in range(len(keep)):
         for j in range(i + 1, len(keep)):
             if any(_cross(keep[i], keep[j])):
-                return ProjPoint(keep[i]), ProjPoint(keep[j])
-    raise GeometryError("degenerate line")  # unreachable for nonzero l
+                return keep[i], keep[j]
+    raise GeometryError(degenerate)  # unreachable for nonzero t
 
 
-def _two_lines_through(p: ProjPoint):
-    a, b, c = p.coords
-    cands = [(b, -a, 0), (c, 0, -a), (0, c, -b)]
-    keep = [t for t in cands if any(t)]
-    for i in range(len(keep)):
-        for j in range(i + 1, len(keep)):
-            if any(_cross(keep[i], keep[j])):
-                return ProjLine(keep[i]), ProjLine(keep[j])
-    raise GeometryError("degenerate point")
-
-
-def _random_fraction(rng: random.Random, bound: int = 999) -> Fraction:
+def random_fraction(rng: random.Random, bound: int) -> Fraction:
+    """Seeded rational p/q with |p| <= bound and 1 <= q <= bound."""
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def sub_seed(seed: int, text: str) -> int:
+    """Seed derived from a seed and a text, stable across processes (the
+    builtin hash is randomized per process)."""
+    digest = zlib.crc32(text.encode("utf-8"))
+    return (seed * 0x9E3779B1 + digest) & 0x7FFFFFFF
+
+
+def _pick_in_pencil(kind, triple, avoid, seed: int, degenerate: str):
+    """Seeded `kind` (ProjPoint or ProjLine) orthogonal to `triple` and
+    outside `avoid`: b1 + t b2 for seeded rational t, with b1, b2 the
+    canonical forms of the first independent pair of `_orthogonal_triples`."""
+    b1, b2 = (primitive(u) for u in _independent_pair(triple, degenerate))
+    avoid = set(avoid)
+    rng = random.Random(seed)
+    while True:
+        t = random_fraction(rng, 999)
+        cand = kind(tuple(Fraction(x) + t * Fraction(y) for x, y in zip(b1, b2)))
+        if cand not in avoid:
+            return cand
 
 
 def pick_generic_point_on(l: ProjLine, avoid, seed: int) -> ProjPoint:
@@ -304,28 +312,12 @@ def pick_generic_point_on(l: ProjLine, avoid, seed: int) -> ProjPoint:
     Draws b1 + t b2 for seeded rational t and rejects until the point misses
     the (finite) avoid set; the same seed always yields the same point.
     """
-    avoid = set(avoid)
-    b1, b2 = _two_points_on(l)
-    rng = random.Random(seed)
-    while True:
-        t = _random_fraction(rng)
-        cand = ProjPoint(tuple(Fraction(x) + t * Fraction(y)
-                               for x, y in zip(b1.coords, b2.coords)))
-        if cand not in avoid:
-            return cand
+    return _pick_in_pencil(ProjPoint, l.coeffs, avoid, seed, "degenerate line")
 
 
 def pick_generic_line_through(p: ProjPoint, avoid, seed: int) -> ProjLine:
     """Dual of pick_generic_point_on: seeded line through p outside `avoid`."""
-    avoid = set(avoid)
-    l1, l2 = _two_lines_through(p)
-    rng = random.Random(seed)
-    while True:
-        t = _random_fraction(rng)
-        cand = ProjLine(tuple(Fraction(x) + t * Fraction(y)
-                              for x, y in zip(l1.coeffs, l2.coeffs)))
-        if cand not in avoid:
-            return cand
+    return _pick_in_pencil(ProjLine, p.coords, avoid, seed, "degenerate point")
 
 
 def lines_in_general_position(lines) -> bool:
@@ -349,9 +341,8 @@ def _integer_duals(forces):
     A common positive scale changes neither which subset sums vanish nor
     which lines they span.
     """
-    den = lcm(*(x.denominator for f in forces for x in f.dual))
-    return [tuple(x.numerator * (den // x.denominator) for x in f.dual)
-            for f in forces]
+    ints = clear_denominators([x for f in forces for x in f.dual])
+    return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)]
 
 
 def _proper_subset_sums(start, vectors):
@@ -393,5 +384,5 @@ def partial_sum_lines_distinct(forces) -> bool:
     for total in _proper_subset_sums(duals[0], duals[1:]):
         if not any(total):
             raise GeometryError("zero force has no line of force")
-        lines.append(_canonical_ints(total))
+        lines.append(primitive(total))
     return len(set(lines)) == len(lines)

@@ -15,7 +15,6 @@ equilibrium force-load of the framework.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from .cycles import FramedCycle, cycle_general_position, is_trivial, monodromy, \
@@ -24,10 +23,9 @@ from .errors import (GenericityError, GeometryError, InconsistentQuantizationErr
                      InputError, PreconditionError)
 from .framework import (ForceLoad, Framework, Stress, edge_key,
                         enumerate_simple_cycles, is_non_parallelizable)
-from .projective import Force, ProjLine, line_of_force
-from .resolution import (BinaryTree, ResolutionScheme, _decompose,
-                         associated_framing, default_tree, is_strongly_generic,
-                         tree_edge)
+from .projective import Force, ProjLine, line_of_force, sub_seed
+from .resolution import (ResolutionScheme, _decompose, associated_framing,
+                         default_tree, is_strongly_generic, tree_labels)
 
 
 def default_trees(fw: Framework) -> dict:
@@ -37,11 +35,6 @@ def default_trees(fw: Framework) -> dict:
         labels = [edge_key(v, u) for u in fw.graph.neighbors(v)]
         trees[v] = default_tree(labels)
     return trees
-
-
-def interior_edge_order(tree: BinaryTree):
-    """Fixed enumeration of a tree's interior edges (sorted edge keys)."""
-    return tree.interior_edges()
 
 
 @dataclass
@@ -118,10 +111,10 @@ class Quantization:
     edges are always labeled by their edge lines.
 
     `framing` memoizes each vertex scheme and each associated framing, keyed
-    by (vertex, unordered edge pair): the framing is route-independent, so
-    symmetric in the pair.  Strong genericity is checked by
-    `associated_framing`, once per framing that needs a surgery.  The memo
-    lives and dies with the instance; nothing is cached at module level.
+    by (vertex, unordered edge pair): the framing is symmetric in the pair.
+    Strong genericity is checked by `associated_framing`, once per framing
+    that needs a surgery.  The memo lives and dies with the instance;
+    nothing is cached at module level.
     """
 
     rgraph: ResolutionGraph
@@ -135,7 +128,7 @@ class Quantization:
         fw = self.rgraph.framework
         slots = set()
         for v in fw.graph.vertices:
-            for idx in range(1, len(interior_edge_order(self.rgraph.trees[v])) + 1):
+            for idx in range(1, len(self.rgraph.trees[v].interior_edges()) + 1):
                 slots.add((v, idx))
         if set(self.interior_labels) != slots:
             raise InputError(f"interior labels must cover exactly the slots {sorted(slots)}")
@@ -153,21 +146,13 @@ class Quantization:
             i, j = gt_edge_value[1]
             return self.framework.edge_line(i, j)
         _, v, te = gt_edge_value
-        idx = interior_edge_order(self.rgraph.trees[v]).index(te) + 1
+        idx = self.rgraph.trees[v].interior_edges().index(te) + 1
         return self.interior_labels[(v, idx)]
 
     def scheme_at(self, v: str) -> ResolutionScheme:
         tree = self.rgraph.trees[v]
-        labels = {}
-        order = interior_edge_order(tree)
-        for te in tree.edges():
-            u, w = te
-            if tree.degree(u) == 1 or tree.degree(w) == 1:
-                leaf = u if tree.degree(u) == 1 else w
-                i, j = tree.leaf_labels[leaf]
-                labels[te] = self.framework.edge_line(i, j)
-            else:
-                labels[te] = self.interior_labels[(v, order.index(te) + 1)]
+        labels = tree_labels(tree, self.framework.edge_line,
+                             lambda k: self.interior_labels[(v, k)])
         return ResolutionScheme(tree, self.framework.placement[v], labels)
 
     def framing(self, v: str, edge_a, edge_b) -> ProjLine:
@@ -208,7 +193,7 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad,
     labels = {}
     for v in fw.graph.vertices:
         tree = rg.trees[v]
-        for idx, te in enumerate(interior_edge_order(tree), start=1):
+        for idx, te in enumerate(tree.interior_edges(), start=1):
             side = tree.side_labels(te, te[0])
             total = Force((0, 0, 0))
             for e in sorted(side):
@@ -237,19 +222,13 @@ def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
     return FramedCycle(points, framings)
 
 
-def _cycle_seed(seed: int, cycle) -> int:
-    # process-stable sub-seed (builtin hash is randomized per process)
-    digest = zlib.crc32(",".join(map(str, cycle)).encode("utf-8"))
-    return (seed * 0x9E3779B1 + digest) & 0x7FFFFFFF
-
-
 def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
     """Monodromy of the associated framed cycle is trivial."""
     fc = framed_cycle_of(q, cycle)
     if not cycle_general_position(fc):
         raise PreconditionError(
             f"framed cycle {tuple(cycle)} is not in general position")
-    aux = pick_aux_line(fc, _cycle_seed(seed, cycle))
+    aux = pick_aux_line(fc, sub_seed(seed, ",".join(map(str, cycle))))
     return is_trivial(monodromy(fc, 0, aux))
 
 
@@ -284,16 +263,6 @@ def fundamental_cycles(g):
             u = parent[u]
         return path
 
-    def canonical(seq):
-        k = len(seq)
-        best = None
-        for rev in (list(seq), list(reversed(seq))):
-            for r in range(k):
-                cand = tuple(rev[r:] + rev[:r])
-                if best is None or cand < best:
-                    best = cand
-        return best
-
     tree_edges = {edge_key(v, parent[v]) for v in g.vertices if parent[v] is not None}
     cycles = []
     for e in g.edges:
@@ -305,7 +274,7 @@ def fundamental_cycles(g):
         cu = [x for x in pu if x not in common]
         cv = [x for x in pv if x not in common]
         meet_at = next(x for x in pu if x in common)
-        cycle = canonical(cu + [meet_at] + cv[::-1])
+        cycle = _canonical_cycle(cu + [meet_at] + cv[::-1])
         if len(cycle) == len(g.vertices):
             cycles.extend(_split_by_chord(g, cycle))
         else:
@@ -325,16 +294,18 @@ def _split_by_chord(g, cycle):
         ia, ib = ib, ia
     arc1 = cycle[ia:ib + 1]
     arc2 = cycle[ib:] + cycle[:ia + 1]
-    out = []
-    for arc in (arc1, arc2):
-        best = None
-        for rev in (list(arc), list(reversed(arc))):
-            for r in range(len(rev)):
-                cand = tuple(rev[r:] + rev[:r])
-                if best is None or cand < best:
-                    best = cand
-        out.append(best)
-    return out
+    return [_canonical_cycle(arc1), _canonical_cycle(arc2)]
+
+
+def _canonical_cycle(seq):
+    """Smallest rotation of the vertex sequence or of its reverse."""
+    best = None
+    for rev in (list(seq), list(reversed(seq))):
+        for r in range(len(rev)):
+            cand = tuple(rev[r:] + rev[:r])
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
 def is_consistent(q: Quantization, seed: int, mode: str = "all") -> bool:

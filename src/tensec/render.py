@@ -21,17 +21,14 @@ def _chart_xy(point, chart: AffineChart):
     n = chart.normalize(point)
     if n is None:
         raise PointAtInfinityError(f"point {point} lies on the infinity line")
-    field = chart.field
-    drop = next(i for i in range(3) if field[i] != 0)
-    keep = [i for i in range(3) if i != drop]
+    _drop, keep = chart.axes()
     return (n[keep[0]], n[keep[1]])
 
 
 def _chart_line_coeffs(line: ProjLine, chart: AffineChart):
     """Affine equation A u + B v + C = 0 of the line in chart coordinates."""
     field = chart.field
-    drop = next(i for i in range(3) if field[i] != 0)
-    keep = [i for i in range(3) if i != drop]
+    drop, keep = chart.axes()
     ld = Fraction(line.coeffs[drop])
     vd = Fraction(field[drop])
     a = Fraction(line.coeffs[keep[0]]) - ld * Fraction(field[keep[0]]) / vd

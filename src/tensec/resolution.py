@@ -6,15 +6,17 @@ along that line to every edge so that the three forces at each interior tree
 node cancel.  The H-to-Phi surgery rewires an interior edge and relabels it
 with the line of the two forces that come together at the new node; walking
 surgeries along a leaf-to-leaf path yields the associated framing for a pair
-of host edges.
+of host edges.  `rewire` and `walk_to_shared_node` take the label of the
+fresh edge as a rule, so the condition compiler walks the same path with
+expression labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GenericityError, GeometryError, InputError
+from .numeric import solve_in_span
 from .projective import Force, ProjLine, ProjPoint, line_of_force, \
     nonvanishing_proper_subsets, partial_sum_lines_distinct
 
@@ -163,6 +165,22 @@ def default_tree(leaf_labels) -> BinaryTree:
     return BinaryTree(adjacency, {i: labels[i] for i in range(s)})
 
 
+def tree_labels(tree: BinaryTree, leaf_label, slot_label) -> dict:
+    """Label of every tree edge: leaf_label(i, j) on the leaf edge of host
+    edge (i, j), slot_label(k) on the k-th interior edge (from 1, in the
+    order of `interior_edges`)."""
+    slots = {te: k for k, te in enumerate(tree.interior_edges(), start=1)}
+    labels = {}
+    for te in tree.edges():
+        if te in slots:
+            labels[te] = slot_label(slots[te])
+        else:
+            u, w = te
+            leaf = u if tree.degree(u) == 1 else w
+            labels[te] = leaf_label(*tree.leaf_labels[leaf])
+    return labels
+
+
 @dataclass
 class ResolutionScheme:
     """Binary tree whose edges carry lines through a common base point."""
@@ -196,19 +214,10 @@ def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
     """Split -force into components along two distinct concurrent lines:
     returns (f1, f2) with force + f1 + f2 = 0 and line(f_i) <= l_i."""
     a, b = l1.coeffs, l2.coeffs
-    v = [-x for x in force.dual]
-    for r in range(3):
-        for t in range(r + 1, 3):
-            det = Fraction(a[r] * b[t] - a[t] * b[r])
-            if det:
-                x = (v[r] * Fraction(b[t]) - v[t] * Fraction(b[r])) / det
-                y = (Fraction(a[r]) * v[t] - Fraction(a[t]) * v[r]) / det
-                u = 3 - r - t
-                if x * a[u] + y * b[u] != v[u]:
-                    raise GeometryError("force not in the span of the two lines")
-                return (Force(tuple(x * c for c in a)),
-                        Force(tuple(y * c for c in b)))
-    raise GeometryError("cannot decompose along equal lines")
+    x, y = solve_in_span([-x for x in force.dual], a, b,
+                         "force not in the span of the two lines",
+                         "cannot decompose along equal lines")
+    return Force(tuple(x * c for c in a)), Force(tuple(y * c for c in b))
 
 
 def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
@@ -275,14 +284,85 @@ def is_strongly_generic(s: ResolutionScheme) -> bool:
             and partial_sum_lines_distinct(ordered))
 
 
-def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionScheme:
-    """Rewire the H at an interior edge into the Phi pairing.
+def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
+    """Rewire the H at an interior edge of a labeled tree into a Phi.
 
     With v1v2 the interior edge, v3,v4 the other neighbors of v1 and v5,v6
     of v2, the new tree joins v3 with v5 at one fresh node and v4 with v6 at
-    the other; the fresh interior edge is labeled by the line of force of
-    the two forces meeting at the new node.  `pairing` = (v3, v5) selects
-    which neighbors come together (defaults to the smallest of each side).
+    the other.  `pairing` = (v3, v5) selects which neighbors come together
+    (None: the smallest of each side).  Every kept edge keeps its label; the
+    fresh interior edge gets new_label(tree, labels, h), where h lists the
+    node pairs (v1, v2), (v1, v3), (v1, v4), (v2, v5), (v2, v6) of the H.
+    Labels may be lines or expressions.  Returns (tree, labels).
+    """
+    v1, v2 = edge
+    if not tree.is_interior(tree_edge(v1, v2)):
+        raise InputError(f"({v1},{v2}) is not an interior edge")
+    side1 = [n for n in tree.adjacency[v1] if n != v2]
+    side2 = [n for n in tree.adjacency[v2] if n != v1]
+    if pairing is None:
+        n3, n5 = min(side1), min(side2)
+    else:
+        n3, n5 = pairing
+        if n3 not in side1 or n5 not in side2:
+            raise InputError("pairing must name one neighbor of each endpoint")
+    n4 = side1[0] if side1[1] == n3 else side1[1]
+    n6 = side2[0] if side2[1] == n5 else side2[1]
+    fresh = new_label(tree, labels, ((v1, v2), (v1, n3), (v1, n4), (v2, n5), (v2, n6)))
+
+    a = tree.fresh_node()
+    b = a + 1
+    adjacency = {u: list(vs) for u, vs in tree.adjacency.items() if u not in (v1, v2)}
+    for node, old, new in ((n3, v1, a), (n5, v2, a), (n4, v1, b), (n6, v2, b)):
+        adjacency[node] = [new if x == old else x for x in adjacency[node]]
+    adjacency[a] = [n3, n5, b]
+    adjacency[b] = [n4, n6, a]
+    out = {e: x for e, x in labels.items() if v1 not in e and v2 not in e}
+    out[tree_edge(a, n3)] = labels[tree_edge(v1, n3)]
+    out[tree_edge(a, n5)] = labels[tree_edge(v2, n5)]
+    out[tree_edge(b, n4)] = labels[tree_edge(v1, n4)]
+    out[tree_edge(b, n6)] = labels[tree_edge(v2, n6)]
+    out[tree_edge(a, b)] = fresh
+    return BinaryTree(adjacency, tree.leaf_labels), out
+
+
+def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_label):
+    """Label of the third edge at the node two leaves come to share.
+
+    Rewires (`rewire`, fresh labels from `new_label`) at the first interior
+    edge of the leaf-to-leaf path, pairing the two path neighbors, until the
+    leaves share a node: the associated framing of the pair, as a line or
+    as an expression depending on the labels.
+    """
+    while True:
+        na = tree.leaf_node(leaf_a)
+        nb = tree.leaf_node(leaf_b)
+        path = tree.path(na, nb)
+        if len(path) == 3:
+            mid = path[1]
+            third = next(n for n in tree.adjacency[mid] if n not in (na, nb))
+            return labels[tree_edge(mid, third)]
+        tree, labels = rewire(tree, labels, (path[1], path[2]),
+                              (path[0], path[3]), new_label)
+
+
+def _paired_line(s: ResolutionScheme, h) -> ProjLine:
+    """Line of force of the two forces an H-to-Phi surgery of s brings
+    together at a fresh node (h as in `rewire`)."""
+    forces = _canonical_forceload(s)
+    combined = forces[h[1]] + forces[h[3]]
+    if combined.is_zero():
+        raise GeometryError("surgery undefined: the paired forces cancel")
+    return line_of_force(combined)
+
+
+def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionScheme:
+    """Rewire the H at an interior edge into the Phi pairing.
+
+    The tree is rewired as in `rewire`; the fresh interior edge is labeled
+    by the line of force of the two forces meeting at the new node.
+    `pairing` = (v3, v5) selects which neighbors come together (defaults to
+    the smallest of each side).
 
     Raises GenericityError unless the scheme is strongly generic.  Walks of
     several surgeries (`associated_framing`, `enumerate_equivalent_schemes`)
@@ -296,50 +376,15 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> Resol
 
 def _hf_rewire(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionScheme:
     """`scheme_hf_surgery` without its strong-genericity check."""
-    v1, v2 = interior_edge
-    if not s.tree.is_interior(tree_edge(v1, v2)):
-        raise InputError(f"({v1},{v2}) is not an interior edge")
-    side1 = [n for n in s.tree.adjacency[v1] if n != v2]
-    side2 = [n for n in s.tree.adjacency[v2] if n != v1]
-    if pairing is None:
-        n3, n5 = min(side1), min(side2)
-    else:
-        n3, n5 = pairing
-        if n3 not in side1 or n5 not in side2:
-            raise InputError("pairing must name one neighbor of each endpoint")
-    n4 = side1[0] if side1[1] == n3 else side1[1]
-    n6 = side2[0] if side2[1] == n5 else side2[1]
-
-    forces = _canonical_forceload(s)
-    combined = forces[(v1, n3)] + forces[(v2, n5)]
-    if combined.is_zero():
-        raise GeometryError("surgery undefined: the paired forces cancel")
-    new_label = line_of_force(combined)
-
-    a = s.tree.fresh_node()
-    b = a + 1
-    adjacency = {u: [x for x in vs] for u, vs in s.tree.adjacency.items()
-                 if u not in (v1, v2)}
-    for node, old, new in ((n3, v1, a), (n5, v2, a), (n4, v1, b), (n6, v2, b)):
-        adjacency[node] = [new if x == old else x for x in adjacency[node]]
-    adjacency[a] = [n3, n5, b]
-    adjacency[b] = [n4, n6, a]
-    labels = {e: line for e, line in s.labels.items() if v1 not in e and v2 not in e}
-    labels[tree_edge(a, n3)] = s.label(v1, n3)
-    labels[tree_edge(a, n5)] = s.label(v2, n5)
-    labels[tree_edge(b, n4)] = s.label(v1, n4)
-    labels[tree_edge(b, n6)] = s.label(v2, n6)
-    labels[tree_edge(a, b)] = new_label
-    return ResolutionScheme(BinaryTree(adjacency, s.tree.leaf_labels), s.base, labels)
+    tree, labels = rewire(s.tree, s.labels, interior_edge, pairing,
+                          lambda tree, labels, h: _paired_line(s, h))
+    return ResolutionScheme(tree, s.base, labels)
 
 
-def associated_framing(s: ResolutionScheme, leaf_a, leaf_b,
-                       route: str = "forward") -> ProjLine:
+def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
     """Line at the third edge once the two leaves share a tree node, after
-    the s-3 surgeries along the leaf-to-leaf path.
-
-    `route` picks the processing end ("forward" from leaf_a, "backward" from
-    leaf_b); the result is route-independent.
+    the s-3 surgeries along the leaf-to-leaf path.  Symmetric in the two
+    leaves.
 
     Strong genericity is checked once, before the first surgery, and raises
     GenericityError when it fails; a pair of leaves that already share a
@@ -348,23 +393,13 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b,
     """
     if leaf_a == leaf_b:
         raise InputError("framing needs two distinct leaf labels")
-    current = s
-    while True:
-        na = current.tree.leaf_node(leaf_a)
-        nb = current.tree.leaf_node(leaf_b)
-        path = current.tree.path(na, nb)
-        if len(path) == 3:
-            mid = path[1]
-            third = next(n for n in current.tree.adjacency[mid] if n not in (na, nb))
-            return current.label(mid, third)
-        if current is s and not is_strongly_generic(s):
+
+    def paired_line(tree, labels, h):
+        if tree is s.tree and not is_strongly_generic(s):
             raise GenericityError("scheme is not strongly generic")
-        if route == "forward":
-            current = _hf_rewire(current, (path[1], path[2]),
-                                 pairing=(path[0], path[3]))
-        else:
-            current = _hf_rewire(current, (path[-3], path[-2]),
-                                 pairing=(path[-4], path[-1]))
+        return _paired_line(ResolutionScheme(tree, s.base, labels), h)
+
+    return walk_to_shared_node(s.tree, s.labels, leaf_a, leaf_b, paired_line)
 
 
 def topology_sort_key(key):

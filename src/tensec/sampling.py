@@ -14,12 +14,9 @@ from fractions import Fraction
 from .cycles import FramedCycle, cycle_general_position
 from .errors import GeometryError
 from .framework import Framework, Graph
-from .projective import (Force, ProjLine, ProjPoint, _cross, join,
-                         line_of_force, lines_in_general_position)
-
-
-def random_fraction(rng: random.Random, bound: int = 1000) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+from .projective import (Force, ProjLine, ProjPoint, _cross, _orthogonal_triples,
+                         join, line_of_force, lines_in_general_position,
+                         random_fraction)
 
 
 def random_affine_point(rng: random.Random, bound: int = 1000) -> ProjPoint:
@@ -79,9 +76,8 @@ def desargues_concurrent_placement(g: Graph, seed: int) -> Framework:
 
 def _direction(l: ProjLine, through: ProjPoint):
     """A second point on l distinct from `through`."""
-    a, b, c = l.coeffs
-    for cand in ((b, -a, 0), (c, 0, -a), (0, c, -b)):
-        if any(cand) and ProjPoint(cand) != through:
+    for cand in _orthogonal_triples(l.coeffs):
+        if ProjPoint(cand) != through:
             return cand
     raise GeometryError("degenerate line")
 

@@ -191,13 +191,13 @@ def test_check_walks_each_framing_once(monkeypatch, capsys):
     counts = {"framings": 0, "surgery_walks": 0, "genericity_checks": 0}
     keys = set()
 
-    def counted_framing(s, leaf_a, leaf_b, route="forward"):
+    def counted_framing(s, leaf_a, leaf_b):
         counts["framings"] += 1
         keys.add((s.base, frozenset((leaf_a, leaf_b))))
         tree = s.tree
         if len(tree.path(tree.leaf_node(leaf_a), tree.leaf_node(leaf_b))) > 3:
             counts["surgery_walks"] += 1
-        return framing(s, leaf_a, leaf_b, route)
+        return framing(s, leaf_a, leaf_b)
 
     def counted_genericity(s):
         counts["genericity_checks"] += 1

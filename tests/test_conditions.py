@@ -1,3 +1,6 @@
+from itertools import permutations
+from pathlib import Path
+
 import pytest
 
 from tensec.conditions import (Collinear3, Concurrent3, Condition, GenericPointOn,
@@ -9,8 +12,10 @@ from tensec.conditions import (Collinear3, Concurrent3, Condition, GenericPointO
 from tensec.errors import InputError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (Framework, Graph, find_nonparallelizable_stress,
-                              forceload_from_stress, framework_in_general_position)
+from tensec.framework import (Framework, Graph, edge_key,
+                              find_nonparallelizable_stress,
+                              forceload_from_stress, framework_in_general_position,
+                              load_framework)
 from tensec.conditions import default_graph_trees
 from tensec.cycles import is_trivial, monodromy, pick_aux_line
 from tensec.projective import ProjPoint, join, pick_generic_point_on
@@ -246,21 +251,30 @@ def test_wheel_witness_direction_and_degree4_identity():
 
 
 def test_symbolic_framing_matches_numeric_scheme():
-    trees = default_graph_trees(WHEEL5_GRAPH)
     from tensec.resolution import associated_framing
+
+    def check(fw, w, hub, pairs, eval_seeds):
+        trees = default_graph_trees(fw.graph)
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
+        witness = quant.xi_witness()
+        scheme = quant.scheme_at(hub)
+        for pair in pairs:
+            expr = framing_expression(fw.graph, trees, hub, *pair)
+            numeric = associated_framing(scheme, *pair)
+            for seed in eval_seeds:
+                assert evaluate(expr, fw, witness, seed) == numeric
 
     for seed in (11, 22):
         fw, w = wheel_positive(seed)
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
-        witness = quant.xi_witness()
-        scheme = quant.scheme_at("p1")
-        for pair in ((("p1", "p2"), ("p1", "p4")),
-                     (("p1", "p3"), ("p1", "p4")),
-                     (("p1", "p2"), ("p1", "p5"))):
-            expr = framing_expression(WHEEL5_GRAPH, trees, "p1", *pair)
-            symbolic = evaluate(expr, fw, witness, seed)
-            numeric = associated_framing(scheme, *pair)
-            assert symbolic == numeric
+        check(fw, w, "p1", ((("p1", "p2"), ("p1", "p4")),
+                            (("p1", "p3"), ("p1", "p4")),
+                            (("p1", "p2"), ("p1", "p5"))), (seed,))
+    # a hub of degree 6, whose framings need up to three surgeries: all 15
+    # edge pairs in both orders, stress as `check --seed 6` finds it
+    fw = load_framework(Path(__file__).parent / "golden" / "wheel6_framework.json")
+    w = find_nonparallelizable_stress(fw, seed=6)
+    hub_edges = [edge_key("h", u) for u in fw.graph.neighbors("h")]
+    check(fw, w, "h", permutations(hub_edges, 2), (1, 2))
 
 
 def test_double_evaluation_of_surgery_expression_is_stable():

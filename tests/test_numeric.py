@@ -1,13 +1,14 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensec import _kernel_py
-from tensec.errors import InputError
-from tensec.numeric import (ExactMatrix, KERNEL_BACKEND, nullspace_basis, rank,
+from tensec.errors import GeometryError, InputError
+from tensec.numeric import (ExactMatrix, nullspace_basis, primitive, rank,
                             scalar_from_string, scalar_to_string, solve_linear)
+from tensec.projective import ProjLine, ProjPoint
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -99,19 +100,93 @@ def test_exact_arithmetic(a, b):
     assert (a + b) - b == a
 
 
-def test_backends_agree_bit_for_bit():
-    if KERNEL_BACKEND != "cython":
-        pytest.skip("compiled kernel not available")
-    from tensec import _kernel
+# The normal forms `primitive` replaced, kept verbatim as references:
+# numeric._normalize_vector, projective._canonical_triple and
+# projective._canonical_ints.
 
-    rows = [
-        [3, -1, 4, 1],
-        [5, 9, -2, 6],
-        [5, 3, 5, 8],
-        [0, 0, 7, -9],
-        [2, 2, 2, 2],
-    ]
-    for nr in range(1, 6):
-        got_c = _kernel.echelon_int([r[:] for r in rows[:nr]], 4)
-        got_py = _kernel_py.echelon_int([r[:] for r in rows[:nr]], 4)
-        assert got_c == got_py
+def _normalize_vector(vec):
+    """Clear denominators, divide by the gcd, make the first nonzero entry
+    positive.  Keeps basis vectors canonical and integer-valued."""
+    mult = 1
+    for x in vec:
+        d = x.denominator
+        mult = mult // gcd(mult, d) * d
+    ints = [int(x * mult) for x in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-u for u in ints]
+            break
+    return tuple(Fraction(v) for v in ints)
+
+
+def _canonical_triple(triple):
+    xs = [Fraction(x) for x in triple]
+    if len(xs) != 3:
+        raise InputError("homogeneous triples have exactly 3 entries")
+    if not any(xs):
+        raise GeometryError("zero triple is not a projective element")
+    mult = lcm(*(x.denominator for x in xs))
+    return _canonical_ints([x.numerator * (mult // x.denominator) for x in xs])
+
+
+def _canonical_ints(ints):
+    """Normal form of a nonzero integer triple up to scale: coprime entries,
+    first nonzero entry positive."""
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    for v in ints:
+        if v != 0:
+            if v < 0:
+                ints = [-u for u in ints]
+            break
+    return tuple(ints)
+
+
+rationals = st.one_of(st.just(0), st.integers(-10**12, 10**12),
+                      st.fractions(max_denominator=10**6))
+
+
+@given(st.lists(rationals, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_primitive_matches_normalize_vector(vec):
+    got = primitive(vec)
+    assert all(type(v) is int for v in got)
+    assert got == _normalize_vector(vec)
+
+
+@given(st.tuples(rationals, rationals, rationals))
+@settings(max_examples=300, deadline=None)
+def test_primitive_matches_canonical_triple(triple):
+    if not any(triple):
+        with pytest.raises(GeometryError):
+            ProjPoint(triple)
+        return
+    want = _canonical_triple(triple)
+    assert primitive(triple) == want
+    assert ProjPoint(triple).coords == want == ProjLine(triple).coeffs
+
+
+def test_projective_triples_keep_their_errors():
+    for bad in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(InputError):
+            ProjPoint(bad)
+        with pytest.raises(InputError):
+            ProjLine(bad)
+    with pytest.raises(GeometryError):
+        ProjLine((0, Fraction(0), 0))
+
+
+@given(matrices())
+@settings(max_examples=40, deadline=None)
+def test_nullspace_basis_returns_normalized_fraction_tuples(m):
+    for vec in nullspace_basis(m):
+        assert type(vec) is tuple
+        assert all(type(x) is Fraction for x in vec)
+        assert vec == _normalize_vector(vec)

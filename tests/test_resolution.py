@@ -183,7 +183,7 @@ def test_genericity_guard_before_first_surgery():
     with pytest.raises(GenericityError):
         associated_framing(twisted, "e13", "e25")
     with pytest.raises(GenericityError):
-        associated_framing(twisted, "e13", "e25", route="backward")
+        associated_framing(twisted, "e25", "e13")
     with pytest.raises(GenericityError):
         scheme_hf_surgery(twisted, (4, 5))
     with pytest.raises(GenericityError):
@@ -244,7 +244,7 @@ def test_resurgery_cycles_through_three_topologies():
     assert len(seen) == 3
 
 
-def test_associated_framing_direct_and_route_independence():
+def test_associated_framing_direct_and_symmetric():
     for seed in (2, 3, 4):
         s = distinct_lines_scheme(5, seed)
         labs = sorted(s.tree.leaf_labels.values())
@@ -253,8 +253,8 @@ def test_associated_framing_direct_and_route_independence():
         lf = leaf_forces(s, fl)
         for i in range(len(labs)):
             for j in range(i + 1, len(labs)):
-                fwd = associated_framing(s, labs[i], labs[j], route="forward")
-                bwd = associated_framing(s, labs[i], labs[j], route="backward")
+                fwd = associated_framing(s, labs[i], labs[j])
+                bwd = associated_framing(s, labs[j], labs[i])
                 assert fwd == bwd
                 # independent check: the framing is the line of the summed
                 # leaf forces of the pair

@@ -1,0 +1,42 @@
+"""The benchmark's per-layer tracing (`perfbench/tracing.py`) wraps tensec
+functions by module and name; a renamed or moved function would make
+`--trace 1` fail or count nothing.  The hooks are loaded from the file, read
+only, and always uninstalled."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def tensec_modules():
+    return {name: mod for name, mod in sys.modules.items()
+            if name == "tensec" or name.startswith("tensec.")}
+
+
+def test_trace_hooks_install_and_restore():
+    tracing = load_tracing()
+    hooked = [(short, attr) for short, attr, _hook in tracing.SPANS]
+    hooked += list(tracing.COUNTERS)
+    originals = {(short, attr): getattr(tracing._module(short), attr)
+                 for short, attr in hooked}
+    before = {name: dict(vars(mod)) for name, mod in tensec_modules().items()}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (short, attr), original in originals.items():
+            assert getattr(tracing._module(short), attr) is not original, (short, attr)
+    finally:
+        tracer.uninstall()
+    for name, snapshot in before.items():
+        current = vars(sys.modules[name])
+        for key, value in snapshot.items():
+            assert current[key] is value, f"{name}.{key} not restored"

@@ -26,7 +26,7 @@ from .errors import (InconsistentQuantizationError, InputError,
 from .framework import (find_nonparallelizable_stress,
                         forceload_from_stress, framework_from_json,
                         framework_in_general_position, graph_from_json,
-                        self_stress_basis)
+                        read_json, self_stress_basis)
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
 from .numeric import scalar_from_string, scalar_to_string
 from .projective import AffineChart, ProjLine
@@ -42,14 +42,6 @@ def _parse_chart(text: str) -> AffineChart:
     if len(parts) != 3:
         raise InputError("--chart expects three comma-separated rationals")
     return AffineChart(ProjLine([scalar_from_string(p) for p in parts]))
-
-
-def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(report: dict, text_lines, fmt: str):
@@ -73,7 +65,7 @@ def _phase(args, name: str):
 # check
 
 def cmd_check(args) -> int:
-    fw = framework_from_json(_load_json(args.framework))
+    fw = framework_from_json(read_json(args.framework))
     fw.graph.require_min_degree(3)
     chart = _parse_chart(args.chart)
     report = {"command": "check", "input": args.framework, "seed": args.seed}
@@ -102,9 +94,8 @@ def cmd_check(args) -> int:
         if stress is not None:
             quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart))
         else:
-            trees = default_trees(fw)
             if all(fw.graph.degree(v) == 3 for v in fw.graph.vertices):
-                quant = Quantization(ResolutionGraph(fw, trees), {})
+                quant = Quantization(ResolutionGraph(fw, default_trees(fw.graph)), {})
         if quant is None:
             consistent = None
             report["quantization_note"] = "unknown (existential over the line slots)"
@@ -165,7 +156,7 @@ def _tri(v) -> str:
 # conditions
 
 def cmd_conditions(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = graph_from_json(read_json(args.graph))
     g.require_min_degree(3)
     system = generate_system(g, mode=args.cycles)
     payload = system_to_json(system)
@@ -206,7 +197,7 @@ def _draw_sample(g, constrained, index: int, sample_seed: int):
 
 
 def cmd_verify(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
+    g = graph_from_json(read_json(args.graph))
     g.require_min_degree(3)
     with _phase(args, "compile"):
         system = generate_system(g, mode=args.cycles)
@@ -273,7 +264,7 @@ def cmd_verify(args) -> int:
 # render
 
 def cmd_render(args) -> int:
-    obj = _load_json(args.input)
+    obj = read_json(args.input)
     chart = _parse_chart(args.chart)
     if isinstance(obj, dict) and "framings" in obj:
         from .cycles import framed_cycle_from_json
@@ -297,37 +288,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "conditions over exact rationals")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int,
-                       default=int(os.environ.get("TENSEC_SEED", "0")))
-        p.add_argument("--samples", type=int, default=200)
-        p.add_argument("--cycles", choices=("all", "generators"), default="all")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--chart", default="0,0,1",
-                       help="infinity-line coefficients a,b,c")
-        p.add_argument("-o", "--output", default=None)
-        p.add_argument("--timings", action="store_true",
-                       help="print phase timings to stderr")
-
-    p_check = sub.add_parser("check", help="full decision run on a framework")
-    p_check.add_argument("framework")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_cond = sub.add_parser("conditions", help="compile a graph to conditions")
-    p_cond.add_argument("graph")
-    common(p_cond)
-    p_cond.set_defaults(func=cmd_conditions)
-
-    p_verify = sub.add_parser("verify", help="randomized oracle comparison")
-    p_verify.add_argument("graph")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_render = sub.add_parser("render", help="render a framework or framed cycle")
-    p_render.add_argument("input")
-    common(p_render)
-    p_render.set_defaults(func=cmd_render)
+    options = {
+        "seed": (("--seed",), {"type": int,
+                               "default": int(os.environ.get("TENSEC_SEED", "0"))}),
+        "samples": (("--samples",), {"type": int, "default": 200}),
+        "cycles": (("--cycles",), {"choices": ("all", "generators"), "default": "all"}),
+        "format": (("--format",), {"choices": ("text", "json"), "default": "text"}),
+        "chart": (("--chart",), {"default": "0,0,1",
+                                 "help": "infinity-line coefficients a,b,c"}),
+        "output": (("-o", "--output"), {"default": None}),
+        "timings": (("--timings",), {"action": "store_true",
+                                     "help": "print phase timings to stderr"}),
+    }
+    for name, positional, func, wanted, help_text in (
+            ("check", "framework", cmd_check, "seed cycles format chart timings",
+             "full decision run on a framework"),
+            ("conditions", "graph", cmd_conditions, "cycles format",
+             "compile a graph to conditions"),
+            ("verify", "graph", cmd_verify, "seed samples cycles format timings",
+             "randomized oracle comparison"),
+            ("render", "input", cmd_render, "chart output",
+             "render a framework or framed cycle")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional)
+        for option in wanted.split():
+            flags, kwargs = options[option]
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 

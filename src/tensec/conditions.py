@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .framework import (Framework, Graph, edge_key, enumerate_simple_cycles,
+from .framework import (Framework, Graph, cycle_corners, edge_key,
                         framework_in_general_position)
 from .projective import (TRUE, join, meet, pick_generic_line_through,
                          pick_generic_point_on, rel_collinear,
                          rel_concurrent, rel_incident, sub_seed)
-from .quantization import fundamental_cycles
-from .resolution import default_tree, tree_edge, tree_labels, walk_to_shared_node
+from .quantization import consistency_cycles, default_trees
+from .resolution import tree_edge, tree_labels, walk_to_shared_node
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +206,7 @@ class XiSpace:
         return len(self.slots)
 
 
-def xi_space(g: Graph, fw: Framework | None = None) -> XiSpace:
+def xi_space(g: Graph) -> XiSpace:
     g.require_min_degree(3)
     slots = []
     for v in g.vertices:
@@ -315,45 +315,26 @@ class ConditionSystem:
     conditions: tuple
 
 
-def default_graph_trees(g: Graph) -> dict:
-    return {v: default_tree([edge_key(v, u) for u in g.neighbors(v)])
-            for v in g.vertices}
-
-
 def generate_system(g: Graph, fw: Framework | None = None,
-                    trees: dict | None = None, mode: str = "all",
-                    variant: str = "paper") -> ConditionSystem:
-    """One relation-rooted condition per configured simple cycle.
+                    mode: str = "all") -> ConditionSystem:
+    """One relation-rooted condition per cycle of `consistency_cycles`,
+    over the default trees.
 
-    The system depends only on the graph and tree choice; when a framework
-    is supplied it is required to be in general position (the regime in
-    which fulfillment is equivalent to the existence of a non-parallelizable
-    tensegrity).
+    The system depends only on the graph; when a framework is supplied it is
+    required to be in general position (the regime in which fulfillment is
+    equivalent to the existence of a non-parallelizable tensegrity).
     """
     g.require_min_degree(3)
     if fw is not None and not framework_in_general_position(fw):
         raise PreconditionError("framework is not in general position")
-    trees = trees if trees is not None else default_graph_trees(g)
-    n = len(g.vertices)
-    if mode == "all":
-        cycles = enumerate_simple_cycles(g, n - 1)
-    elif mode == "generators":
-        cycles = fundamental_cycles(g)
-    else:
-        raise InputError(f"unknown cycle mode {mode!r}")
+    trees = default_trees(g)
     conditions = []
-    for cycle in cycles:
-        k = len(cycle)
-        framings = []
-        for m in range(k):
-            v = cycle[m]
-            e_prev = edge_key(cycle[(m - 1) % k], v)
-            e_next = edge_key(v, cycle[(m + 1) % k])
-            framings.append(framing_expression(g, trees, v, e_prev, e_next))
+    for cycle in consistency_cycles(g, mode):
+        framings = [framing_expression(g, trees, *corner)
+                    for corner in cycle_corners(cycle)]
         pts = [PointConst(v) for v in cycle]
         conditions.append(Condition(tuple(cycle),
-                                    cycle_condition_expression(pts, framings,
-                                                               variant=variant)))
+                                    cycle_condition_expression(pts, framings)))
     return ConditionSystem(xi_space(g), tuple(conditions))
 
 

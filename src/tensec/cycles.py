@@ -15,8 +15,6 @@ p |-> cross(m, cross(c, p)) on R^3, which restricts to the matrix.
 
 from __future__ import annotations
 
-import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +28,7 @@ from .projective import (
     join,
     lines_in_general_position,
     meet,
+    random_line_avoiding,
     rel_incident,
 )
 
@@ -278,14 +277,7 @@ def pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
             pt = meet(lines[i], lines[j])
             if pt is not TRUE:
                 forbidden.add(pt)
-    rng = random.Random(seed)
-    while True:
-        coeffs = tuple(rng.randint(-999, 999) for _ in range(3))
-        if not any(coeffs):
-            continue
-        cand = ProjLine(coeffs)
-        if all(not cand.contains(p) for p in forbidden):
-            return cand
+    return random_line_avoiding(forbidden, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +297,3 @@ def framed_cycle_from_json(obj) -> FramedCycle:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed framed-cycle JSON: {exc}") from exc
     return FramedCycle(points, framings)
-
-
-def load_framed_cycle(path) -> FramedCycle:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read framed-cycle file: {exc}") from exc
-    return framed_cycle_from_json(obj)

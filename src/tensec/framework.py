@@ -22,17 +22,16 @@ from .projective import (
     TRUE,
     AffineChart,
     Force,
-    ProjLine,
     ProjPoint,
     ZERO_FORCE,
     _cross,
-    _dot,
     affine_vector,
     join,
     lines_in_general_position,
     meet,
     nonvanishing_proper_subsets,
     partial_sum_lines_distinct,
+    random_line_avoiding,
 )
 
 
@@ -40,6 +39,20 @@ def edge_key(u: str, v: str):
     if u == v:
         raise InputError(f"loop edge at {u!r}")
     return (u, v) if u < v else (v, u)
+
+
+def is_connected(adjacency) -> bool:
+    """A depth-first search from the first node of a nonempty adjacency
+    mapping reaches every node."""
+    start = next(iter(adjacency))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adjacency)
 
 
 class Graph:
@@ -64,18 +77,8 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        if vertices and not self._connected():
+        if vertices and not is_connected(self._adj):
             raise InputError("graph is not connected")
-
-    def _connected(self) -> bool:
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def neighbors(self, v: str):
         return self._adj[v]
@@ -260,8 +263,13 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
     return True
 
 
+#: Seeded random combinations of the basis probed when the stress space has
+#: dimension >= 2.
+_PROBES = 16
+
+
 def find_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = None,
-                                  seed: int = 0, tries: int = 16):
+                                  seed: int = 0):
     """A self-stress whose load is non-parallelizable, or None.
 
     Exact for stress spaces of dimension <= 1 (non-parallelizability is
@@ -275,7 +283,7 @@ def find_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = Non
     candidates = list(basis)
     if len(basis) > 1:
         rng = random.Random(seed)
-        for _ in range(tries):
+        for _ in range(_PROBES):
             combo = {}
             for e in fw.graph.edges:
                 combo[e] = sum((Fraction(rng.randint(-9, 9)) * w.weights[e]
@@ -291,9 +299,9 @@ def find_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = Non
 
 
 def exists_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = None,
-                                    seed: int = 0, tries: int = 16) -> bool:
+                                    seed: int = 0) -> bool:
     """Oracle verdict: some self-stress induces a non-parallelizable load."""
-    return find_nonparallelizable_stress(fw, chart, seed, tries) is not None
+    return find_nonparallelizable_stress(fw, chart, seed) is not None
 
 
 def enumerate_simple_cycles(g: Graph, max_len: int):
@@ -325,6 +333,14 @@ def enumerate_simple_cycles(g: Graph, max_len: int):
 
         extend()
     return sorted(cycles, key=lambda c: (len(c), c))
+
+
+def cycle_corners(cycle):
+    """Yield (v, e_prev, e_next) for each vertex of a cycle: the vertex and
+    the keys of the cycle edges before and after it."""
+    k = len(cycle)
+    for m, v in enumerate(cycle):
+        yield v, edge_key(cycle[m - 1], v), edge_key(v, cycle[(m + 1) % k])
 
 
 def cycle_edge_lines(fw: Framework, cycle):
@@ -401,14 +417,7 @@ def hf_surgery_framework(fw: Framework, edge, roles) -> Framework:
 
 def chart_avoiding(points, seed: int = 0) -> AffineChart:
     """Deterministic chart whose infinity line misses every given point."""
-    rng = random.Random(seed)
-    pts = list(points)
-    while True:
-        coeffs = tuple(rng.randint(-999, 999) for _ in range(3))
-        if not any(coeffs):
-            continue
-        if all(_dot(coeffs, q.coords) != 0 for q in pts):
-            return AffineChart(ProjLine(coeffs))
+    return AffineChart(random_line_avoiding(points, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +447,17 @@ def framework_from_json(obj) -> Framework:
     return Framework(Graph(vertices, edges), placement)
 
 
-def load_framework(path) -> Framework:
+def read_json(path):
+    """Parsed contents of a JSON file; InputError if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read framework file: {exc}") from exc
-    return framework_from_json(obj)
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def load_framework(path) -> Framework:
+    return framework_from_json(read_json(path))
 
 
 def graph_from_json(obj) -> Graph:

@@ -285,6 +285,17 @@ def random_fraction(rng: random.Random, bound: int) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def random_line_avoiding(points, seed: int) -> ProjLine:
+    """Seeded line through none of the given points: the first nonzero
+    coefficient triple, drawn uniformly from [-999, 999]^3, that qualifies."""
+    coords = [p.coords for p in points]
+    rng = random.Random(seed)
+    while True:
+        coeffs = tuple(rng.randint(-999, 999) for _ in range(3))
+        if any(coeffs) and all(_dot(coeffs, q) != 0 for q in coords):
+            return ProjLine(coeffs)
+
+
 def sub_seed(seed: int, text: str) -> int:
     """Seed derived from a seed and a text, stable across processes (the
     builtin hash is randomized per process)."""

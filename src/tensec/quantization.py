@@ -21,20 +21,18 @@ from .cycles import FramedCycle, cycle_general_position, is_trivial, monodromy, 
     pick_aux_line
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
-from .framework import (ForceLoad, Framework, Stress, edge_key,
-                        enumerate_simple_cycles, is_non_parallelizable)
+from .framework import (ForceLoad, Framework, Graph, cycle_corners, edge_key,
+                        enumerate_simple_cycles, framework_from_json,
+                        framework_to_json, is_non_parallelizable)
 from .projective import Force, ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, _decompose, associated_framing,
                          default_tree, is_strongly_generic, tree_labels)
 
 
-def default_trees(fw: Framework) -> dict:
+def default_trees(g: Graph) -> dict:
     """Caterpillar tree at every vertex, leaves in sorted-neighbor order."""
-    trees = {}
-    for v in fw.graph.vertices:
-        labels = [edge_key(v, u) for u in fw.graph.neighbors(v)]
-        trees[v] = default_tree(labels)
-    return trees
+    return {v: default_tree([edge_key(v, u) for u in g.neighbors(v)])
+            for v in g.vertices}
 
 
 @dataclass
@@ -178,8 +176,7 @@ class Quantization:
         return dict(self.interior_labels)
 
 
-def quantization_from_stress(fw: Framework, fl: ForceLoad,
-                             trees: dict | None = None) -> Quantization:
+def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
     """Quantization associated to a non-parallelizable equilibrium load.
 
     Each interior tree edge is labeled by the line of force of the summed
@@ -189,7 +186,7 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad,
     """
     if not is_non_parallelizable(fw, fl):
         raise GenericityError("force-load is parallelizable at some vertex")
-    rg = ResolutionGraph(fw, trees if trees is not None else default_trees(fw))
+    rg = ResolutionGraph(fw, default_trees(fw.graph))
     labels = {}
     for v in fw.graph.vertices:
         tree = rg.trees[v]
@@ -208,18 +205,10 @@ def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
     """Framed cycle on the cycle's points, framed at each vertex by the
     associated framing of its two cycle edges."""
     fw = q.framework
-    k = len(cycle)
-    if k >= len(fw.graph.vertices):
+    if len(cycle) >= len(fw.graph.vertices):
         raise PreconditionError("cycle must omit at least one vertex")
-    points = []
-    framings = []
-    for m in range(k):
-        v = cycle[m]
-        e_prev = edge_key(cycle[(m - 1) % k], v)
-        e_next = edge_key(v, cycle[(m + 1) % k])
-        framings.append(q.framing(v, e_prev, e_next))
-        points.append(fw.placement[v])
-    return FramedCycle(points, framings)
+    return FramedCycle([fw.placement[v] for v in cycle],
+                       [q.framing(*corner) for corner in cycle_corners(cycle)])
 
 
 def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
@@ -232,13 +221,12 @@ def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
     return is_trivial(monodromy(fc, 0, aux))
 
 
-def consistency_cycles(fw: Framework, mode: str = "all"):
-    """Cycle set checked for consistency: every simple cycle on <= n-1
-    vertices, or a fundamental system generating the cycle space."""
-    g = fw.graph
-    n = len(g.vertices)
+def consistency_cycles(g: Graph, mode: str = "all"):
+    """Cycle set checked for consistency and compiled into conditions: every
+    simple cycle on <= n-1 vertices, or a fundamental system generating the
+    cycle space."""
     if mode == "all":
-        return enumerate_simple_cycles(g, n - 1)
+        return enumerate_simple_cycles(g, len(g.vertices) - 1)
     if mode != "generators":
         raise InputError(f"unknown cycle mode {mode!r}")
     return fundamental_cycles(g)
@@ -310,10 +298,10 @@ def _canonical_cycle(seq):
 
 def is_consistent(q: Quantization, seed: int, mode: str = "all") -> bool:
     return all(is_consistent_at(q, c, seed)
-               for c in consistency_cycles(q.framework, mode))
+               for c in consistency_cycles(q.framework.graph, mode))
 
 
-def construct_forceload(q: Quantization, seed: int = 0, seed_edge=None) -> dict:
+def construct_forceload(q: Quantization, seed_edge=None) -> dict:
     """Equilibrium force-load on the resolution graph, by vertex addition.
 
     Seeds one glued edge (the lexicographically smallest unless `seed_edge`
@@ -453,8 +441,6 @@ def induced_stress(q: Quantization, gt_forces: dict) -> ForceLoad:
 #    "interior_labels":{"p1:1":["a","b","c"],...}}
 
 def quantization_to_json(q: Quantization) -> dict:
-    from .framework import framework_to_json
-
     fw = q.framework
     out = framework_to_json(fw)
     trees = {}
@@ -472,10 +458,6 @@ def quantization_to_json(q: Quantization) -> dict:
 
 
 def quantization_from_json(obj) -> Quantization:
-    from .framework import framework_from_json
-    from .projective import ProjLine
-    from .resolution import default_tree
-
     fw = framework_from_json(obj)
     try:
         trees = {}
@@ -488,14 +470,3 @@ def quantization_from_json(obj) -> Quantization:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed quantization JSON: {exc}") from exc
     return Quantization(ResolutionGraph(fw, trees), labels)
-
-
-def stress_route_roundtrip(fw: Framework, stress: Stress, seed: int = 0):
-    """Convenience pipeline: stress -> quantization -> constructed load ->
-    induced framework load.  Returns (quantization, induced ForceLoad)."""
-    from .framework import forceload_from_stress
-
-    fl = forceload_from_stress(fw, stress)
-    q = quantization_from_stress(fw, fl)
-    gt = construct_forceload(q, seed)
-    return q, induced_stress(q, gt)

@@ -5,10 +5,14 @@ line through the base point, and an equilibrium force-load assigns a force
 along that line to every edge so that the three forces at each interior tree
 node cancel.  The H-to-Phi surgery rewires an interior edge and relabels it
 with the line of the two forces that come together at the new node; walking
-surgeries along a leaf-to-leaf path yields the associated framing for a pair
-of host edges.  `rewire` and `walk_to_shared_node` take the label of the
-fresh edge as a rule, so the condition compiler walks the same path with
-expression labels.
+surgeries along a leaf-to-leaf path until the two leaves share a node
+defines the associated framing of a pair of host edges, the label of the
+third edge at that node.  A surgery keeps the leaf forces up to one scale,
+and the third edge balances the pair, so the framing is the line of the sum
+of the two leaf forces: `associated_framing` computes it that way.  The walk
+remains the definition: `rewire` and `walk_to_shared_node` take the label of
+the fresh edge as a rule, so the condition compiler walks the same path with
+expression labels, and the tests replay it with `scheme_hf_surgery`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GenericityError, GeometryError, InputError
+from .framework import is_connected
 from .numeric import solve_in_span
 from .projective import Force, ProjLine, ProjPoint, line_of_force, \
     nonvanishing_proper_subsets, partial_sum_lines_distinct
@@ -52,19 +57,8 @@ class BinaryTree:
             raise InputError("a full binary tree has at least 3 leaves")
         self.adjacency = adjacency
         self.leaf_labels = dict(leaf_labels)
-        if not self._connected():
+        if not is_connected(adjacency):
             raise InputError("tree is not connected")
-
-    def _connected(self):
-        nodes = list(self.adjacency)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(nodes)
 
     def edges(self):
         out = set()
@@ -84,7 +78,8 @@ class BinaryTree:
 
     def is_interior(self, edge) -> bool:
         u, v = edge
-        return self.degree(u) == 3 and self.degree(v) == 3
+        return (v in self.adjacency.get(u, ())
+                and self.degree(u) == 3 and self.degree(v) == 3)
 
     def interior_edges(self):
         return [e for e in self.edges() if self.is_interior(e)]
@@ -326,6 +321,16 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
     return BinaryTree(adjacency, tree.leaf_labels), out
 
 
+def shared_node_edge(tree: BinaryTree, leaf_a, leaf_b):
+    """Third edge at the node two leaves share, or None if they share none."""
+    na = tree.leaf_node(leaf_a)
+    nb = tree.leaf_node(leaf_b)
+    mid = tree.adjacency[na][0]
+    if tree.adjacency[nb][0] != mid:
+        return None
+    return tree_edge(mid, next(n for n in tree.adjacency[mid] if n not in (na, nb)))
+
+
 def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_label):
     """Label of the third edge at the node two leaves come to share.
 
@@ -334,16 +339,11 @@ def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_labe
     leaves share a node: the associated framing of the pair, as a line or
     as an expression depending on the labels.
     """
-    while True:
-        na = tree.leaf_node(leaf_a)
-        nb = tree.leaf_node(leaf_b)
-        path = tree.path(na, nb)
-        if len(path) == 3:
-            mid = path[1]
-            third = next(n for n in tree.adjacency[mid] if n not in (na, nb))
-            return labels[tree_edge(mid, third)]
+    while (edge := shared_node_edge(tree, leaf_a, leaf_b)) is None:
+        path = tree.path(tree.leaf_node(leaf_a), tree.leaf_node(leaf_b))
         tree, labels = rewire(tree, labels, (path[1], path[2]),
                               (path[0], path[3]), new_label)
+    return labels[edge]
 
 
 def _paired_line(s: ResolutionScheme, h) -> ProjLine:
@@ -364,10 +364,10 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> Resol
     `pairing` = (v3, v5) selects which neighbors come together (defaults to
     the smallest of each side).
 
-    Raises GenericityError unless the scheme is strongly generic.  Walks of
-    several surgeries (`associated_framing`, `enumerate_equivalent_schemes`)
-    check that once and rewire directly: a surgery keeps the leaf forces up
-    to one scale, and strong genericity depends on nothing else.
+    Raises GenericityError unless the scheme is strongly generic.
+    `enumerate_equivalent_schemes` checks that once and rewires directly: a
+    surgery keeps the leaf forces up to one scale, and strong genericity
+    depends on nothing else.
     """
     if not is_strongly_generic(s):
         raise GenericityError("scheme is not strongly generic")
@@ -383,23 +383,25 @@ def _hf_rewire(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionSc
 
 def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
     """Line at the third edge once the two leaves share a tree node, after
-    the s-3 surgeries along the leaf-to-leaf path.  Symmetric in the two
-    leaves.
+    the surgeries along the leaf-to-leaf path.  Symmetric in the two leaves.
 
-    Strong genericity is checked once, before the first surgery, and raises
-    GenericityError when it fails; a pair of leaves that already share a
-    node needs no surgery and no check.  The later schemes of the walk have
-    the same leaf forces up to scale, so they are strongly generic too.
+    A pair that already shares a node reads the third edge's label.  Any
+    other pair needs surgeries, which need strong genericity (checked here,
+    GenericityError when it fails); each keeps the leaf forces up to one
+    scale, and at the final shared node the third edge balances the pair, so
+    the framing is line_of_force(F_a + F_b) of the canonical leaf forces.
+    The surgery walk (`scheme_hf_surgery` along the path) remains the
+    definition; the condition compiler and the tests follow it.
     """
     if leaf_a == leaf_b:
         raise InputError("framing needs two distinct leaf labels")
-
-    def paired_line(tree, labels, h):
-        if tree is s.tree and not is_strongly_generic(s):
-            raise GenericityError("scheme is not strongly generic")
-        return _paired_line(ResolutionScheme(tree, s.base, labels), h)
-
-    return walk_to_shared_node(s.tree, s.labels, leaf_a, leaf_b, paired_line)
+    edge = shared_node_edge(s.tree, leaf_a, leaf_b)
+    if edge is not None:
+        return s.labels[edge]
+    if not is_strongly_generic(s):
+        raise GenericityError("scheme is not strongly generic")
+    lf = leaf_forces(s, _canonical_forceload(s))
+    return line_of_force(lf[leaf_a] + lf[leaf_b])
 
 
 def topology_sort_key(key):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from tensec.conditions import (framing_expression, default_graph_trees, evaluate,
+from tensec.conditions import (framing_expression, evaluate,
                                fulfilled_with_witness, generate_system)
 from tensec.cycles import (cycle_equilibrium_basis, is_trivial, monodromy,
                            pick_aux_line, project_cycle)
@@ -23,8 +23,8 @@ from tensec.framework import (chart_avoiding, find_nonparallelizable_stress,
                               framework_to_json, hf_surgery_framework,
                               is_equilibrium, is_non_parallelizable,
                               self_stress_basis, stress_of_forceload)
-from tensec.quantization import (construct_forceload, induced_stress, is_consistent,
-                                 quantization_from_stress)
+from tensec.quantization import (construct_forceload, default_trees, induced_stress,
+                                 is_consistent, quantization_from_stress)
 from tensec.resolution import enumerate_equivalent_schemes
 from tensec.sampling import (desargues_concurrent_placement,
                              pascal_conic_placement, random_framed_cycle,
@@ -164,7 +164,7 @@ def test_criterion_7_end_to_end_equivalence_200(graph, constrained, tag):
 
 def test_criterion_8_wheel_witness_direction_100():
     system = generate_system(WHEEL5_GRAPH)
-    trees = default_graph_trees(WHEEL5_GRAPH)
+    trees = default_trees(WHEEL5_GRAPH)
     pairs = ((("p1", "p2"), ("p1", "p4")), (("p1", "p3"), ("p1", "p5")))
     done = 0
     seed = 0
@@ -195,7 +195,7 @@ def test_criterion_9_quantization_roundtrip_on_fixtures():
         w = self_stress_basis(fw)[0]
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
         assert is_consistent(quant, seed=13)
-        gt = construct_forceload(quant, seed=13)
+        gt = construct_forceload(quant)
         ind = induced_stress(quant, gt)
         assert is_equilibrium(fw, ind)
         assert is_non_parallelizable(fw, ind)

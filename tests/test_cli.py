@@ -231,6 +231,19 @@ def test_timings_go_to_stderr_only(files):
     assert "[timing]" in b.stderr and "[timing]" not in a.stderr
 
 
+def test_subcommands_reject_options_they_do_not_read(files, tmp_path, capsys):
+    out = str(tmp_path / "out.json")
+    for argv in (["check", files["dpos"], "-o", out],
+                 ["conditions", files["wheel"], "--seed", "3"],
+                 ["verify", files["wheel"], "--chart", "0,0,1"],
+                 ["render", files["dpos"], "-o", out, "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_render_framework(files, tmp_path, capsys):
     out = tmp_path / "fig.svg"
     assert main(["render", files["dpos"], "-o", str(out)]) == 0

@@ -16,10 +16,9 @@ from tensec.framework import (Framework, Graph, edge_key,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_in_general_position,
                               load_framework)
-from tensec.conditions import default_graph_trees
 from tensec.cycles import is_trivial, monodromy, pick_aux_line
 from tensec.projective import ProjPoint, join, pick_generic_point_on
-from tensec.quantization import quantization_from_stress
+from tensec.quantization import default_trees, quantization_from_stress
 from tensec.sampling import (random_framed_cycle, random_placement,
                              random_projective_map, transform_framework)
 
@@ -50,14 +49,14 @@ def test_ast_typing_enforced():
 
 
 def test_framing_expression_degree3_shortcut():
-    trees = default_graph_trees(DESARGUES_GRAPH)
+    trees = default_trees(DESARGUES_GRAPH)
     expr = framing_expression(DESARGUES_GRAPH, trees, "p2",
                               ("p2", "p3"), ("p2", "p6"))
     assert expr == Join(PointConst("p1"), PointConst("p2"))
 
 
 def test_framing_expression_degree4_adjacent_pairs_are_bare_linevars():
-    trees = default_graph_trees(WHEEL5_GRAPH)
+    trees = default_trees(WHEEL5_GRAPH)
     # hub caterpillar order: (p1p2, p1p3 | p1p4, p1p5)
     expr_a = framing_expression(WHEEL5_GRAPH, trees, "p1",
                                 ("p1", "p2"), ("p1", "p3"))
@@ -68,7 +67,7 @@ def test_framing_expression_degree4_adjacent_pairs_are_bare_linevars():
 
 
 def test_framing_expression_degree4_mixed_pair_expands_surgery():
-    trees = default_graph_trees(WHEEL5_GRAPH)
+    trees = default_trees(WHEEL5_GRAPH)
     expr = framing_expression(WHEEL5_GRAPH, trees, "p1",
                               ("p1", "p2"), ("p1", "p4"))
     text = to_sexpr(expr)
@@ -234,7 +233,7 @@ def wheel_positive(seed):
 
 def test_wheel_witness_direction_and_degree4_identity():
     system = generate_system(WHEEL5_GRAPH)
-    trees = default_graph_trees(WHEEL5_GRAPH)
+    trees = default_trees(WHEEL5_GRAPH)
     for seed in (100, 200, 300):
         fw, w = wheel_positive(seed)
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
@@ -254,7 +253,7 @@ def test_symbolic_framing_matches_numeric_scheme():
     from tensec.resolution import associated_framing
 
     def check(fw, w, hub, pairs, eval_seeds):
-        trees = default_graph_trees(fw.graph)
+        trees = default_trees(fw.graph)
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
         witness = quant.xi_witness()
         scheme = quant.scheme_at(hub)
@@ -278,7 +277,7 @@ def test_symbolic_framing_matches_numeric_scheme():
 
 
 def test_double_evaluation_of_surgery_expression_is_stable():
-    trees = default_graph_trees(WHEEL5_GRAPH)
+    trees = default_trees(WHEEL5_GRAPH)
     expr = framing_expression(WHEEL5_GRAPH, trees, "p1",
                               ("p1", "p2"), ("p1", "p4"))
     for seed in (5, 6):
@@ -316,7 +315,7 @@ def test_witness_must_cover_slots():
 
 
 def test_generic_node_avoid_sets_recorded():
-    trees = default_graph_trees(WHEEL5_GRAPH)
+    trees = default_trees(WHEEL5_GRAPH)
     expr = framing_expression(WHEEL5_GRAPH, trees, "p1",
                               ("p1", "p2"), ("p1", "p4"))
 

@@ -7,6 +7,8 @@ from tensec.cycles import (FramedCycle, LineMap, cycle_equilibrium_basis,
                            framed_cycle_to_json, is_trivial, line_basis,
                            monodromy, pick_aux_line, project_cycle, shift_map)
 from tensec.errors import GeometryError, PreconditionError
+from tensec.fixtures import DESARGUES_POS
+from tensec.framework import chart_avoiding
 from tensec.projective import (ProjLine, ProjPoint, join, meet,
                                pick_generic_point_on)
 from tensec.sampling import random_framed_cycle
@@ -227,3 +229,30 @@ def test_framed_cycle_json_roundtrip():
     back = framed_cycle_from_json(obj)
     assert back.points == c.points
     assert back.framings == c.framings
+
+
+def test_seeded_lines_match_recorded_values():
+    # pick_aux_line and chart_avoiding draw coefficient triples from one
+    # seeded stream; the values were recorded before the two shared a helper
+    pts = [ProjPoint((0, 0, 1)), ProjPoint((4, 0, 1)), ProjPoint((5, 3, 1)),
+           ProjPoint((1, 4, 1))]
+    frs = [ProjLine((1, 2, 0)), ProjLine((1, -1, -4)), ProjLine((3, 1, -18)),
+           ProjLine((2, 1, -6))]
+    c = FramedCycle(pts, frs)
+    # seed: (line, a point on it, line when that point is avoided too)
+    recorded = {
+        0: ((730, -211, 553), (211, 730, 0), (824, -138, -917)),
+        1: ((362, -83, -368), (83, 362, 0), (644, 565, -870)),
+        2: ((479, 384, 471), (384, -479, 0), (739, -884, -812)),
+        3: ((512, -214, -115), (107, 256, 0), (366, 121, -438)),
+        4: ((258, 189, 394), (63, -86, 0), (478, -188, -19)),
+    }
+    for seed, (first, on_first, second) in recorded.items():
+        assert pick_aux_line(c, seed).coeffs == first
+        assert pick_aux_line(c, seed, extra_avoid=[ProjPoint(on_first)]).coeffs == second
+        if seed:
+            fixture = list(DESARGUES_POS.placement.values())
+            chart = chart_avoiding(fixture, seed=seed)
+            assert chart.infinity_line.coeffs == first
+            chart = chart_avoiding(fixture + [ProjPoint(on_first)], seed=seed)
+            assert chart.infinity_line.coeffs == second

@@ -92,20 +92,20 @@ def test_consistency_on_fixtures():
     assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed=5)
     assert is_consistent(q_pos, seed=5)
     q_neg = Quantization(ResolutionGraph(DESARGUES_NEG,
-                                         default_trees(DESARGUES_NEG)), {})
+                                         default_trees(DESARGUES_NEG.graph)), {})
     assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed=5)
     assert not is_consistent(q_neg, seed=5)
 
     q_ppos, _ = stressed_quantization(PASCAL_POS)
     assert is_consistent(q_ppos, seed=5)
-    q_pneg = Quantization(ResolutionGraph(PASCAL_NEG, default_trees(PASCAL_NEG)), {})
+    q_pneg = Quantization(ResolutionGraph(PASCAL_NEG, default_trees(PASCAL_NEG.graph)), {})
     assert not is_consistent(q_pneg, seed=5)
 
 
 def test_consistency_verdict_independent_of_seed():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
     q_neg = Quantization(ResolutionGraph(DESARGUES_NEG,
-                                         default_trees(DESARGUES_NEG)), {})
+                                         default_trees(DESARGUES_NEG.graph)), {})
     for seed in (1, 17, 3333):
         assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed)
         assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed)
@@ -117,7 +117,7 @@ def test_generators_mode_agrees_with_full_mode_on_fixtures():
         if positive:
             q, _ = stressed_quantization(fw)
         else:
-            q = Quantization(ResolutionGraph(fw, default_trees(fw)), {})
+            q = Quantization(ResolutionGraph(fw, default_trees(fw.graph)), {})
         assert is_consistent(q, 2, mode="all") == positive
         assert is_consistent(q, 2, mode="generators") == positive
 
@@ -134,7 +134,7 @@ def test_fundamental_cycles_generate_and_stay_short():
 
 def test_construct_forceload_roundtrip_desargues():
     q, w = stressed_quantization(DESARGUES_POS)
-    gt = construct_forceload(q, seed=0)
+    gt = construct_forceload(q)
     assert all(not f.is_zero() for f in gt.values())
     ind = induced_stress(q, gt)
     assert is_equilibrium(DESARGUES_POS, ind)
@@ -150,7 +150,7 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
         fl = forceload_from_stress(fw, w)
         q = quantization_from_stress(fw, fl)
         assert is_consistent(q, 4)
-        gt = construct_forceload(q, seed=1)
+        gt = construct_forceload(q)
         ind = induced_stress(q, gt)
         assert is_equilibrium(fw, ind)
         got = stress_of_forceload(fw, ind)
@@ -160,9 +160,9 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
 
 def test_construct_forceload_independent_of_seed_edge():
     q, _ = stressed_quantization(DESARGUES_POS)
-    base = construct_forceload(q, 0)
+    base = construct_forceload(q)
     for e in (("p3", "p4"), ("p5", "p6"), ("p2", "p6")):
-        other = construct_forceload(q, 0, seed_edge=e)
+        other = construct_forceload(q, seed_edge=e)
         scale = None
         for key, f in base.items():
             g = other[key]
@@ -189,9 +189,9 @@ def test_induced_stress_of_zero_load_is_zero():
 
 
 def test_construct_forceload_detects_inconsistency():
-    q = Quantization(ResolutionGraph(DESARGUES_NEG, default_trees(DESARGUES_NEG)), {})
+    q = Quantization(ResolutionGraph(DESARGUES_NEG, default_trees(DESARGUES_NEG.graph)), {})
     with pytest.raises(InconsistentQuantizationError) as err:
-        construct_forceload(q, seed=0)
+        construct_forceload(q)
     assert len(err.value.cycle) >= 3
 
 
@@ -207,8 +207,8 @@ def test_quantization_json_roundtrip():
 
 
 def test_consistency_cycle_set_modes():
-    cycles_all = consistency_cycles(DESARGUES_POS, "all")
+    cycles_all = consistency_cycles(DESARGUES_POS.graph, "all")
     assert all(len(c) <= 5 for c in cycles_all)
     assert len(cycles_all) == 11
-    gens = consistency_cycles(DESARGUES_POS, "generators")
+    gens = consistency_cycles(DESARGUES_POS.graph, "generators")
     assert set(gens) <= set(cycles_all)

@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from tensec.errors import GenericityError, GeometryError, InputError
+from tensec.framework import (find_nonparallelizable_stress, forceload_from_stress,
+                              load_framework)
 from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
+from tensec.quantization import quantization_from_stress
 from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
                                default_tree, enumerate_equivalent_schemes,
                                is_strongly_generic, is_weakly_generic,
@@ -221,6 +225,13 @@ def test_surgery_guard_and_interior_requirement():
     s = worked_example()
     with pytest.raises(InputError):
         scheme_hf_surgery(s, (0, 4))  # leaf edge
+    # nodes 6 and 8 of the 6-leaf caterpillar both have degree 3 but are
+    # not adjacent
+    s6 = distinct_lines_scheme(6, 2)
+    assert s6.tree.degree(6) == 3 and s6.tree.degree(8) == 3
+    assert 8 not in s6.tree.adjacency[6]
+    with pytest.raises(InputError, match="not an interior edge"):
+        scheme_hf_surgery(s6, (6, 8))
 
 
 def test_resurgery_cycles_through_three_topologies():
@@ -244,21 +255,38 @@ def test_resurgery_cycles_through_three_topologies():
     assert len(seen) == 3
 
 
+def walked_framing(s, leaf_a, leaf_b):
+    """The associated framing by its definition: H-to-Phi surgeries at the
+    first interior edge of the leaf-to-leaf path, pairing the two path
+    neighbors, until the leaves share a node; then the third edge's label."""
+    while True:
+        na, nb = s.tree.leaf_node(leaf_a), s.tree.leaf_node(leaf_b)
+        path = s.tree.path(na, nb)
+        if len(path) == 3:
+            third = next(n for n in s.tree.adjacency[path[1]] if n not in (na, nb))
+            return s.label(path[1], third)
+        s = scheme_hf_surgery(s, (path[1], path[2]), pairing=(path[0], path[3]))
+
+
+def wheel6_hub_scheme():
+    """Scheme at the degree-6 hub of the golden wheel, stress as
+    `check --seed 6` finds it."""
+    fw = load_framework(Path(__file__).parent / "golden" / "wheel6_framework.json")
+    w = find_nonparallelizable_stress(fw, seed=6)
+    return quantization_from_stress(fw, forceload_from_stress(fw, w)).scheme_at("h")
+
+
 def test_associated_framing_direct_and_symmetric():
-    for seed in (2, 3, 4):
-        s = distinct_lines_scheme(5, seed)
+    schemes = [distinct_lines_scheme(5, seed) for seed in (2, 3, 4)]
+    schemes += [distinct_lines_scheme(6, seed) for seed in (3, 9)]
+    schemes.append(wheel6_hub_scheme())
+    for s in schemes:
         labs = sorted(s.tree.leaf_labels.values())
-        fl = scheme_forceload(s, s.tree.edges()[0],
-                              Force(s.labels[s.tree.edges()[0]].coeffs))
-        lf = leaf_forces(s, fl)
         for i in range(len(labs)):
             for j in range(i + 1, len(labs)):
                 fwd = associated_framing(s, labs[i], labs[j])
-                bwd = associated_framing(s, labs[j], labs[i])
-                assert fwd == bwd
-                # independent check: the framing is the line of the summed
-                # leaf forces of the pair
-                assert fwd == line_of_force(lf[labs[i]] + lf[labs[j]])
+                assert fwd == associated_framing(s, labs[j], labs[i])
+                assert fwd == walked_framing(s, labs[i], labs[j])
 
 
 def test_degree3_and_degree4_framing_identities():

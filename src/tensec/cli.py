@@ -28,7 +28,7 @@ from .framework import (find_nonparallelizable_stress,
                         framework_in_general_position, graph_from_json,
                         read_json, self_stress_basis)
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
-from .numeric import scalar_from_string, scalar_to_string
+from .numeric import scalar_to_string
 from .projective import AffineChart, ProjLine
 from .quantization import (Quantization, ResolutionGraph, default_trees,
                            is_consistent, quantization_from_stress)
@@ -38,10 +38,10 @@ from .sampling import (desargues_concurrent_placement, pascal_conic_placement,
 
 
 def _parse_chart(text: str) -> AffineChart:
-    parts = [p.strip() for p in text.split(",")]
+    parts = text.split(",")
     if len(parts) != 3:
         raise InputError("--chart expects three comma-separated rationals")
-    return AffineChart(ProjLine([scalar_from_string(p) for p in parts]))
+    return AffineChart(ProjLine.from_strings(parts))
 
 
 def _emit(report: dict, text_lines, fmt: str):
@@ -80,7 +80,7 @@ def cmd_check(args) -> int:
 
     with _phase(args, "oracle"):
         basis = self_stress_basis(fw, chart)
-        stress = find_nonparallelizable_stress(fw, chart, seed=args.seed)
+        stress = find_nonparallelizable_stress(fw, basis, chart, args.seed)
     report["stress_dim"] = len(basis)
     report["stress_basis"] = [
         {f"{u}-{v}": scalar_to_string(x) for (u, v), x in w.weights.items()}
@@ -210,7 +210,8 @@ def cmd_verify(args) -> int:
         for i in range(args.samples):
             sample_seed = args.seed * 1000003 + i
             fw = _draw_sample(g, constrained, i, sample_seed)
-            oracle_stress = find_nonparallelizable_stress(fw, seed=sample_seed)
+            oracle_stress = find_nonparallelizable_stress(
+                fw, self_stress_basis(fw), seed=sample_seed)
             oracle = oracle_stress is not None
             if xi_dim == 0:
                 cond = fulfilled_with_witness(system, fw, {}, sample_seed)

@@ -17,10 +17,11 @@ framed cycle by symbolic projections down to a three-line relation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .framework import (Framework, Graph, cycle_corners, edge_key,
+from .framework import (Framework, Graph, cycle_corners,
                         framework_in_general_position)
 from .projective import (TRUE, join, meet, pick_generic_line_through,
                          pick_generic_point_on, rel_collinear,
@@ -237,22 +238,17 @@ def _surgery_expression(p, l12, l13, l14, l25, l26):
     return Join(p, p3)
 
 
-def framing_expression(g: Graph, trees: dict, vertex: str, edge_a, edge_b):
+def framing_expression(trees: dict, vertex: str, edge_a, edge_b):
     """Expression for the associated framing of two edges at a vertex.
 
-    Degree-3 vertices shortcut to the join of the third edge's endpoints,
-    adjacent leaf pairs (including each degree-4 complementary pair) to the
-    shared interior label, and everything else walks the leaf-to-leaf path
-    expanding each surgery into the seven-step construction.
+    Walks the leaf-to-leaf path of the vertex's tree, expanding each surgery
+    into the seven-step construction; leaves that already share a node (the
+    two other edges at a degree-3 vertex, each degree-4 complementary pair)
+    give the third edge's label unexpanded.
     """
     edge_a, edge_b = tuple(edge_a), tuple(edge_b)
     if edge_a == edge_b:
         raise InputError("framing needs two distinct incident edges")
-    if g.degree(vertex) == 3:
-        others = [edge_key(vertex, u) for u in g.neighbors(vertex)
-                  if edge_key(vertex, u) not in (edge_a, edge_b)]
-        third = others[0]
-        return Join(PointConst(third[0]), PointConst(third[1]))
     # expression labels: edge lines at leaf edges, configuration-space
     # variables at interior edges
     labels = tree_labels(trees[vertex], lambda i, j: Join(PointConst(i), PointConst(j)),
@@ -327,11 +323,11 @@ def generate_system(g: Graph, fw: Framework | None = None,
     g.require_min_degree(3)
     if fw is not None and not framework_in_general_position(fw):
         raise PreconditionError("framework is not in general position")
-    trees = default_trees(g)
+    # a corner (vertex, edge in, edge out) recurs in many cycles
+    framing = functools.cache(functools.partial(framing_expression, default_trees(g)))
     conditions = []
     for cycle in consistency_cycles(g, mode):
-        framings = [framing_expression(g, trees, *corner)
-                    for corner in cycle_corners(cycle)]
+        framings = [framing(*corner) for corner in cycle_corners(cycle)]
         pts = [PointConst(v) for v in cycle]
         conditions.append(Condition(tuple(cycle),
                                     cycle_condition_expression(pts, framings)))

@@ -6,11 +6,11 @@ l_i -> l_{i+1} whose center is the intersection of the edge line with an
 auxiliary line; the monodromy is the composition of the k shifts once around
 the cycle.
 
-Maps between lines are exact 2x2 matrices over explicit ordered bases (the
-cycle vertex plus a canonical second point), so triviality is
-"scalar multiple of the identity" and map comparisons are exact up to scale.
-The perspectivity with center c onto the line m lifts to the linear map
-p |-> cross(m, cross(c, p)) on R^3, which restricts to the matrix.
+A map between lines is kept as the chain of perspectivities it composes,
+each one join and one meet on canonical integer points.  A projectivity of a
+line is fixed by the images of three distinct points, so the monodromy is
+trivial iff it fixes three points of its line, and two maps are equal iff
+they agree on three points.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, InputError, PreconditionError
-from .numeric import ExactMatrix, nullspace_basis, solve_in_span
+from .numeric import ExactMatrix, nullspace_basis
 from .projective import (
     TRUE,
     ProjLine,
     ProjPoint,
-    _cross,
+    _independent_pair,
     join,
     lines_in_general_position,
     meet,
@@ -76,82 +76,61 @@ def cycle_general_position(c: FramedCycle) -> bool:
     return True
 
 
-_REFERENCE_LINES = (ProjLine((1, 0, 0)), ProjLine((0, 1, 0)),
-                    ProjLine((0, 0, 1)), ProjLine((1, 1, 1)))
-
-
-def line_basis(l: ProjLine, origin: ProjPoint):
-    """Ordered basis (origin, second) of a line: the second point is the
-    intersection with the first reference line that differs from l and does
-    not contain the origin.  Deterministic, so equal (line, origin) pairs
-    yield equal bases."""
-    if not l.contains(origin):
-        raise GeometryError("basis origin must lie on the line")
-    for ref in _REFERENCE_LINES:
-        if ref != l and not ref.contains(origin):
-            return (origin, meet(l, ref))
-    raise GeometryError("no reference line applies")  # unreachable
-
-
-def _solve_in_basis(vec, b1: ProjPoint, b2: ProjPoint):
-    """Exact (x, y) with vec = x*b1.coords + y*b2.coords; GeometryError if
-    vec is not in the span."""
-    return solve_in_span(vec, b1.coords, b2.coords,
-                         "vector not on the line", "degenerate basis")
-
-
-def _mat_mul(m2, m1):
-    return (
-        (m2[0][0] * m1[0][0] + m2[0][1] * m1[1][0],
-         m2[0][0] * m1[0][1] + m2[0][1] * m1[1][1]),
-        (m2[1][0] * m1[0][0] + m2[1][1] * m1[1][0],
-         m2[1][0] * m1[0][1] + m2[1][1] * m1[1][1]),
-    )
+def _three_points(l: ProjLine):
+    """Three distinct points of a line: b1, b2 and b1 + b2 for the first
+    independent pair of triples on it.  A projectivity of a line is fixed by
+    its images of three distinct points."""
+    b1, b2 = _independent_pair(l.coeffs, "degenerate line")
+    return (ProjPoint(b1), ProjPoint(b2),
+            ProjPoint(tuple(x + y for x, y in zip(b1, b2))))
 
 
 @dataclass(frozen=True)
 class LineMap:
-    """Exact linear map between two lines over explicit ordered bases."""
+    """Projectivity from `source` onto `target` as a chain of perspectivities.
+
+    A step (center, onto) sends each point p of the current line to
+    onto ^ (center, p); the chain starts on `source` and ends on `target`.
+    """
 
     source: ProjLine
-    source_basis: tuple
     target: ProjLine
-    target_basis: tuple
-    matrix: tuple
+    steps: tuple
 
     def __post_init__(self):
-        m = self.matrix
-        if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
-            raise GeometryError("line maps must be invertible")
+        line = self.source
+        for center, onto in self.steps:
+            if line.contains(center) or onto.contains(center):
+                raise GeometryError("line maps must be invertible")
+            line = onto
+        if line != self.target:
+            raise GeometryError("perspectivity chain does not end on the target")
 
     def apply(self, p: ProjPoint) -> ProjPoint:
-        x, y = _solve_in_basis(p.coords, *self.source_basis)
-        m = self.matrix
-        u, v = m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
-        b1, b2 = self.target_basis
-        return ProjPoint(tuple(u * Fraction(c1) + v * Fraction(c2)
-                               for c1, c2 in zip(b1.coords, b2.coords)))
+        if not self.source.contains(p):
+            raise GeometryError("point not on the source line")
+        for center, onto in self.steps:
+            p = meet(onto, join(center, p))
+        return p
 
     def after(self, first: "LineMap") -> "LineMap":
-        if (first.target, first.target_basis) != (self.source, self.source_basis):
-            raise GeometryError("composition basis mismatch")
-        return LineMap(first.source, first.source_basis,
-                       self.target, self.target_basis,
-                       _mat_mul(self.matrix, first.matrix))
+        if first.target != self.source:
+            raise GeometryError("composition line mismatch")
+        return LineMap(first.source, self.target, first.steps + self.steps)
 
     def proportional_to(self, other: "LineMap") -> bool:
-        a = [x for row in self.matrix for x in row]
-        b = [x for row in other.matrix for x in row]
-        return all(a[i] * b[j] == a[j] * b[i]
-                   for i in range(4) for j in range(i + 1, 4))
+        """Same lines and the same projectivity (proportional matrices in
+        any bases): equal images of three distinct source points."""
+        return ((self.source, self.target) == (other.source, other.target)
+                and all(self.apply(p) == other.apply(p)
+                        for p in _three_points(self.source)))
 
 
 def is_trivial(m: LineMap) -> bool:
-    """The map is a nonzero scalar multiple of the identity on its line."""
-    if (m.source, m.source_basis) != (m.target, m.target_basis):
-        raise GeometryError("triviality needs source = target with equal bases")
-    mat = m.matrix
-    return mat[0][1] == 0 and mat[1][0] == 0 and mat[0][0] == mat[1][1]
+    """The map is the identity of its line: it fixes three distinct points."""
+    if m.source != m.target:
+        raise GeometryError("triviality needs source = target")
+    return all(m.apply(p) == p for p in _three_points(m.source))
 
 
 def shift_map(p_i: ProjPoint, p_i1: ProjPoint, l_i: ProjLine, l_i1: ProjLine,
@@ -171,17 +150,7 @@ def shift_map(p_i: ProjPoint, p_i1: ProjPoint, l_i: ProjLine, l_i1: ProjLine,
     if l_i == edge or l_i1 == edge:
         raise PreconditionError("framing line equals the edge line")
     center = meet(edge, aux)  # a point: aux != edge since aux misses p_i
-    src = line_basis(l_i, p_i)
-    dst = line_basis(l_i1, p_i1)
-    # the perspectivity lifts to p |-> cross(l_i1, cross(center, p)) on R^3
-    cc = center.coords
-    lc = l_i1.coeffs
-    cols = []
-    for b in src:
-        image = _cross(lc, _cross(cc, b.coords))
-        cols.append(_solve_in_basis(image, *dst))
-    matrix = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-    out = LineMap(l_i, src, l_i1, dst, matrix)
+    out = LineMap(l_i, l_i1, ((center, l_i1),))
     assert out.apply(p_i) == p_i1
     assert out.apply(meet(l_i, aux)) == meet(l_i1, aux)
     return out

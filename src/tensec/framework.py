@@ -64,6 +64,9 @@ class Graph:
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise InputError("duplicate vertex ids")
+        edges = list(edges)
+        if any(len(e) != 2 for e in edges):
+            raise InputError("edges are pairs of vertex ids")
         keys = sorted({edge_key(u, v) for u, v in edges})
         known = set(vertices)
         for u, v in keys:
@@ -268,16 +271,16 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
 _PROBES = 16
 
 
-def find_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = None,
-                                  seed: int = 0):
+def find_nonparallelizable_stress(fw: Framework, basis,
+                                  chart: AffineChart | None = None, seed: int = 0):
     """A self-stress whose load is non-parallelizable, or None.
 
+    Searches `basis`, the self-stress basis `self_stress_basis(fw, chart)`.
     Exact for stress spaces of dimension <= 1 (non-parallelizability is
     scale-invariant).  For higher-dimensional spaces the generic element is
     probed with the basis vectors plus seeded random combinations, which can
     only under-report.
     """
-    basis = self_stress_basis(fw, chart)
     if not basis:
         return None
     candidates = list(basis)
@@ -301,7 +304,8 @@ def find_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = Non
 def exists_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = None,
                                     seed: int = 0) -> bool:
     """Oracle verdict: some self-stress induces a non-parallelizable load."""
-    return find_nonparallelizable_stress(fw, chart, seed) is not None
+    basis = self_stress_basis(fw, chart)
+    return find_nonparallelizable_stress(fw, basis, chart, seed) is not None
 
 
 def enumerate_simple_cycles(g: Graph, max_len: int):

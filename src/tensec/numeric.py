@@ -24,6 +24,8 @@ Scalar = Fraction
 
 def scalar_from_string(text: str) -> Fraction:
     """Parse a rational literal of the form "p" or "p/q"."""
+    if not isinstance(text, str):
+        raise InputError(f"rational literals are strings, got {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

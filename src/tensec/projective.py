@@ -41,6 +41,15 @@ def _canonical_triple(triple):
     return primitive(xs)
 
 
+def _triple_from_strings(strings):
+    """Rationals of an input triple of literals.  A zero triple is malformed
+    input here (InputError); computed ones raise GeometryError."""
+    xs = [scalar_from_string(s) for s in strings]
+    if not any(xs):
+        raise InputError("zero triple is not a projective element")
+    return xs
+
+
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
@@ -62,7 +71,7 @@ class ProjPoint:
 
     @classmethod
     def from_strings(cls, strings):
-        return cls([scalar_from_string(s) for s in strings])
+        return cls(_triple_from_strings(strings))
 
     def to_strings(self):
         return [scalar_to_string(Fraction(c)) for c in self.coords]
@@ -82,7 +91,7 @@ class ProjLine:
 
     @classmethod
     def from_strings(cls, strings):
-        return cls([scalar_from_string(s) for s in strings])
+        return cls(_triple_from_strings(strings))
 
     def to_strings(self):
         return [scalar_to_string(Fraction(c)) for c in self.coeffs]

@@ -88,64 +88,43 @@ def _svg(elements) -> str:
     return head + "".join(f"  {e}\n" for e in elements) + "</svg>\n"
 
 
-def render_framework(fw: Framework, chart: AffineChart | None = None,
-                     framings=None) -> str:
-    """SVG with labeled points, edges, and optional framing lines.
-
-    `framings` is an optional iterable of ProjLine drawn dashed across the
-    view window.
-    """
+def _draw(points, edges, framings, chart: AffineChart | None) -> str:
+    """SVG of ordered (label, point) pairs, edges given as label pairs, and
+    framing lines drawn dashed across the view window."""
     chart = chart or AffineChart.standard()
-    ids = sorted(fw.graph.vertices)
-    xy = {v: _chart_xy(fw.placement[v], chart) for v in ids}
-    to_screen, window = _fit([xy[v] for v in ids])
+    xy = {label: _chart_xy(p, chart) for label, p in points}
+    to_screen, window = _fit(list(xy.values()))
     elements = []
-    for l in framings or ():
+    for l in framings:
         seg = _clip_line(*_chart_line_coeffs(l, chart), to_screen, window)
         if seg:
             (u1, v1), (u2, v2) = seg
             elements.append(
                 f'<line x1="{u1:.2f}" y1="{v1:.2f}" x2="{u2:.2f}" y2="{v2:.2f}" '
                 'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>')
-    for a, b in fw.graph.edges:
+    for a, b in edges:
         u1, v1 = to_screen(*xy[a])
         u2, v2 = to_screen(*xy[b])
         elements.append(
             f'<line x1="{u1:.2f}" y1="{v1:.2f}" x2="{u2:.2f}" y2="{v2:.2f}" '
             'stroke="#1f3b73" stroke-width="2"/>')
-    for v in ids:
-        u, w = to_screen(*xy[v])
+    for label, p in xy.items():
+        u, w = to_screen(*p)
         elements.append(f'<circle cx="{u:.2f}" cy="{w:.2f}" r="4" fill="#b22222"/>')
         elements.append(
             f'<text x="{u + 7:.2f}" y="{w - 7:.2f}" '
-            f'font-family="monospace" font-size="14">{v}</text>')
+            f'font-family="monospace" font-size="14">{label}</text>')
     return _svg(elements)
+
+
+def render_framework(fw: Framework, chart: AffineChart | None = None) -> str:
+    """SVG with labeled points and edges."""
+    points = [(v, fw.placement[v]) for v in sorted(fw.graph.vertices)]
+    return _draw(points, fw.graph.edges, (), chart)
 
 
 def render_framed_cycle(cycle, chart: AffineChart | None = None) -> str:
     """SVG of a framed cycle: cycle edges solid, framing lines dashed."""
-    chart = chart or AffineChart.standard()
-    k = len(cycle)
-    xy = [_chart_xy(p, chart) for p in cycle.points]
-    to_screen, window = _fit(xy)
-    elements = []
-    for l in cycle.framings:
-        seg = _clip_line(*_chart_line_coeffs(l, chart), to_screen, window)
-        if seg:
-            (u1, v1), (u2, v2) = seg
-            elements.append(
-                f'<line x1="{u1:.2f}" y1="{v1:.2f}" x2="{u2:.2f}" y2="{v2:.2f}" '
-                'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>')
-    for i in range(k):
-        u1, v1 = to_screen(*xy[i])
-        u2, v2 = to_screen(*xy[(i + 1) % k])
-        elements.append(
-            f'<line x1="{u1:.2f}" y1="{v1:.2f}" x2="{u2:.2f}" y2="{v2:.2f}" '
-            'stroke="#1f3b73" stroke-width="2"/>')
-    for i in range(k):
-        u, w = to_screen(*xy[i])
-        elements.append(f'<circle cx="{u:.2f}" cy="{w:.2f}" r="4" fill="#b22222"/>')
-        elements.append(
-            f'<text x="{u + 7:.2f}" y="{w - 7:.2f}" '
-            f'font-family="monospace" font-size="14">q{i + 1}</text>')
-    return _svg(elements)
+    labels = [f"q{i + 1}" for i in range(len(cycle))]
+    edges = zip(labels, labels[1:] + labels[:1])
+    return _draw(zip(labels, cycle.points), edges, cycle.framings, chart)

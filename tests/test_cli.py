@@ -62,6 +62,36 @@ def test_check_verdicts(files, capsys):
     assert "tensegrity: YES" in out
 
 
+def test_malformed_input_exits_2(files, tmp_path, capsys):
+    # each of these once ended in a traceback (exit 1) or exit 3
+    def write(name, obj):
+        p = tmp_path / name
+        p.write_text(json.dumps(obj))
+        return str(p)
+
+    fw = framework_to_json(DESARGUES_POS)
+    numeric = json.loads(json.dumps(fw))
+    numeric["vertices"][0]["coords"] = [0, 0, 1]
+    triple_edge = json.loads(json.dumps(fw))
+    triple_edge["edges"][0] = ["p1", "p2", "p3"]
+    zero = json.loads(json.dumps(fw))
+    zero["vertices"][0]["coords"] = ["0", "0", "0"]
+    cycle = {"points": [[0, 0, 1], ["4", "0", "1"], ["0", "4", "1"]],
+             "framings": [["1", "-1", "0"], ["1", "3", "-4"], ["1", "0", "0"]]}
+    out = str(tmp_path / "x.svg")
+    for argv in (["check", write("numeric.json", numeric)],
+                 ["check", write("edge3.json", triple_edge)],
+                 ["conditions", write("edge3.json", triple_edge)],
+                 ["verify", write("edge3.json", triple_edge), "--samples", "1"],
+                 ["check", write("zero.json", zero)],
+                 ["render", write("zero.json", zero), "-o", out],
+                 ["render", write("cycle.json", cycle), "-o", out],
+                 ["check", files["dpos"], "--chart", "0,0,0"],
+                 ["render", files["dpos"], "-o", out, "--chart", "0,0,0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_check_exit_codes(files, tmp_path, capsys):
     assert main(["check", files["bad"]]) == 2
     assert main(["check", files["lowdeg"]]) == 2
@@ -255,6 +285,7 @@ def test_render_framework(files, tmp_path, capsys):
     out2 = tmp_path / "fig2.svg"
     assert main(["render", files["dpos"], "-o", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+    assert out.read_bytes() == (GOLDEN / "desargues_pos.svg").read_bytes()
 
 
 def test_render_framed_cycle(tmp_path):
@@ -269,6 +300,7 @@ def test_render_framed_cycle(tmp_path):
     svg = out.read_text()
     assert svg.count("<circle") == 4
     assert "stroke-dasharray" in svg
+    assert out.read_bytes() == (GOLDEN / "framed_cycle_4_3.svg").read_bytes()
 
 
 def test_render_rejects_points_at_infinity(tmp_path):

@@ -1,15 +1,19 @@
 import json
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensec.cycles import (FramedCycle, LineMap, cycle_equilibrium_basis,
                            cycle_general_position, framed_cycle_from_json,
-                           framed_cycle_to_json, is_trivial, line_basis,
-                           monodromy, pick_aux_line, project_cycle, shift_map)
+                           framed_cycle_to_json, is_trivial, monodromy,
+                           pick_aux_line, project_cycle, shift_map)
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
 from tensec.framework import chart_avoiding
-from tensec.projective import (ProjLine, ProjPoint, join, meet,
+from tensec.numeric import solve_in_span
+from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join, meet,
                                pick_generic_point_on)
 from tensec.sampling import random_framed_cycle
 
@@ -93,19 +97,23 @@ def test_triviality_independent_of_aux_line():
         assert is_trivial(monodromy(c, 0, aux1)) == is_trivial(monodromy(c, 0, aux2))
 
 
-def test_is_trivial_matrix_semantics():
+def test_is_trivial_chain_semantics():
     c = concurrent_triangle()
-    basis = line_basis(c.framings[0], c.points[0])
-    ident = LineMap(c.framings[0], basis, c.framings[0], basis, ((1, 0), (0, 1)))
-    assert is_trivial(ident)
-    doubled = LineMap(c.framings[0], basis, c.framings[0], basis, ((2, 0), (0, 2)))
-    assert is_trivial(doubled)
-    diag = LineMap(c.framings[0], basis, c.framings[0], basis, ((1, 0), (0, 2)))
-    assert not is_trivial(diag)
-    other = line_basis(c.framings[1], c.points[1])
-    crossmap = LineMap(c.framings[0], basis, c.framings[1], other, ((1, 0), (0, 1)))
+    l0, l1 = c.framings[0], c.framings[1]
+    assert is_trivial(LineMap(l0, l0, ()))
+    center = ProjPoint((7, 3, 1))
+    there = LineMap(l0, l1, ((center, l1),))
+    back = LineMap(l1, l0, ((center, l0),))
+    assert is_trivial(back.after(there))
+    assert not is_trivial(LineMap(l0, l0, ((center, l1), (ProjPoint((5, 9, 1)), l0))))
+    skew = skew_triangle()
+    assert not is_trivial(monodromy(skew, 0, pick_aux_line(skew, 5)))
     with pytest.raises(GeometryError):
-        is_trivial(crossmap)
+        is_trivial(there)
+    with pytest.raises(GeometryError):
+        LineMap(l0, l1, ((c.points[0], l1),))  # center on the source line
+    with pytest.raises(GeometryError):
+        LineMap(l0, l0, ((center, l1),))  # chain ends off the target
 
 
 def test_monodromy_requires_general_position():
@@ -116,6 +124,169 @@ def test_monodromy_requires_general_position():
     assert not cycle_general_position(c)
     with pytest.raises(PreconditionError):
         monodromy(c, 0, ProjLine((1, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# reference: monodromy as exact 2x2 matrices over ordered bases of the lines
+# (the earlier implementation, kept to cross-check the perspectivity chains)
+
+_REFERENCE_LINES = (ProjLine((1, 0, 0)), ProjLine((0, 1, 0)),
+                    ProjLine((0, 0, 1)), ProjLine((1, 1, 1)))
+
+
+def line_basis(l: ProjLine, origin: ProjPoint):
+    """Ordered basis (origin, second) of a line: the second point is the
+    intersection with the first reference line that differs from l and does
+    not contain the origin.  Deterministic, so equal (line, origin) pairs
+    yield equal bases."""
+    if not l.contains(origin):
+        raise GeometryError("basis origin must lie on the line")
+    for ref in _REFERENCE_LINES:
+        if ref != l and not ref.contains(origin):
+            return (origin, meet(l, ref))
+    raise GeometryError("no reference line applies")  # unreachable
+
+
+def _solve_in_basis(vec, b1: ProjPoint, b2: ProjPoint):
+    """Exact (x, y) with vec = x*b1.coords + y*b2.coords; GeometryError if
+    vec is not in the span."""
+    return solve_in_span(vec, b1.coords, b2.coords,
+                         "vector not on the line", "degenerate basis")
+
+
+def _mat_mul(m2, m1):
+    return (
+        (m2[0][0] * m1[0][0] + m2[0][1] * m1[1][0],
+         m2[0][0] * m1[0][1] + m2[0][1] * m1[1][1]),
+        (m2[1][0] * m1[0][0] + m2[1][1] * m1[1][0],
+         m2[1][0] * m1[0][1] + m2[1][1] * m1[1][1]),
+    )
+
+
+@dataclass(frozen=True)
+class MatrixLineMap:
+    """Exact linear map between two lines over explicit ordered bases."""
+
+    source: ProjLine
+    source_basis: tuple
+    target: ProjLine
+    target_basis: tuple
+    matrix: tuple
+
+    def __post_init__(self):
+        m = self.matrix
+        if m[0][0] * m[1][1] - m[0][1] * m[1][0] == 0:
+            raise GeometryError("line maps must be invertible")
+
+    def apply(self, p: ProjPoint) -> ProjPoint:
+        x, y = _solve_in_basis(p.coords, *self.source_basis)
+        m = self.matrix
+        u, v = m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
+        b1, b2 = self.target_basis
+        return ProjPoint(tuple(u * Fraction(c1) + v * Fraction(c2)
+                               for c1, c2 in zip(b1.coords, b2.coords)))
+
+    def after(self, first: "MatrixLineMap") -> "MatrixLineMap":
+        if (first.target, first.target_basis) != (self.source, self.source_basis):
+            raise GeometryError("composition basis mismatch")
+        return MatrixLineMap(first.source, first.source_basis,
+                             self.target, self.target_basis,
+                             _mat_mul(self.matrix, first.matrix))
+
+    def proportional_to(self, other: "MatrixLineMap") -> bool:
+        a = [x for row in self.matrix for x in row]
+        b = [x for row in other.matrix for x in row]
+        return all(a[i] * b[j] == a[j] * b[i]
+                   for i in range(4) for j in range(i + 1, 4))
+
+
+def matrix_is_trivial(m: MatrixLineMap) -> bool:
+    """The map is a nonzero scalar multiple of the identity on its line."""
+    if (m.source, m.source_basis) != (m.target, m.target_basis):
+        raise GeometryError("triviality needs source = target with equal bases")
+    mat = m.matrix
+    return mat[0][1] == 0 and mat[1][0] == 0 and mat[0][0] == mat[1][1]
+
+
+def matrix_shift_map(p_i: ProjPoint, p_i1: ProjPoint, l_i: ProjLine,
+                     l_i1: ProjLine, aux: ProjLine) -> MatrixLineMap:
+    """Perspectivity l_i -> l_i1 sending p to l_i1 ^ ((p_i p_i1 ^ aux), p).
+
+    Its center is the intersection of the edge line with aux; it maps p_i to
+    p_i1 and l_i ^ aux to l_i1 ^ aux (both asserted).
+    """
+    if not l_i.contains(p_i) or not l_i1.contains(p_i1):
+        raise PreconditionError("framing lines must pass through their points")
+    if aux.contains(p_i) or aux.contains(p_i1):
+        raise PreconditionError("auxiliary line must avoid both points")
+    edge = join(p_i, p_i1)
+    if edge is TRUE:
+        raise PreconditionError("shift endpoints coincide")
+    if l_i == edge or l_i1 == edge:
+        raise PreconditionError("framing line equals the edge line")
+    center = meet(edge, aux)  # a point: aux != edge since aux misses p_i
+    src = line_basis(l_i, p_i)
+    dst = line_basis(l_i1, p_i1)
+    # the perspectivity lifts to p |-> cross(l_i1, cross(center, p)) on R^3
+    cc = center.coords
+    lc = l_i1.coeffs
+    cols = []
+    for b in src:
+        image = _cross(lc, _cross(cc, b.coords))
+        cols.append(_solve_in_basis(image, *dst))
+    matrix = ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+    out = MatrixLineMap(l_i, src, l_i1, dst, matrix)
+    assert out.apply(p_i) == p_i1
+    assert out.apply(meet(l_i, aux)) == meet(l_i1, aux)
+    return out
+
+
+def matrix_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> MatrixLineMap:
+    """Composition of the k shift maps once around the cycle, based at the
+    framing of `start`.
+
+    The result fixes the base point and the intersection of the base framing
+    with aux; both are asserted on every call.
+    """
+    if not cycle_general_position(c):
+        raise PreconditionError("framed cycle is not in general position")
+    for p in c.points:
+        if aux.contains(p):
+            raise PreconditionError("auxiliary line passes through a vertex")
+    k = len(c)
+    total = None
+    for step in range(k):
+        i = (start + step) % k
+        j = (i + 1) % k
+        shift = matrix_shift_map(c.points[i], c.points[j], c.framings[i], c.framings[j], aux)
+        total = shift if total is None else shift.after(total)
+    base = meet(c.framings[start % k], aux)
+    assert total.apply(c.points[start % k]) == c.points[start % k]
+    assert total.apply(base) == base
+    return total
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(3, 9), seed=st.integers(0, 10**6), equilibrium=st.booleans())
+def test_chain_monodromy_matches_matrix_reference(k, seed, equilibrium):
+    c = random_framed_cycle(k, seed, equilibrium=equilibrium)
+    aux1 = pick_aux_line(c, seed)
+    aux2 = pick_aux_line(c, seed + 1)
+    for start in range(k):
+        chains = [monodromy(c, start, aux) for aux in (aux1, aux2)]
+        matrices = [matrix_monodromy(c, start, aux) for aux in (aux1, aux2)]
+        for chain, matrix in zip(chains, matrices):
+            assert is_trivial(chain) == matrix_is_trivial(matrix)
+        assert (chains[0].proportional_to(chains[1])
+                == matrices[0].proportional_to(matrices[1]))
+        if k >= 4:  # the base framing survives merging the next two vertices
+            out = project_cycle(c, start + 1)
+            aux = pick_aux_line(c, seed + 2, extra_avoid=out.points)
+            base = min(start, k - 2)
+            assert monodromy(c, start, aux).proportional_to(monodromy(out, base, aux))
+            assert matrix_monodromy(c, start, aux).proportional_to(
+                matrix_monodromy(out, base, aux))
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,6 @@ def test_framework_json_rejects_garbage():
 def test_exists_nonparallelizable_stress_verdicts():
     assert exists_nonparallelizable_stress(DESARGUES_POS)
     assert not exists_nonparallelizable_stress(DESARGUES_NEG)
-    w = find_nonparallelizable_stress(PASCAL_POS)
+    w = find_nonparallelizable_stress(PASCAL_POS, self_stress_basis(PASCAL_POS))
     assert w is not None
     assert is_non_parallelizable(PASCAL_POS, forceload_from_stress(PASCAL_POS, w))

@@ -25,6 +25,8 @@ def test_scalar_string_roundtrip():
         scalar_from_string("1/0")
     with pytest.raises(InputError):
         scalar_from_string("abc")
+    with pytest.raises(InputError):
+        scalar_from_string(3)  # JSON numbers are not rational literals
 
 
 def test_identity_has_trivial_kernel():

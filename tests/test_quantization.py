@@ -32,7 +32,7 @@ def wheel_framework(seed=0):
         fw = random_placement(WHEEL5_GRAPH, s, bound=60)
         if not framework_in_general_position(fw):
             continue
-        w = find_nonparallelizable_stress(fw)
+        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
         if w is not None and all(x != 0 for x in w.weights.values()):
             return fw, w
 

@@ -1,9 +1,10 @@
 """Exact decision procedure for non-parallelizable planar tensegrities.
 
 Everything runs over exact rational projective coordinates: self-stress
-spaces are computed as exact null spaces, framed-cycle monodromies as exact
-2x2 matrices, and graphs compile to symbolic systems of meet/join conditions
-that are cross-validated against the null-space oracle.
+spaces are computed as exact null spaces, framed-cycle monodromies as
+chains of perspectivities (one join and one meet each), and graphs compile
+to symbolic systems of meet/join conditions that are cross-validated against
+the null-space oracle.
 """
 
 __version__ = "0.1.0"

@@ -197,6 +197,8 @@ def _draw_sample(g, constrained, index: int, sample_seed: int):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise InputError(f"--samples must be at least 1, got {args.samples}")
     g = graph_from_json(read_json(args.graph))
     g.require_min_degree(3)
     with _phase(args, "compile"):

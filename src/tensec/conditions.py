@@ -21,8 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .framework import (Framework, Graph, cycle_corners,
-                        framework_in_general_position)
+from .framework import Framework, Graph, cycle_corners
 from .projective import (TRUE, join, meet, pick_generic_line_through,
                          pick_generic_point_on, rel_collinear,
                          rel_concurrent, rel_incident, sub_seed)
@@ -311,18 +310,15 @@ class ConditionSystem:
     conditions: tuple
 
 
-def generate_system(g: Graph, fw: Framework | None = None,
-                    mode: str = "all") -> ConditionSystem:
+def generate_system(g: Graph, mode: str = "all") -> ConditionSystem:
     """One relation-rooted condition per cycle of `consistency_cycles`,
     over the default trees.
 
-    The system depends only on the graph; when a framework is supplied it is
-    required to be in general position (the regime in which fulfillment is
-    equivalent to the existence of a non-parallelizable tensegrity).
+    The system depends only on the graph.  Fulfillment is equivalent to the
+    existence of a non-parallelizable tensegrity on frameworks in general
+    position, which `check` tests first.
     """
     g.require_min_degree(3)
-    if fw is not None and not framework_in_general_position(fw):
-        raise PreconditionError("framework is not in general position")
     # a corner (vertex, edge in, edge out) recurs in many cycles
     framing = functools.cache(functools.partial(framing_expression, default_trees(g)))
     conditions = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, InputError, PreconditionError
-from .numeric import ExactMatrix, nullspace_basis
+from .numeric import nullspace_basis
 from .projective import (
     TRUE,
     ProjLine,
@@ -231,7 +231,7 @@ def cycle_equilibrium_basis(c: FramedCycle):
             row[(i - 1) % k] -= Fraction(edge_reps[(i - 1) % k][coord])
             row[k + i] = Fraction(framing_reps[i][coord])
             rows.append(row)
-    basis = nullspace_basis(ExactMatrix(rows))
+    basis = nullspace_basis(rows, 2 * k)
     return [(vec[:k], vec[k:]) for vec in basis]
 
 

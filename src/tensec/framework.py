@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
-from .numeric import ExactMatrix, nullspace_basis
+from .numeric import nullspace_basis
 from .projective import (
     TRUE,
     AffineChart,
@@ -62,16 +62,20 @@ class Graph:
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
+        if not vertices:
+            raise InputError("a graph needs at least one vertex")
+        if not all(isinstance(v, str) for v in vertices):
+            raise InputError("vertex ids are strings")
         if len(set(vertices)) != len(vertices):
             raise InputError("duplicate vertex ids")
         edges = list(edges)
         if any(len(e) != 2 for e in edges):
             raise InputError("edges are pairs of vertex ids")
-        keys = sorted({edge_key(u, v) for u, v in edges})
         known = set(vertices)
-        for u, v in keys:
-            if u not in known or v not in known:
+        for u, v in edges:
+            if not all(isinstance(x, str) and x in known for x in (u, v)):
                 raise InputError(f"edge ({u!r}, {v!r}) uses unknown vertex")
+        keys = sorted({edge_key(u, v) for u, v in edges})
         self.vertices = vertices
         self.edges = tuple(keys)
         self._edge_set = frozenset(keys)
@@ -80,7 +84,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        if vertices and not is_connected(self._adj):
+        if not is_connected(self._adj):
             raise InputError("graph is not connected")
 
     def neighbors(self, v: str):
@@ -121,9 +125,6 @@ class Framework:
         self.graph = graph
         self.placement = {v: placement[v] for v in graph.vertices}
 
-    def point(self, v: str) -> ProjPoint:
-        return self.placement[v]
-
     def edge_line(self, u: str, v: str):
         return join(self.placement[u], self.placement[v])
 
@@ -133,10 +134,6 @@ class Stress:
     """Chart tensions, one exact scalar per unordered edge."""
 
     weights: dict
-
-    def scale(self, k) -> "Stress":
-        k = Fraction(k)
-        return Stress({e: k * w for e, w in self.weights.items()})
 
     def is_zero(self) -> bool:
         return all(w == 0 for w in self.weights.values())
@@ -206,7 +203,7 @@ def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
             for u in fw.graph.neighbors(v):
                 row[col[edge_key(u, v)]] = normalized[v][c] - normalized[u][c]
             rows.append(row)
-    basis = nullspace_basis(ExactMatrix(rows))
+    basis = nullspace_basis(rows, len(edges))
     return [Stress(dict(zip(edges, vec))) for vec in basis]
 
 
@@ -299,13 +296,6 @@ def find_nonparallelizable_stress(fw: Framework, basis,
         if is_non_parallelizable(fw, fl):
             return w
     return None
-
-
-def exists_nonparallelizable_stress(fw: Framework, chart: AffineChart | None = None,
-                                    seed: int = 0) -> bool:
-    """Oracle verdict: some self-stress induces a non-parallelizable load."""
-    basis = self_stress_basis(fw, chart)
-    return find_nonparallelizable_stress(fw, basis, chart, seed) is not None
 
 
 def enumerate_simple_cycles(g: Graph, max_len: int):
@@ -438,17 +428,28 @@ def framework_to_json(fw: Framework) -> dict:
     }
 
 
+def _json_list(value, what: str) -> list:
+    """`value` itself if it is a JSON list; a string or an object is never
+    read as a sequence of its characters or keys."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _edges_from_json(raw):
+    return [tuple(_json_list(e, "an edge")) for e in _json_list(raw, "edges")]
+
+
 def framework_from_json(obj) -> Framework:
     try:
-        vertices = [entry["id"] for entry in obj["vertices"]]
-        placement = {
-            entry["id"]: ProjPoint.from_strings(entry["coords"])
-            for entry in obj["vertices"]
-        }
-        edges = [tuple(e) for e in obj["edges"]]
+        entries = _json_list(obj["vertices"], "vertices")
+        vertices = [entry["id"] for entry in entries]
+        coords = [entry["coords"] for entry in entries]
+        edges = _edges_from_json(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed framework JSON: {exc}") from exc
-    return Framework(Graph(vertices, edges), placement)
+    return Framework(Graph(vertices, edges),
+                     {v: ProjPoint.from_strings(c) for v, c in zip(vertices, coords)})
 
 
 def read_json(path):
@@ -460,16 +461,12 @@ def read_json(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def load_framework(path) -> Framework:
-    return framework_from_json(read_json(path))
-
-
 def graph_from_json(obj) -> Graph:
     """Graph-only JSON: vertices may be bare ids or framework-style objects."""
     try:
-        raw = obj["vertices"]
-        vertices = [entry["id"] if isinstance(entry, dict) else entry for entry in raw]
-        edges = [tuple(e) for e in obj["edges"]]
+        vertices = [entry["id"] if isinstance(entry, dict) else entry
+                    for entry in _json_list(obj["vertices"], "vertices")]
+        edges = _edges_from_json(obj["edges"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     return Graph(vertices, edges)

@@ -42,8 +42,10 @@ def _canonical_triple(triple):
 
 
 def _triple_from_strings(strings):
-    """Rationals of an input triple of literals.  A zero triple is malformed
-    input here (InputError); computed ones raise GeometryError."""
+    """Rationals of an input triple, a list of three literals.  A zero triple
+    is malformed input here (InputError); computed ones raise GeometryError."""
+    if not isinstance(strings, list) or len(strings) != 3:
+        raise InputError(f"a triple is a list of three rational literals, got {strings!r}")
     xs = [scalar_from_string(s) for s in strings]
     if not any(xs):
         raise InputError("zero triple is not a projective element")
@@ -210,16 +212,6 @@ class Force:
 
 
 ZERO_FORCE = Force((0, 0, 0))
-
-
-def force_between(p: ProjPoint, q: ProjPoint, scale) -> Force:
-    """Force scale * d(p) ^ d(q) built on the canonical representatives."""
-    scale = Fraction(scale)
-    if scale == 0:
-        return ZERO_FORCE
-    if p == q:
-        raise GeometryError("force between coincident points is undefined")
-    return Force(tuple(scale * c for c in _cross(p.coords, q.coords)))
 
 
 def line_of_force(f: Force) -> ProjLine:

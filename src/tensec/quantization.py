@@ -22,11 +22,10 @@ from .cycles import FramedCycle, cycle_general_position, is_trivial, monodromy, 
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
 from .framework import (ForceLoad, Framework, Graph, cycle_corners, edge_key,
-                        enumerate_simple_cycles, framework_from_json,
-                        framework_to_json, is_non_parallelizable)
+                        enumerate_simple_cycles, is_non_parallelizable)
 from .projective import Force, ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, _decompose, associated_framing,
-                         default_tree, is_strongly_generic, tree_labels)
+                         default_tree, tree_labels)
 
 
 def default_trees(g: Graph) -> dict:
@@ -110,9 +109,9 @@ class Quantization:
 
     `framing` memoizes each vertex scheme and each associated framing, keyed
     by (vertex, unordered edge pair): the framing is symmetric in the pair.
-    Strong genericity is checked by `associated_framing`, once per framing
-    that needs a surgery.  The memo lives and dies with the instance;
-    nothing is cached at module level.
+    A scheme computes its canonical force-load and its strong-genericity
+    verdict once, so all framings at one vertex share them.  The memo lives
+    and dies with the instance; nothing is cached at module level.
     """
 
     rgraph: ResolutionGraph
@@ -163,13 +162,6 @@ class Quantization:
                 scheme = self._schemes[v] = self.scheme_at(v)
             line = self._framings[key] = associated_framing(scheme, edge_a, edge_b)
         return line
-
-    def is_generic(self) -> bool:
-        try:
-            return all(is_strongly_generic(self.scheme_at(v))
-                       for v in self.framework.graph.vertices)
-        except GenericityError:
-            return False
 
     def xi_witness(self) -> dict:
         """Slot assignment for the configuration space: the interior labels."""
@@ -433,40 +425,3 @@ def induced_stress(q: Quantization, gt_forces: dict) -> ForceLoad:
         out[(i, j)] = f
         out[(j, i)] = -f
     return ForceLoad(out)
-
-
-# ---------------------------------------------------------------------------
-# JSON interface: framework JSON plus
-#   {"trees":{"p1":["p2","p3",...],...},          # caterpillar leaf order
-#    "interior_labels":{"p1:1":["a","b","c"],...}}
-
-def quantization_to_json(q: Quantization) -> dict:
-    fw = q.framework
-    out = framework_to_json(fw)
-    trees = {}
-    for v in sorted(q.rgraph.trees):
-        tree = q.rgraph.trees[v]
-        order = sorted(tree.leaf_labels)  # leaf node ids follow label order
-        trees[v] = [lab[1] if lab[0] == v else lab[0]
-                    for lab in (tree.leaf_labels[n] for n in order)]
-    out["trees"] = trees
-    out["interior_labels"] = {
-        f"{v}:{idx}": line.to_strings()
-        for (v, idx), line in sorted(q.interior_labels.items())
-    }
-    return out
-
-
-def quantization_from_json(obj) -> Quantization:
-    fw = framework_from_json(obj)
-    try:
-        trees = {}
-        for v, others in obj["trees"].items():
-            trees[v] = default_tree([edge_key(v, u) for u in others])
-        labels = {}
-        for key, coeffs in obj.get("interior_labels", {}).items():
-            v, idx = key.rsplit(":", 1)
-            labels[(v, int(idx))] = ProjLine.from_strings(coeffs)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed quantization JSON: {exc}") from exc
-    return Quantization(ResolutionGraph(fw, trees), labels)

@@ -18,6 +18,7 @@ expression labels, and the tests replay it with `scheme_hf_surgery`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import GenericityError, GeometryError, InputError
 from .framework import is_connected
@@ -195,6 +196,19 @@ class ResolutionScheme:
     def label(self, u: int, v: int) -> ProjLine:
         return self.labels[tree_edge(u, v)]
 
+    @cached_property
+    def forceload(self) -> dict:
+        """Canonical equilibrium force-load: the first tree edge seeded with
+        its label's coefficients.  Computed once; surgeries and framings of
+        the scheme only need it up to scale."""
+        seed = self.tree.edges()[0]
+        return scheme_forceload(self, seed, Force(self.labels[seed].coeffs))
+
+    @cached_property
+    def strongly_generic(self) -> bool:
+        """`is_strongly_generic` of the scheme, computed once."""
+        return is_strongly_generic(self)
+
 
 def is_weakly_generic(s: ResolutionScheme) -> bool:
     """No two edges sharing a tree node carry the same line."""
@@ -263,17 +277,14 @@ def leaf_forces(s: ResolutionScheme, forces) -> dict:
     return out
 
 
-def _canonical_forceload(s: ResolutionScheme):
-    seed = s.tree.edges()[0]
-    return scheme_forceload(s, seed, Force(s.labels[seed].coeffs))
-
-
 def is_strongly_generic(s: ResolutionScheme) -> bool:
     """Only trivial 0/1-combinations of the leaf forces vanish, and the
-    2^(s-1) - 1 partial-sum force lines are pairwise distinct."""
-    if not is_weakly_generic(s):
-        raise GenericityError("scheme is not weakly generic")
-    lf = leaf_forces(s, _canonical_forceload(s))
+    2^(s-1) - 1 partial-sum force lines are pairwise distinct.
+
+    Raises GenericityError unless the scheme is weakly generic (its
+    force-load is then not unique).
+    """
+    lf = leaf_forces(s, s.forceload)
     ordered = [lf[lab] for lab in sorted(lf)]
     return (nonvanishing_proper_subsets(ordered)
             and partial_sum_lines_distinct(ordered))
@@ -349,7 +360,7 @@ def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_labe
 def _paired_line(s: ResolutionScheme, h) -> ProjLine:
     """Line of force of the two forces an H-to-Phi surgery of s brings
     together at a fresh node (h as in `rewire`)."""
-    forces = _canonical_forceload(s)
+    forces = s.forceload
     combined = forces[h[1]] + forces[h[3]]
     if combined.is_zero():
         raise GeometryError("surgery undefined: the paired forces cancel")
@@ -369,7 +380,7 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> Resol
     surgery keeps the leaf forces up to one scale, and strong genericity
     depends on nothing else.
     """
-    if not is_strongly_generic(s):
+    if not s.strongly_generic:
         raise GenericityError("scheme is not strongly generic")
     return _hf_rewire(s, interior_edge, pairing)
 
@@ -398,9 +409,9 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
     edge = shared_node_edge(s.tree, leaf_a, leaf_b)
     if edge is not None:
         return s.labels[edge]
-    if not is_strongly_generic(s):
+    if not s.strongly_generic:
         raise GenericityError("scheme is not strongly generic")
-    lf = leaf_forces(s, _canonical_forceload(s))
+    lf = leaf_forces(s, s.forceload)
     return line_of_force(lf[leaf_a] + lf[leaf_b])
 
 
@@ -417,7 +428,7 @@ def enumerate_equivalent_schemes(s: ResolutionScheme):
     deterministic order (sorted by topology key).  Strong genericity is
     checked once, on `s`; every surgery keeps it.
     """
-    if not is_strongly_generic(s):
+    if not s.strongly_generic:
         raise GenericityError("scheme is not strongly generic")
     seen = {s.tree.topology_key(): s}
     queue = [s]

@@ -1,5 +1,4 @@
-"""Seeded random generators for placements, framed cycles, and projective
-maps.
+"""Seeded random generators for placements and framed cycles.
 
 Rational draws are bounded (numerators and denominators up to 1000) to keep
 exact-arithmetic growth in check.  Every generator threads an explicit seed;
@@ -172,34 +171,3 @@ def random_framed_cycle(k: int, seed: int, equilibrium: bool) -> FramedCycle:
             continue
         if cycle_general_position(c):
             return c
-
-
-def random_projective_map(seed: int):
-    """Random invertible 3x3 rational matrix with its inverse transpose,
-    as (point_map, line_map) callables."""
-    rng = random.Random(seed)
-    while True:
-        m = [[Fraction(rng.randint(-20, 20)) for _ in range(3)] for _ in range(3)]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        if det != 0:
-            break
-    adj = [[(m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-             - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3])
-            for j in range(3)] for i in range(3)]
-
-    def point_map(p: ProjPoint) -> ProjPoint:
-        return ProjPoint(tuple(sum(m[i][j] * Fraction(p.coords[j]) for j in range(3))
-                               for i in range(3)))
-
-    def line_map(l: ProjLine) -> ProjLine:
-        # inverse-transpose action: adj(M)^T up to the determinant
-        return ProjLine(tuple(sum(Fraction(adj[j][i]) * Fraction(l.coeffs[j])
-                                  for j in range(3)) for i in range(3)))
-
-    return point_map, line_map
-
-
-def transform_framework(fw: Framework, point_map) -> Framework:
-    return Framework(fw.graph, {v: point_map(p) for v, p in fw.placement.items()})

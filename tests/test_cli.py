@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tensec.cli import main
 from tensec.fixtures import (DESARGUES_NEG, DESARGUES_POS, PASCAL_POS,
@@ -78,8 +80,39 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
     zero["vertices"][0]["coords"] = ["0", "0", "0"]
     cycle = {"points": [[0, 0, 1], ["4", "0", "1"], ["0", "4", "1"]],
              "framings": [["1", "-1", "0"], ["1", "3", "-4"], ["1", "0", "0"]]}
+    coords_string = json.loads(json.dumps(fw))
+    coords_string["vertices"][0]["coords"] = "001"
+    # K4 on one-letter ids, the edge a-b written as the string "ab"
+    edge_string = {"vertices": [{"id": v, "coords": c} for v, c in (
+        ("a", ["0", "0", "1"]), ("b", ["4", "0", "1"]), ("c", ["0", "4", "1"]),
+        ("d", ["1", "1", "1"]))],
+        "edges": ["ab", ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]]}
+    empty = write("empty.json", {"vertices": [], "edges": []})
     out = str(tmp_path / "x.svg")
-    for argv in (["check", write("numeric.json", numeric)],
+    bad_ids = []
+    for k, bad in enumerate((1, 2.5, True, None, ["a"])):
+        # the id replaced in the vertex list and in every edge
+        renamed = json.loads(json.dumps(fw).replace('"p1"', json.dumps(bad)))
+        graph = {"vertices": [v["id"] for v in renamed["vertices"]],
+                 "edges": renamed["edges"]}
+        bad_ids += [["check", write(f"id{k}.json", renamed)],
+                    ["conditions", write(f"id{k}g.json", graph)],
+                    ["verify", write(f"id{k}g.json", graph), "--samples", "1"]]
+    wheel = {"vertices": [{"id": v, "coords": [str(i), str(i * i), "1"]}
+                          for i, v in enumerate(WHEEL5_GRAPH.vertices)],
+             "edges": [list(e) for e in WHEEL5_GRAPH.edges]}
+    wheel["edges"][0][0] = 1  # an edge naming a non-string id
+    for argv in (*bad_ids,
+                 ["check", write("edge_id.json", wheel)],
+                 ["check", empty],
+                 ["conditions", empty],
+                 ["verify", empty, "--samples", "2"],
+                 ["render", empty, "-o", out],
+                 ["verify", files["wheel"], "--samples", "0"],
+                 ["verify", files["wheel"], "--samples", "-5"],
+                 ["check", write("coords_string.json", coords_string)],
+                 ["check", write("edge_string.json", edge_string)],
+                 ["check", write("numeric.json", numeric)],
                  ["check", write("edge3.json", triple_edge)],
                  ["conditions", write("edge3.json", triple_edge)],
                  ["verify", write("edge3.json", triple_edge), "--samples", "1"],
@@ -90,6 +123,62 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
                  ["render", files["dpos"], "-o", out, "--chart", "0,0,0"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+# Pools for framework-shaped JSON: each slot mostly holds what the format
+# wants and sometimes any other JSON value.
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                  st.floats(-4, 4), st.text(max_size=3),
+                  st.lists(st.sampled_from(["a", "0", 1]), max_size=2),
+                  st.dictionaries(st.sampled_from(["id", "x"]),
+                                  st.sampled_from(["a", 1]), max_size=1))
+_ids = st.one_of(st.sampled_from("habcd"), _junk)
+_rationals = st.sampled_from(["0", "1", "-1", "2", "3", "1/2", "-5/3"])
+_coords = st.one_of(st.lists(st.one_of(_rationals, _junk), min_size=3, max_size=3),
+                    st.lists(_rationals, max_size=4), _junk)
+_edge = st.one_of(st.lists(_ids, min_size=2, max_size=2), st.lists(_ids, max_size=3),
+                  _junk)
+_WHEEL4_EDGES = [["h", v] for v in "abcd"] + [["a", "b"], ["b", "c"], ["c", "d"],
+                                               ["a", "d"]]
+
+
+@st.composite
+def _wheel4_documents(draw):
+    """Wheel on hub h and rim a-d at drawn rational coordinates, with at most
+    one id, coordinate triple or edge replaced from the pools."""
+    vertices = [{"id": v, "coords": draw(st.lists(_rationals, min_size=3, max_size=3))}
+                for v in "habcd"]
+    edges = [list(e) for e in _WHEEL4_EDGES]
+    slot, k = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    if slot == 1:
+        vertices[k]["id"] = draw(_ids)
+    elif slot == 2:
+        vertices[k]["coords"] = draw(_coords)
+    elif slot == 3:
+        edges[k] = draw(_edge)
+    return {"vertices": vertices, "edges": edges}
+
+
+_documents = st.one_of(
+    _wheel4_documents(),
+    st.fixed_dictionaries({
+        "vertices": st.one_of(st.lists(st.one_of(
+            st.fixed_dictionaries({"id": _ids, "coords": _coords}), _ids), max_size=5),
+            _junk),
+        "edges": st.one_of(st.lists(_edge, max_size=10), _junk)}),
+    _junk)
+
+
+@given(_documents)
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_framework_json_exits_0_2_or_3(tmp_path, document):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    for argv in (["check", str(path)], ["conditions", str(path)],
+                 ["verify", str(path), "--samples", "1"],
+                 ["render", str(path), "-o", str(tmp_path / "fuzz.svg")]):
+        assert main(argv) in (0, 2, 3), argv
 
 
 def test_check_exit_codes(files, tmp_path, capsys):
@@ -211,14 +300,17 @@ def test_check_golden_wheel6(monkeypatch, capsys):
 
 
 def test_check_walks_each_framing_once(monkeypatch, capsys):
-    """Framings are computed once per (vertex, unordered edge pair), and
-    strong genericity at most once per framing walk that needs a surgery."""
+    """Framings are computed once per (vertex, unordered edge pair); the one
+    scheme that needs surgeries (the hub) propagates its force-load and
+    checks strong genericity once for all its framings."""
     import tensec.quantization as quantization
     import tensec.resolution as resolution
 
     framing = resolution.associated_framing
     strongly_generic = resolution.is_strongly_generic
-    counts = {"framings": 0, "surgery_walks": 0, "genericity_checks": 0}
+    forceload = resolution.scheme_forceload
+    counts = {"framings": 0, "surgery_walks": 0, "genericity_checks": 0,
+              "forceloads": 0}
     keys = set()
 
     def counted_framing(s, leaf_a, leaf_b):
@@ -233,12 +325,18 @@ def test_check_walks_each_framing_once(monkeypatch, capsys):
         counts["genericity_checks"] += 1
         return strongly_generic(s)
 
+    def counted_forceload(*args):
+        counts["forceloads"] += 1
+        return forceload(*args)
+
     monkeypatch.setattr(quantization, "associated_framing", counted_framing)
     monkeypatch.setattr(resolution, "is_strongly_generic", counted_genericity)
+    monkeypatch.setattr(resolution, "scheme_forceload", counted_forceload)
     check_wheel6(monkeypatch, capsys)
     assert counts["surgery_walks"] > 0
     assert counts["framings"] == len(keys)
-    assert counts["genericity_checks"] <= counts["surgery_walks"]
+    assert counts["forceloads"] == 1
+    assert counts["genericity_checks"] == 1
 
 
 def test_env_seed_fallback(files):

@@ -10,7 +10,6 @@ from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import (Framework, Graph, chart_avoiding,
                               cycle_in_general_position, enumerate_simple_cycles,
-                              exists_nonparallelizable_stress,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
                               framework_in_general_position, framework_to_json,
@@ -330,8 +329,9 @@ def test_framework_json_rejects_garbage():
 
 
 def test_exists_nonparallelizable_stress_verdicts():
-    assert exists_nonparallelizable_stress(DESARGUES_POS)
-    assert not exists_nonparallelizable_stress(DESARGUES_NEG)
+    for fw, expected in ((DESARGUES_POS, True), (DESARGUES_NEG, False)):
+        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
+        assert (w is not None) == expected
     w = find_nonparallelizable_stress(PASCAL_POS, self_stress_basis(PASCAL_POS))
     assert w is not None
     assert is_non_parallelizable(PASCAL_POS, forceload_from_stress(PASCAL_POS, w))

@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensec.errors import GeometryError, InputError
-from tensec.numeric import (ExactMatrix, nullspace_basis, primitive, rank,
-                            scalar_from_string, scalar_to_string, solve_linear)
+from tensec.numeric import (nullspace_basis, primitive, scalar_from_string,
+                            scalar_to_string)
 from tensec.projective import ProjLine, ProjPoint
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
-
-
-def mat(rows):
-    return ExactMatrix(rows)
 
 
 def test_scalar_string_roundtrip():
@@ -29,72 +25,76 @@ def test_scalar_string_roundtrip():
         scalar_from_string(3)  # JSON numbers are not rational literals
 
 
+def apply(rows, vec):
+    return tuple(sum((a * x for a, x in zip(row, vec)), Fraction(0)) for row in rows)
+
+
+def reference_rank(rows, ncols):
+    """Rank by plain Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] / m[rank][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
 def test_identity_has_trivial_kernel():
-    assert nullspace_basis(ExactMatrix.identity(2)) == []
+    assert nullspace_basis([[1, 0], [0, 1]], 2) == []
 
 
 def test_difference_matrix_kernel():
-    basis = nullspace_basis(mat([[1, -1]]))
+    basis = nullspace_basis([[1, -1]], 2)
     assert basis == [(Fraction(1), Fraction(1))]
 
 
 def test_empty_matrix_full_kernel():
-    m = ExactMatrix([], cols=3)
-    basis = nullspace_basis(m)
+    basis = nullspace_basis([], 3)
     assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    zero_rows = ExactMatrix([[0, 0, 0]])
-    basis = nullspace_basis(zero_rows)
+    zero_rows = [[0, 0, 0]]
+    basis = nullspace_basis(zero_rows, 3)
     assert len(basis) == 3
     for v in basis:
-        assert zero_rows.mul_vector(v) == (Fraction(0),)
-
-
-def test_solve_identity():
-    sol = solve_linear(ExactMatrix.identity(2), [Fraction(3), Fraction(4)])
-    assert sol == (Fraction(3), Fraction(4))
-
-
-def test_solve_inconsistent():
-    assert solve_linear(mat([[1, 1], [1, 1]]), [1, 2]) is None
-
-
-def test_solve_hand_elimination():
-    assert solve_linear(mat([[1, 1], [1, -1]]), [2, 0]) == (Fraction(1), Fraction(1))
-
-
-def test_solve_underdetermined_free_vars_zero():
-    sol = solve_linear(mat([[1, 1, 1]]), [6])
-    assert sol is not None
-    assert sum(sol) == 6
+        assert apply(zero_rows, v) == (Fraction(0),)
 
 
 @st.composite
 def matrices(draw):
-    rows = draw(st.integers(min_value=1, max_value=5))
-    cols = draw(st.integers(min_value=1, max_value=5))
-    entries = draw(st.lists(st.lists(fractions, min_size=cols, max_size=cols),
-                            min_size=rows, max_size=rows))
-    return ExactMatrix(entries)
+    """(rows, ncols): 1-5 rows of 1-5 rational entries each."""
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.lists(st.lists(fractions, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return rows, ncols
 
 
 @given(matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity_and_exactness(m):
-    basis = nullspace_basis(m)
-    assert rank(m) + len(basis) == m.cols
-    zero = tuple(Fraction(0) for _ in range(m.rows))
+    rows, ncols = m
+    basis = nullspace_basis(rows, ncols)
+    assert reference_rank(rows, ncols) + len(basis) == ncols
+    zero = tuple(Fraction(0) for _ in rows)
     for v in basis:
-        assert m.mul_vector(v) == zero
+        assert apply(rows, v) == zero
 
 
 @given(matrices(), st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_nullity_invariant_under_row_permutation_and_scaling(m, rng):
-    rows = [list(r) for r in m.entries]
-    rng.shuffle(rows)
-    factors = [Fraction(rng.randint(1, 7)) for _ in rows]
-    scaled = [[k * x for x in row] for k, row in zip(factors, rows)]
-    assert len(nullspace_basis(ExactMatrix(scaled))) == len(nullspace_basis(m))
+    rows, ncols = m
+    shuffled = [list(r) for r in rows]
+    rng.shuffle(shuffled)
+    factors = [Fraction(rng.randint(1, 7)) for _ in shuffled]
+    scaled = [[k * x for x in row] for k, row in zip(factors, shuffled)]
+    assert len(nullspace_basis(scaled, ncols)) == len(nullspace_basis(rows, ncols))
 
 
 @given(fractions, fractions)
@@ -188,7 +188,7 @@ def test_projective_triples_keep_their_errors():
 @given(matrices())
 @settings(max_examples=40, deadline=None)
 def test_nullspace_basis_returns_normalized_fraction_tuples(m):
-    for vec in nullspace_basis(m):
+    for vec in nullspace_basis(*m):
         assert type(vec) is tuple
         assert all(type(x) is Fraction for x in vec)
         assert vec == _normalize_vector(vec)

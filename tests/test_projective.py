@@ -6,12 +6,23 @@ from hypothesis import strategies as st
 
 from tensec.errors import GeometryError
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
-                               ZERO_FORCE, affine_vector, force_between, join,
+                               ZERO_FORCE, _cross, affine_vector, join,
                                line_of_force, lines_in_general_position, meet,
                                nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident)
+
+
+def force_between(p: ProjPoint, q: ProjPoint, scale) -> Force:
+    """Force scale * d(p) ^ d(q) built on the canonical representatives."""
+    scale = Fraction(scale)
+    if scale == 0:
+        return ZERO_FORCE
+    if p == q:
+        raise GeometryError("force between coincident points is undefined")
+    return Force(tuple(scale * c for c in _cross(p.coords, q.coords)))
+
 
 ORIGIN = ProjPoint((0, 0, 1))
 X_AXIS = ProjLine((0, 1, 0))

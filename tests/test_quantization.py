@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -15,8 +14,7 @@ from tensec.framework import (find_nonparallelizable_stress, forceload_from_stre
 from tensec.quantization import (Quantization, ResolutionGraph, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
                                  fundamental_cycles, induced_stress, is_consistent,
-                                 is_consistent_at, quantization_from_json,
-                                 quantization_from_stress, quantization_to_json)
+                                 is_consistent_at, quantization_from_stress)
 from tensec.sampling import random_placement
 
 
@@ -38,9 +36,10 @@ def wheel_framework(seed=0):
 
 
 def test_quantization_from_stress_deg3_has_no_interior_labels():
-    q, _ = stressed_quantization(DESARGUES_POS)
+    fw = DESARGUES_POS
+    q, _ = stressed_quantization(fw)
     assert q.interior_labels == {}
-    assert q.is_generic()
+    assert all(q.scheme_at(v).strongly_generic for v in fw.graph.vertices)
 
 
 def test_quantization_requires_nonparallelizable_load():
@@ -58,7 +57,7 @@ def test_wheel_quantization_hub_label():
     q = quantization_from_stress(fw, fl)
     assert sorted(q.interior_labels) == [("p1", 1)]
     assert q.interior_labels[("p1", 1)].contains(fw.placement["p1"])
-    assert q.is_generic()
+    assert all(q.scheme_at(v).strongly_generic for v in fw.graph.vertices)
 
 
 def test_scaled_forceload_gives_identical_quantization():
@@ -193,17 +192,6 @@ def test_construct_forceload_detects_inconsistency():
     with pytest.raises(InconsistentQuantizationError) as err:
         construct_forceload(q)
     assert len(err.value.cycle) >= 3
-
-
-def test_quantization_json_roundtrip():
-    fw, w = wheel_framework(5)
-    fl = forceload_from_stress(fw, w)
-    q = quantization_from_stress(fw, fl)
-    obj = json.loads(json.dumps(quantization_to_json(q)))
-    back = quantization_from_json(obj)
-    assert back.interior_labels == q.interior_labels
-    assert back.framework.placement == fw.placement
-    assert is_consistent(back, 3) == is_consistent(q, 3)
 
 
 def test_consistency_cycle_set_modes():

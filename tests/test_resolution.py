@@ -5,7 +5,7 @@ import pytest
 
 from tensec.errors import GenericityError, GeometryError, InputError
 from tensec.framework import (find_nonparallelizable_stress, forceload_from_stress,
-                              load_framework, self_stress_basis)
+                              framework_from_json, read_json, self_stress_basis)
 from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import quantization_from_stress
@@ -271,7 +271,8 @@ def walked_framing(s, leaf_a, leaf_b):
 def wheel6_hub_scheme():
     """Scheme at the degree-6 hub of the golden wheel, stress as
     `check --seed 6` finds it."""
-    fw = load_framework(Path(__file__).parent / "golden" / "wheel6_framework.json")
+    fw = framework_from_json(read_json(Path(__file__).parent / "golden"
+                                       / "wheel6_framework.json"))
     w = find_nonparallelizable_stress(fw, self_stress_basis(fw), seed=6)
     return quantization_from_stress(fw, forceload_from_stress(fw, w)).scheme_at("h")
 

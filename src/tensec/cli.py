@@ -30,8 +30,7 @@ from .framework import (find_nonparallelizable_stress,
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
 from .numeric import scalar_to_string
 from .projective import AffineChart, ProjLine
-from .quantization import (Quantization, ResolutionGraph, default_trees,
-                           is_consistent, quantization_from_stress)
+from .quantization import Quantization, is_consistent, quantization_from_stress
 from .render import render_framed_cycle, render_framework
 from .sampling import (desargues_concurrent_placement, pascal_conic_placement,
                        random_placement)
@@ -95,7 +94,7 @@ def cmd_check(args) -> int:
             quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart))
         else:
             if all(fw.graph.degree(v) == 3 for v in fw.graph.vertices):
-                quant = Quantization(ResolutionGraph(fw, default_trees(fw.graph)), {})
+                quant = Quantization(fw, {})
         if quant is None:
             consistent = None
             report["quantization_note"] = "unknown (existential over the line slots)"

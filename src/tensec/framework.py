@@ -298,34 +298,45 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     return None
 
 
+#: Path extensions one simple-cycle enumeration may make before it stops
+#: with PreconditionError (exit 3).  GP(8,3) needs 5,057, K8 11,024 and the
+#: 10-rung prism 17,478; the 12-rung prism needs 67,537 and is refused.
+MAX_CYCLE_EXTENSIONS = 20_000
+
+
 def enumerate_simple_cycles(g: Graph, max_len: int):
     """All simple cycles with at most max_len vertices, once each.
 
     Cycles are reported as vertex tuples in canonical form: smallest vertex
     first, oriented toward its smaller neighbor; output sorted by length
-    then lexicographically.
+    then lexicographically.  The depth-first search keeps its own stack and
+    raises PreconditionError after MAX_CYCLE_EXTENSIONS path extensions.
     """
     if max_len > len(g.vertices):
         raise InputError("max_len exceeds vertex count")
     cycles = []
-    order = sorted(g.vertices)
-    for start in order:
+    extensions = 0
+    for start in sorted(g.vertices):
         path = [start]
         on_path = {start}
-
-        def extend():
-            v = path[-1]
-            for w in g.neighbors(v):
+        stack = [iter(g.neighbors(start))]
+        while stack:
+            for w in stack[-1]:
                 if w == start and len(path) >= 3 and path[1] < path[-1]:
                     cycles.append(tuple(path))
                 elif w > start and w not in on_path and len(path) < max_len:
+                    extensions += 1
+                    if extensions > MAX_CYCLE_EXTENSIONS:
+                        raise PreconditionError(
+                            "simple-cycle enumeration exceeds MAX_CYCLE_EXTENSIONS"
+                            f" = {MAX_CYCLE_EXTENSIONS} path extensions")
                     path.append(w)
                     on_path.add(w)
-                    extend()
-                    on_path.remove(w)
-                    path.pop()
-
-        extend()
+                    stack.append(iter(g.neighbors(w)))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path.pop())
     return sorted(cycles, key=lambda c: (len(c), c))
 
 

@@ -13,6 +13,7 @@ All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -20,12 +21,21 @@ from . import _kernel
 from .errors import GeometryError, InputError
 
 
+#: A rational literal: optional sign, decimal digits, optional "/" and
+#: digits.  Decimals, exponents and underscores are refused: Fraction would
+#: accept them, and "1e10000000" alone takes seconds to expand.
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def scalar_from_string(text: str) -> Fraction:
     """Parse a rational literal of the form "p" or "p/q"."""
     if not isinstance(text, str):
         raise InputError(f"rational literals are strings, got {text!r}")
+    literal = text.strip()
+    if not _RATIONAL.fullmatch(literal):
+        raise InputError(f"bad rational literal {text!r}: expected p or p/q")
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational literal {text!r}: {exc}") from exc
 

@@ -88,6 +88,12 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
         ("d", ["1", "1", "1"]))],
         "edges": ["ab", ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"], ["c", "d"]]}
     empty = write("empty.json", {"vertices": [], "edges": []})
+    literals = []
+    for k, text in enumerate(("0.5", "1e3", "1_000", "1e10000000")):
+        # only "p" and "p/q"; Fraction would expand the last to 10^7 digits
+        bad = json.loads(json.dumps(fw))
+        bad["vertices"][0]["coords"] = [text, "0", "1"]
+        literals.append(["check", write(f"literal{k}.json", bad)])
     out = str(tmp_path / "x.svg")
     bad_ids = []
     for k, bad in enumerate((1, 2.5, True, None, ["a"])):
@@ -102,7 +108,7 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
                           for i, v in enumerate(WHEEL5_GRAPH.vertices)],
              "edges": [list(e) for e in WHEEL5_GRAPH.edges]}
     wheel["edges"][0][0] = 1  # an edge naming a non-string id
-    for argv in (*bad_ids,
+    for argv in (*bad_ids, *literals,
                  ["check", write("edge_id.json", wheel)],
                  ["check", empty],
                  ["conditions", empty],
@@ -199,6 +205,22 @@ def test_check_exit_codes(files, tmp_path, capsys):
     assert main(["check", str(p)]) == 3
     out = capsys.readouterr().out
     assert "general position: NO" in out
+
+
+@pytest.mark.parametrize("rungs", [20, 600])
+def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
+    # the 600-rung prism once ended in a RecursionError (exit 1), and the
+    # 20-rung prism ran for more than 30 s
+    u = [f"u{i}" for i in range(rungs)]
+    w = [f"w{i}" for i in range(rungs)]
+    edges = [[a[i], a[(i + 1) % rungs]] for a in (u, w) for i in range(rungs)]
+    edges += [[u[i], w[i]] for i in range(rungs)]
+    vertices = [{"id": v, "coords": [str(i), str(i * i + k * 7), "1"]}
+                for k, ring in enumerate((u, w)) for i, v in enumerate(ring)]
+    path = tmp_path / "prism.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    assert main(["check", str(path)]) == 3
+    assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
 
 
 def test_check_json_format(files, capsys):
@@ -348,6 +370,7 @@ def test_env_seed_fallback(files):
                         files["dpos"], "--format", "json"],
                        capture_output=True, text=True, env=env)
     b = run_cli(["check", files["dpos"], "--seed", "11", "--format", "json"])
+    assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
 
 

@@ -1,20 +1,27 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from tensec.errors import (GenericityError, InconsistentQuantizationError,
+from tensec.errors import (GenericityError, GeometryError,
+                           InconsistentQuantizationError, InputError,
                            PreconditionError)
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (find_nonparallelizable_stress, forceload_from_stress,
+from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
+                              find_nonparallelizable_stress, forceload_from_stress,
                               framework_in_general_position, is_equilibrium,
                               is_non_parallelizable, self_stress_basis,
                               stress_of_forceload)
-from tensec.quantization import (Quantization, ResolutionGraph, construct_forceload,
+from tensec.projective import (Force, ProjLine, line_of_force,
+                               pick_generic_line_through)
+from tensec.quantization import (Quantization, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
-                                 fundamental_cycles, induced_stress, is_consistent,
+                                 fundamental_cycles, is_consistent,
                                  is_consistent_at, quantization_from_stress)
+from tensec.resolution import _decompose
 from tensec.sampling import random_placement
 
 
@@ -90,21 +97,19 @@ def test_consistency_on_fixtures():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
     assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed=5)
     assert is_consistent(q_pos, seed=5)
-    q_neg = Quantization(ResolutionGraph(DESARGUES_NEG,
-                                         default_trees(DESARGUES_NEG.graph)), {})
+    q_neg = Quantization(DESARGUES_NEG, {})
     assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed=5)
     assert not is_consistent(q_neg, seed=5)
 
     q_ppos, _ = stressed_quantization(PASCAL_POS)
     assert is_consistent(q_ppos, seed=5)
-    q_pneg = Quantization(ResolutionGraph(PASCAL_NEG, default_trees(PASCAL_NEG.graph)), {})
+    q_pneg = Quantization(PASCAL_NEG, {})
     assert not is_consistent(q_pneg, seed=5)
 
 
 def test_consistency_verdict_independent_of_seed():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
-    q_neg = Quantization(ResolutionGraph(DESARGUES_NEG,
-                                         default_trees(DESARGUES_NEG.graph)), {})
+    q_neg = Quantization(DESARGUES_NEG, {})
     for seed in (1, 17, 3333):
         assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed)
         assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed)
@@ -116,7 +121,7 @@ def test_generators_mode_agrees_with_full_mode_on_fixtures():
         if positive:
             q, _ = stressed_quantization(fw)
         else:
-            q = Quantization(ResolutionGraph(fw, default_trees(fw.graph)), {})
+            q = Quantization(fw, {})
         assert is_consistent(q, 2, mode="all") == positive
         assert is_consistent(q, 2, mode="generators") == positive
 
@@ -133,9 +138,8 @@ def test_fundamental_cycles_generate_and_stay_short():
 
 def test_construct_forceload_roundtrip_desargues():
     q, w = stressed_quantization(DESARGUES_POS)
-    gt = construct_forceload(q)
-    assert all(not f.is_zero() for f in gt.values())
-    ind = induced_stress(q, gt)
+    ind = construct_forceload(q)
+    assert all(not f.is_zero() for f in ind.forces.values())
     assert is_equilibrium(DESARGUES_POS, ind)
     assert is_non_parallelizable(DESARGUES_POS, ind)
     got = stress_of_forceload(DESARGUES_POS, ind)
@@ -149,46 +153,15 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
         fl = forceload_from_stress(fw, w)
         q = quantization_from_stress(fw, fl)
         assert is_consistent(q, 4)
-        gt = construct_forceload(q)
-        ind = induced_stress(q, gt)
+        ind = construct_forceload(q)
         assert is_equilibrium(fw, ind)
         got = stress_of_forceload(fw, ind)
         ratios = {got.weights[e] / w.weights[e] for e in w.weights}
         assert len(ratios) == 1
 
 
-def test_construct_forceload_independent_of_seed_edge():
-    q, _ = stressed_quantization(DESARGUES_POS)
-    base = construct_forceload(q)
-    for e in (("p3", "p4"), ("p5", "p6"), ("p2", "p6")):
-        other = construct_forceload(q, seed_edge=e)
-        scale = None
-        for key, f in base.items():
-            g = other[key]
-            for i in range(3):
-                if f.dual[i]:
-                    r = g.dual[i] / f.dual[i]
-                    assert scale is None or r == scale
-                    scale = r
-            assert g.dual == tuple(scale * x for x in f.dual)
-
-
-def test_induced_stress_of_zero_load_is_zero():
-    from tensec.projective import ZERO_FORCE
-
-    q, _ = stressed_quantization(DESARGUES_POS)
-    rg = q.rgraph
-    zero = {}
-    for e in DESARGUES_POS.graph.edges:
-        i, j = e
-        zero[(rg.attach_node(i, e), rg.attach_node(j, e))] = ZERO_FORCE
-        zero[(rg.attach_node(j, e), rg.attach_node(i, e))] = ZERO_FORCE
-    ind = induced_stress(q, zero)
-    assert all(ind.force(u, v).is_zero() for u, v in DESARGUES_POS.graph.edges)
-
-
 def test_construct_forceload_detects_inconsistency():
-    q = Quantization(ResolutionGraph(DESARGUES_NEG, default_trees(DESARGUES_NEG.graph)), {})
+    q = Quantization(DESARGUES_NEG, {})
     with pytest.raises(InconsistentQuantizationError) as err:
         construct_forceload(q)
     assert len(err.value.cycle) >= 3
@@ -200,3 +173,295 @@ def test_consistency_cycle_set_modes():
     assert len(cycles_all) == 11
     gens = consistency_cycles(DESARGUES_POS.graph, "generators")
     assert set(gens) <= set(cycles_all)
+
+
+# ---------------------------------------------------------------------------
+# Differential reference: the force-load construction on the glued resolution
+# graph, node by node, as it stood before `construct_forceload` scaled the
+# vertex schemes' own loads.  Kept verbatim apart from the names.
+
+@dataclass
+class ResolutionGraph:
+    """Trees glued along matching leaf edges; nodes are (vertex, tree node).
+
+    A glued edge for framework edge (i, j) connects the interior attachment
+    nodes of the two leaves labeled by it; the leaf nodes themselves vanish,
+    so every node of the resolution graph has degree 3.
+    """
+
+    framework: Framework
+    trees: dict
+
+    def __post_init__(self):
+        g = self.framework.graph
+        g.require_min_degree(3)
+        if set(self.trees) != set(g.vertices):
+            raise InputError("trees must cover exactly the framework vertices")
+        for v, tree in self.trees.items():
+            want = {edge_key(v, u) for u in g.neighbors(v)}
+            if set(tree.leaf_labels.values()) != want:
+                raise InputError(f"tree at {v!r} must have one leaf per incident edge")
+
+    def attach_node(self, v: str, e):
+        """Tree node of T_v that the leaf for edge e hangs from."""
+        tree = self.trees[v]
+        leaf = tree.leaf_node(e)
+        return (v, tree.adjacency[leaf][0])
+
+    def nodes(self):
+        out = []
+        for v in sorted(self.trees):
+            tree = self.trees[v]
+            for node in sorted(tree.adjacency):
+                if tree.degree(node) == 3:
+                    out.append((v, node))
+        return out
+
+    def glued_edge(self, e):
+        i, j = e
+        return tuple(sorted((self.attach_node(i, e), self.attach_node(j, e))))
+
+    def edges(self):
+        """All edges: glued (tagged by framework edge) and interior."""
+        out = {}
+        for e in self.framework.graph.edges:
+            out[self.glued_edge(e)] = ("leaf", e)
+        for v in sorted(self.trees):
+            for te in self.trees[v].interior_edges():
+                u, w = te
+                out[tuple(sorted(((v, u), (v, w))))] = ("interior", v, te)
+        return out
+
+    def incident_edges(self, node):
+        v, u = node
+        tree = self.trees[v]
+        out = []
+        for w in tree.adjacency[u]:
+            if tree.degree(w) == 1:
+                e = tree.leaf_labels[w]
+                out.append(self.glued_edge(e))
+            else:
+                out.append(tuple(sorted(((v, u), (v, w)))))
+        return out
+
+
+@dataclass
+class ReferenceQuantization:
+    """The quantization surface the reference reads: the glued graph and
+    the interior labels."""
+
+    rgraph: ResolutionGraph
+    interior_labels: dict
+
+    @property
+    def framework(self):
+        return self.rgraph.framework
+
+    def edge_label(self, gt_edge_value) -> ProjLine:
+        """Line of a resolution-graph edge given its tag from edges()."""
+        if gt_edge_value[0] == "leaf":
+            i, j = gt_edge_value[1]
+            return self.framework.edge_line(i, j)
+        _, v, te = gt_edge_value
+        idx = self.rgraph.trees[v].interior_edges().index(te) + 1
+        return self.interior_labels[(v, idx)]
+
+
+def reference_resolution_forceload(q, seed_edge=None) -> dict:
+    """Equilibrium force-load on the resolution graph, by vertex addition.
+
+    Seeds one glued edge (the lexicographically smallest unless `seed_edge`
+    names a framework edge) with a unit stress and resolves one node at a
+    time: a node with one known incident force splits its negative along the
+    two other labels; a closing edge or node is checked exactly and raises
+    InconsistentQuantizationError (naming the framework cycle) on mismatch.
+    Nodes not touching interior edges of the last vertex's tree are resolved
+    first, so closing cycles avoid that vertex while possible.
+
+    Returns a dict mapping ordered node pairs to the force applied at the
+    first node; all forces are nonzero, and the result is independent of the
+    seed edge up to one global scalar.
+    """
+    rg = q.rgraph
+    edges = rg.edges()
+    labels = {ek: q.edge_label(val) for ek, val in edges.items()}
+
+    last = sorted(rg.trees)[-1]
+    deferred = set()
+    for te in rg.trees[last].interior_edges():
+        deferred.add((last, te[0]))
+        deferred.add((last, te[1]))
+    priority = {node: (1 if node in deferred else 0, node) for node in rg.nodes()}
+
+    if seed_edge is None:
+        start = min(ek for ek, val in edges.items() if val[0] == "leaf")
+    else:
+        start = rg.glued_edge(edge_key(*seed_edge))
+    a, b = start
+    f = Force(labels[start].coeffs)
+    forces = {(a, b): f, (b, a): -f}
+
+    resolved = set()
+    pending = len(rg.nodes())
+    while pending:
+        candidates = [n for n in rg.nodes()
+                      if n not in resolved
+                      and any((n, _other(ek, n)) in forces
+                              for ek in rg.incident_edges(n))]
+        node = min(candidates, key=lambda n: priority[n])
+        incident = rg.incident_edges(node)
+        known = [ek for ek in incident if (node, _other(ek, node)) in forces]
+        unknown = [ek for ek in incident if (node, _other(ek, node)) not in forces]
+        if len(unknown) == 2:
+            incoming = forces[(node, _other(known[0], node))]
+            e1, e2 = unknown
+            f1, f2 = _decompose(incoming, labels[e1], labels[e2])
+            for ek, fx in ((e1, f1), (e2, f2)):
+                other = _other(ek, node)
+                forces[(node, other)] = fx
+                forces[(other, node)] = -fx
+        elif len(unknown) == 1:
+            total = Force((0, 0, 0))
+            for ek in known:
+                total = total + forces[(node, _other(ek, node))]
+            f3 = -total
+            ek = unknown[0]
+            other = _other(ek, node)
+            if f3.is_zero() or line_of_force(f3) != labels[ek]:
+                raise InconsistentQuantizationError(
+                    "cycle closes with mismatched stress",
+                    _closing_cycle(forces, node, other))
+            forces[(node, other)] = f3
+            forces[(other, node)] = -f3
+        else:
+            total = Force((0, 0, 0))
+            for ek in known:
+                total = total + forces[(node, _other(ek, node))]
+            if not total.is_zero():
+                raise InconsistentQuantizationError(
+                    "cycle closes with mismatched stress",
+                    _closing_cycle(forces, node, _other(known[0], node)))
+        resolved.add(node)
+        pending -= 1
+    if any(f.is_zero() for f in forces.values()):
+        raise GeometryError("constructed force-load vanishes on an edge")
+    return forces
+
+
+def _other(edge_key_pair, node):
+    u, v = edge_key_pair
+    return v if node == u else u
+
+
+def _closing_cycle(forces, node, other):
+    """Framework-vertex cycle witnessing the failed closure, via a path from
+    `other` back to `node` through edges that already carry forces."""
+    adj = {}
+    for (u, v) in forces:
+        adj.setdefault(u, set()).add(v)
+    prev = {other: None}
+    queue = [other]
+    while queue:
+        w = queue.pop(0)
+        if w == node:
+            break
+        for x in sorted(adj.get(w, ())):
+            if x not in prev and not (w == other and x == node):
+                prev[x] = w
+                queue.append(x)
+    if node not in prev:
+        return ()
+    path = [node]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    verts = []
+    for gt_node in path:
+        v = gt_node[0]
+        if not verts or verts[-1] != v:
+            verts.append(v)
+    if len(verts) > 1 and verts[0] == verts[-1]:
+        verts.pop()
+    return tuple(verts)
+
+
+def reference_induced_stress(q, gt_forces: dict) -> ForceLoad:
+    """Restriction of a resolution-graph force-load to the glued edges, as a
+    force-load on the framework."""
+    rg = q.rgraph
+    out = {}
+    for e in q.framework.graph.edges:
+        i, j = e
+        ni = rg.attach_node(i, e)
+        nj = rg.attach_node(j, e)
+        f = gt_forces.get((ni, nj))
+        if f is None:
+            raise InputError(f"missing force at glued edge {e}")
+        out[(i, j)] = f
+        out[(j, i)] = -f
+    return ForceLoad(out)
+
+
+def wheel_graph(spokes):
+    rim = [f"r{i}" for i in range(spokes)]
+    return Graph(["h"] + rim, [("h", r) for r in rim]
+                 + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)])
+
+
+@st.composite
+def quantized_frameworks(draw):
+    """(framework, interior labels): a negative fixture, which has no slots,
+    or a general-position wheel whose hub slots hold the lines of the
+    oracle's load or seeded lines through the hub."""
+    kind = draw(st.sampled_from(("fixture", "oracle", "seeded")))
+    if kind == "fixture":
+        return draw(st.sampled_from((DESARGUES_NEG, PASCAL_NEG))), {}
+    fw = random_placement(wheel_graph(draw(st.integers(4, 7))),
+                          draw(st.integers(0, 10**6)), bound=60)
+    assume(framework_in_general_position(fw))
+    if kind == "oracle":
+        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
+        assume(w is not None)
+        return fw, quantization_from_stress(fw, forceload_from_stress(fw, w)).interior_labels
+    hub = fw.placement["h"]
+    avoid = [fw.edge_line("h", r) for r in fw.graph.neighbors("h")]
+    seed = draw(st.integers(0, 10**6))
+    labels = {}
+    for k in range(1, fw.graph.degree("h") - 2):
+        labels[("h", k)] = pick_generic_line_through(hub, avoid, seed + k)
+        avoid.append(labels[("h", k)])
+    return fw, labels
+
+
+def _outcome(construct):
+    try:
+        return construct(), None
+    except InconsistentQuantizationError as exc:
+        return None, exc
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=quantized_frameworks())
+def test_construct_forceload_matches_resolution_graph_reference(case):
+    """Scaling the vertex schemes' loads agrees with propagating one load
+    node by node through the glued resolution graph: proportional loads, or
+    an inconsistency on both sides, named by a simple cycle."""
+    fw, labels = case
+    ours, err = _outcome(lambda: construct_forceload(Quantization(fw, labels)))
+    ref_q = ReferenceQuantization(ResolutionGraph(fw, default_trees(fw.graph)), labels)
+    theirs, ref_err = _outcome(
+        lambda: reference_induced_stress(ref_q, reference_resolution_forceload(ref_q)))
+    assert (err is None) == (ref_err is None)
+    if err is not None:
+        cycle, g = err.cycle, fw.graph
+        assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+        assert all(g.has_edge(cycle[m - 1], cycle[m]) for m in range(len(cycle)))
+        return
+    assert is_equilibrium(fw, ours)
+    ratios = set()
+    for u, v in fw.graph.edges:
+        a, b = ours.force(u, v), theirs.force(u, v)
+        i = next(i for i in range(3) if b.dual[i])
+        k = a.dual[i] / b.dual[i]
+        assert a.dual == tuple(k * x for x in b.dual)
+        ratios.add(k)
+    assert len(ratios) == 1

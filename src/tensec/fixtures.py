@@ -64,9 +64,3 @@ WHEEL5_GRAPH = Graph(
     [("p1", "p2"), ("p1", "p3"), ("p1", "p4"), ("p1", "p5"),
      ("p2", "p3"), ("p3", "p4"), ("p4", "p5"), ("p2", "p5")],
 )
-
-GRAPHS = {
-    "desargues": DESARGUES_GRAPH,
-    "pascal": PASCAL_GRAPH,
-    "wheel5": WHEEL5_GRAPH,
-}

@@ -23,7 +23,7 @@ from .cycles import FramedCycle, cycle_general_position, is_trivial, monodromy, 
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
 from .framework import (ForceLoad, Framework, Graph, cycle_corners, edge_key,
-                        enumerate_simple_cycles, is_non_parallelizable)
+                        enumerate_simple_cycles)
 from .projective import Force, ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
                          leaf_forces, tree_labels)
@@ -97,24 +97,25 @@ class Quantization:
 
 
 def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
-    """Quantization associated to a non-parallelizable equilibrium load.
+    """Quantization associated to a non-parallelizable equilibrium load, such
+    as the load of a stress that `find_nonparallelizable_stress` accepted.
 
     Each interior tree edge is labeled by the line of force of the summed
     leaf forces on one of its sides; non-parallelizability makes every such
     sum nonzero and the labeling unique (proportional loads give the same
-    quantization).
+    quantization).  The subset tests are not repeated here: only a zero
+    force on an edge or a vanishing labeled sum raises GenericityError.
     """
-    if not is_non_parallelizable(fw, fl):
-        raise GenericityError("force-load is parallelizable at some vertex")
+    if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):
+        raise GenericityError("force-load vanishes on an edge")
     labels = {}
     for v, tree in default_trees(fw.graph).items():
         for idx, te in enumerate(tree.interior_edges(), start=1):
-            side = tree.side_labels(te, te[0])
-            total = Force((0, 0, 0))
-            for e in sorted(side):
-                i, j = e
-                other = j if i == v else i
-                total = total + fl.force(v, other)
+            side = sorted(tree.side_labels(te, te[0]))
+            total = sum((fl.force(v, j if i == v else i) for i, j in side),
+                        Force((0, 0, 0)))
+            if total.is_zero():
+                raise GenericityError(f"force-load sum vanishes at slot ({v}, {idx})")
             labels[(v, idx)] = line_of_force(total)
     return Quantization(fw, labels)
 
@@ -139,15 +140,30 @@ def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
     return is_trivial(monodromy(fc, 0, aux))
 
 
+#: Most vertices of one consistency cycle.  A condition nests about two
+#: levels per cycle vertex, and its evaluation and serialization recurse
+#: once per level; the longest cycle the tests and the benchmark compile
+#: has 15 vertices.
+MAX_CONDITION_CYCLE = 64
+
+
 def consistency_cycles(g: Graph, mode: str = "all"):
     """Cycle set checked for consistency and compiled into conditions: every
     simple cycle on <= n-1 vertices, or a fundamental system generating the
-    cycle space."""
+    cycle space.  A cycle on more than MAX_CONDITION_CYCLE vertices raises
+    PreconditionError."""
     if mode == "all":
-        return enumerate_simple_cycles(g, len(g.vertices) - 1)
-    if mode != "generators":
+        cycles = enumerate_simple_cycles(g, len(g.vertices) - 1)
+    elif mode == "generators":
+        cycles = fundamental_cycles(g)
+    else:
         raise InputError(f"unknown cycle mode {mode!r}")
-    return fundamental_cycles(g)
+    longest = max(map(len, cycles), default=0)
+    if longest > MAX_CONDITION_CYCLE:
+        raise PreconditionError(
+            f"a consistency cycle has {longest} vertices, more than"
+            f" MAX_CONDITION_CYCLE = {MAX_CONDITION_CYCLE}")
+    return cycles
 
 
 def fundamental_cycles(g):

@@ -207,10 +207,9 @@ def test_check_exit_codes(files, tmp_path, capsys):
     assert "general position: NO" in out
 
 
-@pytest.mark.parametrize("rungs", [20, 600])
-def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
-    # the 600-rung prism once ended in a RecursionError (exit 1), and the
-    # 20-rung prism ran for more than 30 s
+def write_prism(rungs, tmp_path):
+    """A placed prism: two cycles u and w of `rungs` vertices joined by the
+    rungs u_i w_i."""
     u = [f"u{i}" for i in range(rungs)]
     w = [f"w{i}" for i in range(rungs)]
     edges = [[a[i], a[(i + 1) % rungs]] for a in (u, w) for i in range(rungs)]
@@ -219,8 +218,43 @@ def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
                 for k, ring in enumerate((u, w)) for i, v in enumerate(ring)]
     path = tmp_path / "prism.json"
     path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
-    assert main(["check", str(path)]) == 3
+    return str(path)
+
+
+@pytest.mark.parametrize("rungs", [20, 600])
+def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
+    # the 600-rung prism once ended in a RecursionError (exit 1), and the
+    # 20-rung prism ran for more than 30 s
+    assert main(["check", write_prism(rungs, tmp_path)]) == 3
     assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_conditions_on_large_prism_hits_condition_cycle_limit(fmt, tmp_path, capsys):
+    # the fundamental cycles of the 600-rung prism reach 602 vertices; their
+    # conditions once ended in a RecursionError (exit 1)
+    path = write_prism(600, tmp_path)
+    assert main(["conditions", path, "--cycles", "generators", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_CONDITION_CYCLE = 64" in captured.err
+
+
+def test_check_above_degree_limit_exits_3(tmp_path, capsys):
+    from tensec.framework import Graph
+    from tensec.projective import MAX_SUBSET_DEGREE
+    from tensec.sampling import random_placement
+
+    spokes = MAX_SUBSET_DEGREE + 1
+    rim = [f"r{i}" for i in range(spokes)]
+    g = Graph(["h"] + rim, [("h", r) for r in rim]
+              + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)])
+    path = tmp_path / "wheel.json"
+    path.write_text(json.dumps(framework_to_json(random_placement(g, 1))))
+    assert main(["check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"MAX_SUBSET_DEGREE = {MAX_SUBSET_DEGREE}" in captured.err
 
 
 def test_check_json_format(files, capsys):
@@ -359,6 +393,27 @@ def test_check_walks_each_framing_once(monkeypatch, capsys):
     assert counts["framings"] == len(keys)
     assert counts["forceloads"] == 1
     assert counts["genericity_checks"] == 1
+
+
+def test_check_tests_non_parallelizability_once(monkeypatch, capsys):
+    """The quantization reuses the load the oracle accepted and does not
+    run the subset enumeration on it again."""
+    import tensec.framework as framework
+
+    original = framework.is_non_parallelizable
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tensec"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    check_wheel6(monkeypatch, capsys)
+    assert len(calls) == 1
 
 
 def test_env_seed_fallback(files):

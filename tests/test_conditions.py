@@ -1,17 +1,18 @@
+import functools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tensec.conditions import (Collinear3, Concurrent3, Condition, GenericPointOn,
-                               Incident, Join, LineVar, Meet, PointConst,
-                               cycle_condition_expression, evaluate,
+from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
                                framing_expression, fulfilled_with_witness,
-                               generate_system, system_to_json, to_sexpr,
-                               xi_space)
-from tensec.errors import InputError
+                               generate_system, system_to_json, to_json_ast,
+                               to_sexpr, xi_space)
+from tensec.errors import InputError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import (Framework, Graph, edge_key,
@@ -20,7 +21,10 @@ from tensec.framework import (Framework, Graph, edge_key,
                               framework_in_general_position, read_json,
                               self_stress_basis)
 from tensec.cycles import is_trivial, monodromy, pick_aux_line
-from tensec.projective import ProjLine, ProjPoint, join, pick_generic_point_on
+from tensec.projective import (TRUE, ProjLine, ProjPoint, join, meet,
+                               pick_generic_line_through, pick_generic_point_on,
+                               rel_collinear, rel_concurrent, rel_incident,
+                               sub_seed)
 from tensec.quantization import default_trees, quantization_from_stress
 from tensec.sampling import random_framed_cycle, random_placement
 
@@ -56,36 +60,62 @@ def transform_framework(fw: Framework, point_map) -> Framework:
     return Framework(fw.graph, {v: point_map(p) for v, p in fw.placement.items()})
 
 
-def k5_graph():
-    ids = [f"v{i}" for i in range(5)]
+def complete_graph(n):
+    ids = [f"v{i}" for i in range(n)]
     return Graph(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
+
+
+def wheel_graph(spokes):
+    rim = [f"r{i}" for i in range(spokes)]
+    return Graph(["h"] + rim, [("h", r) for r in rim]
+                 + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)])
+
+
+def petersen_graph(n=5, k=2, chord=()):
+    """GP(n, k): outer cycle u_i, spokes u_i w_i, inner star w_i w_{i+k};
+    GP(4, 1) is the cube."""
+    ids = [f"u{i}" for i in range(n)] + [f"w{i}" for i in range(n)]
+    edges = {frozenset(e) for i in range(n)
+             for e in ((f"u{i}", f"u{(i + 1) % n}"), (f"u{i}", f"w{i}"),
+                       (f"w{i}", f"w{(i + k) % n}"))}
+    if chord:
+        edges.add(frozenset(chord))
+    return Graph(ids, sorted(tuple(sorted(e)) for e in edges))
+
+
+def pt(v):
+    return Expr("point", (v,))
+
+
+def lv(v, index=1):
+    return Expr("linevar", (v, index))
 
 
 def test_xi_space_slot_counts():
     assert xi_space(DESARGUES_GRAPH).dimension == 0
     assert xi_space(WHEEL5_GRAPH).slots == (("p1", 1),)
-    assert xi_space(k5_graph()).dimension == 5
+    assert xi_space(complete_graph(5)).dimension == 5
     with pytest.raises(InputError):
         xi_space(Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]))
 
 
 def test_ast_typing_enforced():
-    p = PointConst("p1")
-    l = LineVar("p1", 1)
+    p = pt("p1")
+    l = lv("p1")
     with pytest.raises(InputError):
-        Join(p, l)
+        Expr("join", (p, l))
     with pytest.raises(InputError):
-        Meet(p, p)
+        Expr("meet", (p, p))
     with pytest.raises(InputError):
-        Concurrent3(p, l, l)
-    Incident(p, l)  # well-typed
+        Expr("concurrent", (p, l, l))
+    Expr("incident", (p, l))  # well-typed
 
 
 def test_framing_expression_degree3_is_third_edge():
     trees = default_trees(DESARGUES_GRAPH)
     expr = framing_expression(trees, "p2",
                               ("p2", "p3"), ("p2", "p6"))
-    assert expr == Join(PointConst("p1"), PointConst("p2"))
+    assert expr == Expr("join", (pt("p1"), pt("p2")))
 
 
 def test_framing_expression_degree4_adjacent_pairs_are_bare_linevars():
@@ -95,8 +125,8 @@ def test_framing_expression_degree4_adjacent_pairs_are_bare_linevars():
                                 ("p1", "p2"), ("p1", "p3"))
     expr_b = framing_expression(trees, "p1",
                                 ("p1", "p4"), ("p1", "p5"))
-    assert expr_a == LineVar("p1", 1)
-    assert expr_b == LineVar("p1", 1)
+    assert expr_a == lv("p1")
+    assert expr_b == lv("p1")
 
 
 def test_framing_expression_degree4_mixed_pair_expands_surgery():
@@ -109,34 +139,39 @@ def test_framing_expression_degree4_mixed_pair_expands_surgery():
 
 
 def test_cycle_condition_three_vertices():
-    f = [Join(PointConst("a"), PointConst("b")),
-         Join(PointConst("c"), PointConst("d")),
-         Join(PointConst("e"), PointConst("f"))]
-    pts = [PointConst(x) for x in "xyz"]
-    assert cycle_condition_expression(pts, f) == Concurrent3(f[0], f[1], f[2])
+    f = [Expr("join", (pt(a), pt(b))) for a, b in ("ab", "cd", "ef")]
+    pts = [pt(x) for x in "xyz"]
+    assert cycle_condition_expression(pts, f) == Expr("concurrent", tuple(f))
 
 
 def test_cycle_condition_four_vertices_display_form():
-    pts = [PointConst(f"p{i}") for i in range(1, 5)]
-    frs = [LineVar(f"p{i}", 1) for i in range(1, 5)]
+    pts = [pt(f"p{i}") for i in range(1, 5)]
+    frs = [lv(f"p{i}") for i in range(1, 5)]
     # slots need degree >= 4 hosts; the shape is what matters here
     expr = cycle_condition_expression(pts, frs)
-    assert expr == Collinear3(
-        Meet(frs[0], frs[3]),
-        Meet(frs[1], frs[2]),
-        Meet(Join(pts[0], pts[1]), Join(pts[2], pts[3])),
-    )
+    assert expr == Expr("collinear", (
+        Expr("meet", (frs[0], frs[3])),
+        Expr("meet", (frs[1], frs[2])),
+        Expr("meet", (Expr("join", (pts[0], pts[1])), Expr("join", (pts[2], pts[3])))),
+    ))
 
 
 def test_cycle_condition_five_vertices_display_form():
-    pts = [PointConst(f"p{i}") for i in range(1, 6)]
-    frs = [LineVar(f"p{i}", 1) for i in range(1, 6)]
+    pts = [pt(f"p{i}") for i in range(1, 6)]
+    frs = [lv(f"p{i}") for i in range(1, 6)]
     expr = cycle_condition_expression(pts, frs)
-    assert expr == Concurrent3(
-        Join(Meet(frs[1], frs[2]), Meet(Join(pts[0], pts[1]), Join(pts[2], pts[3]))),
+
+    def line(a, b):
+        return Expr("join", (a, b))
+
+    def point(a, b):
+        return Expr("meet", (a, b))
+
+    assert expr == Expr("concurrent", (
+        line(point(frs[1], frs[2]), point(line(pts[0], pts[1]), line(pts[2], pts[3]))),
         frs[0],
-        Join(Meet(frs[3], frs[4]), Meet(Join(pts[2], pts[3]), Join(pts[4], pts[0]))),
-    )
+        line(point(frs[3], frs[4]), point(line(pts[2], pts[3]), line(pts[4], pts[0]))),
+    ))
 
 
 def _framed_cycle_condition(c, variant="paper"):
@@ -152,8 +187,8 @@ def _framed_cycle_condition(c, variant="paper"):
         placement[qi] = c.points[i]
         second = pick_generic_point_on(c.framings[i], {c.points[i]}, seed=i + 1)
         placement[ri] = second
-        pts.append(PointConst(qi))
-        frs.append(Join(PointConst(qi), PointConst(ri)))
+        pts.append(pt(qi))
+        frs.append(Expr("join", (pt(qi), pt(ri))))
     expr = cycle_condition_expression(pts, frs, variant=variant)
     ids = sorted(placement)
     # framework container only for evaluation: grid graph over the ids
@@ -192,13 +227,13 @@ def test_early_true_fulfills_condition():
     g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     fw = Framework(g, {"a": ProjPoint((0, 0, 1)), "b": ProjPoint((1, 0, 1)),
                        "c": ProjPoint((0, 1, 1))})
-    same = Join(PointConst("a"), PointConst("b"))
-    other = Join(PointConst("a"), PointConst("c"))
-    assert evaluate(Concurrent3(same, same, other), fw, {}, 0) is True
-    inner = Meet(same, same)  # evaluates to TRUE and absorbs upward
-    assert evaluate(Collinear3(inner, PointConst("b"), PointConst("c")),
+    same = Expr("join", (pt("a"), pt("b")))
+    other = Expr("join", (pt("a"), pt("c")))
+    assert evaluate(Expr("concurrent", (same, same, other)), fw, {}, 0) is True
+    inner = Expr("meet", (same, same))  # evaluates to TRUE and absorbs upward
+    assert evaluate(Expr("collinear", (inner, pt("b"), pt("c"))),
                     fw, {}, 0) is True
-    assert evaluate(Incident(inner, other), fw, {}, 0) is True
+    assert evaluate(Expr("incident", (inner, other)), fw, {}, 0) is True
 
 
 def test_generate_system_fixture_contents():
@@ -351,28 +386,18 @@ def test_generic_node_avoid_sets_recorded():
     found = []
 
     def walk(e):
-        if isinstance(e, GenericPointOn):
+        if e.op == "generic-point":
             found.append(e)
-            walk(e.line)
-            for a in e.avoid:
-                walk(a)
-        elif hasattr(e, "__dataclass_fields__"):
-            for name in e.__dataclass_fields__:
-                v = getattr(e, name)
-                if isinstance(v, tuple):
-                    for x in v:
-                        if hasattr(x, "__dataclass_fields__"):
-                            walk(x)
-                elif hasattr(v, "__dataclass_fields__"):
-                    walk(v)
+        for x in e.args + e.avoid:
+            if isinstance(x, Expr):
+                walk(x)
 
     walk(expr)
     assert found
     chart_pick = found[0]
-    assert PointConst("p1") in chart_pick.avoid or any(
-        PointConst("p1") in f.avoid for f in found)
-    # the affine-chart membership constraint appears as a Meet avoid point
-    assert any(any(isinstance(a, Meet) for a in f.avoid) for f in found)
+    assert pt("p1") in chart_pick.avoid or any(pt("p1") in f.avoid for f in found)
+    # the affine-chart membership constraint appears as a meet avoid point
+    assert any(any(a.op == "meet" for a in f.avoid) for f in found)
 
 
 def test_system_json_shape():
@@ -394,3 +419,281 @@ def test_system_json_shape():
 
     collect(first["ast"])
     assert sorted(ids) == list(range(len(ids)))
+
+
+# ---------------------------------------------------------------------------
+# reference: one frozen dataclass per operation, walked by isinstance ladders
+# (the earlier implementation, kept to cross-check the one-node grammar)
+
+def _require_point(e):
+    if not isinstance(e, _POINT_NODES):
+        raise InputError(f"expected a point-valued expression, got {type(e).__name__}")
+
+
+def _require_line(e):
+    if not isinstance(e, _LINE_NODES):
+        raise InputError(f"expected a line-valued expression, got {type(e).__name__}")
+
+
+@dataclass(frozen=True)
+class PointConst:
+    vertex: str
+
+
+@dataclass(frozen=True)
+class LineVar:
+    vertex: str
+    index: int
+
+
+@dataclass(frozen=True)
+class Join:
+    a: object
+    b: object
+
+    def __post_init__(self):
+        _require_point(self.a)
+        _require_point(self.b)
+
+
+@dataclass(frozen=True)
+class Meet:
+    a: object
+    b: object
+
+    def __post_init__(self):
+        _require_line(self.a)
+        _require_line(self.b)
+
+
+@dataclass(frozen=True)
+class GenericPointOn:
+    line: object
+    avoid: tuple = ()
+
+    def __post_init__(self):
+        _require_line(self.line)
+        for a in self.avoid:
+            _require_point(a)
+
+
+@dataclass(frozen=True)
+class GenericLineThrough:
+    point: object
+    avoid: tuple = ()
+
+    def __post_init__(self):
+        _require_point(self.point)
+        for a in self.avoid:
+            _require_line(a)
+
+
+@dataclass(frozen=True)
+class Concurrent3:
+    a: object
+    b: object
+    c: object
+
+    def __post_init__(self):
+        for x in (self.a, self.b, self.c):
+            _require_line(x)
+
+
+@dataclass(frozen=True)
+class Collinear3:
+    a: object
+    b: object
+    c: object
+
+    def __post_init__(self):
+        for x in (self.a, self.b, self.c):
+            _require_point(x)
+
+
+@dataclass(frozen=True)
+class Incident:
+    point: object
+    line: object
+
+    def __post_init__(self):
+        _require_point(self.point)
+        _require_line(self.line)
+
+
+_POINT_NODES = (PointConst, Meet, GenericPointOn)
+_LINE_NODES = (LineVar, Join, GenericLineThrough)
+
+
+def reference_sexpr(e) -> str:
+    if isinstance(e, PointConst):
+        return e.vertex
+    if isinstance(e, LineVar):
+        return f"(linevar {e.vertex} {e.index})"
+    if isinstance(e, Join):
+        return f"(join {reference_sexpr(e.a)} {reference_sexpr(e.b)})"
+    if isinstance(e, Meet):
+        return f"(meet {reference_sexpr(e.a)} {reference_sexpr(e.b)})"
+    if isinstance(e, GenericPointOn):
+        avoid = " ".join(reference_sexpr(a) for a in e.avoid)
+        return f"(generic-point {reference_sexpr(e.line)} (avoid {avoid}))"
+    if isinstance(e, GenericLineThrough):
+        avoid = " ".join(reference_sexpr(a) for a in e.avoid)
+        return f"(generic-line {reference_sexpr(e.point)} (avoid {avoid}))"
+    if isinstance(e, Concurrent3):
+        return (f"(concurrent {reference_sexpr(e.a)} {reference_sexpr(e.b)}"
+                f" {reference_sexpr(e.c)})")
+    if isinstance(e, Collinear3):
+        return (f"(collinear {reference_sexpr(e.a)} {reference_sexpr(e.b)}"
+                f" {reference_sexpr(e.c)})")
+    if isinstance(e, Incident):
+        return f"(incident {reference_sexpr(e.point)} {reference_sexpr(e.line)})"
+    raise InputError(f"not an expression: {e!r}")
+
+
+def reference_json_ast(e, counter=None) -> dict:
+    if counter is None:
+        counter = [0]
+    nid = counter[0]
+    counter[0] += 1
+    if isinstance(e, PointConst):
+        return {"id": nid, "op": "point", "vertex": e.vertex}
+    if isinstance(e, LineVar):
+        return {"id": nid, "op": "linevar", "vertex": e.vertex, "index": e.index}
+    if isinstance(e, Join):
+        return {"id": nid, "op": "join",
+                "args": [reference_json_ast(e.a, counter),
+                         reference_json_ast(e.b, counter)]}
+    if isinstance(e, Meet):
+        return {"id": nid, "op": "meet",
+                "args": [reference_json_ast(e.a, counter),
+                         reference_json_ast(e.b, counter)]}
+    if isinstance(e, GenericPointOn):
+        return {"id": nid, "op": "generic-point",
+                "arg": reference_json_ast(e.line, counter),
+                "avoid": [reference_json_ast(a, counter) for a in e.avoid]}
+    if isinstance(e, GenericLineThrough):
+        return {"id": nid, "op": "generic-line",
+                "arg": reference_json_ast(e.point, counter),
+                "avoid": [reference_json_ast(a, counter) for a in e.avoid]}
+    if isinstance(e, Concurrent3):
+        return {"id": nid, "op": "concurrent",
+                "args": [reference_json_ast(x, counter) for x in (e.a, e.b, e.c)]}
+    if isinstance(e, Collinear3):
+        return {"id": nid, "op": "collinear",
+                "args": [reference_json_ast(x, counter) for x in (e.a, e.b, e.c)]}
+    if isinstance(e, Incident):
+        return {"id": nid, "op": "incident",
+                "args": [reference_json_ast(e.point, counter),
+                         reference_json_ast(e.line, counter)]}
+    raise InputError(f"not an expression: {e!r}")
+
+
+def reference_node_value(expr, ev, fw: Framework, line_assignment, seed: int):
+    if isinstance(expr, PointConst):
+        try:
+            return fw.placement[expr.vertex]
+        except KeyError as exc:
+            raise InputError(f"placement misses vertex {expr.vertex!r}") from exc
+    if isinstance(expr, LineVar):
+        key = (expr.vertex, expr.index)
+        if key not in line_assignment:
+            raise InputError(f"assignment misses slot {key}")
+        line = line_assignment[key]
+        if not line.contains(fw.placement[expr.vertex]):
+            raise PreconditionError(f"assigned line for {key} misses its point")
+        return line
+    if isinstance(expr, Join):
+        return join(ev(expr.a), ev(expr.b))
+    if isinstance(expr, Meet):
+        return meet(ev(expr.a), ev(expr.b))
+    if isinstance(expr, GenericPointOn):
+        line = ev(expr.line)
+        if line is TRUE:
+            return TRUE
+        avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
+        return pick_generic_point_on(line, avoid, sub_seed(seed, reference_sexpr(expr)))
+    if isinstance(expr, GenericLineThrough):
+        point = ev(expr.point)
+        if point is TRUE:
+            return TRUE
+        avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
+        return pick_generic_line_through(point, avoid,
+                                         sub_seed(seed, reference_sexpr(expr)))
+    if isinstance(expr, Concurrent3):
+        return rel_concurrent(ev(expr.a), ev(expr.b), ev(expr.c))
+    if isinstance(expr, Collinear3):
+        return rel_collinear(ev(expr.a), ev(expr.b), ev(expr.c))
+    if isinstance(expr, Incident):
+        return rel_incident(ev(expr.point), ev(expr.line))
+    raise InputError(f"not an expression: {expr!r}")
+
+
+def reference_evaluate(expr, fw, line_assignment, seed):
+    memo = {}
+
+    def ev(e):
+        if e not in memo:
+            memo[e] = reference_node_value(e, ev, fw, line_assignment, seed)
+        return memo[e]
+    return ev(expr)
+
+
+_REFERENCE_CLASSES = {"join": Join, "meet": Meet, "concurrent": Concurrent3,
+                      "collinear": Collinear3, "incident": Incident}
+
+
+@functools.cache
+def to_reference(e):
+    """The reference node equal to an `Expr`."""
+    if e.op == "point":
+        return PointConst(*e.args)
+    if e.op == "linevar":
+        return LineVar(*e.args)
+    if e.op == "generic-point":
+        return GenericPointOn(to_reference(e.args[0]), tuple(map(to_reference, e.avoid)))
+    if e.op == "generic-line":
+        return GenericLineThrough(to_reference(e.args[0]),
+                                  tuple(map(to_reference, e.avoid)))
+    return _REFERENCE_CLASSES[e.op](*map(to_reference, e.args))
+
+
+_GRAPHS = {
+    **{f"wheel{m}": wheel_graph(m) for m in range(4, 8)},
+    "K4": complete_graph(4), "K5": complete_graph(5),
+    "cube-chord": petersen_graph(4, 1, chord=("u0", "w2")),
+    "petersen": petersen_graph(),
+    "desargues": DESARGUES_GRAPH, "pascal": PASCAL_GRAPH,
+}
+
+
+@functools.cache
+def _system(name, mode):
+    return generate_system(_GRAPHS[name], mode)
+
+
+def _outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (InputError, PreconditionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_GRAPHS)), mode=st.sampled_from(("all", "generators")),
+       seed=st.integers(0, 10**6), bound=st.sampled_from((3, 60)))
+def test_expr_matches_per_class_reference(name, mode, seed, bound):
+    system = _system(name, mode)
+    fw = random_placement(_GRAPHS[name], seed, bound=bound)
+    slots = {(v, i): pick_generic_line_through(fw.placement[v], [], seed + i)
+             for v, i in system.xi.slots}
+    values = []
+    for cond in system.conditions:
+        ref = to_reference(cond.expr)
+        assert to_sexpr(cond.expr) == reference_sexpr(ref)
+        assert to_json_ast(cond.expr) == reference_json_ast(ref)
+        got = _outcome(evaluate, cond.expr, fw, slots, seed)
+        assert got == _outcome(reference_evaluate, ref, fw, slots, seed)
+        values.append(got)
+    if all(kind == "value" for kind, _ in values):
+        assert fulfilled_with_witness(system, fw, slots, seed) == all(
+            v for _, v in values)

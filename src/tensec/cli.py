@@ -45,7 +45,7 @@ def _parse_chart(text: str) -> AffineChart:
 
 def _emit(report: dict, text_lines, fmt: str):
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
@@ -108,11 +108,11 @@ def cmd_check(args) -> int:
 
     with _phase(args, "conditions"):
         system = generate_system(fw.graph, mode=args.cycles)
-        if system.xi.dimension == 0:
+        if not system.slots:
             witness = {}
             witness_kind = "empty"
         elif quant is not None and stress is not None:
-            witness = quant.xi_witness()
+            witness = quant.interior_labels
             witness_kind = "derived"
         else:
             witness = None
@@ -162,9 +162,9 @@ def cmd_conditions(args) -> int:
     if args.format == "json":
         _emit(payload, [], "json")
     else:
-        lines = [f"xi dimension: {system.xi.dimension}"]
-        if system.xi.slots:
-            lines.append("slots: " + " ".join(f"{v}:{i}" for v, i in system.xi.slots))
+        lines = [f"xi dimension: {len(system.slots)}"]
+        if system.slots:
+            lines.append("slots: " + " ".join(f"{v}:{i}" for v, i in system.slots))
         lines.append(f"conditions: {len(system.conditions)}")
         for cond in system.conditions:
             lines.append(f"[{' '.join(cond.cycle)}] {to_sexpr(cond.expr)}")
@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
     g.require_min_degree(3)
     with _phase(args, "compile"):
         system = generate_system(g, mode=args.cycles)
-    xi_dim = system.xi.dimension
+    xi_dim = len(system.slots)
     constrained = _constrained_generator(g)
     samples = []
     mismatches = []
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
             elif oracle:
                 quant = quantization_from_stress(
                     fw, forceload_from_stress(fw, oracle_stress))
-                cond = fulfilled_with_witness(system, fw, quant.xi_witness(),
+                cond = fulfilled_with_witness(system, fw, quant.interior_labels,
                                               sample_seed)
                 mismatch = not cond
             else:
@@ -274,10 +274,11 @@ def cmd_render(args) -> int:
         svg = render_framed_cycle(framed_cycle_from_json(obj), chart)
     else:
         svg = render_framework(framework_from_json(obj), chart)
-    if args.output is None:
-        raise InputError("render requires -o PATH")
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -291,14 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     options = {
+        # argparse converts a string default with `type` only when the
+        # option is read, so a bad TENSEC_SEED is a usage error of the
+        # subcommands that take --seed and ignored by the others
         "seed": (("--seed",), {"type": int,
-                               "default": int(os.environ.get("TENSEC_SEED", "0"))}),
+                               "default": os.environ.get("TENSEC_SEED", "0")}),
         "samples": (("--samples",), {"type": int, "default": 200}),
         "cycles": (("--cycles",), {"choices": ("all", "generators"), "default": "all"}),
         "format": (("--format",), {"choices": ("text", "json"), "default": "text"}),
         "chart": (("--chart",), {"default": "0,0,1",
                                  "help": "infinity-line coefficients a,b,c"}),
-        "output": (("-o", "--output"), {"default": None}),
+        "output": (("-o", "--output"), {"required": True}),
         "timings": (("--timings",), {"action": "store_true",
                                      "help": "print phase timings to stderr"}),
     }

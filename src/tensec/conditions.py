@@ -1,12 +1,12 @@
-"""Symbolic geometric conditions: the configuration space, the condition
-AST, the graph-to-condition compiler, and evaluation.
+"""Symbolic geometric conditions: the condition AST, the graph-to-condition
+compiler, and evaluation.
 
-The configuration space of a framework fixes all placed points and attaches
-deg(v) - 3 free lines through each vertex v.  A condition is a composition
-of the four geometric operations (meet, join, generic point on a line,
-generic line through a point) capped by one of the three relations
-(concurrent lines, collinear points, point-line incidence), evaluated with
-absorption of the TRUE token.
+A condition is a composition of the four geometric operations (meet, join,
+generic point on a line, generic line through a point) capped by one of the
+three relations (concurrent lines, collinear points, point-line incidence),
+evaluated with absorption of the TRUE token.  Its leaves are the placed
+points and the Xi slots of the default vertex trees (`xi_slots`): a
+`linevar` names one free line through its vertex's point.
 
 Compilation mirrors the numeric pipeline symbolically: a cycle's framing at
 each vertex is the associated-framing expression (third-edge label after
@@ -22,12 +22,12 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import InputError, PreconditionError
-from .framework import Framework, Graph, cycle_corners
+from .framework import Framework, Graph, cycle_corners, edge_key
 from .projective import (TRUE, join, meet, pick_generic_line_through,
                          pick_generic_point_on, rel_collinear,
                          rel_concurrent, rel_incident, sub_seed)
-from .quantization import consistency_cycles, default_trees
-from .resolution import tree_edge, tree_labels, walk_to_shared_node
+from .quantization import consistency_cycles, default_trees, xi_slots
+from .resolution import tree_labels, walk_to_shared_node
 
 
 # --------------------------------------------------------------------------
@@ -132,29 +132,6 @@ def to_json_ast(e, counter=None) -> dict:
 
 
 # --------------------------------------------------------------------------
-# Configuration space
-
-@dataclass(frozen=True)
-class XiSpace:
-    """Free-line slots (vertex, 1..deg-3) on top of the fixed placement."""
-
-    slots: tuple
-
-    @property
-    def dimension(self) -> int:
-        return len(self.slots)
-
-
-def xi_space(g: Graph) -> XiSpace:
-    g.require_min_degree(3)
-    slots = []
-    for v in g.vertices:
-        for idx in range(1, g.degree(v) - 3 + 1):
-            slots.append((v, idx))
-    return XiSpace(tuple(slots))
-
-
-# --------------------------------------------------------------------------
 # Compiler
 
 def _surgery_expression(p, l12, l13, l14, l25, l26):
@@ -196,7 +173,7 @@ def framing_expression(trees: dict, vertex: str, edge_a, edge_b):
     base = Expr("point", (vertex,))
 
     def surgery_expression(tree, labels, h):
-        return _surgery_expression(base, *(labels[tree_edge(*e)] for e in h))
+        return _surgery_expression(base, *(labels[edge_key(*e)] for e in h))
 
     return walk_to_shared_node(trees[vertex], labels, edge_a, edge_b,
                                surgery_expression)
@@ -248,7 +225,9 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConditionSystem:
-    xi: XiSpace
+    """Conditions over the Xi slots (vertex, k) of `xi_slots`."""
+
+    slots: tuple
     conditions: tuple
 
 
@@ -262,7 +241,8 @@ def generate_system(g: Graph, mode: str = "all") -> ConditionSystem:
     """
     g.require_min_degree(3)
     # corners (vertex, edge in, edge out) and vertices recur in many cycles
-    framing = functools.cache(functools.partial(framing_expression, default_trees(g)))
+    trees = default_trees(g)
+    framing = functools.cache(functools.partial(framing_expression, trees))
     points = {v: Expr("point", (v,)) for v in g.vertices}
     conditions = []
     for cycle in consistency_cycles(g, mode):
@@ -270,7 +250,7 @@ def generate_system(g: Graph, mode: str = "all") -> ConditionSystem:
         pts = [points[v] for v in cycle]
         conditions.append(Condition(tuple(cycle),
                                     cycle_condition_expression(pts, framings)))
-    return ConditionSystem(xi_space(g), tuple(conditions))
+    return ConditionSystem(xi_slots(trees), tuple(conditions))
 
 
 # --------------------------------------------------------------------------
@@ -343,7 +323,7 @@ def fulfilled_with_witness(system: ConditionSystem, fw: Framework,
                            witness, seed: int) -> bool:
     """Conjunction of all conditions under one slot assignment; a
     subexpression shared by several conditions is evaluated once."""
-    for slot in system.xi.slots:
+    for slot in system.slots:
         if slot not in witness:
             raise InputError(f"witness misses slot {slot}")
     ev = _evaluator(fw, witness, seed)
@@ -355,7 +335,7 @@ def fulfilled_with_witness(system: ConditionSystem, fw: Framework,
 
 def system_to_json(system: ConditionSystem) -> dict:
     return {
-        "xi": {"slots": [[v, i] for v, i in system.xi.slots]},
+        "xi": {"slots": [[v, i] for v, i in system.slots]},
         "conditions": [
             {"cycle": list(cond.cycle),
              "ast": to_json_ast(cond.expr),

@@ -29,13 +29,12 @@ from .projective import (
     join,
     lines_in_general_position,
     meet,
-    nonvanishing_proper_subsets,
-    partial_sum_lines_distinct,
+    non_parallelizable_star,
     random_line_avoiding,
 )
 
 
-def edge_key(u: str, v: str):
+def edge_key(u, v):
     if u == v:
         raise InputError(f"loop edge at {u!r}")
     return (u, v) if u < v else (v, u)
@@ -246,21 +245,12 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
     """Non-parallelizability of an equilibrium force-load, by exhaustive
     subset enumeration at every vertex.
 
-    At a vertex with incident forces F_1..F_s this requires (a) no proper
-    nonempty 0/1-combination vanishes and (b) the 2^(s-1) - 1 lines of
-    F_1 + sum(a_i F_i, i >= 2), (a_2..a_s) != (1..1), are pairwise distinct.
+    The incident forces at every vertex must pass `non_parallelizable_star`.
     """
     if not is_equilibrium(fw, fl):
         raise PreconditionError("force-load is not an equilibrium force-load")
-    for v in fw.graph.vertices:
-        forces = [fl.force(v, u) for u in fw.graph.neighbors(v)]
-        if any(f.is_zero() for f in forces):
-            return False
-        if not nonvanishing_proper_subsets(forces):
-            return False
-        if not partial_sum_lines_distinct(forces):
-            return False
-    return True
+    return all(non_parallelizable_star([fl.force(v, u) for u in fw.graph.neighbors(v)])
+               for v in fw.graph.vertices)
 
 
 #: Seeded random combinations of the basis probed when the stress space has

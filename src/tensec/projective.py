@@ -410,3 +410,12 @@ def partial_sum_lines_distinct(forces) -> bool:
             raise GeometryError("zero force has no line of force")
         lines.append(primitive(total))
     return len(set(lines)) == len(lines)
+
+
+def non_parallelizable_star(forces) -> bool:
+    """The forces at one point are non-parallelizable: none is zero, no
+    proper nonempty 0/1-combination vanishes, and the 2^(s-1) - 1 lines of
+    F1 + sum(a_i F_i, i >= 2), (a_2..a_s) != (1..1), are pairwise distinct."""
+    return (not any(f.is_zero() for f in forces)
+            and nonvanishing_proper_subsets(forces)
+            and partial_sum_lines_distinct(forces))

@@ -2,9 +2,11 @@
 
 A quantization labels the default binary tree of every framework vertex:
 each leaf edge carries its edge line, and each interior edge a line through
-the vertex's point (one Xi slot).  The trees glued along matching leaf edges
-form the resolution graph; each tree, as a resolution scheme, carries one
-equilibrium force-load up to scale.
+the vertex's point.  The interior edges are the Xi slots, deg(v) - 3 of them
+at vertex v, numbered by `slot_edges`; `xi_slots` lists them for all
+vertices.  The trees glued along matching leaf edges form the resolution
+graph; each tree, as a resolution scheme, carries one equilibrium
+force-load up to scale.
 
 Consistency asks each associated framed cycle (cycle vertices framed by the
 associated framings of their cycle-edge pairs) for a trivial monodromy.
@@ -26,7 +28,7 @@ from .framework import (ForceLoad, Framework, Graph, cycle_corners, edge_key,
                         enumerate_simple_cycles)
 from .projective import Force, ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
-                         leaf_forces, tree_labels)
+                         leaf_forces, slot_edges, tree_labels)
 
 
 def default_trees(g: Graph) -> dict:
@@ -35,14 +37,22 @@ def default_trees(g: Graph) -> dict:
             for v in g.vertices}
 
 
+def xi_slots(trees: dict) -> tuple:
+    """The Xi slots (vertex, k) of the vertex trees, in vertex order: the
+    k-th interior edge of a vertex's tree carries one free line through its
+    point, deg(v) - 3 of them at vertex v."""
+    return tuple((v, k) for v, tree in trees.items() for k in slot_edges(tree))
+
+
 @dataclass
 class Quantization:
     """Interior line labels on the default vertex trees, one per Xi slot.
 
-    `interior_labels` maps (vertex id, index >= 1) to a line through that
-    vertex's point, following the interior-edge enumeration of the vertex's
-    tree in `default_trees(framework.graph)`; leaf edges are always labeled
-    by their edge lines.
+    `interior_labels` maps each slot (vertex id, k) of `xi_slots` to a line
+    through that vertex's point, the label of the interior edge
+    `slot_edges` numbers k in the vertex's default tree; leaf edges are
+    always labeled by their edge lines.  The labels are the slot assignment
+    the conditions are evaluated under.
 
     Each vertex scheme is built once, and each associated framing is
     memoized, keyed by (vertex, unordered edge pair): the framing is
@@ -64,8 +74,7 @@ class Quantization:
         fw = self.framework
         fw.graph.require_min_degree(3)
         self.trees = default_trees(fw.graph)
-        slots = {(v, idx) for v, tree in self.trees.items()
-                 for idx in range(1, len(tree.interior_edges()) + 1)}
+        slots = set(xi_slots(self.trees))
         if set(self.interior_labels) != slots:
             raise InputError(f"interior labels must cover exactly the slots {sorted(slots)}")
         for (v, _idx), line in self.interior_labels.items():
@@ -91,10 +100,6 @@ class Quantization:
                                                             edge_a, edge_b)
         return line
 
-    def xi_witness(self) -> dict:
-        """Slot assignment for the configuration space: the interior labels."""
-        return dict(self.interior_labels)
-
 
 def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
     """Quantization associated to a non-parallelizable equilibrium load, such
@@ -110,7 +115,7 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
         raise GenericityError("force-load vanishes on an edge")
     labels = {}
     for v, tree in default_trees(fw.graph).items():
-        for idx, te in enumerate(tree.interior_edges(), start=1):
+        for idx, te in slot_edges(tree).items():
             side = sorted(tree.side_labels(te, te[0]))
             total = sum((fl.force(v, j if i == v else i) for i, j in side),
                         Force((0, 0, 0)))

@@ -21,14 +21,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GenericityError, GeometryError, InputError
-from .framework import is_connected
+from .framework import edge_key, is_connected
 from .numeric import solve_in_span
 from .projective import Force, ProjLine, ProjPoint, line_of_force, \
-    nonvanishing_proper_subsets, partial_sum_lines_distinct
-
-
-def tree_edge(u: int, v: int):
-    return (u, v) if u < v else (v, u)
+    non_parallelizable_star
 
 
 class BinaryTree:
@@ -65,7 +61,7 @@ class BinaryTree:
         out = set()
         for u, vs in self.adjacency.items():
             for v in vs:
-                out.add(tree_edge(u, v))
+                out.add(edge_key(u, v))
         return sorted(out)
 
     def degree(self, u: int) -> int:
@@ -135,45 +131,38 @@ class BinaryTree:
 
 
 def default_tree(leaf_labels) -> BinaryTree:
-    """Left-comb caterpillar over the labels in the given order."""
+    """Left-comb caterpillar over the labels in the given order.
+
+    Leaf i is node i, and the spine nodes s .. 2s-3 form a path.  Leaves 0
+    and 1 hang on spine node s, leaf i on spine node s+i-1, and the last two
+    leaves on the last spine node.
+    """
     labels = list(leaf_labels)
     s = len(labels)
     if s < 3:
         raise InputError("need at least 3 leaf labels")
-    adjacency = {i: [] for i in range(s)}
-    if s == 3:
-        adjacency[3] = [0, 1, 2]
-        for i in range(3):
-            adjacency[i] = [3]
-    else:
-        spine = list(range(s, 2 * s - 2))
-        for j, node in enumerate(spine):
-            adjacency[node] = []
-        adjacency[spine[0]] = [0, 1, spine[1]]
-        adjacency[0] = [spine[0]]
-        adjacency[1] = [spine[0]]
-        for j in range(1, s - 3):
-            adjacency[spine[j]] = [spine[j - 1], j + 1, spine[j + 1]]
-            adjacency[j + 1] = [spine[j]]
-        adjacency[spine[-1]] = [spine[-2], s - 2, s - 1]
-        adjacency[s - 2] = [spine[-1]]
-        adjacency[s - 1] = [spine[-1]]
-    return BinaryTree(adjacency, {i: labels[i] for i in range(s)})
+    edges = [(n, n + 1) for n in range(s, 2 * s - 3)]
+    edges += [(i, s + min(max(i - 1, 0), s - 3)) for i in range(s)]
+    adjacency = {u: [] for u in range(2 * s - 2)}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return BinaryTree(adjacency, dict(enumerate(labels)))
+
+
+def slot_edges(tree: BinaryTree) -> dict:
+    """The Xi slots of a vertex tree: {k: k-th interior edge}, counted from
+    1 in the order of `interior_edges`.  One free line through the vertex's
+    point labels each slot."""
+    return dict(enumerate(tree.interior_edges(), start=1))
 
 
 def tree_labels(tree: BinaryTree, leaf_label, slot_label) -> dict:
     """Label of every tree edge: leaf_label(i, j) on the leaf edge of host
-    edge (i, j), slot_label(k) on the k-th interior edge (from 1, in the
-    order of `interior_edges`)."""
-    slots = {te: k for k, te in enumerate(tree.interior_edges(), start=1)}
-    labels = {}
-    for te in tree.edges():
-        if te in slots:
-            labels[te] = slot_label(slots[te])
-        else:
-            u, w = te
-            leaf = u if tree.degree(u) == 1 else w
-            labels[te] = leaf_label(*tree.leaf_labels[leaf])
+    edge (i, j), slot_label(k) on the interior edge of slot k."""
+    labels = {te: slot_label(k) for k, te in slot_edges(tree).items()}
+    for leaf, (i, j) in tree.leaf_labels.items():
+        labels[edge_key(leaf, tree.adjacency[leaf][0])] = leaf_label(i, j)
     return labels
 
 
@@ -194,7 +183,7 @@ class ResolutionScheme:
                 raise GeometryError(f"label of {e} misses the base point")
 
     def label(self, u: int, v: int) -> ProjLine:
-        return self.labels[tree_edge(u, v)]
+        return self.labels[edge_key(u, v)]
 
     @cached_property
     def forceload(self) -> dict:
@@ -240,29 +229,22 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     """
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
-    key = tree_edge(*seed_edge)
+    key = edge_key(*seed_edge)
     if seed_force.is_zero() or line_of_force(seed_force) != s.labels[key]:
         raise GeometryError("seed force must be nonzero along the seed edge label")
     u, v = seed_edge
     forces = {(u, v): seed_force, (v, u): -seed_force}
-    stack = [u, v]
-    resolved = set()
+    # (node, the neighbor whose force at that node is known)
+    stack = [(u, v), (v, u)]
     while stack:
-        w = stack.pop()
-        if w in resolved or s.tree.degree(w) != 3:
+        w, known = stack.pop()
+        if s.tree.degree(w) != 3:
             continue
-        known = [n for n in s.tree.adjacency[w] if (w, n) in forces]
-        unknown = [n for n in s.tree.adjacency[w] if (w, n) not in forces]
-        if not known:
-            continue
-        if unknown:
-            incoming = forces[(w, known[0])]
-            n1, n2 = unknown
-            f1, f2 = _decompose(incoming, s.label(w, n1), s.label(w, n2))
-            forces[(w, n1)], forces[(n1, w)] = f1, -f1
-            forces[(w, n2)], forces[(n2, w)] = f2, -f2
-            stack.extend([n1, n2])
-        resolved.add(w)
+        n1, n2 = (n for n in s.tree.adjacency[w] if n != known)
+        f1, f2 = _decompose(forces[(w, known)], s.label(w, n1), s.label(w, n2))
+        forces[(w, n1)], forces[(n1, w)] = f1, -f1
+        forces[(w, n2)], forces[(n2, w)] = f2, -f2
+        stack.extend([(n1, w), (n2, w)])
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
     return forces
@@ -285,9 +267,7 @@ def is_strongly_generic(s: ResolutionScheme) -> bool:
     force-load is then not unique).
     """
     lf = leaf_forces(s, s.forceload)
-    ordered = [lf[lab] for lab in sorted(lf)]
-    return (nonvanishing_proper_subsets(ordered)
-            and partial_sum_lines_distinct(ordered))
+    return non_parallelizable_star([lf[lab] for lab in sorted(lf)])
 
 
 def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
@@ -302,7 +282,7 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
     Labels may be lines or expressions.  Returns (tree, labels).
     """
     v1, v2 = edge
-    if not tree.is_interior(tree_edge(v1, v2)):
+    if not tree.is_interior(edge_key(v1, v2)):
         raise InputError(f"({v1},{v2}) is not an interior edge")
     side1 = [n for n in tree.adjacency[v1] if n != v2]
     side2 = [n for n in tree.adjacency[v2] if n != v1]
@@ -324,11 +304,11 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
     adjacency[a] = [n3, n5, b]
     adjacency[b] = [n4, n6, a]
     out = {e: x for e, x in labels.items() if v1 not in e and v2 not in e}
-    out[tree_edge(a, n3)] = labels[tree_edge(v1, n3)]
-    out[tree_edge(a, n5)] = labels[tree_edge(v2, n5)]
-    out[tree_edge(b, n4)] = labels[tree_edge(v1, n4)]
-    out[tree_edge(b, n6)] = labels[tree_edge(v2, n6)]
-    out[tree_edge(a, b)] = fresh
+    out[edge_key(a, n3)] = labels[edge_key(v1, n3)]
+    out[edge_key(a, n5)] = labels[edge_key(v2, n5)]
+    out[edge_key(b, n4)] = labels[edge_key(v1, n4)]
+    out[edge_key(b, n6)] = labels[edge_key(v2, n6)]
+    out[edge_key(a, b)] = fresh
     return BinaryTree(adjacency, tree.leaf_labels), out
 
 
@@ -339,7 +319,7 @@ def shared_node_edge(tree: BinaryTree, leaf_a, leaf_b):
     mid = tree.adjacency[na][0]
     if tree.adjacency[nb][0] != mid:
         return None
-    return tree_edge(mid, next(n for n in tree.adjacency[mid] if n not in (na, nb)))
+    return edge_key(mid, next(n for n in tree.adjacency[mid] if n not in (na, nb)))
 
 
 def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_label):

@@ -149,7 +149,7 @@ def _sample_placement(graph, constrained, index, seed):
 ])
 def test_criterion_7_end_to_end_equivalence_200(graph, constrained, tag):
     system = generate_system(graph)
-    assert system.xi.dimension == 0
+    assert system.slots == ()
     verdicts = {True: 0, False: 0}
     for i in range(200):
         fw = _sample_placement(graph, constrained, i, 80_000 + i)
@@ -178,7 +178,7 @@ def test_criterion_8_wheel_witness_direction_100():
         if stress is None:
             continue
         quant = quantization_from_stress(fw, forceload_from_stress(fw, stress))
-        witness = quant.xi_witness()
+        witness = quant.interior_labels
         assert fulfilled_with_witness(system, fw, witness, seed)
         one = evaluate(framing_expression(trees, "p1", *pairs[0]),
                        fw, witness, seed)

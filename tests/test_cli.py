@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -126,7 +128,10 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
                  ["render", write("zero.json", zero), "-o", out],
                  ["render", write("cycle.json", cycle), "-o", out],
                  ["check", files["dpos"], "--chart", "0,0,0"],
-                 ["render", files["dpos"], "-o", out, "--chart", "0,0,0"]):
+                 ["render", files["dpos"], "-o", out, "--chart", "0,0,0"],
+                 # output paths that cannot be written
+                 ["render", files["dpos"], "-o", str(tmp_path)],
+                 ["render", files["dpos"], "-o", str(tmp_path / "missing" / "x.svg")]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
 
@@ -187,6 +192,109 @@ def test_fuzzed_framework_json_exits_0_2_or_3(tmp_path, document):
         assert main(argv) in (0, 2, 3), argv
 
 
+def _fuzz_files(tmp_path):
+    """Inputs of the argv fuzz: a placed framework, a graph without
+    coordinates, a framed cycle, and output paths of each kind."""
+    from tensec.cycles import framed_cycle_to_json
+    from tensec.sampling import random_framed_cycle
+
+    inputs = []
+    for name, obj in (("fw", framework_to_json(DESARGUES_POS)),
+                      ("graph", {"vertices": list(WHEEL5_GRAPH.vertices),
+                                 "edges": [list(e) for e in WHEEL5_GRAPH.edges]}),
+                      ("cycle", framed_cycle_to_json(random_framed_cycle(4, 3, True)))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        inputs.append(str(path))
+    outputs = [str(tmp_path / "out.svg"), str(tmp_path),
+               str(tmp_path / "missing" / "out.svg")]
+    return inputs, outputs
+
+
+# Option values as (valid, invalid); "-o" draws from the output paths (a
+# writable one, a directory, one in a missing directory).
+_OPTION_VALUES = {
+    "--seed": (["0", "7", " 7 ", "-5", "1" + "0" * 40], ["abc", "", "1.5"]),
+    "--samples": (["1", "2"], ["0", "-1", "x"]),
+    "--cycles": (["all", "generators"], ["some"]),
+    "--format": (["text", "json"], ["xml"]),
+    "--chart": (["0,0,1", "1,1,17", " 0 , 0 , 1 "],
+                ["1,2", "0,0,1,0", "0,0,0", "1/0,0,1", "a,b,c"]),
+    "--timings": None,
+    "-o": None,
+}
+_OWN_OPTIONS = {"check": "--seed --cycles --format --chart --timings",
+                "conditions": "--cycles --format",
+                "verify": "--seed --samples --cycles --format --timings",
+                "render": "--chart -o"}
+_ENV_SEEDS = [None, "3", " 7 ", "-2", "1" + "0" * 40, "abc", ""]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_and_env_exit_0_2_or_3(tmp_path, capsys, data):
+    inputs, outputs = _fuzz_files(tmp_path)
+    command = data.draw(st.sampled_from(sorted(_OWN_OPTIONS)))
+    argv = [command, data.draw(st.sampled_from(inputs))]
+    # mostly options the subcommand reads, sometimes one it rejects
+    options = data.draw(st.sets(st.sampled_from(_OWN_OPTIONS[command].split())))
+    if data.draw(st.integers(0, 4)) == 0:
+        options.add(data.draw(st.sampled_from(sorted(_OPTION_VALUES))))
+    if command == "verify":
+        # at its default of 200 samples one run would take seconds
+        options.add("--samples")
+    for option in sorted(options):
+        if option == "--timings":
+            argv.append(option)
+        elif option == "-o":
+            argv += [option, data.draw(st.sampled_from(outputs))]
+        else:
+            valid, invalid = _OPTION_VALUES[option]
+            pool = invalid if data.draw(st.integers(0, 3)) == 0 else valid
+            argv += [option, data.draw(st.sampled_from(pool))]
+    env_seed = data.draw(st.sampled_from(_ENV_SEEDS))
+    with mock.patch.dict(os.environ):
+        os.environ.pop("TENSEC_SEED", None)
+        if env_seed is not None:
+            os.environ["TENSEC_SEED"] = env_seed
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, (argv, env_seed)
+        else:
+            assert rc in (0, 2, 3), (argv, env_seed)
+    capsys.readouterr()
+
+
+def test_render_requires_output_before_reading_input(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", str(tmp_path / "absent.json")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: -o/--output" in capsys.readouterr().err
+
+
+def test_bad_env_seed_is_a_usage_error_only_where_seed_is_read(
+        files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TENSEC_SEED", "abc")
+    for argv in (["check", files["dpos"]],
+                 ["verify", files["dpos"], "--samples", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["conditions", files["dpos"]]) == 0
+    assert main(["render", files["dpos"], "-o", str(tmp_path / "x.svg")]) == 0
+    # an explicit --seed wins over the variable; padding is accepted
+    assert main(["check", files["dpos"], "--seed", "7"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("TENSEC_SEED", " 7 ")
+    assert main(["check", files["dpos"], "--format", "json"]) == 0
+    padded = capsys.readouterr().out
+    assert main(["check", files["dpos"], "--seed", "7", "--format", "json"]) == 0
+    assert padded == capsys.readouterr().out
+
+
 def test_check_exit_codes(files, tmp_path, capsys):
     assert main(["check", files["bad"]]) == 2
     assert main(["check", files["lowdeg"]]) == 2
@@ -238,6 +346,16 @@ def test_conditions_on_large_prism_hits_condition_cycle_limit(fmt, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MAX_CONDITION_CYCLE = 64" in captured.err
+
+
+def test_conditions_json_of_62_rung_prism_stays_small(tmp_path, capsys):
+    # 43 MB when the report was indented: the indentation grew with the
+    # depth of each condition's AST
+    path = write_prism(62, tmp_path)
+    assert main(["conditions", path, "--cycles", "generators", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) < 2_000_000
+    assert len(json.loads(out)["conditions"]) == 63
 
 
 def test_check_above_degree_limit_exits_3(tmp_path, capsys):

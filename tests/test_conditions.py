@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
                                framing_expression, fulfilled_with_witness,
                                generate_system, system_to_json, to_json_ast,
-                               to_sexpr, xi_space)
+                               to_sexpr)
 from tensec.errors import InputError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
@@ -25,7 +25,7 @@ from tensec.projective import (TRUE, ProjLine, ProjPoint, join, meet,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident,
                                sub_seed)
-from tensec.quantization import default_trees, quantization_from_stress
+from tensec.quantization import default_trees, quantization_from_stress, xi_slots
 from tensec.sampling import random_framed_cycle, random_placement
 
 
@@ -92,11 +92,47 @@ def lv(v, index=1):
 
 
 def test_xi_space_slot_counts():
-    assert xi_space(DESARGUES_GRAPH).dimension == 0
-    assert xi_space(WHEEL5_GRAPH).slots == (("p1", 1),)
-    assert xi_space(complete_graph(5)).dimension == 5
+    assert generate_system(DESARGUES_GRAPH).slots == ()
+    assert generate_system(WHEEL5_GRAPH).slots == (("p1", 1),)
+    assert len(generate_system(complete_graph(5)).slots) == 5
     with pytest.raises(InputError):
-        xi_space(Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]))
+        xi_slots(default_trees(Graph(["a", "b", "c"],
+                                     [("a", "b"), ("b", "c"), ("a", "c")])))
+
+
+def reference_xi_space(g: Graph):
+    """The slots as the configuration space once counted them, by vertex
+    degree (kept as the reference of `xi_slots`)."""
+    g.require_min_degree(3)
+    slots = []
+    for v in g.vertices:
+        for idx in range(1, g.degree(v) - 3 + 1):
+            slots.append((v, idx))
+    return tuple(slots)
+
+
+_SLOT_GRAPHS = {
+    **{f"wheel{k}": wheel_graph(k) for k in range(4, 10)},
+    **{f"K{n}": complete_graph(n) for n in range(4, 8)},
+    "GP(5,2)": petersen_graph(), "GP(8,3)": petersen_graph(8, 3),
+    "desargues": DESARGUES_GRAPH, "pascal": PASCAL_GRAPH, "wheel5-fixture": WHEEL5_GRAPH,
+    "wheel6-golden": framework_from_json(read_json(
+        Path(__file__).parent / "golden" / "wheel6_framework.json")).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SLOT_GRAPHS))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6))
+def test_xi_slots_match_degree_count(name, seed):
+    # the vertices renamed in a seeded order, which reorders both the
+    # vertices and each vertex's neighbors
+    g = _SLOT_GRAPHS[name]
+    names = [f"x{i}" for i in range(len(g.vertices))]
+    random.Random(seed).shuffle(names)
+    rename = dict(zip(g.vertices, names))
+    g = Graph(names, [(rename[a], rename[b]) for a, b in g.edges])
+    assert xi_slots(default_trees(g)) == reference_xi_space(g)
 
 
 def test_ast_typing_enforced():
@@ -300,7 +336,7 @@ def test_wheel_witness_direction_and_degree4_identity():
     for seed in (100, 200, 300):
         fw, w = wheel_positive(seed)
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
-        witness = quant.xi_witness()
+        witness = quant.interior_labels
         assert fulfilled_with_witness(system, fw, witness, seed)
         # complementary-pair identity at the degree-4 hub, evaluated
         e12, e13 = ("p1", "p2"), ("p1", "p3")
@@ -318,7 +354,7 @@ def test_symbolic_framing_matches_numeric_scheme():
     def check(fw, w, hub, pairs, eval_seeds):
         trees = default_trees(fw.graph)
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
-        witness = quant.xi_witness()
+        witness = quant.interior_labels
         scheme = quant.scheme_at(hub)
         for pair in pairs:
             expr = framing_expression(trees, hub, *pair)
@@ -347,7 +383,7 @@ def test_double_evaluation_of_surgery_expression_is_stable():
     for seed in (5, 6):
         fw, w = wheel_positive(400 + seed)
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
-        witness = quant.xi_witness()
+        witness = quant.interior_labels
         assert evaluate(expr, fw, witness, 1) == evaluate(expr, fw, witness, 2)
 
 
@@ -364,7 +400,7 @@ def test_projective_invariance_with_witness_lines():
     system = generate_system(WHEEL5_GRAPH)
     fw, w = wheel_positive(77)
     quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
-    witness = quant.xi_witness()
+    witness = quant.interior_labels
     point_map, line_map = random_projective_map(8)
     moved = transform_framework(fw, point_map)
     moved_witness = {slot: line_map(l) for slot, l in witness.items()}
@@ -685,7 +721,7 @@ def test_expr_matches_per_class_reference(name, mode, seed, bound):
     system = _system(name, mode)
     fw = random_placement(_GRAPHS[name], seed, bound=bound)
     slots = {(v, i): pick_generic_line_through(fw.placement[v], [], seed + i)
-             for v, i in system.xi.slots}
+             for v, i in system.slots}
     values = []
     for cond in system.conditions:
         ref = to_reference(cond.expr)

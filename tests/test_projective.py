@@ -8,7 +8,7 @@ from tensec.errors import GeometryError
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
                                ZERO_FORCE, _cross, affine_vector, join,
                                line_of_force, lines_in_general_position, meet,
-                               nonvanishing_proper_subsets,
+                               non_parallelizable_star, nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident)
@@ -301,6 +301,51 @@ def test_integer_subset_tests_match_fraction_reference(forces):
             == _outcome(reference_nonvanishing_proper_subsets, forces))
     assert (_outcome(partial_sum_lines_distinct, forces)
             == _outcome(reference_partial_sum_lines_distinct, forces))
+
+
+def reference_star(forces) -> bool:
+    """The per-vertex test `is_non_parallelizable` ran inline before
+    `non_parallelizable_star`; kept verbatim as the reference."""
+    if any(f.is_zero() for f in forces):
+        return False
+    if not nonvanishing_proper_subsets(forces):
+        return False
+    if not partial_sum_lines_distinct(forces):
+        return False
+    return True
+
+
+int_force = st.builds(Force, st.tuples(*[st.integers(-3, 3)] * 3))
+
+
+@st.composite
+def star_forces(draw):
+    """1-8 integer forces, each new, zero, or a repeat or the opposite of an
+    earlier one."""
+    forces = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("new", "new", "zero", "repeat", "opposite")))
+        if kind == "zero":
+            forces.append(ZERO_FORCE)
+        elif kind == "new" or not forces:
+            forces.append(draw(int_force))
+        else:
+            f = draw(st.sampled_from(forces))
+            forces.append(f if kind == "repeat" else -f)
+    return forces
+
+
+@given(star_forces())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_non_parallelizable_star_matches_two_step_test(forces):
+    got = non_parallelizable_star(forces)
+    assert got == reference_star(forces)
+    if len(forces) >= 2:
+        # the two subset tests alone, as `is_strongly_generic` ran them on
+        # the three or more leaf forces of a scheme: a zero force is a
+        # vanishing proper subset there
+        assert got == (nonvanishing_proper_subsets(forces)
+                       and partial_sum_lines_distinct(forces))
 
 
 def test_integer_subset_tests_on_built_cases():

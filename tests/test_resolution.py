@@ -2,18 +2,20 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensec.errors import GenericityError, GeometryError, InputError
-from tensec.framework import (find_nonparallelizable_stress, forceload_from_stress,
-                              framework_from_json, read_json, self_stress_basis)
+from tensec.framework import (edge_key, find_nonparallelizable_stress,
+                              forceload_from_stress, framework_from_json,
+                              read_json, self_stress_basis)
 from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import quantization_from_stress
-from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
-                               default_tree, enumerate_equivalent_schemes,
-                               is_strongly_generic, is_weakly_generic,
-                               leaf_forces, scheme_forceload, scheme_hf_surgery,
-                               tree_edge)
+from tensec.resolution import (BinaryTree, ResolutionScheme, _decompose,
+                               associated_framing, default_tree,
+                               enumerate_equivalent_schemes, is_strongly_generic,
+                               is_weakly_generic, leaf_forces, scheme_forceload,
+                               scheme_hf_surgery, slot_edges)
 
 BASE = ProjPoint((0, 0, 1))
 
@@ -49,9 +51,9 @@ L26 = ProjLine((3, -1, 0))
 
 def worked_example():
     tree = default_tree(["e13", "e14", "e25", "e26"])
-    labels = {tree_edge(0, 4): L13, tree_edge(1, 4): L14,
-              tree_edge(2, 5): L25, tree_edge(3, 5): L26,
-              tree_edge(4, 5): L12}
+    labels = {edge_key(0, 4): L13, edge_key(1, 4): L14,
+              edge_key(2, 5): L25, edge_key(3, 5): L26,
+              edge_key(4, 5): L12}
     return ResolutionScheme(tree, BASE, labels)
 
 
@@ -69,6 +71,93 @@ def test_default_tree_shapes():
         default_tree(["a", "b"])
 
 
+# `default_tree` and `scheme_forceload` as they were before the caterpillar
+# became one edge list and the propagation a walk over (node, known
+# neighbor) pairs; kept verbatim (but for `edge_key`) as the references.
+
+def reference_default_tree(leaf_labels) -> BinaryTree:
+    """Left-comb caterpillar over the labels in the given order."""
+    labels = list(leaf_labels)
+    s = len(labels)
+    if s < 3:
+        raise InputError("need at least 3 leaf labels")
+    adjacency = {i: [] for i in range(s)}
+    if s == 3:
+        adjacency[3] = [0, 1, 2]
+        for i in range(3):
+            adjacency[i] = [3]
+    else:
+        spine = list(range(s, 2 * s - 2))
+        for j, node in enumerate(spine):
+            adjacency[node] = []
+        adjacency[spine[0]] = [0, 1, spine[1]]
+        adjacency[0] = [spine[0]]
+        adjacency[1] = [spine[0]]
+        for j in range(1, s - 3):
+            adjacency[spine[j]] = [spine[j - 1], j + 1, spine[j + 1]]
+            adjacency[j + 1] = [spine[j]]
+        adjacency[spine[-1]] = [spine[-2], s - 2, s - 1]
+        adjacency[s - 2] = [spine[-1]]
+        adjacency[s - 1] = [spine[-1]]
+    return BinaryTree(adjacency, {i: labels[i] for i in range(s)})
+
+
+def reference_scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
+    """Unique equilibrium force-load extending a nonzero seed stress."""
+    if not is_weakly_generic(s):
+        raise GenericityError("scheme is not weakly generic")
+    key = edge_key(*seed_edge)
+    if seed_force.is_zero() or line_of_force(seed_force) != s.labels[key]:
+        raise GeometryError("seed force must be nonzero along the seed edge label")
+    u, v = seed_edge
+    forces = {(u, v): seed_force, (v, u): -seed_force}
+    stack = [u, v]
+    resolved = set()
+    while stack:
+        w = stack.pop()
+        if w in resolved or s.tree.degree(w) != 3:
+            continue
+        known = [n for n in s.tree.adjacency[w] if (w, n) in forces]
+        unknown = [n for n in s.tree.adjacency[w] if (w, n) not in forces]
+        if not known:
+            continue
+        if unknown:
+            incoming = forces[(w, known[0])]
+            n1, n2 = unknown
+            f1, f2 = _decompose(incoming, s.label(w, n1), s.label(w, n2))
+            forces[(w, n1)], forces[(n1, w)] = f1, -f1
+            forces[(w, n2)], forces[(n2, w)] = f2, -f2
+            stack.extend([n1, n2])
+        resolved.add(w)
+    if len(forces) != 2 * len(s.tree.edges()):
+        raise GeometryError("propagation did not reach every edge")
+    return forces
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.text(max_size=2), st.integers(-5, 5)),
+                min_size=3, max_size=16, unique=True))
+def test_default_tree_matches_reference(labels):
+    tree, ref = default_tree(labels), reference_default_tree(labels)
+    assert tree.adjacency == ref.adjacency
+    assert list(tree.adjacency) == list(ref.adjacency)
+    assert tree.leaf_labels == ref.leaf_labels
+    assert list(slot_edges(tree).values()) == ref.interior_edges()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_leaves=st.integers(3, 10), seed=st.integers(0, 10**6))
+def test_forceload_matches_reference_from_every_seed_edge(n_leaves, seed):
+    s = distinct_lines_scheme(n_leaves, seed)
+    for e in s.tree.edges():
+        for seed_edge in (e, e[::-1]):
+            f0 = Force(s.labels[e].coeffs)
+            got = scheme_forceload(s, seed_edge, f0)
+            # equal forces, propagated in the same order
+            assert list(got.items()) == list(
+                reference_scheme_forceload(s, seed_edge, f0).items())
+
+
 def test_tree_validation():
     with pytest.raises(InputError):
         BinaryTree({0: (1, 2), 1: (0,), 2: (0,)}, {1: "a", 2: "b"})
@@ -78,11 +167,11 @@ def test_weak_genericity():
     s = worked_example()
     assert is_weakly_generic(s)
     bad_labels = dict(s.labels)
-    bad_labels[tree_edge(0, 4)] = L12  # adjacent to the interior edge label
+    bad_labels[edge_key(0, 4)] = L12  # adjacent to the interior edge label
     assert not is_weakly_generic(scheme_with_lines(bad_labels, s.tree))
     # equal labels on non-adjacent edges stay weakly generic
     far_labels = dict(s.labels)
-    far_labels[tree_edge(2, 5)] = L13
+    far_labels[edge_key(2, 5)] = L13
     assert is_weakly_generic(scheme_with_lines(far_labels, s.tree))
 
 
@@ -157,7 +246,7 @@ def test_forceload_rejects_bad_seed_and_nongeneric_scheme():
     with pytest.raises(GeometryError):
         scheme_forceload(s, (0, 4), Force((0, 1, 0)))  # not along the label
     bad_labels = dict(s.labels)
-    bad_labels[tree_edge(0, 4)] = L12
+    bad_labels[edge_key(0, 4)] = L12
     bad = scheme_with_lines(bad_labels, s.tree)
     with pytest.raises(GenericityError):
         scheme_forceload(bad, (4, 5), Force(L12.coeffs))
@@ -167,7 +256,7 @@ def twisted_example():
     """The worked example with leaf e25 moved onto the line of e13."""
     s = worked_example()
     labels = dict(s.labels)
-    labels[tree_edge(2, 5)] = L13  # same line as leaf e13 on the other side
+    labels[edge_key(2, 5)] = L13  # same line as leaf e13 on the other side
     return scheme_with_lines(labels, s.tree)
 
 
@@ -206,7 +295,7 @@ def test_surgery_matches_hand_computation():
     assert out.labels[new_edges[0]] == ProjLine((7, -3, 0))
     assert is_strongly_generic(out)
     # leaf forces are preserved by the surgery
-    before = leaf_forces(s, scheme_forceload(s, tree_edge(0, 4), Force(L13.coeffs)))
+    before = leaf_forces(s, scheme_forceload(s, edge_key(0, 4), Force(L13.coeffs)))
     e0 = [e for e in out.tree.edges()
           if out.labels[e] == L13 and not out.tree.is_interior(e)][0]
     after = leaf_forces(out, scheme_forceload(out, e0, Force(L13.coeffs)))

@@ -40,3 +40,37 @@ def test_trace_hooks_install_and_restore():
         current = vars(sys.modules[name])
         for key, value in snapshot.items():
             assert current[key] is value, f"{name}.{key} not restored"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+#: Calls the tracer sees in one `check` of the golden 6-spoke wheel.  A
+#: function called through a table or a local alias in place of its module
+#: global escapes the wrappers, and its count here drops.
+CHECK_WHEEL6_CALLS = {
+    "projective.nonvanishing_proper_subsets": 8,
+    "projective.partial_sum_lines_distinct": 8,
+    "framework.is_non_parallelizable": 1,
+    "resolution.is_strongly_generic": 1,
+    "resolution.associated_framing": 33,
+    "quantization.default_trees": 3,
+}
+
+
+def test_tracer_sees_every_call_of_a_check(monkeypatch, capsys):
+    import tensec.cli
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    monkeypatch.chdir(GOLDEN)
+    try:
+        tracer.install()
+        assert tensec.cli.main(["check", "wheel6_framework.json", "--seed", "6",
+                                "--format", "json"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert {name: tracer.calls[name] for name in CHECK_WHEEL6_CALLS} == CHECK_WHEEL6_CALLS
+    # not pinned: a change that needs fewer meets or joins stays welcome
+    assert tracer.calls["projective.meet"] > 0
+    assert tracer.calls["projective.join"] > 0

@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "cycles": (("--cycles",), {"choices": ("all", "generators"), "default": "all"}),
         "format": (("--format",), {"choices": ("text", "json"), "default": "text"}),
         "chart": (("--chart",), {"default": "0,0,1",
-                                 "help": "infinity-line coefficients a,b,c"}),
+                                 "help": "infinity-line coefficients a,b,c; "
+                                         "--chart=-1,1,17 if a is negative"}),
         "output": (("-o", "--output"), {"required": True}),
         "timings": (("--timings",), {"action": "store_true",
                                      "help": "print phase timings to stderr"}),

@@ -15,8 +15,9 @@ they agree on three points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GeometryError, InputError, PreconditionError
 from .numeric import nullspace_basis
@@ -25,9 +26,10 @@ from .projective import (
     ProjLine,
     ProjPoint,
     _independent_pair,
+    distinct_crossings,
     join,
-    lines_in_general_position,
     meet,
+    pairwise_meets,
     random_line_avoiding,
     rel_incident,
 )
@@ -35,8 +37,13 @@ from .projective import (
 
 @dataclass(frozen=True)
 class FramedCycle:
+    """Points p_1..p_k with a framing l_i through each p_i.  The edge lines
+    (TRUE where consecutive points coincide) are joined once, at
+    construction, and their pairwise meets once, when first read."""
+
     points: tuple
     framings: tuple
+    edge_lines: tuple = field(compare=False, repr=False)
 
     def __init__(self, points, framings):
         points = tuple(points)
@@ -48,27 +55,29 @@ class FramedCycle:
                 raise GeometryError(f"framing {l} does not pass through {p}")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "framings", framings)
+        object.__setattr__(self, "edge_lines", tuple(
+            join(p, q) for p, q in zip(points, points[1:] + points[:1])))
 
     def __len__(self):
         return len(self.points)
 
     def edge_line(self, i: int) -> ProjLine:
-        k = len(self.points)
-        line = join(self.points[i % k], self.points[(i + 1) % k])
+        line = self.edge_lines[i % len(self)]
         if line is TRUE:
             raise GeometryError("coincident consecutive cycle points")
         return line
 
+    @cached_property
+    def crossings(self) -> tuple:
+        """`pairwise_meets` of the edge lines."""
+        return pairwise_meets(self.edge_lines)
+
 
 def cycle_general_position(c: FramedCycle) -> bool:
     """Edge lines in general position, and no framing through a neighbor."""
+    if not distinct_crossings(c.crossings):
+        return False
     k = len(c)
-    try:
-        lines = [c.edge_line(i) for i in range(k)]
-    except GeometryError:
-        return False
-    if not lines_in_general_position(lines):
-        return False
     for i in range(k):
         l = c.framings[i]
         if l.contains(c.points[(i - 1) % k]) or l.contains(c.points[(i + 1) % k]):
@@ -113,11 +122,6 @@ class LineMap:
             p = meet(onto, join(center, p))
         return p
 
-    def after(self, first: "LineMap") -> "LineMap":
-        if first.target != self.source:
-            raise GeometryError("composition line mismatch")
-        return LineMap(first.source, self.target, first.steps + self.steps)
-
     def proportional_to(self, other: "LineMap") -> bool:
         """Same lines and the same projectivity (proportional matrices in
         any bases): equal images of three distinct source points."""
@@ -158,7 +162,9 @@ def shift_map(p_i: ProjPoint, p_i1: ProjPoint, l_i: ProjLine, l_i1: ProjLine,
 
 def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
     """Composition of the k shift maps once around the cycle, based at the
-    framing of `start`.
+    framing of `start`, as one chain: the step onto l_{i+1} has the center
+    (p_i p_{i+1}) ^ aux.  General position and an aux line through no vertex
+    meet every precondition of `shift_map`.
 
     The result fixes the base point and the intersection of the base framing
     with aux; both are asserted on every call.
@@ -169,14 +175,13 @@ def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
         if aux.contains(p):
             raise PreconditionError("auxiliary line passes through a vertex")
     k = len(c)
-    total = None
-    for step in range(k):
-        i = (start + step) % k
-        j = (i + 1) % k
-        shift = shift_map(c.points[i], c.points[j], c.framings[i], c.framings[j], aux)
-        total = shift if total is None else shift.after(total)
-    base = meet(c.framings[start % k], aux)
-    assert total.apply(c.points[start % k]) == c.points[start % k]
+    start %= k
+    base_line = c.framings[start]
+    total = LineMap(base_line, base_line, tuple(
+        (meet(c.edge_lines[i % k], aux), c.framings[(i + 1) % k])
+        for i in range(start, start + k)))
+    base = meet(base_line, aux)
+    assert total.apply(c.points[start]) == c.points[start]
     assert total.apply(base) == base
     return total
 
@@ -192,7 +197,7 @@ def project_cycle(c: FramedCycle, i: int) -> FramedCycle:
         raise PreconditionError("framed cycle is not in general position")
     i %= k
     pts, frs = c.points, c.framings
-    new_pt = meet(join(pts[(i - 1) % k], pts[i]), join(pts[(i + 1) % k], pts[(i + 2) % k]))
+    new_pt = meet(c.edge_lines[(i - 1) % k], c.edge_lines[(i + 1) % k])
     cross_pt = meet(frs[i], frs[(i + 1) % k])
     new_fr = join(new_pt, cross_pt)
     if new_pt is TRUE or new_fr is TRUE:
@@ -221,7 +226,7 @@ def cycle_equilibrium_basis(c: FramedCycle):
     if not cycle_general_position(c):
         raise PreconditionError("framed cycle is not in general position")
     k = len(c)
-    edge_reps = [c.edge_line(i).coeffs for i in range(k)]
+    edge_reps = [l.coeffs for l in c.edge_lines]
     framing_reps = [l.coeffs for l in c.framings]
     rows = []
     for i in range(k):
@@ -238,14 +243,7 @@ def cycle_equilibrium_basis(c: FramedCycle):
 def pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
     """Seeded auxiliary line avoiding all vertices, all pairwise
     intersections of edge lines, and any extra points."""
-    forbidden = set(c.points) | set(extra_avoid)
-    k = len(c)
-    lines = [c.edge_line(i) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            pt = meet(lines[i], lines[j])
-            if pt is not TRUE:
-                forbidden.add(pt)
+    forbidden = set(c.points) | (set(c.crossings) - {TRUE}) | set(extra_avoid)
     return random_line_avoiding(forbidden, seed)
 
 

@@ -40,24 +40,39 @@ def edge_key(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def bfs_parents(adjacency, root, avoid=None) -> dict:
+    """Breadth-first walk of an adjacency mapping from `root` that never
+    enters `avoid`: the parent of each node reached (None at the root),
+    keyed in the order reached."""
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for w in adjacency[v]:
+            if w not in parent and w != avoid:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
+def root_path(parent, u) -> list:
+    """Nodes from u up to the root of a `bfs_parents` walk."""
+    path = []
+    while u is not None:
+        path.append(u)
+        u = parent[u]
+    return path
+
+
 def is_connected(adjacency) -> bool:
-    """A depth-first search from the first node of a nonempty adjacency
-    mapping reaches every node."""
-    start = next(iter(adjacency))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adjacency)
+    """A walk from the first node of a nonempty adjacency mapping reaches
+    every node."""
+    return len(bfs_parents(adjacency, next(iter(adjacency)))) == len(adjacency)
 
 
 class Graph:
     """Simple connected graph with string vertex ids."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_edge_set")
+    __slots__ = ("vertices", "edges", "adjacency", "_edge_set")
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
@@ -82,15 +97,15 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-        if not is_connected(self._adj):
+        self.adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        if not is_connected(self.adjacency):
             raise InputError("graph is not connected")
 
     def neighbors(self, v: str):
-        return self._adj[v]
+        return self.adjacency[v]
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self.adjacency[v])
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge_key(u, v) in self._edge_set
@@ -274,11 +289,10 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     if len(basis) > 1:
         rng = random.Random(seed)
         for _ in range(_PROBES):
-            combo = {}
-            for e in fw.graph.edges:
-                combo[e] = sum((Fraction(rng.randint(-9, 9)) * w.weights[e]
-                                for w in basis), Fraction(0))
-            candidates.append(Stress(combo))
+            coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+            candidates.append(Stress({
+                e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)), Fraction(0))
+                for e in fw.graph.edges}))
     for w in candidates:
         if w.is_zero():
             continue
@@ -338,15 +352,12 @@ def cycle_corners(cycle):
         yield v, edge_key(cycle[m - 1], v), edge_key(v, cycle[(m + 1) % k])
 
 
-def cycle_edge_lines(fw: Framework, cycle):
-    k = len(cycle)
-    return [fw.edge_line(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
-
-
 def cycle_in_general_position(fw: Framework, cycle) -> bool:
     """The cycle's edge lines are pairwise distinct with no three concurrent,
     i.e. they have exactly k(k-1)/2 distinct pairwise intersection points."""
-    return lines_in_general_position(cycle_edge_lines(fw, cycle))
+    k = len(cycle)
+    return lines_in_general_position(
+        [fw.edge_line(cycle[i], cycle[(i + 1) % k]) for i in range(k)])
 
 
 def framework_in_general_position(fw: Framework) -> bool:

@@ -332,19 +332,25 @@ def pick_generic_line_through(p: ProjPoint, avoid, seed: int) -> ProjLine:
     return _pick_in_pencil(ProjLine, p.coords, avoid, seed, "degenerate point")
 
 
+def pairwise_meets(lines) -> tuple:
+    """Meet of every pair of the lines, (0, 1), (0, 2), ..., (1, 2), ...;
+    TRUE for a pair of equal lines."""
+    return tuple(meet(lines[i], lines[j])
+                 for i in range(len(lines)) for j in range(i + 1, len(lines)))
+
+
+def distinct_crossings(meets) -> bool:
+    """The pairwise meets of lines in general position: none is TRUE (no two
+    lines are equal) and no two coincide (no three lines are concurrent)."""
+    points = set(meets)
+    return TRUE not in points and len(points) == len(meets)
+
+
 def lines_in_general_position(lines) -> bool:
     """An n-tuple of lines is in general position iff it has exactly
     n(n-1)/2 distinct pairwise intersection points (pairwise distinct lines,
     no three concurrent)."""
-    lines = list(lines)
-    n = len(lines)
-    if len(set(lines)) != n:
-        return False
-    points = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            points.add(meet(lines[i], lines[j]))
-    return len(points) == n * (n - 1) // 2
+    return distinct_crossings(pairwise_meets(list(lines)))
 
 
 def _integer_duals(forces):

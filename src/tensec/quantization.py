@@ -24,8 +24,8 @@ from .cycles import FramedCycle, cycle_general_position, is_trivial, monodromy, 
     pick_aux_line
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
-from .framework import (ForceLoad, Framework, Graph, cycle_corners, edge_key,
-                        enumerate_simple_cycles)
+from .framework import (ForceLoad, Framework, Graph, bfs_parents, cycle_corners,
+                        edge_key, enumerate_simple_cycles, root_path)
 from .projective import Force, ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
                          leaf_forces, slot_edges, tree_labels)
@@ -174,7 +174,7 @@ def consistency_cycles(g: Graph, mode: str = "all"):
 def fundamental_cycles(g):
     """Fundamental cycles of a BFS spanning tree; a basis cycle through all
     vertices is replaced by the two cycles cut by its smallest chord."""
-    parent = _bfs_tree(g)
+    parent = bfs_parents(g.adjacency, min(g.vertices))
     cycles = []
     for u, v in g.edges:
         if parent[u] == v or parent[v] == u:
@@ -187,36 +187,14 @@ def fundamental_cycles(g):
     return sorted(set(cycles), key=lambda c: (len(c), c))
 
 
-def _bfs_tree(g):
-    """Breadth-first spanning tree from the smallest vertex: each vertex's
-    parent (None at the root), keyed in the order reached."""
-    root = min(g.vertices)
-    parent = {root: None}
-    order = [root]
-    for v in order:
-        for w in g.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-    return parent
-
-
 def _tree_cycle(parent, u, v):
     """Canonical cycle that the non-tree edge uv closes with the tree path
     from u to v."""
-    pu, pv = _root_path(parent, u), _root_path(parent, v)
+    pu, pv = root_path(parent, u), root_path(parent, v)
     on_pv = set(pv)
     meet_at = next(x for x in pu if x in on_pv)
     return _canonical_cycle(pu[:pu.index(meet_at) + 1]
                             + pv[:pv.index(meet_at)][::-1])
-
-
-def _root_path(parent, u):
-    path = []
-    while u is not None:
-        path.append(u)
-        u = parent[u]
-    return path
 
 
 def _split_by_chord(g, cycle):
@@ -270,7 +248,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
         if any(f.is_zero() for f in scheme.forceload.values()):
             raise GeometryError("constructed force-load vanishes on an edge")
         leaf[v] = leaf_forces(scheme, scheme.forceload)
-    parent = _bfs_tree(g)
+    parent = bfs_parents(g.adjacency, min(g.vertices))
     scale = {}
     for v, u in parent.items():
         if u is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import GenericityError, GeometryError, InputError
-from .framework import edge_key, is_connected
+from .framework import bfs_parents, edge_key, is_connected, root_path
 from .numeric import solve_in_span
 from .projective import Force, ProjLine, ProjPoint, line_of_force, \
     non_parallelizable_star
@@ -86,19 +86,8 @@ class BinaryTree:
         u, v = edge
         if node not in (u, v):
             raise InputError("node must be an endpoint of the edge")
-        other = v if node == u else u
-        seen = {other, node}
-        stack = [node]
-        labels = []
-        while stack:
-            w = stack.pop()
-            if self.degree(w) == 1:
-                labels.append(self.leaf_labels[w])
-            for x in self.adjacency[w]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return frozenset(labels)
+        side = bfs_parents(self.adjacency, node, avoid=v if node == u else u)
+        return frozenset(self.leaf_labels[w] for w in side if self.degree(w) == 1)
 
     def topology_key(self):
         """Complete invariant of the leaf-labeled topology: the set of leaf
@@ -111,20 +100,8 @@ class BinaryTree:
         return frozenset(splits)
 
     def path(self, a: int, b: int):
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            w = stack.pop()
-            if w == b:
-                break
-            for x in self.adjacency[w]:
-                if x not in prev:
-                    prev[x] = w
-                    stack.append(x)
-        out = [b]
-        while prev[out[-1]] is not None:
-            out.append(prev[out[-1]])
-        return out[::-1]
+        """Nodes of the tree path from a to b."""
+        return root_path(bfs_parents(self.adjacency, a), b)[::-1]
 
     def fresh_node(self) -> int:
         return max(self.adjacency) + 1

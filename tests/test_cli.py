@@ -617,3 +617,33 @@ def test_custom_chart_flag(tmp_path, capsys):
     assert main(["check", str(p), "--chart", "1,1,17"]) == 0
     out = capsys.readouterr().out
     assert "tensegrity: YES" in out
+
+
+def test_chart_with_negative_first_coefficient_attached_by_equals(monkeypatch, capsys):
+    # argparse reads a separate "-1,1,17" as an option; "=" attaches it
+    monkeypatch.chdir(GOLDEN)
+    assert main(["check", "wheel6_framework.json", "--chart=-1,1,17"]) == 0
+    moved = capsys.readouterr().out
+    assert main(["check", "wheel6_framework.json"]) == 0
+    assert moved == capsys.readouterr().out
+    assert "tensegrity: YES" in moved
+
+
+@pytest.mark.parametrize("n, dim", [(5, 3), (6, 6)])
+def test_check_decides_complete_graphs_with_multidimensional_stresses(
+        n, dim, tmp_path, capsys):
+    # each oracle probe combines the basis with one coefficient per basis
+    # vector, so it is a stress and its force-load is in equilibrium
+    from tensec.framework import Graph
+    from tensec.sampling import random_placement
+
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]])
+    p = tmp_path / f"k{n}.json"
+    p.write_text(json.dumps(framework_to_json(random_placement(g, 40 + n))))
+    assert main(["check", str(p), "--format", "json", "--seed", "5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stress_dim"] == dim
+    assert payload["oracle_nonparallelizable"] is True
+    assert payload["verdict"] == "YES"
+    assert payload["verdict_sources_agree"] is True

@@ -13,8 +13,10 @@ from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
 from tensec.framework import chart_avoiding
 from tensec.numeric import solve_in_span
-from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join, meet,
-                               pick_generic_point_on)
+from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join,
+                               lines_in_general_position, meet,
+                               pick_generic_line_through, pick_generic_point_on,
+                               random_line_avoiding)
 from tensec.sampling import random_framed_cycle
 
 
@@ -104,7 +106,7 @@ def test_is_trivial_chain_semantics():
     center = ProjPoint((7, 3, 1))
     there = LineMap(l0, l1, ((center, l1),))
     back = LineMap(l1, l0, ((center, l0),))
-    assert is_trivial(back.after(there))
+    assert is_trivial(LineMap(l0, l0, there.steps + back.steps))
     assert not is_trivial(LineMap(l0, l0, ((center, l1), (ProjPoint((5, 9, 1)), l0))))
     skew = skew_triangle()
     assert not is_trivial(monodromy(skew, 0, pick_aux_line(skew, 5)))
@@ -287,6 +289,142 @@ def test_chain_monodromy_matches_matrix_reference(k, seed, equilibrium):
             assert monodromy(c, start, aux).proportional_to(monodromy(out, base, aux))
             assert matrix_monodromy(c, start, aux).proportional_to(
                 matrix_monodromy(out, base, aux))
+
+
+# ---------------------------------------------------------------------------
+# reference: general position, aux lines and monodromy as they were before a
+# framed cycle joined its edge lines and met them pairwise once, and before
+# the monodromy became one chain (it composed `shift_map`s with
+# `LineMap.after`), kept verbatim to cross-check the new code
+
+def reference_lines_in_general_position(lines) -> bool:
+    lines = list(lines)
+    n = len(lines)
+    if len(set(lines)) != n:
+        return False
+    points = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            points.add(meet(lines[i], lines[j]))
+    return len(points) == n * (n - 1) // 2
+
+
+def reference_cycle_general_position(c: FramedCycle) -> bool:
+    k = len(c)
+    try:
+        lines = [c.edge_line(i) for i in range(k)]
+    except GeometryError:
+        return False
+    if not reference_lines_in_general_position(lines):
+        return False
+    for i in range(k):
+        l = c.framings[i]
+        if l.contains(c.points[(i - 1) % k]) or l.contains(c.points[(i + 1) % k]):
+            return False
+    return True
+
+
+def reference_pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
+    forbidden = set(c.points) | set(extra_avoid)
+    k = len(c)
+    lines = [c.edge_line(i) for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            pt = meet(lines[i], lines[j])
+            if pt is not TRUE:
+                forbidden.add(pt)
+    return random_line_avoiding(forbidden, seed)
+
+
+def reference_after(second: LineMap, first: LineMap) -> LineMap:
+    """`second.after(first)`: `first`, then `second`, as one chain."""
+    if first.target != second.source:
+        raise GeometryError("composition line mismatch")
+    return LineMap(first.source, second.target, first.steps + second.steps)
+
+
+def reference_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
+    if not reference_cycle_general_position(c):
+        raise PreconditionError("framed cycle is not in general position")
+    for p in c.points:
+        if aux.contains(p):
+            raise PreconditionError("auxiliary line passes through a vertex")
+    k = len(c)
+    total = None
+    for step in range(k):
+        i = (start + step) % k
+        j = (i + 1) % k
+        shift = shift_map(c.points[i], c.points[j], c.framings[i], c.framings[j], aux)
+        total = shift if total is None else reference_after(shift, total)
+    base = meet(c.framings[start % k], aux)
+    assert total.apply(c.points[start % k]) == c.points[start % k]
+    assert total.apply(base) == base
+    return total
+
+
+#: Degeneracies a framed cycle is given on purpose; k >= 5 for "concurrent"
+#: (three edge lines through one point of a 4-cycle put two edges on one line).
+DEGENERACIES = ("none", "coincident", "collinear", "concurrent", "framing")
+
+
+def degenerate_cycle(k: int, seed: int, equilibrium: bool, kind: str) -> FramedCycle:
+    c = random_framed_cycle(k, seed, equilibrium=equilibrium)
+    pts, frs = list(c.points), list(c.framings)
+
+    def move(i, p):
+        pts[i] = p
+        frs[i] = pick_generic_line_through(p, [join(p, q) for q in pts if q != p], seed)
+
+    if kind == "coincident":  # consecutive points 0 and 1 coincide
+        move(1, pts[0])
+    elif kind == "collinear":  # edges 0 and 1 on one line
+        move(2, pick_generic_point_on(join(pts[0], pts[1]), pts, seed))
+    elif kind == "concurrent":  # edge lines k-1, 0 and 2 through p_0
+        move(3, pick_generic_point_on(join(pts[0], pts[2]), pts, seed))
+    elif kind == "framing":  # the framing at p_0 passes through p_1
+        frs[0] = join(pts[0], pts[1])
+    return FramedCycle(pts, frs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(3, 8), seed=st.integers(0, 10**6), equilibrium=st.booleans(),
+       kind=st.sampled_from(DEGENERACIES))
+def test_cycle_pass_matches_reference(k, seed, equilibrium, kind):
+    if kind == "concurrent":
+        k = max(k, 5)
+    c = degenerate_cycle(k, seed, equilibrium, kind)
+    general = cycle_general_position(c)
+    assert general == reference_cycle_general_position(c)
+    assert general == (kind == "none")
+    auxes = [pick_aux_line(c, seed + d) for d in (0, 1)]
+    for d, aux in enumerate(auxes):
+        if kind == "coincident":  # the reference cannot join p_0 with p_1
+            with pytest.raises(GeometryError):
+                reference_pick_aux_line(c, seed + d)
+            assert not any(aux.contains(p) for p in c.points)
+        else:
+            assert aux == reference_pick_aux_line(c, seed + d)
+    for start in range(k):
+        if not general:
+            for walk in (monodromy, reference_monodromy):
+                with pytest.raises(PreconditionError):
+                    walk(c, start, auxes[0])
+            continue
+        chains = [monodromy(c, start, aux) for aux in auxes]
+        refs = [reference_monodromy(c, start, aux) for aux in auxes]
+        for chain, ref in zip(chains, refs):
+            assert chain == ref
+            assert is_trivial(chain) == is_trivial(ref)
+            assert chain.proportional_to(ref)
+        assert chains[0].proportional_to(chains[1]) == refs[0].proportional_to(refs[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any), max_size=6))
+def test_lines_in_general_position_matches_reference(triples):
+    # small coefficients give equal lines and concurrent triples often
+    lines = [ProjLine(t) for t in triples]
+    assert lines_in_general_position(lines) == reference_lines_in_general_position(lines)
 
 
 # ---------------------------------------------------------------------------

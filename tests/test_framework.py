@@ -1,21 +1,25 @@
 import json
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensec.errors import (GeometryError, InputError, PointAtInfinityError,
                            PreconditionError)
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (Framework, Graph, chart_avoiding,
+from tensec.framework import (Framework, Graph, bfs_parents, chart_avoiding,
                               cycle_in_general_position, enumerate_simple_cycles,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
                               framework_in_general_position, framework_to_json,
                               hf_surgery_framework, is_equilibrium,
-                              is_non_parallelizable, self_stress_basis,
-                              stress_of_forceload, vertex_force_sum)
+                              is_connected, is_non_parallelizable, root_path,
+                              self_stress_basis, stress_of_forceload,
+                              vertex_force_sum)
 from tensec.projective import ProjPoint
 from tensec.sampling import random_placement
 
@@ -150,6 +154,104 @@ def test_nonparallelizability_requires_equilibrium():
     fl = ForceLoad({("p1", "p2"): Force((1, 0, 0))})
     with pytest.raises(PreconditionError):
         is_non_parallelizable(DESARGUES_POS, fl)
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first walk
+
+def reference_is_connected(adjacency) -> bool:
+    """`is_connected` before it read the shared breadth-first walk (a
+    depth-first search of its own), kept verbatim as a reference."""
+    start = next(iter(adjacency))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adjacency)
+
+
+def reference_bfs_tree(g):
+    """The spanning tree walk `quantization.fundamental_cycles` and
+    `construct_forceload` had of their own, kept verbatim as a reference."""
+    root = min(g.vertices)
+    parent = {root: None}
+    order = [root]
+    for v in order:
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
+def reference_root_path(parent, u):
+    path = []
+    while u is not None:
+        path.append(u)
+        u = parent[u]
+    return path
+
+
+def _renamed_edges(edges, rng, prefix):
+    """Edges of a graph under a seeded renaming of its vertices."""
+    names = sorted({v for e in edges for v in e})
+    shuffled = [f"{prefix}{i}" for i in range(len(names))]
+    rng.shuffle(shuffled)
+    rename = dict(zip(names, shuffled))
+    return [(rename[u], rename[v]) for u, v in edges]
+
+
+def _wheel_edges(spokes):
+    return ([(0, r) for r in range(1, spokes + 1)]
+            + [(r, r % spokes + 1) for r in range(1, spokes + 1)])
+
+
+def _complete_edges(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _petersen_edges(n, k):
+    return ([(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+            + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+WALK_GRAPHS = ([_wheel_edges(m) for m in range(3, 9)]
+               + [_complete_edges(n) for n in range(4, 8)]
+               + [_petersen_edges(5, 2), _petersen_edges(8, 3)])
+
+
+def _adjacency(edges, isolated=()):
+    adj = {v: [] for v in isolated}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(first=st.integers(0, len(WALK_GRAPHS) - 1),
+       second=st.integers(-1, len(WALK_GRAPHS) - 1),
+       isolated=st.booleans(), seed=st.integers(0, 10**6))
+def test_breadth_first_walk_matches_references(first, second, isolated, seed):
+    rng = random.Random(seed)
+    edges = _renamed_edges(WALK_GRAPHS[first], rng, "a")
+    g = Graph(sorted({v for e in edges for v in e}), edges)
+    parent = bfs_parents(g.adjacency, min(g.vertices))
+    ref = reference_bfs_tree(g)
+    assert list(parent.items()) == list(ref.items())
+    for v in g.vertices:
+        assert root_path(parent, v) == reference_root_path(ref, v)
+    assert is_connected(g.adjacency) and reference_is_connected(g.adjacency)
+    # a second component, an isolated vertex, or both
+    more = _renamed_edges(WALK_GRAPHS[second], rng, "b") if second >= 0 else []
+    adj = _adjacency(edges + more, ["c"] if isolated or not more else [])
+    assert is_connected(adj) is reference_is_connected(adj) is False
+    view = SimpleNamespace(vertices=tuple(adj), neighbors=adj.__getitem__)
+    assert (list(bfs_parents(adj, min(adj)).items())
+            == list(reference_bfs_tree(view).items()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from tensec.quantization import quantization_from_stress
 from tensec.resolution import (BinaryTree, ResolutionScheme, _decompose,
                                associated_framing, default_tree,
                                enumerate_equivalent_schemes, is_strongly_generic,
-                               is_weakly_generic, leaf_forces, scheme_forceload,
-                               scheme_hf_surgery, slot_edges)
+                               is_weakly_generic, leaf_forces, rewire,
+                               scheme_forceload, scheme_hf_surgery, slot_edges)
 
 BASE = ProjPoint((0, 0, 1))
 
@@ -132,6 +132,71 @@ def reference_scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
     return forces
+
+
+def reference_side_labels(tree: BinaryTree, edge, node: int):
+    """`BinaryTree.side_labels` before it read the shared breadth-first walk
+    (a depth-first search of its own), kept verbatim as a reference."""
+    u, v = edge
+    if node not in (u, v):
+        raise InputError("node must be an endpoint of the edge")
+    other = v if node == u else u
+    seen = {other, node}
+    stack = [node]
+    labels = []
+    while stack:
+        w = stack.pop()
+        if tree.degree(w) == 1:
+            labels.append(tree.leaf_labels[w])
+        for x in tree.adjacency[w]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return frozenset(labels)
+
+
+def reference_path(tree: BinaryTree, a: int, b: int):
+    """`BinaryTree.path` before it read the shared breadth-first walk, kept
+    verbatim as a reference."""
+    prev = {a: None}
+    stack = [a]
+    while stack:
+        w = stack.pop()
+        if w == b:
+            break
+        for x in tree.adjacency[w]:
+            if x not in prev:
+                prev[x] = w
+                stack.append(x)
+    out = [b]
+    while prev[out[-1]] is not None:
+        out.append(prev[out[-1]])
+    return out[::-1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_leaves=st.integers(3, 16), rewires=st.integers(0, 6),
+       seed=st.integers(0, 10**6))
+def test_tree_walks_match_reference(n_leaves, rewires, seed):
+    # default trees, and trees of other topologies reached by seeded rewires
+    tree = default_tree([f"e{i}" for i in range(n_leaves)])
+    labels = dict.fromkeys(tree.edges())
+    rng = random.Random(seed)
+    for _ in range(rewires):
+        interior = tree.interior_edges()
+        if not interior:
+            break
+        v1, v2 = interior[rng.randrange(len(interior))]
+        pairing = (rng.choice([n for n in tree.adjacency[v1] if n != v2]),
+                   rng.choice([n for n in tree.adjacency[v2] if n != v1]))
+        tree, labels = rewire(tree, labels, (v1, v2), pairing, lambda *h: None)
+    leaves = sorted(tree.leaf_labels)
+    for a in leaves:
+        for b in leaves:
+            assert tree.path(a, b) == reference_path(tree, a, b)
+    for e in tree.edges():
+        for node in e:
+            assert tree.side_labels(e, node) == reference_side_labels(tree, e, node)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -54,6 +54,9 @@ CHECK_WHEEL6_CALLS = {
     "resolution.is_strongly_generic": 1,
     "resolution.associated_framing": 33,
     "quantization.default_trees": 3,
+    "quantization.is_consistent_at": 25,
+    "cycles.monodromy": 25,
+    "cycles.pick_aux_line": 25,
 }
 
 

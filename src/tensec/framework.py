@@ -1,9 +1,11 @@
 """Planar frameworks over exact rational projective coordinates.
 
-Holds the graph/framework value types, the brute-force self-stress oracle
-(exact null space of the rigidity system in an affine chart), equilibrium
-force-loads and their non-parallelizability test, simple-cycle enumeration,
-general-position predicates, and the local H-to-Phi rewiring surgery.
+Holds the graph/framework value types and their JSON interface, the
+breadth-first walk, the brute-force self-stress oracle (exact null space of
+the rigidity system in an affine chart), equilibrium force-loads and their
+non-parallelizability test, simple-cycle enumeration, the general-position
+test over the edge-line arrangement, and the local H-to-Phi rewiring
+surgery.
 
 The oracle is the ground truth every other verdict in the package is
 cross-validated against.
@@ -15,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
 from .numeric import nullspace_basis
@@ -27,9 +30,9 @@ from .projective import (
     _cross,
     affine_vector,
     join,
-    lines_in_general_position,
     meet,
     non_parallelizable_star,
+    pairwise_meets,
     random_line_avoiding,
 )
 
@@ -305,6 +308,10 @@ def find_nonparallelizable_stress(fw: Framework, basis,
 #: Path extensions one simple-cycle enumeration may make before it stops
 #: with PreconditionError (exit 3).  GP(8,3) needs 5,057, K8 11,024 and the
 #: 10-rung prism 17,478; the 12-rung prism needs 67,537 and is refused.
+#: The general-position test enumerates only when its edge-line arrangement
+#: has a degenerate line or point group, or when its |E|(|E|-1)/2 edge pairs
+#: exceed this limit; consistency and conditions with `--cycles all` always
+#: enumerate.
 MAX_CYCLE_EXTENSIONS = 20_000
 
 
@@ -352,20 +359,59 @@ def cycle_corners(cycle):
         yield v, edge_key(cycle[m - 1], v), edge_key(v, cycle[(m + 1) % k])
 
 
-def cycle_in_general_position(fw: Framework, cycle) -> bool:
-    """The cycle's edge lines are pairwise distinct with no three concurrent,
-    i.e. they have exactly k(k-1)/2 distinct pairwise intersection points."""
-    k = len(cycle)
-    return lines_in_general_position(
-        [fw.edge_line(cycle[i], cycle[(i + 1) % k]) for i in range(k)])
-
-
 def framework_in_general_position(fw: Framework) -> bool:
-    """Every simple cycle on at most n-1 vertices is in general position."""
-    fw.graph.require_min_degree(3)
-    n = len(fw.graph.vertices)
-    for cycle in enumerate_simple_cycles(fw.graph, n - 1):
-        if not cycle_in_general_position(fw, cycle):
+    """Every simple cycle on at most n-1 vertices is in general position:
+    its k edge lines are pairwise distinct with no three concurrent, i.e.
+    they have exactly k(k-1)/2 distinct pairwise meets.
+
+    The edge-line arrangement is built once per framework (Edelsbrunner,
+    O'Rourke & Seidel, SIAM J. Comput. 15, 1986): each edge line is joined
+    once, and each pair of distinct lines is met once.  A cycle's meets
+    contain TRUE iff two of its edges lie on one line.  Two of its meets
+    coincide iff at least three of its edge lines pass through one point,
+    because two pairs of lines meeting at one point put at least three
+    distinct lines through it.  So a cycle fails iff it holds >= 2 edges of
+    one line, or >= 3 edges of the lines through a point that >= 3 distinct
+    edge lines pass through (if two of those 3 edges share a line, the
+    cycle fails by the first rule).  A point group at a vertex's own point
+    whose edges are all incident to that vertex fails no cycle: a simple
+    cycle holds at most two of them.  With no group left the answer is YES
+    without enumerating cycles; otherwise each enumerated cycle is tested
+    against the groups by set membership, with no further meets.
+
+    The arrangement makes up to |E|(|E|-1)/2 meets.  When that exceeds
+    MAX_CYCLE_EXTENSIONS the cycles are enumerated first, so a large graph
+    stops at the enumeration limit before any meet is made.
+    """
+    g = fw.graph
+    g.require_min_degree(3)
+    n, m = len(g.vertices), len(g.edges)
+    cycles = None
+    if m * (m - 1) // 2 > MAX_CYCLE_EXTENSIONS:
+        cycles = enumerate_simple_cycles(g, n - 1)
+    by_line = {}
+    for e in g.edges:
+        by_line.setdefault(fw.edge_line(*e), []).append(e)
+    lines = list(by_line)
+    by_point = {}
+    for pair, p in zip(combinations(lines, 2), pairwise_meets(lines)):
+        by_point.setdefault(p, set()).update(pair)
+    vertex_at = {p: v for v, p in fw.placement.items()}
+    groups = [(set(edges), 2) for edges in by_line.values() if len(edges) >= 2]
+    for p, through in by_point.items():
+        if len(through) < 3:
+            continue
+        edges = {e for line in through for e in by_line[line]}
+        v = vertex_at.get(p)
+        if v is None or not all(v in e for e in edges):
+            groups.append((edges, 3))
+    if not groups:
+        return True
+    if cycles is None:
+        cycles = enumerate_simple_cycles(g, n - 1)
+    for cycle in cycles:
+        held = {e for _, _, e in cycle_corners(cycle)}
+        if any(len(held & edges) >= at_least for edges, at_least in groups):
             return False
     return True
 

@@ -337,6 +337,25 @@ def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
     assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
 
 
+def test_check_generators_decides_12_rung_prism_in_general_position(tmp_path, capsys):
+    # general position enumerates no cycles here, so only the default
+    # --cycles all consistency cycles still meet MAX_CYCLE_EXTENSIONS
+    from tensec.framework import framework_from_json, read_json
+    from tensec.sampling import random_placement
+
+    prism = framework_from_json(read_json(write_prism(12, tmp_path)))
+    path = tmp_path / "generic_prism.json"
+    path.write_text(json.dumps(framework_to_json(
+        random_placement(prism.graph, seed=12, bound=10**6))))
+    assert main(["check", str(path), "--cycles", "generators"]) == 0
+    out = capsys.readouterr().out
+    assert "general position: YES" in out
+    assert "verdict sources agree: YES" in out
+    assert "tensegrity: NO" in out
+    assert main(["check", str(path)]) == 3
+    assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_conditions_on_large_prism_hits_condition_cycle_limit(fmt, tmp_path, capsys):
     # the fundamental cycles of the 600-rung prism reach 602 vertices; their

@@ -12,7 +12,7 @@ from tensec.errors import (GeometryError, InputError, PointAtInfinityError,
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import (Framework, Graph, bfs_parents, chart_avoiding,
-                              cycle_in_general_position, enumerate_simple_cycles,
+                              enumerate_simple_cycles,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
                               framework_in_general_position, framework_to_json,
@@ -20,8 +20,9 @@ from tensec.framework import (Framework, Graph, bfs_parents, chart_avoiding,
                               is_connected, is_non_parallelizable, root_path,
                               self_stress_basis, stress_of_forceload,
                               vertex_force_sum)
-from tensec.projective import ProjPoint
-from tensec.sampling import random_placement
+from tensec.projective import ProjPoint, lines_in_general_position
+from tensec.sampling import (desargues_concurrent_placement,
+                             pascal_conic_placement, random_placement)
 
 
 def triangle_framework():
@@ -300,6 +301,27 @@ def test_max_len_bound_checked():
 # ---------------------------------------------------------------------------
 # general position
 
+# The reference: the literal per-cycle test, which meets every pair of edge
+# lines of every simple cycle on at most n-1 vertices.
+
+def cycle_in_general_position(fw: Framework, cycle) -> bool:
+    """The cycle's edge lines are pairwise distinct with no three concurrent,
+    i.e. they have exactly k(k-1)/2 distinct pairwise intersection points."""
+    k = len(cycle)
+    return lines_in_general_position(
+        [fw.edge_line(cycle[i], cycle[(i + 1) % k]) for i in range(k)])
+
+
+def reference_framework_in_general_position(fw: Framework) -> bool:
+    """Every simple cycle on at most n-1 vertices is in general position."""
+    fw.graph.require_min_degree(3)
+    n = len(fw.graph.vertices)
+    for cycle in enumerate_simple_cycles(fw.graph, n - 1):
+        if not cycle_in_general_position(fw, cycle):
+            return False
+    return True
+
+
 def test_generic_triangle_cycle_in_general_position():
     fw = triangle_framework()
     assert cycle_in_general_position(fw, ("a", "b", "c"))
@@ -346,6 +368,105 @@ def test_fixture_frameworks_in_general_position():
 def test_degree_requirement_for_general_position_predicate():
     with pytest.raises(InputError):
         framework_in_general_position(triangle_framework())
+
+
+def _named(edges):
+    edges = [(f"v{u}", f"v{w}") for u, w in edges]
+    return Graph(sorted({v for e in edges for v in e}), edges)
+
+
+# wheels with 4-8 spokes, K4-K6, the prism, K3,3, the cube, the cube plus a
+# chord and the Petersen graph
+POSITION_GRAPHS = ([_named(_wheel_edges(m)) for m in range(4, 9)]
+                   + [_named(_complete_edges(n)) for n in (4, 5, 6)]
+                   + [DESARGUES_GRAPH, PASCAL_GRAPH, _named(_petersen_edges(4, 1)),
+                      _named(_petersen_edges(4, 1) + [(0, 6)]),
+                      _named(_petersen_edges(5, 2))])
+
+
+def _point_on(rng, a, b, bound):
+    """A seeded point s*a + t*b on the line through the points a and b."""
+    s, t = (rng.choice([i for i in range(-bound, bound + 1) if i]) for _ in "st")
+    return ProjPoint(tuple(s * x + t * y for x, y in zip(a.coords, b.coords)))
+
+
+def _moves(g, placement, kind, rng, bound):
+    if kind == "on_line":
+        u, w = rng.choice(g.edges)
+        v = rng.choice([x for x in g.vertices if x not in (u, w)])
+        return {v: _point_on(rng, placement[u], placement[w], bound)}
+    # three edge lines through one point, which may lie at infinity
+    center = ProjPoint((rng.randint(-bound, bound), rng.randint(-bound, bound),
+                        rng.randint(0, 1)))
+    moved, touched = {}, set()
+    for e in rng.sample(g.edges, len(g.edges)):
+        free = [x for x in e if x not in touched]
+        if free and len(moved) < 3:
+            b = rng.choice(free)
+            a = e[0] if b == e[1] else e[1]
+            moved[b] = _point_on(rng, center, moved.get(a, placement[a]), bound)
+            touched.update(e)
+    return moved
+
+
+def degenerate_placement(g, kind, bound, seed):
+    """A seeded placement that often fails general position: concurrent
+    Desargues rungs, six points on a conic, small coordinates, or small
+    coordinates with one vertex moved onto another edge's line or three
+    edge lines moved through one point."""
+    if kind == "desargues":
+        return desargues_concurrent_placement(DESARGUES_GRAPH, seed)
+    if kind == "pascal":
+        return pascal_conic_placement(PASCAL_GRAPH, seed)
+    fw = random_placement(g, seed, bound)
+    if kind == "random":
+        return fw
+    rng = random.Random(seed)
+    while True:
+        try:
+            return Framework(g, {**fw.placement,
+                                 **_moves(g, fw.placement, kind, rng, bound)})
+        except GeometryError:
+            continue
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(graph=st.integers(0, len(POSITION_GRAPHS) - 1),
+       kind=st.sampled_from(("random", "on_line", "concurrent", "desargues",
+                             "pascal")),
+       bound=st.sampled_from((2, 3, 4, 60)), seed=st.integers(0, 10**6))
+def test_general_position_matches_reference(graph, kind, bound, seed):
+    fw = degenerate_placement(POSITION_GRAPHS[graph], kind, bound, seed)
+    assert (framework_in_general_position(fw)
+            is reference_framework_in_general_position(fw))
+
+
+def test_generic_placement_enumerates_no_cycles(monkeypatch):
+    import tensec.framework as framework
+
+    calls = []
+    enumerate_all = framework.enumerate_simple_cycles
+    monkeypatch.setattr(framework, "enumerate_simple_cycles",
+                        lambda *args: calls.append(args) or enumerate_all(*args))
+    fw = random_placement(_named(_petersen_edges(8, 3)), seed=83)
+    assert framework_in_general_position(fw)
+    assert calls == []
+    assert reference_framework_in_general_position(fw)
+
+
+def test_large_graph_stops_at_cycle_limit_before_any_meet(monkeypatch):
+    # GP(70,1), the 70-rung prism, has 210 edges: its arrangement would make
+    # 21,945 meets, more than MAX_CYCLE_EXTENSIONS
+    import tensec.projective as projective
+
+    calls = []
+    meet = projective.meet
+    monkeypatch.setattr(projective, "meet",
+                        lambda a, b: calls.append(1) or meet(a, b))
+    fw = random_placement(_named(_petersen_edges(70, 1)), seed=70)
+    with pytest.raises(PreconditionError, match="MAX_CYCLE_EXTENSIONS"):
+        framework_in_general_position(fw)
+    assert calls == []
 
 
 def test_rank_bound_on_random_frameworks():

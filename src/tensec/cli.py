@@ -77,6 +77,10 @@ def cmd_check(args) -> int:
         _emit(report, ["general position: NO", "verdict: UNDECIDED"], args.format)
         return 3
 
+    with _phase(args, "compile"):
+        system = generate_system(fw.graph, mode=args.cycles)
+    cycles = [c.cycle for c in system.conditions]
+
     with _phase(args, "oracle"):
         basis = self_stress_basis(fw, chart)
         stress = find_nonparallelizable_stress(fw, basis, chart, args.seed)
@@ -100,14 +104,13 @@ def cmd_check(args) -> int:
             report["quantization_note"] = "unknown (existential over the line slots)"
         else:
             try:
-                consistent = is_consistent(quant, args.seed, mode=args.cycles)
+                consistent = is_consistent(quant, args.seed, cycles=cycles)
             except PreconditionError as exc:
                 consistent = None
                 report["quantization_note"] = str(exc)
     report["quantization_consistent"] = consistent
 
     with _phase(args, "conditions"):
-        system = generate_system(fw.graph, mode=args.cycles)
         if not system.slots:
             witness = {}
             witness_kind = "empty"
@@ -123,10 +126,11 @@ def cmd_check(args) -> int:
         else:
             fulfilled = fulfilled_with_witness(system, fw, witness, args.seed)
     report["conditions_count"] = len(system.conditions)
-    report["conditions"] = [
-        {"cycle": list(c.cycle), "sexpr": to_sexpr(c.expr)}
-        for c in system.conditions
-    ]
+    if args.format == "json":
+        report["conditions"] = [
+            {"cycle": list(c.cycle), "sexpr": to_sexpr(c.expr)}
+            for c in system.conditions
+        ]
     report["conditions_fulfilled"] = fulfilled
     report["witness"] = witness_kind
     report["verdict"] = "YES" if oracle else "NO"
@@ -298,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": (("--seed",), {"type": int,
                                "default": os.environ.get("TENSEC_SEED", "0")}),
         "samples": (("--samples",), {"type": int, "default": 200}),
-        "cycles": (("--cycles",), {"choices": ("all", "generators"), "default": "all"}),
+        "cycles": (("--cycles",), {"choices": ("all", "generators"),
+                                   "default": "generators"}),
         "format": (("--format",), {"choices": ("text", "json"), "default": "text"}),
         "chart": (("--chart",), {"default": "0,0,1",
                                  "help": "infinity-line coefficients a,b,c; "

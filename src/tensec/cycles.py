@@ -10,7 +10,9 @@ A map between lines is kept as the chain of perspectivities it composes,
 each one join and one meet on canonical integer points.  A projectivity of a
 line is fixed by the images of three distinct points, so the monodromy is
 trivial iff it fixes three points of its line, and two maps are equal iff
-they agree on three points.
+they agree on three points.  A monodromy always fixes two of them, the base
+point and the base framing's meet with aux, so one more point decides it
+(`is_trivial_monodromy`).
 """
 
 from __future__ import annotations
@@ -184,6 +186,19 @@ def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
     assert total.apply(c.points[start]) == c.points[start]
     assert total.apply(base) == base
     return total
+
+
+def is_trivial_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> bool:
+    """`is_trivial(monodromy(c, start, aux))`, applying the chain to one point
+    in place of three: the monodromy fixes the base point and the base
+    framing ^ aux, two distinct points since aux avoids every vertex, and a
+    projectivity of a line that fixes three distinct points is the identity.
+    """
+    m = monodromy(c, start, aux)
+    start %= len(c)
+    fixed = (c.points[start], meet(c.framings[start], aux))
+    p = next(p for p in _three_points(m.source) if p not in fixed)
+    return m.apply(p) == p
 
 
 def project_cycle(c: FramedCycle, i: int) -> FramedCycle:

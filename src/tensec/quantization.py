@@ -13,6 +13,31 @@ associated framings of their cycle-edge pairs) for a trivial monodromy.
 When the vertex schemes' force-loads can be scaled to balance on every
 framework edge, their leaf forces form an equilibrium force-load of the
 framework (`construct_forceload`).
+
+Why the fundamental cycles decide consistency (`consistency_cycles` mode
+"generators").  Write f_v(e) for the leaf force of v's scheme on edge e.
+
+- At a vertex v with cycle edges e and e', the associated framing is the
+  line of f_v(e) + f_v(e').  Three distinct lines through p_v carry a
+  one-dimensional space of balanced forces, so an equilibrium of the framed
+  cycle puts forces proportional to f_v(e) and f_v(e') on the two edges:
+  it fixes the ratio of the edge scalars at v to f_v(e)/f_v(e').
+- An edge e = uv pushes its two ends oppositely, so the scales at u and v
+  differ by the factor h(u, v) = -f_u(e)/f_v(e) (`_ratio` of the two ends'
+  leaf forces, negated), and h(v, u) = 1/h(u, v).  Around a cycle the
+  per-vertex ratios regroup into one such factor per edge, and each
+  vertex's own scale cancels.
+- The holonomy, the product of h around a cycle, is therefore a
+  homomorphism from the integer cycle space H_1 to Q*.  By the per-cycle
+  lemma (a framed cycle in general position has a trivial monodromy iff it
+  carries a nonzero equilibrium), a cycle is consistent iff its holonomy
+  is 1.  A homomorphism is trivial iff it is trivial on generators, and
+  `fundamental_cycles` generates H_1 (a cycle through every vertex is
+  replaced by two cycles whose sum it is).  So consistency on every simple
+  cycle <=> consistency on the fundamental cycles <=> h is a coboundary,
+  which is what `construct_forceload` checks edge by edge.  The compiled
+  conditions state the same per-cycle equilibrium, so the same holds for
+  them, cycle by cycle.
 """
 
 from __future__ import annotations
@@ -20,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cycles import FramedCycle, cycle_general_position, is_trivial, monodromy, \
+from .cycles import FramedCycle, cycle_general_position, is_trivial_monodromy, \
     pick_aux_line
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
@@ -142,7 +167,7 @@ def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
         raise PreconditionError(
             f"framed cycle {tuple(cycle)} is not in general position")
     aux = pick_aux_line(fc, sub_seed(seed, ",".join(map(str, cycle))))
-    return is_trivial(monodromy(fc, 0, aux))
+    return is_trivial_monodromy(fc, 0, aux)
 
 
 #: Most vertices of one consistency cycle.  A condition nests about two
@@ -223,9 +248,13 @@ def _canonical_cycle(seq):
     return best
 
 
-def is_consistent(q: Quantization, seed: int, mode: str = "all") -> bool:
-    return all(is_consistent_at(q, c, seed)
-               for c in consistency_cycles(q.framework.graph, mode))
+def is_consistent(q: Quantization, seed: int, mode: str = "all",
+                  cycles=None) -> bool:
+    """Every cycle of `cycles` (by default `consistency_cycles` of the
+    framework's graph in `mode`) has a trivial monodromy."""
+    if cycles is None:
+        cycles = consistency_cycles(q.framework.graph, mode)
+    return all(is_consistent_at(q, c, seed) for c in cycles)
 
 
 def construct_forceload(q: Quantization) -> ForceLoad:

@@ -216,13 +216,13 @@ def test_criterion_10_determinism_and_goldens(tmp_path):
         return subprocess.run([sys.executable, "-m", "tensec.cli", *args],
                               capture_output=True, text=True)
 
-    a = run(["check", str(dpos), "--seed", "21", "--format", "json"])
-    b = run(["check", str(dpos), "--seed", "21", "--format", "json"])
+    a = run(["check", str(dpos), "--seed", "21", "--format", "json", "--cycles", "all"])
+    b = run(["check", str(dpos), "--seed", "21", "--format", "json", "--cycles", "all"])
     assert a.returncode == 0 and a.stdout == b.stdout
 
     for name, path in (("desargues", dpos), ("pascal", ppos)):
-        c = run(["conditions", str(path)])
-        d = run(["conditions", str(path)])
+        c = run(["conditions", str(path), "--cycles", "all"])
+        d = run(["conditions", str(path), "--cycles", "all"])
         assert c.returncode == 0 and c.stdout == d.stdout
         body = [l for l in c.stdout.splitlines() if l.startswith("[")]
         golden = (GOLDEN / f"{name}_conditions.sexpr").read_text().splitlines()

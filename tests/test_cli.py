@@ -337,23 +337,50 @@ def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
     assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
 
 
-def test_check_generators_decides_12_rung_prism_in_general_position(tmp_path, capsys):
-    # general position enumerates no cycles here, so only the default
-    # --cycles all consistency cycles still meet MAX_CYCLE_EXTENSIONS
+def write_generic_prism(rungs, tmp_path):
+    """The prism of `write_prism` at a seeded placement in general position."""
     from tensec.framework import framework_from_json, read_json
     from tensec.sampling import random_placement
 
-    prism = framework_from_json(read_json(write_prism(12, tmp_path)))
+    prism = framework_from_json(read_json(write_prism(rungs, tmp_path)))
     path = tmp_path / "generic_prism.json"
     path.write_text(json.dumps(framework_to_json(
         random_placement(prism.graph, seed=12, bound=10**6))))
+    return path
+
+
+def test_check_generators_decides_12_rung_prism_in_general_position(tmp_path, capsys):
+    # general position enumerates no cycles here, so only the consistency
+    # cycles of --cycles all still meet MAX_CYCLE_EXTENSIONS; the default
+    # --cycles generators decides the prism
+    path = write_generic_prism(12, tmp_path)
     assert main(["check", str(path), "--cycles", "generators"]) == 0
     out = capsys.readouterr().out
     assert "general position: YES" in out
     assert "verdict sources agree: YES" in out
     assert "tensegrity: NO" in out
-    assert main(["check", str(path)]) == 3
+    assert main(["check", str(path), "--cycles", "all"]) == 3
     assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_check_all_stops_at_cycle_limit_before_the_oracle(tmp_path, capsys,
+                                                          monkeypatch):
+    # the conditions are compiled right after general position, so the
+    # cycle limit of --cycles all ends the run before any stress is computed
+    import tensec.cli
+
+    calls = []
+    basis = tensec.cli.self_stress_basis
+    monkeypatch.setattr(tensec.cli, "self_stress_basis",
+                        lambda *args: calls.append(args) or basis(*args))
+    path = write_generic_prism(12, tmp_path)
+    assert main(["check", str(path), "--cycles", "all", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_CYCLE_EXTENSIONS = 20000" in captured.err
+    assert calls == []
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -427,7 +454,7 @@ def test_check_generators_mode(files, capsys):
 
 def test_conditions_golden_files(files, capsys):
     for name, fixture in (("desargues", "dpos"), ("pascal", "ppos")):
-        assert main(["conditions", files[fixture]]) == 0
+        assert main(["conditions", files[fixture], "--cycles", "all"]) == 0
         out = capsys.readouterr().out
         body = [l for l in out.splitlines() if l.startswith("[")]
         golden = (GOLDEN / f"{name}_conditions.sexpr").read_text().splitlines()
@@ -473,23 +500,39 @@ def test_cross_process_byte_determinism(files):
     assert e.stdout == f.stdout
 
 
-def check_wheel6(monkeypatch, capsys):
+def check_wheel6(monkeypatch, capsys, *extra):
     """`check --format json` on the seeded 6-spoke wheel in tests/golden; the
     relative input path keeps the report independent of the checkout."""
     monkeypatch.chdir(GOLDEN)
     assert main(["check", "wheel6_framework.json", "--seed", "6",
-                 "--format", "json"]) == 0
+                 "--format", "json", *extra]) == 0
     return capsys.readouterr().out
 
 
 def test_check_golden_wheel6(monkeypatch, capsys):
     # a hub of degree 6: three interior line slots and framings that need
     # up to three surgeries
-    out = check_wheel6(monkeypatch, capsys)
+    out = check_wheel6(monkeypatch, capsys, "--cycles", "all")
     assert out == (GOLDEN / "wheel6_check.json").read_text()
     report = json.loads(out)
     assert report["verdict"] == "YES"
     assert report["verdict_sources_agree"] is True
+
+
+def test_check_golden_wheel6_generators(monkeypatch, capsys):
+    # the default --cycles generators: the 6 fundamental cycles of the
+    # wheel, not its 25 simple cycles on at most 6 vertices
+    out = check_wheel6(monkeypatch, capsys)
+    assert out == (GOLDEN / "wheel6_check_generators.json").read_text()
+    report = json.loads(out)
+    assert report["conditions_count"] == 6
+    assert report["verdict"] == "YES"
+    assert report["verdict_sources_agree"] is True
+    monkeypatch.chdir(GOLDEN)
+    assert main(["conditions", "wheel6_framework.json", "--format", "json"]) == 0
+    compiled = json.loads(capsys.readouterr().out)["conditions"]
+    assert report["conditions"] == [{"cycle": c["cycle"], "sexpr": c["sexpr"]}
+                                    for c in compiled]
 
 
 def test_check_walks_each_framing_once(monkeypatch, capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from tensec.cycles import (FramedCycle, LineMap, cycle_equilibrium_basis,
                            cycle_general_position, framed_cycle_from_json,
-                           framed_cycle_to_json, is_trivial, monodromy,
-                           pick_aux_line, project_cycle, shift_map)
+                           framed_cycle_to_json, is_trivial, is_trivial_monodromy,
+                           monodromy, pick_aux_line, project_cycle, shift_map)
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
 from tensec.framework import chart_avoiding
@@ -267,6 +267,18 @@ def matrix_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> MatrixLineMap
     assert total.apply(base) == base
     return total
 
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(3, 8), seed=st.integers(0, 10**6), equilibrium=st.booleans(),
+       start=st.integers(0, 7))
+def test_one_point_triviality_matches_three_point_test(k, seed, equilibrium, start):
+    # the monodromy fixes two points of its base framing, so one more point
+    # decides it; `is_trivial` applies three
+    c = random_framed_cycle(k, seed, equilibrium=equilibrium)
+    aux = pick_aux_line(c, seed)
+    assert is_trivial_monodromy(c, start, aux) == is_trivial(monodromy(c, start, aux))
+    assert is_trivial_monodromy(c, start, aux) == equilibrium
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,10 @@
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from tensec.errors import (GenericityError, GeometryError,
                            InconsistentQuantizationError, InputError,
@@ -15,14 +16,16 @@ from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
                               framework_in_general_position, is_equilibrium,
                               is_non_parallelizable, self_stress_basis,
                               stress_of_forceload)
+from tensec.conditions import fulfilled_with_witness, generate_system
 from tensec.projective import (Force, ProjLine, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import (Quantization, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
                                  fundamental_cycles, is_consistent,
                                  is_consistent_at, quantization_from_stress)
-from tensec.resolution import _decompose
-from tensec.sampling import random_placement
+from tensec.resolution import _decompose, leaf_forces
+from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
+                             random_placement)
 
 
 def stressed_quantization(fw):
@@ -401,9 +404,9 @@ def reference_induced_stress(q, gt_forces: dict) -> ForceLoad:
     return ForceLoad(out)
 
 
-def wheel_graph(spokes):
+def wheel_graph(spokes, hub="h"):
     rim = [f"r{i}" for i in range(spokes)]
-    return Graph(["h"] + rim, [("h", r) for r in rim]
+    return Graph([hub] + rim, [(hub, r) for r in rim]
                  + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)])
 
 
@@ -465,3 +468,141 @@ def test_construct_forceload_matches_resolution_graph_reference(case):
         assert a.dual == tuple(k * x for x in b.dual)
         ratios.add(k)
     assert len(ratios) == 1
+
+
+# ---------------------------------------------------------------------------
+# The edge-ratio holonomy of the module docstring, computed here from the
+# vertex schemes' leaf forces only: a cycle is consistent iff its holonomy
+# is 1, so all simple cycles, the fundamental cycles and
+# `construct_forceload` decide alike.
+
+def holonomy(q, cycle):
+    """Product around the cycle of -f_u(e)/f_v(e) over its edges e = uv,
+    f_v the leaf forces of v's scheme."""
+    leaf = {}
+    for v in cycle:
+        scheme = q.scheme_at(v)
+        leaf[v] = leaf_forces(scheme, scheme.forceload)
+    h = Fraction(1)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        a, b = leaf[u][edge_key(u, v)], leaf[v][edge_key(u, v)]
+        i = next(i for i in range(3) if b.dual[i])
+        assert a.dual == tuple(a.dual[i] / b.dual[i] * x for x in b.dual)
+        h *= -a.dual[i] / b.dual[i]
+    return h
+
+
+def random_slot_lines(fw, vertices, seed):
+    """Seeded lines through each vertex's point, one per Xi slot, avoiding
+    the vertex's edge lines."""
+    labels = {}
+    for v in vertices:
+        avoid = [fw.edge_line(v, u) for u in fw.graph.neighbors(v)]
+        for k in range(1, fw.graph.degree(v) - 2):
+            labels[(v, k)] = pick_generic_line_through(fw.placement[v], avoid,
+                                                       seed * 31 + k)
+            avoid.append(labels[(v, k)])
+    return labels
+
+
+def renamed(fw, prefix):
+    """The framework's points and edges with vertex p_i renamed prefix + i."""
+    name = {v: prefix + v[1:] for v in fw.graph.vertices}
+    return ({name[v]: p for v, p in fw.placement.items()},
+            [(name[u], name[v]) for u, v in fw.graph.edges])
+
+
+def glued_desargues_blocks(seed):
+    """A seeded Desargues-positive prism (concurrent rungs) and a random
+    one, seeded apart, joined by the bridges a2-b2, a3-b3 and a6-b6.
+
+    The triangles a1a4a5 and b1b4b5 keep degree 3, so the first carries the
+    positive block's stress and the second almost surely fails, while random
+    slot lines at the six bridge ends decide the cycles through them.  A
+    cycle crosses between a prism's triangles an even number of times, so it
+    never holds all three concurrent rungs.
+    """
+    pos_points, pos_edges = renamed(
+        desargues_concurrent_placement(DESARGUES_GRAPH, seed), "a")
+    neg_points, neg_edges = renamed(
+        random_placement(DESARGUES_GRAPH, seed + 10**7, bound=60), "b")
+    bridges = [("a2", "b2"), ("a3", "b3"), ("a6", "b6")]
+    g = Graph(sorted(pos_points) + sorted(neg_points), pos_edges + neg_edges + bridges)
+    fw = Framework(g, {**pos_points, **neg_points})
+    return fw, random_slot_lines(fw, [v for e in bridges for v in e], seed)
+
+
+def moved_vertex(fw, seed):
+    """The positive fixture with one seeded vertex moved to a random point."""
+    rng = random.Random(seed)
+    v = rng.choice(fw.graph.vertices)
+    placement = dict(fw.placement, **{v: random_affine_point(rng, 60)})
+    return Framework(fw.graph, placement)
+
+
+@st.composite
+def holonomy_cases(draw):
+    """(framework, interior labels) mixing passing and failing cycles."""
+    kind = draw(st.sampled_from(("wheel", "k5", "moved", "fixture", "glued")))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "fixture":
+        return draw(st.sampled_from((DESARGUES_POS, DESARGUES_NEG,
+                                     PASCAL_POS, PASCAL_NEG))), {}
+    if kind == "moved":
+        return moved_vertex(draw(st.sampled_from((DESARGUES_POS, PASCAL_POS))), seed), {}
+    if kind == "glued":
+        return glued_desargues_blocks(seed)
+    if kind == "k5":  # a slot at every vertex
+        g = Graph([f"v{i}" for i in range(5)],
+                  [(f"v{i}", f"v{j}") for i in range(5) for j in range(i + 1, 5)])
+    else:
+        # the hub first or last in vertex order: the fundamental cycles are
+        # then all hub triangles, or include the rim cycle
+        g = wheel_graph(draw(st.integers(4, 8)), draw(st.sampled_from(("h", "z"))))
+    fw = random_placement(g, seed, bound=60)
+    return fw, random_slot_lines(fw, g.vertices, seed)
+
+
+@functools.cache
+def compiled(g, mode):
+    """`generate_system`, once per graph and mode across examples."""
+    return generate_system(g, mode)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=holonomy_cases(), seed=st.integers(0, 10**6))
+def test_consistency_is_trivial_holonomy(case, seed):
+    fw, labels = case
+    assume(framework_in_general_position(fw))
+    q = Quantization(fw, labels)
+    g = fw.graph
+    try:
+        per_cycle = {c: is_consistent_at(q, c, seed)
+                     for c in consistency_cycles(g, "all")}
+    except (GenericityError, PreconditionError):
+        assume(False)  # a framed cycle outside general position
+    for c, consistent in per_cycle.items():
+        assert consistent == (holonomy(q, c) == 1), c
+    generators = is_consistent(q, seed, mode="generators")
+    assert all(per_cycle.values()) == generators
+    assert is_consistent(q, seed, mode="all") == generators
+    assert (_outcome(lambda: construct_forceload(q))[1] is None) == generators
+    fulfilled = {mode: fulfilled_with_witness(compiled(g, mode), fw, labels, seed)
+                 for mode in ("all", "generators")}
+    assert fulfilled["all"] == fulfilled["generators"] == generators
+
+
+def test_holonomy_inputs_separate_the_cycle_modes():
+    """The property's inputs discriminate: on a glued block and on a wheel
+    whose rim comes first in vertex order, some fundamental cycles pass and
+    some fail, and the rim cycle passes with random hub lines."""
+    wheel = random_placement(wheel_graph(4, "z"), 3, bound=60)
+    for fw, labels in (glued_desargues_blocks(1),
+                       (wheel, random_slot_lines(wheel, ["z"], 3))):
+        assert framework_in_general_position(fw)
+        q = Quantization(fw, labels)
+        verdicts = {c: is_consistent_at(q, c, 0)
+                    for c in consistency_cycles(fw.graph, "generators")}
+        assert set(verdicts.values()) == {True, False}
+    assert verdicts[("r0", "r1", "r2", "r3")]

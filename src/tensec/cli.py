@@ -78,7 +78,7 @@ def cmd_check(args) -> int:
         return 3
 
     with _phase(args, "compile"):
-        system = generate_system(fw.graph, mode=args.cycles)
+        system = generate_system(fw.graph)
     cycles = [c.cycle for c in system.conditions]
 
     with _phase(args, "oracle"):
@@ -161,7 +161,7 @@ def _tri(v) -> str:
 def cmd_conditions(args) -> int:
     g = graph_from_json(read_json(args.graph))
     g.require_min_degree(3)
-    system = generate_system(g, mode=args.cycles)
+    system = generate_system(g)
     payload = system_to_json(system)
     if args.format == "json":
         _emit(payload, [], "json")
@@ -205,7 +205,7 @@ def cmd_verify(args) -> int:
     g = graph_from_json(read_json(args.graph))
     g.require_min_degree(3)
     with _phase(args, "compile"):
-        system = generate_system(g, mode=args.cycles)
+        system = generate_system(g)
     xi_dim = len(system.slots)
     constrained = _constrained_generator(g)
     samples = []
@@ -302,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seed": (("--seed",), {"type": int,
                                "default": os.environ.get("TENSEC_SEED", "0")}),
         "samples": (("--samples",), {"type": int, "default": 200}),
-        "cycles": (("--cycles",), {"choices": ("all", "generators"),
-                                   "default": "generators"}),
         "format": (("--format",), {"choices": ("text", "json"), "default": "text"}),
         "chart": (("--chart",), {"default": "0,0,1",
                                  "help": "infinity-line coefficients a,b,c; "
@@ -313,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "help": "print phase timings to stderr"}),
     }
     for name, positional, func, wanted, help_text in (
-            ("check", "framework", cmd_check, "seed cycles format chart timings",
+            ("check", "framework", cmd_check, "seed format chart timings",
              "full decision run on a framework"),
-            ("conditions", "graph", cmd_conditions, "cycles format",
+            ("conditions", "graph", cmd_conditions, "format",
              "compile a graph to conditions"),
-            ("verify", "graph", cmd_verify, "seed samples cycles format timings",
+            ("verify", "graph", cmd_verify, "seed samples format timings",
              "randomized oracle comparison"),
             ("render", "input", cmd_render, "chart output",
              "render a framework or framed cycle")):

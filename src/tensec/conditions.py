@@ -179,15 +179,14 @@ def framing_expression(trees: dict, vertex: str, edge_a, edge_b):
                                surgery_expression)
 
 
-def cycle_condition_expression(cycle_points, framing_exprs, variant: str = "paper"):
+def cycle_condition_expression(cycle_points, framing_exprs):
     """Relation-rooted condition for a framed cycle given symbolically.
 
     Applies k-3 symbolic projection operations and caps with a three-line
-    relation.  The default variant emits the standard display shapes for
-    k = 4 and k = 5 (projections at the middle pairs, the four-cycle one
-    rewritten through the three-point relation); `variant="head"` always
-    merges the first two vertices, giving an equivalent condition by a
-    different operation order.
+    relation.  For k = 4 and k = 5 it emits the standard display shapes
+    (projections at the middle pairs, the four-cycle one rewritten through
+    the three-point relation); longer cycles merge the first two vertices
+    until three remain.
     """
     pts = list(cycle_points)
     frs = list(framing_exprs)
@@ -200,11 +199,11 @@ def cycle_condition_expression(cycle_points, framing_exprs, variant: str = "pape
 
     if k == 3:
         return Expr("concurrent", tuple(frs))
-    if variant == "paper" and k == 4:
+    if k == 4:
         return Expr("collinear", (Expr("meet", (frs[0], frs[3])),
                                   Expr("meet", (frs[1], frs[2])),
                                   meet_of_joins(*pts)))
-    if variant == "paper" and k == 5:
+    if k == 5:
         left = Expr("join", (Expr("meet", (frs[1], frs[2])), meet_of_joins(*pts[:4])))
         right = Expr("join", (Expr("meet", (frs[3], frs[4])),
                               meet_of_joins(pts[2], pts[3], pts[4], pts[0])))
@@ -231,7 +230,7 @@ class ConditionSystem:
     conditions: tuple
 
 
-def generate_system(g: Graph, mode: str = "all") -> ConditionSystem:
+def generate_system(g: Graph) -> ConditionSystem:
     """One relation-rooted condition per cycle of `consistency_cycles`,
     over the default trees.
 
@@ -245,7 +244,7 @@ def generate_system(g: Graph, mode: str = "all") -> ConditionSystem:
     framing = functools.cache(functools.partial(framing_expression, trees))
     points = {v: Expr("point", (v,)) for v in g.vertices}
     conditions = []
-    for cycle in consistency_cycles(g, mode):
+    for cycle in consistency_cycles(g):
         framings = [framing(*corner) for corner in cycle_corners(cycle)]
         pts = [points[v] for v in cycle]
         conditions.append(Condition(tuple(cycle),

@@ -308,10 +308,9 @@ def find_nonparallelizable_stress(fw: Framework, basis,
 #: Path extensions one simple-cycle enumeration may make before it stops
 #: with PreconditionError (exit 3).  GP(8,3) needs 5,057, K8 11,024 and the
 #: 10-rung prism 17,478; the 12-rung prism needs 67,537 and is refused.
-#: The general-position test enumerates only when its edge-line arrangement
-#: has a degenerate line or point group, or when its |E|(|E|-1)/2 edge pairs
-#: exceed this limit; consistency and conditions with `--cycles all` always
-#: enumerate.
+#: It limits only the general-position test, which enumerates only when its
+#: edge-line arrangement has a degenerate line or point group, or when its
+#: |E|(|E|-1)/2 edge pairs exceed this limit.
 MAX_CYCLE_EXTENSIONS = 20_000
 
 

@@ -14,8 +14,8 @@ When the vertex schemes' force-loads can be scaled to balance on every
 framework edge, their leaf forces form an equilibrium force-load of the
 framework (`construct_forceload`).
 
-Why the fundamental cycles decide consistency (`consistency_cycles` mode
-"generators").  Write f_v(e) for the leaf force of v's scheme on edge e.
+Why the fundamental cycles decide consistency (`consistency_cycles`).
+Write f_v(e) for the leaf force of v's scheme on edge e.
 
 - At a vertex v with cycle edges e and e', the associated framing is the
   line of f_v(e) + f_v(e').  Three distinct lines through p_v carry a
@@ -32,7 +32,7 @@ Why the fundamental cycles decide consistency (`consistency_cycles` mode
   lemma (a framed cycle in general position has a trivial monodromy iff it
   carries a nonzero equilibrium), a cycle is consistent iff its holonomy
   is 1.  A homomorphism is trivial iff it is trivial on generators, and
-  `fundamental_cycles` generates H_1 (a cycle through every vertex is
+  `consistency_cycles` generates H_1 (a cycle through every vertex is
   replaced by two cycles whose sum it is).  So consistency on every simple
   cycle <=> consistency on the fundamental cycles <=> h is a coboundary,
   which is what `construct_forceload` checks edge by edge.  The compiled
@@ -50,7 +50,7 @@ from .cycles import FramedCycle, cycle_general_position, is_trivial_monodromy, \
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
 from .framework import (ForceLoad, Framework, Graph, bfs_parents, cycle_corners,
-                        edge_key, enumerate_simple_cycles, root_path)
+                        edge_key, root_path)
 from .projective import Force, ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
                          leaf_forces, slot_edges, tree_labels)
@@ -84,12 +84,13 @@ class Quantization:
     symmetric in the pair.  A scheme computes its canonical force-load and
     its strong-genericity verdict once, so all framings at one vertex share
     them.  The memo lives and dies with the instance; nothing is cached at
-    module level.
+    module level.  `trees` defaults to `default_trees` of the graph; a
+    caller that has just built them passes them in.
     """
 
     framework: Framework
     interior_labels: dict = field(default_factory=dict)
-    trees: dict = field(init=False, repr=False, compare=False)
+    trees: dict = field(default=None, repr=False, compare=False)
     _schemes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
     _framings: dict = field(default_factory=dict, init=False, repr=False,
@@ -98,7 +99,8 @@ class Quantization:
     def __post_init__(self):
         fw = self.framework
         fw.graph.require_min_degree(3)
-        self.trees = default_trees(fw.graph)
+        if self.trees is None:
+            self.trees = default_trees(fw.graph)
         slots = set(xi_slots(self.trees))
         if set(self.interior_labels) != slots:
             raise InputError(f"interior labels must cover exactly the slots {sorted(slots)}")
@@ -138,8 +140,9 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
     """
     if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):
         raise GenericityError("force-load vanishes on an edge")
+    trees = default_trees(fw.graph)
     labels = {}
-    for v, tree in default_trees(fw.graph).items():
+    for v, tree in trees.items():
         for idx, te in slot_edges(tree).items():
             side = sorted(tree.side_labels(te, te[0]))
             total = sum((fl.force(v, j if i == v else i) for i, j in side),
@@ -147,7 +150,7 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
             if total.is_zero():
                 raise GenericityError(f"force-load sum vanishes at slot ({v}, {idx})")
             labels[(v, idx)] = line_of_force(total)
-    return Quantization(fw, labels)
+    return Quantization(fw, labels, trees)
 
 
 def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
@@ -172,33 +175,18 @@ def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
 
 #: Most vertices of one consistency cycle.  A condition nests about two
 #: levels per cycle vertex, and its evaluation and serialization recurse
-#: once per level; the longest cycle the tests and the benchmark compile
-#: has 15 vertices.
+#: once per level.  The longest consistency cycle of the benchmark has 8
+#: vertices (GP(8,3)); the tests compile the 64-vertex fundamental cycles of
+#: a 62-rung prism.
 MAX_CONDITION_CYCLE = 64
 
 
-def consistency_cycles(g: Graph, mode: str = "all"):
-    """Cycle set checked for consistency and compiled into conditions: every
-    simple cycle on <= n-1 vertices, or a fundamental system generating the
-    cycle space.  A cycle on more than MAX_CONDITION_CYCLE vertices raises
-    PreconditionError."""
-    if mode == "all":
-        cycles = enumerate_simple_cycles(g, len(g.vertices) - 1)
-    elif mode == "generators":
-        cycles = fundamental_cycles(g)
-    else:
-        raise InputError(f"unknown cycle mode {mode!r}")
-    longest = max(map(len, cycles), default=0)
-    if longest > MAX_CONDITION_CYCLE:
-        raise PreconditionError(
-            f"a consistency cycle has {longest} vertices, more than"
-            f" MAX_CONDITION_CYCLE = {MAX_CONDITION_CYCLE}")
-    return cycles
-
-
-def fundamental_cycles(g):
-    """Fundamental cycles of a BFS spanning tree; a basis cycle through all
-    vertices is replaced by the two cycles cut by its smallest chord."""
+def consistency_cycles(g: Graph):
+    """Cycle set checked for consistency and compiled into conditions: the
+    fundamental cycles of a BFS spanning tree, which generate the cycle
+    space.  A basis cycle through all vertices is replaced by the two cycles
+    cut by its smallest chord.  A cycle on more than MAX_CONDITION_CYCLE
+    vertices raises PreconditionError."""
     parent = bfs_parents(g.adjacency, min(g.vertices))
     cycles = []
     for u, v in g.edges:
@@ -209,6 +197,11 @@ def fundamental_cycles(g):
             cycles.extend(_split_by_chord(g, cycle))
         else:
             cycles.append(cycle)
+    longest = max(map(len, cycles), default=0)
+    if longest > MAX_CONDITION_CYCLE:
+        raise PreconditionError(
+            f"a consistency cycle has {longest} vertices, more than"
+            f" MAX_CONDITION_CYCLE = {MAX_CONDITION_CYCLE}")
     return sorted(set(cycles), key=lambda c: (len(c), c))
 
 
@@ -248,12 +241,11 @@ def _canonical_cycle(seq):
     return best
 
 
-def is_consistent(q: Quantization, seed: int, mode: str = "all",
-                  cycles=None) -> bool:
+def is_consistent(q: Quantization, seed: int, cycles=None) -> bool:
     """Every cycle of `cycles` (by default `consistency_cycles` of the
-    framework's graph in `mode`) has a trivial monodromy."""
+    framework's graph) has a trivial monodromy."""
     if cycles is None:
-        cycles = consistency_cycles(q.framework.graph, mode)
+        cycles = consistency_cycles(q.framework.graph)
     return all(is_consistent_at(q, c, seed) for c in cycles)
 
 

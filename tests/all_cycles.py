@@ -1,0 +1,57 @@
+"""Reference cycle set of the tests: every simple cycle on at most n-1
+vertices, compiled with the library's own framing and cycle-condition
+expressions.
+
+The library checks and compiles only the fundamental cycles
+(`quantization.consistency_cycles`), which decide consistency because the
+holonomy is a homomorphism on the cycle space.  The tests keep the full
+sweep to check that claim and to pin the goldens and counts of every simple
+cycle.
+"""
+
+import functools
+
+from tensec.conditions import (Condition, ConditionSystem, Expr,
+                               cycle_condition_expression, framing_expression,
+                               generate_system, to_sexpr)
+from tensec.framework import cycle_corners, enumerate_simple_cycles
+from tensec.quantization import consistency_cycles, default_trees, xi_slots
+
+
+def simple_cycles(g):
+    """Every simple cycle of the graph on at most n-1 vertices."""
+    return enumerate_simple_cycles(g, len(g.vertices) - 1)
+
+
+@functools.cache
+def all_cycles_system(g) -> ConditionSystem:
+    """One condition per simple cycle of `simple_cycles`, built exactly as
+    `generate_system` builds the condition of a fundamental cycle."""
+    g.require_min_degree(3)
+    trees = default_trees(g)
+    framing = functools.cache(functools.partial(framing_expression, trees))
+    conditions = []
+    for cycle in simple_cycles(g):
+        pts = [Expr("point", (v,)) for v in cycle]
+        framings = [framing(*corner) for corner in cycle_corners(cycle)]
+        conditions.append(Condition(cycle, cycle_condition_expression(pts, framings)))
+    return ConditionSystem(xi_slots(trees), tuple(conditions))
+
+
+def both_systems(g):
+    """The compiled system of the fundamental cycles and the reference
+    system of every simple cycle."""
+    return generate_system(g), all_cycles_system(g)
+
+
+def condition_lines(system):
+    """The condition lines `tensec conditions` prints for a system."""
+    return [f"[{' '.join(c.cycle)}] {to_sexpr(c.expr)}" for c in system.conditions]
+
+
+def fundamental_lines(g, lines):
+    """The lines of `condition_lines(all_cycles_system(g))`, or of a golden
+    equal to them, that belong to the fundamental cycles, in their order."""
+    fundamental = set(consistency_cycles(g))
+    return [line for cond, line in zip(all_cycles_system(g).conditions, lines)
+            if cond.cycle in fundamental]

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from all_cycles import (all_cycles_system, both_systems, condition_lines,
+                        fundamental_lines, simple_cycles)
 from tensec.conditions import (framing_expression, evaluate,
-                               fulfilled_with_witness, generate_system)
+                               fulfilled_with_witness)
 from tensec.cycles import (cycle_equilibrium_basis, is_trivial, monodromy,
                            pick_aux_line, project_cycle)
 from tensec.errors import GeometryError, PreconditionError
@@ -23,7 +25,8 @@ from tensec.framework import (chart_avoiding, find_nonparallelizable_stress,
                               framework_to_json, hf_surgery_framework,
                               is_equilibrium, is_non_parallelizable,
                               self_stress_basis, stress_of_forceload)
-from tensec.quantization import (construct_forceload, default_trees, is_consistent,
+from tensec.quantization import (consistency_cycles, construct_forceload,
+                                 default_trees, is_consistent,
                                  quantization_from_stress)
 from tensec.resolution import enumerate_equivalent_schemes
 from tensec.sampling import (desargues_concurrent_placement,
@@ -148,15 +151,16 @@ def _sample_placement(graph, constrained, index, seed):
     (PASCAL_GRAPH, pascal_conic_placement, "pascal"),
 ])
 def test_criterion_7_end_to_end_equivalence_200(graph, constrained, tag):
-    system = generate_system(graph)
-    assert system.slots == ()
+    systems = both_systems(graph)
+    assert all(system.slots == () for system in systems)
     verdicts = {True: 0, False: 0}
     for i in range(200):
         fw = _sample_placement(graph, constrained, i, 80_000 + i)
         basis = self_stress_basis(fw)
         oracle = find_nonparallelizable_stress(fw, basis, seed=i) is not None
-        cond = fulfilled_with_witness(system, fw, {}, 90_000 + i)
-        assert cond == oracle, f"{tag} sample {i}: oracle={oracle} cond={cond}"
+        for system in systems:
+            cond = fulfilled_with_witness(system, fw, {}, 90_000 + i)
+            assert cond == oracle, f"{tag} sample {i}: oracle={oracle} cond={cond}"
         verdicts[oracle] += 1
     assert verdicts[True] >= 20 and verdicts[False] >= 20
     report(7, f"{tag}: condition verdict equals oracle verdict, 200/200 "
@@ -164,7 +168,7 @@ def test_criterion_7_end_to_end_equivalence_200(graph, constrained, tag):
 
 
 def test_criterion_8_wheel_witness_direction_100():
-    system = generate_system(WHEEL5_GRAPH)
+    systems = both_systems(WHEEL5_GRAPH)
     trees = default_trees(WHEEL5_GRAPH)
     pairs = ((("p1", "p2"), ("p1", "p4")), (("p1", "p3"), ("p1", "p5")))
     done = 0
@@ -179,7 +183,8 @@ def test_criterion_8_wheel_witness_direction_100():
             continue
         quant = quantization_from_stress(fw, forceload_from_stress(fw, stress))
         witness = quant.interior_labels
-        assert fulfilled_with_witness(system, fw, witness, seed)
+        for system in systems:
+            assert fulfilled_with_witness(system, fw, witness, seed)
         one = evaluate(framing_expression(trees, "p1", *pairs[0]),
                        fw, witness, seed)
         two = evaluate(framing_expression(trees, "p1", *pairs[1]),
@@ -196,6 +201,7 @@ def test_criterion_9_quantization_roundtrip_on_fixtures():
         w = self_stress_basis(fw)[0]
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
         assert is_consistent(quant, seed=13)
+        assert is_consistent(quant, seed=13, cycles=simple_cycles(fw.graph))
         ind = construct_forceload(quant)
         assert is_equilibrium(fw, ind)
         assert is_non_parallelizable(fw, ind)
@@ -216,15 +222,20 @@ def test_criterion_10_determinism_and_goldens(tmp_path):
         return subprocess.run([sys.executable, "-m", "tensec.cli", *args],
                               capture_output=True, text=True)
 
-    a = run(["check", str(dpos), "--seed", "21", "--format", "json", "--cycles", "all"])
-    b = run(["check", str(dpos), "--seed", "21", "--format", "json", "--cycles", "all"])
+    a = run(["check", str(dpos), "--seed", "21", "--format", "json"])
+    b = run(["check", str(dpos), "--seed", "21", "--format", "json"])
     assert a.returncode == 0 and a.stdout == b.stdout
 
-    for name, path in (("desargues", dpos), ("pascal", ppos)):
-        c = run(["conditions", str(path), "--cycles", "all"])
-        d = run(["conditions", str(path), "--cycles", "all"])
+    for name, path, graph in (("desargues", dpos, DESARGUES_GRAPH),
+                              ("pascal", ppos, PASCAL_GRAPH)):
+        c = run(["conditions", str(path)])
+        d = run(["conditions", str(path)])
         assert c.returncode == 0 and c.stdout == d.stdout
         body = [l for l in c.stdout.splitlines() if l.startswith("[")]
         golden = (GOLDEN / f"{name}_conditions.sexpr").read_text().splitlines()
-        assert body == golden
+        # the golden holds every simple cycle; the command prints the lines
+        # of the fundamental cycles, in golden order
+        assert condition_lines(all_cycles_system(graph)) == golden
+        assert body == fundamental_lines(graph, golden)
+        assert len(body) == len(consistency_cycles(graph))
     report(10, "byte-identical check/conditions reruns; goldens match")

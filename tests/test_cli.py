@@ -9,10 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from all_cycles import all_cycles_system, condition_lines, fundamental_lines
 from tensec.cli import main
-from tensec.fixtures import (DESARGUES_NEG, DESARGUES_POS, PASCAL_POS,
-                             WHEEL5_GRAPH)
+from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
+                             PASCAL_GRAPH, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import framework_to_json
+from tensec.quantization import consistency_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,16 +218,15 @@ def _fuzz_files(tmp_path):
 _OPTION_VALUES = {
     "--seed": (["0", "7", " 7 ", "-5", "1" + "0" * 40], ["abc", "", "1.5"]),
     "--samples": (["1", "2"], ["0", "-1", "x"]),
-    "--cycles": (["all", "generators"], ["some"]),
     "--format": (["text", "json"], ["xml"]),
     "--chart": (["0,0,1", "1,1,17", " 0 , 0 , 1 "],
                 ["1,2", "0,0,1,0", "0,0,0", "1/0,0,1", "a,b,c"]),
     "--timings": None,
     "-o": None,
 }
-_OWN_OPTIONS = {"check": "--seed --cycles --format --chart --timings",
-                "conditions": "--cycles --format",
-                "verify": "--seed --samples --cycles --format --timings",
+_OWN_OPTIONS = {"check": "--seed --format --chart --timings",
+                "conditions": "--format",
+                "verify": "--seed --samples --format --timings",
                 "render": "--chart -o"}
 _ENV_SEEDS = [None, "3", " 7 ", "-2", "1" + "0" * 40, "abc", ""]
 
@@ -350,36 +351,33 @@ def write_generic_prism(rungs, tmp_path):
 
 
 def test_check_generators_decides_12_rung_prism_in_general_position(tmp_path, capsys):
-    # general position enumerates no cycles here, so only the consistency
-    # cycles of --cycles all still meet MAX_CYCLE_EXTENSIONS; the default
-    # --cycles generators decides the prism
+    # general position enumerates no cycles here (the prism's simple cycles
+    # take 67,537 extensions, past MAX_CYCLE_EXTENSIONS); the fundamental
+    # cycles decide it
     path = write_generic_prism(12, tmp_path)
-    assert main(["check", str(path), "--cycles", "generators"]) == 0
+    assert main(["check", str(path)]) == 0
     out = capsys.readouterr().out
     assert "general position: YES" in out
     assert "verdict sources agree: YES" in out
     assert "tensegrity: NO" in out
-    assert main(["check", str(path), "--cycles", "all"]) == 3
-    assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
-    assert main(["check", str(path)]) == 0
-    assert capsys.readouterr().out == out
 
 
-def test_check_all_stops_at_cycle_limit_before_the_oracle(tmp_path, capsys,
-                                                          monkeypatch):
-    # the conditions are compiled right after general position, so the
-    # cycle limit of --cycles all ends the run before any stress is computed
+def test_check_stops_at_condition_cycle_limit_before_the_oracle(tmp_path, capsys,
+                                                               monkeypatch):
+    # the conditions are compiled right after general position, so a
+    # fundamental cycle on 65 vertices ends the run before any stress is
+    # computed; general position decides YES without enumerating cycles
     import tensec.cli
 
     calls = []
     basis = tensec.cli.self_stress_basis
     monkeypatch.setattr(tensec.cli, "self_stress_basis",
                         lambda *args: calls.append(args) or basis(*args))
-    path = write_generic_prism(12, tmp_path)
-    assert main(["check", str(path), "--cycles", "all", "--format", "json"]) == 3
+    path = write_generic_prism(63, tmp_path)
+    assert main(["check", str(path), "--format", "json"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "MAX_CYCLE_EXTENSIONS = 20000" in captured.err
+    assert "MAX_CONDITION_CYCLE = 64" in captured.err
     assert calls == []
 
 
@@ -388,7 +386,7 @@ def test_conditions_on_large_prism_hits_condition_cycle_limit(fmt, tmp_path, cap
     # the fundamental cycles of the 600-rung prism reach 602 vertices; their
     # conditions once ended in a RecursionError (exit 1)
     path = write_prism(600, tmp_path)
-    assert main(["conditions", path, "--cycles", "generators", "--format", fmt]) == 3
+    assert main(["conditions", path, "--format", fmt]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MAX_CONDITION_CYCLE = 64" in captured.err
@@ -398,7 +396,7 @@ def test_conditions_json_of_62_rung_prism_stays_small(tmp_path, capsys):
     # 43 MB when the report was indented: the indentation grew with the
     # depth of each condition's AST
     path = write_prism(62, tmp_path)
-    assert main(["conditions", path, "--cycles", "generators", "--format", "json"]) == 0
+    assert main(["conditions", path, "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert len(out) < 2_000_000
     assert len(json.loads(out)["conditions"]) == 63
@@ -447,18 +445,28 @@ def test_check_verdict_sources_agree_on_all_fixtures(files, tmp_path, capsys):
         assert payload["conditions_fulfilled"] is (verdict == "YES")
 
 
-def test_check_generators_mode(files, capsys):
-    assert main(["check", files["dpos"], "--cycles", "generators"]) == 0
-    assert "tensegrity: YES" in capsys.readouterr().out
+def test_cycles_option_is_a_usage_error(files, capsys):
+    # the fundamental cycles are the only cycle set; the option is gone
+    for command in ("check", "conditions", "verify"):
+        for value in ("all", "generators"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, files["dpos"], "--cycles", value])
+            assert exc.value.code == 2, (command, value)
+            assert "unrecognized arguments: --cycles" in capsys.readouterr().err
 
 
 def test_conditions_golden_files(files, capsys):
-    for name, fixture in (("desargues", "dpos"), ("pascal", "ppos")):
-        assert main(["conditions", files[fixture], "--cycles", "all"]) == 0
+    # the goldens hold every simple cycle, as the tests' reference compiles
+    # them; the command prints the lines of the fundamental cycles
+    for name, fixture, graph in (("desargues", "dpos", DESARGUES_GRAPH),
+                                 ("pascal", "ppos", PASCAL_GRAPH)):
+        assert main(["conditions", files[fixture]]) == 0
         out = capsys.readouterr().out
         body = [l for l in out.splitlines() if l.startswith("[")]
         golden = (GOLDEN / f"{name}_conditions.sexpr").read_text().splitlines()
-        assert body == golden
+        assert condition_lines(all_cycles_system(graph)) == golden
+        assert body == fundamental_lines(graph, golden)
+        assert len(body) == len(consistency_cycles(graph))
 
 
 def test_conditions_json_contains_ast(files, capsys):
@@ -500,28 +508,19 @@ def test_cross_process_byte_determinism(files):
     assert e.stdout == f.stdout
 
 
-def check_wheel6(monkeypatch, capsys, *extra):
+def check_wheel6(monkeypatch, capsys):
     """`check --format json` on the seeded 6-spoke wheel in tests/golden; the
     relative input path keeps the report independent of the checkout."""
     monkeypatch.chdir(GOLDEN)
     assert main(["check", "wheel6_framework.json", "--seed", "6",
-                 "--format", "json", *extra]) == 0
+                 "--format", "json"]) == 0
     return capsys.readouterr().out
 
 
-def test_check_golden_wheel6(monkeypatch, capsys):
-    # a hub of degree 6: three interior line slots and framings that need
-    # up to three surgeries
-    out = check_wheel6(monkeypatch, capsys, "--cycles", "all")
-    assert out == (GOLDEN / "wheel6_check.json").read_text()
-    report = json.loads(out)
-    assert report["verdict"] == "YES"
-    assert report["verdict_sources_agree"] is True
-
-
 def test_check_golden_wheel6_generators(monkeypatch, capsys):
-    # the default --cycles generators: the 6 fundamental cycles of the
-    # wheel, not its 25 simple cycles on at most 6 vertices
+    # a hub of degree 6: three interior line slots and framings that need
+    # up to three surgeries; the 6 fundamental cycles of the wheel, not its
+    # 25 simple cycles on at most 6 vertices
     out = check_wheel6(monkeypatch, capsys)
     assert out == (GOLDEN / "wheel6_check_generators.json").read_text()
     report = json.loads(out)

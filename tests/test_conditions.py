@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from all_cycles import all_cycles_system, both_systems
 from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
                                framing_expression, fulfilled_with_witness,
                                generate_system, system_to_json, to_json_ast,
@@ -25,7 +26,8 @@ from tensec.projective import (TRUE, ProjLine, ProjPoint, join, meet,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident,
                                sub_seed)
-from tensec.quantization import default_trees, quantization_from_stress, xi_slots
+from tensec.quantization import (consistency_cycles, default_trees,
+                                 quantization_from_stress, xi_slots)
 from tensec.sampling import random_framed_cycle, random_placement
 
 
@@ -210,7 +212,20 @@ def test_cycle_condition_five_vertices_display_form():
     ))
 
 
-def _framed_cycle_condition(c, variant="paper"):
+def head_condition_expression(cycle_points, framing_exprs):
+    """`cycle_condition_expression` in one operation order for every k:
+    merge the first two vertices until three remain (kept as the reference
+    of the display shapes at k = 4 and k = 5)."""
+    pts, frs = list(cycle_points), list(framing_exprs)
+    while len(pts) > 3:
+        merged = Expr("meet", (Expr("join", (pts[-1], pts[0])),
+                               Expr("join", (pts[1], pts[2]))))
+        frs = [Expr("join", (merged, Expr("meet", (frs[0], frs[1]))))] + frs[2:]
+        pts = [merged] + pts[2:]
+    return Expr("concurrent", tuple(frs))
+
+
+def _framed_cycle_condition(c, build=cycle_condition_expression):
     """Condition expression plus evaluation context for a concrete framed
     cycle: points become constants q_i, framings become joins q_i r_i with
     r_i a second point on the framing line."""
@@ -225,7 +240,7 @@ def _framed_cycle_condition(c, variant="paper"):
         placement[ri] = second
         pts.append(pt(qi))
         frs.append(Expr("join", (pt(qi), pt(ri))))
-    expr = cycle_condition_expression(pts, frs, variant=variant)
+    expr = build(pts, frs)
     ids = sorted(placement)
     # framework container only for evaluation: grid graph over the ids
     g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)])
@@ -246,8 +261,8 @@ def test_condition_variants_agree():
     for seed in range(40):
         k = 4 + seed % 4
         c = random_framed_cycle(k, seed, equilibrium=(seed % 2 == 0))
-        e1, ctx = _framed_cycle_condition(c, variant="paper")
-        e2, _ = _framed_cycle_condition(c, variant="head")
+        e1, ctx = _framed_cycle_condition(c)
+        e2, _ = _framed_cycle_condition(c, head_condition_expression)
         assert evaluate(e1, ctx, {}, seed=3) == evaluate(e2, ctx, {}, seed=3)
 
 
@@ -273,15 +288,17 @@ def test_early_true_fulfills_condition():
 
 
 def test_generate_system_fixture_contents():
-    system = generate_system(DESARGUES_GRAPH)
+    system = all_cycles_system(DESARGUES_GRAPH)
     sexprs = {to_sexpr(c.expr) for c in system.conditions}
     assert "(concurrent (join p1 p2) (join p3 p4) (join p5 p6))" in sexprs
     assert len(system.conditions) == 11
-    pascal = generate_system(PASCAL_GRAPH)
+    pascal = all_cycles_system(PASCAL_GRAPH)
     assert ("(collinear (meet (join p1 p6) (join p4 p5)) "
             "(meet (join p2 p5) (join p3 p6)) "
             "(meet (join p1 p2) (join p3 p4)))") in {to_sexpr(c.expr)
                                                      for c in pascal.conditions}
+    # the compiled system: one condition per dimension of the cycle space
+    assert len(generate_system(DESARGUES_GRAPH).conditions) == 9 - 6 + 1
 
 
 def test_generate_system_rejects_low_degree_and_bad_frameworks():
@@ -290,16 +307,16 @@ def test_generate_system_rejects_low_degree_and_bad_frameworks():
 
 
 def test_fixture_verdicts_match_oracle():
-    system_d = generate_system(DESARGUES_GRAPH)
-    assert fulfilled_with_witness(system_d, DESARGUES_POS, {}, 7)
-    assert not fulfilled_with_witness(system_d, DESARGUES_NEG, {}, 7)
-    system_p = generate_system(PASCAL_GRAPH)
-    assert fulfilled_with_witness(system_p, PASCAL_POS, {}, 7)
-    assert not fulfilled_with_witness(system_p, PASCAL_NEG, {}, 7)
+    for system_d in both_systems(DESARGUES_GRAPH):
+        assert fulfilled_with_witness(system_d, DESARGUES_POS, {}, 7)
+        assert not fulfilled_with_witness(system_d, DESARGUES_NEG, {}, 7)
+    for system_p in both_systems(PASCAL_GRAPH):
+        assert fulfilled_with_witness(system_p, PASCAL_POS, {}, 7)
+        assert not fulfilled_with_witness(system_p, PASCAL_NEG, {}, 7)
 
 
 def test_small_randomized_equivalence_with_oracle():
-    system = generate_system(DESARGUES_GRAPH)
+    systems = both_systems(DESARGUES_GRAPH)
     hits = {True: 0, False: 0}
     from tensec.sampling import desargues_concurrent_placement
 
@@ -312,8 +329,8 @@ def test_small_randomized_equivalence_with_oracle():
             continue
         basis = self_stress_basis(fw)
         oracle = find_nonparallelizable_stress(fw, basis) is not None
-        cond = fulfilled_with_witness(system, fw, {}, 100 + i)
-        assert cond == oracle
+        for system in systems:
+            assert fulfilled_with_witness(system, fw, {}, 100 + i) == oracle
         hits[oracle] += 1
     assert hits[True] >= 5 and hits[False] >= 5
 
@@ -331,13 +348,14 @@ def wheel_positive(seed):
 
 
 def test_wheel_witness_direction_and_degree4_identity():
-    system = generate_system(WHEEL5_GRAPH)
+    systems = both_systems(WHEEL5_GRAPH)
     trees = default_trees(WHEEL5_GRAPH)
     for seed in (100, 200, 300):
         fw, w = wheel_positive(seed)
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
         witness = quant.interior_labels
-        assert fulfilled_with_witness(system, fw, witness, seed)
+        for system in systems:
+            assert fulfilled_with_witness(system, fw, witness, seed)
         # complementary-pair identity at the degree-4 hub, evaluated
         e12, e13 = ("p1", "p2"), ("p1", "p3")
         e14, e15 = ("p1", "p4"), ("p1", "p5")
@@ -388,23 +406,23 @@ def test_double_evaluation_of_surgery_expression_is_stable():
 
 
 def test_projective_invariance_of_evaluation():
-    system = generate_system(DESARGUES_GRAPH)
     for seed in (3, 4):
         point_map, _ = random_projective_map(seed)
         for fw, expected in ((DESARGUES_POS, True), (DESARGUES_NEG, False)):
             moved = transform_framework(fw, point_map)
-            assert fulfilled_with_witness(system, moved, {}, seed) == expected
+            for system in both_systems(DESARGUES_GRAPH):
+                assert fulfilled_with_witness(system, moved, {}, seed) == expected
 
 
 def test_projective_invariance_with_witness_lines():
-    system = generate_system(WHEEL5_GRAPH)
     fw, w = wheel_positive(77)
     quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
     witness = quant.interior_labels
     point_map, line_map = random_projective_map(8)
     moved = transform_framework(fw, point_map)
     moved_witness = {slot: line_map(l) for slot, l in witness.items()}
-    assert fulfilled_with_witness(system, moved, moved_witness, 5)
+    for system in both_systems(WHEEL5_GRAPH):
+        assert fulfilled_with_witness(system, moved, moved_witness, 5)
 
 
 def test_witness_must_cover_slots():
@@ -437,9 +455,13 @@ def test_generic_node_avoid_sets_recorded():
 
 
 def test_system_json_shape():
-    payload = system_to_json(generate_system(WHEEL5_GRAPH))
+    payload = system_to_json(all_cycles_system(WHEEL5_GRAPH))
     assert payload["xi"]["slots"] == [["p1", 1]]
     assert len(payload["conditions"]) == 9
+    assert system_to_json(generate_system(WHEEL5_GRAPH)) == {
+        "xi": payload["xi"],
+        "conditions": [c for c in payload["conditions"]
+                       if tuple(c["cycle"]) in consistency_cycles(WHEEL5_GRAPH)]}
     first = payload["conditions"][0]
     assert set(first) == {"cycle", "ast", "sexpr"}
     assert first["ast"]["id"] == 0
@@ -702,9 +724,22 @@ _GRAPHS = {
 }
 
 
-@functools.cache
-def _system(name, mode):
-    return generate_system(_GRAPHS[name], mode)
+def _system(name, cycles):
+    """The compiled system, or the reference system of every simple cycle."""
+    g = _GRAPHS[name]
+    return all_cycles_system(g) if cycles == "all" else generate_system(g)
+
+
+@pytest.mark.parametrize("name", sorted(_GRAPHS))
+def test_compiled_system_is_the_reference_on_the_fundamental_cycles(name):
+    g = _GRAPHS[name]
+    fundamental = set(consistency_cycles(g))
+    reference = all_cycles_system(g)
+    system = generate_system(g)
+    assert system.slots == reference.slots
+    assert system.conditions == tuple(c for c in reference.conditions
+                                      if c.cycle in fundamental)
+    assert [c.cycle for c in system.conditions] == consistency_cycles(g)
 
 
 def _outcome(f, *args):
@@ -715,10 +750,11 @@ def _outcome(f, *args):
 
 
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(sorted(_GRAPHS)), mode=st.sampled_from(("all", "generators")),
+@given(name=st.sampled_from(sorted(_GRAPHS)),
+       cycles=st.sampled_from(("all", "fundamental")),
        seed=st.integers(0, 10**6), bound=st.sampled_from((3, 60)))
-def test_expr_matches_per_class_reference(name, mode, seed, bound):
-    system = _system(name, mode)
+def test_expr_matches_per_class_reference(name, cycles, seed, bound):
+    system = _system(name, cycles)
     fw = random_placement(_GRAPHS[name], seed, bound=bound)
     slots = {(v, i): pick_generic_line_through(fw.placement[v], [], seed + i)
              for v, i in system.slots}

@@ -175,7 +175,7 @@ def reference_is_connected(adjacency) -> bool:
 
 
 def reference_bfs_tree(g):
-    """The spanning tree walk `quantization.fundamental_cycles` and
+    """The spanning tree walk `quantization.consistency_cycles` and
     `construct_forceload` had of their own, kept verbatim as a reference."""
     root = min(g.vertices)
     parent = {root: None}

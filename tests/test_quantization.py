@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from all_cycles import all_cycles_system, simple_cycles
 from tensec.errors import (GenericityError, GeometryError,
                            InconsistentQuantizationError, InputError,
                            PreconditionError)
@@ -21,8 +22,8 @@ from tensec.projective import (Force, ProjLine, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import (Quantization, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
-                                 fundamental_cycles, is_consistent,
-                                 is_consistent_at, quantization_from_stress)
+                                 is_consistent, is_consistent_at,
+                                 quantization_from_stress)
 from tensec.resolution import _decompose, leaf_forces
 from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
                              random_placement)
@@ -99,15 +100,17 @@ def test_framed_cycle_must_omit_a_vertex():
 def test_consistency_on_fixtures():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
     assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed=5)
-    assert is_consistent(q_pos, seed=5)
     q_neg = Quantization(DESARGUES_NEG, {})
     assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed=5)
-    assert not is_consistent(q_neg, seed=5)
-
     q_ppos, _ = stressed_quantization(PASCAL_POS)
-    assert is_consistent(q_ppos, seed=5)
     q_pneg = Quantization(PASCAL_NEG, {})
-    assert not is_consistent(q_pneg, seed=5)
+    # on the fundamental cycles and on every simple cycle
+    for cycles in (None, simple_cycles(DESARGUES_POS.graph)):
+        assert is_consistent(q_pos, seed=5, cycles=cycles)
+        assert not is_consistent(q_neg, seed=5, cycles=cycles)
+    for cycles in (None, simple_cycles(PASCAL_POS.graph)):
+        assert is_consistent(q_ppos, seed=5, cycles=cycles)
+        assert not is_consistent(q_pneg, seed=5, cycles=cycles)
 
 
 def test_consistency_verdict_independent_of_seed():
@@ -125,13 +128,13 @@ def test_generators_mode_agrees_with_full_mode_on_fixtures():
             q, _ = stressed_quantization(fw)
         else:
             q = Quantization(fw, {})
-        assert is_consistent(q, 2, mode="all") == positive
-        assert is_consistent(q, 2, mode="generators") == positive
+        assert is_consistent(q, 2, cycles=simple_cycles(fw.graph)) == positive
+        assert is_consistent(q, 2) == positive
 
 
 def test_fundamental_cycles_generate_and_stay_short():
     for g in (DESARGUES_GRAPH, WHEEL5_GRAPH):
-        cycles = fundamental_cycles(g)
+        cycles = consistency_cycles(g)
         n = len(g.vertices)
         e = len(g.edges)
         assert len(cycles) >= e - n + 1
@@ -156,6 +159,7 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
         fl = forceload_from_stress(fw, w)
         q = quantization_from_stress(fw, fl)
         assert is_consistent(q, 4)
+        assert is_consistent(q, 4, cycles=simple_cycles(fw.graph))
         ind = construct_forceload(q)
         assert is_equilibrium(fw, ind)
         got = stress_of_forceload(fw, ind)
@@ -171,10 +175,10 @@ def test_construct_forceload_detects_inconsistency():
 
 
 def test_consistency_cycle_set_modes():
-    cycles_all = consistency_cycles(DESARGUES_POS.graph, "all")
+    cycles_all = simple_cycles(DESARGUES_POS.graph)
     assert all(len(c) <= 5 for c in cycles_all)
     assert len(cycles_all) == 11
-    gens = consistency_cycles(DESARGUES_POS.graph, "generators")
+    gens = consistency_cycles(DESARGUES_POS.graph)
     assert set(gens) <= set(cycles_all)
 
 
@@ -564,9 +568,9 @@ def holonomy_cases(draw):
 
 
 @functools.cache
-def compiled(g, mode):
-    """`generate_system`, once per graph and mode across examples."""
-    return generate_system(g, mode)
+def compiled(g):
+    """`generate_system`, once per graph across examples."""
+    return generate_system(g)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -578,18 +582,18 @@ def test_consistency_is_trivial_holonomy(case, seed):
     q = Quantization(fw, labels)
     g = fw.graph
     try:
-        per_cycle = {c: is_consistent_at(q, c, seed)
-                     for c in consistency_cycles(g, "all")}
+        per_cycle = {c: is_consistent_at(q, c, seed) for c in simple_cycles(g)}
     except (GenericityError, PreconditionError):
         assume(False)  # a framed cycle outside general position
     for c, consistent in per_cycle.items():
         assert consistent == (holonomy(q, c) == 1), c
-    generators = is_consistent(q, seed, mode="generators")
+    generators = is_consistent(q, seed)
     assert all(per_cycle.values()) == generators
-    assert is_consistent(q, seed, mode="all") == generators
+    assert is_consistent(q, seed, cycles=simple_cycles(g)) == generators
     assert (_outcome(lambda: construct_forceload(q))[1] is None) == generators
-    fulfilled = {mode: fulfilled_with_witness(compiled(g, mode), fw, labels, seed)
-                 for mode in ("all", "generators")}
+    fulfilled = {cycles: fulfilled_with_witness(system, fw, labels, seed)
+                 for cycles, system in (("all", all_cycles_system(g)),
+                                        ("generators", compiled(g)))}
     assert fulfilled["all"] == fulfilled["generators"] == generators
 
 
@@ -603,6 +607,6 @@ def test_holonomy_inputs_separate_the_cycle_modes():
         assert framework_in_general_position(fw)
         q = Quantization(fw, labels)
         verdicts = {c: is_consistent_at(q, c, 0)
-                    for c in consistency_cycles(fw.graph, "generators")}
+                    for c in consistency_cycles(fw.graph)}
         assert set(verdicts.values()) == {True, False}
     assert verdicts[("r0", "r1", "r2", "r3")]

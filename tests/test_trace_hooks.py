@@ -44,34 +44,26 @@ def test_trace_hooks_install_and_restore():
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-#: Calls the tracer sees in one `check --cycles all` of the golden 6-spoke
-#: wheel.  A function called through a table or a local alias in place of
-#: its module global escapes the wrappers, and its count here drops.
+#: Calls the tracer sees in one `check` of the golden 6-spoke wheel: one
+#: consistency cycle per dimension of the wheel's cycle space (12 edges - 7
+#: vertices + 1 = 6), three corners each, and the default trees built once
+#: for the condition system and once for the quantization.  A function
+#: called through a table or a local alias in place of its module global
+#: escapes the wrappers, and its count here drops.
 CHECK_WHEEL6_CALLS = {
     "projective.nonvanishing_proper_subsets": 8,
     "projective.partial_sum_lines_distinct": 8,
     "framework.is_non_parallelizable": 1,
     "resolution.is_strongly_generic": 1,
-    "resolution.associated_framing": 33,
-    "quantization.default_trees": 3,
-    "quantization.is_consistent_at": 25,
-    "cycles.monodromy": 25,
-    "cycles.pick_aux_line": 25,
-}
-
-
-#: The same in the default `--cycles generators`: one consistency cycle per
-#: dimension of the wheel's cycle space (12 edges - 7 vertices + 1 = 6),
-#: and three corners each.
-CHECK_WHEEL6_GENERATORS_CALLS = dict(CHECK_WHEEL6_CALLS, **{
     "resolution.associated_framing": 18,
+    "quantization.default_trees": 2,
     "quantization.is_consistent_at": 6,
     "cycles.monodromy": 6,
     "cycles.pick_aux_line": 6,
-})
+}
 
 
-def traced_check_wheel6(monkeypatch, capsys, *extra):
+def test_tracer_sees_every_call_of_a_default_check(monkeypatch, capsys):
     import tensec.cli
 
     tracing = load_tracing()
@@ -80,22 +72,12 @@ def traced_check_wheel6(monkeypatch, capsys, *extra):
     try:
         tracer.install()
         assert tensec.cli.main(["check", "wheel6_framework.json", "--seed", "6",
-                                "--format", "json", *extra]) == 0
+                                "--format", "json"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
+    calls = tracer.calls
     # not pinned: a change that needs fewer meets or joins stays welcome
-    assert tracer.calls["projective.meet"] > 0
-    assert tracer.calls["projective.join"] > 0
-    return tracer.calls
-
-
-def test_tracer_sees_every_call_of_a_check(monkeypatch, capsys):
-    calls = traced_check_wheel6(monkeypatch, capsys, "--cycles", "all")
+    assert calls["projective.meet"] > 0
+    assert calls["projective.join"] > 0
     assert {name: calls[name] for name in CHECK_WHEEL6_CALLS} == CHECK_WHEEL6_CALLS
-
-
-def test_tracer_sees_every_call_of_a_default_check(monkeypatch, capsys):
-    calls = traced_check_wheel6(monkeypatch, capsys)
-    assert ({name: calls[name] for name in CHECK_WHEEL6_GENERATORS_CALLS}
-            == CHECK_WHEEL6_GENERATORS_CALLS)

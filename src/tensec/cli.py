@@ -95,10 +95,11 @@ def cmd_check(args) -> int:
     with _phase(args, "quantization"):
         quant = None
         if stress is not None:
-            quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart))
+            quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart),
+                                             system.trees)
         else:
             if all(fw.graph.degree(v) == 3 for v in fw.graph.vertices):
-                quant = Quantization(fw, {})
+                quant = Quantization(fw, {}, system.trees)
         if quant is None:
             consistent = None
             report["quantization_note"] = "unknown (existential over the line slots)"
@@ -223,7 +224,7 @@ def cmd_verify(args) -> int:
                 mismatch = cond is not oracle
             elif oracle:
                 quant = quantization_from_stress(
-                    fw, forceload_from_stress(fw, oracle_stress))
+                    fw, forceload_from_stress(fw, oracle_stress), system.trees)
                 cond = fulfilled_with_witness(system, fw, quant.interior_labels,
                                               sample_seed)
                 mismatch = not cond

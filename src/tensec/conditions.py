@@ -224,10 +224,12 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConditionSystem:
-    """Conditions over the Xi slots (vertex, k) of `xi_slots`."""
+    """Conditions over the Xi slots (vertex, k) of `xi_slots` of `trees`,
+    the default vertex trees the system was compiled over."""
 
     slots: tuple
     conditions: tuple
+    trees: dict = field(default=None, repr=False, compare=False)
 
 
 def generate_system(g: Graph) -> ConditionSystem:
@@ -249,7 +251,7 @@ def generate_system(g: Graph) -> ConditionSystem:
         pts = [points[v] for v in cycle]
         conditions.append(Condition(tuple(cycle),
                                     cycle_condition_expression(pts, framings)))
-    return ConditionSystem(xi_slots(trees), tuple(conditions))
+    return ConditionSystem(xi_slots(trees), tuple(conditions), trees)
 
 
 # --------------------------------------------------------------------------

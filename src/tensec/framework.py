@@ -8,7 +8,12 @@ test over the edge-line arrangement, and the local H-to-Phi rewiring
 surgery.
 
 The oracle is the ground truth every other verdict in the package is
-cross-validated against.
+cross-validated against.  It runs on the placement's canonical integer
+triples p and their chart scales s = <p, V>, with no Fraction between the
+input coordinates and the verdict: the rigidity system is built with the
+column of edge uv scaled by s_u s_v, which makes every entry an integer,
+and the candidate stresses are tested on integer force-loads.  Only the
+stresses and force-loads handed back to callers are Fractions.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
-from .numeric import nullspace_basis
+from .numeric import clear_denominators, nullspace_basis, primitive
 from .projective import (
     TRUE,
     AffineChart,
@@ -28,11 +34,11 @@ from .projective import (
     ProjPoint,
     ZERO_FORCE,
     _cross,
+    _dot,
     affine_vector,
     join,
     meet,
     non_parallelizable_star,
-    pairwise_meets,
     random_line_avoiding,
 )
 
@@ -179,64 +185,77 @@ class ForceLoad:
 
 
 def vertex_force_sum(fw: Framework, fl: ForceLoad, v: str) -> Force:
-    total = ZERO_FORCE
-    for u in fw.graph.neighbors(v):
-        total = total + fl.force(v, u)
-    return total
+    """Sum of the forces at v, in the type of their entries."""
+    forces = [fl.force(v, u) for u in fw.graph.neighbors(v)]
+    return sum(forces[1:], forces[0]) if forces else ZERO_FORCE
 
 
 def is_equilibrium(fw: Framework, fl: ForceLoad) -> bool:
     return all(vertex_force_sum(fw, fl, v).is_zero() for v in fw.graph.vertices)
 
 
-def _chart_points(fw: Framework, chart: AffineChart) -> dict:
-    """Representative of every placed point scaled so <p, V> = 1."""
-    normalized = {}
+def _chart_scales(fw: Framework, chart: AffineChart) -> dict:
+    """s_v = <p_v, V> of every placed point's integer triple, in vertex
+    order; the chart representative of p_v is p_v / s_v."""
+    field = chart.field
+    scales = {}
     for v in fw.graph.vertices:
-        n = chart.normalize(fw.placement[v])
-        if n is None:
+        s = _dot(fw.placement[v].coords, field)
+        if not s:
             raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
-        normalized[v] = n
-    return normalized
+        scales[v] = s
+    return scales
 
 
 def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
     """Exact basis of the self-stress space of the framework in a chart.
 
-    Builds the 2n x |E| rigidity-type system (two chart coordinates per
-    vertex, one column per edge, entries p_i - p_j on chart representatives)
-    and returns its null space as Stress objects.  This is the brute-force
-    oracle the rest of the package is validated against.
+    The rigidity-type system has two chart coordinates per vertex and one
+    column per edge, with entries n_v - n_u on the chart representatives
+    n = p / s (s = <p, V>).  Scaling the column of edge uv by s_u s_v makes
+    every entry the integer p_v s_u - p_u s_v, so the system is built from
+    the integer triples alone.  A null vector x of the scaled system is the
+    stress w_e = s_u s_v x_e.  Column scaling keeps the pivot columns, and
+    each basis vector is fixed up to scale by its free column, so the
+    canonical (`primitive`) basis is the one of the unscaled system.
+    Returns Stress objects.  This is the brute-force oracle the rest of the
+    package is validated against.
     """
     chart = chart or AffineChart.standard()
-    normalized = _chart_points(fw, chart)
+    scale = _chart_scales(fw, chart)
     _drop, keep = chart.axes()
-    edges = fw.graph.edges
+    g = fw.graph
+    edges = g.edges
     col = {e: j for j, e in enumerate(edges)}
     rows = []
-    for v in fw.graph.vertices:
+    for v in g.vertices:
+        pv, sv = fw.placement[v].coords, scale[v]
         for c in keep:
-            row = [Fraction(0)] * len(edges)
-            for u in fw.graph.neighbors(v):
-                row[col[edge_key(u, v)]] = normalized[v][c] - normalized[u][c]
+            row = [0] * len(edges)
+            for u in g.neighbors(v):
+                row[col[edge_key(u, v)]] = pv[c] * scale[u] - fw.placement[u].coords[c] * sv
             rows.append(row)
-    basis = nullspace_basis(rows, len(edges))
-    return [Stress(dict(zip(edges, vec))) for vec in basis]
+    col_scale = [scale[u] * scale[v] for u, v in edges]
+    return [Stress(dict(zip(edges, map(Fraction, primitive(
+                [k * x.numerator for k, x in zip(col_scale, vec)])))))
+            for vec in nullspace_basis(rows, len(edges))]
 
 
 def forceload_from_stress(fw: Framework, w: Stress,
                           chart: AffineChart | None = None) -> ForceLoad:
-    """Force-load whose chart vectors are w_ij (p_i - p_j) on every edge."""
+    """Force-load whose chart vectors are w_ij (n_i - n_j) on every edge, n
+    the chart representatives."""
     chart = chart or AffineChart.standard()
     if set(w.weights) != set(fw.graph.edges):
         raise InputError("stress keys do not match framework edges")
-    normalized = _chart_points(fw, chart)
+    scale = _chart_scales(fw, chart)
+    p = fw.placement
     forces = {}
     for (u, v), weight in w.weights.items():
-        # dual = w * cross(n_v, n_u) gives iota_V F_{u,v} = w (n_u - n_v);
-        # the chart representatives must be used as-is, not recanonicalized.
-        dual = _cross(normalized[v], normalized[u])
-        f = Force(tuple(weight * d for d in dual))
+        # dual = w * cross(n_v, n_u) = w / (s_u s_v) * cross(p_v, p_u) gives
+        # iota_V F_{u,v} = w (n_u - n_v)
+        k = Fraction(weight) / (scale[u] * scale[v])
+        f = Force(tuple(k * d for d in _cross(p[v].coords, p[u].coords)))
         forces[(u, v)] = f
         forces[(v, u)] = -f
     return ForceLoad(forces)
@@ -244,18 +263,23 @@ def forceload_from_stress(fw: Framework, w: Stress,
 
 def stress_of_forceload(fw: Framework, fl: ForceLoad,
                         chart: AffineChart | None = None) -> Stress:
-    """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (p_i - p_j)."""
+    """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (n_i - n_j).
+
+    n_i - n_j = d / (s_i s_j) with the integer triple d = p_i s_j - p_j s_i,
+    so w = vec[c] s_i s_j / d[c] on the first nonzero coordinate c of d.
+    """
     chart = chart or AffineChart.standard()
-    normalized = _chart_points(fw, chart)
+    scale = _chart_scales(fw, chart)
+    p = fw.placement
     weights = {}
     for u, v in fw.graph.edges:
         vec = affine_vector(fl.force(u, v), chart)
-        diff = tuple(normalized[u][i] - normalized[v][i] for i in range(3))
+        su, sv = scale[u], scale[v]
+        diff = tuple(p[u].coords[i] * sv - p[v].coords[i] * su for i in range(3))
         c = next(i for i in range(3) if diff[i] != 0)
-        w = vec[c] / diff[c]
-        if any(vec[i] != w * diff[i] for i in range(3)):
+        if any(vec[i] * diff[c] != vec[c] * diff[i] for i in range(3)):
             raise GeometryError(f"force at edge ({u},{v}) is not along the edge")
-        weights[(u, v)] = w
+        weights[(u, v)] = vec[c] * (su * sv) / diff[c]
     return Stress(weights)
 
 
@@ -285,23 +309,41 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     scale-invariant).  For higher-dimensional spaces the generic element is
     probed with the basis vectors plus seeded random combinations, which can
     only under-report.
+
+    Each candidate w is tested on an integer force-load: M times
+    `forceload_from_stress(fw, w, chart)`, with duals
+    w_e (M / (s_u s_v)) cross(p_v, p_u) and M = lcm |s_u s_v| over the edges
+    (a basis with denominators is first cleared by one common positive
+    scale).  Equilibrium and `non_parallelizable_star` do not change under a
+    common positive scale.  Those integer forces never leave this function.
     """
     if not basis:
         return None
-    candidates = list(basis)
+    chart = chart or AffineChart.standard()
+    scale = _chart_scales(fw, chart)
+    p = fw.placement
+    edges = fw.graph.edges
+    flat = clear_denominators([w.weights[e] for w in basis for e in edges])
+    vectors = [flat[i:i + len(edges)] for i in range(0, len(flat), len(edges))]
+    candidates = [([int(i == j) for j in range(len(basis))], vec)
+                  for i, vec in enumerate(vectors)]
     if len(basis) > 1:
         rng = random.Random(seed)
         for _ in range(_PROBES):
-            coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
-            candidates.append(Stress({
-                e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)), Fraction(0))
-                for e in fw.graph.edges}))
-    for w in candidates:
-        if w.is_zero():
+            coeffs = [rng.randint(-9, 9) for _ in basis]
+            candidates.append((coeffs, [sum(a * x for a, x in zip(coeffs, column))
+                                        for column in zip(*vectors)]))
+    m = lcm(*(scale[u] * scale[v] for u, v in edges))
+    duals = [tuple(m // (scale[u] * scale[v]) * d
+                   for d in _cross(p[v].coords, p[u].coords)) for u, v in edges]
+    for coeffs, weights in candidates:
+        if not any(weights):
             continue
-        fl = forceload_from_stress(fw, w, chart)
+        fl = ForceLoad({e: Force.exact(tuple(k * d for d in dual))
+                        for e, k, dual in zip(edges, weights, duals)})
         if is_non_parallelizable(fw, fl):
-            return w
+            return Stress({e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)),
+                                  Fraction(0)) for e in edges})
     return None
 
 
@@ -390,12 +432,17 @@ def framework_in_general_position(fw: Framework) -> bool:
         cycles = enumerate_simple_cycles(g, n - 1)
     by_line = {}
     for e in g.edges:
-        by_line.setdefault(fw.edge_line(*e), []).append(e)
-    lines = list(by_line)
+        by_line.setdefault(fw.edge_line(*e).coeffs, []).append(e)
+    # the lines are pairwise distinct, so every cross product is a point
     by_point = {}
-    for pair, p in zip(combinations(lines, 2), pairwise_meets(lines)):
-        by_point.setdefault(p, set()).update(pair)
-    vertex_at = {p: v for v, p in fw.placement.items()}
+    for pair in combinations(by_line, 2):
+        p = primitive(_cross(*pair))
+        through = by_point.get(p)
+        if through is None:
+            by_point[p] = set(pair)
+        else:
+            through.update(pair)
+    vertex_at = {p.coords: v for v, p in fw.placement.items()}
     groups = [(set(edges), 2) for edges in by_line.values() if len(edges) >= 2]
     for p, through in by_point.items():
         if len(through) < 3:

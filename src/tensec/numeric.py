@@ -1,12 +1,15 @@
 """Exact rational scalars and the exact null space.
 
 Scalars are :class:`fractions.Fraction` (arbitrary precision, always in
-lowest terms with positive denominator).  ``nullspace_basis`` takes rational
-rows, clears each row's denominators and runs the fraction-free (Bareiss)
-integer elimination of ``tensec._kernel``, which is pure Python.
-``primitive`` is the normal form of a rational vector up to scale, shared by
-null-space bases and by projective points and lines; ``solve_in_span``
-solves the 3x2 systems of force decomposition.
+lowest terms with positive denominator) or plain ints.  ``nullspace_basis``
+takes rational rows, clears each row's denominators (an integer row is
+taken as it is) and runs the fraction-free (Bareiss) integer elimination of
+``tensec._kernel``, which is pure Python; its back-substitution stays in
+the integers too.  The oracle hands it integer rows only: the rigidity
+system of ``tensec.framework`` is built column-scaled from the integer
+point triples.  ``primitive`` is the normal form of a rational vector up to
+scale, shared by null-space bases and by projective points and lines;
+``solve_in_span`` solves the 3x2 systems of force decomposition.
 
 All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 """
@@ -48,10 +51,17 @@ def scalar_to_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+#: The one type a vector may hold to be taken as integers as it is.
+_INT = frozenset((int,))
+
+
 def clear_denominators(values):
     """The rationals (ints or Fractions) times the lcm of their
-    denominators, as a list of ints."""
-    den = lcm(*(x.denominator for x in values))
+    denominators, as a list of ints; an all-int sequence is returned as a
+    list, with no lcm."""
+    if _INT.issuperset(map(type, values)):
+        return list(values)
+    den = lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values]
 
 
@@ -65,14 +75,11 @@ def primitive(values):
     """
     ints = clear_denominators(values)
     g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    if next(filter(None, ints), 0) < 0:
+        g = -g
+    if g == 1 or not g:
+        return tuple(ints)
+    return tuple([v // g for v in ints])
 
 
 def solve_in_span(v, a, b, off_span: str, parallel: str):
@@ -99,24 +106,31 @@ def nullspace_basis(rows, ncols: int):
     """Exact basis of {x : rows x = 0} for rational `rows` of length `ncols`.
 
     Each row is cleared to integers on its own (row scaling keeps the null
-    space) and reduced by the fraction-free kernel.  Returns a list of
-    vectors of Fractions (canonically scaled to coprime integers), one per
-    free column of the echelon form; empty iff the kernel is trivial.  No
-    rows give the full standard basis.
+    space) and reduced by the fraction-free kernel.  Back-substitution is
+    fraction-free as well: x stays an integer vector, and before a pivot
+    entry is solved the whole of x is scaled by pivot / gcd(pivot, sum), so
+    the division is exact.  Returns a list of vectors of Fractions
+    (canonically scaled to coprime integers), one per free column of the
+    echelon form; empty iff the kernel is trivial.  No rows give the full
+    standard basis.
     """
     reduced, pivots = _kernel.echelon_int([clear_denominators(row) for row in rows],
                                           ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_set):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
+        x = [0] * ncols
+        x[fc] = 1
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if x[j]:
-                    s += Fraction(reduced[r][j]) * x[j]
-            x[pc] = -s / reduced[r][pc]
+            row = reduced[r]
+            s = sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j])
+            if s:
+                p = row[pc]
+                g = gcd(s, p)
+                k = p // g
+                if k != 1:
+                    x = [k * v for v in x]
+                x[pc] = -(s // g)
         basis.append(tuple(Fraction(v) for v in primitive(x)))
     return basis

@@ -181,6 +181,8 @@ class Force:
     """Force on the projective plane: Hodge dual of a decomposable 2-form.
 
     ``dual`` is a Fraction triple; forces add componentwise and keep scale.
+    Sums and negations keep the entries' type, so only `exact` on an
+    integer triple makes a force with int entries.
     """
 
     dual: tuple
@@ -191,14 +193,23 @@ class Force:
             raise InputError("force duals have exactly 3 entries")
         object.__setattr__(self, "dual", xs)
 
+    @classmethod
+    def exact(cls, dual: tuple) -> "Force":
+        """The force on a triple of exact scalars, taken as it is.  The
+        oracle tests integer force-loads this way; int entries divide into
+        floats, so such forces stay inside the function that made them."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "dual", dual)
+        return f
+
     def is_zero(self) -> bool:
         return not any(self.dual)
 
     def __add__(self, other: "Force") -> "Force":
-        return Force(tuple(a + b for a, b in zip(self.dual, other.dual)))
+        return Force.exact(tuple(a + b for a, b in zip(self.dual, other.dual)))
 
     def __neg__(self) -> "Force":
-        return Force(tuple(-a for a in self.dual))
+        return Force.exact(tuple(-a for a in self.dual))
 
     def __sub__(self, other: "Force") -> "Force":
         return self + (-other)

@@ -128,9 +128,12 @@ class Quantization:
         return line
 
 
-def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
+def quantization_from_stress(fw: Framework, fl: ForceLoad,
+                             trees: dict | None = None) -> Quantization:
     """Quantization associated to a non-parallelizable equilibrium load, such
-    as the load of a stress that `find_nonparallelizable_stress` accepted.
+    as the load of a stress that `find_nonparallelizable_stress` accepted,
+    on `trees` (by default `default_trees` of the graph; `check` passes the
+    trees its condition system was compiled over).
 
     Each interior tree edge is labeled by the line of force of the summed
     leaf forces on one of its sides; non-parallelizability makes every such
@@ -140,7 +143,8 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad) -> Quantization:
     """
     if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):
         raise GenericityError("force-load vanishes on an edge")
-    trees = default_trees(fw.graph)
+    if trees is None:
+        trees = default_trees(fw.graph)
     labels = {}
     for v, tree in trees.items():
         for idx, te in slot_edges(tree).items():

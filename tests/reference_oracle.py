@@ -1,0 +1,150 @@
+"""Reference oracle of the tests: the chart-Fraction null space and oracle
+that the integer ones replaced.
+
+`reference_nullspace_basis` is `numeric.nullspace_basis` with its Fraction
+back-substitution.  `reference_self_stress_basis`,
+`reference_forceload_from_stress`, `reference_stress_of_forceload` and
+`reference_find_nonparallelizable_stress` are the `tensec.framework`
+functions that convert every point to its chart representative p / <p, V>
+(`reference_chart_points`) before they build the rigidity system or a
+force-load.  All are kept verbatim apart from the names.  The library builds
+the same system column-scaled from the integer triples and tests candidates
+on integer force-loads; the tests require equal results from both.
+"""
+
+import random
+from fractions import Fraction
+
+from tensec import _kernel
+from tensec.errors import GeometryError, InputError, PointAtInfinityError
+from tensec.framework import (ForceLoad, Stress, _PROBES, edge_key,
+                              is_non_parallelizable)
+from tensec.numeric import clear_denominators, primitive
+from tensec.projective import AffineChart, Force, _cross, affine_vector
+
+
+def reference_nullspace_basis(rows, ncols: int):
+    """Exact basis of {x : rows x = 0} for rational `rows` of length `ncols`.
+
+    Each row is cleared to integers on its own (row scaling keeps the null
+    space) and reduced by the fraction-free kernel.  Returns a list of
+    vectors of Fractions (canonically scaled to coprime integers), one per
+    free column of the echelon form; empty iff the kernel is trivial.  No
+    rows give the full standard basis.
+    """
+    reduced, pivots = _kernel.echelon_int([clear_denominators(row) for row in rows],
+                                          ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        x = [Fraction(0)] * ncols
+        x[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = Fraction(0)
+            for j in range(pc + 1, ncols):
+                if x[j]:
+                    s += Fraction(reduced[r][j]) * x[j]
+            x[pc] = -s / reduced[r][pc]
+        basis.append(tuple(Fraction(v) for v in primitive(x)))
+    return basis
+
+
+def reference_chart_points(fw, chart: AffineChart) -> dict:
+    """Representative of every placed point scaled so <p, V> = 1."""
+    normalized = {}
+    for v in fw.graph.vertices:
+        n = chart.normalize(fw.placement[v])
+        if n is None:
+            raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
+        normalized[v] = n
+    return normalized
+
+
+def reference_self_stress_basis(fw, chart: AffineChart | None = None):
+    """Exact basis of the self-stress space of the framework in a chart.
+
+    Builds the 2n x |E| rigidity-type system (two chart coordinates per
+    vertex, one column per edge, entries p_i - p_j on chart representatives)
+    and returns its null space as Stress objects.  This is the brute-force
+    oracle the rest of the package is validated against.
+    """
+    chart = chart or AffineChart.standard()
+    normalized = reference_chart_points(fw, chart)
+    _drop, keep = chart.axes()
+    edges = fw.graph.edges
+    col = {e: j for j, e in enumerate(edges)}
+    rows = []
+    for v in fw.graph.vertices:
+        for c in keep:
+            row = [Fraction(0)] * len(edges)
+            for u in fw.graph.neighbors(v):
+                row[col[edge_key(u, v)]] = normalized[v][c] - normalized[u][c]
+            rows.append(row)
+    basis = reference_nullspace_basis(rows, len(edges))
+    return [Stress(dict(zip(edges, vec))) for vec in basis]
+
+
+def reference_forceload_from_stress(fw, w: Stress,
+                                    chart: AffineChart | None = None) -> ForceLoad:
+    """Force-load whose chart vectors are w_ij (p_i - p_j) on every edge."""
+    chart = chart or AffineChart.standard()
+    if set(w.weights) != set(fw.graph.edges):
+        raise InputError("stress keys do not match framework edges")
+    normalized = reference_chart_points(fw, chart)
+    forces = {}
+    for (u, v), weight in w.weights.items():
+        # dual = w * cross(n_v, n_u) gives iota_V F_{u,v} = w (n_u - n_v);
+        # the chart representatives must be used as-is, not recanonicalized.
+        dual = _cross(normalized[v], normalized[u])
+        f = Force(tuple(weight * d for d in dual))
+        forces[(u, v)] = f
+        forces[(v, u)] = -f
+    return ForceLoad(forces)
+
+
+def reference_stress_of_forceload(fw, fl: ForceLoad,
+                                  chart: AffineChart | None = None) -> Stress:
+    """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (p_i - p_j)."""
+    chart = chart or AffineChart.standard()
+    normalized = reference_chart_points(fw, chart)
+    weights = {}
+    for u, v in fw.graph.edges:
+        vec = affine_vector(fl.force(u, v), chart)
+        diff = tuple(normalized[u][i] - normalized[v][i] for i in range(3))
+        c = next(i for i in range(3) if diff[i] != 0)
+        w = vec[c] / diff[c]
+        if any(vec[i] != w * diff[i] for i in range(3)):
+            raise GeometryError(f"force at edge ({u},{v}) is not along the edge")
+        weights[(u, v)] = w
+    return Stress(weights)
+
+
+def reference_find_nonparallelizable_stress(fw, basis,
+                                            chart: AffineChart | None = None,
+                                            seed: int = 0):
+    """A self-stress whose load is non-parallelizable, or None.
+
+    Searches `basis`, the self-stress basis `self_stress_basis(fw, chart)`.
+    Exact for stress spaces of dimension <= 1 (non-parallelizability is
+    scale-invariant).  For higher-dimensional spaces the generic element is
+    probed with the basis vectors plus seeded random combinations, which can
+    only under-report.
+    """
+    if not basis:
+        return None
+    candidates = list(basis)
+    if len(basis) > 1:
+        rng = random.Random(seed)
+        for _ in range(_PROBES):
+            coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+            candidates.append(Stress({
+                e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)), Fraction(0))
+                for e in fw.graph.edges}))
+    for w in candidates:
+        if w.is_zero():
+            continue
+        fl = reference_forceload_from_stress(fw, w, chart)
+        if is_non_parallelizable(fw, fl):
+            return w
+    return None

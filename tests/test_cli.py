@@ -14,6 +14,7 @@ from tensec.cli import main
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import framework_to_json
+from tensec.projective import ProjPoint, _dot
 from tensec.quantization import consistency_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -532,6 +533,25 @@ def test_check_golden_wheel6_generators(monkeypatch, capsys):
     compiled = json.loads(capsys.readouterr().out)["conditions"]
     assert report["conditions"] == [{"cycle": c["cycle"], "sexpr": c["sexpr"]}
                                     for c in compiled]
+
+
+@pytest.mark.parametrize("name, seed, dim", [("wheel6", "6", 1), ("k5", "5", 3)])
+def test_check_golden_under_non_standard_chart(name, seed, dim, monkeypatch, capsys):
+    # the chart's <p, V> takes both signs on both placements, so the
+    # column-scaled integer oracle meets negative scales; the goldens were
+    # written by the chart-Fraction oracle
+    monkeypatch.chdir(GOLDEN)
+    framework = f"{name}_framework.json"
+    assert main(["check", framework, "--seed", seed, "--chart=-3,7,101",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}_check_chart.json").read_text()
+    report = json.loads(out)
+    assert report["stress_dim"] == dim
+    assert report["verdict"] == "YES"
+    signs = {_dot(ProjPoint.from_strings(v["coords"]).coords, (-3, 7, 101)) > 0
+             for v in json.loads((GOLDEN / framework).read_text())["vertices"]}
+    assert signs == {True, False}
 
 
 def test_check_walks_each_framing_once(monkeypatch, capsys):

@@ -1,17 +1,27 @@
+import contextlib
 import json
 import random
 from fractions import Fraction
+from itertools import count
 from types import SimpleNamespace
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_oracle
+import tensec.framework as framework
+from reference_oracle import (reference_find_nonparallelizable_stress,
+                              reference_forceload_from_stress,
+                              reference_self_stress_basis,
+                              reference_stress_of_forceload)
+
 from tensec.errors import (GeometryError, InputError, PointAtInfinityError,
                            PreconditionError)
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (Framework, Graph, bfs_parents, chart_avoiding,
+from tensec.framework import (ForceLoad, Framework, Graph, Stress, bfs_parents,
+                              chart_avoiding,
                               enumerate_simple_cycles,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
@@ -20,7 +30,8 @@ from tensec.framework import (Framework, Graph, bfs_parents, chart_avoiding,
                               is_connected, is_non_parallelizable, root_path,
                               self_stress_basis, stress_of_forceload,
                               vertex_force_sum)
-from tensec.projective import ProjPoint, lines_in_general_position
+from tensec.projective import (AffineChart, ProjLine, ProjPoint, _dot,
+                               lines_in_general_position)
 from tensec.sampling import (desargues_concurrent_placement,
                              pascal_conic_placement, random_placement)
 
@@ -558,3 +569,122 @@ def test_exists_nonparallelizable_stress_verdicts():
     w = find_nonparallelizable_stress(PASCAL_POS, self_stress_basis(PASCAL_POS))
     assert w is not None
     assert is_non_parallelizable(PASCAL_POS, forceload_from_stress(PASCAL_POS, w))
+
+
+# ---------------------------------------------------------------------------
+# The integer oracle against the chart-Fraction reference oracle
+# (`reference_oracle.py`).  The library scales the rigidity column of edge
+# uv by s_u s_v, s = <p, V>, maps null vectors back by the same scales, and
+# tests each candidate stress on a positive multiple of its force-load.  A
+# wrong scale or a lost sign changes the stresses, the loads or the accepted
+# candidate, so every property here runs under the standard chart and under
+# charts whose <p, V> takes both signs on the placement.
+
+
+def mixed_sign_chart(fw, seed):
+    """The first `chart_avoiding` chart from `seed` on under which <p, V>
+    takes both signs on the placed points."""
+    points = list(fw.placement.values())
+    for s in count(seed):
+        chart = chart_avoiding(points, s)
+        if len({_dot(p.coords, chart.field) > 0 for p in points}) == 2:
+            return chart
+
+
+@contextlib.contextmanager
+def counted_candidates():
+    """Count the candidates both oracles test: their calls of
+    `is_non_parallelizable`."""
+    calls = []
+    original = framework.is_non_parallelizable
+
+    def counted(fw, fl):
+        calls.append(fl)
+        return original(fw, fl)
+
+    framework.is_non_parallelizable = counted
+    reference_oracle.is_non_parallelizable = counted
+    try:
+        yield calls
+    finally:
+        framework.is_non_parallelizable = original
+        reference_oracle.is_non_parallelizable = original
+
+
+def _is_fraction_load(fl):
+    return all(type(x) is Fraction for f in fl.forces.values() for x in f.dual)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(graph=st.integers(0, len(POSITION_GRAPHS) - 1), bound=st.sampled_from((2, 3, 60)),
+       placement=st.integers(0, 10**6), mixed=st.booleans(), seed=st.integers(0, 10**6))
+def test_integer_oracle_matches_chart_fraction_reference(graph, bound, placement,
+                                                         mixed, seed):
+    # coordinates up to 2 or 3 often give the cubic graphs a stress, and
+    # make stresses fail the search
+    fw = random_placement(POSITION_GRAPHS[graph], placement, bound)
+    chart = mixed_sign_chart(fw, seed) if mixed else AffineChart.standard()
+    basis = self_stress_basis(fw, chart)
+    assert basis == reference_self_stress_basis(fw, chart)
+    assert all(type(x) is Fraction for w in basis for x in w.weights.values())
+    for w in basis:
+        fl = forceload_from_stress(fw, w, chart)
+        assert fl.forces == reference_forceload_from_stress(fw, w, chart).forces
+        assert _is_fraction_load(fl)
+        assert (stress_of_forceload(fw, fl, chart)
+                == reference_stress_of_forceload(fw, fl, chart) == w)
+    with counted_candidates() as tried:
+        got = find_nonparallelizable_stress(fw, basis, chart, seed)
+    with counted_candidates() as tried_reference:
+        want = reference_find_nonparallelizable_stress(fw, basis, chart, seed)
+    assert got == want
+    assert len(tried) == len(tried_reference)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got.weights.values())
+
+
+@pytest.mark.parametrize("graph, bound", [(6, 3), (7, 60)])
+def test_seeded_probes_agree_with_reference(graph, bound):
+    # K5 (dimension 3) and K6 (dimension 6): the seeded combinations, not
+    # only the basis vectors, must be the reference's, tested in its order
+    probed = False
+    for placement in range(4):
+        fw = random_placement(POSITION_GRAPHS[graph], placement, bound)
+        for chart in (AffineChart.standard(), mixed_sign_chart(fw, placement)):
+            basis = self_stress_basis(fw, chart)
+            for seed in range(3):
+                with counted_candidates() as tried:
+                    got = find_nonparallelizable_stress(fw, basis, chart, seed)
+                with counted_candidates() as tried_reference:
+                    want = reference_find_nonparallelizable_stress(fw, basis, chart,
+                                                                   seed)
+                assert got == want
+                assert len(tried) == len(tried_reference)
+                probed |= len(tried) > len(basis)
+    assert probed
+
+
+def test_point_at_infinity_keeps_its_message_and_vertex_order():
+    g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    fw = Framework(g, {"a": ProjPoint((3, 0, 1)), "b": ProjPoint((1, 0, 0)),
+                       "c": ProjPoint((0, 1, 0))})
+    chart = AffineChart.standard()
+    # b and c are both at infinity; the first in vertex order is named
+    for oracle in (self_stress_basis, reference_self_stress_basis,
+                   find_nonparallelizable_stress_of_basis):
+        with pytest.raises(PointAtInfinityError,
+                           match=r"^vertex 'b' lies on the infinity line$"):
+            oracle(fw, chart)
+    # only c lies on the line x = 0
+    for oracle in (self_stress_basis, stress_of_forceload_of_zero_load):
+        with pytest.raises(PointAtInfinityError, match=r"^vertex 'c' lies"):
+            oracle(fw, AffineChart(ProjLine((1, 0, 0))))
+
+
+def find_nonparallelizable_stress_of_basis(fw, chart):
+    w = Stress({e: Fraction(1) for e in fw.graph.edges})
+    return find_nonparallelizable_stress(fw, [w], chart)
+
+
+def stress_of_forceload_of_zero_load(fw, chart):
+    return stress_of_forceload(fw, ForceLoad({}), chart)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_oracle import reference_nullspace_basis
 from tensec.errors import GeometryError, InputError
 from tensec.numeric import (nullspace_basis, primitive, scalar_from_string,
                             scalar_to_string)
@@ -192,3 +193,34 @@ def test_nullspace_basis_returns_normalized_fraction_tuples(m):
         assert type(vec) is tuple
         assert all(type(x) is Fraction for x in vec)
         assert vec == _normalize_vector(vec)
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """(rows, ncols, deficit): the product of a random nrows x k and a random
+    k x ncols rational matrix, k = ncols - deficit, deficit 0-3, so the
+    kernel has dimension at least `deficit`."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    deficit = draw(st.integers(min_value=0, max_value=min(3, ncols)))
+    k = ncols - deficit
+    nrows = draw(st.integers(min_value=k, max_value=k + 2))
+    left = draw(st.lists(st.lists(fractions, min_size=k, max_size=k),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(fractions, min_size=ncols, max_size=ncols),
+                          min_size=k, max_size=k))
+    rows = [[sum((a * right[i][j] for i, a in enumerate(row)), Fraction(0))
+             for j in range(ncols)] for row in left]
+    return rows, ncols, deficit
+
+
+@given(rank_deficient_matrices())
+@settings(max_examples=150, deadline=None)
+def test_fraction_free_back_substitution_matches_reference(m):
+    rows, ncols, deficit = m
+    basis = nullspace_basis(rows, ncols)
+    assert basis == reference_nullspace_basis(rows, ncols)
+    assert len(basis) >= deficit
+    # integer rows take the integer path of clear_denominators
+    ints = [[x.numerator * (lcm(*(y.denominator for y in row)) // x.denominator)
+             for x in row] for row in rows]
+    assert nullspace_basis(ints, ncols) == basis

@@ -46,8 +46,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: Calls the tracer sees in one `check` of the golden 6-spoke wheel: one
 #: consistency cycle per dimension of the wheel's cycle space (12 edges - 7
-#: vertices + 1 = 6), three corners each, and the default trees built once
-#: for the condition system and once for the quantization.  A function
+#: vertices + 1 = 6), three corners each, and the default trees built once,
+#: for the condition system, whose trees the quantization reuses.  A function
 #: called through a table or a local alias in place of its module global
 #: escapes the wrappers, and its count here drops.
 CHECK_WHEEL6_CALLS = {
@@ -56,7 +56,7 @@ CHECK_WHEEL6_CALLS = {
     "framework.is_non_parallelizable": 1,
     "resolution.is_strongly_generic": 1,
     "resolution.associated_framing": 18,
-    "quantization.default_trees": 2,
+    "quantization.default_trees": 1,
     "quantization.is_consistent_at": 6,
     "cycles.monodromy": 6,
     "cycles.pick_aux_line": 6,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -63,6 +64,18 @@ def _phase(args, name: str):
 # ---------------------------------------------------------------------------
 # check
 
+def _slot_witness(system, fw, stress, chart=None):
+    """Lines on the Xi slots that the quantization and the conditions are
+    evaluated under: none needed without slots, the quantization of an
+    oracle stress when there is one, and None (unknown) otherwise."""
+    if not system.slots:
+        return {}
+    if stress is None:
+        return None
+    return quantization_from_stress(fw, forceload_from_stress(fw, stress, chart),
+                                    system.trees).interior_labels
+
+
 def cmd_check(args) -> int:
     fw = framework_from_json(read_json(args.framework))
     fw.graph.require_min_degree(3)
@@ -92,39 +105,22 @@ def cmd_check(args) -> int:
     oracle = stress is not None
     report["oracle_nonparallelizable"] = oracle
 
+    consistent = fulfilled = None
     with _phase(args, "quantization"):
-        quant = None
-        if stress is not None:
-            quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart),
-                                             system.trees)
-        else:
-            if all(fw.graph.degree(v) == 3 for v in fw.graph.vertices):
-                quant = Quantization(fw, {}, system.trees)
-        if quant is None:
-            consistent = None
-            report["quantization_note"] = "unknown (existential over the line slots)"
+        witness = _slot_witness(system, fw, stress, chart)
+        if witness is None:
+            report["quantization_note"] = report["conditions_note"] = \
+                "unknown (existential over the line slots)"
         else:
             try:
-                consistent = is_consistent(quant, args.seed, cycles=cycles)
+                consistent = is_consistent(Quantization(fw, witness, system.trees),
+                                           args.seed, cycles=cycles)
             except PreconditionError as exc:
-                consistent = None
                 report["quantization_note"] = str(exc)
     report["quantization_consistent"] = consistent
 
     with _phase(args, "conditions"):
-        if not system.slots:
-            witness = {}
-            witness_kind = "empty"
-        elif quant is not None and stress is not None:
-            witness = quant.interior_labels
-            witness_kind = "derived"
-        else:
-            witness = None
-            witness_kind = None
-        if witness is None:
-            fulfilled = None
-            report["conditions_note"] = "unknown (existential over the line slots)"
-        else:
+        if witness is not None:
             fulfilled = fulfilled_with_witness(system, fw, witness, args.seed)
     report["conditions_count"] = len(system.conditions)
     if args.format == "json":
@@ -133,6 +129,7 @@ def cmd_check(args) -> int:
             for c in system.conditions
         ]
     report["conditions_fulfilled"] = fulfilled
+    witness_kind = None if witness is None else ("derived" if witness else "empty")
     report["witness"] = witness_kind
     report["verdict"] = "YES" if oracle else "NO"
     verdicts = [v for v in (oracle, consistent, fulfilled) if v is not None]
@@ -207,7 +204,6 @@ def cmd_verify(args) -> int:
     g.require_min_degree(3)
     with _phase(args, "compile"):
         system = generate_system(g)
-    xi_dim = len(system.slots)
     constrained = _constrained_generator(g)
     samples = []
     mismatches = []
@@ -219,32 +215,25 @@ def cmd_verify(args) -> int:
             oracle_stress = find_nonparallelizable_stress(
                 fw, self_stress_basis(fw), seed=sample_seed)
             oracle = oracle_stress is not None
-            if xi_dim == 0:
-                cond = fulfilled_with_witness(system, fw, {}, sample_seed)
-                mismatch = cond is not oracle
-            elif oracle:
-                quant = quantization_from_stress(
-                    fw, forceload_from_stress(fw, oracle_stress), system.trees)
-                cond = fulfilled_with_witness(system, fw, quant.interior_labels,
-                                              sample_seed)
-                mismatch = not cond
-            else:
+            witness = _slot_witness(system, fw, oracle_stress)
+            if witness is None:
                 cond = None
                 unknown += 1
-                mismatch = False
+            else:
+                cond = fulfilled_with_witness(system, fw, witness, sample_seed)
             positives += 1 if oracle else 0
             negatives += 0 if oracle else 1
             entry = {"index": i, "seed": sample_seed, "oracle": oracle,
                      "conditions": cond}
             samples.append(entry)
-            if mismatch:
+            if cond is not None and cond is not oracle:
                 mismatches.append(entry)
     report = {
         "command": "verify",
         "input": args.graph,
         "seed": args.seed,
         "samples": args.samples,
-        "xi_dimension": xi_dim,
+        "xi_dimension": len(system.slots),
         "oracle_positive": positives,
         "oracle_negative": negatives,
         "skipped_unknown": unknown,
@@ -254,7 +243,7 @@ def cmd_verify(args) -> int:
     }
     lines = [
         f"samples: {args.samples}",
-        f"xi dimension: {xi_dim}",
+        f"xi dimension: {len(system.slots)}",
         f"oracle positive: {positives}",
         f"oracle negative: {negatives}",
         f"condition verdict unknown (existential): {unknown}",
@@ -289,7 +278,11 @@ def cmd_render(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def build_parser(env_seed: str) -> argparse.ArgumentParser:
+    """The argument parser, with `env_seed` (the TENSEC_SEED value) as the
+    default of --seed.  Parsing leaves it unchanged, so `main` reuses it
+    while the value stays the same."""
     parser = argparse.ArgumentParser(
         prog="tensec",
         description="decide, compile, verify and draw planar tensegrity "
@@ -300,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         # argparse converts a string default with `type` only when the
         # option is read, so a bad TENSEC_SEED is a usage error of the
         # subcommands that take --seed and ignored by the others
-        "seed": (("--seed",), {"type": int,
-                               "default": os.environ.get("TENSEC_SEED", "0")}),
+        "seed": (("--seed",), {"type": int, "default": env_seed}),
         "samples": (("--samples",), {"type": int, "default": 200}),
         "format": (("--format",), {"choices": ("text", "json"), "default": "text"}),
         "chart": (("--chart",), {"default": "0,0,1",
@@ -330,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser(os.environ.get("TENSEC_SEED", "0")).parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

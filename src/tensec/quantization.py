@@ -79,13 +79,10 @@ class Quantization:
     always labeled by their edge lines.  The labels are the slot assignment
     the conditions are evaluated under.
 
-    Each vertex scheme is built once, and each associated framing is
-    memoized, keyed by (vertex, unordered edge pair): the framing is
-    symmetric in the pair.  A scheme computes its canonical force-load and
-    its strong-genericity verdict once, so all framings at one vertex share
-    them.  The memo lives and dies with the instance; nothing is cached at
-    module level.  `trees` defaults to `default_trees` of the graph; a
-    caller that has just built them passes them in.
+    Each vertex scheme is built once.  A scheme computes its canonical
+    force-load and its strong-genericity verdict once, so all framings at
+    one vertex share them.  `trees` defaults to `default_trees` of the
+    graph; a caller that has just built them passes them in.
     """
 
     framework: Framework
@@ -93,8 +90,6 @@ class Quantization:
     trees: dict = field(default=None, repr=False, compare=False)
     _schemes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _framings: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     def __post_init__(self):
         fw = self.framework
@@ -120,12 +115,7 @@ class Quantization:
 
     def framing(self, v: str, edge_a, edge_b) -> ProjLine:
         """Associated framing of two incident edges at vertex v."""
-        key = (v, frozenset((edge_a, edge_b)))
-        line = self._framings.get(key)
-        if line is None:
-            line = self._framings[key] = associated_framing(self.scheme_at(v),
-                                                            edge_a, edge_b)
-        return line
+        return associated_framing(self.scheme_at(v), edge_a, edge_b)
 
 
 def quantization_from_stress(fw: Framework, fl: ForceLoad,

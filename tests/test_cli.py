@@ -444,6 +444,7 @@ def test_check_verdict_sources_agree_on_all_fixtures(files, tmp_path, capsys):
         assert payload["verdict_sources_agree"] is True
         assert payload["quantization_consistent"] is (verdict == "YES")
         assert payload["conditions_fulfilled"] is (verdict == "YES")
+        assert payload["witness"] == "empty"
 
 
 def test_cycles_option_is_a_usage_error(files, capsys):
@@ -554,10 +555,57 @@ def test_check_golden_under_non_standard_chart(name, seed, dim, monkeypatch, cap
     assert signs == {True, False}
 
 
+def test_check_golden_unknown_witness(monkeypatch, capsys):
+    # cube plus a chord: two vertices of degree 4, so two line slots, and
+    # no self-stress; with no oracle stress to derive them from, the slot
+    # lines are unknown and neither the quantization nor the conditions
+    # decide
+    monkeypatch.chdir(GOLDEN)
+    assert main(["check", "cube_chord_framework.json", "--seed", "8",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / "cube_chord_check.json").read_text()
+    report = json.loads(out)
+    assert report["oracle_nonparallelizable"] is False
+    assert report["quantization_consistent"] is None
+    assert report["conditions_fulfilled"] is None
+    assert report["witness"] is None
+    assert report["verdict_sources_agree"] is True
+    unknown = "unknown (existential over the line slots)"
+    assert report["quantization_note"] == report["conditions_note"] == unknown
+
+
+def test_verify_counts_unknown_samples(files, tmp_path, capsys):
+    # a sample without an oracle stress has no slot witness: its condition
+    # verdict is unknown, counted as skipped and never as a mismatch
+    vertices = [f"{ring}{i}" for ring in "uw" for i in range(4)]
+    edges = [[f"u{i}", f"u{(i + 1) % 4}"] for i in range(4)]
+    edges += [[f"w{i}", f"w{(i + 1) % 4}"] for i in range(4)]
+    edges += [[f"u{i}", f"w{i}"] for i in range(4)] + [["u0", "w2"]]
+    graph = tmp_path / "cube_chord.json"
+    graph.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    assert main(["verify", str(graph), "--samples", "6", "--seed", "3",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["xi_dimension"] == 2
+    assert payload["skipped_unknown"] == payload["oracle_negative"] == 6
+    assert payload["mismatch_count"] == 0
+    assert all(entry["conditions"] is None for entry in payload["results"])
+
+    assert main(["verify", files["wheel"], "--samples", "8", "--seed", "5",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["skipped_unknown"] == payload["oracle_negative"]
+    assert payload["mismatch_count"] == 0
+    # an oracle stress gives the witness, so such a sample is decided
+    assert all(e["conditions"] is not None for e in payload["results"] if e["oracle"])
+
+
 def test_check_walks_each_framing_once(monkeypatch, capsys):
-    """Framings are computed once per (vertex, unordered edge pair); the one
-    scheme that needs surgeries (the hub) propagates its force-load and
-    checks strong genericity once for all its framings."""
+    """Framings are computed once per corner of a consistency cycle, and no
+    two fundamental cycles of the wheel share a corner; the one scheme that
+    needs surgeries (the hub) propagates its force-load and checks strong
+    genericity once for all its framings."""
     import tensec.quantization as quantization
     import tensec.resolution as resolution
 

@@ -57,6 +57,7 @@ CHECK_WHEEL6_CALLS = {
     "resolution.is_strongly_generic": 1,
     "resolution.associated_framing": 18,
     "quantization.default_trees": 1,
+    "quantization.quantization_from_stress": 1,
     "quantization.is_consistent_at": 6,
     "cycles.monodromy": 6,
     "cycles.pick_aux_line": 6,
@@ -81,3 +82,27 @@ def test_tracer_sees_every_call_of_a_default_check(monkeypatch, capsys):
     assert calls["projective.meet"] > 0
     assert calls["projective.join"] > 0
     assert {name: calls[name] for name in CHECK_WHEEL6_CALLS} == CHECK_WHEEL6_CALLS
+
+
+def test_check_without_slots_derives_no_witness(tmp_path, monkeypatch, capsys):
+    """A graph without line slots is decided under the empty witness, so a
+    YES of the oracle builds no quantization from its stress."""
+    import json
+
+    import tensec.cli
+    from tensec.fixtures import DESARGUES_POS
+    from tensec.framework import framework_to_json
+
+    path = tmp_path / "dpos.json"
+    path.write_text(json.dumps(framework_to_json(DESARGUES_POS)))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert tensec.cli.main(["check", str(path), "--seed", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "tensegrity: YES" in capsys.readouterr().out
+    calls = tracer.calls
+    assert calls["quantization.quantization_from_stress"] == 0
+    assert calls["framework.forceload_from_stress"] == 0

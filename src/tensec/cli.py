@@ -24,10 +24,9 @@ from .conditions import (fulfilled_with_witness, generate_system, system_to_json
                          to_sexpr)
 from .errors import (InconsistentQuantizationError, InputError,
                      PreconditionError, TensecError)
-from .framework import (find_nonparallelizable_stress,
-                        forceload_from_stress, framework_from_json,
+from .framework import (find_nonparallelizable_stress, framework_from_json,
                         framework_in_general_position, graph_from_json,
-                        read_json, self_stress_basis)
+                        integer_forceloads, read_json, self_stress_basis)
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
 from .numeric import scalar_to_string
 from .projective import AffineChart, ProjLine
@@ -66,14 +65,18 @@ def _phase(args, name: str):
 
 def _slot_witness(system, fw, stress, chart=None):
     """Lines on the Xi slots that the quantization and the conditions are
-    evaluated under: none needed without slots, the quantization of an
-    oracle stress when there is one, and None (unknown) otherwise."""
+    evaluated under, and the Quantization that holds them if one was built:
+    ({}, None) without slots; the labels and the quantization of an oracle
+    stress, derived from its integer force-load, when there is one; and
+    (None, None), unknown, otherwise."""
     if not system.slots:
-        return {}
+        return {}, None
     if stress is None:
-        return None
-    return quantization_from_stress(fw, forceload_from_stress(fw, stress, chart),
-                                    system.trees).interior_labels
+        return None, None
+    load = integer_forceloads(fw, chart)
+    quant = quantization_from_stress(
+        fw, load([stress.weights[e] for e in fw.graph.edges]), system.trees)
+    return quant.interior_labels, quant
 
 
 def cmd_check(args) -> int:
@@ -107,14 +110,15 @@ def cmd_check(args) -> int:
 
     consistent = fulfilled = None
     with _phase(args, "quantization"):
-        witness = _slot_witness(system, fw, stress, chart)
+        witness, quant = _slot_witness(system, fw, stress, chart)
         if witness is None:
             report["quantization_note"] = report["conditions_note"] = \
                 "unknown (existential over the line slots)"
         else:
             try:
-                consistent = is_consistent(Quantization(fw, witness, system.trees),
-                                           args.seed, cycles=cycles)
+                consistent = is_consistent(
+                    quant or Quantization(fw, witness, system.trees),
+                    args.seed, cycles=cycles)
             except PreconditionError as exc:
                 report["quantization_note"] = str(exc)
     report["quantization_consistent"] = consistent
@@ -215,7 +219,7 @@ def cmd_verify(args) -> int:
             oracle_stress = find_nonparallelizable_stress(
                 fw, self_stress_basis(fw), seed=sample_seed)
             oracle = oracle_stress is not None
-            witness = _slot_witness(system, fw, oracle_stress)
+            witness, _ = _slot_witness(system, fw, oracle_stress)
             if witness is None:
                 cond = None
                 unknown += 1

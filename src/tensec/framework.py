@@ -12,8 +12,12 @@ cross-validated against.  It runs on the placement's canonical integer
 triples p and their chart scales s = <p, V>, with no Fraction between the
 input coordinates and the verdict: the rigidity system is built with the
 column of edge uv scaled by s_u s_v, which makes every entry an integer,
-and the candidate stresses are tested on integer force-loads.  Only the
-stresses and force-loads handed back to callers are Fractions.
+and the candidate stresses are tested on integer force-loads
+(`integer_forceloads`).  The stresses it hands back, and the loads of
+`forceload_from_stress`, are Fractions.  Integer force-loads leave the
+oracle too: `check` and `verify` derive the slot witness's quantization
+from the integer load of the oracle's stress, a positive multiple of its
+Fraction load with the same lines of force.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from itertools import combinations
 from math import lcm
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
-from .numeric import clear_denominators, nullspace_basis, primitive
+from .numeric import (clear_denominators, nullspace_basis, primitive,
+                      primitive_triple)
 from .projective import (
     TRUE,
     AffineChart,
@@ -295,6 +300,31 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
                for v in fw.graph.vertices)
 
 
+def integer_forceloads(fw: Framework, chart: AffineChart | None = None):
+    """The integer force-loads of the framework's stresses in a chart.
+
+    Returns `load(weights)`, which takes the rational weights w of a stress
+    in edge order and returns the ForceLoad with int duals
+    x_e (M / (s_u s_v)) cross(p_v, p_u): x is w cleared to integers by one
+    common positive denominator and M = lcm |s_u s_v| over the edges.  That
+    is a positive integer multiple of `forceload_from_stress(fw, w, chart)`;
+    equilibrium, `non_parallelizable_star` and every line of force are the
+    same for both.
+    """
+    chart = chart or AffineChart.standard()
+    scale = _chart_scales(fw, chart)
+    p = fw.placement
+    edges = fw.graph.edges
+    m = lcm(*(scale[u] * scale[v] for u, v in edges))
+    duals = [tuple(m // (scale[u] * scale[v]) * d
+                   for d in _cross(p[v].coords, p[u].coords)) for u, v in edges]
+
+    def load(weights) -> ForceLoad:
+        return ForceLoad({e: Force.exact((k * a, k * b, k * c)) for e, k, (a, b, c)
+                          in zip(edges, clear_denominators(weights), duals)})
+    return load
+
+
 #: Seeded random combinations of the basis probed when the stress space has
 #: dimension >= 2.
 _PROBES = 16
@@ -310,18 +340,13 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     probed with the basis vectors plus seeded random combinations, which can
     only under-report.
 
-    Each candidate w is tested on an integer force-load: M times
-    `forceload_from_stress(fw, w, chart)`, with duals
-    w_e (M / (s_u s_v)) cross(p_v, p_u) and M = lcm |s_u s_v| over the edges
-    (a basis with denominators is first cleared by one common positive
-    scale).  Equilibrium and `non_parallelizable_star` do not change under a
-    common positive scale.  Those integer forces never leave this function.
+    The basis is cleared to integers by one common positive scale, and each
+    candidate w is tested on its `integer_forceloads` load, a positive
+    integer multiple of `forceload_from_stress(fw, w, chart)`.  The stress
+    handed back has Fraction weights.
     """
     if not basis:
         return None
-    chart = chart or AffineChart.standard()
-    scale = _chart_scales(fw, chart)
-    p = fw.placement
     edges = fw.graph.edges
     flat = clear_denominators([w.weights[e] for w in basis for e in edges])
     vectors = [flat[i:i + len(edges)] for i in range(0, len(flat), len(edges))]
@@ -333,15 +358,9 @@ def find_nonparallelizable_stress(fw: Framework, basis,
             coeffs = [rng.randint(-9, 9) for _ in basis]
             candidates.append((coeffs, [sum(a * x for a, x in zip(coeffs, column))
                                         for column in zip(*vectors)]))
-    m = lcm(*(scale[u] * scale[v] for u, v in edges))
-    duals = [tuple(m // (scale[u] * scale[v]) * d
-                   for d in _cross(p[v].coords, p[u].coords)) for u, v in edges]
+    load = integer_forceloads(fw, chart)
     for coeffs, weights in candidates:
-        if not any(weights):
-            continue
-        fl = ForceLoad({e: Force.exact(tuple(k * d for d in dual))
-                        for e, k, dual in zip(edges, weights, duals)})
-        if is_non_parallelizable(fw, fl):
+        if any(weights) and is_non_parallelizable(fw, load(weights)):
             return Stress({e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)),
                                   Fraction(0)) for e in edges})
     return None
@@ -436,7 +455,7 @@ def framework_in_general_position(fw: Framework) -> bool:
     # the lines are pairwise distinct, so every cross product is a point
     by_point = {}
     for pair in combinations(by_line, 2):
-        p = primitive(_cross(*pair))
+        p = primitive_triple(*_cross(*pair))
         through = by_point.get(p)
         if through is None:
             by_point[p] = set(pair)

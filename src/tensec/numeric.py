@@ -7,9 +7,13 @@ taken as it is) and runs the fraction-free (Bareiss) integer elimination of
 ``tensec._kernel``, which is pure Python; its back-substitution stays in
 the integers too.  The oracle hands it integer rows only: the rigidity
 system of ``tensec.framework`` is built column-scaled from the integer
-point triples.  ``primitive`` is the normal form of a rational vector up to
-scale, shared by null-space bases and by projective points and lines;
-``solve_in_span`` solves the 3x2 systems of force decomposition.
+point triples.  ``primitive_triple`` is the normal form of an integer
+triple up to scale (one gcd, a sign, at most three exact divisions): every
+projective point and line is stored in it, and the meets, joins, seeded
+picks and subset-sum lines on the ``check`` and ``verify`` paths are
+integer triples.  ``primitive`` extends it to rational vectors of any
+length, for null-space bases; ``solve_in_span`` solves the 3x2 systems of
+force decomposition.
 
 All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 """
@@ -65,15 +69,29 @@ def clear_denominators(values):
     return [x.numerator * (den // x.denominator) for x in values]
 
 
+def primitive_triple(a: int, b: int, c: int) -> tuple:
+    """Normal form of an integer triple up to nonzero scale: divide by the
+    gcd and make the first nonzero entry positive.  A zero triple stays
+    zero."""
+    g = gcd(a, b, c)
+    if (a or b or c) < 0:
+        g = -g
+    if g == 1 or not g:
+        return (a, b, c)
+    return (a // g, b // g, c // g)
+
+
 def primitive(values):
     """Normal form of a rational vector up to nonzero scale: clear
     denominators, divide by the gcd, make the first nonzero entry positive.
 
     Returns a tuple of ints; a zero vector stays zero.  Entries are read
     through ``numerator`` and ``denominator``, so an integer vector is never
-    converted to Fractions.
+    converted to Fractions.  A triple takes `primitive_triple`.
     """
     ints = clear_denominators(values)
+    if len(ints) == 3:
+        return primitive_triple(*ints)
     g = gcd(*ints)
     if next(filter(None, ints), 0) < 0:
         g = -g

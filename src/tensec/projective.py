@@ -2,10 +2,13 @@
 operations with their three relations.
 
 Points and lines are triples of exact rationals up to nonzero scale; we store
-the canonical representative (coprime integers, first nonzero entry positive)
-so that equality and hashing are structural.  A point lies on a line iff the
-dot product of the triples vanishes; the meet of two lines and the join of
-two points are both cross products.
+the canonical representative (coprime integers, first nonzero entry positive:
+`numeric.primitive_triple`) so that equality and hashing are structural.  A
+triple with Fraction entries, as parsed from JSON, is cleared to integers
+once at construction; the triples the library computes (meets, joins, seeded
+picks and draws) are built from ints.  A point lies on a line iff the dot
+product of the triples vanishes; the meet of two lines and the join of two
+points are both cross products.
 
 A force is a decomposable 2-form on R^3 stored through its Hodge dual: the
 dual of d(p) ^ d(q) is cross(p, q).  With that encoding force addition is
@@ -28,17 +31,23 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import GeometryError, InputError, PreconditionError
-from .numeric import (clear_denominators, primitive, scalar_from_string,
+from .numeric import (clear_denominators, primitive_triple, scalar_from_string,
                       scalar_to_string)
 
 
 def _canonical_triple(triple):
-    xs = tuple(triple)
-    if len(xs) != 3:
-        raise InputError("homogeneous triples have exactly 3 entries")
-    if not any(xs):
+    """`primitive_triple` of a nonzero triple of ints; a triple with
+    Fraction entries is cleared to ints first (math.gcd refuses them)."""
+    try:
+        a, b, c = triple
+    except ValueError:
+        raise InputError("homogeneous triples have exactly 3 entries") from None
+    if not (a or b or c):
         raise GeometryError("zero triple is not a projective element")
-    return primitive(xs)
+    try:
+        return primitive_triple(a, b, c)
+    except TypeError:
+        return primitive_triple(*clear_denominators((a, b, c)))
 
 
 def _triple_from_strings(strings):
@@ -180,9 +189,10 @@ def rel_incident(p, l) -> bool:
 class Force:
     """Force on the projective plane: Hodge dual of a decomposable 2-form.
 
-    ``dual`` is a Fraction triple; forces add componentwise and keep scale.
-    Sums and negations keep the entries' type, so only `exact` on an
-    integer triple makes a force with int entries.
+    ``dual`` is a triple of exact scalars; forces add componentwise and keep
+    scale.  The constructor makes Fractions, and `exact` takes a triple as
+    it is.  Sums and negations keep the entries' type, so the int forces of
+    the oracle's integer force-loads stay int.
     """
 
     dual: tuple
@@ -196,8 +206,11 @@ class Force:
     @classmethod
     def exact(cls, dual: tuple) -> "Force":
         """The force on a triple of exact scalars, taken as it is.  The
-        oracle tests integer force-loads this way; int entries divide into
-        floats, so such forces stay inside the function that made them."""
+        integer force-loads of `framework.integer_forceloads` are built this
+        way: the oracle tests its candidates on them, and the slot witness of
+        `check` and `verify` takes its lines from one.  Code that reads
+        forces stays exact on int entries (a ratio of entries is a
+        Fraction, never a float)."""
         f = object.__new__(cls)
         object.__setattr__(f, "dual", dual)
         return f
@@ -206,10 +219,12 @@ class Force:
         return not any(self.dual)
 
     def __add__(self, other: "Force") -> "Force":
-        return Force.exact(tuple(a + b for a, b in zip(self.dual, other.dual)))
+        a, b = self.dual, other.dual
+        return Force.exact((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
 
     def __neg__(self) -> "Force":
-        return Force.exact(tuple(-a for a in self.dual))
+        a = self.dual
+        return Force.exact((-a[0], -a[1], -a[2]))
 
     def __sub__(self, other: "Force") -> "Force":
         return self + (-other)
@@ -317,14 +332,18 @@ def sub_seed(seed: int, text: str) -> int:
 
 def _pick_in_pencil(kind, triple, avoid, seed: int, degenerate: str):
     """Seeded `kind` (ProjPoint or ProjLine) orthogonal to `triple` and
-    outside `avoid`: b1 + t b2 for seeded rational t, with b1, b2 the
-    canonical forms of the first independent pair of `_orthogonal_triples`."""
-    b1, b2 = (primitive(u) for u in _independent_pair(triple, degenerate))
+    outside `avoid`: b1 + (p/q) b2 for a seeded rational p/q (p drawn first,
+    as by `random_fraction`), built as the integer triple q b1 + p b2, with
+    b1, b2 the canonical forms of the first independent pair of
+    `_orthogonal_triples`."""
+    (x1, y1, z1), (x2, y2, z2) = (primitive_triple(*u)
+                                  for u in _independent_pair(triple, degenerate))
     avoid = set(avoid)
     rng = random.Random(seed)
     while True:
-        t = random_fraction(rng, 999)
-        cand = kind(tuple(Fraction(x) + t * Fraction(y) for x, y in zip(b1, b2)))
+        p = rng.randint(-999, 999)
+        q = rng.randint(1, 999)
+        cand = kind((q * x1 + p * x2, q * y1 + p * y2, q * z1 + p * z2))
         if cand not in avoid:
             return cand
 
@@ -376,8 +395,11 @@ def _integer_duals(forces):
 
 #: Most vectors one subset enumeration takes, and so the highest vertex
 #: degree the subset tests accept.  Time and memory double with each added
-#: vector: single runs of `check` on seeded wheels took 1.8 s and 35 MB at
-#: 16 spokes, 4.2 s and 97 MB at 18, and 13.5 s and 377 MB at 20.
+#: vector: one in-process `check --timings` run on
+#: `random_placement(wheel16, 1, bound=60)` takes about 0.5 s and 37 MB of
+#: peak RSS (Python 3.11, 2-core x86), half of it in the oracle and half
+#: in the quantization.  Runs at 18 and 20 spokes, measured before this
+#: limit was set, took 4.2 s and 97 MB, and 13.5 s and 377 MB.
 MAX_SUBSET_DEGREE = 16
 
 
@@ -425,7 +447,7 @@ def partial_sum_lines_distinct(forces) -> bool:
     for total in _proper_subset_sums(duals[0], duals[1:]):
         if not any(total):
             raise GeometryError("zero force has no line of force")
-        lines.append(primitive(total))
+        lines.append(primitive_triple(*total))
     return len(set(lines)) == len(lines)
 
 

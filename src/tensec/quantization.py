@@ -130,6 +130,9 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad,
     sum nonzero and the labeling unique (proportional loads give the same
     quantization).  The subset tests are not repeated here: only a zero
     force on an edge or a vanishing labeled sum raises GenericityError.
+    The sums keep the type of the load's entries, so on the integer load
+    that `check` and `verify` pass (`framework.integer_forceloads`) they
+    stay in ints.
     """
     if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):
         raise GenericityError("force-load vanishes on an edge")
@@ -138,9 +141,9 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad,
     labels = {}
     for v, tree in trees.items():
         for idx, te in slot_edges(tree).items():
-            side = sorted(tree.side_labels(te, te[0]))
-            total = sum((fl.force(v, j if i == v else i) for i, j in side),
-                        Force((0, 0, 0)))
+            forces = [fl.force(v, j if i == v else i)
+                      for i, j in sorted(tree.side_labels(te, te[0]))]
+            total = sum(forces[1:], forces[0])
             if total.is_zero():
                 raise GenericityError(f"force-load sum vanishes at slot ({v}, {idx})")
             labels[(v, idx)] = line_of_force(total)
@@ -282,6 +285,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
 
 
 def _ratio(a: Force, b: Force) -> Fraction:
-    """k with a = k b, for nonzero forces along one line."""
+    """k with a = k b, for nonzero forces along one line; a Fraction for
+    int entries too."""
     i = next(i for i, x in enumerate(b.dual) if x)
-    return a.dual[i] / b.dual[i]
+    return Fraction(a.dual[i], b.dual[i])

@@ -19,7 +19,11 @@ from .projective import (Force, ProjLine, ProjPoint, _cross, _orthogonal_triples
 
 
 def random_affine_point(rng: random.Random, bound: int = 1000) -> ProjPoint:
-    return ProjPoint((random_fraction(rng, bound), random_fraction(rng, bound), 1))
+    """The affine point (p1/q1, p2/q2) of two `random_fraction` draws, built
+    as the integer triple (p1 q2, p2 q1, q1 q2)."""
+    p1, q1 = rng.randint(-bound, bound), rng.randint(1, bound)
+    p2, q2 = rng.randint(-bound, bound), rng.randint(1, bound)
+    return ProjPoint((p1 * q2, p2 * q1, q1 * q2))
 
 
 def random_placement(g: Graph, seed: int, bound: int = 1000) -> Framework:
@@ -55,8 +59,9 @@ def desargues_concurrent_placement(g: Graph, seed: int) -> Framework:
             guard = 0
             while len(pts) < 2 and guard < 40:
                 guard += 1
-                t = random_fraction(rng, 60)
-                cand = ProjPoint(tuple(Fraction(x) + t * Fraction(y)
+                # center + (p/q) dir for a `random_fraction` draw p/q
+                p, q = rng.randint(-60, 60), rng.randint(1, 60)
+                cand = ProjPoint(tuple(q * x + p * y
                                        for x, y in zip(center.coords, _direction(l, center))))
                 if cand not in used:
                     used.add(cand)

@@ -11,9 +11,9 @@ point triples.  ``primitive_triple`` is the normal form of an integer
 triple up to scale (one gcd, a sign, at most three exact divisions): every
 projective point and line is stored in it, and the meets, joins, seeded
 picks and subset-sum lines on the ``check`` and ``verify`` paths are
-integer triples.  ``primitive`` extends it to rational vectors of any
-length, for null-space bases; ``solve_in_span`` solves the 3x2 systems of
-force decomposition.
+integer triples.  ``primitive`` is the same normal form for rational
+vectors of any length, for null-space bases; ``solve_in_span`` solves the
+3x2 systems of force decomposition.
 
 All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 """
@@ -87,11 +87,9 @@ def primitive(values):
 
     Returns a tuple of ints; a zero vector stays zero.  Entries are read
     through ``numerator`` and ``denominator``, so an integer vector is never
-    converted to Fractions.  A triple takes `primitive_triple`.
+    converted to Fractions.
     """
     ints = clear_denominators(values)
-    if len(ints) == 3:
-        return primitive_triple(*ints)
     g = gcd(*ints)
     if next(filter(None, ints), 0) < 0:
         g = -g

@@ -285,7 +285,6 @@ def construct_forceload(q: Quantization) -> ForceLoad:
 
 
 def _ratio(a: Force, b: Force) -> Fraction:
-    """k with a = k b, for nonzero forces along one line; a Fraction for
-    int entries too."""
+    """k with a = k b, for nonzero forces along one line."""
     i = next(i for i, x in enumerate(b.dual) if x)
-    return Fraction(a.dual[i], b.dual[i])
+    return a.dual[i] / b.dual[i]

@@ -610,16 +610,3 @@ def test_holonomy_inputs_separate_the_cycle_modes():
                     for c in consistency_cycles(fw.graph)}
         assert set(verdicts.values()) == {True, False}
     assert verdicts[("r0", "r1", "r2", "r3")]
-
-
-def test_ratio_is_exact_on_int_forces():
-    """Forces with int entries (the oracle's integer loads) divide into a
-    Fraction, never a float."""
-    from tensec.quantization import _ratio
-
-    for a, b, want in (((2, 4, 6), (1, 2, 3), Fraction(2)),
-                       ((0, 3, 0), (0, -2, 0), Fraction(-3, 2)),
-                       ((0, 0, 10**30 + 1), (0, 0, 3), Fraction(10**30 + 1, 3))):
-        got = _ratio(Force.exact(a), Force.exact(b))
-        assert type(got) is Fraction and got == want
-    assert _ratio(Force((Fraction(1, 2), 1, 0)), Force.exact((1, 2, 0))) == Fraction(1, 2)

@@ -20,8 +20,8 @@ import os
 import sys
 import time
 
-from .conditions import (fulfilled_with_witness, generate_system, system_to_json,
-                         to_sexpr)
+from .conditions import (condition_sexprs, fulfilled_with_witness, generate_system,
+                         system_to_json)
 from .errors import (InconsistentQuantizationError, InputError,
                      PreconditionError, TensecError)
 from .framework import (find_nonparallelizable_stress, framework_from_json,
@@ -129,8 +129,8 @@ def cmd_check(args) -> int:
     report["conditions_count"] = len(system.conditions)
     if args.format == "json":
         report["conditions"] = [
-            {"cycle": list(c.cycle), "sexpr": to_sexpr(c.expr)}
-            for c in system.conditions
+            {"cycle": list(c.cycle), "sexpr": sexpr}
+            for c, sexpr in zip(system.conditions, condition_sexprs(system))
         ]
     report["conditions_fulfilled"] = fulfilled
     witness_kind = None if witness is None else ("derived" if witness else "empty")
@@ -172,8 +172,8 @@ def cmd_conditions(args) -> int:
         if system.slots:
             lines.append("slots: " + " ".join(f"{v}:{i}" for v, i in system.slots))
         lines.append(f"conditions: {len(system.conditions)}")
-        for cond in system.conditions:
-            lines.append(f"[{' '.join(cond.cycle)}] {to_sexpr(cond.expr)}")
+        for cond, sexpr in zip(system.conditions, condition_sexprs(system)):
+            lines.append(f"[{' '.join(cond.cycle)}] {sexpr}")
         _emit({}, lines, "text")
     return 0
 

@@ -100,18 +100,28 @@ class Expr:
             and self.avoid == other.avoid)
 
 
-def to_sexpr(e) -> str:
+def to_sexpr(e, memo=None) -> str:
+    """The s-expression of a node.  `memo` maps generic nodes, the ones
+    that seed picks and that surgeries nest, to their text: a dict shared
+    over many calls (one evaluator's seeds, one report) builds the text of
+    each once, however many nodes and conditions share it."""
+    if memo is None:
+        memo = {}
     op, args = e.op, e.args
     if op == "point":
         return args[0]
     if op == "linevar":
         return f"(linevar {args[0]} {args[1]})"
     if op in _GENERIC:
-        avoid = " ".join(to_sexpr(a) for a in e.avoid)
-        return f"({op} {to_sexpr(args[0])} (avoid {avoid}))"
+        text = memo.get(e)
+        if text is None:
+            avoid = " ".join(to_sexpr(a, memo) for a in e.avoid)
+            text = memo[e] = f"({op} {to_sexpr(args[0], memo)} (avoid {avoid}))"
+        return text
     if len(args) == 2:
-        return f"({op} {to_sexpr(args[0])} {to_sexpr(args[1])})"
-    return f"({op} {to_sexpr(args[0])} {to_sexpr(args[1])} {to_sexpr(args[2])})"
+        return f"({op} {to_sexpr(args[0], memo)} {to_sexpr(args[1], memo)})"
+    return (f"({op} {to_sexpr(args[0], memo)} {to_sexpr(args[1], memo)}"
+            f" {to_sexpr(args[2], memo)})")
 
 
 def to_json_ast(e, counter=None) -> dict:
@@ -153,30 +163,37 @@ def _surgery_expression(p, l12, l13, l14, l25, l26):
     return Expr("join", (p, p3))
 
 
-def framing_expression(trees: dict, vertex: str, edge_a, edge_b):
+def vertex_labels(tree, vertex: str) -> dict:
+    """Expression label of every edge of a vertex's tree: the edge line
+    (join of its end points) at each leaf edge, a configuration-space
+    variable (`linevar`) at each interior edge."""
+    return tree_labels(
+        tree,
+        lambda i, j: Expr("join", (Expr("point", (i,)), Expr("point", (j,)))),
+        lambda k: Expr("linevar", (vertex, k)))
+
+
+def framing_expression(trees: dict, vertex: str, edge_a, edge_b, labels=None):
     """Expression for the associated framing of two edges at a vertex.
 
     Walks the leaf-to-leaf path of the vertex's tree, expanding each surgery
     into the seven-step construction; leaves that already share a node (the
     two other edges at a degree-3 vertex, each degree-4 complementary pair)
-    give the third edge's label unexpanded.
+    give the third edge's label unexpanded.  `labels` are the tree's
+    `vertex_labels`, built here unless the caller passes them.
     """
     edge_a, edge_b = tuple(edge_a), tuple(edge_b)
     if edge_a == edge_b:
         raise InputError("framing needs two distinct incident edges")
-    # expression labels: edge lines at leaf edges, configuration-space
-    # variables at interior edges
-    labels = tree_labels(
-        trees[vertex],
-        lambda i, j: Expr("join", (Expr("point", (i,)), Expr("point", (j,)))),
-        lambda k: Expr("linevar", (vertex, k)))
+    tree = trees[vertex]
+    if labels is None:
+        labels = vertex_labels(tree, vertex)
     base = Expr("point", (vertex,))
 
     def surgery_expression(tree, labels, h):
         return _surgery_expression(base, *(labels[edge_key(*e)] for e in h))
 
-    return walk_to_shared_node(trees[vertex], labels, edge_a, edge_b,
-                               surgery_expression)
+    return walk_to_shared_node(tree, labels, edge_a, edge_b, surgery_expression)
 
 
 def cycle_condition_expression(cycle_points, framing_exprs):
@@ -243,7 +260,12 @@ def generate_system(g: Graph) -> ConditionSystem:
     g.require_min_degree(3)
     # corners (vertex, edge in, edge out) and vertices recur in many cycles
     trees = default_trees(g)
-    framing = functools.cache(functools.partial(framing_expression, trees))
+    labels = {v: vertex_labels(tree, v) for v, tree in trees.items()}
+
+    @functools.cache
+    def framing(v, edge_a, edge_b):
+        return framing_expression(trees, v, edge_a, edge_b, labels[v])
+
     points = {v: Expr("point", (v,)) for v in g.vertices}
     conditions = []
     for cycle in consistency_cycles(g):
@@ -278,17 +300,20 @@ def _evaluator(fw: Framework, line_assignment, seed: int):
     assignment, seed), so each is evaluated once however often it recurs.
     """
     memo = {}
+    sexprs = {}
 
     def ev(expr):
         value = memo.get(expr, _UNSET)
         if value is _UNSET:
-            value = memo[expr] = _node_value(expr, ev, fw, line_assignment, seed)
+            value = memo[expr] = _node_value(expr, ev, fw, line_assignment, seed,
+                                             sexprs)
         return value
     return ev
 
 
-def _node_value(expr, ev, fw: Framework, line_assignment, seed: int):
-    """Value of one node, its subexpressions evaluated by `ev`."""
+def _node_value(expr, ev, fw: Framework, line_assignment, seed: int, sexprs):
+    """Value of one node, its subexpressions evaluated by `ev`; a generic
+    node seeds its pick with its s-expression, memoized in `sexprs`."""
     op, args = expr.op, expr.args
     if op == "point":
         try:
@@ -312,7 +337,7 @@ def _node_value(expr, ev, fw: Framework, line_assignment, seed: int):
             return TRUE
         avoid = [a for a in map(ev, expr.avoid) if a is not TRUE]
         pick = pick_generic_point_on if op == "generic-point" else pick_generic_line_through
-        return pick(base, avoid, sub_seed(seed, to_sexpr(expr)))
+        return pick(base, avoid, sub_seed(seed, to_sexpr(expr, sexprs)))
     if op == "concurrent":
         return rel_concurrent(ev(args[0]), ev(args[1]), ev(args[2]))
     if op == "collinear":
@@ -334,13 +359,19 @@ def fulfilled_with_witness(system: ConditionSystem, fw: Framework,
 # --------------------------------------------------------------------------
 # JSON
 
+def condition_sexprs(system: ConditionSystem) -> list:
+    """The s-expression of every condition, in order, each node built once."""
+    memo = {}
+    return [to_sexpr(cond.expr, memo) for cond in system.conditions]
+
+
 def system_to_json(system: ConditionSystem) -> dict:
     return {
         "xi": {"slots": [[v, i] for v, i in system.slots]},
         "conditions": [
             {"cycle": list(cond.cycle),
              "ast": to_json_ast(cond.expr),
-             "sexpr": to_sexpr(cond.expr)}
-            for cond in system.conditions
+             "sexpr": sexpr}
+            for cond, sexpr in zip(system.conditions, condition_sexprs(system))
         ],
     }

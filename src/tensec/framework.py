@@ -320,7 +320,7 @@ def integer_forceloads(fw: Framework, chart: AffineChart | None = None):
                    for d in _cross(p[v].coords, p[u].coords)) for u, v in edges]
 
     def load(weights) -> ForceLoad:
-        return ForceLoad({e: Force.exact((k * a, k * b, k * c)) for e, k, (a, b, c)
+        return ForceLoad({e: Force((k * a, k * b, k * c)) for e, k, (a, b, c)
                           in zip(edges, clear_denominators(weights), duals)})
     return load
 
@@ -343,7 +343,8 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     The basis is cleared to integers by one common positive scale, and each
     candidate w is tested on its `integer_forceloads` load, a positive
     integer multiple of `forceload_from_stress(fw, w, chart)`.  The stress
-    handed back has Fraction weights.
+    handed back has Fraction weights: an accepted basis vector is handed
+    back as it is, a probe summed from the basis.
     """
     if not basis:
         return None
@@ -359,8 +360,10 @@ def find_nonparallelizable_stress(fw: Framework, basis,
             candidates.append((coeffs, [sum(a * x for a, x in zip(coeffs, column))
                                         for column in zip(*vectors)]))
     load = integer_forceloads(fw, chart)
-    for coeffs, weights in candidates:
+    for i, (coeffs, weights) in enumerate(candidates):
         if any(weights) and is_non_parallelizable(fw, load(weights)):
+            if i < len(basis):
+                return basis[i]
             return Stress({e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)),
                                   Fraction(0)) for e in edges})
     return None

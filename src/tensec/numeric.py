@@ -12,8 +12,7 @@ triple up to scale (one gcd, a sign, at most three exact divisions): every
 projective point and line is stored in it, and the meets, joins, seeded
 picks and subset-sum lines on the ``check`` and ``verify`` paths are
 integer triples.  ``primitive`` is the same normal form for rational
-vectors of any length, for null-space bases; ``solve_in_span`` solves the
-3x2 systems of force decomposition.
+vectors of any length, for null-space bases.
 
 All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 """
@@ -96,26 +95,6 @@ def primitive(values):
     if g == 1 or not g:
         return tuple(ints)
     return tuple([v // g for v in ints])
-
-
-def solve_in_span(v, a, b, off_span: str, parallel: str):
-    """Exact (x, y) with x a + y b = v for rational triples a, b and v.
-
-    Solves on the first nonzero 2x2 minor of (a, b) and checks the third
-    coordinate.  Raises GeometryError with the message `off_span` when v is
-    not in the span, and with `parallel` when a and b are dependent.
-    """
-    for r in range(3):
-        for t in range(r + 1, 3):
-            det = Fraction(a[r] * b[t] - a[t] * b[r])
-            if det:
-                x = (v[r] * b[t] - v[t] * b[r]) / det
-                y = (a[r] * v[t] - a[t] * v[r]) / det
-                u = 3 - r - t
-                if x * a[u] + y * b[u] != v[u]:
-                    raise GeometryError(off_span)
-                return x, y
-    raise GeometryError(parallel)
 
 
 def nullspace_basis(rows, ncols: int):

@@ -189,49 +189,41 @@ def rel_incident(p, l) -> bool:
 class Force:
     """Force on the projective plane: Hodge dual of a decomposable 2-form.
 
-    ``dual`` is a triple of exact scalars; forces add componentwise and keep
-    scale.  The constructor makes Fractions, and `exact` takes a triple as
-    it is.  Sums and negations keep the entries' type, so the int forces of
-    the oracle's integer force-loads stay int.
+    ``dual`` is a triple of exact scalars, ints or Fractions, kept as given;
+    forces add componentwise and keep scale, and sums, negations and
+    multiples keep the entries' type.  The force-loads of `check` and
+    `verify` are in ints: the oracle's (`framework.integer_forceloads`) and
+    the resolution schemes' (`resolution.scheme_forceload`) are each a
+    positive integer multiple of a rational load, which changes no line of
+    force and no subset test.  Code that reads a ratio of entries divides
+    through Fraction, never with int / int.
     """
 
     dual: tuple
 
     def __init__(self, dual):
-        xs = tuple(Fraction(x) for x in dual)
-        if len(xs) != 3:
+        dual = tuple(dual)
+        if len(dual) != 3:
             raise InputError("force duals have exactly 3 entries")
-        object.__setattr__(self, "dual", xs)
-
-    @classmethod
-    def exact(cls, dual: tuple) -> "Force":
-        """The force on a triple of exact scalars, taken as it is.  The
-        integer force-loads of `framework.integer_forceloads` are built this
-        way: the oracle tests its candidates on them, and the slot witness of
-        `check` and `verify` takes its lines from one.  Code that reads
-        forces stays exact on int entries (a ratio of entries is a
-        Fraction, never a float)."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "dual", dual)
-        return f
+        object.__setattr__(self, "dual", dual)
 
     def is_zero(self) -> bool:
         return not any(self.dual)
 
     def __add__(self, other: "Force") -> "Force":
         a, b = self.dual, other.dual
-        return Force.exact((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
+        return Force((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
 
     def __neg__(self) -> "Force":
         a = self.dual
-        return Force.exact((-a[0], -a[1], -a[2]))
+        return Force((-a[0], -a[1], -a[2]))
 
     def __sub__(self, other: "Force") -> "Force":
         return self + (-other)
 
     def scaled(self, k) -> "Force":
-        k = Fraction(k)
-        return Force(tuple(k * a for a in self.dual))
+        a = self.dual
+        return Force((k * a[0], k * a[1], k * a[2]))
 
     def __repr__(self):
         return "Force({}, {}, {})".format(*map(str, self.dual))
@@ -404,29 +396,33 @@ MAX_SUBSET_DEGREE = 16
 
 
 def _proper_subset_sums(start, vectors):
-    """Yield start plus the sum of each proper subset of `vectors`, in mask
-    order 0, 1, ..., 2^n - 2.
+    """Yield start plus the sum of each proper subset of `vectors`: the
+    2^n - 1 masks but the full one, in Gray-code order from the empty mask.
 
-    Each sum is the sum for the mask without its lowest set bit plus one
-    vector, so the enumeration costs one triple addition per mask.  More
-    than MAX_SUBSET_DEGREE vectors raise PreconditionError.
+    Consecutive masks differ in one vector, so each sum is the one before
+    it plus or minus that vector, and no sum is kept.  More than
+    MAX_SUBSET_DEGREE vectors raise PreconditionError.
     """
     if len(vectors) > MAX_SUBSET_DEGREE:
         raise PreconditionError(
             f"subset enumeration over {len(vectors)} forces exceeds"
             f" MAX_SUBSET_DEGREE = {MAX_SUBSET_DEGREE}")
-    count = (1 << len(vectors)) - 1
-    if not count:
+    full = (1 << len(vectors)) - 1
+    if not full:
         return
-    sums = [start]
+    x, y, z = start
     yield start
-    for mask in range(1, count):
-        low = mask & -mask
-        a = sums[mask ^ low]
-        b = vectors[low.bit_length() - 1]
-        total = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-        sums.append(total)
-        yield total
+    mask = 0
+    for i in range(1, full + 1):
+        low = i & -i
+        mask ^= low
+        a, b, c = vectors[low.bit_length() - 1]
+        if mask & low:
+            x, y, z = x + a, y + b, z + c
+        else:
+            x, y, z = x - a, y - b, z - c
+        if mask != full:
+            yield (x, y, z)
 
 
 def nonvanishing_proper_subsets(forces) -> bool:
@@ -440,15 +436,18 @@ def partial_sum_lines_distinct(forces) -> bool:
     proper 0/1-tuples (a_2..a_s) are pairwise distinct.
 
     Assumes no proper nonempty subset vanishes, so every partial sum has a
-    line of force; a vanishing partial sum raises GeometryError.
+    line of force; a vanishing partial sum raises GeometryError, whether or
+    not two lines coincide.
     """
     duals = _integer_duals(forces)
-    lines = []
+    lines = set()
+    count = 0
     for total in _proper_subset_sums(duals[0], duals[1:]):
         if not any(total):
             raise GeometryError("zero force has no line of force")
-        lines.append(primitive_triple(*total))
-    return len(set(lines)) == len(lines)
+        lines.add(primitive_triple(*total))
+        count += 1
+    return len(lines) == count
 
 
 def non_parallelizable_star(forces) -> bool:

@@ -285,6 +285,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
 
 
 def _ratio(a: Force, b: Force) -> Fraction:
-    """k with a = k b, for nonzero forces along one line."""
+    """k with a = k b, for nonzero forces along one line; a Fraction for
+    int forces too (int / int would be a float)."""
     i = next(i for i, x in enumerate(b.dual) if x)
-    return a.dual[i] / b.dual[i]
+    return Fraction(a.dual[i], b.dual[i])

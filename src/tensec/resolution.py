@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .errors import GenericityError, GeometryError, InputError
 from .framework import bfs_parents, edge_key, is_connected, root_path
-from .numeric import solve_in_span
 from .projective import Force, ProjLine, ProjPoint, line_of_force, \
     non_parallelizable_star
 
@@ -33,9 +33,14 @@ class BinaryTree:
     `adjacency` maps node ids to neighbor tuples (degrees 1 or 3);
     `leaf_labels` maps each degree-1 node to its label.  Labels are
     arbitrary hashables (host-graph edge keys in practice).
+
+    A tree is never changed after construction, so its sorted edges, its
+    interior edges and the node of each leaf label are computed once, when
+    it is built; `edges` and `interior_edges` return those lists themselves,
+    which callers must not change.
     """
 
-    __slots__ = ("adjacency", "leaf_labels")
+    __slots__ = ("adjacency", "leaf_labels", "_edges", "_interior", "_leaf_nodes")
 
     def __init__(self, adjacency, leaf_labels):
         adjacency = {u: tuple(sorted(vs)) for u, vs in adjacency.items()}
@@ -56,22 +61,23 @@ class BinaryTree:
         self.leaf_labels = dict(leaf_labels)
         if not is_connected(adjacency):
             raise InputError("tree is not connected")
+        self._edges = sorted({edge_key(u, v) for u, vs in adjacency.items() for v in vs})
+        self._interior = [(u, v) for u, v in self._edges
+                          if len(adjacency[u]) == 3 == len(adjacency[v])]
+        self._leaf_nodes = {label: node for node, label in self.leaf_labels.items()}
 
     def edges(self):
-        out = set()
-        for u, vs in self.adjacency.items():
-            for v in vs:
-                out.add(edge_key(u, v))
-        return sorted(out)
+        """The edges (u, v), u < v, in sorted order."""
+        return self._edges
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
     def leaf_node(self, label) -> int:
-        for node, lab in self.leaf_labels.items():
-            if lab == label:
-                return node
-        raise InputError(f"no leaf labeled {label!r}")
+        try:
+            return self._leaf_nodes[label]
+        except KeyError:
+            raise InputError(f"no leaf labeled {label!r}") from None
 
     def is_interior(self, edge) -> bool:
         u, v = edge
@@ -79,7 +85,8 @@ class BinaryTree:
                 and self.degree(u) == 3 and self.degree(v) == 3)
 
     def interior_edges(self):
-        return [e for e in self.edges() if self.is_interior(e)]
+        """The edges between two degree-3 nodes, in the order of `edges`."""
+        return self._interior
 
     def side_labels(self, edge, node: int):
         """Leaf labels of the component of tree minus `edge` containing `node`."""
@@ -164,9 +171,10 @@ class ResolutionScheme:
 
     @cached_property
     def forceload(self) -> dict:
-        """Canonical equilibrium force-load: the first tree edge seeded with
-        its label's coefficients.  Computed once; surgeries and framings of
-        the scheme only need it up to scale."""
+        """Canonical equilibrium force-load, in coprime integers: the positive
+        integer multiple of the load seeded on the first tree edge with its
+        label's coefficients (`scheme_forceload`).  Computed once; surgeries,
+        framings and strong genericity only need it up to positive scale."""
         seed = self.tree.edges()[0]
         return scheme_forceload(self, seed, Force(self.labels[seed].coeffs))
 
@@ -186,23 +194,46 @@ def is_weakly_generic(s: ResolutionScheme) -> bool:
 
 
 def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
-    """Split -force into components along two distinct concurrent lines:
-    returns (f1, f2) with force + f1 + f2 = 0 and line(f_i) <= l_i."""
-    a, b = l1.coeffs, l2.coeffs
-    x, y = solve_in_span([-x for x in force.dual], a, b,
-                         "force not in the span of the two lines",
-                         "cannot decompose along equal lines")
-    return Force(tuple(x * c for c in a)), Force(tuple(y * c for c in b))
+    """Split a positive multiple of -force along two distinct concurrent
+    lines, in integers: returns (k, f1, f2) with k a positive int,
+    k force + f1 + f2 = 0 and line(f_i) <= l_i, for an int force.
+
+    Cramer's rule on the first nonzero 2x2 minor det of the two lines'
+    coefficients gives f1 and f2 times det; k is |det| over its gcd with the
+    two numerators.  The third coordinate is checked.  Raises GeometryError
+    when the force is not in the span of the lines, or when they are equal.
+    """
+    a, b, v = l1.coeffs, l2.coeffs, force.dual
+    for r, t in ((0, 1), (0, 2), (1, 2)):
+        det = a[r] * b[t] - a[t] * b[r]
+        if det:
+            x = v[t] * b[r] - v[r] * b[t]
+            y = a[t] * v[r] - a[r] * v[t]
+            u = 3 - r - t
+            if x * a[u] + y * b[u] != -det * v[u]:
+                raise GeometryError("force not in the span of the two lines")
+            g = gcd(det, x, y)
+            if det < 0:
+                g = -g
+            x //= g
+            y //= g
+            return (det // g, Force((x * a[0], x * a[1], x * a[2])),
+                    Force((y * b[0], y * b[1], y * b[2])))
+    raise GeometryError("cannot decompose along equal lines")
 
 
 def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
-    """Unique equilibrium force-load extending a nonzero seed stress.
+    """Equilibrium force-load extending a nonzero seed force, in integers.
 
     Returns a dict mapping ordered node pairs (u, v) to the force applied at
-    u along edge uv; opposite orientations are negatives.  Propagates from
-    the seed edge, splitting the incoming force at every degree-3 node along
-    the other two labels (a 2x2 exact solve), which is unique exactly when
-    the scheme is weakly generic.
+    u along edge uv; opposite orientations are negatives.  The load is
+    unique up to scale exactly when the scheme is weakly generic, and the
+    one returned is the positive integer multiple of the load extending
+    `seed_force` whose entries are coprime.  It propagates from the seed
+    edge, seeded with the label's coefficients signed as the seed force:
+    at every degree-3 node the incoming force is split along the other two
+    labels by `_decompose`, whose positive factor k rescales the load built
+    so far; the content of the whole load is divided out at the end.
     """
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
@@ -210,7 +241,10 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     if seed_force.is_zero() or line_of_force(seed_force) != s.labels[key]:
         raise GeometryError("seed force must be nonzero along the seed edge label")
     u, v = seed_edge
-    forces = {(u, v): seed_force, (v, u): -seed_force}
+    seed = Force(s.labels[key].coeffs)
+    if next(filter(None, seed_force.dual)) < 0:
+        seed = -seed
+    forces = {(u, v): seed, (v, u): -seed}
     # (node, the neighbor whose force at that node is known)
     stack = [(u, v), (v, u)]
     while stack:
@@ -218,12 +252,18 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
         if s.tree.degree(w) != 3:
             continue
         n1, n2 = (n for n in s.tree.adjacency[w] if n != known)
-        f1, f2 = _decompose(forces[(w, known)], s.label(w, n1), s.label(w, n2))
+        k, f1, f2 = _decompose(forces[(w, known)], s.label(w, n1), s.label(w, n2))
+        if k != 1:
+            forces = {pair: f.scaled(k) for pair, f in forces.items()}
         forces[(w, n1)], forces[(n1, w)] = f1, -f1
         forces[(w, n2)], forces[(n2, w)] = f2, -f2
         stack.extend([(n1, w), (n2, w)])
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
+    content = gcd(*(x for f in forces.values() for x in f.dual))
+    if content != 1:
+        forces = {pair: Force(tuple(x // content for x in f.dual))
+                  for pair, f in forces.items()}
     return forces
 
 

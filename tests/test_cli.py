@@ -776,3 +776,26 @@ def test_check_decides_complete_graphs_with_multidimensional_stresses(
     assert payload["oracle_nonparallelizable"] is True
     assert payload["verdict"] == "YES"
     assert payload["verdict_sources_agree"] is True
+
+
+@pytest.mark.xfail(strict=True, reason="the oracle's probes miss every"
+                   " non-parallelizable stress of this 36-dimensional space")
+def test_check_finds_the_stress_of_k11(tmp_path, capsys):
+    """K11 placed by `random_placement(K11, 4, bound=60)` carries a
+    non-parallelizable stress: combinations of its basis with nonzero
+    coefficients in -50..50 are.  `check --seed 4` still prints oracle NO
+    (each basis vector has zero weights, and each of the 16 seeded probes
+    draws a zero coefficient), and its sources "agree" because the other
+    two print unknown.  A complete oracle turns this test into a pass."""
+    from tensec.framework import Graph
+    from tensec.sampling import random_placement
+
+    vs = [f"v{i}" for i in range(11)]
+    g = Graph(vs, [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]])
+    p = tmp_path / "k11.json"
+    p.write_text(json.dumps(framework_to_json(random_placement(g, 4, bound=60))))
+    assert main(["check", str(p), "--format", "json", "--seed", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stress_dim"] == 36
+    assert payload["oracle_nonparallelizable"] is True
+    assert payload["verdict"] == "YES"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_resolution import solve_in_span
 from tensec.cycles import (FramedCycle, LineMap, cycle_equilibrium_basis,
                            cycle_general_position, framed_cycle_from_json,
                            framed_cycle_to_json, is_trivial, is_trivial_monodromy,
@@ -12,7 +13,6 @@ from tensec.cycles import (FramedCycle, LineMap, cycle_equilibrium_basis,
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
 from tensec.framework import chart_avoiding
-from tensec.numeric import solve_in_span
 from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join,
                                lines_in_general_position, meet,
                                pick_generic_line_through, pick_generic_point_on,

@@ -173,10 +173,11 @@ def test_slot_witness_builds_a_load_only_with_slots(tmp_path, monkeypatch, capsy
 #: Fractions constructed by one `check` of the golden 6-spoke wheel, counted
 #: on CPython 3.11, whose Fraction arithmetic builds every result through
 #: `Fraction.__new__` (later versions build some results without it, so the
-#: count is pinned on 3.11 only).  They are the input literals, the Fraction
-#: stresses of the report, and the scheme force-loads of the resolution
-#: layer; the oracle, the picks and the slot witness make none.
-CHECK_WHEEL6_FRACTIONS = 246
+#: count is pinned on 3.11 only).  They are the input literals and the
+#: Fraction stress basis of the report; the oracle (which hands back the
+#: basis stress it accepts), the picks, the slot witness and the resolution
+#: schemes' force-loads make none.
+CHECK_WHEEL6_FRACTIONS = 60
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -196,3 +197,45 @@ def test_check_wheel6_fraction_count(monkeypatch, capsys):
     monkeypatch.undo()
     capsys.readouterr()
     assert count[0] == CHECK_WHEEL6_FRACTIONS
+
+
+def _creator_module():
+    """Module of the first frame outside `fractions` that led to the
+    current Fraction creation (an arithmetic result is built inside
+    `fractions`, on behalf of the code that did the arithmetic)."""
+    frame = sys._getframe(2)
+    while frame.f_globals.get("__name__") == "fractions":
+        frame = frame.f_back
+    return frame.f_globals.get("__name__")
+
+
+def test_check_wheel6_makes_no_fraction_in_resolution_or_projective(monkeypatch, capsys):
+    """Every Fraction that one `check` of the golden wheel creates, found
+    through `Fraction.__new__` and, where the Python version builds
+    arithmetic results without it, `Fraction._from_coprime_ints`: none is
+    created on behalf of the resolution layer or the projective core."""
+    creators = set()
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        creators.add(_creator_module())
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if "_from_coprime_ints" in vars(Fraction):
+        from_coprime = vars(Fraction)["_from_coprime_ints"].__func__
+
+        def counted_from_coprime(cls, *args):
+            creators.add(_creator_module())
+            return from_coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted_from_coprime))
+    monkeypatch.chdir(GOLDEN)
+    assert main(["check", "wheel6_framework.json", "--seed", "6",
+                 "--format", "json"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    # the input literals are parsed into Fractions, so the hooks did fire
+    assert "tensec.numeric" in creators
+    assert not creators & {"tensec.resolution", "tensec.projective"}

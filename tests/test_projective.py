@@ -1,12 +1,15 @@
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensec.errors import GeometryError
-from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
-                               ZERO_FORCE, _cross, affine_vector, join,
+from tensec.errors import GeometryError, PreconditionError
+from tensec.projective import (MAX_SUBSET_DEGREE, TRUE, AffineChart, Force,
+                               ProjLine, ProjPoint, ZERO_FORCE, _cross,
+                               _proper_subset_sums, affine_vector, join,
                                line_of_force, lines_in_general_position, meet,
                                non_parallelizable_star, nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
@@ -359,3 +362,42 @@ def test_integer_subset_tests_on_built_cases():
     # the partial sum f + (-f) vanishes and has no line of force
     with pytest.raises(GeometryError):
         partial_sum_lines_distinct([f, -f, h])
+
+
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=7),
+       st.tuples(*[st.integers(-3, 3)] * 3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_proper_subset_sums_visit_every_proper_mask_once(vectors, start):
+    """The Gray-code walk yields start plus the sum of each subset but the
+    full one, the empty one first: the sums of the masks 0 .. 2^n - 2."""
+    n = len(vectors)
+    expected = [tuple(start[c] + sum(vectors[i][c] for i in range(n) if mask >> i & 1)
+                      for c in range(3))
+                for mask in range((1 << n) - 1)]
+    got = list(_proper_subset_sums(start, vectors))
+    assert sorted(got) == sorted(expected)
+    assert got[:1] == expected[:1]
+
+
+def test_subset_enumeration_limit():
+    vectors = [(i, 1, 0) for i in range(MAX_SUBSET_DEGREE + 1)]
+    with pytest.raises(PreconditionError, match="MAX_SUBSET_DEGREE"):
+        next(_proper_subset_sums((0, 0, 0), vectors))
+    with pytest.raises(PreconditionError, match="MAX_SUBSET_DEGREE"):
+        nonvanishing_proper_subsets([Force(v) for v in vectors])
+
+
+def test_subset_sums_are_streamed():
+    """16 forces with 40-bit entries and no vanishing subset: the 65,534
+    sums are examined one at a time, none is kept (a list of them took
+    about 11 MiB)."""
+    rng = random.Random(40)
+    forces = [Force(tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3)))
+              for _ in range(16)]
+    tracemalloc.start()
+    try:
+        assert nonvanishing_proper_subsets(forces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from all_cycles import all_cycles_system, simple_cycles
+from reference_resolution import _decompose
 from tensec.errors import (GenericityError, GeometryError,
                            InconsistentQuantizationError, InputError,
                            PreconditionError)
@@ -20,11 +21,11 @@ from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
 from tensec.conditions import fulfilled_with_witness, generate_system
 from tensec.projective import (Force, ProjLine, line_of_force,
                                pick_generic_line_through)
-from tensec.quantization import (Quantization, construct_forceload,
+from tensec.quantization import (Quantization, _ratio, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
                                  is_consistent, is_consistent_at,
                                  quantization_from_stress)
-from tensec.resolution import _decompose, leaf_forces
+from tensec.resolution import leaf_forces
 from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
                              random_placement)
 
@@ -165,6 +166,18 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
         got = stress_of_forceload(fw, ind)
         ratios = {got.weights[e] / w.weights[e] for e in w.weights}
         assert len(ratios) == 1
+
+
+def test_ratio_of_int_forces_is_a_fraction():
+    """The vertex schemes' force-loads are in ints, and int / int would
+    give a float: `_ratio` divides through Fraction."""
+    for a, b, k in (((6, -4, 2), (3, -2, 1), Fraction(2)),
+                    ((3, -2, 1), (6, -4, 2), Fraction(1, 2)),
+                    ((0, 7, -21), (0, -3, 9), Fraction(-7, 3)),
+                    ((0, 0, 5), (0, 0, Fraction(-2, 3)), Fraction(-15, 2))):
+        got = _ratio(Force(a), Force(b))
+        assert type(got) is Fraction and got == k
+        assert Force(b).scaled(got) == Force(a)
 
 
 def test_construct_forceload_detects_inconsistency():
@@ -491,8 +504,8 @@ def holonomy(q, cycle):
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         a, b = leaf[u][edge_key(u, v)], leaf[v][edge_key(u, v)]
         i = next(i for i in range(3) if b.dual[i])
-        assert a.dual == tuple(a.dual[i] / b.dual[i] * x for x in b.dual)
-        h *= -a.dual[i] / b.dual[i]
+        assert a.dual == tuple(Fraction(a.dual[i], b.dual[i]) * x for x in b.dual)
+        h *= -Fraction(a.dual[i], b.dual[i])
     return h
 
 

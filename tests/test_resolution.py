@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from reference_resolution import _decompose, positive_scale
+from reference_resolution import scheme_forceload as fraction_scheme_forceload
 from tensec.errors import GenericityError, GeometryError, InputError
 from tensec.framework import (edge_key, find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
@@ -11,8 +15,8 @@ from tensec.framework import (edge_key, find_nonparallelizable_stress,
 from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import quantization_from_stress
-from tensec.resolution import (BinaryTree, ResolutionScheme, _decompose,
-                               associated_framing, default_tree,
+from tensec.resolution import _decompose as integer_decompose
+from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing, default_tree,
                                enumerate_equivalent_schemes, is_strongly_generic,
                                is_weakly_generic, leaf_forces, rewire,
                                scheme_forceload, scheme_hf_surgery, slot_edges)
@@ -74,6 +78,8 @@ def test_default_tree_shapes():
 # `default_tree` and `scheme_forceload` as they were before the caterpillar
 # became one edge list and the propagation a walk over (node, known
 # neighbor) pairs; kept verbatim (but for `edge_key`) as the references.
+# The force-load reference splits with the Fraction `_decompose` of
+# `reference_resolution`.
 
 def reference_default_tree(leaf_labels) -> BinaryTree:
     """Left-comb caterpillar over the labels in the given order."""
@@ -218,9 +224,59 @@ def test_forceload_matches_reference_from_every_seed_edge(n_leaves, seed):
         for seed_edge in (e, e[::-1]):
             f0 = Force(s.labels[e].coeffs)
             got = scheme_forceload(s, seed_edge, f0)
-            # equal forces, propagated in the same order
-            assert list(got.items()) == list(
+            exact = fraction_scheme_forceload(s, seed_edge, f0)
+            # the Fraction loads: equal forces, propagated in the same order
+            assert list(exact.items()) == list(
                 reference_scheme_forceload(s, seed_edge, f0).items())
+            # the integer load: the same order, one positive scale
+            assert list(got) == list(exact)
+            positive_scale(got, exact)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n_leaves=st.integers(3, 10), seed=st.integers(0, 10**6),
+       num=st.integers(-9, 9).filter(bool), den=st.integers(1, 9))
+def test_integer_forceload_is_the_coprime_positive_multiple(n_leaves, seed, num, den):
+    """Seeded with any rational multiple of its label, the integer load has
+    the lines and the ratios of the Fraction reference, one positive scale
+    apart, and coprime entries."""
+    s = distinct_lines_scheme(n_leaves, seed)
+    e = s.tree.edges()[seed % len(s.tree.edges())]
+    f0 = Force(s.labels[e].coeffs).scaled(Fraction(num, den))
+    got = scheme_forceload(s, e, f0)
+    exact = fraction_scheme_forceload(s, e, f0)
+    positive_scale(got, exact)
+    assert all(line_of_force(got[key]) == line_of_force(exact[key]) for key in got)
+    assert all(type(x) is int for f in got.values() for x in f.dual)
+    assert gcd(*(x for f in got.values() for x in f.dual)) == 1
+
+
+def test_wheel_hub_forceload_matches_fraction_reference():
+    s = wheel6_hub_scheme()
+    seed_edge = s.tree.edges()[0]
+    exact = fraction_scheme_forceload(s, seed_edge, Force(s.labels[seed_edge].coeffs))
+    positive_scale(s.forceload, exact)
+    assert is_strongly_generic(s)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(*[st.integers(-6, 6)] * 3), st.tuples(*[st.integers(-6, 6)] * 3),
+       st.tuples(*[st.integers(-6, 6)] * 3))
+def test_integer_decompose_matches_fraction_reference(force, a, b):
+    """k force + f1 + f2 = 0 for a positive int k, with f1 and f2 the
+    reference's components times k; the same GeometryError otherwise."""
+    assume(any(a) and any(b))
+    force, l1, l2 = Force(force), ProjLine(a), ProjLine(b)
+    try:
+        ref = _decompose(force, l1, l2)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=str(exc)):
+            integer_decompose(force, l1, l2)
+        return
+    k, f1, f2 = integer_decompose(force, l1, l2)
+    assert type(k) is int and k > 0
+    assert (force.scaled(k) + f1 + f2).is_zero()
+    assert (f1, f2) == (ref[0].scaled(k), ref[1].scaled(k))
 
 
 def test_tree_validation():
@@ -266,10 +322,17 @@ def test_forceload_equilibrium_and_nonzero_everywhere():
 
 def test_forceload_scales_linearly():
     s = worked_example()
+    ref1 = fraction_scheme_forceload(s, (0, 4), Force((-1, 0, 0)))
+    ref3 = fraction_scheme_forceload(s, (0, 4), Force((-3, 0, 0)))
+    for key in ref1:
+        assert ref3[key] == ref1[key].scaled(3)
+    # the integer load is the coprime positive multiple: a positive seed
+    # scale leaves it as it is, a negative one negates it
     fl1 = scheme_forceload(s, (0, 4), Force((-1, 0, 0)))
-    fl3 = scheme_forceload(s, (0, 4), Force((-3, 0, 0)))
-    for key in fl1:
-        assert fl3[key] == fl1[key].scaled(3)
+    assert scheme_forceload(s, (0, 4), Force((-3, 0, 0))) == fl1
+    assert scheme_forceload(s, (0, 4), Force((Fraction(-2, 7), 0, 0))) == fl1
+    assert scheme_forceload(s, (0, 4), Force((5, 0, 0))) == {
+        key: -f for key, f in fl1.items()}
 
 
 def test_forceload_independent_of_propagation_order():
@@ -278,7 +341,6 @@ def test_forceload_independent_of_propagation_order():
         u, v = seed_edge
         forces = {(u, v): seed_force, (v, u): -seed_force}
         from collections import deque
-        from tensec.resolution import _decompose
 
         queue = deque([u, v])
         done = set()
@@ -303,7 +365,9 @@ def test_forceload_independent_of_propagation_order():
         s = distinct_lines_scheme(6, seed)
         e = s.tree.edges()[2]
         f0 = Force(s.labels[e].coeffs)
-        assert scheme_forceload(s, e, f0) == bfs_forceload(s, e, f0)
+        ref = bfs_forceload(s, e, f0)
+        assert fraction_scheme_forceload(s, e, f0) == ref
+        positive_scale(scheme_forceload(s, e, f0), ref)
 
 
 def test_forceload_rejects_bad_seed_and_nongeneric_scheme():
@@ -369,7 +433,7 @@ def test_surgery_matches_hand_computation():
         f_b, f_a = before[lab], after[lab]
         for i in range(3):
             if f_b.dual[i]:
-                r = f_a.dual[i] / f_b.dual[i]
+                r = Fraction(f_a.dual[i], f_b.dual[i])
                 assert scale is None or r == scale
                 scale = r
         assert f_a.dual == tuple(scale * x for x in f_b.dual)

@@ -386,12 +386,13 @@ def _integer_duals(forces):
 
 
 #: Most vectors one subset enumeration takes, and so the highest vertex
-#: degree the subset tests accept.  Time and memory double with each added
-#: vector: one in-process `check --timings` run on
-#: `random_placement(wheel16, 1, bound=60)` takes about 0.5 s and 37 MB of
-#: peak RSS (Python 3.11, 2-core x86), half of it in the oracle and half
-#: in the quantization.  Runs at 18 and 20 spokes, measured before this
-#: limit was set, took 4.2 s and 97 MB, and 13.5 s and 377 MB.
+#: degree the subset tests accept.  Time doubles with each added vector,
+#: and so does the set of lines `partial_sum_lines_distinct` keeps: one
+#: in-process `check --timings` run on `random_placement(wheel16, 1,
+#: bound=60)` takes about 0.45 s and 27 MB of peak RSS (Python 3.11, 2-core
+#: x86), half of it in the oracle and half in the quantization.  Runs at 18
+#: and 20 spokes, measured before this limit was set, took 4.2 s and 97 MB,
+#: and 13.5 s and 377 MB.
 MAX_SUBSET_DEGREE = 16
 
 

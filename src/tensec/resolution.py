@@ -3,11 +3,12 @@
 A scheme resolves the force balance at a vertex: each tree edge carries a
 line through the base point, and an equilibrium force-load assigns a force
 along that line to every edge so that the three forces at each interior tree
-node cancel.  The H-to-Phi surgery rewires an interior edge and relabels it
-with the line of the two forces that come together at the new node; walking
-surgeries along a leaf-to-leaf path until the two leaves share a node
-defines the associated framing of a pair of host edges, the label of the
-third edge at that node.  A surgery keeps the leaf forces up to one scale,
+node cancel.  That load is unique up to scale, and `scheme_forceload`
+computes it in integers.  The H-to-Phi surgery rewires an interior edge
+and relabels it with the line of the two forces that come together at the
+new node; walking surgeries along a leaf-to-leaf path until the two leaves
+share a node defines the associated framing of a pair of host edges, the
+label of the third edge at that node.  A surgery keeps the leaf forces up to one scale,
 and the third edge balances the pair, so the framing is the line of the sum
 of the two leaf forces: `associated_framing` computes it that way.  The walk
 remains the definition: `rewire` and `walk_to_shared_node` take the label of
@@ -44,12 +45,17 @@ class BinaryTree:
 
     def __init__(self, adjacency, leaf_labels):
         adjacency = {u: tuple(sorted(vs)) for u, vs in adjacency.items()}
+        edges = []
         for u, vs in adjacency.items():
             if len(vs) not in (1, 3):
                 raise InputError(f"tree node {u} has degree {len(vs)}")
             for v in vs:
                 if u not in adjacency.get(v, ()):
                     raise InputError("asymmetric adjacency")
+                if u < v:
+                    edges.append((u, v))
+                elif u == v:
+                    raise InputError(f"loop edge at {u!r}")
         leaves = {u for u, vs in adjacency.items() if len(vs) == 1}
         if set(leaf_labels) != leaves:
             raise InputError("leaf labels must cover exactly the degree-1 nodes")
@@ -61,8 +67,9 @@ class BinaryTree:
         self.leaf_labels = dict(leaf_labels)
         if not is_connected(adjacency):
             raise InputError("tree is not connected")
-        self._edges = sorted({edge_key(u, v) for u, vs in adjacency.items() for v in vs})
-        self._interior = [(u, v) for u, v in self._edges
+        edges.sort()
+        self._edges = edges
+        self._interior = [(u, v) for u, v in edges
                           if len(adjacency[u]) == 3 == len(adjacency[v])]
         self._leaf_nodes = {label: node for node, label in self.leaf_labels.items()}
 

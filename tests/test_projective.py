@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensec.errors import GeometryError, PreconditionError
-from tensec.projective import (MAX_SUBSET_DEGREE, TRUE, AffineChart, Force,
-                               ProjLine, ProjPoint, ZERO_FORCE, _cross,
-                               _proper_subset_sums, affine_vector, join,
-                               line_of_force, lines_in_general_position, meet,
+from tensec.errors import GeometryError
+from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
+                               ZERO_FORCE, _cross, _proper_subset_sums,
+                               affine_vector, join, line_of_force,
+                               lines_in_general_position, meet,
                                non_parallelizable_star, nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
                                pick_generic_line_through, pick_generic_point_on,
@@ -377,14 +377,6 @@ def test_proper_subset_sums_visit_every_proper_mask_once(vectors, start):
     got = list(_proper_subset_sums(start, vectors))
     assert sorted(got) == sorted(expected)
     assert got[:1] == expected[:1]
-
-
-def test_subset_enumeration_limit():
-    vectors = [(i, 1, 0) for i in range(MAX_SUBSET_DEGREE + 1)]
-    with pytest.raises(PreconditionError, match="MAX_SUBSET_DEGREE"):
-        next(_proper_subset_sums((0, 0, 0), vectors))
-    with pytest.raises(PreconditionError, match="MAX_SUBSET_DEGREE"):
-        nonvanishing_proper_subsets([Force(v) for v in vectors])
 
 
 def test_subset_sums_are_streamed():

@@ -16,10 +16,11 @@ from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
-from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing, default_tree,
-                               enumerate_equivalent_schemes, is_strongly_generic,
-                               is_weakly_generic, leaf_forces, rewire,
-                               scheme_forceload, scheme_hf_surgery, slot_edges)
+from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
+                               default_tree, enumerate_equivalent_schemes,
+                               is_strongly_generic, is_weakly_generic,
+                               leaf_forces, rewire, scheme_forceload,
+                               scheme_hf_surgery, slot_edges)
 
 BASE = ProjPoint((0, 0, 1))
 

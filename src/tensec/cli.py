@@ -24,9 +24,9 @@ from .conditions import (condition_sexprs, fulfilled_with_witness, generate_syst
                          system_to_json)
 from .errors import (InconsistentQuantizationError, InputError,
                      PreconditionError, TensecError)
-from .framework import (find_nonparallelizable_stress, framework_from_json,
-                        framework_in_general_position, graph_from_json,
-                        integer_forceloads, read_json, self_stress_basis)
+from .framework import (find_nonparallelizable_stress, forceload_from_stress,
+                        framework_from_json, framework_in_general_position,
+                        graph_from_json, read_json, self_stress_basis)
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
 from .numeric import scalar_to_string
 from .projective import AffineChart, ProjLine
@@ -67,15 +67,14 @@ def _slot_witness(system, fw, stress, chart=None):
     """Lines on the Xi slots that the quantization and the conditions are
     evaluated under, and the Quantization that holds them if one was built:
     ({}, None) without slots; the labels and the quantization of an oracle
-    stress, derived from its integer force-load, when there is one; and
+    stress, derived from its force-load, when there is one; and
     (None, None), unknown, otherwise."""
     if not system.slots:
         return {}, None
     if stress is None:
         return None, None
-    load = integer_forceloads(fw, chart)
-    quant = quantization_from_stress(
-        fw, load([stress.weights[e] for e in fw.graph.edges]), system.trees)
+    quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, chart),
+                                     system.trees)
     return quant.interior_labels, quant
 
 

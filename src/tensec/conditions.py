@@ -17,7 +17,6 @@ framed cycle by symbolic projections down to a three-line relation.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -258,18 +257,15 @@ def generate_system(g: Graph) -> ConditionSystem:
     position, which `check` tests first.
     """
     g.require_min_degree(3)
-    # corners (vertex, edge in, edge out) and vertices recur in many cycles
+    # vertices recur in many cycles; an ordered corner (vertex, edge in,
+    # edge out) at a vertex of degree >= 4 rarely does
     trees = default_trees(g)
     labels = {v: vertex_labels(tree, v) for v, tree in trees.items()}
-
-    @functools.cache
-    def framing(v, edge_a, edge_b):
-        return framing_expression(trees, v, edge_a, edge_b, labels[v])
-
     points = {v: Expr("point", (v,)) for v in g.vertices}
     conditions = []
     for cycle in consistency_cycles(g):
-        framings = [framing(*corner) for corner in cycle_corners(cycle)]
+        framings = [framing_expression(trees, v, a, b, labels[v])
+                    for v, a, b in cycle_corners(cycle)]
         pts = [points[v] for v in cycle]
         conditions.append(Condition(tuple(cycle),
                                     cycle_condition_expression(pts, framings)))

@@ -18,7 +18,6 @@ point and the base framing's meet with aux, so one more point decides it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import GeometryError, InputError, PreconditionError
@@ -235,8 +234,9 @@ def cycle_equilibrium_basis(c: FramedCycle):
     Unknowns: one scalar per cycle edge (stress along the edge line) and one
     per framing (force along l_i).  Constraints: at each vertex the incoming
     edge force, outgoing edge force and framing force sum to zero, as
-    3-component dual equations.  Returns (edge_scalars, framing_scalars)
-    pairs; nonempty iff a nonzero equilibrium force-load exists.
+    3-component dual equations, with the integer line triples as
+    coefficients.  Returns (edge_scalars, framing_scalars) pairs of int
+    tuples; nonempty iff a nonzero equilibrium force-load exists.
     """
     if not cycle_general_position(c):
         raise PreconditionError("framed cycle is not in general position")
@@ -246,10 +246,10 @@ def cycle_equilibrium_basis(c: FramedCycle):
     rows = []
     for i in range(k):
         for coord in range(3):
-            row = [Fraction(0)] * (2 * k)
-            row[i] += Fraction(edge_reps[i][coord])
-            row[(i - 1) % k] -= Fraction(edge_reps[(i - 1) % k][coord])
-            row[k + i] = Fraction(framing_reps[i][coord])
+            row = [0] * (2 * k)
+            row[i] = edge_reps[i][coord]
+            row[(i - 1) % k] = -edge_reps[(i - 1) % k][coord]
+            row[k + i] = framing_reps[i][coord]
             rows.append(row)
     basis = nullspace_basis(rows, 2 * k)
     return [(vec[:k], vec[k:]) for vec in basis]

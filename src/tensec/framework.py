@@ -12,12 +12,12 @@ cross-validated against.  It runs on the placement's canonical integer
 triples p and their chart scales s = <p, V>, with no Fraction between the
 input coordinates and the verdict: the rigidity system is built with the
 column of edge uv scaled by s_u s_v, which makes every entry an integer,
-and the candidate stresses are tested on integer force-loads
-(`integer_forceloads`).  The stresses it hands back, and the loads of
-`forceload_from_stress`, are Fractions.  Integer force-loads leave the
-oracle too: `check` and `verify` derive the slot witness's quantization
-from the integer load of the oracle's stress, a positive multiple of its
-Fraction load with the same lines of force.
+and its stresses have int weights.  There is one kind of force-load:
+`forceload_from_stress` builds a positive integer multiple of a stress's
+chart load, which has the same equilibrium, the same lines of force and the
+same subset tests.  The oracle tests its candidate stresses on these loads,
+and `check` and `verify` derive the slot witness's quantization from the
+load of the oracle's stress.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
-from .numeric import (clear_denominators, nullspace_basis, primitive,
-                      primitive_triple)
+from .numeric import nullspace_basis, primitive, primitive_triple
 from .projective import (
     TRUE,
     AffineChart,
@@ -40,7 +38,6 @@ from .projective import (
     ZERO_FORCE,
     _cross,
     _dot,
-    affine_vector,
     join,
     meet,
     non_parallelizable_star,
@@ -138,9 +135,10 @@ class Graph:
 
 
 class Framework:
-    """Graph with a placement of its vertices at pairwise distinct points."""
+    """Graph with a placement of its vertices at pairwise distinct points.
+    Each edge line is joined once, at construction."""
 
-    __slots__ = ("graph", "placement")
+    __slots__ = ("graph", "placement", "_lines")
 
     def __init__(self, graph: Graph, placement):
         placement = dict(placement)
@@ -152,9 +150,11 @@ class Framework:
             raise GeometryError("placed points must be pairwise distinct")
         self.graph = graph
         self.placement = {v: placement[v] for v in graph.vertices}
+        self._lines = {(u, v): join(placement[u], placement[v]) for u, v in graph.edges}
 
     def edge_line(self, u: str, v: str):
-        return join(self.placement[u], self.placement[v])
+        """The line of the edge uv."""
+        return self._lines[edge_key(u, v)]
 
 
 @dataclass
@@ -223,8 +223,8 @@ def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
     stress w_e = s_u s_v x_e.  Column scaling keeps the pivot columns, and
     each basis vector is fixed up to scale by its free column, so the
     canonical (`primitive`) basis is the one of the unscaled system.
-    Returns Stress objects.  This is the brute-force oracle the rest of the
-    package is validated against.
+    Returns Stress objects with int weights.  This is the brute-force oracle
+    the rest of the package is validated against.
     """
     chart = chart or AffineChart.standard()
     scale = _chart_scales(fw, chart)
@@ -241,51 +241,8 @@ def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
                 row[col[edge_key(u, v)]] = pv[c] * scale[u] - fw.placement[u].coords[c] * sv
             rows.append(row)
     col_scale = [scale[u] * scale[v] for u, v in edges]
-    return [Stress(dict(zip(edges, map(Fraction, primitive(
-                [k * x.numerator for k, x in zip(col_scale, vec)])))))
+    return [Stress(dict(zip(edges, primitive([k * x for k, x in zip(col_scale, vec)]))))
             for vec in nullspace_basis(rows, len(edges))]
-
-
-def forceload_from_stress(fw: Framework, w: Stress,
-                          chart: AffineChart | None = None) -> ForceLoad:
-    """Force-load whose chart vectors are w_ij (n_i - n_j) on every edge, n
-    the chart representatives."""
-    chart = chart or AffineChart.standard()
-    if set(w.weights) != set(fw.graph.edges):
-        raise InputError("stress keys do not match framework edges")
-    scale = _chart_scales(fw, chart)
-    p = fw.placement
-    forces = {}
-    for (u, v), weight in w.weights.items():
-        # dual = w * cross(n_v, n_u) = w / (s_u s_v) * cross(p_v, p_u) gives
-        # iota_V F_{u,v} = w (n_u - n_v)
-        k = Fraction(weight) / (scale[u] * scale[v])
-        f = Force(tuple(k * d for d in _cross(p[v].coords, p[u].coords)))
-        forces[(u, v)] = f
-        forces[(v, u)] = -f
-    return ForceLoad(forces)
-
-
-def stress_of_forceload(fw: Framework, fl: ForceLoad,
-                        chart: AffineChart | None = None) -> Stress:
-    """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (n_i - n_j).
-
-    n_i - n_j = d / (s_i s_j) with the integer triple d = p_i s_j - p_j s_i,
-    so w = vec[c] s_i s_j / d[c] on the first nonzero coordinate c of d.
-    """
-    chart = chart or AffineChart.standard()
-    scale = _chart_scales(fw, chart)
-    p = fw.placement
-    weights = {}
-    for u, v in fw.graph.edges:
-        vec = affine_vector(fl.force(u, v), chart)
-        su, sv = scale[u], scale[v]
-        diff = tuple(p[u].coords[i] * sv - p[v].coords[i] * su for i in range(3))
-        c = next(i for i in range(3) if diff[i] != 0)
-        if any(vec[i] * diff[c] != vec[c] * diff[i] for i in range(3)):
-            raise GeometryError(f"force at edge ({u},{v}) is not along the edge")
-        weights[(u, v)] = vec[c] * (su * sv) / diff[c]
-    return Stress(weights)
 
 
 def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
@@ -300,16 +257,25 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
                for v in fw.graph.vertices)
 
 
-def integer_forceloads(fw: Framework, chart: AffineChart | None = None):
-    """The integer force-loads of the framework's stresses in a chart.
+def forceload_from_stress(fw: Framework, w: Stress,
+                          chart: AffineChart | None = None) -> ForceLoad:
+    """Force-load of a stress: a positive integer multiple of the load whose
+    chart vectors are w_ij (n_i - n_j) on every edge, n the chart
+    representatives, in ints for int weights.  Equilibrium,
+    `non_parallelizable_star` and every line of force are those of that
+    load."""
+    if set(w.weights) != set(fw.graph.edges):
+        raise InputError("stress keys do not match framework edges")
+    return _integer_forceloads(fw, chart)([w.weights[e] for e in fw.graph.edges])
 
-    Returns `load(weights)`, which takes the rational weights w of a stress
-    in edge order and returns the ForceLoad with int duals
-    x_e (M / (s_u s_v)) cross(p_v, p_u): x is w cleared to integers by one
-    common positive denominator and M = lcm |s_u s_v| over the edges.  That
-    is a positive integer multiple of `forceload_from_stress(fw, w, chart)`;
-    equilibrium, `non_parallelizable_star` and every line of force are the
-    same for both.
+
+def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
+    """`load(weights)`, the `forceload_from_stress` load of the weights w of
+    a stress in edge order, with the duals computed once for many stresses.
+
+    Its duals are w_e (M / (s_u s_v)) cross(p_v, p_u) with M = lcm |s_u s_v|
+    over the edges.  As w / (s_u s_v) cross(p_v, p_u) is the dual with
+    iota_V F_{u,v} = w (n_u - n_v), that is the chart load times M.
     """
     chart = chart or AffineChart.standard()
     scale = _chart_scales(fw, chart)
@@ -321,7 +287,7 @@ def integer_forceloads(fw: Framework, chart: AffineChart | None = None):
 
     def load(weights) -> ForceLoad:
         return ForceLoad({e: Force((k * a, k * b, k * c)) for e, k, (a, b, c)
-                          in zip(edges, clear_denominators(weights), duals)})
+                          in zip(edges, weights, duals)})
     return load
 
 
@@ -340,32 +306,26 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     probed with the basis vectors plus seeded random combinations, which can
     only under-report.
 
-    The basis is cleared to integers by one common positive scale, and each
-    candidate w is tested on its `integer_forceloads` load, a positive
-    integer multiple of `forceload_from_stress(fw, w, chart)`.  The stress
-    handed back has Fraction weights: an accepted basis vector is handed
-    back as it is, a probe summed from the basis.
+    Each candidate is tested on its `forceload_from_stress` load, with the
+    duals computed once for all of them.  The stress handed back holds the
+    weights that passed: an accepted basis vector is handed back as it is, a
+    probe as its combination of the basis weights.
     """
     if not basis:
         return None
     edges = fw.graph.edges
-    flat = clear_denominators([w.weights[e] for w in basis for e in edges])
-    vectors = [flat[i:i + len(edges)] for i in range(0, len(flat), len(edges))]
-    candidates = [([int(i == j) for j in range(len(basis))], vec)
-                  for i, vec in enumerate(vectors)]
+    candidates = [[w.weights[e] for e in edges] for w in basis]
     if len(basis) > 1:
         rng = random.Random(seed)
+        columns = list(zip(*candidates))
         for _ in range(_PROBES):
             coeffs = [rng.randint(-9, 9) for _ in basis]
-            candidates.append((coeffs, [sum(a * x for a, x in zip(coeffs, column))
-                                        for column in zip(*vectors)]))
-    load = integer_forceloads(fw, chart)
-    for i, (coeffs, weights) in enumerate(candidates):
+            candidates.append([sum(a * x for a, x in zip(coeffs, column))
+                               for column in columns])
+    load = _integer_forceloads(fw, chart)
+    for i, weights in enumerate(candidates):
         if any(weights) and is_non_parallelizable(fw, load(weights)):
-            if i < len(basis):
-                return basis[i]
-            return Stress({e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)),
-                                  Fraction(0)) for e in edges})
+            return basis[i] if i < len(basis) else Stress(dict(zip(edges, weights)))
     return None
 
 

@@ -1,16 +1,19 @@
 """Exact rational scalars and the exact null space.
 
-Scalars are :class:`fractions.Fraction` (arbitrary precision, always in
-lowest terms with positive denominator) or plain ints.  ``nullspace_basis``
-takes rational rows, clears each row's denominators (an integer row is
-taken as it is) and runs the fraction-free (Bareiss) integer elimination of
-``tensec._kernel``, which is pure Python; its back-substitution stays in
-the integers too.  The oracle hands it integer rows only: the rigidity
-system of ``tensec.framework`` is built column-scaled from the integer
-point triples.  ``primitive_triple`` is the normal form of an integer
-triple up to scale (one gcd, a sign, at most three exact divisions): every
-projective point and line is stored in it, and the meets, joins, seeded
-picks and subset-sum lines on the ``check`` and ``verify`` paths are
+Rationals are parsed from the input literals into :class:`fractions.Fraction`
+(arbitrary precision, lowest terms, positive denominator); the library
+clears them to integers once, where it first reads them, and computes in
+ints from there on.  ``nullspace_basis`` takes rational rows, clears each
+row's denominators (an integer row is taken as it is) and runs the
+fraction-free (Bareiss) integer elimination of ``tensec._kernel``, which is
+pure Python; its back-substitution stays in the integers too, and it
+returns the canonical null vectors as int tuples.  Every library caller
+hands it integer rows: the oracle's rigidity system is built column-scaled
+from the integer point triples, and the framed-cycle equilibrium system from
+the integer line triples.  ``primitive_triple`` is the normal form of an
+integer triple up to scale (one gcd, a sign, at most three exact divisions):
+every projective point and line is stored in it, and the meets, joins,
+seeded picks and subset-sum lines on the ``check`` and ``verify`` paths are
 integer triples.  ``primitive`` is the same normal form for rational
 vectors of any length, for null-space bases.
 
@@ -46,9 +49,9 @@ def scalar_from_string(text: str) -> Fraction:
         raise InputError(f"bad rational literal {text!r}: {exc}") from exc
 
 
-def scalar_to_string(value: Fraction) -> str:
-    """Format a rational as "p" or "p/q" (lowest terms, positive denominator)."""
-    value = Fraction(value)
+def scalar_to_string(value) -> str:
+    """Format an int or a Fraction as "p" or "p/q" (lowest terms, positive
+    denominator); an int is its own numerator over 1."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -104,10 +107,10 @@ def nullspace_basis(rows, ncols: int):
     space) and reduced by the fraction-free kernel.  Back-substitution is
     fraction-free as well: x stays an integer vector, and before a pivot
     entry is solved the whole of x is scaled by pivot / gcd(pivot, sum), so
-    the division is exact.  Returns a list of vectors of Fractions
-    (canonically scaled to coprime integers), one per free column of the
-    echelon form; empty iff the kernel is trivial.  No rows give the full
-    standard basis.
+    the division is exact.  Returns a list of int tuples, each the
+    `primitive` null vector that is zero on every other free column of the
+    echelon form, one per free column; empty iff the kernel is trivial.  No
+    rows give the full standard basis.
     """
     reduced, pivots = _kernel.echelon_int([clear_denominators(row) for row in rows],
                                           ncols)
@@ -127,5 +130,5 @@ def nullspace_basis(rows, ncols: int):
                 if k != 1:
                     x = [k * v for v in x]
                 x[pc] = -(s // g)
-        basis.append(tuple(Fraction(v) for v in primitive(x)))
+        basis.append(primitive(x))
     return basis

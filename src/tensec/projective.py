@@ -85,7 +85,7 @@ class ProjPoint:
         return cls(_triple_from_strings(strings))
 
     def to_strings(self):
-        return [scalar_to_string(Fraction(c)) for c in self.coords]
+        return [scalar_to_string(c) for c in self.coords]
 
     def __repr__(self):
         return "({}:{}:{})".format(*self.coords)
@@ -105,7 +105,7 @@ class ProjLine:
         return cls(_triple_from_strings(strings))
 
     def to_strings(self):
-        return [scalar_to_string(Fraction(c)) for c in self.coeffs]
+        return [scalar_to_string(c) for c in self.coeffs]
 
     def contains(self, p: ProjPoint) -> bool:
         return _dot(self.coeffs, p.coords) == 0
@@ -189,14 +189,14 @@ def rel_incident(p, l) -> bool:
 class Force:
     """Force on the projective plane: Hodge dual of a decomposable 2-form.
 
-    ``dual`` is a triple of exact scalars, ints or Fractions, kept as given;
-    forces add componentwise and keep scale, and sums, negations and
-    multiples keep the entries' type.  The force-loads of `check` and
-    `verify` are in ints: the oracle's (`framework.integer_forceloads`) and
-    the resolution schemes' (`resolution.scheme_forceload`) are each a
-    positive integer multiple of a rational load, which changes no line of
-    force and no subset test.  Code that reads a ratio of entries divides
-    through Fraction, never with int / int.
+    ``dual`` is a triple of exact scalars kept as given; forces add
+    componentwise and keep scale, and sums, negations and multiples keep the
+    entries' type.  The library builds one kind of force-load, in ints: the
+    oracle's (`framework.forceload_from_stress`) and the resolution
+    schemes' (`resolution.scheme_forceload`) are each a positive integer
+    multiple of the exact rational load, which changes no line of force and
+    no subset test.  Code that reads a ratio of entries divides through
+    Fraction, never with int / int.
     """
 
     dual: tuple

@@ -131,7 +131,7 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad,
     quantization).  The subset tests are not repeated here: only a zero
     force on an edge or a vanishing labeled sum raises GenericityError.
     The sums keep the type of the load's entries, so on the integer load
-    that `check` and `verify` pass (`framework.integer_forceloads`) they
+    that `check` and `verify` pass (`framework.forceload_from_stress`) they
     stay in ints.
     """
     if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):

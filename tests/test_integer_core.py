@@ -10,7 +10,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_rational import (reference_desargues_concurrent_placement,
@@ -22,8 +21,9 @@ from test_framework import mixed_sign_chart
 from tensec.cli import _slot_witness, main
 from tensec.conditions import generate_system
 from tensec.fixtures import DESARGUES_GRAPH, DESARGUES_POS
-from tensec.framework import (Graph, find_nonparallelizable_stress, framework_to_json,
-                              integer_forceloads, self_stress_basis)
+from tensec.framework import (Graph, find_nonparallelizable_stress,
+                              forceload_from_stress, framework_to_json,
+                              self_stress_basis)
 from tensec.numeric import primitive, primitive_triple
 from tensec.projective import (AffineChart, ProjLine, ProjPoint,
                                pick_generic_line_through, pick_generic_point_on)
@@ -123,7 +123,7 @@ def test_slot_witness_matches_fraction_forceload(spokes, placement, mixed, seed)
     assert labels == reference_slot_witness(system, fw, stress, chart)
     if stress is not None:
         assert quant.interior_labels is labels
-        load = integer_forceloads(fw, chart)([stress.weights[e] for e in g.edges])
+        load = forceload_from_stress(fw, stress, chart)
         assert all(type(x) is int for f in load.forces.values() for x in f.dual)
 
 
@@ -156,8 +156,8 @@ def test_slot_witness_builds_a_load_only_with_slots(tmp_path, monkeypatch, capsy
     import tensec.cli as cli
 
     calls = []
-    monkeypatch.setattr(cli, "integer_forceloads",
-                        lambda *args: calls.append(args) or integer_forceloads(*args))
+    monkeypatch.setattr(cli, "forceload_from_stress",
+                        lambda *args: calls.append(args) or forceload_from_stress(*args))
     path = tmp_path / "dpos.json"
     path.write_text(json.dumps(framework_to_json(DESARGUES_POS)))
     assert main(["check", str(path), "--seed", "2"]) == 0
@@ -170,18 +170,15 @@ def test_slot_witness_builds_a_load_only_with_slots(tmp_path, monkeypatch, capsy
     assert len(calls) == 1
 
 
-#: Fractions constructed by one `check` of the golden 6-spoke wheel, counted
-#: on CPython 3.11, whose Fraction arithmetic builds every result through
-#: `Fraction.__new__` (later versions build some results without it, so the
-#: count is pinned on 3.11 only).  They are the input literals and the
-#: Fraction stress basis of the report; the oracle (which hands back the
-#: basis stress it accepts), the picks, the slot witness and the resolution
-#: schemes' force-loads make none.
-CHECK_WHEEL6_FRACTIONS = 60
+#: Fractions constructed by one `check` of the golden 6-spoke wheel: the 21
+#: coordinates and the 3 chart coefficients parsed from the input.  The
+#: oracle, its stress basis and the report, the picks, the slot witness and
+#: the resolution schemes' force-loads make none, and no Fraction arithmetic
+#: runs, so the count does not depend on how a Python version builds
+#: arithmetic results.
+CHECK_WHEEL6_FRACTIONS = 24
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
-                    reason="the count depends on how CPython 3.11 builds Fractions")
 def test_check_wheel6_fraction_count(monkeypatch, capsys):
     new = Fraction.__new__
     count = [0]

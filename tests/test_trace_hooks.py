@@ -54,6 +54,7 @@ CHECK_WHEEL6_CALLS = {
     "projective.nonvanishing_proper_subsets": 8,
     "projective.partial_sum_lines_distinct": 8,
     "framework.is_non_parallelizable": 1,
+    "framework.forceload_from_stress": 1,
     "resolution.is_strongly_generic": 1,
     "resolution.associated_framing": 18,
     "quantization.default_trees": 1,

@@ -1,18 +1,19 @@
-"""Framed cycles, shift operators, monodromies, and projections.
+"""Framed cycles, their general position, and their monodromies.
 
 A framed cycle is a cyclic point sequence p_1..p_k with a line l_i through
-each p_i.  The shift operator along edge p_i p_{i+1} is the perspectivity
+each p_i.  The shift along edge p_i p_{i+1} is the perspectivity
 l_i -> l_{i+1} whose center is the intersection of the edge line with an
 auxiliary line; the monodromy is the composition of the k shifts once around
-the cycle.
+the cycle, which the quantization tests for triviality on every consistency
+cycle.  (The shift maps, projections and equilibrium loads of the paper's
+lemmas are the tests' code, `tests/lemmas.py`.)
 
 A map between lines is kept as the chain of perspectivities it composes,
 each one join and one meet on canonical integer points.  A projectivity of a
 line is fixed by the images of three distinct points, so the monodromy is
-trivial iff it fixes three points of its line, and two maps are equal iff
-they agree on three points.  A monodromy always fixes two of them, the base
-point and the base framing's meet with aux, so one more point decides it
-(`is_trivial_monodromy`).
+trivial iff it fixes three points of its line.  A monodromy always fixes two
+of them, the base point and the base framing's meet with aux, so one more
+point decides it (`is_trivial_monodromy`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GeometryError, InputError, PreconditionError
-from .numeric import nullspace_basis
 from .projective import (
     TRUE,
     ProjLine,
@@ -123,49 +123,13 @@ class LineMap:
             p = meet(onto, join(center, p))
         return p
 
-    def proportional_to(self, other: "LineMap") -> bool:
-        """Same lines and the same projectivity (proportional matrices in
-        any bases): equal images of three distinct source points."""
-        return ((self.source, self.target) == (other.source, other.target)
-                and all(self.apply(p) == other.apply(p)
-                        for p in _three_points(self.source)))
-
-
-def is_trivial(m: LineMap) -> bool:
-    """The map is the identity of its line: it fixes three distinct points."""
-    if m.source != m.target:
-        raise GeometryError("triviality needs source = target")
-    return all(m.apply(p) == p for p in _three_points(m.source))
-
-
-def shift_map(p_i: ProjPoint, p_i1: ProjPoint, l_i: ProjLine, l_i1: ProjLine,
-              aux: ProjLine) -> LineMap:
-    """Perspectivity l_i -> l_i1 sending p to l_i1 ^ ((p_i p_i1 ^ aux), p).
-
-    Its center is the intersection of the edge line with aux; it maps p_i to
-    p_i1 and l_i ^ aux to l_i1 ^ aux (both asserted).
-    """
-    if not l_i.contains(p_i) or not l_i1.contains(p_i1):
-        raise PreconditionError("framing lines must pass through their points")
-    if aux.contains(p_i) or aux.contains(p_i1):
-        raise PreconditionError("auxiliary line must avoid both points")
-    edge = join(p_i, p_i1)
-    if edge is TRUE:
-        raise PreconditionError("shift endpoints coincide")
-    if l_i == edge or l_i1 == edge:
-        raise PreconditionError("framing line equals the edge line")
-    center = meet(edge, aux)  # a point: aux != edge since aux misses p_i
-    out = LineMap(l_i, l_i1, ((center, l_i1),))
-    assert out.apply(p_i) == p_i1
-    assert out.apply(meet(l_i, aux)) == meet(l_i1, aux)
-    return out
-
 
 def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
     """Composition of the k shift maps once around the cycle, based at the
     framing of `start`, as one chain: the step onto l_{i+1} has the center
     (p_i p_{i+1}) ^ aux.  General position and an aux line through no vertex
-    meet every precondition of `shift_map`.
+    meet every precondition of each shift: distinct endpoints, framings
+    other than the edge line, and aux through neither endpoint.
 
     The result fixes the base point and the intersection of the base framing
     with aux; both are asserted on every call.
@@ -188,8 +152,8 @@ def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
 
 
 def is_trivial_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> bool:
-    """`is_trivial(monodromy(c, start, aux))`, applying the chain to one point
-    in place of three: the monodromy fixes the base point and the base
+    """The monodromy is the identity of its line, applying the chain to one
+    point in place of three: the monodromy fixes the base point and the base
     framing ^ aux, two distinct points since aux avoids every vertex, and a
     projectivity of a line that fixes three distinct points is the identity.
     """
@@ -198,61 +162,6 @@ def is_trivial_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> bool:
     fixed = (c.points[start], meet(c.framings[start], aux))
     p = next(p for p in _three_points(m.source) if p not in fixed)
     return m.apply(p) == p
-
-
-def project_cycle(c: FramedCycle, i: int) -> FramedCycle:
-    """Merge vertices i and i+1 into p' = (p_{i-1} p_i) ^ (p_{i+1} p_{i+2})
-    framed by the line through p' and l_i ^ l_{i+1}; yields a framed cycle
-    on k-1 vertices, again in general position."""
-    k = len(c)
-    if k < 4:
-        raise PreconditionError("projection needs k >= 4")
-    if not cycle_general_position(c):
-        raise PreconditionError("framed cycle is not in general position")
-    i %= k
-    pts, frs = c.points, c.framings
-    new_pt = meet(c.edge_lines[(i - 1) % k], c.edge_lines[(i + 1) % k])
-    cross_pt = meet(frs[i], frs[(i + 1) % k])
-    new_fr = join(new_pt, cross_pt)
-    if new_pt is TRUE or new_fr is TRUE:
-        raise GeometryError("degenerate projection")
-    if i == k - 1:
-        new_points = (new_pt,) + pts[1:k - 1]
-        new_framings = (new_fr,) + frs[1:k - 1]
-    else:
-        new_points = pts[:i] + (new_pt,) + pts[i + 2:]
-        new_framings = frs[:i] + (new_fr,) + frs[i + 2:]
-    out = FramedCycle(new_points, new_framings)
-    if not cycle_general_position(out):
-        raise GeometryError("projection output is not in general position")
-    return out
-
-
-def cycle_equilibrium_basis(c: FramedCycle):
-    """Exact basis of the equilibrium force-loads on the framed cycle.
-
-    Unknowns: one scalar per cycle edge (stress along the edge line) and one
-    per framing (force along l_i).  Constraints: at each vertex the incoming
-    edge force, outgoing edge force and framing force sum to zero, as
-    3-component dual equations, with the integer line triples as
-    coefficients.  Returns (edge_scalars, framing_scalars) pairs of int
-    tuples; nonempty iff a nonzero equilibrium force-load exists.
-    """
-    if not cycle_general_position(c):
-        raise PreconditionError("framed cycle is not in general position")
-    k = len(c)
-    edge_reps = [l.coeffs for l in c.edge_lines]
-    framing_reps = [l.coeffs for l in c.framings]
-    rows = []
-    for i in range(k):
-        for coord in range(3):
-            row = [0] * (2 * k)
-            row[i] = edge_reps[i][coord]
-            row[(i - 1) % k] = -edge_reps[(i - 1) % k][coord]
-            row[k + i] = framing_reps[i][coord]
-            rows.append(row)
-    basis = nullspace_basis(rows, 2 * k)
-    return [(vec[:k], vec[k:]) for vec in basis]
 
 
 def pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
@@ -264,13 +173,6 @@ def pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
 
 # ---------------------------------------------------------------------------
 # JSON interface: {"points":[["1","0","1"],...],"framings":[[coeffs],...]}
-
-def framed_cycle_to_json(c: FramedCycle) -> dict:
-    return {
-        "points": [p.to_strings() for p in c.points],
-        "framings": [l.to_strings() for l in c.framings],
-    }
-
 
 def framed_cycle_from_json(obj) -> FramedCycle:
     try:

@@ -3,9 +3,10 @@
 Holds the graph/framework value types and their JSON interface, the
 breadth-first walk, the brute-force self-stress oracle (exact null space of
 the rigidity system in an affine chart), equilibrium force-loads and their
-non-parallelizability test, simple-cycle enumeration, the general-position
-test over the edge-line arrangement, and the local H-to-Phi rewiring
-surgery.
+non-parallelizability test, simple-cycle enumeration, and the
+general-position test over the edge-line arrangement.  The H-to-Phi surgery
+of a framework, which keeps the stress dimension, is the tests' lemma code
+(`tests/lemmas.py`).
 
 The oracle is the ground truth every other verdict in the package is
 cross-validated against.  It runs on the placement's canonical integer
@@ -31,7 +32,6 @@ from math import lcm
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
 from .numeric import nullspace_basis, primitive, primitive_triple
 from .projective import (
-    TRUE,
     AffineChart,
     Force,
     ProjPoint,
@@ -39,9 +39,7 @@ from .projective import (
     _cross,
     _dot,
     join,
-    meet,
     non_parallelizable_star,
-    random_line_avoiding,
 )
 
 
@@ -83,7 +81,7 @@ def is_connected(adjacency) -> bool:
 class Graph:
     """Simple connected graph with string vertex ids."""
 
-    __slots__ = ("vertices", "edges", "adjacency", "_edge_set")
+    __slots__ = ("vertices", "edges", "adjacency")
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
@@ -103,7 +101,6 @@ class Graph:
         keys = sorted({edge_key(u, v) for u, v in edges})
         self.vertices = vertices
         self.edges = tuple(keys)
-        self._edge_set = frozenset(keys)
         adj = {v: [] for v in vertices}
         for u, v in self.edges:
             adj[u].append(v)
@@ -117,9 +114,6 @@ class Graph:
 
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge_key(u, v) in self._edge_set
 
     def require_min_degree(self, k: int = 3):
         for v in self.vertices:
@@ -442,62 +436,6 @@ def framework_in_general_position(fw: Framework) -> bool:
         if any(len(held & edges) >= at_least for edges, at_least in groups):
             return False
     return True
-
-
-def _fresh_id(base: str, taken) -> str:
-    name = base + "'"
-    while name in taken:
-        name += "'"
-    return name
-
-
-def hf_surgery_framework(fw: Framework, edge, roles) -> Framework:
-    """Replace the H-pattern at a degree-3 edge q1q2 by the Phi pattern.
-
-    `roles` maps "q3","q4" to the other neighbors of q1 and "q5","q6" to the
-    other neighbors of q2.  The new vertices are placed at
-    q1' = q1q3 ^ q2q5 and q2' = q1q4 ^ q2q6, with edges
-    q1'q2', q1'q3, q1'q5, q2'q4, q2'q6.
-    """
-    q1, q2 = edge
-    g = fw.graph
-    if not g.has_edge(q1, q2):
-        raise PreconditionError(f"({q1},{q2}) is not an edge")
-    if g.degree(q1) != 3 or g.degree(q2) != 3:
-        raise PreconditionError("both endpoints of the surgery edge must have degree 3")
-    q3, q4, q5, q6 = (roles[k] for k in ("q3", "q4", "q5", "q6"))
-    if {q3, q4} != set(g.neighbors(q1)) - {q2}:
-        raise PreconditionError("q3,q4 must be the other neighbors of q1")
-    if {q5, q6} != set(g.neighbors(q2)) - {q1}:
-        raise PreconditionError("q5,q6 must be the other neighbors of q2")
-    if len({q1, q2, q3, q4, q5, q6}) != 6:
-        raise PreconditionError("the six pattern vertices must be distinct")
-    p = fw.placement
-    l13, l25 = join(p[q1], p[q3]), join(p[q2], p[q5])
-    l14, l26 = join(p[q1], p[q4]), join(p[q2], p[q6])
-    if l13 == l25:
-        raise PreconditionError("q1q3 = q2q5")
-    if l14 == l26:
-        raise PreconditionError("q1q4 = q2q6")
-    new1 = meet(l13, l25)
-    new2 = meet(l14, l26)
-    assert new1 is not TRUE and new2 is not TRUE
-
-    keep = [v for v in g.vertices if v not in (q1, q2)]
-    id1 = _fresh_id(q1, set(keep))
-    id2 = _fresh_id(q2, set(keep) | {id1})
-    vertices = [id1 if v == q1 else id2 if v == q2 else v for v in g.vertices]
-    edges = [e for e in g.edges if q1 not in e and q2 not in e]
-    edges += [(id1, id2), (id1, q3), (id1, q5), (id2, q4), (id2, q6)]
-    placement = {v: p[v] for v in keep}
-    placement[id1] = new1
-    placement[id2] = new2
-    return Framework(Graph(vertices, edges), placement)
-
-
-def chart_avoiding(points, seed: int = 0) -> AffineChart:
-    """Deterministic chart whose infinity line misses every given point."""
-    return AffineChart(random_line_avoiding(points, seed))
 
 
 # ---------------------------------------------------------------------------

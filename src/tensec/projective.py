@@ -269,14 +269,6 @@ class AffineChart:
         return tuple(Fraction(c) / s for c in p.coords)
 
 
-def affine_vector(f: Force, chart: AffineChart):
-    """Chart vector of the force: the 1-form iota_V F, as a covector triple.
-
-    Linear in f; always orthogonal to V.
-    """
-    return tuple(Fraction(x) for x in _cross(f.dual, chart.field))
-
-
 def _orthogonal_triples(t):
     """The nonzero ones of (b,-a,0), (c,0,-a), (0,c,-b) for t = (a, b, c).
 
@@ -366,13 +358,6 @@ def distinct_crossings(meets) -> bool:
     lines are equal) and no two coincide (no three lines are concurrent)."""
     points = set(meets)
     return TRUE not in points and len(points) == len(meets)
-
-
-def lines_in_general_position(lines) -> bool:
-    """An n-tuple of lines is in general position iff it has exactly
-    n(n-1)/2 distinct pairwise intersection points (pairwise distinct lines,
-    no three concurrent)."""
-    return distinct_crossings(pairwise_meets(list(lines)))
 
 
 def _integer_duals(forces):

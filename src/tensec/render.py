@@ -1,14 +1,17 @@
 """Static SVG figures for frameworks and framed cycles.
 
 Points are projected into the chart's affine coordinates and scaled into a
-fixed viewBox; output bytes are deterministic functions of the input.
+fixed viewBox; output bytes are deterministic functions of the input.  The
+drawing is in floats, so a chart coordinate or a framing line coefficient
+beyond the float range, or a data window too wide for one, is a
+precondition failure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import PointAtInfinityError
+from .errors import PointAtInfinityError, PreconditionError
 from .framework import Framework
 from .projective import AffineChart, ProjLine
 
@@ -37,13 +40,25 @@ def _chart_line_coeffs(line: ProjLine, chart: AffineChart):
     return a, b, c
 
 
+def _floats(values, what: str):
+    """The values as floats; PreconditionError if one is beyond the float
+    range."""
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        raise PreconditionError(f"cannot draw: a {what} exceeds the float range") from None
+
+
 def _fit(points_xy):
     """Screen mapping plus the (slightly padded) data window it covers."""
-    xs = [float(x) for x, _ in points_xy]
-    ys = [float(y) for _, y in points_xy]
+    xs = _floats((x for x, _ in points_xy), "chart coordinate")
+    ys = _floats((y for _, y in points_xy), "chart coordinate")
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
+    if span == float("inf"):
+        raise PreconditionError("cannot draw: the chart coordinates span more than"
+                                " the float range")
     scale = (WIDTH - 2 * MARGIN) / span
     pad = 0.8 * MARGIN / scale
     window = (lo_x - pad, lo_x + span + pad, lo_y - pad, lo_y + span + pad)
@@ -59,7 +74,7 @@ def _fit(points_xy):
 def _clip_line(a, b, c, to_screen, window):
     """Segment of A u + B v + C = 0 clipped to the data window, in screen
     coordinates; None if it misses the window."""
-    a, b, c = float(a), float(b), float(c)
+    a, b, c = _floats((a, b, c), "framing line coefficient")
     x_min, x_max, y_min, y_max = window
     pts = []
     if abs(b) > 1e-12:

@@ -103,16 +103,6 @@ class BinaryTree:
         side = bfs_parents(self.adjacency, node, avoid=v if node == u else u)
         return frozenset(self.leaf_labels[w] for w in side if self.degree(w) == 1)
 
-    def topology_key(self):
-        """Complete invariant of the leaf-labeled topology: the set of leaf
-        bipartitions induced by interior edges."""
-        splits = set()
-        for e in self.interior_edges():
-            a = self.side_labels(e, e[0])
-            b = self.side_labels(e, e[1])
-            splits.add(frozenset((a, b)))
-        return frozenset(splits)
-
     def path(self, a: int, b: int):
         """Nodes of the tree path from a to b."""
         return root_path(bfs_parents(self.adjacency, a), b)[::-1]
@@ -379,8 +369,8 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> Resol
     `pairing` = (v3, v5) selects which neighbors come together (defaults to
     the smallest of each side).
 
-    Raises GenericityError unless the scheme is strongly generic.
-    `enumerate_equivalent_schemes` checks that once and rewires directly: a
+    Raises GenericityError unless the scheme is strongly generic.  A walk
+    of surgeries may check that once and rewire with `_hf_rewire`: a
     surgery keeps the leaf forces up to one scale, and strong genericity
     depends on nothing else.
     """
@@ -417,36 +407,3 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
         raise GenericityError("scheme is not strongly generic")
     lf = leaf_forces(s, s.forceload)
     return line_of_force(lf[leaf_a] + lf[leaf_b])
-
-
-def topology_sort_key(key):
-    """Deterministic total order on topology keys (nested frozensets)."""
-    return sorted(sorted(tuple(sorted(map(str, side))) for side in split)
-                  for split in key)
-
-
-def enumerate_equivalent_schemes(s: ResolutionScheme):
-    """One scheme per leaf-labeled tree topology, reached by surgeries.
-
-    Breadth-first closure over all interior edges and both pairings;
-    deterministic order (sorted by topology key).  Strong genericity is
-    checked once, on `s`; every surgery keeps it.
-    """
-    if not s.strongly_generic:
-        raise GenericityError("scheme is not strongly generic")
-    seen = {s.tree.topology_key(): s}
-    queue = [s]
-    while queue:
-        cur = queue.pop(0)
-        for e in cur.tree.interior_edges():
-            v1, v2 = e
-            side1 = [n for n in cur.tree.adjacency[v1] if n != v2]
-            side2 = [n for n in cur.tree.adjacency[v2] if n != v1]
-            for n3 in side1:
-                for n5 in side2:
-                    nxt = _hf_rewire(cur, e, pairing=(n3, n5))
-                    key = nxt.tree.topology_key()
-                    if key not in seen:
-                        seen[key] = nxt
-                        queue.append(nxt)
-    return [seen[k] for k in sorted(seen, key=topology_sort_key)]

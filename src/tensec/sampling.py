@@ -1,20 +1,20 @@
-"""Seeded random generators for placements and framed cycles.
+"""Seeded random placements of a graph, the samples `verify` draws.
 
-Rational draws are bounded (numerators and denominators up to 1000) to keep
-exact-arithmetic growth in check.  Every generator threads an explicit seed;
-generation is deterministic per (seed, arguments).
+`random_placement` puts the vertices at random affine points; the
+Desargues-concurrent and Pascal-conic placements put the two fixture graphs
+on their special varieties.  Rational draws are bounded (numerators and
+denominators up to 1000) to keep exact-arithmetic growth in check.  Every
+generator threads an explicit seed; generation is deterministic per (seed,
+arguments).
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
-from .cycles import FramedCycle, cycle_general_position
 from .errors import GeometryError
 from .framework import Framework, Graph
-from .projective import (Force, ProjLine, ProjPoint, _cross, _orthogonal_triples,
-                         join, line_of_force, lines_in_general_position,
+from .projective import (ProjLine, ProjPoint, _orthogonal_triples, join,
                          random_fraction)
 
 
@@ -109,70 +109,3 @@ def pascal_conic_placement(g: Graph, seed: int) -> Framework:
             return Framework(g, placement)
         except GeometryError:
             continue
-
-
-def random_cycle_points(k: int, rng: random.Random, bound: int = 200):
-    """k affine points whose cyclic edge lines are in general position."""
-    while True:
-        pts = [random_affine_point(rng, bound) for _ in range(k)]
-        if len(set(pts)) != k:
-            continue
-        lines = [join(pts[i], pts[(i + 1) % k]) for i in range(k)]
-        if lines_in_general_position(lines):
-            return pts
-
-
-def random_framed_cycle(k: int, seed: int, equilibrium: bool) -> FramedCycle:
-    """Random framed cycle in general position.
-
-    With `equilibrium` the framings are the lines of the forces balancing
-    random nonzero edge stresses, so a nonzero equilibrium force-load exists
-    by construction; otherwise independent random framings make one almost
-    surely impossible.
-    """
-    rng = random.Random(seed)
-    while True:
-        pts = random_cycle_points(k, rng)
-        edge_reps = [_cross(pts[i].coords, pts[(i + 1) % k].coords) for i in range(k)]
-        if equilibrium:
-            ts = [random_fraction(rng, 50) for _ in range(k)]
-            if any(t == 0 for t in ts):
-                continue
-            framings = []
-            for i in range(k):
-                dual = tuple(ts[i] * Fraction(edge_reps[i][c])
-                             - ts[i - 1] * Fraction(edge_reps[i - 1][c])
-                             for c in range(3))
-                f = Force(dual)
-                if f.is_zero():
-                    framings = None
-                    break
-                framings.append(line_of_force(-f))
-            if framings is None:
-                continue
-        else:
-            framings = []
-            for i in range(k):
-                guard = 0
-                line = None
-                while guard < 40:
-                    guard += 1
-                    q = random_affine_point(rng, 200)
-                    if q == pts[i]:
-                        continue
-                    cand = join(pts[i], q)
-                    if not cand.contains(pts[(i - 1) % k]) and not cand.contains(pts[(i + 1) % k]):
-                        line = cand
-                        break
-                if line is None:
-                    framings = None
-                    break
-                framings.append(line)
-            if framings is None:
-                continue
-        try:
-            c = FramedCycle(pts, framings)
-        except GeometryError:
-            continue
-        if cycle_general_position(c):
-            return c

@@ -20,7 +20,8 @@ from tensec.errors import GeometryError, InputError, PointAtInfinityError
 from tensec.framework import (ForceLoad, Stress, _PROBES, edge_key,
                               is_non_parallelizable)
 from tensec.numeric import clear_denominators, primitive
-from tensec.projective import AffineChart, Force, _cross, affine_vector
+from lemmas import affine_vector
+from tensec.projective import AffineChart, Force, _cross
 
 
 def reference_nullspace_basis(rows, ncols: int):

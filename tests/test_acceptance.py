@@ -13,26 +13,25 @@ import pytest
 
 from all_cycles import (all_cycles_system, both_systems, condition_lines,
                         fundamental_lines, simple_cycles)
+from lemmas import (chart_avoiding, cycle_equilibrium_basis,
+                    enumerate_equivalent_schemes, hf_surgery_framework, is_trivial,
+                    project_cycle, proportional_to, random_framed_cycle)
 from reference_oracle import reference_stress_of_forceload
 from tensec.conditions import (framing_expression, evaluate,
                                fulfilled_with_witness)
-from tensec.cycles import (cycle_equilibrium_basis, is_trivial, monodromy,
-                           pick_aux_line, project_cycle)
+from tensec.cycles import monodromy, pick_aux_line
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (chart_avoiding, find_nonparallelizable_stress,
+from tensec.framework import (find_nonparallelizable_stress,
                               forceload_from_stress, framework_in_general_position,
-                              framework_to_json, hf_surgery_framework,
-                              is_equilibrium, is_non_parallelizable,
-                              self_stress_basis)
+                              framework_to_json, is_equilibrium,
+                              is_non_parallelizable, self_stress_basis)
 from tensec.quantization import (consistency_cycles, construct_forceload,
                                  default_trees, is_consistent,
                                  quantization_from_stress)
-from tensec.resolution import enumerate_equivalent_schemes
 from tensec.sampling import (desargues_concurrent_placement,
-                             pascal_conic_placement, random_framed_cycle,
-                             random_placement)
+                             pascal_conic_placement, random_placement)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,7 +85,7 @@ def test_criterion_4_invariance_suite_200():
         aux3 = pick_aux_line(c, 60_000 + i, extra_avoid=list(projected.points))
         m_full = monodromy(c, 0, aux3)
         m_proj = monodromy(projected, 0, aux3)
-        assert m_full.proportional_to(m_proj)
+        assert proportional_to(m_full, m_proj)
         checked += 1
     assert checked == 200
     report(4, "aux/base invariance and projection-preserved monodromy, 200/200")

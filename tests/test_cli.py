@@ -198,8 +198,7 @@ def test_fuzzed_framework_json_exits_0_2_or_3(tmp_path, document):
 def _fuzz_files(tmp_path):
     """Inputs of the argv fuzz: a placed framework, a graph without
     coordinates, a framed cycle, and output paths of each kind."""
-    from tensec.cycles import framed_cycle_to_json
-    from tensec.sampling import random_framed_cycle
+    from lemmas import framed_cycle_to_json, random_framed_cycle
 
     inputs = []
     for name, obj in (("fw", framework_to_json(DESARGUES_POS)),
@@ -712,8 +711,7 @@ def test_render_framework(files, tmp_path, capsys):
 
 
 def test_render_framed_cycle(tmp_path):
-    from tensec.cycles import framed_cycle_to_json
-    from tensec.sampling import random_framed_cycle
+    from lemmas import framed_cycle_to_json, random_framed_cycle
 
     c = random_framed_cycle(4, 3, equilibrium=True)
     p = tmp_path / "cycle.json"
@@ -736,6 +734,35 @@ def test_render_rejects_points_at_infinity(tmp_path):
     p = tmp_path / "inf.json"
     p.write_text(json.dumps(obj))
     assert main(["render", str(p), "-o", str(tmp_path / "x.svg")]) == 3
+
+
+_HUGE = "1" + "0" * 400  # 10^400, beyond the float range
+_FAR = "1" + "0" * 308  # 10^308: a float, but 2 * 10^308 is not
+
+
+@pytest.mark.parametrize("obj, cause", [
+    ({"vertices": [{"id": "a", "coords": [_HUGE, "0", "1"]},
+                   {"id": "b", "coords": ["0", "1", "1"]},
+                   {"id": "c", "coords": ["1", "1", "1"]}],
+      "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
+     "a chart coordinate exceeds the float range"),
+    ({"points": [["1", "1", "1"], ["0", "0", "1"], ["1", "0", "1"], ["0", "1", "1"]],
+      "framings": [["1", _HUGE, "-1" + "0" * 399 + "1"], ["1", "0", "0"],
+                   ["0", "1", "0"], ["1", "0", "0"]]},
+     "a framing line coefficient exceeds the float range"),
+    ({"vertices": [{"id": "a", "coords": [_FAR, "0", "1"]},
+                   {"id": "b", "coords": ["-" + _FAR, "1", "1"]},
+                   {"id": "c", "coords": ["1", "1", "1"]}],
+      "edges": [["a", "b"], ["b", "c"], ["a", "c"]]},
+     "the chart coordinates span more than the float range"),
+], ids=["coordinate", "framing", "span"])
+def test_render_rejects_values_beyond_floats(tmp_path, capsys, obj, cause):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(obj))
+    out = tmp_path / "x.svg"
+    assert main(["render", str(p), "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot draw: {cause}\n"
+    assert not out.exists()
 
 
 def test_custom_chart_flag(tmp_path, capsys):

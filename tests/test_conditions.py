@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from all_cycles import all_cycles_system, both_systems
+from lemmas import is_trivial, random_framed_cycle
 from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
                                framing_expression, fulfilled_with_witness,
                                generate_system, system_to_json, to_json_ast,
@@ -21,14 +22,14 @@ from tensec.framework import (Framework, Graph, edge_key,
                               forceload_from_stress, framework_from_json,
                               framework_in_general_position, read_json,
                               self_stress_basis)
-from tensec.cycles import is_trivial, monodromy, pick_aux_line
+from tensec.cycles import monodromy, pick_aux_line
 from tensec.projective import (TRUE, ProjLine, ProjPoint, join, meet,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident,
                                sub_seed)
 from tensec.quantization import (consistency_cycles, default_trees,
                                  quantization_from_stress, xi_slots)
-from tensec.sampling import random_framed_cycle, random_placement
+from tensec.sampling import random_placement
 
 
 def random_projective_map(seed: int):

@@ -5,19 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lemmas import (chart_avoiding, cycle_equilibrium_basis, framed_cycle_to_json,
+                    is_trivial, lines_in_general_position, project_cycle,
+                    proportional_to, random_framed_cycle, shift_map)
 from reference_resolution import solve_in_span
-from tensec.cycles import (FramedCycle, LineMap, cycle_equilibrium_basis,
-                           cycle_general_position, framed_cycle_from_json,
-                           framed_cycle_to_json, is_trivial, is_trivial_monodromy,
-                           monodromy, pick_aux_line, project_cycle, shift_map)
+from tensec.cycles import (FramedCycle, LineMap, cycle_general_position,
+                           framed_cycle_from_json, is_trivial_monodromy,
+                           monodromy, pick_aux_line)
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
-from tensec.framework import chart_avoiding
-from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join,
-                               lines_in_general_position, meet,
+from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join, meet,
                                pick_generic_line_through, pick_generic_point_on,
                                random_line_avoiding)
-from tensec.sampling import random_framed_cycle
 
 
 def concurrent_triangle():
@@ -292,13 +291,13 @@ def test_chain_monodromy_matches_matrix_reference(k, seed, equilibrium):
         matrices = [matrix_monodromy(c, start, aux) for aux in (aux1, aux2)]
         for chain, matrix in zip(chains, matrices):
             assert is_trivial(chain) == matrix_is_trivial(matrix)
-        assert (chains[0].proportional_to(chains[1])
+        assert (proportional_to(chains[0], chains[1])
                 == matrices[0].proportional_to(matrices[1]))
         if k >= 4:  # the base framing survives merging the next two vertices
             out = project_cycle(c, start + 1)
             aux = pick_aux_line(c, seed + 2, extra_avoid=out.points)
             base = min(start, k - 2)
-            assert monodromy(c, start, aux).proportional_to(monodromy(out, base, aux))
+            assert proportional_to(monodromy(c, start, aux), monodromy(out, base, aux))
             assert matrix_monodromy(c, start, aux).proportional_to(
                 matrix_monodromy(out, base, aux))
 
@@ -427,8 +426,8 @@ def test_cycle_pass_matches_reference(k, seed, equilibrium, kind):
         for chain, ref in zip(chains, refs):
             assert chain == ref
             assert is_trivial(chain) == is_trivial(ref)
-            assert chain.proportional_to(ref)
-        assert chains[0].proportional_to(chains[1]) == refs[0].proportional_to(refs[1])
+            assert proportional_to(chain, ref)
+        assert proportional_to(chains[0], chains[1]) == proportional_to(refs[0], refs[1])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -465,7 +464,7 @@ def test_projection_preserves_surviving_monodromy():
         aux = pick_aux_line(c, 50 + seed, extra_avoid=list(out.points))
         m1 = monodromy(c, 0, aux)
         m2 = monodromy(out, 0, aux)
-        assert m1.proportional_to(m2)
+        assert proportional_to(m1, m2)
         assert is_trivial(m1) == is_trivial(m2)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_oracle
 import tensec.framework as framework
+from lemmas import chart_avoiding, hf_surgery_framework, lines_in_general_position
 from reference_oracle import (reference_find_nonparallelizable_stress,
                               reference_forceload_from_stress,
                               reference_self_stress_basis,
@@ -21,16 +22,13 @@ from tensec.errors import (GeometryError, InputError, PointAtInfinityError,
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import (ForceLoad, Framework, Graph, Stress, bfs_parents,
-                              chart_avoiding,
                               enumerate_simple_cycles,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
                               framework_in_general_position, framework_to_json,
-                              hf_surgery_framework, is_equilibrium,
-                              is_connected, is_non_parallelizable, root_path,
-                              self_stress_basis, vertex_force_sum)
-from tensec.projective import (AffineChart, ProjLine, ProjPoint, _dot,
-                               lines_in_general_position)
+                              is_equilibrium, is_connected, is_non_parallelizable,
+                              root_path, self_stress_basis, vertex_force_sum)
+from tensec.projective import AffineChart, ProjLine, ProjPoint, _dot
 from tensec.sampling import (desargues_concurrent_placement,
                              pascal_conic_placement, random_placement)
 

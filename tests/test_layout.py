@@ -1,0 +1,130 @@
+"""`src/tensec` holds what the four commands run.
+
+A static walk over the library's source: starting from `cli.main`, a
+reached function or class reaches every library definition whose name it
+loads, as a bare name or as an attribute.  A reached class reaches its
+bases, decorators and non-method body, and its dunder methods, which Python
+calls implicitly; the statements at the top of each module run at import
+and are reached too.  Every function, class and method under `src/tensec`
+must be reached.  Code that only tests call lives in the tests; the
+paper's lemma code that the acceptance criteria check is in
+`tests/lemmas.py`.
+
+The walk matches names, not types: a method is reached when any reached
+code loads an attribute of its name.  So `ForceLoad.scaled` and
+`Stress.is_zero`, which share their names with the live `Force.scaled` and
+`Force.is_zero`, are out of its reach, and out of its scope.
+"""
+
+import ast
+from pathlib import Path
+
+from test_trace_hooks import load_tracing
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "tensec"
+LEMMAS = ROOT / "tests" / "lemmas.py"
+
+#: Library definitions reached from outside `cli.main`, each for its reason.
+EXTRA_ROOTS = (
+    # ROADMAP item 2 wires the sufficiency direction of the theorem into
+    # `check`; until then only the tests build this force-load.
+    "quantization.construct_forceload",
+    # The README's example writes a fixture to a framework file with it.
+    "framework.framework_to_json",
+)
+
+
+def _definitions(path: Path):
+    """Top-level functions and classes of a source file, and the methods of
+    its classes, as {qualified name: node}, plus its other top-level
+    statements."""
+    module = ast.parse(path.read_text(encoding="utf-8"))
+    defs, statements = {}, []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{node.name}.{item.name}"] = item
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            statements.append(node)
+    return defs, statements
+
+
+def _loaded_names(nodes):
+    """Names and attribute names that the nodes load."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                names.add(sub.attr)
+    return names
+
+
+def _class_parts(node: ast.ClassDef):
+    """What a class runs when it is built: bases, keywords, decorators and
+    the statements of its body that are not methods."""
+    return [*node.bases, *node.keywords, *node.decorator_list,
+            *(item for item in node.body if not isinstance(item, ast.FunctionDef))]
+
+
+def library():
+    """{"module.name" or "module.Class.method": node} over `src/tensec`, and
+    the top-level statements of every module."""
+    defs, statements = {}, []
+    for path in sorted(LIBRARY.glob("*.py")):
+        found, top = _definitions(path)
+        defs.update({f"{path.stem}.{name}": node for name, node in found.items()})
+        statements += top
+    return defs, statements
+
+
+def traced_roots():
+    """The functions `perfbench/tracing.py` wraps or counts, which must
+    exist while the benchmark's tracer refers to them."""
+    tracing = load_tracing()
+    return [f"{short}.{attr}" for short, attr, _hook in tracing.SPANS] + \
+        [f"{short}.{attr}" for short, attr in tracing.COUNTERS]
+
+
+def unreached():
+    """The library definitions no walk from the roots reaches, sorted."""
+    defs, statements = library()
+    by_name = {}
+    for qualified in defs:
+        by_name.setdefault(qualified.rsplit(".", 1)[-1], []).append(qualified)
+
+    def named(nodes):
+        return [q for name in _loaded_names(nodes) for q in by_name.get(name, ())]
+
+    reached = set()
+    pending = ["cli.main", *traced_roots(), *EXTRA_ROOTS, *named(statements)]
+    while pending:
+        qualified = pending.pop()
+        if qualified in reached:
+            continue
+        reached.add(qualified)
+        node = defs[qualified]
+        if isinstance(node, ast.ClassDef):
+            pending += named(_class_parts(node))
+            pending += [f"{qualified}.{item.name}" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name.startswith("__") and item.name.endswith("__")]
+        else:
+            pending += named([node])
+    return sorted(set(defs) - reached)
+
+
+def test_every_library_definition_runs_in_a_command():
+    assert unreached() == []
+
+
+def test_lemmas_define_no_library_name():
+    lemmas, _ = _definitions(LEMMAS)
+    defs, _ = library()
+    library_names = {qualified.rsplit(".", 1)[-1] for qualified in defs}
+    assert sorted(set(lemmas) & library_names) == []

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lemmas import affine_vector, lines_in_general_position
 from tensec.errors import GeometryError
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
                                ZERO_FORCE, _cross, _proper_subset_sums,
-                               affine_vector, join, line_of_force,
-                               lines_in_general_position, meet,
+                               join, line_of_force, meet,
                                non_parallelizable_star, nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
                                pick_generic_line_through, pick_generic_point_on,

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lemmas import enumerate_equivalent_schemes, topology_key
 from reference_resolution import _decompose, positive_scale
 from reference_resolution import scheme_forceload as fraction_scheme_forceload
 from tensec.errors import GenericityError, GeometryError, InputError
@@ -17,8 +18,7 @@ from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
 from tensec.quantization import quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
 from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
-                               default_tree, enumerate_equivalent_schemes,
-                               is_strongly_generic, is_weakly_generic,
+                               default_tree, is_strongly_generic, is_weakly_generic,
                                leaf_forces, rewire, scheme_forceload,
                                scheme_hf_surgery, slot_edges)
 
@@ -457,7 +457,7 @@ def test_resurgery_cycles_through_three_topologies():
     # a surgery always moves to one of the two alternative pairings, and
     # re-surgeries stay inside the 3-element topology orbit
     s = worked_example()
-    seen = {s.tree.topology_key()}
+    seen = {topology_key(s.tree)}
     frontier = [s]
     for _ in range(3):
         nxt = []
@@ -467,9 +467,9 @@ def test_resurgery_cycles_through_three_topologies():
             side2 = [n for n in cur.tree.adjacency[v2] if n != v1]
             for n5 in side2:
                 out = scheme_hf_surgery(cur, (v1, v2), pairing=(side1[0], n5))
-                assert out.tree.topology_key() != cur.tree.topology_key()
+                assert topology_key(out.tree) != topology_key(cur.tree)
                 nxt.append(out)
-                seen.add(out.tree.topology_key())
+                seen.add(topology_key(out.tree))
         frontier = nxt
     assert len(seen) == 3
 
@@ -585,7 +585,7 @@ def brute_force_topologies(labels):
                 leaf_labels[leaf] = lab
                 grown.append(BinaryTree(adjacency, leaf_labels))
         trees = grown
-    return {t.topology_key() for t in trees}
+    return {topology_key(t) for t in trees}
 
 
 @pytest.mark.parametrize("n,expected", [(3, 1), (4, 3), (5, 15)])
@@ -595,6 +595,6 @@ def test_equivalent_scheme_enumeration_counts(n, expected):
     s = distinct_lines_scheme(n, 21)
     schemes = enumerate_equivalent_schemes(s)
     assert len(schemes) == expected
-    assert {x.tree.topology_key() for x in schemes} == brute_force_topologies(labels)
+    assert {topology_key(x.tree) for x in schemes} == brute_force_topologies(labels)
     for x in schemes:
         assert is_strongly_generic(x)

@@ -22,8 +22,7 @@ import time
 
 from .conditions import (condition_sexprs, fulfilled_with_witness, generate_system,
                          system_to_json)
-from .errors import (InconsistentQuantizationError, InputError,
-                     PreconditionError, TensecError)
+from .errors import InputError, PreconditionError, TensecError
 from .framework import (find_nonparallelizable_stress, forceload_from_stress,
                         framework_from_json, framework_in_general_position,
                         graph_from_json, read_json, self_stress_basis)
@@ -330,9 +329,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InconsistentQuantizationError as exc:
-        print(f"error: {exc} (cycle {' '.join(exc.cycle)})", file=sys.stderr)
         return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

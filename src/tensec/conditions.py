@@ -67,7 +67,7 @@ class Expr:
     once, at construction, from its children's.  A memo lookup therefore
     hashes in O(1), and compares two nodes in full only if their hashes agree.
     Nodes are never changed after construction.  The class is not frozen:
-    frozen fields made compiling the 394 conditions of GP(8,3) 1.5x slower.
+    frozen fields made compiling the 9 conditions of GP(8,3) 1.3x slower.
     """
 
     op: str
@@ -257,8 +257,6 @@ def generate_system(g: Graph) -> ConditionSystem:
     position, which `check` tests first.
     """
     g.require_min_degree(3)
-    # vertices recur in many cycles; an ordered corner (vertex, edge in,
-    # edge out) at a vertex of degree >= 4 rarely does
     trees = default_trees(g)
     labels = {v: vertex_labels(tree, v) for v, tree in trees.items()}
     points = {v: Expr("point", (v,)) for v in g.vertices}

@@ -62,12 +62,6 @@ class FramedCycle:
     def __len__(self):
         return len(self.points)
 
-    def edge_line(self, i: int) -> ProjLine:
-        line = self.edge_lines[i % len(self)]
-        if line is TRUE:
-            raise GeometryError("coincident consecutive cycle points")
-        return line
-
     @cached_property
     def crossings(self) -> tuple:
         """`pairwise_meets` of the edge lines."""

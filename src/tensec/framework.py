@@ -157,9 +157,6 @@ class Stress:
 
     weights: dict
 
-    def is_zero(self) -> bool:
-        return all(w == 0 for w in self.weights.values())
-
 
 class ForceLoad:
     """Antisymmetric assignment of forces to ordered vertex pairs."""
@@ -178,9 +175,6 @@ class ForceLoad:
 
     def force(self, u: str, v: str) -> Force:
         return self.forces.get((u, v), ZERO_FORCE)
-
-    def scaled(self, k) -> "ForceLoad":
-        return ForceLoad({p: f.scaled(k) for p, f in self.forces.items()})
 
 
 def vertex_force_sum(fw: Framework, fl: ForceLoad, v: str) -> Force:

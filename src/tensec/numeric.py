@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import _kernel
-from .errors import GeometryError, InputError
+from .errors import InputError
 
 
 #: A rational literal: optional sign, decimal digits, optional "/" and

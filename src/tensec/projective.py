@@ -218,9 +218,6 @@ class Force:
         a = self.dual
         return Force((-a[0], -a[1], -a[2]))
 
-    def __sub__(self, other: "Force") -> "Force":
-        return self + (-other)
-
     def scaled(self, k) -> "Force":
         a = self.dual
         return Force((k * a[0], k * a[1], k * a[2]))

@@ -32,8 +32,7 @@ Write f_v(e) for the leaf force of v's scheme on edge e.
   lemma (a framed cycle in general position has a trivial monodromy iff it
   carries a nonzero equilibrium), a cycle is consistent iff its holonomy
   is 1.  A homomorphism is trivial iff it is trivial on generators, and
-  `consistency_cycles` generates H_1 (a cycle through every vertex is
-  replaced by two cycles whose sum it is).  So consistency on every simple
+  `consistency_cycles` is a basis of H_1.  So consistency on every simple
   cycle <=> consistency on the fundamental cycles <=> h is a coboundary,
   which is what `construct_forceload` checks edge by edge.  The compiled
   conditions state the same per-cycle equilibrium, so the same holds for
@@ -180,26 +179,27 @@ MAX_CONDITION_CYCLE = 64
 
 def consistency_cycles(g: Graph):
     """Cycle set checked for consistency and compiled into conditions: the
-    fundamental cycles of a BFS spanning tree, which generate the cycle
-    space.  A basis cycle through all vertices is replaced by the two cycles
-    cut by its smallest chord.  A cycle on more than MAX_CONDITION_CYCLE
-    vertices raises PreconditionError."""
+    |E| - |V| + 1 fundamental cycles of a BFS spanning tree, a basis of the
+    cycle space, pairwise distinct since each holds its own non-tree edge.
+    A cycle on more than MAX_CONDITION_CYCLE vertices raises
+    PreconditionError.
+
+    Every caller requires minimum degree 3 (`Quantization`,
+    `generate_system`), so no fundamental cycle passes through every vertex
+    and each can be framed (`framed_cycle_of`): the root's neighbors, at
+    least three, are all its children in the BFS tree, so the tree is no
+    path; but the tree path of a cycle through all |V| vertices would hold
+    all |V| - 1 tree edges.
+    """
     parent = bfs_parents(g.adjacency, min(g.vertices))
-    cycles = []
-    for u, v in g.edges:
-        if parent[u] == v or parent[v] == u:
-            continue
-        cycle = _tree_cycle(parent, u, v)
-        if len(cycle) == len(g.vertices):
-            cycles.extend(_split_by_chord(g, cycle))
-        else:
-            cycles.append(cycle)
+    cycles = [_tree_cycle(parent, u, v) for u, v in g.edges
+              if parent[u] != v and parent[v] != u]
     longest = max(map(len, cycles), default=0)
     if longest > MAX_CONDITION_CYCLE:
         raise PreconditionError(
             f"a consistency cycle has {longest} vertices, more than"
             f" MAX_CONDITION_CYCLE = {MAX_CONDITION_CYCLE}")
-    return sorted(set(cycles), key=lambda c: (len(c), c))
+    return sorted(cycles, key=lambda c: (len(c), c))
 
 
 def _tree_cycle(parent, u, v):
@@ -210,21 +210,6 @@ def _tree_cycle(parent, u, v):
     meet_at = next(x for x in pu if x in on_pv)
     return _canonical_cycle(pu[:pu.index(meet_at) + 1]
                             + pv[:pv.index(meet_at)][::-1])
-
-
-def _split_by_chord(g, cycle):
-    k = len(cycle)
-    cycle_edges = {edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    chords = sorted(e for e in g.edges if e not in cycle_edges)
-    if not chords:
-        raise PreconditionError("cycle through all vertices admits no chord")
-    a, b = chords[0]
-    ia, ib = cycle.index(a), cycle.index(b)
-    if ia > ib:
-        ia, ib = ib, ia
-    arc1 = cycle[ia:ib + 1]
-    arc2 = cycle[ib:] + cycle[:ia + 1]
-    return [_canonical_cycle(arc1), _canonical_cycle(arc2)]
 
 
 def _canonical_cycle(seq):

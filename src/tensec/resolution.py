@@ -230,7 +230,11 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     edge, seeded with the label's coefficients signed as the seed force:
     at every degree-3 node the incoming force is split along the other two
     labels by `_decompose`, whose positive factor k rescales the load built
-    so far; the content of the whole load is divided out at the end.
+    so far.  The load needs no division by its content: the seed, a label's
+    coefficients, is primitive, and a split of a load of content 1 scales
+    it by k and adds the forces x a and y b, with a and b the primitive
+    coefficients of the two labels, so the new content is gcd(k, x, y),
+    which `_decompose` makes 1.
     """
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
@@ -257,10 +261,6 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
         stack.extend([(n1, w), (n2, w)])
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
-    content = gcd(*(x for f in forces.values() for x in f.dual))
-    if content != 1:
-        forces = {pair: Force(tuple(x // content for x in f.dual))
-                  for pair, f in forces.items()}
     return forces
 
 
@@ -289,10 +289,10 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
 
     With v1v2 the interior edge, v3,v4 the other neighbors of v1 and v5,v6
     of v2, the new tree joins v3 with v5 at one fresh node and v4 with v6 at
-    the other.  `pairing` = (v3, v5) selects which neighbors come together
-    (None: the smallest of each side).  Every kept edge keeps its label; the
-    fresh interior edge gets new_label(tree, labels, h), where h lists the
-    node pairs (v1, v2), (v1, v3), (v1, v4), (v2, v5), (v2, v6) of the H.
+    the other.  `pairing` = (v3, v5) selects which neighbors come together.
+    Every kept edge keeps its label; the fresh interior edge gets
+    new_label(tree, labels, h), where h lists the node pairs (v1, v2),
+    (v1, v3), (v1, v4), (v2, v5), (v2, v6) of the H.
     Labels may be lines or expressions.  Returns (tree, labels).
     """
     v1, v2 = edge
@@ -300,12 +300,9 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
         raise InputError(f"({v1},{v2}) is not an interior edge")
     side1 = [n for n in tree.adjacency[v1] if n != v2]
     side2 = [n for n in tree.adjacency[v2] if n != v1]
-    if pairing is None:
-        n3, n5 = min(side1), min(side2)
-    else:
-        n3, n5 = pairing
-        if n3 not in side1 or n5 not in side2:
-            raise InputError("pairing must name one neighbor of each endpoint")
+    n3, n5 = pairing
+    if n3 not in side1 or n5 not in side2:
+        raise InputError("pairing must name one neighbor of each endpoint")
     n4 = side1[0] if side1[1] == n3 else side1[1]
     n6 = side2[0] if side2[1] == n5 else side2[1]
     fresh = new_label(tree, labels, ((v1, v2), (v1, n3), (v1, n4), (v2, n5), (v2, n6)))
@@ -361,13 +358,12 @@ def _paired_line(s: ResolutionScheme, h) -> ProjLine:
     return line_of_force(combined)
 
 
-def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionScheme:
+def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing) -> ResolutionScheme:
     """Rewire the H at an interior edge into the Phi pairing.
 
     The tree is rewired as in `rewire`; the fresh interior edge is labeled
     by the line of force of the two forces meeting at the new node.
-    `pairing` = (v3, v5) selects which neighbors come together (defaults to
-    the smallest of each side).
+    `pairing` = (v3, v5) selects which neighbors come together.
 
     Raises GenericityError unless the scheme is strongly generic.  A walk
     of surgeries may check that once and rewire with `_hf_rewire`: a
@@ -379,7 +375,7 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing=None) -> Resol
     return _hf_rewire(s, interior_edge, pairing)
 
 
-def _hf_rewire(s: ResolutionScheme, interior_edge, pairing=None) -> ResolutionScheme:
+def _hf_rewire(s: ResolutionScheme, interior_edge, pairing) -> ResolutionScheme:
     """`scheme_hf_surgery` without its strong-genericity check."""
     tree, labels = rewire(s.tree, s.labels, interior_edge, pairing,
                           lambda tree, labels, h: _paired_line(s, h))

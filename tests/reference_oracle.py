@@ -143,7 +143,7 @@ def reference_find_nonparallelizable_stress(fw, basis,
                 e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)), Fraction(0))
                 for e in fw.graph.edges}))
     for w in candidates:
-        if w.is_zero():
+        if not any(w.weights.values()):
             continue
         fl = reference_forceload_from_stress(fw, w, chart)
         if is_non_parallelizable(fw, fl):

@@ -495,6 +495,35 @@ def test_verify_zero_mismatches(files, capsys):
     for entry in payload["results"]:
         assert "seed" in entry
 
+    # the Pascal graph draws its odd samples on a conic
+    assert main(["verify", files["ppos"], "--samples", "8", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "mismatches: 0" in out
+    assert "oracle positive: 4" in out
+
+
+def test_verify_reports_each_mismatch(files, capsys, monkeypatch):
+    # conditions that contradict the oracle on every sample
+    import tensec.cli
+
+    fulfilled = tensec.cli.fulfilled_with_witness
+    monkeypatch.setattr(tensec.cli, "fulfilled_with_witness",
+                        lambda *args: not fulfilled(*args))
+    argv = ["verify", files["dpos"], "--samples", "4", "--seed", "5"]
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    results = payload["results"]
+    assert payload["mismatch_count"] == 4
+    assert payload["mismatches"] == results
+    assert all(r["conditions"] is not r["oracle"] for r in results)
+
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "mismatches: 4" in lines
+    assert lines[-4:] == [f"  mismatch at sample {r['index']} (seed {r['seed']}): "
+                          f"oracle={r['oracle']} conditions={r['conditions']}"
+                          for r in results]
+
 
 def test_cross_process_byte_determinism(files):
     a = run_cli(["check", files["dpos"], "--seed", "11", "--format", "json"])

@@ -302,6 +302,14 @@ def test_chain_monodromy_matches_matrix_reference(k, seed, equilibrium):
                 matrix_monodromy(out, base, aux))
 
 
+def checked_edge_lines(c: FramedCycle) -> list:
+    """The edge lines of a framed cycle; GeometryError where two
+    consecutive points coincide."""
+    if any(line is TRUE for line in c.edge_lines):
+        raise GeometryError("coincident consecutive cycle points")
+    return list(c.edge_lines)
+
+
 # ---------------------------------------------------------------------------
 # reference: general position, aux lines and monodromy as they were before a
 # framed cycle joined its edge lines and met them pairwise once, and before
@@ -323,7 +331,7 @@ def reference_lines_in_general_position(lines) -> bool:
 def reference_cycle_general_position(c: FramedCycle) -> bool:
     k = len(c)
     try:
-        lines = [c.edge_line(i) for i in range(k)]
+        lines = checked_edge_lines(c)
     except GeometryError:
         return False
     if not reference_lines_in_general_position(lines):
@@ -338,7 +346,7 @@ def reference_cycle_general_position(c: FramedCycle) -> bool:
 def reference_pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
     forbidden = set(c.points) | set(extra_avoid)
     k = len(c)
-    lines = [c.edge_line(i) for i in range(k)]
+    lines = checked_edge_lines(c)
     for i in range(k):
         for j in range(i + 1, k):
             pt = meet(lines[i], lines[j])
@@ -522,7 +530,7 @@ def test_almost_equilibrium_promotes_to_equilibrium():
         k = 4 + seed % 3
         positive = seed % 2 == 0
         c = random_framed_cycle(k, seed, equilibrium=positive)
-        edge_reps = [c.edge_line(i).coeffs for i in range(k)]
+        edge_reps = [l.coeffs for l in checked_edge_lines(c)]
         framing_reps = [l.coeffs for l in c.framings]
         rows = []
         for i in range(k - 1):  # omit the last vertex

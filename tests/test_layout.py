@@ -11,9 +11,10 @@ paper's lemma code that the acceptance criteria check is in
 `tests/lemmas.py`.
 
 The walk matches names, not types: a method is reached when any reached
-code loads an attribute of its name.  So `ForceLoad.scaled` and
-`Stress.is_zero`, which share their names with the live `Force.scaled` and
-`Force.is_zero`, are out of its reach, and out of its scope.
+code loads an attribute of its name, so a method that only tests call but
+that shares its name with a live method is out of its reach.
+
+Every name a library module imports is loaded in that module.
 """
 
 import ast
@@ -128,3 +129,19 @@ def test_lemmas_define_no_library_name():
     defs, _ = library()
     library_names = {qualified.rsplit(".", 1)[-1] for qualified in defs}
     assert sorted(set(lemmas) & library_names) == []
+
+
+def test_library_imports_are_used():
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        loaded = {node.id for node in ast.walk(module)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - loaded)]
+    assert unused == []

@@ -77,7 +77,8 @@ def test_scaled_forceload_gives_identical_quantization():
     fw, w = wheel_framework(3)
     fl = forceload_from_stress(fw, w)
     q1 = quantization_from_stress(fw, fl)
-    q2 = quantization_from_stress(fw, fl.scaled(Fraction(7, 3)))
+    scaled = ForceLoad({p: f.scaled(Fraction(7, 3)) for p, f in fl.forces.items()})
+    q2 = quantization_from_stress(fw, scaled)
     assert q1.interior_labels == q2.interior_labels
 
 
@@ -134,14 +135,39 @@ def test_generators_mode_agrees_with_full_mode_on_fixtures():
         assert is_consistent(q, 2) == positive
 
 
+def random_min_degree3_graphs(count):
+    """Seeded connected G(n, p) graphs of minimum degree 3, n = 4..14 and
+    p = 0.35, 0.5, 0.65."""
+    import networkx as nx
+
+    graphs = []
+    seed = 0
+    while len(graphs) < count:
+        gx = nx.gnp_random_graph(4 + seed % 11, (0.35, 0.5, 0.65)[seed // 11 % 3],
+                                 seed=seed)
+        seed += 1
+        if nx.is_connected(gx) and min(d for _, d in gx.degree) >= 3:
+            graphs.append(Graph([f"v{x:02d}" for x in gx.nodes],
+                                [(f"v{a:02d}", f"v{b:02d}") for a, b in gx.edges]))
+    return graphs
+
+
 def test_fundamental_cycles_generate_and_stay_short():
-    for g in (DESARGUES_GRAPH, WHEEL5_GRAPH):
+    # a basis of the cycle space: |E| - |V| + 1 cycles of the graph, each
+    # with an edge of its own; on minimum degree 3 none passes through
+    # every vertex
+    for g in (DESARGUES_GRAPH, WHEEL5_GRAPH, *random_min_degree3_graphs(60)):
         cycles = consistency_cycles(g)
         n = len(g.vertices)
         e = len(g.edges)
-        assert len(cycles) >= e - n + 1
+        assert len(cycles) == e - n + 1
+        edge_sets = [{edge_key(c[i], c[(i + 1) % len(c)]) for i in range(len(c))}
+                     for c in cycles]
+        for i, edges in enumerate(edge_sets):
+            assert edges <= set(g.edges)
+            assert edges - set().union(*edge_sets[:i], *edge_sets[i + 1:])
         for c in cycles:
-            assert len(c) < n or n == 3
+            assert len(c) < n
 
 
 def test_construct_forceload_roundtrip_desargues():

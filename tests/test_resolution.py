@@ -408,7 +408,7 @@ def test_genericity_guard_before_first_surgery():
     with pytest.raises(GenericityError):
         associated_framing(twisted, "e25", "e13")
     with pytest.raises(GenericityError):
-        scheme_hf_surgery(twisted, (4, 5))
+        scheme_hf_surgery(twisted, (4, 5), pairing=(0, 2))
     with pytest.raises(GenericityError):
         enumerate_equivalent_schemes(twisted)
     # leaves that already share a node need no surgery: their framing is the
@@ -443,14 +443,14 @@ def test_surgery_matches_hand_computation():
 def test_surgery_guard_and_interior_requirement():
     s = worked_example()
     with pytest.raises(InputError):
-        scheme_hf_surgery(s, (0, 4))  # leaf edge
+        scheme_hf_surgery(s, (0, 4), pairing=(1, 5))  # leaf edge
     # nodes 6 and 8 of the 6-leaf caterpillar both have degree 3 but are
     # not adjacent
     s6 = distinct_lines_scheme(6, 2)
     assert s6.tree.degree(6) == 3 and s6.tree.degree(8) == 3
     assert 8 not in s6.tree.adjacency[6]
     with pytest.raises(InputError, match="not an interior edge"):
-        scheme_hf_surgery(s6, (6, 8))
+        scheme_hf_surgery(s6, (6, 8), pairing=(0, 3))
 
 
 def test_resurgery_cycles_through_three_topologies():

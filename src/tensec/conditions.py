@@ -11,8 +11,13 @@ points and the Xi slots of the default vertex trees (`xi_slots`): a
 Compilation mirrors the numeric pipeline symbolically: a cycle's framing at
 each vertex is the associated-framing expression (third-edge label after
 rewiring surgeries, each surgery expanded into the seven-step meet/join
-construction of the new interior line), and the cycle condition reduces the
-framed cycle by symbolic projections down to a three-line relation.
+construction of the new interior line, folded over the vertex tree's leaf
+path by `fold_to_shared_node`), and the cycle condition reduces the framed
+cycle by symbolic projections down to a three-line relation.  The
+conditions of one system share their subexpressions: `generate_system`
+builds every node through one node table (`_node_table`), so structurally
+equal nodes of one system are one object.  The table lives for one call,
+so two systems share no node.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import InputError, PreconditionError
-from .framework import Framework, Graph, cycle_corners, edge_key
+from .framework import Framework, Graph, cycle_corners
 from .projective import (TRUE, join, meet, pick_generic_line_through,
                          pick_generic_point_on, rel_collinear,
                          rel_concurrent, rel_incident, sub_seed)
 from .quantization import consistency_cycles, default_trees, xi_slots
-from .resolution import tree_labels, walk_to_shared_node
+from .resolution import fold_to_shared_node, tree_labels
 
 
 # --------------------------------------------------------------------------
@@ -66,6 +71,8 @@ class Expr:
     The node checks its arguments' sorts and computes its own sort and hash
     once, at construction, from its children's.  A memo lookup therefore
     hashes in O(1), and compares two nodes in full only if their hashes agree.
+    Within one system equal nodes are one object (`_node_table`), so there
+    equality is identity, and a memo lookup compares nothing in full.
     Nodes are never changed after construction.  The class is not frozen:
     frozen fields made compiling the 9 conditions of GP(8,3) 1.3x slower.
     """
@@ -143,7 +150,24 @@ def to_json_ast(e, counter=None) -> dict:
 # --------------------------------------------------------------------------
 # Compiler
 
-def _surgery_expression(p, l12, l13, l14, l25, l26):
+def _node_table():
+    """The node builder of one condition system, hash-consed: called as
+    `Expr`, it returns the one node of that operation, arguments and avoid
+    set, built and checked the first time it is asked for.  The arguments
+    come from the same table, so its keys compare by identity."""
+    table = {}
+    get = table.get
+
+    def node(op, args, avoid=()):
+        key = (op, args, avoid)
+        built = get(key)
+        if built is None:
+            built = table[key] = Expr(op, args, avoid)
+        return built
+    return node
+
+
+def _surgery_expression(p, l12, l13, l14, l25, l26, node=Expr):
     """Seven-step meet/join construction of the relabeled interior line.
 
     Picks an affine chart (a generic point on the old interior line and a
@@ -151,58 +175,61 @@ def _surgery_expression(p, l12, l13, l14, l25, l26):
     H-pattern by chart-parallels, and joins the final intersection back to
     the base vertex.
     """
-    p_inf = Expr("generic-point", (l12,), (p,))
-    l_inf = Expr("generic-line", (p_inf,), (l12,))
-    p1 = Expr("generic-point", (l13,), (p, p_inf, Expr("meet", (l13, l_inf))))
-    l_hat = Expr("join", (p1, Expr("meet", (l12, l_inf))))
-    p2 = Expr("meet", (l_hat, l25))
-    l_a = Expr("join", (p1, Expr("meet", (l14, l_inf))))
-    l_b = Expr("join", (p2, Expr("meet", (l26, l_inf))))
-    p3 = Expr("meet", (l_a, l_b))
-    return Expr("join", (p, p3))
+    p_inf = node("generic-point", (l12,), (p,))
+    l_inf = node("generic-line", (p_inf,), (l12,))
+    p1 = node("generic-point", (l13,), (p, p_inf, node("meet", (l13, l_inf))))
+    l_hat = node("join", (p1, node("meet", (l12, l_inf))))
+    p2 = node("meet", (l_hat, l25))
+    l_a = node("join", (p1, node("meet", (l14, l_inf))))
+    l_b = node("join", (p2, node("meet", (l26, l_inf))))
+    p3 = node("meet", (l_a, l_b))
+    return node("join", (p, p3))
 
 
-def vertex_labels(tree, vertex: str) -> dict:
+def vertex_labels(tree, vertex: str, node=Expr) -> dict:
     """Expression label of every edge of a vertex's tree: the edge line
     (join of its end points) at each leaf edge, a configuration-space
-    variable (`linevar`) at each interior edge."""
+    variable (`linevar`) at each interior edge.  `node` builds the nodes."""
     return tree_labels(
         tree,
-        lambda i, j: Expr("join", (Expr("point", (i,)), Expr("point", (j,)))),
-        lambda k: Expr("linevar", (vertex, k)))
+        lambda i, j: node("join", (node("point", (i,)), node("point", (j,)))),
+        lambda k: node("linevar", (vertex, k)))
 
 
-def framing_expression(trees: dict, vertex: str, edge_a, edge_b, labels=None):
+def framing_expression(trees: dict, vertex: str, edge_a, edge_b, labels=None,
+                       node=Expr):
     """Expression for the associated framing of two edges at a vertex.
 
-    Walks the leaf-to-leaf path of the vertex's tree, expanding each surgery
-    into the seven-step construction; leaves that already share a node (the
-    two other edges at a degree-3 vertex, each degree-4 complementary pair)
-    give the third edge's label unexpanded.  `labels` are the tree's
-    `vertex_labels`, built here unless the caller passes them.
+    Folds the surgeries along the leaf-to-leaf path of the vertex's tree
+    (`fold_to_shared_node`), expanding each into the seven-step
+    construction; leaves that already share a node (the two other edges at
+    a degree-3 vertex, each degree-4 complementary pair) give the third
+    edge's label unexpanded.  `labels` are the tree's `vertex_labels`, built
+    here unless the caller passes them.  `node` builds the nodes: `Expr`, or
+    the `_node_table` of a system, which makes the framing's nodes the
+    system's own.
     """
     edge_a, edge_b = tuple(edge_a), tuple(edge_b)
     if edge_a == edge_b:
         raise InputError("framing needs two distinct incident edges")
     tree = trees[vertex]
     if labels is None:
-        labels = vertex_labels(tree, vertex)
-    base = Expr("point", (vertex,))
+        labels = vertex_labels(tree, vertex, node)
 
-    def surgery_expression(tree, labels, h):
-        return _surgery_expression(base, *(labels[edge_key(*e)] for e in h))
+    def surgery_expression(*h):
+        return _surgery_expression(node("point", (vertex,)), *h, node=node)
 
-    return walk_to_shared_node(tree, labels, edge_a, edge_b, surgery_expression)
+    return fold_to_shared_node(tree, labels, edge_a, edge_b, surgery_expression)
 
 
-def cycle_condition_expression(cycle_points, framing_exprs):
+def cycle_condition_expression(cycle_points, framing_exprs, node=Expr):
     """Relation-rooted condition for a framed cycle given symbolically.
 
     Applies k-3 symbolic projection operations and caps with a three-line
     relation.  For k = 4 and k = 5 it emits the standard display shapes
     (projections at the middle pairs, the four-cycle one rewritten through
     the three-point relation); longer cycles merge the first two vertices
-    until three remain.
+    until three remain.  `node` builds the nodes.
     """
     pts = list(cycle_points)
     frs = list(framing_exprs)
@@ -211,25 +238,25 @@ def cycle_condition_expression(cycle_points, framing_exprs):
         raise InputError("need k >= 3 points with k framings")
 
     def meet_of_joins(a, b, c, d):
-        return Expr("meet", (Expr("join", (a, b)), Expr("join", (c, d))))
+        return node("meet", (node("join", (a, b)), node("join", (c, d))))
 
     if k == 3:
-        return Expr("concurrent", tuple(frs))
+        return node("concurrent", tuple(frs))
     if k == 4:
-        return Expr("collinear", (Expr("meet", (frs[0], frs[3])),
-                                  Expr("meet", (frs[1], frs[2])),
+        return node("collinear", (node("meet", (frs[0], frs[3])),
+                                  node("meet", (frs[1], frs[2])),
                                   meet_of_joins(*pts)))
     if k == 5:
-        left = Expr("join", (Expr("meet", (frs[1], frs[2])), meet_of_joins(*pts[:4])))
-        right = Expr("join", (Expr("meet", (frs[3], frs[4])),
+        left = node("join", (node("meet", (frs[1], frs[2])), meet_of_joins(*pts[:4])))
+        right = node("join", (node("meet", (frs[3], frs[4])),
                               meet_of_joins(pts[2], pts[3], pts[4], pts[0])))
-        return Expr("concurrent", (left, frs[0], right))
+        return node("concurrent", (left, frs[0], right))
     while len(pts) > 3:
         merged = meet_of_joins(pts[-1], pts[0], pts[1], pts[2])
-        new_fr = Expr("join", (merged, Expr("meet", (frs[0], frs[1]))))
+        new_fr = node("join", (merged, node("meet", (frs[0], frs[1]))))
         pts = [merged] + pts[2:]
         frs = [new_fr] + frs[2:]
-    return Expr("concurrent", tuple(frs))
+    return node("concurrent", tuple(frs))
 
 
 @dataclass(frozen=True)
@@ -258,15 +285,16 @@ def generate_system(g: Graph) -> ConditionSystem:
     """
     g.require_min_degree(3)
     trees = default_trees(g)
-    labels = {v: vertex_labels(tree, v) for v, tree in trees.items()}
-    points = {v: Expr("point", (v,)) for v in g.vertices}
+    node = _node_table()
+    labels = {v: vertex_labels(tree, v, node) for v, tree in trees.items()}
+    points = {v: node("point", (v,)) for v in g.vertices}
     conditions = []
     for cycle in consistency_cycles(g):
-        framings = [framing_expression(trees, v, a, b, labels[v])
+        framings = [framing_expression(trees, v, a, b, labels[v], node)
                     for v, a, b in cycle_corners(cycle)]
         pts = [points[v] for v in cycle]
         conditions.append(Condition(tuple(cycle),
-                                    cycle_condition_expression(pts, framings)))
+                                    cycle_condition_expression(pts, framings, node)))
     return ConditionSystem(xi_slots(trees), tuple(conditions), trees)
 
 

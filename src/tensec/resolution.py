@@ -11,9 +11,10 @@ share a node defines the associated framing of a pair of host edges, the
 label of the third edge at that node.  A surgery keeps the leaf forces up to one scale,
 and the third edge balances the pair, so the framing is the line of the sum
 of the two leaf forces: `associated_framing` computes it that way.  The walk
-remains the definition: `rewire` and `walk_to_shared_node` take the label of
-the fresh edge as a rule, so the condition compiler walks the same path with
-expression labels, and the tests replay it with `scheme_hf_surgery`.
+remains the definition, and `rewire` takes the label of the fresh edge as a
+rule, so `scheme_hf_surgery` walks it with lines.  The condition compiler
+follows the same walk with expression labels, folded over the original leaf
+path by `fold_to_shared_node`, which builds no tree.
 """
 
 from __future__ import annotations
@@ -333,19 +334,41 @@ def shared_node_edge(tree: BinaryTree, leaf_a, leaf_b):
     return edge_key(mid, next(n for n in tree.adjacency[mid] if n not in (na, nb)))
 
 
-def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_label):
-    """Label of the third edge at the node two leaves come to share.
+def fold_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, rule):
+    """Label of the third edge at the node two leaves come to share: the
+    walk of `rewire`s that defines the associated framing, with no tree built.
 
-    Rewires (`rewire`, fresh labels from `new_label`) at the first interior
-    edge of the leaf-to-leaf path, pairing the two path neighbors, until the
-    leaves share a node: the associated framing of the pair, as a line or
-    as an expression depending on the labels.
+    The walk rewires at the first interior edge (P1, P2) of the leaf path
+    P0 .. Pr, pairing P0 with P3, until the leaves share a node.  Each
+    rewire joins P0 and P3 at a fresh node, whose edge off the path carries
+    the fresh label; every other edge keeps its label.  So the walk is a
+    fold over the original path.  With L(u, v) the label of edge uv and
+    off(i) the neighbor of Pi off the path, start with side = L(P1, off(1))
+    and link = L(P1, P2); for i = 2 .. r-1 set
+    side = rule(link, L(P0, P1), side, L(Pi, Pi+1), L(Pi, off(i))) and
+    link = L(Pi, Pi+1).  The framing is the last side; leaves that share a
+    node (r = 2) read it with no path walked.  `rule` maps the five labels
+    of an H, in the order of `rewire`'s node pairs, to the fresh label.
     """
-    while (edge := shared_node_edge(tree, leaf_a, leaf_b)) is None:
-        path = tree.path(tree.leaf_node(leaf_a), tree.leaf_node(leaf_b))
-        tree, labels = rewire(tree, labels, (path[1], path[2]),
-                              (path[0], path[3]), new_label)
-    return labels[edge]
+    edge = shared_node_edge(tree, leaf_a, leaf_b)
+    if edge is not None:
+        return labels[edge]
+    adjacency = tree.adjacency
+    path = tree.path(tree.leaf_node(leaf_a), tree.leaf_node(leaf_b))
+
+    def off_label(i):
+        node = path[i]
+        off = next(n for n in adjacency[node] if n != path[i - 1] and n != path[i + 1])
+        return labels[edge_key(node, off)]
+
+    leaf = labels[edge_key(path[0], path[1])]
+    link = labels[edge_key(path[1], path[2])]
+    side = off_label(1)
+    for i in range(2, len(path) - 1):
+        step = labels[edge_key(path[i], path[i + 1])]
+        side = rule(link, leaf, side, step, off_label(i))
+        link = step
+    return side
 
 
 def _paired_line(s: ResolutionScheme, h) -> ProjLine:
@@ -392,7 +415,8 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
     scale, and at the final shared node the third edge balances the pair, so
     the framing is line_of_force(F_a + F_b) of the canonical leaf forces.
     The surgery walk (`scheme_hf_surgery` along the path) remains the
-    definition; the condition compiler and the tests follow it.
+    definition; the tests follow it, and the condition compiler folds it
+    with `fold_to_shared_node`.
     """
     if leaf_a == leaf_b:
         raise InputError("framing needs two distinct leaf labels")

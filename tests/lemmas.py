@@ -32,6 +32,9 @@ those of `tests/test_acceptance.py`).
     surgeries: 1, 3 and 15 topologies on 3, 4 and 5 leaves, criterion 6.
     `topology_key` and `topology_sort_key` identify and order the
     leaf-labeled topologies.
+  - `walk_to_shared_node`, the walk of `rewire`s along a leaf path that
+    defines the associated framing, building a tree per step: the
+    reference that `resolution.fold_to_shared_node` folds.
 """
 
 import random
@@ -44,7 +47,8 @@ from tensec.numeric import nullspace_basis
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint, _cross,
                                distinct_crossings, join, line_of_force, meet,
                                pairwise_meets, random_fraction, random_line_avoiding)
-from tensec.resolution import BinaryTree, ResolutionScheme, _hf_rewire
+from tensec.resolution import (BinaryTree, ResolutionScheme, _hf_rewire, rewire,
+                               shared_node_edge)
 from tensec.sampling import random_affine_point
 
 
@@ -341,3 +345,18 @@ def enumerate_equivalent_schemes(s: ResolutionScheme):
                         seen[key] = nxt
                         queue.append(nxt)
     return [seen[k] for k in sorted(seen, key=topology_sort_key)]
+
+
+def walk_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, new_label):
+    """Label of the third edge at the node two leaves come to share.
+
+    Rewires (`rewire`, fresh labels from `new_label`) at the first interior
+    edge of the leaf-to-leaf path, pairing the two path neighbors, until the
+    leaves share a node: the associated framing of the pair, as a line or
+    as an expression depending on the labels.
+    """
+    while (edge := shared_node_edge(tree, leaf_a, leaf_b)) is None:
+        path = tree.path(tree.leaf_node(leaf_a), tree.leaf_node(leaf_b))
+        tree, labels = rewire(tree, labels, (path[1], path[2]),
+                              (path[0], path[3]), new_label)
+    return labels[edge]

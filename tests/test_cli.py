@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -468,6 +469,33 @@ def test_conditions_golden_files(files, capsys):
         assert condition_lines(all_cycles_system(graph)) == golden
         assert body == fundamental_lines(graph, golden)
         assert len(body) == len(consistency_cycles(graph))
+
+
+def _complete_graph_json(n):
+    vs = [f"v{i}" for i in range(n)]
+    return {"vertices": vs, "edges": [[a, b] for i, a in enumerate(vs) for b in vs[i + 1:]]}
+
+
+def _wheel_graph_json(spokes):
+    rim = [f"r{i}" for i in range(spokes)]
+    return {"vertices": ["h"] + rim,
+            "edges": [["h", r] for r in rim]
+            + [[rim[i], rim[(i + 1) % spokes]] for i in range(spokes)]}
+
+
+@pytest.mark.parametrize("name, graph", [
+    ("K6", _complete_graph_json(6)), ("K7", _complete_graph_json(7)),
+    ("wheel8", _wheel_graph_json(8)), ("wheel12", _wheel_graph_json(12))])
+def test_conditions_json_matches_recorded_digest(name, graph, tmp_path, capsys):
+    # graphs whose framings need surgeries; the digests are the sha256 of
+    # `conditions --format json` as the compiler printed it when it still
+    # built a tree per surgery and a fresh node per subexpression
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(graph))
+    assert main(["conditions", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    digests = json.loads((GOLDEN / "conditions_json.sha256.json").read_text())
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
 
 
 def test_conditions_json_contains_ast(files, capsys):

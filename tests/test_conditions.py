@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from all_cycles import all_cycles_system, both_systems
 from lemmas import is_trivial, random_framed_cycle
+from tensec import resolution
 from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
                                framing_expression, fulfilled_with_witness,
                                generate_system, system_to_json, to_json_ast,
@@ -741,6 +742,49 @@ def test_compiled_system_is_the_reference_on_the_fundamental_cycles(name):
     assert system.conditions == tuple(c for c in reference.conditions
                                       if c.cycle in fundamental)
     assert [c.cycle for c in system.conditions] == consistency_cycles(g)
+
+
+def _nodes(system):
+    """Every node object of a system once: {id: node}."""
+    seen = {}
+    stack = [c.expr for c in system.conditions]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            if e.op not in ("point", "linevar"):
+                stack += [*e.args, *e.avoid]
+    return seen
+
+
+@pytest.mark.parametrize("graph", [complete_graph(6), wheel_graph(8),
+                                   petersen_graph()], ids=["K6", "wheel8", "petersen"])
+def test_one_system_builds_each_node_once(graph):
+    first, second = generate_system(graph), generate_system(graph)
+    nodes = _nodes(first)
+    by_structure = {}
+    for e in nodes.values():
+        by_structure.setdefault(e, []).append(e)
+    assert [group for group in by_structure.values() if len(group) > 1] == []
+    # the table lives for one call: a second system shares no node
+    assert first.conditions == second.conditions
+    assert set(nodes).isdisjoint(_nodes(second))
+
+
+def test_compiling_builds_one_tree_per_vertex(monkeypatch):
+    built = []
+    init = resolution.BinaryTree.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(resolution.BinaryTree, "__init__", counting_init)
+    g = complete_graph(6)
+    system = generate_system(g)
+    # K6's framings need surgeries, and none of them builds a tree
+    assert any(e.op == "generic-point" for e in _nodes(system).values())
+    assert len(built) == len(g.vertices)
 
 
 def _outcome(f, *args):

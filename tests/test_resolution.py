@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import enumerate_equivalent_schemes, topology_key
+from lemmas import enumerate_equivalent_schemes, topology_key, walk_to_shared_node
 from reference_resolution import _decompose, positive_scale
 from reference_resolution import scheme_forceload as fraction_scheme_forceload
 from tensec.errors import GenericityError, GeometryError, InputError
@@ -18,8 +18,8 @@ from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
 from tensec.quantization import quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
 from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
-                               default_tree, is_strongly_generic, is_weakly_generic,
-                               leaf_forces, rewire, scheme_forceload,
+                               default_tree, fold_to_shared_node, is_strongly_generic,
+                               is_weakly_generic, leaf_forces, rewire, scheme_forceload,
                                scheme_hf_surgery, slot_edges)
 
 BASE = ProjPoint((0, 0, 1))
@@ -181,11 +181,9 @@ def reference_path(tree: BinaryTree, a: int, b: int):
     return out[::-1]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(n_leaves=st.integers(3, 16), rewires=st.integers(0, 6),
-       seed=st.integers(0, 10**6))
-def test_tree_walks_match_reference(n_leaves, rewires, seed):
-    # default trees, and trees of other topologies reached by seeded rewires
+def seeded_tree(n_leaves, rewires, seed):
+    """The default tree of n_leaves leaves after `rewires` seeded rewires at
+    random interior edges and pairings: trees of other topologies."""
     tree = default_tree([f"e{i}" for i in range(n_leaves)])
     labels = dict.fromkeys(tree.edges())
     rng = random.Random(seed)
@@ -197,6 +195,15 @@ def test_tree_walks_match_reference(n_leaves, rewires, seed):
         pairing = (rng.choice([n for n in tree.adjacency[v1] if n != v2]),
                    rng.choice([n for n in tree.adjacency[v2] if n != v1]))
         tree, labels = rewire(tree, labels, (v1, v2), pairing, lambda *h: None)
+    return tree
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_leaves=st.integers(3, 16), rewires=st.integers(0, 6),
+       seed=st.integers(0, 10**6))
+def test_tree_walks_match_reference(n_leaves, rewires, seed):
+    # default trees, and trees of other topologies reached by seeded rewires
+    tree = seeded_tree(n_leaves, rewires, seed)
     leaves = sorted(tree.leaf_labels)
     for a in leaves:
         for b in leaves:
@@ -204,6 +211,26 @@ def test_tree_walks_match_reference(n_leaves, rewires, seed):
     for e in tree.edges():
         for node in e:
             assert tree.side_labels(e, node) == reference_side_labels(tree, e, node)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_leaves=st.integers(3, 16), rewires=st.integers(0, 6),
+       seed=st.integers(0, 10**6))
+def test_fold_matches_surgery_walk(n_leaves, rewires, seed):
+    # opaque labels, and the fresh label of a surgery the tuple of the five
+    # labels of its H, so equal results mean equal surgeries on equal H's
+    tree = seeded_tree(n_leaves, rewires, seed)
+    labels = {e: object() for e in tree.edges()}
+
+    def walk_label(tree, labels, h):
+        return tuple(labels[edge_key(*e)] for e in h)
+
+    leaves = list(tree.leaf_labels.values())
+    for a in leaves:
+        for b in leaves:
+            if a != b:
+                assert fold_to_shared_node(tree, labels, a, b, lambda *h: h) == \
+                    walk_to_shared_node(tree, labels, a, b, walk_label)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -69,7 +69,8 @@ class Expr:
     """One node of a condition: an operation of `GRAMMAR` applied to `args`.
 
     The node checks its arguments' sorts and computes its own sort and hash
-    once, at construction, from its children's.  A memo lookup therefore
+    once, at construction, from its children's (or takes the hash that its
+    node table computed for its key).  A memo lookup therefore
     hashes in O(1), and compares two nodes in full only if their hashes agree.
     Within one system equal nodes are one object (`_node_table`), so there
     equality is identity, and a memo lookup compares nothing in full.
@@ -81,7 +82,7 @@ class Expr:
     args: tuple
     avoid: tuple = ()
     sort: str = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    _hash: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.op not in GRAMMAR:
@@ -94,7 +95,8 @@ class Expr:
                            or set(_sorts(self.avoid) or ()) != {sort}):
             raise InputError(f"{self.op} cannot avoid {_sorts(self.avoid)}")
         self.sort = sort
-        self._hash = hash((self.op, self.args, self.avoid))
+        if self._hash is None:
+            self._hash = hash((self.op, self.args, self.avoid))
 
     def __hash__(self):
         return self._hash
@@ -154,15 +156,24 @@ def _node_table():
     """The node builder of one condition system, hash-consed: called as
     `Expr`, it returns the one node of that operation, arguments and avoid
     set, built and checked the first time it is asked for.  The arguments
-    come from the same table, so its keys compare by identity."""
-    table = {}
+    come from the same table, so its keys compare by identity.
+
+    Each key (op, args, avoid) is hashed once, and that hash is the new
+    node's own: the table maps it to the first node of that hash, and keeps
+    a second key of the same hash under the key itself."""
+    table, collided = {}, {}
     get = table.get
 
     def node(op, args, avoid=()):
         key = (op, args, avoid)
-        built = get(key)
+        h = hash(key)
+        built = get(h)
         if built is None:
-            built = table[key] = Expr(op, args, avoid)
+            built = table[h] = Expr(op, args, avoid, h)
+        elif (built.op, built.args, built.avoid) != key:
+            built = collided.get(key)
+            if built is None:
+                built = collided[key] = Expr(op, args, avoid, h)
         return built
     return node
 

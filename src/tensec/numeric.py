@@ -2,20 +2,19 @@
 
 Rationals are parsed from the input literals into :class:`fractions.Fraction`
 (arbitrary precision, lowest terms, positive denominator); the library
-clears them to integers once, where it first reads them, and computes in
-ints from there on.  ``nullspace_basis`` takes rational rows, clears each
-row's denominators (an integer row is taken as it is) and runs the sparse,
-fraction-free integer elimination of ``tensec._kernel``, which is pure
-Python; its back-substitution stays in the integers too, and it returns the
-canonical null vectors as int tuples.  Every library caller hands it
-integer rows: the oracle's rigidity system is built column-scaled from the
-integer point triples, and the framed-cycle equilibrium system from the
-integer line triples.  ``primitive_triple`` is the normal form of an
-integer triple up to scale (one gcd, a sign, at most three exact divisions):
-every projective point and line is stored in it, and the meets, joins,
-seeded picks and subset-sum lines on the ``check`` and ``verify`` paths are
-integer triples.  ``primitive`` is the same normal form for rational
-vectors of any length, for null-space bases.
+clears them to integers once, where it first reads them
+(``clear_denominators``), and computes in ints from there on.
+``nullspace_basis`` takes integer rows and runs the sparse, fraction-free
+integer elimination of ``tensec._kernel``, which is pure Python; its
+back-substitution stays in the integers too, and it returns the canonical
+null vectors as int tuples.  The oracle's rigidity system is built
+column-scaled from the integer point triples, and the framed-cycle
+equilibrium system from the integer line triples.  ``primitive_triple`` is
+the normal form of an integer triple up to scale (one gcd, a sign, at most
+three exact divisions): every projective point and line is stored in it,
+and the meets, joins, seeded picks and subset-sum lines on the ``check``
+and ``verify`` paths are integer triples.  ``primitive`` is the same normal
+form for integer vectors of any length, for null-space bases.
 
 All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 """
@@ -49,24 +48,9 @@ def scalar_from_string(text: str) -> Fraction:
         raise InputError(f"bad rational literal {text!r}: {exc}") from exc
 
 
-def scalar_to_string(value) -> str:
-    """Format an int or a Fraction as "p" or "p/q" (lowest terms, positive
-    denominator); an int is its own numerator over 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-#: The one type a vector may hold to be taken as integers as it is.
-_INT = frozenset((int,))
-
-
 def clear_denominators(values):
     """The rationals (ints or Fractions) times the lcm of their
-    denominators, as a list of ints; an all-int sequence is returned as a
-    list, with no lcm."""
-    if _INT.issuperset(map(type, values)):
-        return list(values)
+    denominators, as a list of ints."""
     den = lcm(*[x.denominator for x in values])
     return [x.numerator * (den // x.denominator) for x in values]
 
@@ -84,27 +68,23 @@ def primitive_triple(a: int, b: int, c: int) -> tuple:
 
 
 def primitive(values):
-    """Normal form of a rational vector up to nonzero scale: clear
-    denominators, divide by the gcd, make the first nonzero entry positive.
+    """Normal form of an integer vector up to nonzero scale: divide by the
+    gcd, make the first nonzero entry positive.
 
-    Returns a tuple of ints; a zero vector stays zero.  Entries are read
-    through ``numerator`` and ``denominator``, so an integer vector is never
-    converted to Fractions.
+    Returns a tuple of ints; a zero vector stays zero.
     """
-    ints = clear_denominators(values)
-    g = gcd(*ints)
-    if next(filter(None, ints), 0) < 0:
+    g = gcd(*values)
+    if next(filter(None, values), 0) < 0:
         g = -g
     if g == 1 or not g:
-        return tuple(ints)
-    return tuple([v // g for v in ints])
+        return tuple(values)
+    return tuple([v // g for v in values])
 
 
 def nullspace_basis(rows, ncols: int):
-    """Exact basis of {x : rows x = 0} for rational `rows` of length `ncols`.
+    """Exact basis of {x : rows x = 0} for integer `rows` of length `ncols`.
 
-    Each row is cleared to integers on its own (row scaling keeps the null
-    space) and reduced by the sparse fraction-free kernel, whose pivot
+    The rows are reduced by the sparse fraction-free kernel, whose pivot
     columns, and so the basis below, do not depend on the order of
     elimination.  Back-substitution is fraction-free as well: x stays an
     integer vector, and before a pivot entry is solved the whole of x is
@@ -113,8 +93,7 @@ def nullspace_basis(rows, ncols: int):
     every other free column of the echelon form, one per free column; empty
     iff the kernel is trivial.  No rows give the full standard basis.
     """
-    reduced, pivots = _kernel.echelon_int([clear_denominators(row) for row in rows],
-                                          ncols)
+    reduced, pivots = _kernel.echelon_int(rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_set):

@@ -4,9 +4,10 @@ operations with their three relations.
 Points and lines are triples of exact rationals up to nonzero scale; we store
 the canonical representative (coprime integers, first nonzero entry positive:
 `numeric.primitive_triple`) so that equality and hashing are structural.  A
-triple with Fraction entries, as parsed from JSON, is cleared to integers
-once at construction; the triples the library computes (meets, joins, seeded
-picks and draws) are built from ints.  A point lies on a line iff the dot
+triple with Fraction entries, as parsed from JSON or drawn for a Pascal
+placement, is cleared to integers once at construction; the triples the
+library computes (meets, joins, seeded picks and affine draws) are built
+from ints.  A point lies on a line iff the dot
 product of the triples vanishes; the meet of two lines and the join of two
 points are both cross products.
 
@@ -31,8 +32,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import GeometryError, InputError, PreconditionError
-from .numeric import (clear_denominators, primitive_triple, scalar_from_string,
-                      scalar_to_string)
+from .numeric import clear_denominators, primitive_triple, scalar_from_string
 
 
 def _canonical_triple(triple):
@@ -85,7 +85,7 @@ class ProjPoint:
         return cls(_triple_from_strings(strings))
 
     def to_strings(self):
-        return [scalar_to_string(c) for c in self.coords]
+        return [str(c) for c in self.coords]
 
     def __repr__(self):
         return "({}:{}:{})".format(*self.coords)
@@ -105,7 +105,7 @@ class ProjLine:
         return cls(_triple_from_strings(strings))
 
     def to_strings(self):
-        return [scalar_to_string(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def contains(self, p: ProjPoint) -> bool:
         return _dot(self.coeffs, p.coords) == 0
@@ -192,11 +192,11 @@ class Force:
     ``dual`` is a triple of exact scalars kept as given; forces add
     componentwise and keep scale, and sums, negations and multiples keep the
     entries' type.  The library builds one kind of force-load, in ints: the
-    oracle's (`framework.forceload_from_stress`) and the resolution
-    schemes' (`resolution.scheme_forceload`) are each a positive integer
+    oracle's (`framework.forceload_from_stress`), the resolution schemes'
+    (`resolution.scheme_forceload`) and the quantization's
+    (`quantization.construct_forceload`) are each a positive integer
     multiple of the exact rational load, which changes no line of force and
-    no subset test.  Code that reads a ratio of entries divides through
-    Fraction, never with int / int.
+    no subset test.
     """
 
     dual: tuple
@@ -257,13 +257,6 @@ class AffineChart:
         other coordinates, which serve as the chart's affine coordinates."""
         drop = next(i for i in range(3) if self.field[i] != 0)
         return drop, [i for i in range(3) if i != drop]
-
-    def normalize(self, p: ProjPoint):
-        """Representative of p scaled so <p, V> = 1; None if p is at infinity."""
-        s = Fraction(_dot(p.coords, self.field))
-        if s == 0:
-            return None
-        return tuple(Fraction(c) / s for c in p.coords)
 
 
 def _orthogonal_triples(t):
@@ -357,16 +350,6 @@ def distinct_crossings(meets) -> bool:
     return TRUE not in points and len(points) == len(meets)
 
 
-def _integer_duals(forces):
-    """Force duals times one common denominator, as integer triples.
-
-    A common positive scale changes neither which subset sums vanish nor
-    which lines they span.
-    """
-    ints = clear_denominators([x for f in forces for x in f.dual])
-    return [tuple(ints[i:i + 3]) for i in range(0, len(ints), 3)]
-
-
 #: Most vectors one subset enumeration takes, and so the highest vertex
 #: degree the subset tests accept.  Time doubles with each added vector,
 #: and so does the set of lines `partial_sum_lines_distinct` keeps: one
@@ -410,7 +393,7 @@ def _proper_subset_sums(start, vectors):
 
 def nonvanishing_proper_subsets(forces) -> bool:
     """True iff no proper nonempty 0/1-combination of the forces vanishes."""
-    sums = _proper_subset_sums((0, 0, 0), _integer_duals(forces))
+    sums = _proper_subset_sums((0, 0, 0), [f.dual for f in forces])
     return all(any(total) for total in islice(sums, 1, None))
 
 
@@ -420,9 +403,10 @@ def partial_sum_lines_distinct(forces) -> bool:
 
     Assumes no proper nonempty subset vanishes, so every partial sum has a
     line of force; a vanishing partial sum raises GeometryError, whether or
-    not two lines coincide.
+    not two lines coincide.  The duals are ints, as in every load the
+    library builds.
     """
-    duals = _integer_duals(forces)
+    duals = [f.dual for f in forces]
     lines = set()
     count = 0
     for total in _proper_subset_sums(duals[0], duals[1:]):

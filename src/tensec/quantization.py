@@ -23,8 +23,8 @@ Write f_v(e) for the leaf force of v's scheme on edge e.
   cycle puts forces proportional to f_v(e) and f_v(e') on the two edges:
   it fixes the ratio of the edge scalars at v to f_v(e)/f_v(e').
 - An edge e = uv pushes its two ends oppositely, so the scales at u and v
-  differ by the factor h(u, v) = -f_u(e)/f_v(e) (`_ratio` of the two ends'
-  leaf forces, negated), and h(v, u) = 1/h(u, v).  Around a cycle the
+  differ by the factor h(u, v) = -f_u(e)/f_v(e) (the ratio of the two
+  ends' leaf forces, negated), and h(v, u) = 1/h(u, v).  Around a cycle the
   per-vertex ratios regroup into one such factor per edge, and each
   vertex's own scale cancels.
 - The holonomy, the product of h around a cycle, is therefore a
@@ -42,7 +42,7 @@ Write f_v(e) for the leaf force of v's scheme on edge e.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 from .cycles import FramedCycle, cycle_general_position, is_trivial_monodromy, \
     pick_aux_line
@@ -50,7 +50,7 @@ from .errors import (GenericityError, GeometryError, InconsistentQuantizationErr
                      InputError, PreconditionError)
 from .framework import (ForceLoad, Framework, Graph, bfs_parents, cycle_corners,
                         edge_key, root_path)
-from .projective import Force, ProjLine, line_of_force, sub_seed
+from .projective import ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
                          leaf_forces, slot_edges, tree_labels)
 
@@ -235,14 +235,18 @@ def construct_forceload(q: Quantization) -> ForceLoad:
     """Equilibrium force-load of the framework carried by the quantization.
 
     Every vertex scheme has one equilibrium force-load up to scale
-    (`ResolutionScheme.forceload`), and its leaf forces balance at the
-    vertex.  A breadth-first walk from the smallest vertex scales each newly
-    reached vertex so that the two ends of the edge it is reached by
-    balance; every other edge is checked exactly, and a mismatch raises
-    InconsistentQuantizationError naming the cycle that edge closes in the
-    walk's tree.  A zero force on any tree edge raises GeometryError.
+    (`ResolutionScheme.forceload`, in ints), and its leaf forces balance at
+    the vertex.  A breadth-first walk from the smallest vertex gives each
+    newly reached vertex the integer scale that balances the two ends of the
+    edge it is reached by: with k / r that scale in lowest terms, r > 0, the
+    scales so far are multiplied by r and the new one is k, so every scale
+    stays a positive integer multiple of the rational one.  Every other edge
+    is checked exactly, and a mismatch raises InconsistentQuantizationError
+    naming the cycle that edge closes in the walk's tree.  A zero force on
+    any tree edge raises GeometryError.
 
-    Returns the load of the leaf forces, unique up to one global scalar.
+    Returns the load of the leaf forces, an int load unique up to one
+    global scalar.
     """
     g = q.framework.graph
     leaf = {}
@@ -255,10 +259,16 @@ def construct_forceload(q: Quantization) -> ForceLoad:
     scale = {}
     for v, u in parent.items():
         if u is None:
-            scale[v] = Fraction(1)
-        else:
-            e = edge_key(u, v)
-            scale[v] = -scale[u] * _ratio(leaf[u][e], leaf[v][e])
+            scale[v] = 1
+            continue
+        e = edge_key(u, v)
+        a, b = leaf[u][e].dual, leaf[v][e].dual
+        i = next(i for i, x in enumerate(b) if x)
+        k, r = -scale[u] * a[i], b[i]
+        d = gcd(k, r) if r > 0 else -gcd(k, r)
+        if r != d:
+            scale = {w: (r // d) * x for w, x in scale.items()}
+        scale[v] = k // d
     forces = {}
     for u, v in g.edges:
         f = leaf[u][(u, v)].scaled(scale[u])
@@ -268,9 +278,3 @@ def construct_forceload(q: Quantization) -> ForceLoad:
         forces[(u, v)] = f
     return ForceLoad(forces)
 
-
-def _ratio(a: Force, b: Force) -> Fraction:
-    """k with a = k b, for nonzero forces along one line; a Fraction for
-    int forces too (int / int would be a float)."""
-    i = next(i for i, x in enumerate(b.dual) if x)
-    return Fraction(a.dual[i], b.dual[i])

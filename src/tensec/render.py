@@ -2,18 +2,18 @@
 
 Points are projected into the chart's affine coordinates and scaled into a
 fixed viewBox; output bytes are deterministic functions of the input.  The
-drawing is in floats, so a chart coordinate or a framing line coefficient
-beyond the float range, or a data window too wide for one, is a
-precondition failure.
+chart coordinates and the chart line coefficients are integer ratios, each
+turned into a float by one true division (correctly rounded, as the float
+of the same Fraction).  The drawing is in floats, so a chart coordinate or
+a framing line coefficient beyond the float range, or a data window too
+wide for one, is a precondition failure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import PointAtInfinityError, PreconditionError
 from .framework import Framework
-from .projective import AffineChart, ProjLine
+from .projective import AffineChart, ProjLine, _dot
 
 WIDTH = 560.0
 HEIGHT = 560.0
@@ -21,38 +21,37 @@ MARGIN = 50.0
 
 
 def _chart_xy(point, chart: AffineChart):
-    n = chart.normalize(point)
-    if n is None:
+    """Chart coordinates of the point as integer ratios (x, s), (y, s): its
+    coordinates on the chart's axes over its scale s = <p, V>."""
+    s = _dot(point.coords, chart.field)
+    if s == 0:
         raise PointAtInfinityError(f"point {point} lies on the infinity line")
     _drop, keep = chart.axes()
-    return (n[keep[0]], n[keep[1]])
+    return (point.coords[keep[0]], s), (point.coords[keep[1]], s)
 
 
 def _chart_line_coeffs(line: ProjLine, chart: AffineChart):
-    """Affine equation A u + B v + C = 0 of the line in chart coordinates."""
+    """Affine equation A u + B v + C = 0 of the line in chart coordinates,
+    each coefficient an integer ratio over V's dropped coordinate."""
     field = chart.field
     drop, keep = chart.axes()
-    ld = Fraction(line.coeffs[drop])
-    vd = Fraction(field[drop])
-    a = Fraction(line.coeffs[keep[0]]) - ld * Fraction(field[keep[0]]) / vd
-    b = Fraction(line.coeffs[keep[1]]) - ld * Fraction(field[keep[1]]) / vd
-    c = ld / vd
-    return a, b, c
+    ld, vd = line.coeffs[drop], field[drop]
+    return ((line.coeffs[keep[0]] * vd - ld * field[keep[0]], vd),
+            (line.coeffs[keep[1]] * vd - ld * field[keep[1]], vd),
+            (ld, vd))
 
 
-def _floats(values, what: str):
-    """The values as floats; PreconditionError if one is beyond the float
-    range."""
+def _floats(ratios, what: str):
+    """The integer ratios (n, d) as floats n / d; PreconditionError if one
+    is beyond the float range."""
     try:
-        return [float(x) for x in values]
+        return [n / d for n, d in ratios]
     except OverflowError:
         raise PreconditionError(f"cannot draw: a {what} exceeds the float range") from None
 
 
-def _fit(points_xy):
+def _fit(xs, ys):
     """Screen mapping plus the (slightly padded) data window it covers."""
-    xs = _floats((x for x, _ in points_xy), "chart coordinate")
-    ys = _floats((y for _, y in points_xy), "chart coordinate")
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
@@ -64,17 +63,18 @@ def _fit(points_xy):
     window = (lo_x - pad, lo_x + span + pad, lo_y - pad, lo_y + span + pad)
 
     def to_screen(x, y):
-        u = MARGIN + (float(x) - lo_x) * scale
-        v = HEIGHT - MARGIN - (float(y) - lo_y) * scale
+        u = MARGIN + (x - lo_x) * scale
+        v = HEIGHT - MARGIN - (y - lo_y) * scale
         return u, v
 
     return to_screen, window
 
 
-def _clip_line(a, b, c, to_screen, window):
-    """Segment of A u + B v + C = 0 clipped to the data window, in screen
-    coordinates; None if it misses the window."""
-    a, b, c = _floats((a, b, c), "framing line coefficient")
+def _clip_line(coeffs, to_screen, window):
+    """Segment of A u + B v + C = 0, the coefficients integer ratios,
+    clipped to the data window, in screen coordinates; None if it misses
+    the window."""
+    a, b, c = _floats(coeffs, "framing line coefficient")
     x_min, x_max, y_min, y_max = window
     pts = []
     if abs(b) > 1e-12:
@@ -107,11 +107,14 @@ def _draw(points, edges, framings, chart: AffineChart | None) -> str:
     """SVG of ordered (label, point) pairs, edges given as label pairs, and
     framing lines drawn dashed across the view window."""
     chart = chart or AffineChart.standard()
-    xy = {label: _chart_xy(p, chart) for label, p in points}
-    to_screen, window = _fit(list(xy.values()))
+    exact = {label: _chart_xy(p, chart) for label, p in points}
+    xs = _floats((x for x, _ in exact.values()), "chart coordinate")
+    ys = _floats((y for _, y in exact.values()), "chart coordinate")
+    xy = dict(zip(exact, zip(xs, ys)))
+    to_screen, window = _fit(xs, ys)
     elements = []
     for l in framings:
-        seg = _clip_line(*_chart_line_coeffs(l, chart), to_screen, window)
+        seg = _clip_line(_chart_line_coeffs(l, chart), to_screen, window)
         if seg:
             (u1, v1), (u2, v2) = seg
             elements.append(

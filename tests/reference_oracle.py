@@ -6,10 +6,12 @@ back-substitution.  `reference_self_stress_basis`,
 `reference_forceload_from_stress`, `reference_stress_of_forceload` and
 `reference_find_nonparallelizable_stress` are the `tensec.framework`
 functions that convert every point to its chart representative p / <p, V>
-(`reference_chart_points`) before they build the rigidity system or a
-force-load.  All are kept verbatim apart from the names.  The library builds
-the same system column-scaled from the integer triples and tests candidates
-on integer force-loads; the tests require equal results from both.
+(`reference_chart_points`, through `chart_normalize`, once
+`AffineChart.normalize`) before they build the rigidity system or a
+force-load.  All are kept verbatim apart from the names and from clearing
+the rationals they hand the library (`integers`).  The library builds the
+same system column-scaled from the integer triples and tests candidates on
+integer force-loads; the tests require equal results from both.
 """
 
 import random
@@ -20,8 +22,9 @@ from tensec.errors import GeometryError, InputError, PointAtInfinityError
 from tensec.framework import (ForceLoad, Stress, _PROBES, edge_key,
                               is_non_parallelizable)
 from tensec.numeric import clear_denominators, primitive
+from integers import integer_load, integer_rows
 from lemmas import affine_vector
-from tensec.projective import AffineChart, Force, _cross
+from tensec.projective import AffineChart, Force, _cross, _dot
 
 
 def reference_nullspace_basis(rows, ncols: int):
@@ -33,8 +36,7 @@ def reference_nullspace_basis(rows, ncols: int):
     free column of the echelon form; empty iff the kernel is trivial.  No
     rows give the full standard basis.
     """
-    reduced, pivots = _kernel.echelon_int([clear_denominators(row) for row in rows],
-                                          ncols)
+    reduced, pivots = _kernel.echelon_int(integer_rows(rows), ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_set):
@@ -47,15 +49,23 @@ def reference_nullspace_basis(rows, ncols: int):
                 if x[j]:
                     s += Fraction(reduced[r][j]) * x[j]
             x[pc] = -s / reduced[r][pc]
-        basis.append(tuple(Fraction(v) for v in primitive(x)))
+        basis.append(tuple(Fraction(v) for v in primitive(clear_denominators(x))))
     return basis
+
+
+def chart_normalize(chart: AffineChart, p):
+    """Representative of p scaled so <p, V> = 1; None if p is at infinity."""
+    s = Fraction(_dot(p.coords, chart.field))
+    if s == 0:
+        return None
+    return tuple(Fraction(c) / s for c in p.coords)
 
 
 def reference_chart_points(fw, chart: AffineChart) -> dict:
     """Representative of every placed point scaled so <p, V> = 1."""
     normalized = {}
     for v in fw.graph.vertices:
-        n = chart.normalize(fw.placement[v])
+        n = chart_normalize(chart, fw.placement[v])
         if n is None:
             raise PointAtInfinityError(f"vertex {v!r} lies on the infinity line")
         normalized[v] = n
@@ -146,6 +156,6 @@ def reference_find_nonparallelizable_stress(fw, basis,
         if not any(w.weights.values()):
             continue
         fl = reference_forceload_from_stress(fw, w, chart)
-        if is_non_parallelizable(fw, fl):
+        if is_non_parallelizable(fw, integer_load(fl)):
             return w
     return None

@@ -1,19 +1,25 @@
 """Fraction references of the resolution layer: the force decomposition
-and scheme force-load propagation that the integer Cramer's rule replaced.
+and scheme force-load propagation that the integer Cramer's rule replaced,
+and the framework force-load construction that integer scales replaced.
 
 `solve_in_span` (from `numeric`), `_decompose` and `scheme_forceload` (from
-`resolution`) are kept verbatim.  `scheme_forceload` here returns the load
+`resolution`), and `construct_forceload` and `_ratio` (from
+`quantization`) are kept verbatim.  `scheme_forceload` here returns the load
 extending its seed force exactly, in Fractions; the library's returns the
 positive integer multiple of it with coprime entries, so the tests compare
-the two up to one positive scale.
+the two up to one positive scale.  `construct_forceload` here scales the
+vertex loads by Fraction ratios, the smallest vertex by 1; the library's
+scales them by integers, each a positive multiple of these, so the tests
+compare the two up to one positive scale as well.
 """
 
 from fractions import Fraction
 
-from tensec.errors import GenericityError, GeometryError
-from tensec.framework import edge_key
+from tensec.errors import GenericityError, GeometryError, InconsistentQuantizationError
+from tensec.framework import ForceLoad, bfs_parents, edge_key
 from tensec.projective import Force, ProjLine, line_of_force
-from tensec.resolution import ResolutionScheme, is_weakly_generic
+from tensec.quantization import Quantization, _tree_cycle
+from tensec.resolution import ResolutionScheme, is_weakly_generic, leaf_forces
 
 
 def solve_in_span(v, a, b, off_span: str, parallel: str):
@@ -76,6 +82,52 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
     return forces
+
+
+
+def construct_forceload(q: Quantization) -> ForceLoad:
+    """Equilibrium force-load of the framework carried by the quantization.
+
+    Every vertex scheme has one equilibrium force-load up to scale
+    (`ResolutionScheme.forceload`), and its leaf forces balance at the
+    vertex.  A breadth-first walk from the smallest vertex scales each newly
+    reached vertex so that the two ends of the edge it is reached by
+    balance; every other edge is checked exactly, and a mismatch raises
+    InconsistentQuantizationError naming the cycle that edge closes in the
+    walk's tree.  A zero force on any tree edge raises GeometryError.
+
+    Returns the load of the leaf forces, unique up to one global scalar.
+    """
+    g = q.framework.graph
+    leaf = {}
+    for v in g.vertices:
+        scheme = q.scheme_at(v)
+        if any(f.is_zero() for f in scheme.forceload.values()):
+            raise GeometryError("constructed force-load vanishes on an edge")
+        leaf[v] = leaf_forces(scheme, scheme.forceload)
+    parent = bfs_parents(g.adjacency, min(g.vertices))
+    scale = {}
+    for v, u in parent.items():
+        if u is None:
+            scale[v] = Fraction(1)
+        else:
+            e = edge_key(u, v)
+            scale[v] = -scale[u] * _ratio(leaf[u][e], leaf[v][e])
+    forces = {}
+    for u, v in g.edges:
+        f = leaf[u][(u, v)].scaled(scale[u])
+        if not (f + leaf[v][(u, v)].scaled(scale[v])).is_zero():
+            raise InconsistentQuantizationError(
+                "cycle closes with mismatched stress", _tree_cycle(parent, u, v))
+        forces[(u, v)] = f
+    return ForceLoad(forces)
+
+
+def _ratio(a: Force, b: Force) -> Fraction:
+    """k with a = k b, for nonzero forces along one line; a Fraction for
+    int forces too (int / int would be a float)."""
+    i = next(i for i, x in enumerate(b.dual) if x)
+    return Fraction(a.dual[i], b.dual[i])
 
 
 def positive_scale(got: dict, ref: dict):

@@ -781,6 +781,30 @@ def test_render_framed_cycle(tmp_path):
     assert out.read_bytes() == (GOLDEN / "framed_cycle_4_3.svg").read_bytes()
 
 
+#: sha256 of `render --chart=-3,7,101`, recorded with the Fraction chart
+#: arithmetic.  The standard chart makes the chart line coefficients the
+#: line's own; this one divides them by V's dropped coordinate, -3.
+_CHART_RENDER_SHA256 = {
+    "wheel6": "23d50f775a6b11a533b15200bbc8cd619a2471a4a8dd6d1cfb085c3406445c2b",
+    "framed_cycle_4_3": "a6daecb67c879c94e508d65506281ac1ef055faa826270ab658cebe29ad2f7da",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHART_RENDER_SHA256))
+def test_render_under_non_standard_chart_matches_recorded_digest(name, tmp_path):
+    from lemmas import framed_cycle_to_json, random_framed_cycle
+
+    if name == "wheel6":
+        p, dashed = GOLDEN / "wheel6_framework.json", 0
+    else:
+        p, dashed = tmp_path / "cycle.json", 4
+        p.write_text(json.dumps(framed_cycle_to_json(random_framed_cycle(4, 3, True))))
+    out = tmp_path / "fig.svg"
+    assert main(["render", str(p), "-o", str(out), "--chart=-3,7,101"]) == 0
+    assert out.read_text().count("stroke-dasharray") == dashed
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CHART_RENDER_SHA256[name]
+
+
 def test_render_rejects_points_at_infinity(tmp_path):
     obj = {
         "vertices": [{"id": "a", "coords": ["1", "0", "0"]},

@@ -523,6 +523,7 @@ def test_almost_equilibrium_promotes_to_equilibrium():
     # equation); on a cycle admitting a nonzero equilibrium load every such
     # solution closes the last vertex with a suitable framing force
     from fractions import Fraction
+    from integers import integer_rows
     from tensec.numeric import nullspace_basis
     from tensec.projective import Force, line_of_force
 
@@ -540,7 +541,7 @@ def test_almost_equilibrium_promotes_to_equilibrium():
                 row[(i - 1) % k] -= Fraction(edge_reps[(i - 1) % k][coord])
                 row[k + i] = Fraction(framing_reps[i][coord])
                 rows.append(row)
-        basis = nullspace_basis(rows, 2 * k - 1)
+        basis = nullspace_basis(integer_rows(rows), 2 * k - 1)
         assert len(basis) == 1  # almost-equilibrium loads are unique up to scale
         t = basis[0][:k]
         i = k - 1

@@ -24,7 +24,7 @@ from tensec.fixtures import DESARGUES_GRAPH, DESARGUES_POS
 from tensec.framework import (Graph, find_nonparallelizable_stress,
                               forceload_from_stress, framework_to_json,
                               self_stress_basis)
-from tensec.numeric import primitive, primitive_triple
+from tensec.numeric import clear_denominators, primitive, primitive_triple
 from tensec.projective import (AffineChart, ProjLine, ProjPoint,
                                pick_generic_line_through, pick_generic_point_on)
 from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
@@ -54,13 +54,14 @@ entries = st.one_of(small, st.integers(-10**12, 10**12))
 @given(st.tuples(entries, entries, entries), st.integers(-5, 5).filter(bool))
 def test_primitive_of_int_triples_matches_fraction_triples(triple, k):
     want = reference_primitive(triple)
-    for form in (primitive(triple), primitive([Fraction(x) for x in triple]),
+    for form in (primitive(triple),
+                 primitive(clear_denominators([Fraction(x) for x in triple])),
                  primitive_triple(*triple)):
         assert form == want
         assert all(type(x) is int for x in form)
     scaled = tuple(k * x for x in triple)
     assert primitive(scaled) == want
-    assert primitive([Fraction(x, k) for x in triple]) == want
+    assert primitive(clear_denominators([Fraction(x, k) for x in triple])) == want
     if any(triple):
         assert (ProjPoint(triple).coords == ProjLine(triple).coeffs
                 == ProjPoint([Fraction(x, 7) for x in scaled]).coords == want)

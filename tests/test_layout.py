@@ -15,6 +15,10 @@ code loads an attribute of its name, so a method that only tests call but
 that shares its name with a live method is out of its reach.
 
 Every name a library module imports is loaded in that module.
+
+Rationals exist only at the boundary: the name `Fraction` is loaded only
+in the functions of `FRACTION_BOUNDARY`, and every other function computes
+in ints.
 """
 
 import ast
@@ -28,12 +32,18 @@ LEMMAS = ROOT / "tests" / "lemmas.py"
 
 #: Library definitions reached from outside `cli.main`, each for its reason.
 EXTRA_ROOTS = (
-    # ROADMAP item 2 wires the sufficiency direction of the theorem into
+    # ROADMAP item 3 wires the sufficiency direction of the theorem into
     # `check`; until then only the tests build this force-load.
     "quantization.construct_forceload",
     # The README's example writes a fixture to a framework file with it.
     "framework.framework_to_json",
 )
+
+#: The library functions that name Fraction: the reader parses input
+#: literals, and the seeded draw makes rationals (the Pascal placement
+#: computes its conic points from these draws).  A rational is cleared to
+#: ints once, into a canonical triple (`numeric.clear_denominators`).
+FRACTION_BOUNDARY = ("numeric.scalar_from_string", "projective.random_fraction")
 
 
 def _definitions(path: Path):
@@ -145,3 +155,13 @@ def test_library_imports_are_used():
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - loaded)]
     assert unused == []
+
+
+def test_fraction_stays_at_the_boundary():
+    defs, statements = library()
+    loads = [qualified for qualified, node in defs.items()
+             if "Fraction" in _loaded_names(
+                 _class_parts(node) if isinstance(node, ast.ClassDef) else [node])]
+    if "Fraction" in _loaded_names(statements):
+        loads.append("module level")
+    assert sorted(set(loads) - set(FRACTION_BOUNDARY)) == []

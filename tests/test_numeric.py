@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from integers import integer_rows
 from reference_oracle import reference_nullspace_basis
 from tensec.errors import GeometryError, InputError
-from tensec.numeric import (nullspace_basis, primitive, scalar_from_string,
-                            scalar_to_string)
+from tensec.numeric import (clear_denominators, nullspace_basis, primitive,
+                            scalar_from_string)
 from tensec.projective import ProjLine, ProjPoint
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -16,7 +17,7 @@ fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 def test_scalar_string_roundtrip():
     for text in ["3", "-7", "2/5", "-11/13", "0"]:
-        assert scalar_to_string(scalar_from_string(text)) == text
+        assert str(scalar_from_string(text)) == text
     assert scalar_from_string(" 4/6 ") == Fraction(2, 3)
     with pytest.raises(InputError):
         scalar_from_string("1/0")
@@ -80,7 +81,7 @@ def matrices(draw):
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity_and_exactness(m):
     rows, ncols = m
-    basis = nullspace_basis(rows, ncols)
+    basis = nullspace_basis(integer_rows(rows), ncols)
     assert reference_rank(rows, ncols) + len(basis) == ncols
     zero = tuple(Fraction(0) for _ in rows)
     for v in basis:
@@ -95,7 +96,8 @@ def test_nullity_invariant_under_row_permutation_and_scaling(m, rng):
     rng.shuffle(shuffled)
     factors = [Fraction(rng.randint(1, 7)) for _ in shuffled]
     scaled = [[k * x for x in row] for k, row in zip(factors, shuffled)]
-    assert len(nullspace_basis(scaled, ncols)) == len(nullspace_basis(rows, ncols))
+    assert (len(nullspace_basis(integer_rows(scaled), ncols))
+            == len(nullspace_basis(integer_rows(rows), ncols)))
 
 
 @given(fractions, fractions)
@@ -159,7 +161,7 @@ rationals = st.one_of(st.just(0), st.integers(-10**12, 10**12),
 @given(st.lists(rationals, min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_primitive_matches_normalize_vector(vec):
-    got = primitive(vec)
+    got = primitive(clear_denominators(vec))
     assert all(type(v) is int for v in got)
     assert got == _normalize_vector(vec)
 
@@ -172,7 +174,7 @@ def test_primitive_matches_canonical_triple(triple):
             ProjPoint(triple)
         return
     want = _canonical_triple(triple)
-    assert primitive(triple) == want
+    assert primitive(clear_denominators(triple)) == want
     assert ProjPoint(triple).coords == want == ProjLine(triple).coeffs
 
 
@@ -188,8 +190,9 @@ def test_projective_triples_keep_their_errors():
 
 @given(matrices())
 @settings(max_examples=40, deadline=None)
-def test_nullspace_basis_returns_normalized_fraction_tuples(m):
-    for vec in nullspace_basis(*m):
+def test_nullspace_basis_returns_normalized_int_tuples(m):
+    rows, ncols = m
+    for vec in nullspace_basis(integer_rows(rows), ncols):
         assert type(vec) is tuple
         assert all(type(x) is int for x in vec)
         assert vec == _normalize_vector(vec)
@@ -217,10 +220,10 @@ def rank_deficient_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_fraction_free_back_substitution_matches_reference(m):
     rows, ncols, deficit = m
-    basis = nullspace_basis(rows, ncols)
+    basis = nullspace_basis(integer_rows(rows), ncols)
     assert basis == reference_nullspace_basis(rows, ncols)
     assert len(basis) >= deficit
-    # integer rows take the integer path of clear_denominators
+    # rows cleared by hand, each by its own lcm, give the same basis
     ints = [[x.numerator * (lcm(*(y.denominator for y in row)) // x.denominator)
              for x in row] for row in rows]
     assert nullspace_basis(ints, ncols) == basis

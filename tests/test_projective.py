@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from integers import integer_forces
 from lemmas import affine_vector, lines_in_general_position
 from tensec.errors import GeometryError
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
@@ -300,9 +301,10 @@ def _outcome(test, forces):
                  with_vanishing_subset(), with_equal_partial_sum_lines()))
 @settings(max_examples=300, deadline=None)
 def test_integer_subset_tests_match_fraction_reference(forces):
-    assert (_outcome(nonvanishing_proper_subsets, forces)
+    ints = integer_forces(forces)
+    assert (_outcome(nonvanishing_proper_subsets, ints)
             == _outcome(reference_nonvanishing_proper_subsets, forces))
-    assert (_outcome(partial_sum_lines_distinct, forces)
+    assert (_outcome(partial_sum_lines_distinct, ints)
             == _outcome(reference_partial_sum_lines_distinct, forces))
 
 
@@ -353,15 +355,15 @@ def test_non_parallelizable_star_matches_two_step_test(forces):
 
 def test_integer_subset_tests_on_built_cases():
     f, g, h = Force((1, 2, 0)), Force((0, 1, Fraction(1, 3))), Force((5, -1, 2))
-    assert nonvanishing_proper_subsets([f, g, h])
-    assert partial_sum_lines_distinct([f, g, h])
+    assert nonvanishing_proper_subsets(integer_forces([f, g, h]))
+    assert partial_sum_lines_distinct(integer_forces([f, g, h]))
     # a proper subset of four forces sums to zero
-    assert not nonvanishing_proper_subsets([f, g, -(f + g), h])
+    assert not nonvanishing_proper_subsets(integer_forces([f, g, -(f + g), h]))
     # f + g and f + g + 2(f + g) span one line
-    assert not partial_sum_lines_distinct([f, g, (f + g).scaled(2), h])
+    assert not partial_sum_lines_distinct(integer_forces([f, g, (f + g).scaled(2), h]))
     # the partial sum f + (-f) vanishes and has no line of force
     with pytest.raises(GeometryError):
-        partial_sum_lines_distinct([f, -f, h])
+        partial_sum_lines_distinct(integer_forces([f, -f, h]))
 
 
 @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=7),

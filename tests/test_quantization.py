@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from all_cycles import all_cycles_system, simple_cycles
 from lemmas import has_edge
 from reference_oracle import reference_stress_of_forceload
-from reference_resolution import _decompose
+from reference_resolution import _decompose, positive_scale
+from reference_resolution import construct_forceload as fraction_construct_forceload
 from tensec.errors import (GenericityError, GeometryError,
                            InconsistentQuantizationError, InputError,
                            PreconditionError)
@@ -22,7 +23,7 @@ from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
 from tensec.conditions import fulfilled_with_witness, generate_system
 from tensec.projective import (Force, ProjLine, line_of_force,
                                pick_generic_line_through)
-from tensec.quantization import (Quantization, _ratio, construct_forceload,
+from tensec.quantization import (Quantization, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
                                  is_consistent, is_consistent_at,
                                  quantization_from_stress)
@@ -36,11 +37,11 @@ def stressed_quantization(fw):
     return quantization_from_stress(fw, forceload_from_stress(fw, w)), w
 
 
-def wheel_framework(seed=0):
+def wheel_framework(seed=0, graph=WHEEL5_GRAPH):
     s = seed
     while True:
         s += 1
-        fw = random_placement(WHEEL5_GRAPH, s, bound=60)
+        fw = random_placement(graph, s, bound=60)
         if not framework_in_general_position(fw):
             continue
         w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
@@ -195,23 +196,30 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
         assert len(ratios) == 1
 
 
-def test_ratio_of_int_forces_is_a_fraction():
-    """The vertex schemes' force-loads are in ints, and int / int would
-    give a float: `_ratio` divides through Fraction."""
-    for a, b, k in (((6, -4, 2), (3, -2, 1), Fraction(2)),
-                    ((3, -2, 1), (6, -4, 2), Fraction(1, 2)),
-                    ((0, 7, -21), (0, -3, 9), Fraction(-7, 3)),
-                    ((0, 0, 5), (0, 0, Fraction(-2, 3)), Fraction(-15, 2))):
-        got = _ratio(Force(a), Force(b))
-        assert type(got) is Fraction and got == k
-        assert Force(b).scaled(got) == Force(a)
-
-
 def test_construct_forceload_detects_inconsistency():
     q = Quantization(DESARGUES_NEG, {})
     with pytest.raises(InconsistentQuantizationError) as err:
         construct_forceload(q)
     assert len(err.value.cycle) >= 3
+    with pytest.raises(InconsistentQuantizationError) as ref:
+        fraction_construct_forceload(q)
+    assert err.value.cycle == ref.value.cycle
+
+
+@pytest.mark.parametrize("name", ["desargues_pos", "pascal_pos",
+                                  *(f"wheel{n}" for n in range(4, 10))])
+def test_integer_forceload_is_a_positive_multiple_of_the_fraction_reference(name):
+    """Integer scales give int forces, the Fraction construction's load
+    times one positive scalar."""
+    if name.startswith("wheel"):
+        fw, w = wheel_framework(graph=wheel_graph(int(name[5:])))
+    else:
+        fw = {"desargues_pos": DESARGUES_POS, "pascal_pos": PASCAL_POS}[name]
+        w = self_stress_basis(fw)[0]
+    q = quantization_from_stress(fw, forceload_from_stress(fw, w))
+    ours = construct_forceload(q)
+    assert all(type(x) is int for f in ours.forces.values() for x in f.dual)
+    positive_scale(ours.forces, fraction_construct_forceload(q).forces)
 
 
 def test_consistency_cycle_set_modes():
@@ -508,7 +516,7 @@ def test_construct_forceload_matches_resolution_graph_reference(case):
     for u, v in fw.graph.edges:
         a, b = ours.force(u, v), theirs.force(u, v)
         i = next(i for i in range(3) if b.dual[i])
-        k = a.dual[i] / b.dual[i]
+        k = Fraction(a.dual[i], b.dual[i])
         assert a.dual == tuple(k * x for x in b.dual)
         ratios.add(k)
     assert len(ratios) == 1

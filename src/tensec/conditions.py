@@ -16,8 +16,8 @@ path by `fold_to_shared_node`), and the cycle condition reduces the framed
 cycle by symbolic projections down to a three-line relation.  The
 conditions of one system share their subexpressions: `generate_system`
 builds every node through one node table (`_node_table`), so structurally
-equal nodes of one system are one object.  The table lives for one call,
-so two systems share no node.
+equal nodes of one system are one object, and nodes compare and hash by
+identity.  The table lives for one call, so two systems share no node.
 """
 
 from __future__ import annotations
@@ -68,21 +68,19 @@ def _sorts(exprs):
 class Expr:
     """One node of a condition: an operation of `GRAMMAR` applied to `args`.
 
-    The node checks its arguments' sorts and computes its own sort and hash
-    once, at construction, from its children's (or takes the hash that its
-    node table computed for its key).  A memo lookup therefore
-    hashes in O(1), and compares two nodes in full only if their hashes agree.
-    Within one system equal nodes are one object (`_node_table`), so there
-    equality is identity, and a memo lookup compares nothing in full.
-    Nodes are never changed after construction.  The class is not frozen:
-    frozen fields made compiling the 9 conditions of GP(8,3) 1.3x slower.
+    The node checks its arguments' sorts and computes its own sort once, at
+    construction.  Nodes compare and hash by identity: every node is built
+    by the node table of its system (`_node_table`), which builds one node
+    per structure, so two nodes of one system are equal exactly when they
+    are the same object.  Nodes are never changed after construction.  The
+    class is not frozen: frozen fields made compiling the 9 conditions of
+    GP(8,3) 1.3x slower.
     """
 
     op: str
     args: tuple
     avoid: tuple = ()
     sort: str = field(init=False, repr=False)
-    _hash: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.op not in GRAMMAR:
@@ -95,17 +93,6 @@ class Expr:
                            or set(_sorts(self.avoid) or ()) != {sort}):
             raise InputError(f"{self.op} cannot avoid {_sorts(self.avoid)}")
         self.sort = sort
-        if self._hash is None:
-            self._hash = hash((self.op, self.args, self.avoid))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Expr and self._hash == other._hash
-            and self.op == other.op and self.args == other.args
-            and self.avoid == other.avoid)
 
 
 def to_sexpr(e, memo=None) -> str:
@@ -155,31 +142,24 @@ def to_json_ast(e, counter=None) -> dict:
 def _node_table():
     """The node builder of one condition system, hash-consed: called as
     `Expr`, it returns the one node of that operation, arguments and avoid
-    set, built and checked the first time it is asked for.  The arguments
-    come from the same table, so its keys compare by identity.
-
-    Each key (op, args, avoid) is hashed once, and that hash is the new
-    node's own: the table maps it to the first node of that hash, and keeps
-    a second key of the same hash under the key itself."""
-    table, collided = {}, {}
-    get = table.get
+    set, built and checked the first time it is asked for.  The children in
+    a key (op, args, avoid) come from the same table, so by induction equal
+    keys mean equal structure, and the table is the one place that knows
+    when two nodes are the same."""
+    table = {}
 
     def node(op, args, avoid=()):
         key = (op, args, avoid)
-        h = hash(key)
-        built = get(h)
+        built = table.get(key)
         if built is None:
-            built = table[h] = Expr(op, args, avoid, h)
-        elif (built.op, built.args, built.avoid) != key:
-            built = collided.get(key)
-            if built is None:
-                built = collided[key] = Expr(op, args, avoid, h)
+            built = table[key] = Expr(op, args, avoid)
         return built
     return node
 
 
-def _surgery_expression(p, l12, l13, l14, l25, l26, node=Expr):
-    """Seven-step meet/join construction of the relabeled interior line.
+def _surgery_expression(p, l12, l13, l14, l25, l26, node):
+    """Seven-step meet/join construction of the relabeled interior line,
+    its nodes built by `node`.
 
     Picks an affine chart (a generic point on the old interior line and a
     generic line through it), transports a generic point of l13 around the
@@ -197,7 +177,7 @@ def _surgery_expression(p, l12, l13, l14, l25, l26, node=Expr):
     return node("join", (p, p3))
 
 
-def vertex_labels(tree, vertex: str, node=Expr) -> dict:
+def vertex_labels(tree, vertex: str, node) -> dict:
     """Expression label of every edge of a vertex's tree: the edge line
     (join of its end points) at each leaf edge, a configuration-space
     variable (`linevar`) at each interior edge.  `node` builds the nodes."""
@@ -207,33 +187,29 @@ def vertex_labels(tree, vertex: str, node=Expr) -> dict:
         lambda k: node("linevar", (vertex, k)))
 
 
-def framing_expression(trees: dict, vertex: str, edge_a, edge_b, labels=None,
-                       node=Expr):
+def framing_expression(trees: dict, vertex: str, edge_a, edge_b, labels, node):
     """Expression for the associated framing of two edges at a vertex.
 
     Folds the surgeries along the leaf-to-leaf path of the vertex's tree
     (`fold_to_shared_node`), expanding each into the seven-step
     construction; leaves that already share a node (the two other edges at
     a degree-3 vertex, each degree-4 complementary pair) give the third
-    edge's label unexpanded.  `labels` are the tree's `vertex_labels`, built
-    here unless the caller passes them.  `node` builds the nodes: `Expr`, or
-    the `_node_table` of a system, which makes the framing's nodes the
-    system's own.
+    edge's label unexpanded.  `labels` are the tree's `vertex_labels`, and
+    `node` is the `_node_table` that built them, which makes the framing's
+    nodes the system's own.
     """
     edge_a, edge_b = tuple(edge_a), tuple(edge_b)
     if edge_a == edge_b:
         raise InputError("framing needs two distinct incident edges")
     tree = trees[vertex]
-    if labels is None:
-        labels = vertex_labels(tree, vertex, node)
 
     def surgery_expression(*h):
-        return _surgery_expression(node("point", (vertex,)), *h, node=node)
+        return _surgery_expression(node("point", (vertex,)), *h, node)
 
     return fold_to_shared_node(tree, labels, edge_a, edge_b, surgery_expression)
 
 
-def cycle_condition_expression(cycle_points, framing_exprs, node=Expr):
+def cycle_condition_expression(cycle_points, framing_exprs, node):
     """Relation-rooted condition for a framed cycle given symbolically.
 
     Applies k-3 symbolic projection operations and caps with a three-line
@@ -283,7 +259,7 @@ class ConditionSystem:
 
     slots: tuple
     conditions: tuple
-    trees: dict = field(default=None, repr=False, compare=False)
+    trees: dict = field(repr=False, compare=False)
 
 
 def generate_system(g: Graph) -> ConditionSystem:
@@ -323,21 +299,18 @@ def evaluate(expr, fw: Framework, line_assignment, seed: int):
     return _evaluator(fw, line_assignment, seed)(expr)
 
 
-_UNSET = object()
-
-
 def _evaluator(fw: Framework, line_assignment, seed: int):
     """`evaluate` as a one-argument function that memoizes by subexpression.
 
-    Equal subexpressions evaluate identically under one (placement,
-    assignment, seed), so each is evaluated once however often it recurs.
+    A node evaluates identically wherever it recurs under one (placement,
+    assignment, seed), so each node is evaluated once.  No value is None.
     """
     memo = {}
     sexprs = {}
 
     def ev(expr):
-        value = memo.get(expr, _UNSET)
-        if value is _UNSET:
+        value = memo.get(expr)
+        if value is None:
             value = memo[expr] = _node_value(expr, ev, fw, line_assignment, seed,
                                              sexprs)
         return value

@@ -27,7 +27,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
 from .numeric import nullspace_basis, primitive, primitive_triple
@@ -115,7 +115,7 @@ class Graph:
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
 
-    def require_min_degree(self, k: int = 3):
+    def require_min_degree(self, k: int):
         for v in self.vertices:
             if self.degree(v) < k:
                 raise InputError(f"vertex {v!r} has degree {self.degree(v)} < {k}")
@@ -247,9 +247,9 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
 
 def forceload_from_stress(fw: Framework, w: Stress,
                           chart: AffineChart | None = None) -> ForceLoad:
-    """Force-load of a stress: a positive integer multiple of the load whose
-    chart vectors are w_ij (n_i - n_j) on every edge, n the chart
-    representatives, in ints for int weights.  Equilibrium,
+    """Force-load of a stress: the positive multiple of the load whose chart
+    vectors are w_ij (n_i - n_j) on every edge, n the chart representatives,
+    in ints with gcd 1 for int weights.  Equilibrium,
     `non_parallelizable_star` and every line of force are those of that
     load."""
     if set(w.weights) != set(fw.graph.edges):
@@ -262,8 +262,12 @@ def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
     a stress in edge order, with the duals computed once for many stresses.
 
     Its duals are w_e (M / (s_u s_v)) cross(p_v, p_u) with M = lcm |s_u s_v|
-    over the edges.  As w / (s_u s_v) cross(p_v, p_u) is the dual with
-    iota_V F_{u,v} = w (n_u - n_v), that is the chart load times M.
+    over the edges, divided by the positive gcd of all their entries.  As
+    w / (s_u s_v) cross(p_v, p_u) is the dual with iota_V F_{u,v} =
+    w (n_u - n_v), that is the chart load times M over that gcd.  Every use
+    of a load (equilibrium, the subset tests, lines of force) is invariant
+    under a positive scale; on placed wheels with 4-9 spokes the gcd has
+    33-46 bits.
     """
     chart = chart or AffineChart.standard()
     scale = _chart_scales(fw, chart)
@@ -272,10 +276,12 @@ def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
     m = lcm(*(scale[u] * scale[v] for u, v in edges))
     duals = [tuple(m // (scale[u] * scale[v]) * d
                    for d in _cross(p[v].coords, p[u].coords)) for u, v in edges]
+    contents = [gcd(*d) for d in duals]
 
     def load(weights) -> ForceLoad:
-        return ForceLoad({e: Force((k * a, k * b, k * c)) for e, k, (a, b, c)
-                          in zip(edges, weights, duals)})
+        g = gcd(*(k * d for k, d in zip(weights, contents))) or 1
+        return ForceLoad({e: Force((k * a // g, k * b // g, k * c // g))
+                          for e, k, (a, b, c) in zip(edges, weights, duals)})
     return load
 
 

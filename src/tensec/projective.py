@@ -194,9 +194,8 @@ class Force:
     entries' type.  The library builds one kind of force-load, in ints: the
     oracle's (`framework.forceload_from_stress`), the resolution schemes'
     (`resolution.scheme_forceload`) and the quantization's
-    (`quantization.construct_forceload`) are each a positive integer
-    multiple of the exact rational load, which changes no line of force and
-    no subset test.
+    (`quantization.construct_forceload`) are each a positive multiple of the
+    exact rational load, which changes no line of force and no subset test.
     """
 
     dual: tuple

@@ -80,21 +80,19 @@ class Quantization:
 
     Each vertex scheme is built once.  A scheme computes its canonical
     force-load and its strong-genericity verdict once, so all framings at
-    one vertex share them.  `trees` defaults to `default_trees` of the
-    graph; a caller that has just built them passes them in.
+    one vertex share them.  `trees` are the vertex trees the labels sit
+    on, the `default_trees` of the graph.
     """
 
     framework: Framework
-    interior_labels: dict = field(default_factory=dict)
-    trees: dict = field(default=None, repr=False, compare=False)
+    interior_labels: dict
+    trees: dict = field(repr=False, compare=False)
     _schemes: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def __post_init__(self):
         fw = self.framework
         fw.graph.require_min_degree(3)
-        if self.trees is None:
-            self.trees = default_trees(fw.graph)
         slots = set(xi_slots(self.trees))
         if set(self.interior_labels) != slots:
             raise InputError(f"interior labels must cover exactly the slots {sorted(slots)}")
@@ -117,12 +115,11 @@ class Quantization:
         return associated_framing(self.scheme_at(v), edge_a, edge_b)
 
 
-def quantization_from_stress(fw: Framework, fl: ForceLoad,
-                             trees: dict | None = None) -> Quantization:
+def quantization_from_stress(fw: Framework, fl: ForceLoad, trees: dict) -> Quantization:
     """Quantization associated to a non-parallelizable equilibrium load, such
     as the load of a stress that `find_nonparallelizable_stress` accepted,
-    on `trees` (by default `default_trees` of the graph; `check` passes the
-    trees its condition system was compiled over).
+    on `trees`, the `default_trees` of the graph (`check` passes the trees
+    its condition system was compiled over).
 
     Each interior tree edge is labeled by the line of force of the summed
     leaf forces on one of its sides; non-parallelizability makes every such
@@ -135,8 +132,6 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad,
     """
     if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):
         raise GenericityError("force-load vanishes on an edge")
-    if trees is None:
-        trees = default_trees(fw.graph)
     labels = {}
     for v, tree in trees.items():
         for idx, te in slot_edges(tree).items():
@@ -223,11 +218,9 @@ def _canonical_cycle(seq):
     return best
 
 
-def is_consistent(q: Quantization, seed: int, cycles=None) -> bool:
-    """Every cycle of `cycles` (by default `consistency_cycles` of the
-    framework's graph) has a trivial monodromy."""
-    if cycles is None:
-        cycles = consistency_cycles(q.framework.graph)
+def is_consistent(q: Quantization, seed: int, cycles) -> bool:
+    """Every cycle of `cycles`, such as the `consistency_cycles` of the
+    framework's graph, has a trivial monodromy."""
     return all(is_consistent_at(q, c, seed) for c in cycles)
 
 

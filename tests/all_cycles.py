@@ -11,9 +11,9 @@ cycle.
 
 import functools
 
-from tensec.conditions import (Condition, ConditionSystem, Expr,
+from tensec.conditions import (Condition, ConditionSystem, _node_table,
                                cycle_condition_expression, framing_expression,
-                               generate_system, to_sexpr)
+                               generate_system, to_sexpr, vertex_labels)
 from tensec.framework import cycle_corners, enumerate_simple_cycles
 from tensec.quantization import consistency_cycles, default_trees, xi_slots
 
@@ -26,16 +26,26 @@ def simple_cycles(g):
 @functools.cache
 def all_cycles_system(g) -> ConditionSystem:
     """One condition per simple cycle of `simple_cycles`, built exactly as
-    `generate_system` builds the condition of a fundamental cycle."""
+    `generate_system` builds the condition of a fundamental cycle, through
+    a node table of its own."""
     g.require_min_degree(3)
     trees = default_trees(g)
-    framing = functools.cache(functools.partial(framing_expression, trees))
+    node = _node_table()
+    labels = {v: vertex_labels(tree, v, node) for v, tree in trees.items()}
     conditions = []
     for cycle in simple_cycles(g):
-        pts = [Expr("point", (v,)) for v in cycle]
-        framings = [framing(*corner) for corner in cycle_corners(cycle)]
-        conditions.append(Condition(cycle, cycle_condition_expression(pts, framings)))
-    return ConditionSystem(xi_slots(trees), tuple(conditions))
+        pts = [node("point", (v,)) for v in cycle]
+        framings = [framing_expression(trees, v, a, b, labels[v], node)
+                    for v, a, b in cycle_corners(cycle)]
+        conditions.append(Condition(cycle, cycle_condition_expression(pts, framings, node)))
+    return ConditionSystem(xi_slots(trees), tuple(conditions), trees)
+
+
+def framing(trees, vertex, edge_a, edge_b, node):
+    """`framing_expression` of two edges at a vertex, with its tree's labels
+    and every node built by `node`, a `_node_table`."""
+    return framing_expression(trees, vertex, edge_a, edge_b,
+                              vertex_labels(trees[vertex], vertex, node), node)
 
 
 def both_systems(g):

@@ -12,13 +12,12 @@ from pathlib import Path
 import pytest
 
 from all_cycles import (all_cycles_system, both_systems, condition_lines,
-                        fundamental_lines, simple_cycles)
+                        framing, fundamental_lines, simple_cycles)
 from lemmas import (chart_avoiding, cycle_equilibrium_basis,
                     enumerate_equivalent_schemes, hf_surgery_framework, is_trivial,
                     project_cycle, proportional_to, random_framed_cycle)
 from reference_oracle import reference_stress_of_forceload
-from tensec.conditions import (framing_expression, evaluate,
-                               fulfilled_with_witness)
+from tensec.conditions import _node_table, evaluate, fulfilled_with_witness
 from tensec.cycles import monodromy, pick_aux_line
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
@@ -169,8 +168,9 @@ def test_criterion_7_end_to_end_equivalence_200(graph, constrained, tag):
 
 def test_criterion_8_wheel_witness_direction_100():
     systems = both_systems(WHEEL5_GRAPH)
-    trees = default_trees(WHEEL5_GRAPH)
-    pairs = ((("p1", "p2"), ("p1", "p4")), (("p1", "p3"), ("p1", "p5")))
+    trees, node = default_trees(WHEEL5_GRAPH), _node_table()
+    pairs = [framing(trees, "p1", *pair, node)
+             for pair in ((("p1", "p2"), ("p1", "p4")), (("p1", "p3"), ("p1", "p5")))]
     done = 0
     seed = 0
     while done < 100:
@@ -181,14 +181,11 @@ def test_criterion_8_wheel_witness_direction_100():
         stress = find_nonparallelizable_stress(fw, self_stress_basis(fw), seed=seed)
         if stress is None:
             continue
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, stress))
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, stress), trees)
         witness = quant.interior_labels
         for system in systems:
             assert fulfilled_with_witness(system, fw, witness, seed)
-        one = evaluate(framing_expression(trees, "p1", *pairs[0]),
-                       fw, witness, seed)
-        two = evaluate(framing_expression(trees, "p1", *pairs[1]),
-                       fw, witness, seed)
+        one, two = (evaluate(expr, fw, witness, seed) for expr in pairs)
         assert one == two
         done += 1
     assert done == 100
@@ -199,8 +196,9 @@ def test_criterion_8_wheel_witness_direction_100():
 def test_criterion_9_quantization_roundtrip_on_fixtures():
     for fw in (DESARGUES_POS, PASCAL_POS):
         w = self_stress_basis(fw)[0]
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
-        assert is_consistent(quant, seed=13)
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w),
+                                         default_trees(fw.graph))
+        assert is_consistent(quant, seed=13, cycles=consistency_cycles(fw.graph))
         assert is_consistent(quant, seed=13, cycles=simple_cycles(fw.graph))
         ind = construct_forceload(quant)
         assert is_equilibrium(fw, ind)

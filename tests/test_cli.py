@@ -498,6 +498,46 @@ def test_conditions_json_matches_recorded_digest(name, graph, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digests[name]
 
 
+def _cube_chord_graph_json():
+    vs = [f"{ring}{i}" for ring in "uw" for i in range(4)]
+    edges = [[f"{ring}{i}", f"{ring}{(i + 1) % 4}"] for ring in "uw" for i in range(4)]
+    return {"vertices": vs,
+            "edges": edges + [[f"u{i}", f"w{i}"] for i in range(4)] + [["u0", "w2"]]}
+
+
+#: The graphs of the `check` digests, each placed by `random_placement(g,
+#: seed, bound=60)` and checked at `--seed seed`.
+_DIGEST_GRAPHS = {"K5": _complete_graph_json(5), "K6": _complete_graph_json(6),
+                  "wheel8": _wheel_graph_json(8), "cube-chord": _cube_chord_graph_json()}
+
+
+@pytest.mark.parametrize("command, name, seed", [
+    *(("check", name, seed) for name in _DIGEST_GRAPHS for seed in (1, 2)),
+    ("verify", "wheel5", 5)])
+def test_check_and_verify_json_match_recorded_digest(command, name, seed, tmp_path,
+                                                     monkeypatch, capsys):
+    # the conditions evaluate generic picks under surgeries (K5, K6, wheel8)
+    # and the slot witness of an oracle load; the digests are the sha256 of
+    # the reports printed while condition nodes still compared by structure
+    from tensec.framework import graph_from_json
+    from tensec.sampling import random_placement
+
+    monkeypatch.chdir(tmp_path)
+    path = Path(f"{name}.json")
+    if command == "verify":
+        path.write_text(json.dumps({"vertices": list(WHEEL5_GRAPH.vertices),
+                                    "edges": [list(e) for e in WHEEL5_GRAPH.edges]}))
+        extra = ["--samples", "20"]
+    else:
+        g = graph_from_json(_DIGEST_GRAPHS[name])
+        path.write_text(json.dumps(framework_to_json(random_placement(g, seed, bound=60))))
+        extra = []
+    assert main([command, path.name, *extra, "--seed", str(seed), "--format", "json"]) == 0
+    digests = json.loads((GOLDEN / "check_verify_json.sha256.json").read_text())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[f"{command} {name} {seed}"]
+
+
 def test_conditions_json_contains_ast(files, capsys):
     assert main(["conditions", files["wheel"], "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -8,13 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from all_cycles import all_cycles_system, both_systems
+from all_cycles import all_cycles_system, both_systems, framing
 from lemmas import is_trivial, random_framed_cycle
-from tensec import conditions, resolution
-from tensec.conditions import (Expr, cycle_condition_expression, evaluate,
-                               framing_expression, fulfilled_with_witness,
-                               generate_system, system_to_json, to_json_ast,
-                               to_sexpr)
+from tensec import resolution
+from tensec.conditions import (_node_table, condition_sexprs,
+                               cycle_condition_expression, evaluate,
+                               fulfilled_with_witness, generate_system,
+                               system_to_json, to_json_ast, to_sexpr)
 from tensec.errors import InputError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
@@ -87,12 +87,12 @@ def petersen_graph(n=5, k=2, chord=()):
     return Graph(ids, sorted(tuple(sorted(e)) for e in edges))
 
 
-def pt(v):
-    return Expr("point", (v,))
+def pt(node, v):
+    return node("point", (v,))
 
 
-def lv(v, index=1):
-    return Expr("linevar", (v, index))
+def lv(node, v):
+    return node("linevar", (v, 1))
 
 
 def test_xi_space_slot_counts():
@@ -140,91 +140,90 @@ def test_xi_slots_match_degree_count(name, seed):
 
 
 def test_ast_typing_enforced():
-    p = pt("p1")
-    l = lv("p1")
+    node = _node_table()
+    p = pt(node, "p1")
+    l = lv(node, "p1")
     with pytest.raises(InputError):
-        Expr("join", (p, l))
+        node("join", (p, l))
     with pytest.raises(InputError):
-        Expr("meet", (p, p))
+        node("meet", (p, p))
     with pytest.raises(InputError):
-        Expr("concurrent", (p, l, l))
-    Expr("incident", (p, l))  # well-typed
+        node("concurrent", (p, l, l))
+    node("incident", (p, l))  # well-typed
 
 
 def test_framing_expression_degree3_is_third_edge():
-    trees = default_trees(DESARGUES_GRAPH)
-    expr = framing_expression(trees, "p2",
-                              ("p2", "p3"), ("p2", "p6"))
-    assert expr == Expr("join", (pt("p1"), pt("p2")))
+    trees, node = default_trees(DESARGUES_GRAPH), _node_table()
+    expr = framing(trees, "p2", ("p2", "p3"), ("p2", "p6"), node)
+    assert expr is node("join", (pt(node, "p1"), pt(node, "p2")))
 
 
 def test_framing_expression_degree4_adjacent_pairs_are_bare_linevars():
-    trees = default_trees(WHEEL5_GRAPH)
+    trees, node = default_trees(WHEEL5_GRAPH), _node_table()
     # hub caterpillar order: (p1p2, p1p3 | p1p4, p1p5)
-    expr_a = framing_expression(trees, "p1",
-                                ("p1", "p2"), ("p1", "p3"))
-    expr_b = framing_expression(trees, "p1",
-                                ("p1", "p4"), ("p1", "p5"))
-    assert expr_a == lv("p1")
-    assert expr_b == lv("p1")
+    expr_a = framing(trees, "p1", ("p1", "p2"), ("p1", "p3"), node)
+    expr_b = framing(trees, "p1", ("p1", "p4"), ("p1", "p5"), node)
+    assert expr_a is expr_b is lv(node, "p1")
 
 
 def test_framing_expression_degree4_mixed_pair_expands_surgery():
     trees = default_trees(WHEEL5_GRAPH)
-    expr = framing_expression(trees, "p1",
-                              ("p1", "p2"), ("p1", "p4"))
+    expr = framing(trees, "p1", ("p1", "p2"), ("p1", "p4"), _node_table())
     text = to_sexpr(expr)
     assert "generic-point" in text and "generic-line" in text
     assert text.count("(join") >= 4
 
 
 def test_cycle_condition_three_vertices():
-    f = [Expr("join", (pt(a), pt(b))) for a, b in ("ab", "cd", "ef")]
-    pts = [pt(x) for x in "xyz"]
-    assert cycle_condition_expression(pts, f) == Expr("concurrent", tuple(f))
+    node = _node_table()
+    f = [node("join", (pt(node, a), pt(node, b))) for a, b in ("ab", "cd", "ef")]
+    pts = [pt(node, x) for x in "xyz"]
+    assert cycle_condition_expression(pts, f, node) is node("concurrent", tuple(f))
 
 
 def test_cycle_condition_four_vertices_display_form():
-    pts = [pt(f"p{i}") for i in range(1, 5)]
-    frs = [lv(f"p{i}") for i in range(1, 5)]
+    node = _node_table()
+    pts = [pt(node, f"p{i}") for i in range(1, 5)]
+    frs = [lv(node, f"p{i}") for i in range(1, 5)]
     # slots need degree >= 4 hosts; the shape is what matters here
-    expr = cycle_condition_expression(pts, frs)
-    assert expr == Expr("collinear", (
-        Expr("meet", (frs[0], frs[3])),
-        Expr("meet", (frs[1], frs[2])),
-        Expr("meet", (Expr("join", (pts[0], pts[1])), Expr("join", (pts[2], pts[3])))),
+    expr = cycle_condition_expression(pts, frs, node)
+    assert expr is node("collinear", (
+        node("meet", (frs[0], frs[3])),
+        node("meet", (frs[1], frs[2])),
+        node("meet", (node("join", (pts[0], pts[1])), node("join", (pts[2], pts[3])))),
     ))
 
 
 def test_cycle_condition_five_vertices_display_form():
-    pts = [pt(f"p{i}") for i in range(1, 6)]
-    frs = [lv(f"p{i}") for i in range(1, 6)]
-    expr = cycle_condition_expression(pts, frs)
+    node = _node_table()
+    pts = [pt(node, f"p{i}") for i in range(1, 6)]
+    frs = [lv(node, f"p{i}") for i in range(1, 6)]
+    expr = cycle_condition_expression(pts, frs, node)
 
     def line(a, b):
-        return Expr("join", (a, b))
+        return node("join", (a, b))
 
     def point(a, b):
-        return Expr("meet", (a, b))
+        return node("meet", (a, b))
 
-    assert expr == Expr("concurrent", (
+    assert expr is node("concurrent", (
         line(point(frs[1], frs[2]), point(line(pts[0], pts[1]), line(pts[2], pts[3]))),
         frs[0],
         line(point(frs[3], frs[4]), point(line(pts[2], pts[3]), line(pts[4], pts[0]))),
     ))
 
 
-def head_condition_expression(cycle_points, framing_exprs):
+def head_condition_expression(cycle_points, framing_exprs, node):
     """`cycle_condition_expression` in one operation order for every k:
     merge the first two vertices until three remain (kept as the reference
     of the display shapes at k = 4 and k = 5)."""
     pts, frs = list(cycle_points), list(framing_exprs)
     while len(pts) > 3:
-        merged = Expr("meet", (Expr("join", (pts[-1], pts[0])),
-                               Expr("join", (pts[1], pts[2]))))
-        frs = [Expr("join", (merged, Expr("meet", (frs[0], frs[1]))))] + frs[2:]
+        merged = node("meet", (node("join", (pts[-1], pts[0])),
+                               node("join", (pts[1], pts[2]))))
+        frs = [node("join", (merged, node("meet", (frs[0], frs[1]))))] + frs[2:]
         pts = [merged] + pts[2:]
-    return Expr("concurrent", tuple(frs))
+    return node("concurrent", tuple(frs))
 
 
 def _framed_cycle_condition(c, build=cycle_condition_expression):
@@ -232,6 +231,7 @@ def _framed_cycle_condition(c, build=cycle_condition_expression):
     cycle: points become constants q_i, framings become joins q_i r_i with
     r_i a second point on the framing line."""
     k = len(c)
+    node = _node_table()
     placement = {}
     pts = []
     frs = []
@@ -240,9 +240,9 @@ def _framed_cycle_condition(c, build=cycle_condition_expression):
         placement[qi] = c.points[i]
         second = pick_generic_point_on(c.framings[i], {c.points[i]}, seed=i + 1)
         placement[ri] = second
-        pts.append(pt(qi))
-        frs.append(Expr("join", (pt(qi), pt(ri))))
-    expr = build(pts, frs)
+        pts.append(pt(node, qi))
+        frs.append(node("join", (pt(node, qi), pt(node, ri))))
+    expr = build(pts, frs, node)
     ids = sorted(placement)
     # framework container only for evaluation: grid graph over the ids
     g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(len(ids) - 1)])
@@ -280,13 +280,14 @@ def test_early_true_fulfills_condition():
     g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     fw = Framework(g, {"a": ProjPoint((0, 0, 1)), "b": ProjPoint((1, 0, 1)),
                        "c": ProjPoint((0, 1, 1))})
-    same = Expr("join", (pt("a"), pt("b")))
-    other = Expr("join", (pt("a"), pt("c")))
-    assert evaluate(Expr("concurrent", (same, same, other)), fw, {}, 0) is True
-    inner = Expr("meet", (same, same))  # evaluates to TRUE and absorbs upward
-    assert evaluate(Expr("collinear", (inner, pt("b"), pt("c"))),
+    node = _node_table()
+    same = node("join", (pt(node, "a"), pt(node, "b")))
+    other = node("join", (pt(node, "a"), pt(node, "c")))
+    assert evaluate(node("concurrent", (same, same, other)), fw, {}, 0) is True
+    inner = node("meet", (same, same))  # evaluates to TRUE and absorbs upward
+    assert evaluate(node("collinear", (inner, pt(node, "b"), pt(node, "c"))),
                     fw, {}, 0) is True
-    assert evaluate(Expr("incident", (inner, other)), fw, {}, 0) is True
+    assert evaluate(node("incident", (inner, other)), fw, {}, 0) is True
 
 
 def test_generate_system_fixture_contents():
@@ -351,18 +352,18 @@ def wheel_positive(seed):
 
 def test_wheel_witness_direction_and_degree4_identity():
     systems = both_systems(WHEEL5_GRAPH)
-    trees = default_trees(WHEEL5_GRAPH)
+    trees, node = default_trees(WHEEL5_GRAPH), _node_table()
     for seed in (100, 200, 300):
         fw, w = wheel_positive(seed)
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w), trees)
         witness = quant.interior_labels
         for system in systems:
             assert fulfilled_with_witness(system, fw, witness, seed)
         # complementary-pair identity at the degree-4 hub, evaluated
         e12, e13 = ("p1", "p2"), ("p1", "p3")
         e14, e15 = ("p1", "p4"), ("p1", "p5")
-        one = framing_expression(trees, "p1", e12, e14)
-        two = framing_expression(trees, "p1", e13, e15)
+        one = framing(trees, "p1", e12, e14, node)
+        two = framing(trees, "p1", e13, e15, node)
         l1 = evaluate(one, fw, witness, seed)
         l2 = evaluate(two, fw, witness, seed)
         assert l1 == l2
@@ -372,12 +373,12 @@ def test_symbolic_framing_matches_numeric_scheme():
     from tensec.resolution import associated_framing
 
     def check(fw, w, hub, pairs, eval_seeds):
-        trees = default_trees(fw.graph)
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
+        trees, node = default_trees(fw.graph), _node_table()
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w), trees)
         witness = quant.interior_labels
         scheme = quant.scheme_at(hub)
         for pair in pairs:
-            expr = framing_expression(trees, hub, *pair)
+            expr = framing(trees, hub, *pair, node)
             numeric = associated_framing(scheme, *pair)
             for seed in eval_seeds:
                 assert evaluate(expr, fw, witness, seed) == numeric
@@ -398,11 +399,10 @@ def test_symbolic_framing_matches_numeric_scheme():
 
 def test_double_evaluation_of_surgery_expression_is_stable():
     trees = default_trees(WHEEL5_GRAPH)
-    expr = framing_expression(trees, "p1",
-                              ("p1", "p2"), ("p1", "p4"))
+    expr = framing(trees, "p1", ("p1", "p2"), ("p1", "p4"), _node_table())
     for seed in (5, 6):
         fw, w = wheel_positive(400 + seed)
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w), trees)
         witness = quant.interior_labels
         assert evaluate(expr, fw, witness, 1) == evaluate(expr, fw, witness, 2)
 
@@ -418,7 +418,8 @@ def test_projective_invariance_of_evaluation():
 
 def test_projective_invariance_with_witness_lines():
     fw, w = wheel_positive(77)
-    quant = quantization_from_stress(fw, forceload_from_stress(fw, w))
+    quant = quantization_from_stress(fw, forceload_from_stress(fw, w),
+                                     default_trees(WHEEL5_GRAPH))
     witness = quant.interior_labels
     point_map, line_map = random_projective_map(8)
     moved = transform_framework(fw, point_map)
@@ -435,23 +436,23 @@ def test_witness_must_cover_slots():
 
 
 def test_generic_node_avoid_sets_recorded():
-    trees = default_trees(WHEEL5_GRAPH)
-    expr = framing_expression(trees, "p1",
-                              ("p1", "p2"), ("p1", "p4"))
+    trees, node = default_trees(WHEEL5_GRAPH), _node_table()
+    expr = framing(trees, "p1", ("p1", "p2"), ("p1", "p4"), node)
 
     found = []
 
     def walk(e):
         if e.op == "generic-point":
             found.append(e)
-        for x in e.args + e.avoid:
-            if isinstance(x, Expr):
+        if e.op not in ("point", "linevar"):
+            for x in e.args + e.avoid:
                 walk(x)
 
     walk(expr)
     assert found
     chart_pick = found[0]
-    assert pt("p1") in chart_pick.avoid or any(pt("p1") in f.avoid for f in found)
+    p1 = pt(node, "p1")
+    assert p1 in chart_pick.avoid or any(p1 in f.avoid for f in found)
     # the affine-chart membership constraint appears as a meet avoid point
     assert any(any(a.op == "meet" for a in f.avoid) for f in found)
 
@@ -736,12 +737,15 @@ def _system(name, cycles):
 def test_compiled_system_is_the_reference_on_the_fundamental_cycles(name):
     g = _GRAPHS[name]
     fundamental = set(consistency_cycles(g))
-    reference = all_cycles_system(g)
+    reference = [c for c in all_cycles_system(g).conditions if c.cycle in fundamental]
     system = generate_system(g)
-    assert system.slots == reference.slots
-    assert system.conditions == tuple(c for c in reference.conditions
-                                      if c.cycle in fundamental)
+    assert system.slots == all_cycles_system(g).slots
+    # the two systems come from two node tables, so they compare as text
+    assert [c.cycle for c in system.conditions] == [c.cycle for c in reference]
     assert [c.cycle for c in system.conditions] == consistency_cycles(g)
+    assert condition_sexprs(system) == [to_sexpr(c.expr) for c in reference]
+    assert ([to_json_ast(c.expr) for c in system.conditions]
+            == [to_json_ast(c.expr) for c in reference])
 
 
 def _nodes(system):
@@ -757,43 +761,18 @@ def _nodes(system):
     return seen
 
 
-@pytest.mark.parametrize("graph", [complete_graph(6), wheel_graph(8),
-                                   petersen_graph()], ids=["K6", "wheel8", "petersen"])
+@pytest.mark.parametrize("graph", [complete_graph(6), wheel_graph(8), petersen_graph(),
+                                   petersen_graph(8, 3)],
+                         ids=["K6", "wheel8", "petersen", "GP(8,3)"])
 def test_one_system_builds_each_node_once(graph):
     first, second = generate_system(graph), generate_system(graph)
     nodes = _nodes(first)
-    by_structure = {}
-    for e in nodes.values():
-        by_structure.setdefault(e, []).append(e)
-    assert [group for group in by_structure.values() if len(group) > 1] == []
+    # two nodes of one system are one object exactly when their texts agree
+    memo = {}
+    assert len({to_sexpr(e, memo) for e in nodes.values()}) == len(nodes)
     # the table lives for one call: a second system shares no node
-    assert first.conditions == second.conditions
+    assert condition_sexprs(first) == condition_sexprs(second)
     assert set(nodes).isdisjoint(_nodes(second))
-
-
-def test_node_table_hashes_each_key_once(monkeypatch):
-    # each table call hashes its key once, that is each child node once,
-    # and a new node takes the key's hash as its own; hashing the key again
-    # for the node and for the insertion made 971 calls
-    calls = []
-    node_hash = Expr.__hash__
-    monkeypatch.setattr(Expr, "__hash__", lambda e: calls.append(e) or node_hash(e))
-    generate_system(petersen_graph(8, 3))
-    assert len(calls) == 413
-
-
-def test_node_table_keeps_colliding_keys_apart(monkeypatch):
-    graph = petersen_graph()
-    want = [to_sexpr(c.expr) for c in generate_system(graph).conditions]
-    # every key of the table hashes to 0: each node after the first is a
-    # collision, kept under its key
-    monkeypatch.setattr(conditions, "hash", lambda key: 0, raising=False)
-    system = generate_system(graph)
-    assert [to_sexpr(c.expr) for c in system.conditions] == want
-    structures = [(e.op, *(a if e.op in ("point", "linevar") else id(a)
-                           for a in (*e.args, None, *e.avoid)))
-                  for e in _nodes(system).values()]
-    assert len(structures) == len(set(structures))
 
 
 def test_compiling_builds_one_tree_per_vertex(monkeypatch):

@@ -1,5 +1,6 @@
 import functools
 import random
+from math import gcd
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from tensec.errors import (GenericityError, GeometryError,
                            InconsistentQuantizationError, InputError,
                            PreconditionError)
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
-                             PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
+                             PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
                               find_nonparallelizable_stress, forceload_from_stress,
                               framework_in_general_position, is_equilibrium,
@@ -34,7 +35,8 @@ from tensec.sampling import (desargues_concurrent_placement, random_affine_point
 
 def stressed_quantization(fw):
     w = self_stress_basis(fw)[0]
-    return quantization_from_stress(fw, forceload_from_stress(fw, w)), w
+    return quantization_from_stress(fw, forceload_from_stress(fw, w),
+                                    default_trees(fw.graph)), w
 
 
 def wheel_framework(seed=0, graph=WHEEL5_GRAPH):
@@ -62,13 +64,13 @@ def test_quantization_requires_nonparallelizable_load():
 
     zero = ForceLoad({(u, v): ZERO_FORCE for u, v in DESARGUES_POS.graph.edges})
     with pytest.raises(GenericityError):
-        quantization_from_stress(DESARGUES_POS, zero)
+        quantization_from_stress(DESARGUES_POS, zero, default_trees(DESARGUES_GRAPH))
 
 
 def test_wheel_quantization_hub_label():
     fw, w = wheel_framework()
     fl = forceload_from_stress(fw, w)
-    q = quantization_from_stress(fw, fl)
+    q = quantization_from_stress(fw, fl, default_trees(fw.graph))
     assert sorted(q.interior_labels) == [("p1", 1)]
     assert q.interior_labels[("p1", 1)].contains(fw.placement["p1"])
     assert all(q.scheme_at(v).strongly_generic for v in fw.graph.vertices)
@@ -77,9 +79,10 @@ def test_wheel_quantization_hub_label():
 def test_scaled_forceload_gives_identical_quantization():
     fw, w = wheel_framework(3)
     fl = forceload_from_stress(fw, w)
-    q1 = quantization_from_stress(fw, fl)
+    trees = default_trees(fw.graph)
+    q1 = quantization_from_stress(fw, fl, trees)
     scaled = ForceLoad({p: f.scaled(Fraction(7, 3)) for p, f in fl.forces.items()})
-    q2 = quantization_from_stress(fw, scaled)
+    q2 = quantization_from_stress(fw, scaled, trees)
     assert q1.interior_labels == q2.interior_labels
 
 
@@ -104,22 +107,22 @@ def test_framed_cycle_must_omit_a_vertex():
 def test_consistency_on_fixtures():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
     assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed=5)
-    q_neg = Quantization(DESARGUES_NEG, {})
+    q_neg = Quantization(DESARGUES_NEG, {}, default_trees(DESARGUES_GRAPH))
     assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed=5)
     q_ppos, _ = stressed_quantization(PASCAL_POS)
-    q_pneg = Quantization(PASCAL_NEG, {})
+    q_pneg = Quantization(PASCAL_NEG, {}, default_trees(PASCAL_GRAPH))
     # on the fundamental cycles and on every simple cycle
-    for cycles in (None, simple_cycles(DESARGUES_POS.graph)):
+    for cycles in (consistency_cycles(DESARGUES_GRAPH), simple_cycles(DESARGUES_GRAPH)):
         assert is_consistent(q_pos, seed=5, cycles=cycles)
         assert not is_consistent(q_neg, seed=5, cycles=cycles)
-    for cycles in (None, simple_cycles(PASCAL_POS.graph)):
+    for cycles in (consistency_cycles(PASCAL_GRAPH), simple_cycles(PASCAL_GRAPH)):
         assert is_consistent(q_ppos, seed=5, cycles=cycles)
         assert not is_consistent(q_pneg, seed=5, cycles=cycles)
 
 
 def test_consistency_verdict_independent_of_seed():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
-    q_neg = Quantization(DESARGUES_NEG, {})
+    q_neg = Quantization(DESARGUES_NEG, {}, default_trees(DESARGUES_GRAPH))
     for seed in (1, 17, 3333):
         assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed)
         assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed)
@@ -131,9 +134,9 @@ def test_generators_mode_agrees_with_full_mode_on_fixtures():
         if positive:
             q, _ = stressed_quantization(fw)
         else:
-            q = Quantization(fw, {})
+            q = Quantization(fw, {}, default_trees(fw.graph))
         assert is_consistent(q, 2, cycles=simple_cycles(fw.graph)) == positive
-        assert is_consistent(q, 2) == positive
+        assert is_consistent(q, 2, consistency_cycles(fw.graph)) == positive
 
 
 def random_min_degree3_graphs(count):
@@ -186,8 +189,8 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
     for fw, w in ((PASCAL_POS, self_stress_basis(PASCAL_POS)[0]),
                   wheel_framework(9)):
         fl = forceload_from_stress(fw, w)
-        q = quantization_from_stress(fw, fl)
-        assert is_consistent(q, 4)
+        q = quantization_from_stress(fw, fl, default_trees(fw.graph))
+        assert is_consistent(q, 4, consistency_cycles(fw.graph))
         assert is_consistent(q, 4, cycles=simple_cycles(fw.graph))
         ind = construct_forceload(q)
         assert is_equilibrium(fw, ind)
@@ -197,13 +200,23 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
 
 
 def test_construct_forceload_detects_inconsistency():
-    q = Quantization(DESARGUES_NEG, {})
+    q = Quantization(DESARGUES_NEG, {}, default_trees(DESARGUES_GRAPH))
     with pytest.raises(InconsistentQuantizationError) as err:
         construct_forceload(q)
     assert len(err.value.cycle) >= 3
     with pytest.raises(InconsistentQuantizationError) as ref:
         fraction_construct_forceload(q)
     assert err.value.cycle == ref.value.cycle
+
+
+@pytest.mark.parametrize("spokes", range(4, 10))
+def test_oracle_load_has_content_one(spokes):
+    """The load of the accepted stress is divided by the gcd of its
+    entries; undivided, its gcd had 33-46 bits on these wheels."""
+    fw, w = wheel_framework(graph=wheel_graph(spokes))
+    fl = forceload_from_stress(fw, w)
+    assert gcd(*(x for f in fl.forces.values() for x in f.dual)) == 1
+    assert is_non_parallelizable(fw, fl)
 
 
 @pytest.mark.parametrize("name", ["desargues_pos", "pascal_pos",
@@ -216,7 +229,7 @@ def test_integer_forceload_is_a_positive_multiple_of_the_fraction_reference(name
     else:
         fw = {"desargues_pos": DESARGUES_POS, "pascal_pos": PASCAL_POS}[name]
         w = self_stress_basis(fw)[0]
-    q = quantization_from_stress(fw, forceload_from_stress(fw, w))
+    q = quantization_from_stress(fw, forceload_from_stress(fw, w), default_trees(fw.graph))
     ours = construct_forceload(q)
     assert all(type(x) is int for f in ours.forces.values() for x in f.dual)
     positive_scale(ours.forces, fraction_construct_forceload(q).forces)
@@ -476,7 +489,8 @@ def quantized_frameworks(draw):
     if kind == "oracle":
         w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
         assume(w is not None)
-        return fw, quantization_from_stress(fw, forceload_from_stress(fw, w)).interior_labels
+        return fw, quantization_from_stress(fw, forceload_from_stress(fw, w),
+                                            default_trees(fw.graph)).interior_labels
     hub = fw.placement["h"]
     avoid = [fw.edge_line("h", r) for r in fw.graph.neighbors("h")]
     seed = draw(st.integers(0, 10**6))
@@ -501,8 +515,9 @@ def test_construct_forceload_matches_resolution_graph_reference(case):
     node by node through the glued resolution graph: proportional loads, or
     an inconsistency on both sides, named by a simple cycle."""
     fw, labels = case
-    ours, err = _outcome(lambda: construct_forceload(Quantization(fw, labels)))
-    ref_q = ReferenceQuantization(ResolutionGraph(fw, default_trees(fw.graph)), labels)
+    trees = default_trees(fw.graph)
+    ours, err = _outcome(lambda: construct_forceload(Quantization(fw, labels, trees)))
+    ref_q = ReferenceQuantization(ResolutionGraph(fw, trees), labels)
     theirs, ref_err = _outcome(
         lambda: reference_induced_stress(ref_q, reference_resolution_forceload(ref_q)))
     assert (err is None) == (ref_err is None)
@@ -627,15 +642,15 @@ def compiled(g):
 def test_consistency_is_trivial_holonomy(case, seed):
     fw, labels = case
     assume(framework_in_general_position(fw))
-    q = Quantization(fw, labels)
     g = fw.graph
+    q = Quantization(fw, labels, default_trees(g))
     try:
         per_cycle = {c: is_consistent_at(q, c, seed) for c in simple_cycles(g)}
     except (GenericityError, PreconditionError):
         assume(False)  # a framed cycle outside general position
     for c, consistent in per_cycle.items():
         assert consistent == (holonomy(q, c) == 1), c
-    generators = is_consistent(q, seed)
+    generators = is_consistent(q, seed, consistency_cycles(g))
     assert all(per_cycle.values()) == generators
     assert is_consistent(q, seed, cycles=simple_cycles(g)) == generators
     assert (_outcome(lambda: construct_forceload(q))[1] is None) == generators
@@ -653,7 +668,7 @@ def test_holonomy_inputs_separate_the_cycle_modes():
     for fw, labels in (glued_desargues_blocks(1),
                        (wheel, random_slot_lines(wheel, ["z"], 3))):
         assert framework_in_general_position(fw)
-        q = Quantization(fw, labels)
+        q = Quantization(fw, labels, default_trees(fw.graph))
         verdicts = {c: is_consistent_at(q, c, 0)
                     for c in consistency_cycles(fw.graph)}
         assert set(verdicts.values()) == {True, False}

@@ -15,7 +15,7 @@ from tensec.framework import (edge_key, find_nonparallelizable_stress,
                               read_json, self_stress_basis)
 from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
-from tensec.quantization import quantization_from_stress
+from tensec.quantization import default_trees, quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
 from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
                                default_tree, fold_to_shared_node, is_strongly_generic,
@@ -520,7 +520,8 @@ def wheel6_hub_scheme():
     fw = framework_from_json(read_json(Path(__file__).parent / "golden"
                                        / "wheel6_framework.json"))
     w = find_nonparallelizable_stress(fw, self_stress_basis(fw), seed=6)
-    return quantization_from_stress(fw, forceload_from_stress(fw, w)).scheme_at("h")
+    return quantization_from_stress(fw, forceload_from_stress(fw, w),
+                                    default_trees(fw.graph)).scheme_at("h")
 
 
 def test_associated_framing_direct_and_symmetric():

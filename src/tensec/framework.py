@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, lcm
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
@@ -79,9 +78,11 @@ def is_connected(adjacency) -> bool:
 
 
 class Graph:
-    """Simple connected graph with string vertex ids."""
+    """Simple connected graph with string vertex ids.  A graph never changes
+    after construction; `_short_cycles` holds the edge sets of its short
+    simple cycles once the general-position test has enumerated them."""
 
-    __slots__ = ("vertices", "edges", "adjacency")
+    __slots__ = ("vertices", "edges", "adjacency", "_short_cycles")
 
     def __init__(self, vertices, edges):
         vertices = tuple(vertices)
@@ -106,6 +107,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._short_cycles = None
         if not is_connected(self.adjacency):
             raise InputError("graph is not connected")
 
@@ -326,9 +328,10 @@ def find_nonparallelizable_stress(fw: Framework, basis,
 #: Path extensions one simple-cycle enumeration may make before it stops
 #: with PreconditionError (exit 3).  GP(8,3) needs 5,057, K8 11,024 and the
 #: 10-rung prism 17,478; the 12-rung prism needs 67,537 and is refused.
-#: It limits only the general-position test, which enumerates only when its
-#: edge-line arrangement has a degenerate line or point group, or when its
-#: |E|(|E|-1)/2 edge pairs exceed this limit.
+#: It limits only the general-position test, which enumerates a graph's
+#: short cycles at most once, and only when an edge-line arrangement of the
+#: graph has a degenerate line or point group, or when its |E|(|E|-1)/2
+#: edge pairs exceed this limit.
 MAX_CYCLE_EXTENSIONS = 20_000
 
 
@@ -376,6 +379,15 @@ def cycle_corners(cycle):
         yield v, edge_key(cycle[m - 1], v), edge_key(v, cycle[(m + 1) % k])
 
 
+def _short_cycle_edges(g: Graph):
+    """The edge sets of the simple cycles of g on at most n-1 vertices,
+    enumerated on first need and kept on the graph."""
+    if g._short_cycles is None:
+        g._short_cycles = [frozenset(e for _, _, e in cycle_corners(cycle))
+                           for cycle in enumerate_simple_cycles(g, len(g.vertices) - 1)]
+    return g._short_cycles
+
+
 def framework_in_general_position(fw: Framework) -> bool:
     """Every simple cycle on at most n-1 vertices is in general position:
     its k edge lines are pairwise distinct with no three concurrent, i.e.
@@ -393,49 +405,80 @@ def framework_in_general_position(fw: Framework) -> bool:
     cycle fails by the first rule).  A point group at a vertex's own point
     whose edges are all incident to that vertex fails no cycle: a simple
     cycle holds at most two of them.  With no group left the answer is YES
-    without enumerating cycles; otherwise each enumerated cycle is tested
-    against the groups by set membership, with no further meets.
+    without enumerating cycles; otherwise each short cycle is tested against
+    the groups by set membership, with no further meets.
+
+    Only the meets that coincide are normalised.  A point (x, y, z) of the
+    line (a, b, c) is fixed by the ratio s : t of two of its coordinates,
+    (x, y) if c != 0, (x, z) if c = 0 != b and (y, z) otherwise, so the
+    meets of line i with the later lines are keyed by the float s / t.  An
+    int/int true division is correctly rounded, so one point always gets
+    one key; t = 0 gets the key None, and a quotient beyond the float range
+    the exact key `primitive((s, t))`.  Two meets under one key are one
+    point iff s t' = s' t.  A point that three or more lines pass through
+    is normalised (`primitive_triple`) on each of them that two later ones
+    meet there, and grouped; no other meet is divided.
 
     The arrangement makes up to |E|(|E|-1)/2 meets.  When that exceeds
     MAX_CYCLE_EXTENSIONS the cycles are enumerated first, so a large graph
-    stops at the enumeration limit before any meet is made.
+    stops at the enumeration limit before any meet is made.  The short
+    cycles of a graph are enumerated at most once (`_short_cycle_edges`).
     """
     g = fw.graph
     g.require_min_degree(3)
-    n, m = len(g.vertices), len(g.edges)
-    cycles = None
+    m = len(g.edges)
     if m * (m - 1) // 2 > MAX_CYCLE_EXTENSIONS:
-        cycles = enumerate_simple_cycles(g, n - 1)
+        _short_cycle_edges(g)
     by_line = {}
-    for e in g.edges:
-        by_line.setdefault(fw.edge_line(*e).coeffs, []).append(e)
-    # the lines are pairwise distinct, so every cross product is a point
+    for e, line in fw._lines.items():
+        by_line.setdefault(line.coeffs, []).append(e)
+    lines = list(by_line)
+    # the lines are pairwise distinct, so every meet is a point
     by_point = {}
-    for pair in combinations(by_line, 2):
-        p = primitive_triple(*_cross(*pair))
-        through = by_point.get(p)
-        if through is None:
-            by_point[p] = set(pair)
-        else:
-            through.update(pair)
+    for i, (a, b, c) in enumerate(lines):
+        keyed, collided = {}, {}
+        for j, (d, e, f) in enumerate(lines[i + 1:], i + 1):
+            if c:
+                s, t = b * f - c * e, c * d - a * f
+            elif b:
+                s, t = b * f, a * e - b * d
+            else:
+                s, t = -a * f, a * e
+            try:
+                key = s / t
+            except ZeroDivisionError:
+                key = None
+            except OverflowError:
+                key = primitive((s, t))
+            entry = (s, t, j)
+            first = keyed.setdefault(key, entry)
+            if first is not entry:
+                collided.setdefault(key, [first]).append(entry)
+        for entries in collided.values():
+            points = []
+            for s, t, j in entries:
+                for s2, t2, through in points:
+                    if s * t2 == s2 * t:
+                        through.append(j)
+                        break
+                else:
+                    points.append((s, t, [j]))
+            for _, _, through in points:
+                if len(through) >= 2:
+                    p = primitive_triple(*_cross(lines[i], lines[through[0]]))
+                    by_point.setdefault(p, {i}).update(through)
+    line_edges = list(by_line.values())
     vertex_at = {p.coords: v for v, p in fw.placement.items()}
-    groups = [(set(edges), 2) for edges in by_line.values() if len(edges) >= 2]
+    groups = [(set(edges), 2) for edges in line_edges if len(edges) >= 2]
     for p, through in by_point.items():
-        if len(through) < 3:
-            continue
-        edges = {e for line in through for e in by_line[line]}
+        edges = {e for k in through for e in line_edges[k]}
         v = vertex_at.get(p)
         if v is None or not all(v in e for e in edges):
             groups.append((edges, 3))
     if not groups:
         return True
-    if cycles is None:
-        cycles = enumerate_simple_cycles(g, n - 1)
-    for cycle in cycles:
-        held = {e for _, _, e in cycle_corners(cycle)}
-        if any(len(held & edges) >= at_least for edges, at_least in groups):
-            return False
-    return True
+    return not any(len(held & edges) >= at_least
+                   for held in _short_cycle_edges(g) for edges, at_least in groups)
 
 
 # ---------------------------------------------------------------------------

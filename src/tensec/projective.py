@@ -4,10 +4,10 @@ operations with their three relations.
 Points and lines are triples of exact rationals up to nonzero scale; we store
 the canonical representative (coprime integers, first nonzero entry positive:
 `numeric.primitive_triple`) so that equality and hashing are structural.  A
-triple with Fraction entries, as parsed from JSON or drawn for a Pascal
-placement, is cleared to integers once at construction; the triples the
-library computes (meets, joins, seeded picks and affine draws) are built
-from ints.  A point lies on a line iff the dot
+triple with Fraction entries, as parsed from JSON, is cleared to integers
+once at construction; the triples the library computes (meets, joins,
+seeded picks and the affine, Desargues and Pascal draws) are built from
+ints.  A point lies on a line iff the dot
 product of the triples vanishes; the meet of two lines and the join of two
 points are both cross products.
 

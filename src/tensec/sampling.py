@@ -87,7 +87,11 @@ def _direction(l: ProjLine, through: ProjPoint):
 
 
 def pascal_conic_placement(g: Graph, seed: int) -> Framework:
-    """Placement of the hexagon fixture graph on a random parabola."""
+    """Placement of the hexagon fixture graph on a random parabola
+    y = a x^2 + b x + c, from `random_fraction` draws of a, b, c and six
+    distinct x.  With D the product of the denominators of a, b and c, and
+    A, B, C = aD, bD, cD, the point at x = p/q is the integer triple
+    (p q D, A p^2 + B p q + C q^2, q^2 D)."""
     rng = random.Random(seed)
     while True:
         a = random_fraction(rng, 30)
@@ -102,9 +106,13 @@ def pascal_conic_placement(g: Graph, seed: int) -> Framework:
             xs.add(random_fraction(rng, 30))
         if len(xs) < 6:
             continue
-        xs = sorted(xs)
-        placement = {f"p{i + 1}": ProjPoint((x, a * x * x + b * x + c, 1))
-                     for i, x in enumerate(xs)}
+        d = a.denominator * b.denominator * c.denominator
+        A, B, C = (k.numerator * (d // k.denominator) for k in (a, b, c))
+        placement = {}
+        for i, x in enumerate(sorted(xs)):
+            p, q = x.numerator, x.denominator
+            placement[f"p{i + 1}"] = ProjPoint(
+                (p * q * d, A * p * p + B * p * q + C * q * q, q * q * d))
         try:
             return Framework(g, placement)
         except GeometryError:

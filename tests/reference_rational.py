@@ -6,8 +6,8 @@ Fraction force-load.
 (clear denominators, one gcd over a list, sign of the first nonzero entry).
 `reference_pick_generic_point_on` and `reference_pick_generic_line_through`
 build b1 + t b2 for a seeded Fraction t; `reference_random_affine_point`,
-`reference_random_placement` and `reference_desargues_concurrent_placement`
-draw Fraction coordinates.  All are kept verbatim apart from the names.
+`reference_random_placement`, `reference_desargues_concurrent_placement`
+and `reference_pascal_conic_placement` draw Fraction coordinates.  All are kept verbatim apart from the names.
 `reference_slot_witness` derives the slot lines from
 `forceload_from_stress`, not from its integer multiple.  The library builds
 the same triples from integers with the same rng draws, and the tests
@@ -117,6 +117,31 @@ def reference_desargues_concurrent_placement(g, seed: int) -> Framework:
             placement[a], placement[b] = pts
         if not ok:
             continue
+        try:
+            return Framework(g, placement)
+        except GeometryError:
+            continue
+
+
+def reference_pascal_conic_placement(g, seed: int) -> Framework:
+    """Placement of the hexagon fixture graph on a random parabola."""
+    rng = random.Random(seed)
+    while True:
+        a = random_fraction(rng, 30)
+        if a == 0:
+            continue
+        b = random_fraction(rng, 30)
+        c = random_fraction(rng, 30)
+        xs = set()
+        guard = 0
+        while len(xs) < 6 and guard < 60:
+            guard += 1
+            xs.add(random_fraction(rng, 30))
+        if len(xs) < 6:
+            continue
+        xs = sorted(xs)
+        placement = {f"p{i + 1}": ProjPoint((x, a * x * x + b * x + c, 1))
+                     for i, x in enumerate(xs)}
         try:
             return Framework(g, placement)
         except GeometryError:

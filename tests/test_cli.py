@@ -570,6 +570,20 @@ def test_verify_zero_mismatches(files, capsys):
     assert "oracle positive: 4" in out
 
 
+def test_verify_enumerates_the_short_cycles_once(files, capsys, monkeypatch):
+    # each odd sample puts the three rungs through one point, so the
+    # general-position test needs the short cycles of the graph 20 times
+    import tensec.framework
+
+    calls = []
+    enumerate_all = tensec.framework.enumerate_simple_cycles
+    monkeypatch.setattr(tensec.framework, "enumerate_simple_cycles",
+                        lambda *args: calls.append(args) or enumerate_all(*args))
+    assert main(["verify", files["dpos"], "--samples", "40", "--seed", "5"]) == 0
+    assert "mismatches: 0" in capsys.readouterr().out
+    assert len(calls) <= 1
+
+
 def test_verify_reports_each_mismatch(files, capsys, monkeypatch):
     # conditions that contradict the oracle on every sample
     import tensec.cli

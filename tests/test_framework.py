@@ -29,7 +29,7 @@ from tensec.framework import (ForceLoad, Framework, Graph, Stress, bfs_parents,
                               is_equilibrium, is_connected, is_non_parallelizable,
                               root_path, self_stress_basis, vertex_force_sum)
 from tensec.numeric import clear_denominators
-from tensec.projective import AffineChart, ProjLine, ProjPoint, _dot
+from tensec.projective import AffineChart, ProjLine, ProjPoint, _cross, _dot
 from tensec.sampling import (desargues_concurrent_placement,
                              pascal_conic_placement, random_placement)
 
@@ -452,6 +452,61 @@ def test_general_position_matches_reference(graph, kind, bound, seed):
     fw = degenerate_placement(POSITION_GRAPHS[graph], kind, bound, seed)
     assert (framework_in_general_position(fw)
             is reference_framework_in_general_position(fw))
+
+
+# Built cases of the meet keys: `framework_in_general_position` keys the meet
+# (x, y, z) of an edge line (a, b, c) with a later line by s / t, with (s, t)
+# = (x, y) if c != 0, (x, z) if c = 0 != b and (y, z) otherwise.
+
+def meet_ratio(fw, edge, other):
+    """(s, t) of the meet of two edge lines, read on the line of `edge`."""
+    a, b, c = fw.edge_line(*edge).coeffs
+    x, y, z = _cross((a, b, c), fw.edge_line(*other).coeffs)
+    return (x, y) if c else (x, z) if b else (y, z)
+
+
+def test_general_position_separates_meets_with_equal_float_keys():
+    # v0 and v1 lie on the line y = z, where the meets at v0 and at v1 have
+    # quotients 2**53 and 2**53 + 1, which round to one float
+    big = 2 ** 53
+    fw = Framework(_named(_complete_edges(4)), {
+        "v0": ProjPoint((big, 1, 1)), "v1": ProjPoint((big + 1, 1, 1)),
+        "v2": ProjPoint((0, 0, 1)), "v3": ProjPoint((1, 2, 1))})
+    (s, t), (s2, t2) = (meet_ratio(fw, ("v0", "v1"), other)
+                        for other in (("v0", "v2"), ("v1", "v2")))
+    assert s / t == s2 / t2
+    assert s * t2 != s2 * t
+    assert framework_in_general_position(fw)
+    assert reference_framework_in_general_position(fw)
+
+
+def _desargues_moved(**moved):
+    return Framework(DESARGUES_GRAPH, {**DESARGUES_POS.placement,
+                                       **{v: ProjPoint(c) for v, c in moved.items()}})
+
+
+HUGE = 2 ** 1100
+
+
+@pytest.mark.parametrize("moved,other,raised,expected", [
+    # p2 far beyond the float range; then p5 on the line p2p4, so that the
+    # edge lines p1p2, p2p3 and p4p5 of the 5-cycle p1..p5 meet at p2
+    ({"p2": (HUGE, 1, 1)}, ("p2", "p3"), OverflowError, True),
+    ({"p2": (HUGE, 1, 1), "p5": (HUGE, 3, 2)}, ("p4", "p5"), OverflowError, False),
+    # p2 on the x-axis and p1 off it: the line p1p2 has c != 0, and its meets
+    # at p2 have t = y = 0
+    ({"p1": (1, 3, 1), "p2": (5, 0, 1)}, ("p2", "p3"), ZeroDivisionError, True),
+    ({"p1": (1, 3, 1), "p2": (5, 0, 1), "p5": (5, 2, 2)}, ("p4", "p5"),
+     ZeroDivisionError, False),
+])
+def test_general_position_keys_meets_without_a_float_quotient(moved, other, raised,
+                                                              expected):
+    fw = _desargues_moved(**moved)
+    s, t = meet_ratio(fw, ("p1", "p2"), other)
+    with pytest.raises(raised):
+        s / t
+    assert framework_in_general_position(fw) is expected
+    assert reference_framework_in_general_position(fw) is expected
 
 
 def test_generic_placement_enumerates_no_cycles(monkeypatch):

@@ -12,7 +12,9 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import tensec.projective as projective
 from reference_rational import (reference_desargues_concurrent_placement,
+                                reference_pascal_conic_placement,
                                 reference_pick_generic_line_through,
                                 reference_pick_generic_point_on, reference_primitive,
                                 reference_random_affine_point,
@@ -20,15 +22,15 @@ from reference_rational import (reference_desargues_concurrent_placement,
 from test_framework import mixed_sign_chart
 from tensec.cli import _slot_witness, main
 from tensec.conditions import generate_system
-from tensec.fixtures import DESARGUES_GRAPH, DESARGUES_POS
+from tensec.fixtures import DESARGUES_GRAPH, DESARGUES_POS, PASCAL_GRAPH
 from tensec.framework import (Graph, find_nonparallelizable_stress,
                               forceload_from_stress, framework_to_json,
                               self_stress_basis)
 from tensec.numeric import clear_denominators, primitive, primitive_triple
 from tensec.projective import (AffineChart, ProjLine, ProjPoint,
                                pick_generic_line_through, pick_generic_point_on)
-from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
-                             random_placement)
+from tensec.sampling import (desargues_concurrent_placement, pascal_conic_placement,
+                             random_affine_point, random_placement)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -110,6 +112,17 @@ def test_desargues_placement_matches_fraction_draw(seed):
     got = desargues_concurrent_placement(DESARGUES_GRAPH, seed)
     want = reference_desargues_concurrent_placement(DESARGUES_GRAPH, seed)
     assert got.placement == want.placement
+
+
+
+def test_pascal_placement_matches_fraction_draw(monkeypatch):
+    # the library builds each conic point from ints: the Fraction clearing
+    # of the triple constructor is never reached
+    monkeypatch.setattr(projective, "clear_denominators", None)
+    got = [pascal_conic_placement(PASCAL_GRAPH, seed).placement for seed in range(201)]
+    monkeypatch.undo()
+    for seed, placement in enumerate(got):
+        assert placement == reference_pascal_conic_placement(PASCAL_GRAPH, seed).placement
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

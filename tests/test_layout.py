@@ -40,9 +40,10 @@ EXTRA_ROOTS = (
 )
 
 #: The library functions that name Fraction: the reader parses input
-#: literals, and the seeded draw makes rationals (the Pascal placement
-#: computes its conic points from these draws).  A rational is cleared to
-#: ints once, into a canonical triple (`numeric.clear_denominators`).
+#: literals, and the seeded draw makes rationals (the Pascal placement reads
+#: the numerators and denominators of these draws and builds its conic
+#: points as integer triples).  A parsed rational is cleared to ints once,
+#: into a canonical triple (`numeric.clear_denominators`).
 FRACTION_BOUNDARY = ("numeric.scalar_from_string", "projective.random_fraction")
 
 

@@ -8,12 +8,14 @@ the cycle, which the quantization tests for triviality on every consistency
 cycle.  (The shift maps, projections and equilibrium loads of the paper's
 lemmas are the tests' code, `tests/lemmas.py`.)
 
-A map between lines is kept as the chain of perspectivities it composes,
-each one join and one meet on canonical integer points.  A projectivity of a
-line is fixed by the images of three distinct points, so the monodromy is
-trivial iff it fixes three points of its line.  A monodromy always fixes two
-of them, the base point and the base framing's meet with aux, so one more
-point decides it (`is_trivial_monodromy`).
+A map between lines is kept as the chain of perspectivities it composes.
+Applying it takes two raw integer cross products per step, a join and a
+meet up to scale, and makes the image canonical once, at the end.  A
+projectivity of a line is fixed by the images of three distinct points, so
+the monodromy is trivial iff it fixes three points of its line.  A
+monodromy always fixes two of them, the base point and the base framing's
+meet with aux, so one more point decides it (`is_trivial_monodromy`).  A
+framed cycle decides its general position once, when first asked.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .projective import (
     TRUE,
     ProjLine,
     ProjPoint,
+    _cross,
     _independent_pair,
     distinct_crossings,
     join,
@@ -67,17 +70,18 @@ class FramedCycle:
         """`pairwise_meets` of the edge lines."""
         return pairwise_meets(self.edge_lines)
 
-
-def cycle_general_position(c: FramedCycle) -> bool:
-    """Edge lines in general position, and no framing through a neighbor."""
-    if not distinct_crossings(c.crossings):
-        return False
-    k = len(c)
-    for i in range(k):
-        l = c.framings[i]
-        if l.contains(c.points[(i - 1) % k]) or l.contains(c.points[(i + 1) % k]):
+    @cached_property
+    def in_general_position(self) -> bool:
+        """Edge lines in general position, and no framing through a
+        neighbor; decided once, when first read."""
+        if not distinct_crossings(self.crossings):
             return False
-    return True
+        k = len(self)
+        for i in range(k):
+            l = self.framings[i]
+            if l.contains(self.points[(i - 1) % k]) or l.contains(self.points[(i + 1) % k]):
+                return False
+        return True
 
 
 def _three_points(l: ProjLine):
@@ -111,11 +115,17 @@ class LineMap:
             raise GeometryError("perspectivity chain does not end on the target")
 
     def apply(self, p: ProjPoint) -> ProjPoint:
+        """Image of a point of `source`: the chain p -> onto x (center x p)
+        in raw integer triples, made canonical once, at the end.  Each
+        step's center lies on neither of its lines (`__post_init__`), so
+        neither cross product vanishes, and each is the meet or join that
+        `meet(onto, join(center, p))` would build, up to scale."""
         if not self.source.contains(p):
             raise GeometryError("point not on the source line")
+        t = p.coords
         for center, onto in self.steps:
-            p = meet(onto, join(center, p))
-        return p
+            t = _cross(onto.coeffs, _cross(center.coords, t))
+        return ProjPoint(t)
 
 
 def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
@@ -128,7 +138,7 @@ def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
     The result fixes the base point and the intersection of the base framing
     with aux; both are asserted on every call.
     """
-    if not cycle_general_position(c):
+    if not c.in_general_position:
         raise PreconditionError("framed cycle is not in general position")
     for p in c.points:
         if aux.contains(p):

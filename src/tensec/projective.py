@@ -29,7 +29,6 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import GeometryError, InputError, PreconditionError
 from .numeric import clear_denominators, primitive_triple, scalar_from_string
@@ -350,50 +349,73 @@ def distinct_crossings(meets) -> bool:
 
 
 #: Most vectors one subset enumeration takes, and so the highest vertex
-#: degree the subset tests accept.  Time doubles with each added vector,
-#: and so does the set of lines `partial_sum_lines_distinct` keeps: one
-#: in-process `check --timings` run on `random_placement(wheel16, 1,
-#: bound=60)` takes about 0.45 s and 27 MB of peak RSS (Python 3.11, 2-core
-#: x86), half of it in the oracle and half in the quantization.  Runs at 18
-#: and 20 spokes, measured before this limit was set, took 4.2 s and 97 MB,
-#: and 13.5 s and 377 MB.
+#: degree the subset tests accept.  The vanishing-subset test makes
+#: 2 * 2^(deg/2) sums, but the partial-sum line test still keys all
+#: 2^(deg-1) - 1 of its sums, so its time and the keys it keeps double with
+#: each added vector: one in-process `check --timings` run on
+#: `random_placement(wheel16, 1, bound=60)` takes 0.08-0.14 s and 28 MB of
+#: peak RSS (Python 3.11, 2-core x86), half of it in the oracle and half in
+#: the quantization.  With the limit raised, 18 spokes took 0.52 s and 44 MB,
+#: and 20 spokes 1.9 s and 117 MB.
 MAX_SUBSET_DEGREE = 16
 
 
-def _proper_subset_sums(start, vectors):
-    """Yield start plus the sum of each proper subset of `vectors`: the
-    2^n - 1 masks but the full one, in Gray-code order from the empty mask.
-
-    Consecutive masks differ in one vector, so each sum is the one before
-    it plus or minus that vector, and no sum is kept.  More than
-    MAX_SUBSET_DEGREE vectors raise PreconditionError.
-    """
+def _check_subset_degree(vectors):
     if len(vectors) > MAX_SUBSET_DEGREE:
         raise PreconditionError(
             f"subset enumeration over {len(vectors)} forces exceeds"
             f" MAX_SUBSET_DEGREE = {MAX_SUBSET_DEGREE}")
-    full = (1 << len(vectors)) - 1
-    if not full:
-        return
-    x, y, z = start
-    yield start
-    mask = 0
-    for i in range(1, full + 1):
-        low = i & -i
-        mask ^= low
-        a, b, c = vectors[low.bit_length() - 1]
-        if mask & low:
-            x, y, z = x + a, y + b, z + c
-        else:
-            x, y, z = x - a, y - b, z - c
-        if mask != full:
-            yield (x, y, z)
+
+
+def _subset_sums(start, vectors):
+    """start plus the sum of each subset of `vectors`, as a list indexed by
+    mask: bit i of the index says whether vectors[i] is in the subset."""
+    sums = [start]
+    for a, b, c in vectors:
+        sums += [(x + a, y + b, z + c) for x, y, z in sums]
+    return sums
+
+
+def _proper_subset_sums(start, vectors):
+    """Yield start plus the sum of each proper subset of `vectors`, by mask
+    from the empty one, in blocks of at most 2^8 sums: the sums over the
+    first 8 vectors, then those sums plus each further nonempty subset sum
+    of the others.  One block is kept at a time.  More than
+    MAX_SUBSET_DEGREE vectors raise PreconditionError."""
+    _check_subset_degree(vectors)
+    first = block = _subset_sums(start, vectors[:8])
+    for a, b, c in _subset_sums((0, 0, 0), vectors[8:])[1:]:
+        yield block
+        block = [(x + a, y + b, z + c) for x, y, z in first]
+    yield block[:-1]
 
 
 def nonvanishing_proper_subsets(forces) -> bool:
-    """True iff no proper nonempty 0/1-combination of the forces vanishes."""
-    sums = _proper_subset_sums((0, 0, 0), [f.dual for f in forces])
-    return all(any(total) for total in islice(sums, 1, None))
+    """True iff no proper nonempty 0/1-combination of the forces vanishes.
+
+    Meet in the middle (Horowitz & Sahni, J. ACM 21, 1974): a subset is a
+    pair (A, B) of subsets of the two halves of the forces, and it vanishes
+    iff sum(A) = -sum(B), so the subset sums of each half, 2 * 2^(s/2) of
+    them, decide it.  The pair (empty, empty) is not proper, nor is (full,
+    full); every other pair is.  More than MAX_SUBSET_DEGREE forces raise
+    PreconditionError.
+    """
+    duals = [f.dual for f in forces]
+    _check_subset_degree(duals)
+    if len(duals) < 2:  # no proper nonempty subset
+        return True
+    half = len(duals) // 2
+    left = _subset_sums((0, 0, 0), duals[:half])
+    right = _subset_sums((0, 0, 0), duals[half:])
+    # (empty, B) is proper for B nonempty, (full, B) for B not full
+    x, y, z = left[-1]
+    if (0, 0, 0) in right[1:] or (-x, -y, -z) in right[:-1]:
+        return False
+    rights = set(right)
+    for x, y, z in left[1:-1]:
+        if (-x, -y, -z) in rights:
+            return False
+    return True
 
 
 def partial_sum_lines_distinct(forces) -> bool:
@@ -404,15 +426,36 @@ def partial_sum_lines_distinct(forces) -> bool:
     line of force; a vanishing partial sum raises GeometryError, whether or
     not two lines coincide.  The duals are ints, as in every load the
     library builds.
+
+    Each sum (x, y, z) is keyed by its float ratios (x/z, y/z), or x/y when
+    z = 0.  CPython's int/int true division is correctly rounded, so
+    proportional triples get equal keys, and sums with distinct keys have
+    distinct lines.  Only when two sums share a key are the lines compared
+    exactly, as `primitive_triple`s; so is a sum whose ratio overflows a
+    float.
     """
     duals = [f.dual for f in forces]
-    lines = set()
+    keys = set()
     count = 0
-    for total in _proper_subset_sums(duals[0], duals[1:]):
-        if not any(total):
-            raise GeometryError("zero force has no line of force")
-        lines.add(primitive_triple(*total))
-        count += 1
+    for block in _proper_subset_sums(duals[0], duals[1:]):
+        count += len(block)
+        for x, y, z in block:
+            try:
+                if z:
+                    key = (x / z, y / z)
+                elif y:
+                    key = x / y
+                elif x:
+                    key = None
+                else:
+                    raise GeometryError("zero force has no line of force")
+            except OverflowError:
+                key = primitive_triple(x, y, z)
+            keys.add(key)
+    if len(keys) == count:
+        return True
+    lines = {primitive_triple(*total)
+             for block in _proper_subset_sums(duals[0], duals[1:]) for total in block}
     return len(lines) == count
 
 
@@ -420,6 +463,6 @@ def non_parallelizable_star(forces) -> bool:
     """The forces at one point are non-parallelizable: none is zero, no
     proper nonempty 0/1-combination vanishes, and the 2^(s-1) - 1 lines of
     F1 + sum(a_i F_i, i >= 2), (a_2..a_s) != (1..1), are pairwise distinct."""
-    return (not any(f.is_zero() for f in forces)
+    return ((0, 0, 0) not in [f.dual for f in forces]
             and nonvanishing_proper_subsets(forces)
             and partial_sum_lines_distinct(forces))

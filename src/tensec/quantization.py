@@ -44,15 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .cycles import FramedCycle, cycle_general_position, is_trivial_monodromy, \
-    pick_aux_line
+from .cycles import FramedCycle, is_trivial_monodromy, pick_aux_line
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
 from .framework import (ForceLoad, Framework, Graph, bfs_parents, cycle_corners,
                         edge_key, root_path)
 from .projective import ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
-                         leaf_forces, slot_edges, tree_labels)
+                         slot_edges, tree_labels)
 
 
 def default_trees(g: Graph) -> dict:
@@ -79,9 +78,9 @@ class Quantization:
     the conditions are evaluated under.
 
     Each vertex scheme is built once.  A scheme computes its canonical
-    force-load and its strong-genericity verdict once, so all framings at
-    one vertex share them.  `trees` are the vertex trees the labels sit
-    on, the `default_trees` of the graph.
+    force-load, its leaf forces and its strong-genericity verdict once, so
+    all framings at one vertex share them.  `trees` are the vertex trees the
+    labels sit on, the `default_trees` of the graph.
     """
 
     framework: Framework
@@ -157,7 +156,7 @@ def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
 def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
     """Monodromy of the associated framed cycle is trivial."""
     fc = framed_cycle_of(q, cycle)
-    if not cycle_general_position(fc):
+    if not fc.in_general_position:
         raise PreconditionError(
             f"framed cycle {tuple(cycle)} is not in general position")
     aux = pick_aux_line(fc, sub_seed(seed, ",".join(map(str, cycle))))
@@ -247,7 +246,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
         scheme = q.scheme_at(v)
         if any(f.is_zero() for f in scheme.forceload.values()):
             raise GeometryError("constructed force-load vanishes on an edge")
-        leaf[v] = leaf_forces(scheme, scheme.forceload)
+        leaf[v] = scheme.leaf_forces
     parent = bfs_parents(g.adjacency, min(g.vertices))
     scale = {}
     for v, u in parent.items():

@@ -177,6 +177,12 @@ class ResolutionScheme:
         return scheme_forceload(self, seed, Force(self.labels[seed].coeffs))
 
     @cached_property
+    def leaf_forces(self) -> dict:
+        """`leaf_forces` of the canonical force-load, by leaf label.
+        Computed once; framings and strong genericity read it."""
+        return leaf_forces(self, self.forceload)
+
+    @cached_property
     def strongly_generic(self) -> bool:
         """`is_strongly_generic` of the scheme, computed once."""
         return is_strongly_generic(self)
@@ -281,7 +287,7 @@ def is_strongly_generic(s: ResolutionScheme) -> bool:
     Raises GenericityError unless the scheme is weakly generic (its
     force-load is then not unique).
     """
-    lf = leaf_forces(s, s.forceload)
+    lf = s.leaf_forces
     return non_parallelizable_star([lf[lab] for lab in sorted(lf)])
 
 
@@ -425,5 +431,5 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
         return s.labels[edge]
     if not s.strongly_generic:
         raise GenericityError("scheme is not strongly generic")
-    lf = leaf_forces(s, s.forceload)
+    lf = s.leaf_forces
     return line_of_force(lf[leaf_a] + lf[leaf_b])

@@ -11,6 +11,9 @@ those of `tests/test_acceptance.py`).
     monodromy chains; `is_trivial` and `proportional_to` compare line maps
     on three points.  Criterion 3 (trivial monodromy iff a nonzero
     equilibrium load) and criterion 4 (aux and base invariance).
+  - `stepwise_apply` runs a line map's chain one canonical join and meet
+    at a time: the reference for `LineMap.apply`, which composes raw
+    integer cross products.
   - `project_cycle`, the projection of a framed cycle onto k - 1 vertices,
     keeps the monodromy (criterion 4) and the existence of an equilibrium.
   - `cycle_equilibrium_basis`, the exact equilibrium loads of a framed
@@ -40,7 +43,7 @@ those of `tests/test_acceptance.py`).
 import random
 from fractions import Fraction
 
-from tensec.cycles import FramedCycle, LineMap, _three_points, cycle_general_position
+from tensec.cycles import FramedCycle, LineMap, _three_points
 from tensec.errors import GenericityError, GeometryError, PreconditionError
 from tensec.framework import Framework, Graph, edge_key
 from tensec.numeric import nullspace_basis
@@ -61,6 +64,17 @@ def proportional_to(m: LineMap, other: LineMap) -> bool:
     return ((m.source, m.target) == (other.source, other.target)
             and all(m.apply(p) == other.apply(p)
                     for p in _three_points(m.source)))
+
+
+def stepwise_apply(m: LineMap, p: ProjPoint) -> ProjPoint:
+    """Image of p under the chain, each step p -> onto ^ (center, p) as a
+    canonical join and meet: `LineMap.apply` as it was before it composed
+    raw integer cross products, kept as the reference."""
+    if not m.source.contains(p):
+        raise GeometryError("point not on the source line")
+    for center, onto in m.steps:
+        p = meet(onto, join(center, p))
+    return p
 
 
 def is_trivial(m: LineMap) -> bool:
@@ -100,7 +114,7 @@ def project_cycle(c: FramedCycle, i: int) -> FramedCycle:
     k = len(c)
     if k < 4:
         raise PreconditionError("projection needs k >= 4")
-    if not cycle_general_position(c):
+    if not c.in_general_position:
         raise PreconditionError("framed cycle is not in general position")
     i %= k
     pts, frs = c.points, c.framings
@@ -116,7 +130,7 @@ def project_cycle(c: FramedCycle, i: int) -> FramedCycle:
         new_points = pts[:i] + (new_pt,) + pts[i + 2:]
         new_framings = frs[:i] + (new_fr,) + frs[i + 2:]
     out = FramedCycle(new_points, new_framings)
-    if not cycle_general_position(out):
+    if not out.in_general_position:
         raise GeometryError("projection output is not in general position")
     return out
 
@@ -131,7 +145,7 @@ def cycle_equilibrium_basis(c: FramedCycle):
     coefficients.  Returns (edge_scalars, framing_scalars) pairs of int
     tuples; nonempty iff a nonzero equilibrium force-load exists.
     """
-    if not cycle_general_position(c):
+    if not c.in_general_position:
         raise PreconditionError("framed cycle is not in general position")
     k = len(c)
     edge_reps = [l.coeffs for l in c.edge_lines]
@@ -225,7 +239,7 @@ def random_framed_cycle(k: int, seed: int, equilibrium: bool) -> FramedCycle:
             c = FramedCycle(pts, framings)
         except GeometryError:
             continue
-        if cycle_general_position(c):
+        if c.in_general_position:
             return c
 
 

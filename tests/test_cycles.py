@@ -7,16 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from lemmas import (chart_avoiding, cycle_equilibrium_basis, framed_cycle_to_json,
                     is_trivial, lines_in_general_position, project_cycle,
-                    proportional_to, random_framed_cycle, shift_map)
+                    proportional_to, random_framed_cycle, shift_map, stepwise_apply)
 from reference_resolution import solve_in_span
-from tensec.cycles import (FramedCycle, LineMap, cycle_general_position,
-                           framed_cycle_from_json, is_trivial_monodromy,
-                           monodromy, pick_aux_line)
+from tensec.cycles import (FramedCycle, LineMap, _three_points, framed_cycle_from_json,
+                           is_trivial_monodromy, monodromy, pick_aux_line)
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
-from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join, meet,
-                               pick_generic_line_through, pick_generic_point_on,
-                               random_line_avoiding)
+from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, distinct_crossings,
+                               join, meet, pick_generic_line_through,
+                               pick_generic_point_on, random_line_avoiding)
 
 
 def concurrent_triangle():
@@ -122,7 +121,7 @@ def test_monodromy_requires_general_position():
     frs = [join(pts[0], pts[1]), join(pts[1], ProjPoint((5, 5, 1))),
            join(pts[2], ProjPoint((0, 7, 1)))]
     c = FramedCycle(pts, frs)  # framing 0 contains neighbor p1
-    assert not cycle_general_position(c)
+    assert not c.in_general_position
     with pytest.raises(PreconditionError):
         monodromy(c, 0, ProjLine((1, 1, 1)))
 
@@ -249,7 +248,7 @@ def matrix_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> MatrixLineMap
     The result fixes the base point and the intersection of the base framing
     with aux; both are asserted on every call.
     """
-    if not cycle_general_position(c):
+    if not c.in_general_position:
         raise PreconditionError("framed cycle is not in general position")
     for p in c.points:
         if aux.contains(p):
@@ -300,6 +299,35 @@ def test_chain_monodromy_matches_matrix_reference(k, seed, equilibrium):
             assert proportional_to(monodromy(c, start, aux), monodromy(out, base, aux))
             assert matrix_monodromy(c, start, aux).proportional_to(
                 matrix_monodromy(out, base, aux))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(k=st.integers(3, 8), seed=st.integers(0, 10**6), equilibrium=st.booleans())
+def test_chain_apply_matches_stepwise_reference(k, seed, equilibrium):
+    c = random_framed_cycle(k, seed, equilibrium=equilibrium)
+    aux = pick_aux_line(c, seed)
+    for start in range(k):
+        m = monodromy(c, start, aux)
+        for p in (c.points[start], meet(c.framings[start], aux)) + _three_points(m.source):
+            assert m.apply(p) == stepwise_apply(m, p)
+        # a chain part of the way round ends on another framing
+        part = LineMap(m.source, m.steps[0][1], m.steps[:1])
+        for p in _three_points(m.source):
+            assert part.apply(p) == stepwise_apply(part, p)
+
+
+def test_framed_cycle_decides_general_position_once(monkeypatch):
+    import tensec.cycles
+
+    calls = []
+    monkeypatch.setattr(tensec.cycles, "distinct_crossings",
+                        lambda meets: calls.append(meets) or distinct_crossings(meets))
+    c = random_framed_cycle(6, 5, equilibrium=True)
+    aux = pick_aux_line(c, 5)
+    assert c.in_general_position
+    for start in range(len(c)):
+        assert is_trivial_monodromy(c, start, aux)
+    assert len(calls) == 1
 
 
 def checked_edge_lines(c: FramedCycle) -> list:
@@ -412,7 +440,7 @@ def test_cycle_pass_matches_reference(k, seed, equilibrium, kind):
     if kind == "concurrent":
         k = max(k, 5)
     c = degenerate_cycle(k, seed, equilibrium, kind)
-    general = cycle_general_position(c)
+    general = c.in_general_position
     assert general == reference_cycle_general_position(c)
     assert general == (kind == "none")
     auxes = [pick_aux_line(c, seed + d) for d in (0, 1)]
@@ -454,14 +482,14 @@ def test_projection_shrinks_and_stays_general():
         c = random_framed_cycle(5, seed, equilibrium=False)
         out = project_cycle(c, 1)
         assert len(out) == 4
-        assert cycle_general_position(out)
+        assert out.in_general_position
 
 
 def test_projection_wraparound_index():
     c = random_framed_cycle(4, 9, equilibrium=False)
     out = project_cycle(c, len(c) - 1)
     assert len(out) == 3
-    assert cycle_general_position(out)
+    assert out.in_general_position
 
 
 def test_projection_preserves_surviving_monodromy():

@@ -366,25 +366,108 @@ def test_integer_subset_tests_on_built_cases():
         partial_sum_lines_distinct(integer_forces([f, -f, h]))
 
 
-@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=7),
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=10),
        st.tuples(*[st.integers(-3, 3)] * 3))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_proper_subset_sums_visit_every_proper_mask_once(vectors, start):
-    """The Gray-code walk yields start plus the sum of each subset but the
-    full one, the empty one first: the sums of the masks 0 .. 2^n - 2."""
+    """The blocks hold start plus the sum of each subset but the full one,
+    by mask: the sums of the masks 0 .. 2^n - 2, in order, 2^8 to a block."""
     n = len(vectors)
     expected = [tuple(start[c] + sum(vectors[i][c] for i in range(n) if mask >> i & 1)
                       for c in range(3))
                 for mask in range((1 << n) - 1)]
-    got = list(_proper_subset_sums(start, vectors))
-    assert sorted(got) == sorted(expected)
-    assert got[:1] == expected[:1]
+    blocks = list(_proper_subset_sums(start, vectors))
+    assert [total for block in blocks for total in block] == expected
+    assert all(len(block) <= 2 ** 8 for block in blocks)
+
+
+@st.composite
+def nonvanishing_inputs(draw):
+    """1-12 int forces: random ones, or ones with a vanishing subset planted
+    across the two halves that `nonvanishing_proper_subsets` splits them
+    into, or an equilibrium (the full set vanishes), or one force, zero or
+    not, or two opposite forces."""
+    kind = draw(st.sampled_from(("random", "straddling", "equilibrium", "one", "opposite")))
+    if kind == "one":
+        return [draw(st.sampled_from((ZERO_FORCE, Force((2, -1, 3)))))]
+    if kind == "opposite":
+        f = draw(int_force)
+        return [f, -f]
+    forces = draw(st.lists(int_force, min_size=2, max_size=12))
+    n = len(forces)
+    if kind == "straddling":
+        # a subset with members in both halves, closed by its last member
+        half = n // 2
+        subset = sorted({draw(st.integers(0, half - 1)), draw(st.integers(half, n - 1))}
+                        | set(draw(st.lists(st.integers(0, n - 1), max_size=n))))
+        total = ZERO_FORCE
+        for i in subset[:-1]:
+            total = total + forces[i]
+        forces[subset[-1]] = -total
+    elif kind == "equilibrium":
+        total = ZERO_FORCE
+        for f in forces[:-1]:
+            total = total + f
+        forces[-1] = -total
+    return forces
+
+
+@given(nonvanishing_inputs())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_meet_in_the_middle_matches_fraction_reference(forces):
+    assert (nonvanishing_proper_subsets(forces)
+            == reference_nonvanishing_proper_subsets(forces))
+
+
+def test_meet_in_the_middle_finds_planted_subsets():
+    """For every nonempty subset A of the left half, a subset A + B that
+    vanishes, B a seeded nonempty subset of the right half: none goes
+    unseen.  An equilibrium, where only the full set vanishes, passes."""
+    rng = random.Random(26)
+    for n in range(3, 13):
+        half = n // 2
+        base = [Force(tuple(rng.randint(-2 ** 20, 2 ** 20) for _ in range(3)))
+                for _ in range(n)]
+        assert nonvanishing_proper_subsets(base)
+        balanced = base[:-1] + [-sum(base[:-1], ZERO_FORCE)]
+        assert nonvanishing_proper_subsets(balanced)
+        for a_mask in range(1, 1 << half):
+            subset = [i for i in range(half) if a_mask >> i & 1]
+            subset += sorted(rng.sample(range(half, n), rng.randint(1, n - half)))
+            if len(subset) == n:
+                continue
+            forces = list(base)
+            forces[subset[-1]] = -sum((base[i] for i in subset[:-1]), ZERO_FORCE)
+            assert not nonvanishing_proper_subsets(forces), subset
+
+
+def test_partial_sum_lines_on_float_key_edge_cases():
+    big = 2 ** 60
+    # F1 and F1 + F2 are distinct lines with equal float keys
+    assert big / 1 == (big + 1) / 1
+    forces = [Force((big, 0, 1)), Force((1, 0, 0)), Force((0, 1, 0))]
+    assert partial_sum_lines_distinct(forces)
+    assert reference_partial_sum_lines_distinct(forces)
+    # F1 + F2 = 3 F1: one line given by two proportional triples, for each
+    # way a key is made (z != 0, z = 0, y = z = 0)
+    for first in ((3, 5, 7), (3, 5, 0), (3, 0, 0)):
+        forces = [Force(first), Force(tuple(2 * x for x in first)), Force((1, 1, 1))]
+        assert not partial_sum_lines_distinct(forces)
+        assert not reference_partial_sum_lines_distinct(forces)
+    # ratios beyond the float range take the exact key
+    huge = 2 ** 1100
+    with pytest.raises(OverflowError):
+        huge / 1
+    for second, distinct in (((1, 0, 0), True), ((huge, 1, 1), False)):
+        forces = [Force((huge, 1, 1)), Force(second), Force((0, 1, 0))]
+        assert partial_sum_lines_distinct(forces) is distinct
+        assert reference_partial_sum_lines_distinct(forces) is distinct
 
 
 def test_subset_sums_are_streamed():
-    """16 forces with 40-bit entries and no vanishing subset: the 65,534
-    sums are examined one at a time, none is kept (a list of them took
-    about 11 MiB)."""
+    """16 forces with 40-bit entries and no vanishing subset: meet in the
+    middle keeps the subset sums of the two halves, 2 * 2^8 of them, and
+    not the 65,534 proper ones (a list of those took about 11 MiB)."""
     rng = random.Random(40)
     forces = [Force(tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3)))
               for _ in range(16)]

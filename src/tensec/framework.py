@@ -287,8 +287,8 @@ def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
     return load
 
 
-#: Seeded random combinations of the basis probed when the stress space has
-#: dimension >= 2.
+#: Seeded combinations of the basis tried when the stress space has
+#: dimension >= 2, each coefficient a nonzero integer in -9..9.
 _PROBES = 16
 
 
@@ -296,32 +296,32 @@ def find_nonparallelizable_stress(fw: Framework, basis,
                                   chart: AffineChart | None = None, seed: int = 0):
     """A self-stress whose load is non-parallelizable, or None.
 
-    Searches `basis`, the self-stress basis `self_stress_basis(fw, chart)`.
-    Exact for stress spaces of dimension <= 1 (non-parallelizability is
-    scale-invariant).  For higher-dimensional spaces the generic element is
-    probed with the basis vectors plus seeded random combinations, which can
-    only under-report.
+    Searches the span of `basis`, the self-stress basis
+    `self_stress_basis(fw, chart)`.  At dimension 1 the one candidate is the
+    basis vector, and the answer is exact (non-parallelizability is
+    scale-invariant).  At dimension r >= 2 the candidates are `_PROBES`
+    seeded combinations sum c_i b_i with every c_i nonzero.  No other
+    combination can pass: each b_i is nonzero on the edge of its free
+    column, where every other b_j is 0, so c_i = 0 puts a zero force on that
+    edge, which `non_parallelizable_star` rejects.  The probes can all
+    still miss, so at r >= 2 the search can under-report (ROADMAP item 1).
 
     Each candidate is tested on its `forceload_from_stress` load, with the
-    duals computed once for all of them.  The stress handed back holds the
-    weights that passed: an accepted basis vector is handed back as it is, a
-    probe as its combination of the basis weights.
+    duals computed once for all of them, and handed back as the Stress of
+    the weights that passed.
     """
     if not basis:
         return None
     edges = fw.graph.edges
-    candidates = [[w.weights[e] for e in edges] for w in basis]
-    if len(basis) > 1:
-        rng = random.Random(seed)
-        columns = list(zip(*candidates))
-        for _ in range(_PROBES):
-            coeffs = [rng.randint(-9, 9) for _ in basis]
-            candidates.append([sum(a * x for a, x in zip(coeffs, column))
-                               for column in columns])
+    columns = list(zip(*([w.weights[e] for e in edges] for w in basis)))
+    rng = random.Random(seed)
+    draws = [[1]] if len(basis) == 1 else (
+        [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in basis] for _ in range(_PROBES))
     load = _integer_forceloads(fw, chart)
-    for i, weights in enumerate(candidates):
-        if any(weights) and is_non_parallelizable(fw, load(weights)):
-            return basis[i] if i < len(basis) else Stress(dict(zip(edges, weights)))
+    for coeffs in draws:
+        weights = [sum(a * x for a, x in zip(coeffs, column)) for column in columns]
+        if is_non_parallelizable(fw, load(weights)):
+            return Stress(dict(zip(edges, weights)))
     return None
 
 

@@ -9,7 +9,10 @@ functions that convert every point to its chart representative p / <p, V>
 (`reference_chart_points`, through `chart_normalize`, once
 `AffineChart.normalize`) before they build the rigidity system or a
 force-load.  All are kept verbatim apart from the names and from clearing
-the rationals they hand the library (`integers`).  The library builds the
+the rationals they hand the library (`integers`), except that the oracle
+follows the library's one candidate rule: the basis vector of a
+one-dimensional space, else seeded combinations with nonzero coefficients,
+built here as Fraction stresses.  The library builds the
 same system column-scaled from the integer triples and tests candidates on
 integer force-loads; the tests require equal results from both.
 """
@@ -137,24 +140,24 @@ def reference_find_nonparallelizable_stress(fw, basis,
     """A self-stress whose load is non-parallelizable, or None.
 
     Searches `basis`, the self-stress basis `self_stress_basis(fw, chart)`.
-    Exact for stress spaces of dimension <= 1 (non-parallelizability is
-    scale-invariant).  For higher-dimensional spaces the generic element is
-    probed with the basis vectors plus seeded random combinations, which can
-    only under-report.
+    A one-vector basis is its only candidate.  A larger one is probed with
+    `_PROBES` seeded combinations whose coefficients are all nonzero, in
+    -9..9: a zero coefficient leaves the free edge of its basis vector
+    without force.
     """
     if not basis:
         return None
-    candidates = list(basis)
-    if len(basis) > 1:
+    if len(basis) == 1:
+        candidates = list(basis)
+    else:
         rng = random.Random(seed)
+        candidates = []
         for _ in range(_PROBES):
-            coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+            coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in basis]
             candidates.append(Stress({
                 e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)), Fraction(0))
                 for e in fw.graph.edges}))
     for w in candidates:
-        if not any(w.weights.values()):
-            continue
         fl = reference_forceload_from_stress(fw, w, chart)
         if is_non_parallelizable(fw, integer_load(fl)):
             return w

@@ -940,15 +940,13 @@ def test_check_decides_complete_graphs_with_multidimensional_stresses(
     assert payload["verdict_sources_agree"] is True
 
 
-@pytest.mark.xfail(strict=True, reason="the oracle's probes miss every"
-                   " non-parallelizable stress of this 36-dimensional space")
 def test_check_finds_the_stress_of_k11(tmp_path, capsys):
     """K11 placed by `random_placement(K11, 4, bound=60)` carries a
-    non-parallelizable stress: combinations of its basis with nonzero
-    coefficients in -50..50 are.  `check --seed 4` still prints oracle NO
-    (each basis vector has zero weights, and each of the 16 seeded probes
-    draws a zero coefficient), and its sources "agree" because the other
-    two print unknown.  A complete oracle turns this test into a pass."""
+    non-parallelizable stress in its 36-dimensional space, and the other
+    two sources print unknown, so the oracle alone decides.  Under seed 4
+    each of the 16 probes would draw a zero coefficient from -9..9, which
+    leaves the free edge of a basis vector without force; drawn nonzero,
+    they find the stress."""
     from tensec.framework import Graph
     from tensec.sampling import random_placement
 

@@ -720,8 +720,8 @@ def test_integer_oracle_matches_chart_fraction_reference(graph, bound, placement
 
 @pytest.mark.parametrize("graph, bound", [(6, 3), (7, 60)])
 def test_seeded_probes_agree_with_reference(graph, bound):
-    # K5 (dimension 3) and K6 (dimension 6): the seeded combinations, not
-    # only the basis vectors, must be the reference's, tested in its order
+    # K5 (dimension 3) and K6 (dimension 6): the seeded combinations must be
+    # the reference's, tested in its order
     probed = False
     for placement in range(4):
         fw = random_placement(POSITION_GRAPHS[graph], placement, bound)
@@ -735,8 +735,35 @@ def test_seeded_probes_agree_with_reference(graph, bound):
                                                                    seed)
                 assert got == want
                 assert len(tried) == len(tried_reference)
-                probed |= len(tried) > len(basis)
+                probed |= len(basis) > 1 and len(tried) > 0
     assert probed
+
+
+@pytest.mark.parametrize("graph", [_named(_complete_edges(n)) for n in range(5, 9)]
+                         + [_named(_wheel_edges(m)) for m in range(4, 9)])
+def test_each_basis_vector_alone_loads_an_edge(graph):
+    # the premise of the oracle's candidate rule: a combination of the basis
+    # with a zero coefficient leaves an edge without force
+    for placement in range(3):
+        fw = random_placement(graph, placement, 60)
+        for chart in (AffineChart.standard(), mixed_sign_chart(fw, placement)):
+            basis = self_stress_basis(fw, chart)
+            assert len(basis) >= 1
+            for w in basis:
+                assert any(w.weights[e] and not any(b.weights[e] for b in basis if b is not w)
+                           for e in fw.graph.edges)
+
+
+@pytest.mark.parametrize("n", range(9, 14))
+def test_oracle_finds_a_stress_of_large_complete_graphs(n):
+    # stress dimensions 21-55: each basis vector fails, and a probe with a
+    # zero coefficient would too
+    graph = _named(_complete_edges(n))
+    for seed in range(1, 13):
+        fw = random_placement(graph, seed, bound=60)
+        basis = self_stress_basis(fw)
+        assert len(basis) == n * (n - 1) // 2 - 2 * n + 3
+        assert find_nonparallelizable_stress(fw, basis, seed=seed) is not None, seed
 
 
 def test_point_at_infinity_keeps_its_message_and_vertex_order():

@@ -103,8 +103,9 @@ def traced_roots():
         [f"{short}.{attr}" for short, attr in tracing.COUNTERS]
 
 
-def unreached():
-    """The library definitions no walk from the roots reaches, sorted."""
+def unreached(traced=True):
+    """The library definitions no walk from the roots reaches, sorted; with
+    `traced` false, the benchmark tracer's functions are no roots."""
     defs, statements = library()
     by_name = {}
     for qualified in defs:
@@ -114,7 +115,8 @@ def unreached():
         return [q for name in _loaded_names(nodes) for q in by_name.get(name, ())]
 
     reached = set()
-    pending = ["cli.main", *traced_roots(), *EXTRA_ROOTS, *named(statements)]
+    pending = ["cli.main", *(traced_roots() if traced else ()), *EXTRA_ROOTS,
+               *named(statements)]
     while pending:
         qualified = pending.pop()
         if qualified in reached:
@@ -133,6 +135,20 @@ def unreached():
 
 def test_every_library_definition_runs_in_a_command():
     assert unreached() == []
+
+
+def test_only_these_definitions_live_for_the_tracer():
+    # no command runs them; the benchmark's tracer wraps or counts them
+    # (ROADMAP item 2 retires those pins and empties this list)
+    assert unreached(traced=False) == [
+        "conditions.evaluate",
+        "resolution.BinaryTree.fresh_node",
+        "resolution.BinaryTree.is_interior",
+        "resolution._hf_rewire",
+        "resolution._paired_line",
+        "resolution.rewire",
+        "resolution.scheme_hf_surgery",
+    ]
 
 
 def test_lemmas_define_no_library_name():

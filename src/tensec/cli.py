@@ -61,7 +61,7 @@ def _phase(args, name: str):
 # ---------------------------------------------------------------------------
 # check
 
-def _slot_witness(system, fw, stress, chart=None):
+def _slot_witness(system, fw, stress, chart):
     """Lines on the Xi slots that the quantization and the conditions are
     evaluated under, and the Quantization that holds them if one was built:
     ({}, None) without slots; the labels and the quantization of an oracle
@@ -99,7 +99,7 @@ def cmd_check(args) -> int:
         stress = find_nonparallelizable_stress(fw, basis, chart, args.seed)
     report["stress_dim"] = len(basis)
     report["stress_basis"] = [
-        {f"{u}-{v}": str(x) for (u, v), x in w.weights.items()}
+        {f"{u}-{v}": str(x) for (u, v), x in zip(fw.graph.edges, w)}
         for w in basis
     ]
     oracle = stress is not None
@@ -206,6 +206,7 @@ def cmd_verify(args) -> int:
     with _phase(args, "compile"):
         system = generate_system(g)
     constrained = _constrained_generator(g)
+    chart = AffineChart.standard()
     samples = []
     mismatches = []
     positives = negatives = unknown = 0
@@ -214,9 +215,9 @@ def cmd_verify(args) -> int:
             sample_seed = args.seed * 1000003 + i
             fw = _draw_sample(g, constrained, i, sample_seed)
             oracle_stress = find_nonparallelizable_stress(
-                fw, self_stress_basis(fw), seed=sample_seed)
+                fw, self_stress_basis(fw, chart), chart, sample_seed)
             oracle = oracle_stress is not None
-            witness, _ = _slot_witness(system, fw, oracle_stress)
+            witness, _ = _slot_witness(system, fw, oracle_stress, chart)
             if witness is None:
                 cond = None
                 unknown += 1
@@ -326,9 +327,6 @@ def main(argv=None) -> int:
     args = build_parser(os.environ.get("TENSEC_SEED", "0")).parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -95,13 +95,11 @@ class Expr:
         self.sort = sort
 
 
-def to_sexpr(e, memo=None) -> str:
+def to_sexpr(e, memo: dict) -> str:
     """The s-expression of a node.  `memo` maps generic nodes, the ones
     that seed picks and that surgeries nest, to their text: a dict shared
     over many calls (one evaluator's seeds, one report) builds the text of
     each once, however many nodes and conditions share it."""
-    if memo is None:
-        memo = {}
     op, args = e.op, e.args
     if op == "point":
         return args[0]

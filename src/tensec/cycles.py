@@ -168,11 +168,10 @@ def is_trivial_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> bool:
     return m.apply(p) == p
 
 
-def pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
-    """Seeded auxiliary line avoiding all vertices, all pairwise
-    intersections of edge lines, and any extra points."""
-    forbidden = set(c.points) | (set(c.crossings) - {TRUE}) | set(extra_avoid)
-    return random_line_avoiding(forbidden, seed)
+def pick_aux_line(c: FramedCycle, seed: int) -> ProjLine:
+    """Seeded auxiliary line avoiding all vertices and all pairwise
+    intersections of edge lines."""
+    return random_line_avoiding(set(c.points) | (set(c.crossings) - {TRUE}), seed)
 
 
 # ---------------------------------------------------------------------------

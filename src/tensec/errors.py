@@ -36,6 +36,6 @@ class InconsistentQuantizationError(TensecError):
     ``cycle`` names the offending framework cycle (tuple of vertex ids).
     """
 
-    def __init__(self, message, cycle=()):
+    def __init__(self, message, cycle):
         super().__init__(message)
         self.cycle = tuple(cycle)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import GeometryError, InputError, PointAtInfinityError, PreconditionError
@@ -153,13 +152,6 @@ class Framework:
         return self._lines[edge_key(u, v)]
 
 
-@dataclass
-class Stress:
-    """Chart tensions, one exact scalar per unordered edge."""
-
-    weights: dict
-
-
 class ForceLoad:
     """Antisymmetric assignment of forces to ordered vertex pairs."""
 
@@ -202,7 +194,7 @@ def _chart_scales(fw: Framework, chart: AffineChart) -> dict:
     return scales
 
 
-def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
+def self_stress_basis(fw: Framework, chart: AffineChart):
     """Exact basis of the self-stress space of the framework in a chart.
 
     The rigidity-type system has two chart coordinates per vertex and one
@@ -213,10 +205,10 @@ def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
     stress w_e = s_u s_v x_e.  Column scaling keeps the pivot columns, and
     each basis vector is fixed up to scale by its free column, so the
     canonical (`primitive`) basis is the one of the unscaled system.
-    Returns Stress objects with int weights.  This is the brute-force oracle
-    the rest of the package is validated against.
+    Each stress is the tuple of its int weights in `fw.graph.edges` order.
+    This is the brute-force oracle the rest of the package is validated
+    against.
     """
-    chart = chart or AffineChart.standard()
     scale = _chart_scales(fw, chart)
     _drop, keep = chart.axes()
     g = fw.graph
@@ -231,7 +223,7 @@ def self_stress_basis(fw: Framework, chart: AffineChart | None = None):
                 row[col[edge_key(u, v)]] = pv[c] * scale[u] - fw.placement[u].coords[c] * sv
             rows.append(row)
     col_scale = [scale[u] * scale[v] for u, v in edges]
-    return [Stress(dict(zip(edges, primitive([k * x for k, x in zip(col_scale, vec)]))))
+    return [tuple(primitive([k * x for k, x in zip(col_scale, vec)]))
             for vec in nullspace_basis(rows, len(edges))]
 
 
@@ -247,19 +239,18 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
                for v in fw.graph.vertices)
 
 
-def forceload_from_stress(fw: Framework, w: Stress,
-                          chart: AffineChart | None = None) -> ForceLoad:
-    """Force-load of a stress: the positive multiple of the load whose chart
-    vectors are w_ij (n_i - n_j) on every edge, n the chart representatives,
-    in ints with gcd 1 for int weights.  Equilibrium,
-    `non_parallelizable_star` and every line of force are those of that
-    load."""
-    if set(w.weights) != set(fw.graph.edges):
-        raise InputError("stress keys do not match framework edges")
-    return _integer_forceloads(fw, chart)([w.weights[e] for e in fw.graph.edges])
+def forceload_from_stress(fw: Framework, w, chart: AffineChart) -> ForceLoad:
+    """Force-load of a stress w, its int weights in `fw.graph.edges` order:
+    the positive multiple of the load whose chart vectors are w_ij (n_i -
+    n_j) on every edge, n the chart representatives, in ints with gcd 1.
+    Equilibrium, `non_parallelizable_star` and every line of force are those
+    of that load.  InputError if w does not have one weight per edge."""
+    if len(w) != len(fw.graph.edges):
+        raise InputError(f"stress has {len(w)} weights for {len(fw.graph.edges)} edges")
+    return _integer_forceloads(fw, chart)(w)
 
 
-def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
+def _integer_forceloads(fw: Framework, chart: AffineChart):
     """`load(weights)`, the `forceload_from_stress` load of the weights w of
     a stress in edge order, with the duals computed once for many stresses.
 
@@ -271,7 +262,6 @@ def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
     under a positive scale; on placed wheels with 4-9 spokes the gcd has
     33-46 bits.
     """
-    chart = chart or AffineChart.standard()
     scale = _chart_scales(fw, chart)
     p = fw.placement
     edges = fw.graph.edges
@@ -292,9 +282,9 @@ def _integer_forceloads(fw: Framework, chart: AffineChart | None = None):
 _PROBES = 16
 
 
-def find_nonparallelizable_stress(fw: Framework, basis,
-                                  chart: AffineChart | None = None, seed: int = 0):
-    """A self-stress whose load is non-parallelizable, or None.
+def find_nonparallelizable_stress(fw: Framework, basis, chart: AffineChart, seed: int):
+    """A self-stress whose load is non-parallelizable, as its weight tuple,
+    or None.
 
     Searches the span of `basis`, the self-stress basis
     `self_stress_basis(fw, chart)`.  At dimension 1 the one candidate is the
@@ -307,21 +297,20 @@ def find_nonparallelizable_stress(fw: Framework, basis,
     still miss, so at r >= 2 the search can under-report (ROADMAP item 1).
 
     Each candidate is tested on its `forceload_from_stress` load, with the
-    duals computed once for all of them, and handed back as the Stress of
-    the weights that passed.
+    duals computed once for all of them, and handed back as the weights
+    that passed.
     """
     if not basis:
         return None
-    edges = fw.graph.edges
-    columns = list(zip(*([w.weights[e] for e in edges] for w in basis)))
+    columns = list(zip(*basis))
     rng = random.Random(seed)
     draws = [[1]] if len(basis) == 1 else (
         [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in basis] for _ in range(_PROBES))
     load = _integer_forceloads(fw, chart)
     for coeffs in draws:
-        weights = [sum(a * x for a, x in zip(coeffs, column)) for column in columns]
+        weights = tuple(sum(a * x for a, x in zip(coeffs, column)) for column in columns)
         if is_non_parallelizable(fw, load(weights)):
-            return Stress(dict(zip(edges, weights)))
+            return weights
     return None
 
 
@@ -329,9 +318,8 @@ def find_nonparallelizable_stress(fw: Framework, basis,
 #: with PreconditionError (exit 3).  GP(8,3) needs 5,057, K8 11,024 and the
 #: 10-rung prism 17,478; the 12-rung prism needs 67,537 and is refused.
 #: It limits only the general-position test, which enumerates a graph's
-#: short cycles at most once, and only when an edge-line arrangement of the
-#: graph has a degenerate line or point group, or when its |E|(|E|-1)/2
-#: edge pairs exceed this limit.
+#: short cycles at most once, and only for a placement whose edge-line
+#: arrangement has a line or point group.
 MAX_CYCLE_EXTENSIONS = 20_000
 
 
@@ -419,16 +407,14 @@ def framework_in_general_position(fw: Framework) -> bool:
     is normalised (`primitive_triple`) on each of them that two later ones
     meet there, and grouped; no other meet is divided.
 
-    The arrangement makes up to |E|(|E|-1)/2 meets.  When that exceeds
-    MAX_CYCLE_EXTENSIONS the cycles are enumerated first, so a large graph
-    stops at the enumeration limit before any meet is made.  The short
-    cycles of a graph are enumerated at most once (`_short_cycle_edges`).
+    The arrangement makes up to |E|(|E|-1)/2 meets, so its cost is
+    quadratic in |E| and has no limit; a placement with no group decides
+    YES however many cycles its graph has.  The short cycles of a graph are
+    enumerated at most once (`_short_cycle_edges`), and only for a
+    placement with a group.
     """
     g = fw.graph
     g.require_min_degree(3)
-    m = len(g.edges)
-    if m * (m - 1) // 2 > MAX_CYCLE_EXTENSIONS:
-        _short_cycle_edges(g)
     by_line = {}
     for e, line in fw._lines.items():
         by_line.setdefault(line.coeffs, []).append(e)

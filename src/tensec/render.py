@@ -103,10 +103,9 @@ def _svg(elements) -> str:
     return head + "".join(f"  {e}\n" for e in elements) + "</svg>\n"
 
 
-def _draw(points, edges, framings, chart: AffineChart | None) -> str:
+def _draw(points, edges, framings, chart: AffineChart) -> str:
     """SVG of ordered (label, point) pairs, edges given as label pairs, and
     framing lines drawn dashed across the view window."""
-    chart = chart or AffineChart.standard()
     exact = {label: _chart_xy(p, chart) for label, p in points}
     xs = _floats((x for x, _ in exact.values()), "chart coordinate")
     ys = _floats((y for _, y in exact.values()), "chart coordinate")
@@ -135,13 +134,13 @@ def _draw(points, edges, framings, chart: AffineChart | None) -> str:
     return _svg(elements)
 
 
-def render_framework(fw: Framework, chart: AffineChart | None = None) -> str:
+def render_framework(fw: Framework, chart: AffineChart) -> str:
     """SVG with labeled points and edges."""
     points = [(v, fw.placement[v]) for v in sorted(fw.graph.vertices)]
     return _draw(points, fw.graph.edges, (), chart)
 
 
-def render_framed_cycle(cycle, chart: AffineChart | None = None) -> str:
+def render_framed_cycle(cycle, chart: AffineChart) -> str:
     """SVG of a framed cycle: cycle edges solid, framing lines dashed."""
     labels = [f"q{i + 1}" for i in range(len(cycle))]
     edges = zip(labels, labels[1:] + labels[:1])

@@ -3,9 +3,10 @@
 `random_placement` puts the vertices at random affine points; the
 Desargues-concurrent and Pascal-conic placements put the two fixture graphs
 on their special varieties.  Rational draws are bounded (numerators and
-denominators up to 1000) to keep exact-arithmetic growth in check.  Every
-generator threads an explicit seed; generation is deterministic per (seed,
-arguments).
+denominators up to the `bound` of `random_placement`, which is 60 in
+`verify`, and up to 60 or 30 in the special placements) to keep
+exact-arithmetic growth in check.  Every generator threads an explicit
+seed; generation is deterministic per (seed, arguments).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .projective import (ProjLine, ProjPoint, _orthogonal_triples, join,
                          random_fraction)
 
 
-def random_affine_point(rng: random.Random, bound: int = 1000) -> ProjPoint:
+def random_affine_point(rng: random.Random, bound: int) -> ProjPoint:
     """The affine point (p1/q1, p2/q2) of two `random_fraction` draws, built
     as the integer triple (p1 q2, p2 q1, q1 q2)."""
     p1, q1 = rng.randint(-bound, bound), rng.randint(1, bound)
@@ -26,7 +27,7 @@ def random_affine_point(rng: random.Random, bound: int = 1000) -> ProjPoint:
     return ProjPoint((p1 * q2, p2 * q1, q1 * q2))
 
 
-def random_placement(g: Graph, seed: int, bound: int = 1000) -> Framework:
+def random_placement(g: Graph, seed: int, bound: int) -> Framework:
     """Random affine placement with pairwise distinct points."""
     rng = random.Random(seed)
     while True:

@@ -56,7 +56,7 @@ def both_systems(g):
 
 def condition_lines(system):
     """The condition lines `tensec conditions` prints for a system."""
-    return [f"[{' '.join(c.cycle)}] {to_sexpr(c.expr)}" for c in system.conditions]
+    return [f"[{' '.join(c.cycle)}] {to_sexpr(c.expr, {})}" for c in system.conditions]
 
 
 def fundamental_lines(g, lines):

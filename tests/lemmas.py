@@ -21,6 +21,9 @@ those of `tests/test_acceptance.py`).
   - `random_framed_cycle` and `random_cycle_points` draw the seeded framed
     cycles in general position that criteria 3 and 4 sample, with or
     without an equilibrium; `lines_in_general_position` is their test.
+  - `aux_line_avoiding` is `cycles.pick_aux_line` that misses given points
+    too, such as the vertices of a projection, so that two monodromies can
+    be compared on one auxiliary line (criterion 4).
   - `framed_cycle_to_json` writes a framed cycle as `render` reads it.
 * Frameworks (`tests/test_framework.py`):
   - `hf_surgery_framework` (with `_fresh_id`), the H-to-Phi surgery of a
@@ -160,6 +163,14 @@ def cycle_equilibrium_basis(c: FramedCycle):
             rows.append(row)
     basis = nullspace_basis(rows, 2 * k)
     return [(vec[:k], vec[k:]) for vec in basis]
+
+
+def aux_line_avoiding(c: FramedCycle, seed: int, points) -> ProjLine:
+    """The seeded line that `cycles.pick_aux_line` draws for `c` with
+    `points` forbidden too: it misses the vertices, every meet of two edge
+    lines and every given point."""
+    forbidden = set(c.points) | (set(c.crossings) - {TRUE}) | set(points)
+    return random_line_avoiding(forbidden, seed)
 
 
 def framed_cycle_to_json(c: FramedCycle) -> dict:

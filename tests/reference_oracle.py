@@ -12,7 +12,8 @@ force-load.  All are kept verbatim apart from the names and from clearing
 the rationals they hand the library (`integers`), except that the oracle
 follows the library's one candidate rule: the basis vector of a
 one-dimensional space, else seeded combinations with nonzero coefficients,
-built here as Fraction stresses.  The library builds the
+built here as Fraction stresses.  A stress is the tuple of its weights in
+`fw.graph.edges` order, as in the library.  The library builds the
 same system column-scaled from the integer triples and tests candidates on
 integer force-loads; the tests require equal results from both.
 """
@@ -22,8 +23,7 @@ from fractions import Fraction
 
 import reference_kernel as _kernel
 from tensec.errors import GeometryError, InputError, PointAtInfinityError
-from tensec.framework import (ForceLoad, Stress, _PROBES, edge_key,
-                              is_non_parallelizable)
+from tensec.framework import ForceLoad, _PROBES, edge_key, is_non_parallelizable
 from tensec.numeric import clear_denominators, primitive
 from integers import integer_load, integer_rows
 from lemmas import affine_vector
@@ -75,15 +75,15 @@ def reference_chart_points(fw, chart: AffineChart) -> dict:
     return normalized
 
 
-def reference_self_stress_basis(fw, chart: AffineChart | None = None):
+def reference_self_stress_basis(fw, chart: AffineChart):
     """Exact basis of the self-stress space of the framework in a chart.
 
     Builds the 2n x |E| rigidity-type system (two chart coordinates per
     vertex, one column per edge, entries p_i - p_j on chart representatives)
-    and returns its null space as Stress objects.  This is the brute-force
-    oracle the rest of the package is validated against.
+    and returns its null space, each stress its Fraction weights in edge
+    order.  This is the brute-force oracle the rest of the package is
+    validated against.
     """
-    chart = chart or AffineChart.standard()
     normalized = reference_chart_points(fw, chart)
     _drop, keep = chart.axes()
     edges = fw.graph.edges
@@ -95,19 +95,16 @@ def reference_self_stress_basis(fw, chart: AffineChart | None = None):
             for u in fw.graph.neighbors(v):
                 row[col[edge_key(u, v)]] = normalized[v][c] - normalized[u][c]
             rows.append(row)
-    basis = reference_nullspace_basis(rows, len(edges))
-    return [Stress(dict(zip(edges, vec))) for vec in basis]
+    return reference_nullspace_basis(rows, len(edges))
 
 
-def reference_forceload_from_stress(fw, w: Stress,
-                                    chart: AffineChart | None = None) -> ForceLoad:
+def reference_forceload_from_stress(fw, w, chart: AffineChart) -> ForceLoad:
     """Force-load whose chart vectors are w_ij (p_i - p_j) on every edge."""
-    chart = chart or AffineChart.standard()
-    if set(w.weights) != set(fw.graph.edges):
-        raise InputError("stress keys do not match framework edges")
+    if len(w) != len(fw.graph.edges):
+        raise InputError("stress weights do not match framework edges")
     normalized = reference_chart_points(fw, chart)
     forces = {}
-    for (u, v), weight in w.weights.items():
+    for (u, v), weight in zip(fw.graph.edges, w):
         # dual = w * cross(n_v, n_u) gives iota_V F_{u,v} = w (n_u - n_v);
         # the chart representatives must be used as-is, not recanonicalized.
         dual = _cross(normalized[v], normalized[u])
@@ -117,12 +114,11 @@ def reference_forceload_from_stress(fw, w: Stress,
     return ForceLoad(forces)
 
 
-def reference_stress_of_forceload(fw, fl: ForceLoad,
-                                  chart: AffineChart | None = None) -> Stress:
-    """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (p_i - p_j)."""
-    chart = chart or AffineChart.standard()
+def reference_stress_of_forceload(fw, fl: ForceLoad, chart: AffineChart) -> tuple:
+    """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (p_i - p_j),
+    in edge order."""
     normalized = reference_chart_points(fw, chart)
-    weights = {}
+    weights = []
     for u, v in fw.graph.edges:
         vec = affine_vector(fl.force(u, v), chart)
         diff = tuple(normalized[u][i] - normalized[v][i] for i in range(3))
@@ -130,13 +126,11 @@ def reference_stress_of_forceload(fw, fl: ForceLoad,
         w = vec[c] / diff[c]
         if any(vec[i] != w * diff[i] for i in range(3)):
             raise GeometryError(f"force at edge ({u},{v}) is not along the edge")
-        weights[(u, v)] = w
-    return Stress(weights)
+        weights.append(w)
+    return tuple(weights)
 
 
-def reference_find_nonparallelizable_stress(fw, basis,
-                                            chart: AffineChart | None = None,
-                                            seed: int = 0):
+def reference_find_nonparallelizable_stress(fw, basis, chart: AffineChart, seed: int):
     """A self-stress whose load is non-parallelizable, or None.
 
     Searches `basis`, the self-stress basis `self_stress_basis(fw, chart)`.
@@ -154,9 +148,9 @@ def reference_find_nonparallelizable_stress(fw, basis,
         candidates = []
         for _ in range(_PROBES):
             coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9)) for _ in basis]
-            candidates.append(Stress({
-                e: sum((a * w.weights[e] for a, w in zip(coeffs, basis)), Fraction(0))
-                for e in fw.graph.edges}))
+            candidates.append(tuple(
+                sum((a * x for a, x in zip(coeffs, column)), Fraction(0))
+                for column in zip(*basis)))
     for w in candidates:
         fl = reference_forceload_from_stress(fw, w, chart)
         if is_non_parallelizable(fw, integer_load(fl)):

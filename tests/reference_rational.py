@@ -68,11 +68,11 @@ def reference_pick_generic_line_through(p: ProjPoint, avoid, seed: int) -> ProjL
                                      "degenerate point")
 
 
-def reference_random_affine_point(rng: random.Random, bound: int = 1000) -> ProjPoint:
+def reference_random_affine_point(rng: random.Random, bound: int) -> ProjPoint:
     return ProjPoint((random_fraction(rng, bound), random_fraction(rng, bound), 1))
 
 
-def reference_random_placement(g, seed: int, bound: int = 1000) -> Framework:
+def reference_random_placement(g, seed: int, bound: int) -> Framework:
     """Random affine placement with pairwise distinct points."""
     rng = random.Random(seed)
     while True:
@@ -148,7 +148,7 @@ def reference_pascal_conic_placement(g, seed: int) -> Framework:
             continue
 
 
-def reference_slot_witness(system, fw, stress, chart=None):
+def reference_slot_witness(system, fw, stress, chart):
     """Lines on the Xi slots: {} without slots, the quantization labels of
     the Fraction force-load of an oracle stress, and None without one."""
     if not system.slots:

@@ -13,7 +13,7 @@ import pytest
 
 from all_cycles import (all_cycles_system, both_systems, condition_lines,
                         framing, fundamental_lines, simple_cycles)
-from lemmas import (chart_avoiding, cycle_equilibrium_basis,
+from lemmas import (aux_line_avoiding, chart_avoiding, cycle_equilibrium_basis,
                     enumerate_equivalent_schemes, hf_surgery_framework, is_trivial,
                     project_cycle, proportional_to, random_framed_cycle)
 from reference_oracle import reference_stress_of_forceload
@@ -26,6 +26,7 @@ from tensec.framework import (find_nonparallelizable_stress,
                               forceload_from_stress, framework_in_general_position,
                               framework_to_json, is_equilibrium,
                               is_non_parallelizable, self_stress_basis)
+from tensec.projective import AffineChart
 from tensec.quantization import (consistency_cycles, construct_forceload,
                                  default_trees, is_consistent,
                                  quantization_from_stress)
@@ -33,6 +34,7 @@ from tensec.sampling import (desargues_concurrent_placement,
                              pascal_conic_placement, random_placement)
 
 GOLDEN = Path(__file__).parent / "golden"
+STANDARD = AffineChart.standard()
 
 
 def report(num, text):
@@ -40,18 +42,18 @@ def report(num, text):
 
 
 def test_criterion_1_desargues_fixture():
-    basis = self_stress_basis(DESARGUES_POS)
+    basis = self_stress_basis(DESARGUES_POS, STANDARD)
     assert len(basis) == 1
-    assert all(w != 0 for w in basis[0].weights.values())
-    assert len(self_stress_basis(DESARGUES_NEG)) == 0
+    assert all(w != 0 for w in basis[0])
+    assert len(self_stress_basis(DESARGUES_NEG, STANDARD)) == 0
     report(1, "desargues stress dimensions 1 (all weights nonzero) and 0")
 
 
 def test_criterion_2_pascal_fixture():
-    basis = self_stress_basis(PASCAL_POS)
+    basis = self_stress_basis(PASCAL_POS, STANDARD)
     assert len(basis) == 1
-    assert all(w != 0 for w in basis[0].weights.values())
-    assert len(self_stress_basis(PASCAL_NEG)) == 0
+    assert all(w != 0 for w in basis[0])
+    assert len(self_stress_basis(PASCAL_NEG, STANDARD)) == 0
     report(2, "pascal stress dimensions 1 (all weights nonzero) and 0")
 
 
@@ -81,7 +83,7 @@ def test_criterion_4_invariance_suite_200():
         for start in range(1, k):
             assert v1 == is_trivial(monodromy(c, start, aux1))
         projected = project_cycle(c, 1)
-        aux3 = pick_aux_line(c, 60_000 + i, extra_avoid=list(projected.points))
+        aux3 = aux_line_avoiding(c, 60_000 + i, projected.points)
         m_full = monodromy(c, 0, aux3)
         m_proj = monodromy(projected, 0, aux3)
         assert proportional_to(m_full, m_proj)
@@ -155,8 +157,8 @@ def test_criterion_7_end_to_end_equivalence_200(graph, constrained, tag):
     verdicts = {True: 0, False: 0}
     for i in range(200):
         fw = _sample_placement(graph, constrained, i, 80_000 + i)
-        basis = self_stress_basis(fw)
-        oracle = find_nonparallelizable_stress(fw, basis, seed=i) is not None
+        basis = self_stress_basis(fw, STANDARD)
+        oracle = find_nonparallelizable_stress(fw, basis, STANDARD, seed=i) is not None
         for system in systems:
             cond = fulfilled_with_witness(system, fw, {}, 90_000 + i)
             assert cond == oracle, f"{tag} sample {i}: oracle={oracle} cond={cond}"
@@ -178,10 +180,12 @@ def test_criterion_8_wheel_witness_direction_100():
         fw = random_placement(WHEEL5_GRAPH, 100_000 + seed, bound=60)
         if not framework_in_general_position(fw):
             continue
-        stress = find_nonparallelizable_stress(fw, self_stress_basis(fw), seed=seed)
+        stress = find_nonparallelizable_stress(
+            fw, self_stress_basis(fw, STANDARD), STANDARD, seed=seed)
         if stress is None:
             continue
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, stress), trees)
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, stress, STANDARD),
+                                         trees)
         witness = quant.interior_labels
         for system in systems:
             assert fulfilled_with_witness(system, fw, witness, seed)
@@ -195,16 +199,16 @@ def test_criterion_8_wheel_witness_direction_100():
 
 def test_criterion_9_quantization_roundtrip_on_fixtures():
     for fw in (DESARGUES_POS, PASCAL_POS):
-        w = self_stress_basis(fw)[0]
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w),
+        w = self_stress_basis(fw, STANDARD)[0]
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                          default_trees(fw.graph))
         assert is_consistent(quant, seed=13, cycles=consistency_cycles(fw.graph))
         assert is_consistent(quant, seed=13, cycles=simple_cycles(fw.graph))
         ind = construct_forceload(quant)
         assert is_equilibrium(fw, ind)
         assert is_non_parallelizable(fw, ind)
-        got = reference_stress_of_forceload(fw, ind)
-        ratios = {got.weights[e] / w.weights[e] for e in w.weights}
+        got = reference_stress_of_forceload(fw, ind, STANDARD)
+        ratios = {g / x for g, x in zip(got, w)}
         assert len(ratios) == 1
     report(9, "stress -> quantization -> constructed load -> stress, "
               "proportional on both fixtures")

@@ -413,7 +413,7 @@ def test_check_above_degree_limit_exits_3(tmp_path, capsys):
     g = Graph(["h"] + rim, [("h", r) for r in rim]
               + [(rim[i], rim[(i + 1) % spokes]) for i in range(spokes)])
     path = tmp_path / "wheel.json"
-    path.write_text(json.dumps(framework_to_json(random_placement(g, 1))))
+    path.write_text(json.dumps(framework_to_json(random_placement(g, 1, bound=1000))))
     assert main(["check", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -931,7 +931,7 @@ def test_check_decides_complete_graphs_with_multidimensional_stresses(
     vs = [f"v{i}" for i in range(n)]
     g = Graph(vs, [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]])
     p = tmp_path / f"k{n}.json"
-    p.write_text(json.dumps(framework_to_json(random_placement(g, 40 + n))))
+    p.write_text(json.dumps(framework_to_json(random_placement(g, 40 + n, bound=1000))))
     assert main(["check", str(p), "--format", "json", "--seed", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["stress_dim"] == dim

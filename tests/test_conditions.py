@@ -24,13 +24,15 @@ from tensec.framework import (Framework, Graph, edge_key,
                               framework_in_general_position, read_json,
                               self_stress_basis)
 from tensec.cycles import monodromy, pick_aux_line
-from tensec.projective import (TRUE, ProjLine, ProjPoint, join, meet,
+from tensec.projective import (TRUE, AffineChart, ProjLine, ProjPoint, join, meet,
                                pick_generic_line_through, pick_generic_point_on,
                                rel_collinear, rel_concurrent, rel_incident,
                                sub_seed)
 from tensec.quantization import (consistency_cycles, default_trees,
                                  quantization_from_stress, xi_slots)
 from tensec.sampling import random_placement
+
+STANDARD = AffineChart.standard()
 
 
 def random_projective_map(seed: int):
@@ -169,7 +171,7 @@ def test_framing_expression_degree4_adjacent_pairs_are_bare_linevars():
 def test_framing_expression_degree4_mixed_pair_expands_surgery():
     trees = default_trees(WHEEL5_GRAPH)
     expr = framing(trees, "p1", ("p1", "p2"), ("p1", "p4"), _node_table())
-    text = to_sexpr(expr)
+    text = to_sexpr(expr, {})
     assert "generic-point" in text and "generic-line" in text
     assert text.count("(join") >= 4
 
@@ -292,13 +294,13 @@ def test_early_true_fulfills_condition():
 
 def test_generate_system_fixture_contents():
     system = all_cycles_system(DESARGUES_GRAPH)
-    sexprs = {to_sexpr(c.expr) for c in system.conditions}
+    sexprs = {to_sexpr(c.expr, {}) for c in system.conditions}
     assert "(concurrent (join p1 p2) (join p3 p4) (join p5 p6))" in sexprs
     assert len(system.conditions) == 11
     pascal = all_cycles_system(PASCAL_GRAPH)
     assert ("(collinear (meet (join p1 p6) (join p4 p5)) "
             "(meet (join p2 p5) (join p3 p6)) "
-            "(meet (join p1 p2) (join p3 p4)))") in {to_sexpr(c.expr)
+            "(meet (join p1 p2) (join p3 p4)))") in {to_sexpr(c.expr, {})
                                                      for c in pascal.conditions}
     # the compiled system: one condition per dimension of the cycle space
     assert len(generate_system(DESARGUES_GRAPH).conditions) == 9 - 6 + 1
@@ -330,8 +332,8 @@ def test_small_randomized_equivalence_with_oracle():
             fw = random_placement(DESARGUES_GRAPH, 9000 + i, bound=50)
         if not framework_in_general_position(fw):
             continue
-        basis = self_stress_basis(fw)
-        oracle = find_nonparallelizable_stress(fw, basis) is not None
+        basis = self_stress_basis(fw, STANDARD)
+        oracle = find_nonparallelizable_stress(fw, basis, STANDARD, seed=0) is not None
         for system in systems:
             assert fulfilled_with_witness(system, fw, {}, 100 + i) == oracle
         hits[oracle] += 1
@@ -345,7 +347,8 @@ def wheel_positive(seed):
         fw = random_placement(WHEEL5_GRAPH, s, bound=60)
         if not framework_in_general_position(fw):
             continue
-        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
+        w = find_nonparallelizable_stress(
+            fw, self_stress_basis(fw, STANDARD), STANDARD, seed=0)
         if w is not None:
             return fw, w
 
@@ -355,7 +358,7 @@ def test_wheel_witness_direction_and_degree4_identity():
     trees, node = default_trees(WHEEL5_GRAPH), _node_table()
     for seed in (100, 200, 300):
         fw, w = wheel_positive(seed)
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w), trees)
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD), trees)
         witness = quant.interior_labels
         for system in systems:
             assert fulfilled_with_witness(system, fw, witness, seed)
@@ -374,7 +377,7 @@ def test_symbolic_framing_matches_numeric_scheme():
 
     def check(fw, w, hub, pairs, eval_seeds):
         trees, node = default_trees(fw.graph), _node_table()
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w), trees)
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD), trees)
         witness = quant.interior_labels
         scheme = quant.scheme_at(hub)
         for pair in pairs:
@@ -392,7 +395,7 @@ def test_symbolic_framing_matches_numeric_scheme():
     # edge pairs in both orders, stress as `check --seed 6` finds it
     fw = framework_from_json(read_json(Path(__file__).parent / "golden"
                                        / "wheel6_framework.json"))
-    w = find_nonparallelizable_stress(fw, self_stress_basis(fw), seed=6)
+    w = find_nonparallelizable_stress(fw, self_stress_basis(fw, STANDARD), STANDARD, seed=6)
     hub_edges = [edge_key("h", u) for u in fw.graph.neighbors("h")]
     check(fw, w, "h", permutations(hub_edges, 2), (1, 2))
 
@@ -402,7 +405,7 @@ def test_double_evaluation_of_surgery_expression_is_stable():
     expr = framing(trees, "p1", ("p1", "p2"), ("p1", "p4"), _node_table())
     for seed in (5, 6):
         fw, w = wheel_positive(400 + seed)
-        quant = quantization_from_stress(fw, forceload_from_stress(fw, w), trees)
+        quant = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD), trees)
         witness = quant.interior_labels
         assert evaluate(expr, fw, witness, 1) == evaluate(expr, fw, witness, 2)
 
@@ -418,7 +421,7 @@ def test_projective_invariance_of_evaluation():
 
 def test_projective_invariance_with_witness_lines():
     fw, w = wheel_positive(77)
-    quant = quantization_from_stress(fw, forceload_from_stress(fw, w),
+    quant = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                      default_trees(WHEEL5_GRAPH))
     witness = quant.interior_labels
     point_map, line_map = random_projective_map(8)
@@ -743,7 +746,7 @@ def test_compiled_system_is_the_reference_on_the_fundamental_cycles(name):
     # the two systems come from two node tables, so they compare as text
     assert [c.cycle for c in system.conditions] == [c.cycle for c in reference]
     assert [c.cycle for c in system.conditions] == consistency_cycles(g)
-    assert condition_sexprs(system) == [to_sexpr(c.expr) for c in reference]
+    assert condition_sexprs(system) == [to_sexpr(c.expr, {}) for c in reference]
     assert ([to_json_ast(c.expr) for c in system.conditions]
             == [to_json_ast(c.expr) for c in reference])
 
@@ -810,7 +813,7 @@ def test_expr_matches_per_class_reference(name, cycles, seed, bound):
     values = []
     for cond in system.conditions:
         ref = to_reference(cond.expr)
-        assert to_sexpr(cond.expr) == reference_sexpr(ref)
+        assert to_sexpr(cond.expr, {}) == reference_sexpr(ref)
         assert to_json_ast(cond.expr) == reference_json_ast(ref)
         got = _outcome(evaluate, cond.expr, fw, slots, seed)
         assert got == _outcome(reference_evaluate, ref, fw, slots, seed)

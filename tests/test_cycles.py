@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lemmas import (chart_avoiding, cycle_equilibrium_basis, framed_cycle_to_json,
+from lemmas import (aux_line_avoiding, chart_avoiding, cycle_equilibrium_basis,
+                    framed_cycle_to_json,
                     is_trivial, lines_in_general_position, project_cycle,
                     proportional_to, random_framed_cycle, shift_map, stepwise_apply)
 from reference_resolution import solve_in_span
@@ -294,7 +295,7 @@ def test_chain_monodromy_matches_matrix_reference(k, seed, equilibrium):
                 == matrices[0].proportional_to(matrices[1]))
         if k >= 4:  # the base framing survives merging the next two vertices
             out = project_cycle(c, start + 1)
-            aux = pick_aux_line(c, seed + 2, extra_avoid=out.points)
+            aux = aux_line_avoiding(c, seed + 2, out.points)
             base = min(start, k - 2)
             assert proportional_to(monodromy(c, start, aux), monodromy(out, base, aux))
             assert matrix_monodromy(c, start, aux).proportional_to(
@@ -371,8 +372,8 @@ def reference_cycle_general_position(c: FramedCycle) -> bool:
     return True
 
 
-def reference_pick_aux_line(c: FramedCycle, seed: int, extra_avoid=()) -> ProjLine:
-    forbidden = set(c.points) | set(extra_avoid)
+def reference_pick_aux_line(c: FramedCycle, seed: int) -> ProjLine:
+    forbidden = set(c.points)
     k = len(c)
     lines = checked_edge_lines(c)
     for i in range(k):
@@ -497,7 +498,7 @@ def test_projection_preserves_surviving_monodromy():
         k = 4 + (seed % 3)
         c = random_framed_cycle(k, seed, equilibrium=(seed % 2 == 0))
         out = project_cycle(c, 1)  # base framing index 0 survives unchanged
-        aux = pick_aux_line(c, 50 + seed, extra_avoid=list(out.points))
+        aux = aux_line_avoiding(c, 50 + seed, out.points)
         m1 = monodromy(c, 0, aux)
         m2 = monodromy(out, 0, aux)
         assert proportional_to(m1, m2)
@@ -589,8 +590,9 @@ def test_framed_cycle_json_roundtrip():
 
 
 def test_seeded_lines_match_recorded_values():
-    # pick_aux_line and chart_avoiding draw coefficient triples from one
-    # seeded stream; the values were recorded before the two shared a helper
+    # pick_aux_line (with its points avoided too, as `aux_line_avoiding`
+    # draws) and chart_avoiding draw coefficient triples from one seeded
+    # stream; the values were recorded before they shared a helper
     pts = [ProjPoint((0, 0, 1)), ProjPoint((4, 0, 1)), ProjPoint((5, 3, 1)),
            ProjPoint((1, 4, 1))]
     frs = [ProjLine((1, 2, 0)), ProjLine((1, -1, -4)), ProjLine((3, 1, -18)),
@@ -606,7 +608,7 @@ def test_seeded_lines_match_recorded_values():
     }
     for seed, (first, on_first, second) in recorded.items():
         assert pick_aux_line(c, seed).coeffs == first
-        assert pick_aux_line(c, seed, extra_avoid=[ProjPoint(on_first)]).coeffs == second
+        assert aux_line_avoiding(c, seed, [ProjPoint(on_first)]).coeffs == second
         if seed:
             fixture = list(DESARGUES_POS.placement.values())
             chart = chart_avoiding(fixture, seed=seed)

@@ -21,7 +21,7 @@ from tensec.errors import (GeometryError, InputError, PointAtInfinityError,
                            PreconditionError)
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (ForceLoad, Framework, Graph, Stress, bfs_parents,
+from tensec.framework import (ForceLoad, Framework, Graph, bfs_parents,
                               enumerate_simple_cycles,
                               find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
@@ -32,6 +32,8 @@ from tensec.numeric import clear_denominators
 from tensec.projective import AffineChart, ProjLine, ProjPoint, _cross, _dot
 from tensec.sampling import (desargues_concurrent_placement,
                              pascal_conic_placement, random_placement)
+
+STANDARD = AffineChart.standard()
 
 
 def triangle_framework():
@@ -57,21 +59,21 @@ def test_framework_rejects_coincident_points():
 
 
 def test_desargues_oracle_dimensions():
-    basis = self_stress_basis(DESARGUES_POS)
+    basis = self_stress_basis(DESARGUES_POS, STANDARD)
     assert len(basis) == 1
-    assert all(w != 0 for w in basis[0].weights.values())
-    assert self_stress_basis(DESARGUES_NEG) == []
+    assert all(w != 0 for w in basis[0])
+    assert self_stress_basis(DESARGUES_NEG, STANDARD) == []
 
 
 def test_pascal_oracle_dimensions():
-    basis = self_stress_basis(PASCAL_POS)
+    basis = self_stress_basis(PASCAL_POS, STANDARD)
     assert len(basis) == 1
-    assert all(w != 0 for w in basis[0].weights.values())
-    assert self_stress_basis(PASCAL_NEG) == []
+    assert all(w != 0 for w in basis[0])
+    assert self_stress_basis(PASCAL_NEG, STANDARD) == []
 
 
 def test_triangle_has_no_self_stress():
-    assert self_stress_basis(triangle_framework()) == []
+    assert self_stress_basis(triangle_framework(), STANDARD) == []
 
 
 def test_oracle_rejects_points_at_infinity():
@@ -79,7 +81,7 @@ def test_oracle_rejects_points_at_infinity():
     fw = Framework(g, {"a": ProjPoint((1, 0, 0)), "b": ProjPoint((3, 0, 1)),
                        "c": ProjPoint((0, 3, 1))})
     with pytest.raises(PointAtInfinityError):
-        self_stress_basis(fw)
+        self_stress_basis(fw, STANDARD)
     # a chart avoiding every point makes the same framework analyzable
     chart = chart_avoiding(fw.placement.values(), seed=1)
     assert self_stress_basis(fw, chart) == []
@@ -92,42 +94,46 @@ def test_oracle_chart_independence_on_fixture():
 
 
 def test_forceload_equilibrium_and_roundtrip():
-    w = self_stress_basis(DESARGUES_POS)[0]
-    fl = forceload_from_stress(DESARGUES_POS, w)
+    w = self_stress_basis(DESARGUES_POS, STANDARD)[0]
+    fl = forceload_from_stress(DESARGUES_POS, w, STANDARD)
     assert is_equilibrium(DESARGUES_POS, fl)
     for v in DESARGUES_POS.graph.vertices:
         assert vertex_force_sum(DESARGUES_POS, fl, v).is_zero()
-    back = reference_stress_of_forceload(DESARGUES_POS, fl)
-    edges = DESARGUES_POS.graph.edges
-    one_positive_ratio([back.weights[e] for e in edges], [w.weights[e] for e in edges])
+    back = reference_stress_of_forceload(DESARGUES_POS, fl, STANDARD)
+    one_positive_ratio(back, w)
 
 
 def test_zero_stress_gives_zero_forceload():
-    from tensec.framework import Stress
-
-    zero = Stress({e: 0 for e in DESARGUES_POS.graph.edges})
-    fl = forceload_from_stress(DESARGUES_POS, zero)
+    zero = (0,) * len(DESARGUES_POS.graph.edges)
+    fl = forceload_from_stress(DESARGUES_POS, zero, STANDARD)
     for (u, v) in DESARGUES_POS.graph.edges:
         assert fl.force(u, v).is_zero()
 
 
+def test_forceload_needs_one_weight_per_edge():
+    w = self_stress_basis(DESARGUES_POS, STANDARD)[0]
+    for weights in (w[:-1], w + (1,)):
+        for forceload in (forceload_from_stress, reference_forceload_from_stress):
+            with pytest.raises(InputError, match="weights"):
+                forceload(DESARGUES_POS, weights, STANDARD)
+
+
 def test_forceload_antisymmetry_random_stress():
-    from tensec.framework import Stress
     import random
 
     rng = random.Random(4)
     edges = DESARGUES_POS.graph.edges
     # integer weights, as the stress basis gives: the rationals cleared
-    w = Stress(dict(zip(edges, clear_denominators(
-        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in edges]))))
-    fl = forceload_from_stress(DESARGUES_POS, w)
+    w = tuple(clear_denominators(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in edges]))
+    fl = forceload_from_stress(DESARGUES_POS, w, STANDARD)
     for (u, v) in DESARGUES_POS.graph.edges:
         assert (fl.force(u, v) + fl.force(v, u)).is_zero()
 
 
 def test_nonparallelizable_on_fixture():
-    w = self_stress_basis(DESARGUES_POS)[0]
-    fl = forceload_from_stress(DESARGUES_POS, w)
+    w = self_stress_basis(DESARGUES_POS, STANDARD)[0]
+    fl = forceload_from_stress(DESARGUES_POS, w, STANDARD)
     assert is_non_parallelizable(DESARGUES_POS, fl)
 
 
@@ -138,10 +144,10 @@ def test_zero_force_edge_breaks_nonparallelizability():
     placement = dict(DESARGUES_POS.placement)
     placement["p7"] = ProjPoint((5, 1, 1))
     fw = Framework(g, placement)
-    basis = self_stress_basis(fw)
+    basis = self_stress_basis(fw, STANDARD)
     assert len(basis) == 1
-    assert basis[0].weights[("p1", "p7")] == 0
-    fl = forceload_from_stress(fw, basis[0])
+    assert basis[0][g.edges.index(("p1", "p7"))] == 0
+    fl = forceload_from_stress(fw, basis[0], STANDARD)
     assert not is_non_parallelizable(fw, fl)
 
 
@@ -152,11 +158,11 @@ def test_collinear_incident_edges_break_nonparallelizability():
                ("b", "c"), ("b", "d"), ("c", "d")])
     fw = Framework(g, {"a": ProjPoint((0, 0, 1)), "b": ProjPoint((2, 0, 1)),
                        "d": ProjPoint((1, 0, 1)), "c": ProjPoint((1, 2, 1))})
-    basis = self_stress_basis(fw)
+    basis = self_stress_basis(fw, STANDARD)
     assert basis
     for w in basis:
-        if any(w.weights.values()):
-            fl = forceload_from_stress(fw, w)
+        if any(w):
+            fl = forceload_from_stress(fw, w, STANDARD)
             if is_equilibrium(fw, fl):
                 assert not is_non_parallelizable(fw, fl)
 
@@ -516,33 +522,40 @@ def test_generic_placement_enumerates_no_cycles(monkeypatch):
     enumerate_all = framework.enumerate_simple_cycles
     monkeypatch.setattr(framework, "enumerate_simple_cycles",
                         lambda *args: calls.append(args) or enumerate_all(*args))
-    fw = random_placement(_named(_petersen_edges(8, 3)), seed=83)
+    fw = random_placement(_named(_petersen_edges(8, 3)), seed=83, bound=1000)
     assert framework_in_general_position(fw)
     assert calls == []
     assert reference_framework_in_general_position(fw)
 
 
-def test_large_graph_stops_at_cycle_limit_before_any_meet(monkeypatch):
-    # GP(70,1), the 70-rung prism, has 210 edges: its arrangement would make
-    # 21,945 meets, more than MAX_CYCLE_EXTENSIONS
-    import tensec.projective as projective
+@pytest.mark.parametrize("n", [67, 200])
+def test_check_decides_large_graph_without_enumerating_cycles(n, monkeypatch, tmp_path,
+                                                               capsys):
+    # GP(67,7) and GP(200,7) have 201 and 600 edges, and more short cycles
+    # than MAX_CYCLE_EXTENSIONS lets the enumeration reach; their
+    # arrangements have no group, so general position is decided from the
+    # |E|(|E|-1)/2 meets alone
+    import tensec.framework as framework
+    from tensec.cli import main
 
     calls = []
-    meet = projective.meet
-    monkeypatch.setattr(projective, "meet",
-                        lambda a, b: calls.append(1) or meet(a, b))
-    fw = random_placement(_named(_petersen_edges(70, 1)), seed=70)
-    with pytest.raises(PreconditionError, match="MAX_CYCLE_EXTENSIONS"):
-        framework_in_general_position(fw)
+    enumerate_all = framework.enumerate_simple_cycles
+    monkeypatch.setattr(framework, "enumerate_simple_cycles",
+                        lambda *args: calls.append(args) or enumerate_all(*args))
+    fw = random_placement(_named(_petersen_edges(n, 7)), 1, bound=60)
+    path = tmp_path / "gp.json"
+    path.write_text(json.dumps(framework_to_json(fw)))
+    assert main(["check", str(path), "--seed", "1"]) == 0
+    assert "general position: YES" in capsys.readouterr().out.splitlines()
     assert calls == []
 
 
 def test_rank_bound_on_random_frameworks():
     for seed in range(6):
-        fw = random_placement(DESARGUES_GRAPH, seed)
+        fw = random_placement(DESARGUES_GRAPH, seed, bound=1000)
         e = len(fw.graph.edges)
         n = len(fw.graph.vertices)
-        assert len(self_stress_basis(fw)) >= e - 2 * n + 3
+        assert len(self_stress_basis(fw, STANDARD)) >= e - 2 * n + 3
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +634,13 @@ def test_framework_json_rejects_garbage():
 
 def test_exists_nonparallelizable_stress_verdicts():
     for fw, expected in ((DESARGUES_POS, True), (DESARGUES_NEG, False)):
-        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
+        w = find_nonparallelizable_stress(
+            fw, self_stress_basis(fw, STANDARD), STANDARD, seed=0)
         assert (w is not None) == expected
-    w = find_nonparallelizable_stress(PASCAL_POS, self_stress_basis(PASCAL_POS))
+    w = find_nonparallelizable_stress(
+        PASCAL_POS, self_stress_basis(PASCAL_POS, STANDARD), STANDARD, seed=0)
     assert w is not None
-    assert is_non_parallelizable(PASCAL_POS, forceload_from_stress(PASCAL_POS, w))
+    assert is_non_parallelizable(PASCAL_POS, forceload_from_stress(PASCAL_POS, w, STANDARD))
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +713,7 @@ def test_integer_oracle_matches_chart_fraction_reference(graph, bound, placement
     chart = mixed_sign_chart(fw, seed) if mixed else AffineChart.standard()
     basis = self_stress_basis(fw, chart)
     assert basis == reference_self_stress_basis(fw, chart)
-    assert all(type(x) is int for w in basis for x in w.weights.values())
-    edges = fw.graph.edges
+    assert all(type(x) is int for w in basis for x in w)
     for w in basis:
         fl = forceload_from_stress(fw, w, chart)
         want = reference_forceload_from_stress(fw, w, chart).forces
@@ -707,7 +721,7 @@ def test_integer_oracle_matches_chart_fraction_reference(graph, bound, placement
         one_positive_ratio(dual_entries(fl.forces, want), dual_entries(want, want))
         assert _is_int_load(fl)
         back = reference_stress_of_forceload(fw, fl, chart)
-        one_positive_ratio([back.weights[e] for e in edges], [w.weights[e] for e in edges])
+        one_positive_ratio(back, w)
     with counted_candidates() as tried:
         got = find_nonparallelizable_stress(fw, basis, chart, seed)
     with counted_candidates() as tried_reference:
@@ -715,7 +729,7 @@ def test_integer_oracle_matches_chart_fraction_reference(graph, bound, placement
     assert got == want
     assert len(tried) == len(tried_reference)
     if got is not None:
-        assert all(type(x) is int for x in got.weights.values())
+        assert all(type(x) is int for x in got)
 
 
 @pytest.mark.parametrize("graph, bound", [(6, 3), (7, 60)])
@@ -750,8 +764,8 @@ def test_each_basis_vector_alone_loads_an_edge(graph):
             basis = self_stress_basis(fw, chart)
             assert len(basis) >= 1
             for w in basis:
-                assert any(w.weights[e] and not any(b.weights[e] for b in basis if b is not w)
-                           for e in fw.graph.edges)
+                assert any(x and not any(b[i] for b in basis if b is not w)
+                           for i, x in enumerate(w))
 
 
 @pytest.mark.parametrize("n", range(9, 14))
@@ -761,9 +775,10 @@ def test_oracle_finds_a_stress_of_large_complete_graphs(n):
     graph = _named(_complete_edges(n))
     for seed in range(1, 13):
         fw = random_placement(graph, seed, bound=60)
-        basis = self_stress_basis(fw)
+        basis = self_stress_basis(fw, STANDARD)
         assert len(basis) == n * (n - 1) // 2 - 2 * n + 3
-        assert find_nonparallelizable_stress(fw, basis, seed=seed) is not None, seed
+        stress = find_nonparallelizable_stress(fw, basis, STANDARD, seed=seed)
+        assert stress is not None, seed
 
 
 def test_point_at_infinity_keeps_its_message_and_vertex_order():
@@ -785,12 +800,12 @@ def test_point_at_infinity_keeps_its_message_and_vertex_order():
 
 
 def find_nonparallelizable_stress_of_basis(fw, chart):
-    w = Stress({e: Fraction(1) for e in fw.graph.edges})
-    return find_nonparallelizable_stress(fw, [w], chart)
+    w = (Fraction(1),) * len(fw.graph.edges)
+    return find_nonparallelizable_stress(fw, [w], chart, seed=0)
 
 
 def forceload_of_zero_stress(fw, chart):
-    return forceload_from_stress(fw, Stress({e: 0 for e in fw.graph.edges}), chart)
+    return forceload_from_stress(fw, (0,) * len(fw.graph.edges), chart)
 
 
 def reference_stress_of_forceload_of_zero_load(fw, chart):

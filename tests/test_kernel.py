@@ -20,9 +20,11 @@ from reference_oracle import reference_nullspace_basis, reference_self_stress_ba
 from tensec._kernel import echelon_int
 from tensec.framework import Framework, self_stress_basis
 from tensec.numeric import nullspace_basis
-from tensec.projective import ProjPoint
+from tensec.projective import AffineChart, ProjPoint
 from tensec.sampling import random_placement
 from test_framework import _complete_edges, _named, _petersen_edges, _wheel_edges
+
+STANDARD = AffineChart.standard()
 
 
 @st.composite
@@ -114,8 +116,9 @@ def collinear_placement(g, seed):
 def test_self_stress_basis_matches_bareiss_reference(name, seed):
     g = STRESS_GRAPHS[name]
     generic = random_placement(g, seed, bound=60)
-    assert self_stress_basis(generic) == reference_self_stress_basis(generic)
+    assert (self_stress_basis(generic, STANDARD)
+            == reference_self_stress_basis(generic, STANDARD))
     collinear = collinear_placement(g, seed)
-    basis = self_stress_basis(collinear)
-    assert basis == reference_self_stress_basis(collinear)
+    basis = self_stress_basis(collinear, STANDARD)
+    assert basis == reference_self_stress_basis(collinear, STANDARD)
     assert len(basis) == len(g.edges) - len(g.vertices) + 1

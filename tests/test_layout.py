@@ -16,6 +16,11 @@ that shares its name with a live method is out of its reach.
 
 Every name a library module imports is loaded in that module.
 
+Every parameter default is an option the library uses both ways: matched
+by name as above, one library call leaves the parameter out and another
+sets it.  A default that no call sets, or that every call sets, only
+serves the tests, which pass the value themselves.
+
 Rationals exist only at the boundary: the name `Fraction` is loaded only
 in the functions of `FRACTION_BOUNDARY`, and every other function computes
 in ints.
@@ -45,6 +50,13 @@ EXTRA_ROOTS = (
 #: points as integer triples).  A parsed rational is cleared to ints once,
 #: into a canonical triple (`numeric.clear_denominators`).
 FRACTION_BOUNDARY = ("numeric.scalar_from_string", "projective.random_fraction")
+
+#: Defaults that library calls use one way only, each for its reason.
+ONE_SIDED_DEFAULTS = (
+    # The console script calls `main()`; the benchmark and the tests pass
+    # their own argv.
+    "main(argv)",
+)
 
 
 def _definitions(path: Path):
@@ -172,6 +184,71 @@ def test_library_imports_are_used():
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused += [f"{path.stem}.{name}" for name in sorted(imported - loaded)]
     assert unused == []
+
+
+def _callables(module: ast.Module):
+    """(name it is called by, bound arguments, node) of every function
+    defined in a module, nested ones included: a class's `__init__` is
+    called by the class name, and a method gets its instance or class
+    bound unless it is a staticmethod."""
+    methods = {}
+    for node in ast.walk(module):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    name = node.name if item.name == "__init__" else item.name
+                    methods[item] = (name, 0 if static else 1)
+    for node in ast.walk(module):
+        if isinstance(node, ast.FunctionDef):
+            name, bound = methods.get(node, (node.name, 0))
+            yield name, bound, node
+
+
+def _defaults(fn: ast.FunctionDef):
+    """(position, name) of each parameter with a default; the position of
+    a keyword-only parameter is None."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args]
+    first = len(positional) - len(a.defaults)
+    yield from ((i, p.arg) for i, p in enumerate(positional) if i >= first)
+    yield from ((None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None)
+
+
+def one_sided_defaults():
+    """`name(parameter)` of each library default that no library call
+    leaves out or no library call sets, sorted.  A call that spreads `*` or
+    `**` arguments counts as setting every parameter past its plain ones."""
+    modules = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(LIBRARY.glob("*.py"))]
+    calls = {}
+    for module in modules:
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                plain = next((i for i, arg in enumerate(node.args)
+                              if isinstance(arg, ast.Starred)), len(node.args))
+                spread = plain < len(node.args) or any(k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (plain, spread, {k.arg for k in node.keywords}))
+    found = []
+    for module in modules:
+        for name, bound, fn in _callables(module):
+            for position, param in _defaults(fn):
+                ways = {spread or param in keywords
+                        or (position is not None and position < bound + plain)
+                        for plain, spread, keywords in calls.get(name, ())}
+                if ways != {True, False}:
+                    found.append(f"{name}({param})")
+    return sorted(found)
+
+
+def test_every_default_is_left_out_and_set():
+    assert one_sided_defaults() == sorted(ONE_SIDED_DEFAULTS)
 
 
 def test_fraction_stays_at_the_boundary():

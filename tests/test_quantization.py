@@ -22,7 +22,7 @@ from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
                               framework_in_general_position, is_equilibrium,
                               is_non_parallelizable, self_stress_basis)
 from tensec.conditions import fulfilled_with_witness, generate_system
-from tensec.projective import (Force, ProjLine, line_of_force,
+from tensec.projective import (AffineChart, Force, ProjLine, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import (Quantization, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
@@ -32,10 +32,12 @@ from tensec.resolution import leaf_forces
 from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
                              random_placement)
 
+STANDARD = AffineChart.standard()
+
 
 def stressed_quantization(fw):
-    w = self_stress_basis(fw)[0]
-    return quantization_from_stress(fw, forceload_from_stress(fw, w),
+    w = self_stress_basis(fw, STANDARD)[0]
+    return quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                     default_trees(fw.graph)), w
 
 
@@ -46,8 +48,9 @@ def wheel_framework(seed=0, graph=WHEEL5_GRAPH):
         fw = random_placement(graph, s, bound=60)
         if not framework_in_general_position(fw):
             continue
-        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
-        if w is not None and all(x != 0 for x in w.weights.values()):
+        w = find_nonparallelizable_stress(
+            fw, self_stress_basis(fw, STANDARD), STANDARD, seed=0)
+        if w is not None and all(x != 0 for x in w):
             return fw, w
 
 
@@ -69,7 +72,7 @@ def test_quantization_requires_nonparallelizable_load():
 
 def test_wheel_quantization_hub_label():
     fw, w = wheel_framework()
-    fl = forceload_from_stress(fw, w)
+    fl = forceload_from_stress(fw, w, STANDARD)
     q = quantization_from_stress(fw, fl, default_trees(fw.graph))
     assert sorted(q.interior_labels) == [("p1", 1)]
     assert q.interior_labels[("p1", 1)].contains(fw.placement["p1"])
@@ -78,7 +81,7 @@ def test_wheel_quantization_hub_label():
 
 def test_scaled_forceload_gives_identical_quantization():
     fw, w = wheel_framework(3)
-    fl = forceload_from_stress(fw, w)
+    fl = forceload_from_stress(fw, w, STANDARD)
     trees = default_trees(fw.graph)
     q1 = quantization_from_stress(fw, fl, trees)
     scaled = ForceLoad({p: f.scaled(Fraction(7, 3)) for p, f in fl.forces.items()})
@@ -180,22 +183,22 @@ def test_construct_forceload_roundtrip_desargues():
     assert all(not f.is_zero() for f in ind.forces.values())
     assert is_equilibrium(DESARGUES_POS, ind)
     assert is_non_parallelizable(DESARGUES_POS, ind)
-    got = reference_stress_of_forceload(DESARGUES_POS, ind)
-    ratios = {got.weights[e] / w.weights[e] for e in w.weights}
+    got = reference_stress_of_forceload(DESARGUES_POS, ind, STANDARD)
+    ratios = {g / x for g, x in zip(got, w)}
     assert len(ratios) == 1
 
 
 def test_construct_forceload_roundtrip_pascal_and_wheel():
-    for fw, w in ((PASCAL_POS, self_stress_basis(PASCAL_POS)[0]),
+    for fw, w in ((PASCAL_POS, self_stress_basis(PASCAL_POS, STANDARD)[0]),
                   wheel_framework(9)):
-        fl = forceload_from_stress(fw, w)
+        fl = forceload_from_stress(fw, w, STANDARD)
         q = quantization_from_stress(fw, fl, default_trees(fw.graph))
         assert is_consistent(q, 4, consistency_cycles(fw.graph))
         assert is_consistent(q, 4, cycles=simple_cycles(fw.graph))
         ind = construct_forceload(q)
         assert is_equilibrium(fw, ind)
-        got = reference_stress_of_forceload(fw, ind)
-        ratios = {got.weights[e] / w.weights[e] for e in w.weights}
+        got = reference_stress_of_forceload(fw, ind, STANDARD)
+        ratios = {g / x for g, x in zip(got, w)}
         assert len(ratios) == 1
 
 
@@ -214,7 +217,7 @@ def test_oracle_load_has_content_one(spokes):
     """The load of the accepted stress is divided by the gcd of its
     entries; undivided, its gcd had 33-46 bits on these wheels."""
     fw, w = wheel_framework(graph=wheel_graph(spokes))
-    fl = forceload_from_stress(fw, w)
+    fl = forceload_from_stress(fw, w, STANDARD)
     assert gcd(*(x for f in fl.forces.values() for x in f.dual)) == 1
     assert is_non_parallelizable(fw, fl)
 
@@ -228,8 +231,9 @@ def test_integer_forceload_is_a_positive_multiple_of_the_fraction_reference(name
         fw, w = wheel_framework(graph=wheel_graph(int(name[5:])))
     else:
         fw = {"desargues_pos": DESARGUES_POS, "pascal_pos": PASCAL_POS}[name]
-        w = self_stress_basis(fw)[0]
-    q = quantization_from_stress(fw, forceload_from_stress(fw, w), default_trees(fw.graph))
+        w = self_stress_basis(fw, STANDARD)[0]
+    q = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
+                                 default_trees(fw.graph))
     ours = construct_forceload(q)
     assert all(type(x) is int for f in ours.forces.values() for x in f.dual)
     positive_scale(ours.forces, fraction_construct_forceload(q).forces)
@@ -487,9 +491,10 @@ def quantized_frameworks(draw):
                           draw(st.integers(0, 10**6)), bound=60)
     assume(framework_in_general_position(fw))
     if kind == "oracle":
-        w = find_nonparallelizable_stress(fw, self_stress_basis(fw))
+        w = find_nonparallelizable_stress(
+            fw, self_stress_basis(fw, STANDARD), STANDARD, seed=0)
         assume(w is not None)
-        return fw, quantization_from_stress(fw, forceload_from_stress(fw, w),
+        return fw, quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                             default_trees(fw.graph)).interior_labels
     hub = fw.placement["h"]
     avoid = [fw.edge_line("h", r) for r in fw.graph.neighbors("h")]

@@ -13,7 +13,7 @@ from tensec.errors import GenericityError, GeometryError, InputError
 from tensec.framework import (edge_key, find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
                               read_json, self_stress_basis)
-from tensec.projective import (Force, ProjLine, ProjPoint, line_of_force,
+from tensec.projective import (AffineChart, Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import default_trees, quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
@@ -23,6 +23,7 @@ from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
                                scheme_hf_surgery, slot_edges)
 
 BASE = ProjPoint((0, 0, 1))
+STANDARD = AffineChart.standard()
 
 
 def scheme_with_lines(labels_by_edge, tree):
@@ -519,8 +520,8 @@ def wheel6_hub_scheme():
     `check --seed 6` finds it."""
     fw = framework_from_json(read_json(Path(__file__).parent / "golden"
                                        / "wheel6_framework.json"))
-    w = find_nonparallelizable_stress(fw, self_stress_basis(fw), seed=6)
-    return quantization_from_stress(fw, forceload_from_stress(fw, w),
+    w = find_nonparallelizable_stress(fw, self_stress_basis(fw, STANDARD), STANDARD, seed=6)
+    return quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                     default_trees(fw.graph)).scheme_at("h")
 
 

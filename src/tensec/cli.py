@@ -78,7 +78,7 @@ def _slot_witness(system, fw, stress, chart):
 
 def cmd_check(args) -> int:
     fw = framework_from_json(read_json(args.framework))
-    fw.graph.require_min_degree(3)
+    fw.graph.require_min_degree()
     chart = _parse_chart(args.chart)
     report = {"command": "check", "input": args.framework, "seed": args.seed}
 
@@ -114,8 +114,7 @@ def cmd_check(args) -> int:
         else:
             try:
                 consistent = is_consistent(
-                    quant or Quantization(fw, witness, system.trees),
-                    args.seed, cycles=cycles)
+                    quant or Quantization(fw, witness, system.trees), cycles)
             except PreconditionError as exc:
                 report["quantization_note"] = str(exc)
     report["quantization_consistent"] = consistent
@@ -159,7 +158,7 @@ def _tri(v) -> str:
 
 def cmd_conditions(args) -> int:
     g = graph_from_json(read_json(args.graph))
-    g.require_min_degree(3)
+    g.require_min_degree()
     system = generate_system(g)
     payload = system_to_json(system)
     if args.format == "json":
@@ -202,7 +201,7 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     g = graph_from_json(read_json(args.graph))
-    g.require_min_degree(3)
+    g.require_min_degree()
     with _phase(args, "compile"):
         system = generate_system(g)
     constrained = _constrained_generator(g)

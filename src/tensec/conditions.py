@@ -268,7 +268,7 @@ def generate_system(g: Graph) -> ConditionSystem:
     existence of a non-parallelizable tensegrity on frameworks in general
     position, which `check` tests first.
     """
-    g.require_min_degree(3)
+    g.require_min_degree()
     trees = default_trees(g)
     node = _node_table()
     labels = {v: vertex_labels(tree, v, node) for v, tree in trees.items()}

@@ -155,15 +155,16 @@ def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
     return total
 
 
-def is_trivial_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> bool:
-    """The monodromy is the identity of its line, applying the chain to one
-    point in place of three: the monodromy fixes the base point and the base
-    framing ^ aux, two distinct points since aux avoids every vertex, and a
-    projectivity of a line that fixes three distinct points is the identity.
+def is_trivial_monodromy(c: FramedCycle, aux: ProjLine) -> bool:
+    """The monodromy based at the first framing is the identity of its line,
+    applying the chain to one point in place of three: the monodromy fixes
+    the base point and the base framing ^ aux, two distinct points since aux
+    avoids every vertex, and a projectivity of a line that fixes three
+    distinct points is the identity.  Triviality depends neither on the base
+    nor on aux.
     """
-    m = monodromy(c, start, aux)
-    start %= len(c)
-    fixed = (c.points[start], meet(c.framings[start], aux))
+    m = monodromy(c, 0, aux)
+    fixed = (c.points[0], meet(c.framings[0], aux))
     p = next(p for p in _three_points(m.source) if p not in fixed)
     return m.apply(p) == p
 

@@ -116,10 +116,12 @@ class Graph:
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
 
-    def require_min_degree(self, k: int):
+    def require_min_degree(self):
+        """Every vertex has degree at least 3, the theorem's hypothesis on
+        the graph; InputError otherwise."""
         for v in self.vertices:
-            if self.degree(v) < k:
-                raise InputError(f"vertex {v!r} has degree {self.degree(v)} < {k}")
+            if self.degree(v) < 3:
+                raise InputError(f"vertex {v!r} has degree {self.degree(v)} < 3")
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.vertices == other.vertices
@@ -414,7 +416,7 @@ def framework_in_general_position(fw: Framework) -> bool:
     placement with a group.
     """
     g = fw.graph
-    g.require_min_degree(3)
+    g.require_min_degree()
     by_line = {}
     for e, line in fw._lines.items():
         by_line.setdefault(line.coeffs, []).append(e)

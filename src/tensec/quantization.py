@@ -91,7 +91,7 @@ class Quantization:
 
     def __post_init__(self):
         fw = self.framework
-        fw.graph.require_min_degree(3)
+        fw.graph.require_min_degree()
         slots = set(xi_slots(self.trees))
         if set(self.interior_labels) != slots:
             raise InputError(f"interior labels must cover exactly the slots {sorted(slots)}")
@@ -153,14 +153,16 @@ def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
                        [q.framing(*corner) for corner in cycle_corners(cycle)])
 
 
-def is_consistent_at(q: Quantization, cycle, seed: int) -> bool:
-    """Monodromy of the associated framed cycle is trivial."""
+def is_consistent_at(q: Quantization, cycle) -> bool:
+    """Monodromy of the associated framed cycle is trivial.  The auxiliary
+    line is seeded by the cycle's vertex ids alone: triviality does not
+    depend on it."""
     fc = framed_cycle_of(q, cycle)
     if not fc.in_general_position:
         raise PreconditionError(
             f"framed cycle {tuple(cycle)} is not in general position")
-    aux = pick_aux_line(fc, sub_seed(seed, ",".join(map(str, cycle))))
-    return is_trivial_monodromy(fc, 0, aux)
+    aux = pick_aux_line(fc, sub_seed(0, ",".join(map(str, cycle))))
+    return is_trivial_monodromy(fc, aux)
 
 
 #: Most vertices of one consistency cycle.  A condition nests about two
@@ -217,10 +219,10 @@ def _canonical_cycle(seq):
     return best
 
 
-def is_consistent(q: Quantization, seed: int, cycles) -> bool:
+def is_consistent(q: Quantization, cycles) -> bool:
     """Every cycle of `cycles`, such as the `consistency_cycles` of the
-    framework's graph, has a trivial monodromy."""
-    return all(is_consistent_at(q, c, seed) for c in cycles)
+    framework's graph, has a trivial monodromy (`is_consistent_at`)."""
+    return all(is_consistent_at(q, c) for c in cycles)
 
 
 def construct_forceload(q: Quantization) -> ForceLoad:

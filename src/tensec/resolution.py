@@ -4,17 +4,18 @@ A scheme resolves the force balance at a vertex: each tree edge carries a
 line through the base point, and an equilibrium force-load assigns a force
 along that line to every edge so that the three forces at each interior tree
 node cancel.  That load is unique up to scale, and `scheme_forceload`
-computes it in integers.  The H-to-Phi surgery rewires an interior edge
-and relabels it with the line of the two forces that come together at the
-new node; walking surgeries along a leaf-to-leaf path until the two leaves
-share a node defines the associated framing of a pair of host edges, the
-label of the third edge at that node.  A surgery keeps the leaf forces up to one scale,
-and the third edge balances the pair, so the framing is the line of the sum
-of the two leaf forces: `associated_framing` computes it that way.  The walk
-remains the definition, and `rewire` takes the label of the fresh edge as a
-rule, so `scheme_hf_surgery` walks it with lines.  The condition compiler
-follows the same walk with expression labels, folded over the original leaf
-path by `fold_to_shared_node`, which builds no tree.
+computes the canonical one, seeded on the first tree edge, in integers.
+The H-to-Phi surgery rewires an interior edge and relabels it with the line
+of the two forces that come together at the new node; walking surgeries
+along a leaf-to-leaf path until the two leaves share a node defines the
+associated framing of a pair of host edges, the label of the third edge at
+that node.  A surgery keeps the leaf forces up to one scale, and the third
+edge balances the pair, so the framing is the line of the sum of the two
+leaf forces: `associated_framing` computes it that way.  The walk remains
+the definition, and `rewire` takes the label of the fresh edge as a rule,
+so `scheme_hf_surgery` walks it with lines.  The condition compiler follows
+the same walk with expression labels, folded over the original leaf path by
+`fold_to_shared_node`, which builds no tree.
 """
 
 from __future__ import annotations
@@ -87,11 +88,6 @@ class BinaryTree:
         except KeyError:
             raise InputError(f"no leaf labeled {label!r}") from None
 
-    def is_interior(self, edge) -> bool:
-        u, v = edge
-        return (v in self.adjacency.get(u, ())
-                and self.degree(u) == 3 and self.degree(v) == 3)
-
     def interior_edges(self):
         """The edges between two degree-3 nodes, in the order of `edges`."""
         return self._interior
@@ -107,9 +103,6 @@ class BinaryTree:
     def path(self, a: int, b: int):
         """Nodes of the tree path from a to b."""
         return root_path(bfs_parents(self.adjacency, a), b)[::-1]
-
-    def fresh_node(self) -> int:
-        return max(self.adjacency) + 1
 
 
 def default_tree(leaf_labels) -> BinaryTree:
@@ -169,18 +162,18 @@ class ResolutionScheme:
 
     @cached_property
     def forceload(self) -> dict:
-        """Canonical equilibrium force-load, in coprime integers: the positive
-        integer multiple of the load seeded on the first tree edge with its
-        label's coefficients (`scheme_forceload`).  Computed once; surgeries,
-        framings and strong genericity only need it up to positive scale."""
-        seed = self.tree.edges()[0]
-        return scheme_forceload(self, seed, Force(self.labels[seed].coeffs))
+        """`scheme_forceload` of the scheme, computed once; surgeries,
+        framings and strong genericity only need it up to scale."""
+        return scheme_forceload(self)
 
     @cached_property
     def leaf_forces(self) -> dict:
-        """`leaf_forces` of the canonical force-load, by leaf label.
-        Computed once; framings and strong genericity read it."""
-        return leaf_forces(self, self.forceload)
+        """Force of the canonical load at each leaf edge, applied at its
+        interior endpoint, by leaf label.  Computed once; framings and
+        strong genericity read it."""
+        forces, adjacency = self.forceload, self.tree.adjacency
+        return {label: forces[(adjacency[node][0], node)]
+                for node, label in self.tree.leaf_labels.items()}
 
     @cached_property
     def strongly_generic(self) -> bool:
@@ -226,18 +219,19 @@ def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
     raise GeometryError("cannot decompose along equal lines")
 
 
-def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
-    """Equilibrium force-load extending a nonzero seed force, in integers.
+def scheme_forceload(s: ResolutionScheme):
+    """Canonical equilibrium force-load of a weakly generic scheme, in
+    coprime integers.
 
     Returns a dict mapping ordered node pairs (u, v) to the force applied at
     u along edge uv; opposite orientations are negatives.  The load is
-    unique up to scale exactly when the scheme is weakly generic, and the
-    one returned is the positive integer multiple of the load extending
-    `seed_force` whose entries are coprime.  It propagates from the seed
-    edge, seeded with the label's coefficients signed as the seed force:
-    at every degree-3 node the incoming force is split along the other two
-    labels by `_decompose`, whose positive factor k rescales the load built
-    so far.  The load needs no division by its content: the seed, a label's
+    unique up to scale exactly when the scheme is weakly generic (else
+    GenericityError), and the one returned is the positive integer multiple
+    of the load whose force at u along the first tree edge (u, v) is the
+    label's coefficients.  It propagates from that edge: at every degree-3
+    node the incoming force is split along the other two labels by
+    `_decompose`, whose positive factor k rescales the load built so far.
+    The load needs no division by its content: the seed, a label's
     coefficients, is primitive, and a split of a load of content 1 scales
     it by k and adds the forces x a and y b, with a and b the primitive
     coefficients of the two labels, so the new content is gcd(k, x, y),
@@ -245,13 +239,8 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     """
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
-    key = edge_key(*seed_edge)
-    if seed_force.is_zero() or line_of_force(seed_force) != s.labels[key]:
-        raise GeometryError("seed force must be nonzero along the seed edge label")
-    u, v = seed_edge
-    seed = Force(s.labels[key].coeffs)
-    if next(filter(None, seed_force.dual)) < 0:
-        seed = -seed
+    u, v = s.tree.edges()[0]
+    seed = Force(s.label(u, v).coeffs)
     forces = {(u, v): seed, (v, u): -seed}
     # (node, the neighbor whose force at that node is known)
     stack = [(u, v), (v, u)]
@@ -269,15 +258,6 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
     return forces
-
-
-def leaf_forces(s: ResolutionScheme, forces) -> dict:
-    """Force at each leaf edge, applied at its interior endpoint, by label."""
-    out = {}
-    for node, label in s.tree.leaf_labels.items():
-        interior = s.tree.adjacency[node][0]
-        out[label] = forces[(interior, node)]
-    return out
 
 
 def is_strongly_generic(s: ResolutionScheme) -> bool:
@@ -303,7 +283,7 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
     Labels may be lines or expressions.  Returns (tree, labels).
     """
     v1, v2 = edge
-    if not tree.is_interior(edge_key(v1, v2)):
+    if edge_key(v1, v2) not in tree.interior_edges():
         raise InputError(f"({v1},{v2}) is not an interior edge")
     side1 = [n for n in tree.adjacency[v1] if n != v2]
     side2 = [n for n in tree.adjacency[v2] if n != v1]
@@ -314,7 +294,7 @@ def rewire(tree: BinaryTree, labels: dict, edge, pairing, new_label):
     n6 = side2[0] if side2[1] == n5 else side2[1]
     fresh = new_label(tree, labels, ((v1, v2), (v1, n3), (v1, n4), (v2, n5), (v2, n6)))
 
-    a = tree.fresh_node()
+    a = max(tree.adjacency) + 1
     b = a + 1
     adjacency = {u: list(vs) for u, vs in tree.adjacency.items() if u not in (v1, v2)}
     for node, old, new in ((n3, v1, a), (n5, v2, a), (n4, v1, b), (n6, v2, b)):
@@ -377,37 +357,29 @@ def fold_to_shared_node(tree: BinaryTree, labels: dict, leaf_a, leaf_b, rule):
     return side
 
 
-def _paired_line(s: ResolutionScheme, h) -> ProjLine:
-    """Line of force of the two forces an H-to-Phi surgery of s brings
-    together at a fresh node (h as in `rewire`)."""
-    forces = s.forceload
-    combined = forces[h[1]] + forces[h[3]]
-    if combined.is_zero():
-        raise GeometryError("surgery undefined: the paired forces cancel")
-    return line_of_force(combined)
-
-
 def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing) -> ResolutionScheme:
     """Rewire the H at an interior edge into the Phi pairing.
 
     The tree is rewired as in `rewire`; the fresh interior edge is labeled
-    by the line of force of the two forces meeting at the new node.
-    `pairing` = (v3, v5) selects which neighbors come together.
+    by the line of force of the sum of the two forces of the canonical load
+    (h[1] and h[3] in `rewire`'s node pairs) that come together at the new
+    node.  `pairing` = (v3, v5) selects which neighbors come together.
 
-    Raises GenericityError unless the scheme is strongly generic.  A walk
-    of surgeries may check that once and rewire with `_hf_rewire`: a
-    surgery keeps the leaf forces up to one scale, and strong genericity
-    depends on nothing else.
+    Raises GenericityError unless the scheme is strongly generic; a surgery
+    keeps the leaf forces up to one scale, so its result is strongly
+    generic too.
     """
     if not s.strongly_generic:
         raise GenericityError("scheme is not strongly generic")
-    return _hf_rewire(s, interior_edge, pairing)
+    forces = s.forceload
 
+    def paired_line(tree, labels, h):
+        combined = forces[h[1]] + forces[h[3]]
+        if combined.is_zero():
+            raise GeometryError("surgery undefined: the paired forces cancel")
+        return line_of_force(combined)
 
-def _hf_rewire(s: ResolutionScheme, interior_edge, pairing) -> ResolutionScheme:
-    """`scheme_hf_surgery` without its strong-genericity check."""
-    tree, labels = rewire(s.tree, s.labels, interior_edge, pairing,
-                          lambda tree, labels, h: _paired_line(s, h))
+    tree, labels = rewire(s.tree, s.labels, interior_edge, pairing, paired_line)
     return ResolutionScheme(tree, s.base, labels)
 
 

@@ -28,7 +28,7 @@ def all_cycles_system(g) -> ConditionSystem:
     """One condition per simple cycle of `simple_cycles`, built exactly as
     `generate_system` builds the condition of a fundamental cycle, through
     a node table of its own."""
-    g.require_min_degree(3)
+    g.require_min_degree()
     trees = default_trees(g)
     node = _node_table()
     labels = {v: vertex_labels(tree, v, node) for v, tree in trees.items()}

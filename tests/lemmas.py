@@ -47,13 +47,13 @@ import random
 from fractions import Fraction
 
 from tensec.cycles import FramedCycle, LineMap, _three_points
-from tensec.errors import GenericityError, GeometryError, PreconditionError
+from tensec.errors import GeometryError, PreconditionError
 from tensec.framework import Framework, Graph, edge_key
 from tensec.numeric import nullspace_basis
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint, _cross,
                                distinct_crossings, join, line_of_force, meet,
                                pairwise_meets, random_fraction, random_line_avoiding)
-from tensec.resolution import (BinaryTree, ResolutionScheme, _hf_rewire, rewire,
+from tensec.resolution import (BinaryTree, ResolutionScheme, rewire, scheme_hf_surgery,
                                shared_node_edge)
 from tensec.sampling import random_affine_point
 
@@ -349,11 +349,10 @@ def enumerate_equivalent_schemes(s: ResolutionScheme):
     """One scheme per leaf-labeled tree topology, reached by surgeries.
 
     Breadth-first closure over all interior edges and both pairings;
-    deterministic order (sorted by topology key).  Strong genericity is
-    checked once, on `s`; every surgery keeps it.
+    deterministic order (sorted by topology key).  Each surgery checks
+    strong genericity (`scheme_hf_surgery`, GenericityError), which every
+    surgery keeps.
     """
-    if not s.strongly_generic:
-        raise GenericityError("scheme is not strongly generic")
     seen = {topology_key(s.tree): s}
     queue = [s]
     while queue:
@@ -364,7 +363,7 @@ def enumerate_equivalent_schemes(s: ResolutionScheme):
             side2 = [n for n in cur.tree.adjacency[v2] if n != v1]
             for n3 in side1:
                 for n5 in side2:
-                    nxt = _hf_rewire(cur, e, pairing=(n3, n5))
+                    nxt = scheme_hf_surgery(cur, e, pairing=(n3, n5))
                     key = topology_key(nxt.tree)
                     if key not in seen:
                         seen[key] = nxt

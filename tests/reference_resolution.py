@@ -5,9 +5,10 @@ and the framework force-load construction that integer scales replaced.
 `solve_in_span` (from `numeric`), `_decompose` and `scheme_forceload` (from
 `resolution`), and `construct_forceload` and `_ratio` (from
 `quantization`) are kept verbatim.  `scheme_forceload` here returns the load
-extending its seed force exactly, in Fractions; the library's returns the
-positive integer multiple of it with coprime entries, so the tests compare
-the two up to one positive scale.  `construct_forceload` here scales the
+extending a seed force on any edge exactly, in Fractions; the library's
+returns the one canonical load of the scheme in coprime integers.  The load
+is unique up to scale, so the tests compare the two up to one nonzero scale
+(`nonzero_scale`).  `construct_forceload` here scales the
 vertex loads by Fraction ratios, the smallest vertex by 1; the library's
 scales them by integers, each a positive multiple of these, so the tests
 compare the two up to one positive scale as well.
@@ -19,7 +20,7 @@ from tensec.errors import GenericityError, GeometryError, InconsistentQuantizati
 from tensec.framework import ForceLoad, bfs_parents, edge_key
 from tensec.projective import Force, ProjLine, line_of_force
 from tensec.quantization import Quantization, _tree_cycle
-from tensec.resolution import ResolutionScheme, is_weakly_generic, leaf_forces
+from tensec.resolution import ResolutionScheme, is_weakly_generic
 
 
 def solve_in_span(v, a, b, off_span: str, parallel: str):
@@ -104,7 +105,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
         scheme = q.scheme_at(v)
         if any(f.is_zero() for f in scheme.forceload.values()):
             raise GeometryError("constructed force-load vanishes on an edge")
-        leaf[v] = leaf_forces(scheme, scheme.forceload)
+        leaf[v] = scheme.leaf_forces
     parent = bfs_parents(g.adjacency, min(g.vertices))
     scale = {}
     for v, u in parent.items():
@@ -130,9 +131,9 @@ def _ratio(a: Force, b: Force) -> Fraction:
     return Fraction(a.dual[i], b.dual[i])
 
 
-def positive_scale(got: dict, ref: dict):
-    """The one positive Fraction k with got[key] = k ref[key] for every key
-    of two loads on the same keys; AssertionError if there is none."""
+def nonzero_scale(got: dict, ref: dict):
+    """The one Fraction k with got[key] = k ref[key] for every key of two
+    loads on the same keys, not all zero; AssertionError if there is none."""
     assert got.keys() == ref.keys()
     scale = None
     for key, f in ref.items():
@@ -141,5 +142,12 @@ def positive_scale(got: dict, ref: dict):
         assert got[key].dual == tuple(k * x for x in f.dual)
         assert scale is None or k == scale
         scale = k
+    assert scale
+    return scale
+
+
+def positive_scale(got: dict, ref: dict):
+    """`nonzero_scale` of two loads, asserted positive."""
+    scale = nonzero_scale(got, ref)
     assert scale > 0
     return scale

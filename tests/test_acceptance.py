@@ -202,8 +202,8 @@ def test_criterion_9_quantization_roundtrip_on_fixtures():
         w = self_stress_basis(fw, STANDARD)[0]
         quant = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                          default_trees(fw.graph))
-        assert is_consistent(quant, seed=13, cycles=consistency_cycles(fw.graph))
-        assert is_consistent(quant, seed=13, cycles=simple_cycles(fw.graph))
+        assert is_consistent(quant, consistency_cycles(fw.graph))
+        assert is_consistent(quant, simple_cycles(fw.graph))
         ind = construct_forceload(quant)
         assert is_equilibrium(fw, ind)
         assert is_non_parallelizable(fw, ind)

@@ -538,6 +538,35 @@ def test_check_and_verify_json_match_recorded_digest(command, name, seed, tmp_pa
     assert hashlib.sha256(out.encode()).hexdigest() == digests[f"{command} {name} {seed}"]
 
 
+#: Slot graphs, whose quantization runs monodromies under a witness derived
+#: from the oracle's load, for the `check` digests across seeds.
+_SEED_DIGEST_GRAPHS = {**{f"wheel{k}": _wheel_graph_json(k) for k in range(4, 10)},
+                       **{f"K{n}": _complete_graph_json(n) for n in range(5, 8)}}
+
+
+@pytest.mark.parametrize("name", sorted(_SEED_DIGEST_GRAPHS))
+def test_check_json_matches_recorded_digest_across_seeds(name, tmp_path, monkeypatch,
+                                                         capsys):
+    # `check --format json` at seeds 0, 5 and 17 on placements 1-3; the
+    # digests are the sha256 of the reports printed while consistency still
+    # took the command's seed for its auxiliary lines
+    from tensec.framework import graph_from_json
+    from tensec.sampling import random_placement
+
+    monkeypatch.chdir(tmp_path)
+    g = graph_from_json(_SEED_DIGEST_GRAPHS[name])
+    digests = json.loads((GOLDEN / "check_seeds_json.sha256.json").read_text())
+    for placement in (1, 2, 3):
+        path = Path(f"{name}-{placement}.json")
+        path.write_text(json.dumps(framework_to_json(random_placement(g, placement,
+                                                                      bound=60))))
+        for seed in (0, 5, 17):
+            assert main(["check", path.name, "--seed", str(seed), "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            key = f"{name} {placement} {seed}"
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[key], key
+
+
 def test_conditions_json_contains_ast(files, capsys):
     assert main(["conditions", files["wheel"], "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

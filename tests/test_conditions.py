@@ -109,7 +109,7 @@ def test_xi_space_slot_counts():
 def reference_xi_space(g: Graph):
     """The slots as the configuration space once counted them, by vertex
     degree (kept as the reference of `xi_slots`)."""
-    g.require_min_degree(3)
+    g.require_min_degree()
     slots = []
     for v in g.vertices:
         for idx in range(1, g.degree(v) - 3 + 1):

@@ -273,11 +273,11 @@ def matrix_monodromy(c: FramedCycle, start: int, aux: ProjLine) -> MatrixLineMap
        start=st.integers(0, 7))
 def test_one_point_triviality_matches_three_point_test(k, seed, equilibrium, start):
     # the monodromy fixes two points of its base framing, so one more point
-    # decides it; `is_trivial` applies three
+    # decides it; `is_trivial` applies three, here at any base
     c = random_framed_cycle(k, seed, equilibrium=equilibrium)
     aux = pick_aux_line(c, seed)
-    assert is_trivial_monodromy(c, start, aux) == is_trivial(monodromy(c, start, aux))
-    assert is_trivial_monodromy(c, start, aux) == equilibrium
+    assert is_trivial_monodromy(c, aux) == is_trivial(monodromy(c, start, aux))
+    assert is_trivial(monodromy(c, start, aux)) == equilibrium
 
 
 @settings(max_examples=40, deadline=None)
@@ -326,8 +326,9 @@ def test_framed_cycle_decides_general_position_once(monkeypatch):
     c = random_framed_cycle(6, 5, equilibrium=True)
     aux = pick_aux_line(c, 5)
     assert c.in_general_position
+    assert is_trivial_monodromy(c, aux)
     for start in range(len(c)):
-        assert is_trivial_monodromy(c, start, aux)
+        assert is_trivial(monodromy(c, start, aux))
     assert len(calls) == 1
 
 

@@ -333,7 +333,7 @@ def cycle_in_general_position(fw: Framework, cycle) -> bool:
 
 def reference_framework_in_general_position(fw: Framework) -> bool:
     """Every simple cycle on at most n-1 vertices is in general position."""
-    fw.graph.require_min_degree(3)
+    fw.graph.require_min_degree()
     n = len(fw.graph.vertices)
     for cycle in enumerate_simple_cycles(fw.graph, n - 1):
         if not cycle_in_general_position(fw, cycle):

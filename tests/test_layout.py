@@ -154,10 +154,6 @@ def test_only_these_definitions_live_for_the_tracer():
     # (ROADMAP item 2 retires those pins and empties this list)
     assert unreached(traced=False) == [
         "conditions.evaluate",
-        "resolution.BinaryTree.fresh_node",
-        "resolution.BinaryTree.is_interior",
-        "resolution._hf_rewire",
-        "resolution._paired_line",
         "resolution.rewire",
         "resolution.scheme_hf_surgery",
     ]

@@ -24,11 +24,11 @@ from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
 from tensec.conditions import fulfilled_with_witness, generate_system
 from tensec.projective import (AffineChart, Force, ProjLine, line_of_force,
                                pick_generic_line_through)
+from tensec.cycles import is_trivial_monodromy, pick_aux_line
 from tensec.quantization import (Quantization, construct_forceload,
                                  consistency_cycles, default_trees, framed_cycle_of,
                                  is_consistent, is_consistent_at,
                                  quantization_from_stress)
-from tensec.resolution import leaf_forces
 from tensec.sampling import (desargues_concurrent_placement, random_affine_point,
                              random_placement)
 
@@ -109,26 +109,31 @@ def test_framed_cycle_must_omit_a_vertex():
 
 def test_consistency_on_fixtures():
     q_pos, _ = stressed_quantization(DESARGUES_POS)
-    assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed=5)
+    assert is_consistent_at(q_pos, ("p2", "p3", "p6"))
     q_neg = Quantization(DESARGUES_NEG, {}, default_trees(DESARGUES_GRAPH))
-    assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed=5)
+    assert not is_consistent_at(q_neg, ("p2", "p3", "p6"))
     q_ppos, _ = stressed_quantization(PASCAL_POS)
     q_pneg = Quantization(PASCAL_NEG, {}, default_trees(PASCAL_GRAPH))
     # on the fundamental cycles and on every simple cycle
     for cycles in (consistency_cycles(DESARGUES_GRAPH), simple_cycles(DESARGUES_GRAPH)):
-        assert is_consistent(q_pos, seed=5, cycles=cycles)
-        assert not is_consistent(q_neg, seed=5, cycles=cycles)
+        assert is_consistent(q_pos, cycles)
+        assert not is_consistent(q_neg, cycles)
     for cycles in (consistency_cycles(PASCAL_GRAPH), simple_cycles(PASCAL_GRAPH)):
-        assert is_consistent(q_ppos, seed=5, cycles=cycles)
-        assert not is_consistent(q_pneg, seed=5, cycles=cycles)
+        assert is_consistent(q_ppos, cycles)
+        assert not is_consistent(q_pneg, cycles)
 
 
 def test_consistency_verdict_independent_of_seed():
+    # consistency seeds its auxiliary line by the cycle alone; the monodromy
+    # under lines of other seeds decides the same
     q_pos, _ = stressed_quantization(DESARGUES_POS)
     q_neg = Quantization(DESARGUES_NEG, {}, default_trees(DESARGUES_GRAPH))
-    for seed in (1, 17, 3333):
-        assert is_consistent_at(q_pos, ("p2", "p3", "p6"), seed)
-        assert not is_consistent_at(q_neg, ("p2", "p3", "p6"), seed)
+    cycle = ("p2", "p3", "p6")
+    for q, consistent in ((q_pos, True), (q_neg, False)):
+        assert is_consistent_at(q, cycle) == consistent
+        fc = framed_cycle_of(q, cycle)
+        for seed in (1, 17, 3333):
+            assert is_trivial_monodromy(fc, pick_aux_line(fc, seed)) == consistent
 
 
 def test_generators_mode_agrees_with_full_mode_on_fixtures():
@@ -138,8 +143,8 @@ def test_generators_mode_agrees_with_full_mode_on_fixtures():
             q, _ = stressed_quantization(fw)
         else:
             q = Quantization(fw, {}, default_trees(fw.graph))
-        assert is_consistent(q, 2, cycles=simple_cycles(fw.graph)) == positive
-        assert is_consistent(q, 2, consistency_cycles(fw.graph)) == positive
+        assert is_consistent(q, simple_cycles(fw.graph)) == positive
+        assert is_consistent(q, consistency_cycles(fw.graph)) == positive
 
 
 def random_min_degree3_graphs(count):
@@ -193,8 +198,8 @@ def test_construct_forceload_roundtrip_pascal_and_wheel():
                   wheel_framework(9)):
         fl = forceload_from_stress(fw, w, STANDARD)
         q = quantization_from_stress(fw, fl, default_trees(fw.graph))
-        assert is_consistent(q, 4, consistency_cycles(fw.graph))
-        assert is_consistent(q, 4, cycles=simple_cycles(fw.graph))
+        assert is_consistent(q, consistency_cycles(fw.graph))
+        assert is_consistent(q, simple_cycles(fw.graph))
         ind = construct_forceload(q)
         assert is_equilibrium(fw, ind)
         got = reference_stress_of_forceload(fw, ind, STANDARD)
@@ -266,7 +271,7 @@ class ResolutionGraph:
 
     def __post_init__(self):
         g = self.framework.graph
-        g.require_min_degree(3)
+        g.require_min_degree()
         if set(self.trees) != set(g.vertices):
             raise InputError("trees must cover exactly the framework vertices")
         for v, tree in self.trees.items():
@@ -554,7 +559,7 @@ def holonomy(q, cycle):
     leaf = {}
     for v in cycle:
         scheme = q.scheme_at(v)
-        leaf[v] = leaf_forces(scheme, scheme.forceload)
+        leaf[v] = scheme.leaf_forces
     h = Fraction(1)
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         a, b = leaf[u][edge_key(u, v)], leaf[v][edge_key(u, v)]
@@ -650,14 +655,14 @@ def test_consistency_is_trivial_holonomy(case, seed):
     g = fw.graph
     q = Quantization(fw, labels, default_trees(g))
     try:
-        per_cycle = {c: is_consistent_at(q, c, seed) for c in simple_cycles(g)}
+        per_cycle = {c: is_consistent_at(q, c) for c in simple_cycles(g)}
     except (GenericityError, PreconditionError):
         assume(False)  # a framed cycle outside general position
     for c, consistent in per_cycle.items():
         assert consistent == (holonomy(q, c) == 1), c
-    generators = is_consistent(q, seed, consistency_cycles(g))
+    generators = is_consistent(q, consistency_cycles(g))
     assert all(per_cycle.values()) == generators
-    assert is_consistent(q, seed, cycles=simple_cycles(g)) == generators
+    assert is_consistent(q, simple_cycles(g)) == generators
     assert (_outcome(lambda: construct_forceload(q))[1] is None) == generators
     fulfilled = {cycles: fulfilled_with_witness(system, fw, labels, seed)
                  for cycles, system in (("all", all_cycles_system(g)),
@@ -674,7 +679,7 @@ def test_holonomy_inputs_separate_the_cycle_modes():
                        (wheel, random_slot_lines(wheel, ["z"], 3))):
         assert framework_in_general_position(fw)
         q = Quantization(fw, labels, default_trees(fw.graph))
-        verdicts = {c: is_consistent_at(q, c, 0)
+        verdicts = {c: is_consistent_at(q, c)
                     for c in consistency_cycles(fw.graph)}
         assert set(verdicts.values()) == {True, False}
     assert verdicts[("r0", "r1", "r2", "r3")]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lemmas import enumerate_equivalent_schemes, topology_key, walk_to_shared_node
-from reference_resolution import _decompose, positive_scale
+from reference_resolution import _decompose, nonzero_scale, positive_scale
 from reference_resolution import scheme_forceload as fraction_scheme_forceload
 from tensec.errors import GenericityError, GeometryError, InputError
 from tensec.framework import (edge_key, find_nonparallelizable_stress,
@@ -19,7 +19,7 @@ from tensec.quantization import default_trees, quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
 from tensec.resolution import (BinaryTree, ResolutionScheme, associated_framing,
                                default_tree, fold_to_shared_node, is_strongly_generic,
-                               is_weakly_generic, leaf_forces, rewire, scheme_forceload,
+                               is_weakly_generic, rewire, scheme_forceload,
                                scheme_hf_surgery, slot_edges)
 
 BASE = ProjPoint((0, 0, 1))
@@ -248,33 +248,36 @@ def test_default_tree_matches_reference(labels):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n_leaves=st.integers(3, 10), seed=st.integers(0, 10**6))
 def test_forceload_matches_reference_from_every_seed_edge(n_leaves, seed):
+    # the load is unique up to scale: the canonical integer load is one
+    # nonzero multiple of the load seeded on any edge
     s = distinct_lines_scheme(n_leaves, seed)
+    got = scheme_forceload(s)
     for e in s.tree.edges():
         for seed_edge in (e, e[::-1]):
             f0 = Force(s.labels[e].coeffs)
-            got = scheme_forceload(s, seed_edge, f0)
             exact = fraction_scheme_forceload(s, seed_edge, f0)
             # the Fraction loads: equal forces, propagated in the same order
             assert list(exact.items()) == list(
                 reference_scheme_forceload(s, seed_edge, f0).items())
-            # the integer load: the same order, one positive scale
-            assert list(got) == list(exact)
-            positive_scale(got, exact)
+            nonzero_scale(got, exact)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n_leaves=st.integers(3, 10), seed=st.integers(0, 10**6),
        num=st.integers(-9, 9).filter(bool), den=st.integers(1, 9))
 def test_integer_forceload_is_the_coprime_positive_multiple(n_leaves, seed, num, den):
-    """Seeded with any rational multiple of its label, the integer load has
-    the lines and the ratios of the Fraction reference, one positive scale
-    apart, and coprime entries."""
+    """Against the Fraction load seeded on an edge with any rational
+    multiple of its label, the integer load has the same lines and ratios,
+    one nonzero scale apart, and coprime entries; it is the positive
+    multiple of the load seeded on the first edge with its label."""
     s = distinct_lines_scheme(n_leaves, seed)
     e = s.tree.edges()[seed % len(s.tree.edges())]
     f0 = Force(s.labels[e].coeffs).scaled(Fraction(num, den))
-    got = scheme_forceload(s, e, f0)
+    got = scheme_forceload(s)
     exact = fraction_scheme_forceload(s, e, f0)
-    positive_scale(got, exact)
+    scale = nonzero_scale(got, exact)
+    if e == s.tree.edges()[0]:
+        assert (scale > 0) == (num > 0)
     assert all(line_of_force(got[key]) == line_of_force(exact[key]) for key in got)
     assert all(type(x) is int for f in got.values() for x in f.dual)
     assert gcd(*(x for f in got.values() for x in f.dual)) == 1
@@ -327,19 +330,19 @@ def test_weak_genericity():
 
 def test_forceload_matches_hand_computation():
     s = worked_example()
-    fl = scheme_forceload(s, (0, 4), Force((-1, 0, 0)))
-    assert fl[(4, 0)] == Force((1, 0, 0))
-    assert fl[(4, 1)] == Force((-1, 1, 0))
-    assert fl[(4, 5)] == Force((0, -1, 0))
-    assert fl[(5, 2)] == Force((6, -3, 0))
-    assert fl[(5, 3)] == Force((-6, 2, 0))
+    # seeded with the coefficients of L13 on the first edge, (0, 4)
+    fl = scheme_forceload(s)
+    assert fl[(4, 0)] == Force((-1, 0, 0))
+    assert fl[(4, 1)] == Force((1, -1, 0))
+    assert fl[(4, 5)] == Force((0, 1, 0))
+    assert fl[(5, 2)] == Force((-6, 3, 0))
+    assert fl[(5, 3)] == Force((6, -2, 0))
 
 
 def test_forceload_equilibrium_and_nonzero_everywhere():
     for seed in (1, 2, 3):
         s = distinct_lines_scheme(5, seed)
-        seed_edge = s.tree.edges()[0]
-        fl = scheme_forceload(s, seed_edge, Force(s.labels[seed_edge].coeffs))
+        fl = scheme_forceload(s)
         for node, nbrs in s.tree.adjacency.items():
             if len(nbrs) == 3:
                 total = Force((0, 0, 0))
@@ -355,13 +358,9 @@ def test_forceload_scales_linearly():
     ref3 = fraction_scheme_forceload(s, (0, 4), Force((-3, 0, 0)))
     for key in ref1:
         assert ref3[key] == ref1[key].scaled(3)
-    # the integer load is the coprime positive multiple: a positive seed
-    # scale leaves it as it is, a negative one negates it
-    fl1 = scheme_forceload(s, (0, 4), Force((-1, 0, 0)))
-    assert scheme_forceload(s, (0, 4), Force((-3, 0, 0))) == fl1
-    assert scheme_forceload(s, (0, 4), Force((Fraction(-2, 7), 0, 0))) == fl1
-    assert scheme_forceload(s, (0, 4), Force((5, 0, 0))) == {
-        key: -f for key, f in fl1.items()}
+    # the integer load is the one coprime multiple of both
+    assert nonzero_scale(scheme_forceload(s), ref1) == -1
+    assert nonzero_scale(scheme_forceload(s), ref3) == Fraction(-1, 3)
 
 
 def test_forceload_independent_of_propagation_order():
@@ -396,18 +395,16 @@ def test_forceload_independent_of_propagation_order():
         f0 = Force(s.labels[e].coeffs)
         ref = bfs_forceload(s, e, f0)
         assert fraction_scheme_forceload(s, e, f0) == ref
-        positive_scale(scheme_forceload(s, e, f0), ref)
+        nonzero_scale(scheme_forceload(s), ref)
 
 
-def test_forceload_rejects_bad_seed_and_nongeneric_scheme():
+def test_forceload_rejects_nongeneric_scheme():
     s = worked_example()
-    with pytest.raises(GeometryError):
-        scheme_forceload(s, (0, 4), Force((0, 1, 0)))  # not along the label
     bad_labels = dict(s.labels)
     bad_labels[edge_key(0, 4)] = L12
     bad = scheme_with_lines(bad_labels, s.tree)
     with pytest.raises(GenericityError):
-        scheme_forceload(bad, (4, 5), Force(L12.coeffs))
+        scheme_forceload(bad)
 
 
 def twisted_example():
@@ -452,11 +449,8 @@ def test_surgery_matches_hand_computation():
     assert len(new_edges) == 1
     assert out.labels[new_edges[0]] == ProjLine((7, -3, 0))
     assert is_strongly_generic(out)
-    # leaf forces are preserved by the surgery
-    before = leaf_forces(s, scheme_forceload(s, edge_key(0, 4), Force(L13.coeffs)))
-    e0 = [e for e in out.tree.edges()
-          if out.labels[e] == L13 and not out.tree.is_interior(e)][0]
-    after = leaf_forces(out, scheme_forceload(out, e0, Force(L13.coeffs)))
+    # leaf forces, by leaf label, are preserved by the surgery up to scale
+    before, after = s.leaf_forces, out.leaf_forces
     scale = None
     for lab in before:
         f_b, f_a = before[lab], after[lab]
@@ -559,9 +553,7 @@ def test_force_structure_invariant():
     # that edge's label
     for seed in (3, 9):
         s = distinct_lines_scheme(6, seed)
-        e0 = s.tree.edges()[0]
-        fl = scheme_forceload(s, e0, Force(s.labels[e0].coeffs))
-        lf = leaf_forces(s, fl)
+        lf = s.leaf_forces
         for e in s.tree.interior_edges():
             side = s.tree.side_labels(e, e[0])
             total = Force((0, 0, 0))
@@ -575,9 +567,7 @@ def test_leaf_forces_determine_scheme():
     # two schemes on the same tree with the same leaf forces carry the same
     # labels
     s = distinct_lines_scheme(5, 12)
-    e0 = s.tree.edges()[0]
-    fl = scheme_forceload(s, e0, Force(s.labels[e0].coeffs))
-    lf = leaf_forces(s, fl)
+    lf = s.leaf_forces
     rebuilt = {}
     for e in s.tree.edges():
         u, v = e

@@ -16,6 +16,13 @@ before it.  Reading stops once every column has a pivot.
 A rigidity column has four nonzeros, so a row meets only the few pivot rows
 that share its columns, where a dense elimination updates every row below
 every pivot; the content division keeps the stored entries short.
+
+The kernel reads the rows in the order it is given, and the caller chooses
+that order.  The result's pivot columns do not depend on it, but the fill-in
+and the size of the entries do: the oracle's rigidity rows of GP(300,7),
+read in the order of its sorted vertex ids, grow entries of 11,719 bits,
+and read in reversed breadth-first order (`framework.self_stress_basis`)
+902.
 """
 
 from itertools import compress

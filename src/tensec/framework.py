@@ -174,9 +174,16 @@ class ForceLoad:
 
 
 def vertex_force_sum(fw: Framework, fl: ForceLoad, v: str) -> Force:
-    """Sum of the forces at v, in the type of their entries."""
-    forces = [fl.force(v, u) for u in fw.graph.neighbors(v)]
-    return sum(forces[1:], forces[0]) if forces else ZERO_FORCE
+    """Sum of the forces at v, in the type of their entries, added as raw
+    dual triples."""
+    forces = fl.forces
+    x = y = z = 0
+    for u in fw.graph.neighbors(v):
+        a, b, c = forces.get((v, u), ZERO_FORCE).dual
+        x += a
+        y += b
+        z += c
+    return Force((x, y, z))
 
 
 def is_equilibrium(fw: Framework, fl: ForceLoad) -> bool:
@@ -210,20 +217,45 @@ def self_stress_basis(fw: Framework, chart: AffineChart):
     Each stress is the tuple of its int weights in `fw.graph.edges` order.
     This is the brute-force oracle the rest of the package is validated
     against.
+
+    The rows go to the kernel vertex by vertex in reversed breadth-first
+    order from the smallest vertex a, so a comes last (Cuthill & McKee,
+    1969).  The order depends on the graph alone, not on how the input
+    lists its vertices, and it keeps the kernel's fill-in and entries small
+    (`_kernel`).  Three rows are left out: both rows of a, and one row
+    of b, the vertex just before a.  With (k0, k1) the chart's axes, that is
+    row (b, k0) if n_b[k1] != n_a[k1] (in ints, p_b[k1] s_a != p_a[k1]
+    s_b), and row (b, k1) otherwise.  This is exact: the two chart
+    translations and the rotation about a are left null vectors of the
+    system (a motion lambda with (lambda_v - lambda_u) . (n_v - n_u) = 0 on
+    every edge; column scaling keeps left null vectors).  On the left out
+    rows (a, k0), (a, k1) and b's they read (1, 0, t0), (0, 1, t1) and
+    (0, 0, r), where t_i is 1 if b's row is (b, k_i) and 0 otherwise, and r
+    is -(n_b[k1] - n_a[k1]) on row (b, k0) and n_b[k0] - n_a[k0] on row
+    (b, k1).  The choice above makes r nonzero, since distinct points differ
+    in a chart coordinate.  So that 3 x 3 matrix is invertible and each left
+    out row is a combination of the kept rows: the row space, the null
+    space, the pivot columns and the canonical basis are unchanged.
     """
     scale = _chart_scales(fw, chart)
-    _drop, keep = chart.axes()
+    _drop, (k0, k1) = chart.axes()
     g = fw.graph
+    p = fw.placement
     edges = g.edges
     col = {e: j for j, e in enumerate(edges)}
+    a, *reached = bfs_parents(g.adjacency, min(g.vertices))
+    kept = [(v, c) for v in reversed(reached) for c in (k0, k1)]
+    if reached:
+        b = reached[0]
+        apart_on_k1 = p[b].coords[k1] * scale[a] != p[a].coords[k1] * scale[b]
+        kept.remove((b, k0 if apart_on_k1 else k1))
     rows = []
-    for v in g.vertices:
-        pv, sv = fw.placement[v].coords, scale[v]
-        for c in keep:
-            row = [0] * len(edges)
-            for u in g.neighbors(v):
-                row[col[edge_key(u, v)]] = pv[c] * scale[u] - fw.placement[u].coords[c] * sv
-            rows.append(row)
+    for v, c in kept:
+        pv, sv = p[v].coords[c], scale[v]
+        row = [0] * len(edges)
+        for u in g.neighbors(v):
+            row[col[edge_key(u, v)]] = pv * scale[u] - p[u].coords[c] * sv
+        rows.append(row)
     col_scale = [scale[u] * scale[v] for u, v in edges]
     return [tuple(primitive([k * x for k, x in zip(col_scale, vec)]))
             for vec in nullspace_basis(rows, len(edges))]
@@ -237,7 +269,9 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
     """
     if not is_equilibrium(fw, fl):
         raise PreconditionError("force-load is not an equilibrium force-load")
-    return all(non_parallelizable_star([fl.force(v, u) for u in fw.graph.neighbors(v)])
+    forces = fl.forces
+    return all(non_parallelizable_star([forces.get((v, u), ZERO_FORCE)
+                                        for u in fw.graph.neighbors(v)])
                for v in fw.graph.vertices)
 
 
@@ -305,9 +339,12 @@ def find_nonparallelizable_stress(fw: Framework, basis, chart: AffineChart, seed
     if not basis:
         return None
     columns = list(zip(*basis))
-    rng = random.Random(seed)
-    draws = [[1]] if len(basis) == 1 else (
-        [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in basis] for _ in range(_PROBES))
+    if len(basis) == 1:
+        draws = [[1]]
+    else:
+        rng = random.Random(seed)
+        draws = ([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in basis]
+                 for _ in range(_PROBES))
     load = _integer_forceloads(fw, chart)
     for coeffs in draws:
         weights = tuple(sum(a * x for a, x in zip(coeffs, column)) for column in columns)

@@ -56,6 +56,7 @@ def desargues_concurrent_placement(g: Graph, seed: int) -> Framework:
         ok = True
         used = {center}
         for (a, b), l in zip((("p1", "p2"), ("p3", "p4"), ("p5", "p6")), lines):
+            direction = _direction(l, center)
             pts = []
             guard = 0
             while len(pts) < 2 and guard < 40:
@@ -63,7 +64,7 @@ def desargues_concurrent_placement(g: Graph, seed: int) -> Framework:
                 # center + (p/q) dir for a `random_fraction` draw p/q
                 p, q = rng.randint(-60, 60), rng.randint(1, 60)
                 cand = ProjPoint(tuple(q * x + p * y
-                                       for x, y in zip(center.coords, _direction(l, center))))
+                                       for x, y in zip(center.coords, direction)))
                 if cand not in used:
                     used.add(cand)
                     pts.append(cand)

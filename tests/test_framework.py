@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_oracle
 import tensec.framework as framework
+from tensec import _kernel
 from lemmas import chart_avoiding, hf_surgery_framework, lines_in_general_position
 from reference_oracle import (reference_find_nonparallelizable_stress,
                               reference_forceload_from_stress,
@@ -766,6 +767,110 @@ def test_each_basis_vector_alone_loads_an_edge(graph):
             for w in basis:
                 assert any(x and not any(b[i] for b in basis if b is not w)
                            for i, x in enumerate(w))
+
+
+def kernel_calls(monkeypatch, fw, chart):
+    """`self_stress_basis(fw, chart)` and every (rows, (reduced, pivots))
+    it got from `_kernel.echelon_int`."""
+    calls = []
+    echelon = _kernel.echelon_int
+
+    def counted(rows, ncols):
+        calls.append((rows, echelon(rows, ncols)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "echelon_int", counted)
+        return self_stress_basis(fw, chart), calls
+
+
+def relisted(fw, vertices):
+    """fw with its vertex list in another order."""
+    return Framework(Graph(vertices, fw.graph.edges), fw.placement)
+
+
+def sharing_placement(fw, chart, k):
+    """fw with b, the smallest neighbor of the smallest vertex a, moved so
+    that its chart representative agrees with a's on coordinate k: p_b =
+    p_a + t s_a cross(V, e_k), which keeps <p, V> and coordinate k of p /
+    <p, V>, for the first t = 1, 2, ... that keeps the points distinct."""
+    a = min(fw.graph.vertices)
+    b = fw.graph.neighbors(a)[0]
+    pa = fw.placement[a].coords
+    s = _dot(pa, chart.field)
+    d = _cross(chart.field, [int(i == k) for i in range(3)])
+    for t in count(1):
+        try:
+            moved = Framework(fw.graph, {**fw.placement, b: ProjPoint(
+                tuple(x + t * s * y for x, y in zip(pa, d)))})
+        except GeometryError:
+            continue
+        pb = moved.placement[b].coords
+        assert pb[k] * s == pa[k] * _dot(pb, chart.field)
+        return moved
+
+
+def placement_in_chart(g, chart, seed):
+    """The first `random_placement(g, s, 60)`, s = seed, seed + 1, ..., with
+    no point on the chart's infinity line."""
+    for s in count(seed):
+        fw = random_placement(g, s, 60)
+        if all(_dot(p.coords, chart.field) for p in fw.placement.values()):
+            return fw
+
+
+# K4-K7, wheels with 4-9 spokes, the cube with a chord, the 3-, 5- and
+# 6-rung prisms, GP(8,3) and GP(16,3)
+ROW_ORDER_GRAPHS = ([_named(_complete_edges(n)) for n in range(4, 8)]
+                    + [_named(_wheel_edges(m)) for m in range(4, 10)]
+                    + [_named(_petersen_edges(4, 1) + [(0, 6)])]
+                    + [_named(_petersen_edges(m, 1)) for m in (3, 5, 6)]
+                    + [_named(_petersen_edges(8, 3)), _named(_petersen_edges(16, 3))])
+
+
+@pytest.mark.parametrize("chart", [(0, 0, 1), (1, 2, 3), (-1, 1, 17)])
+@pytest.mark.parametrize("graph", range(len(ROW_ORDER_GRAPHS)))
+def test_kernel_rows_do_not_depend_on_the_vertex_listing(graph, chart, monkeypatch):
+    # the oracle hands the kernel 2|V| - 3 rows in an order fixed by the
+    # graph, and the three it leaves out change no basis, also when b's
+    # chart point shares a coordinate with a's (either row of b left out)
+    g = ROW_ORDER_GRAPHS[graph]
+    chart = AffineChart(ProjLine(chart))
+    fw = placement_in_chart(g, chart, graph)
+    _drop, keep = chart.axes()
+    rng = random.Random(graph)
+    for placed in [fw] + [sharing_placement(fw, chart, k) for k in keep]:
+        shuffled = list(g.vertices)
+        rng.shuffle(shuffled)
+        listings = [g.vertices[::-1], shuffled, sorted(g.vertices)]
+        basis, calls = kernel_calls(monkeypatch, placed, chart)
+        ((rows, _result),) = calls
+        assert len(rows) == 2 * len(g.vertices) - 3
+        assert basis == reference_self_stress_basis(placed, chart)
+        for vertices in listings:
+            other = relisted(placed, vertices)
+            got, other_calls = kernel_calls(monkeypatch, other, chart)
+            assert [r for r, _ in other_calls] == [rows]
+            assert got == basis
+
+
+def generalized_petersen(n, k):
+    """GP(n, k) listed as the outer cycle u0..u(n-1), then the inner star
+    w0..w(n-1), so that sorting the ids changes the listing."""
+    names = [f"u{i}" for i in range(n)] + [f"w{i}" for i in range(n)]
+    return Graph(names, [(names[a], names[b]) for a, b in _petersen_edges(n, k)])
+
+
+def test_oracle_entries_stay_short_at_size(monkeypatch):
+    # GP(150,7) written with sorted ids: eliminating in the listed order
+    # made reduced entries of 5,934 bits; the breadth-first order keeps
+    # them to 2,108
+    fw = framework_from_json(framework_to_json(
+        random_placement(generalized_petersen(150, 7), 1, bound=1000)))
+    assert list(fw.graph.vertices) == sorted(fw.graph.vertices)
+    basis, ((_rows, (reduced, _pivots)),) = kernel_calls(monkeypatch, fw, STANDARD)
+    assert basis == []
+    assert max(abs(x).bit_length() for row in reduced for x in row) <= 3000
 
 
 @pytest.mark.parametrize("n", range(9, 14))

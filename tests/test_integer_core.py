@@ -4,6 +4,7 @@ draws, and the slot witness of `check` and `verify`, which derives its lines
 from an integer multiple of the oracle stress's force-load."""
 
 import functools
+import hashlib
 import json
 import random
 import sys
@@ -113,6 +114,20 @@ def test_desargues_placement_matches_fraction_draw(seed):
     want = reference_desargues_concurrent_placement(DESARGUES_GRAPH, seed)
     assert got.placement == want.placement
 
+
+#: sha256 of the first 40 Desargues-concurrent placements (seeds 0-39), each
+#: vertex's repr((id, coords)) in vertex order, recorded while the sampler
+#: still computed each rung line's direction once per candidate point.
+DESARGUES_PLACEMENTS_SHA256 = "3ac1712696d53cb2946d66568973136904f8bf4dd89128d9b36cede48be3ad37"
+
+
+def test_desargues_placements_keep_their_digest():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        fw = desargues_concurrent_placement(DESARGUES_GRAPH, seed)
+        for v in fw.graph.vertices:
+            digest.update(repr((v, fw.placement[v].coords)).encode())
+    assert digest.hexdigest() == DESARGUES_PLACEMENTS_SHA256
 
 
 def test_pascal_placement_matches_fraction_draw(monkeypatch):

@@ -7,7 +7,7 @@ fixed --seed (fallback: the TENSEC_SEED environment variable); reports carry
 no wall-clock data, so outputs are byte-identical across repeated runs.
 
 Exit codes: 0 run completed (verdict inside the report), 2 malformed input,
-3 general-position or chart precondition failure.
+3 precondition failure (general position, the chart, or a named limit).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .conditions import (condition_sexprs, fulfilled_with_witness, generate_syst
                          system_to_json)
 from .errors import InputError, PreconditionError, TensecError
 from .framework import (find_nonparallelizable_stress, forceload_from_stress,
-                        framework_from_json, framework_in_general_position,
-                        graph_from_json, read_json, self_stress_basis)
+                        framework_from_json, graph_from_json, read_json,
+                        self_stress_basis)
 from .fixtures import DESARGUES_GRAPH, PASCAL_GRAPH
 from .projective import AffineChart, ProjLine
 from .quantization import Quantization, is_consistent, quantization_from_stress
@@ -41,11 +41,22 @@ def _parse_chart(text: str) -> AffineChart:
     return AffineChart(ProjLine.from_strings(parts))
 
 
+@contextlib.contextmanager
+def _int_str_limit():
+    """A report number past CPython's int-to-str limit (ValueError), which
+    the package leaves as it is, is a PreconditionError."""
+    try:
+        yield
+    except ValueError:
+        raise PreconditionError(
+            f"a number in the report has more than {sys.get_int_max_str_digits()} digits,"
+            " the interpreter's int-to-str limit (sys.set_int_max_str_digits)") from None
+
+
 def _emit(report: dict, text_lines, fmt: str):
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+    with _int_str_limit():
+        text = json.dumps(report, sort_keys=True) if fmt == "json" else "\n".join(text_lines)
+    sys.stdout.write(text + "\n")
 
 
 @contextlib.contextmanager
@@ -82,26 +93,23 @@ def cmd_check(args) -> int:
     chart = _parse_chart(args.chart)
     report = {"command": "check", "input": args.framework, "seed": args.seed}
 
+    # the graph's own limits refuse before the quadratic geometry runs
+    with _phase(args, "compile"):
+        system = generate_system(fw.graph)
+    cycles = [c.cycle for c in system.conditions]
+
     with _phase(args, "general-position"):
-        gp = framework_in_general_position(fw)
+        gp = fw.in_general_position
     report["general_position"] = gp
     if not gp:
         report["verdict"] = "UNDECIDED"
         _emit(report, ["general position: NO", "verdict: UNDECIDED"], args.format)
         return 3
 
-    with _phase(args, "compile"):
-        system = generate_system(fw.graph)
-    cycles = [c.cycle for c in system.conditions]
-
     with _phase(args, "oracle"):
         basis = self_stress_basis(fw, chart)
         stress = find_nonparallelizable_stress(fw, basis, chart, args.seed)
     report["stress_dim"] = len(basis)
-    report["stress_basis"] = [
-        {f"{u}-{v}": str(x) for (u, v), x in zip(fw.graph.edges, w)}
-        for w in basis
-    ]
     oracle = stress is not None
     report["oracle_nonparallelizable"] = oracle
 
@@ -124,6 +132,9 @@ def cmd_check(args) -> int:
             fulfilled = fulfilled_with_witness(system, fw, witness, args.seed)
     report["conditions_count"] = len(system.conditions)
     if args.format == "json":
+        with _int_str_limit():
+            report["stress_basis"] = [
+                {f"{u}-{v}": str(x) for (u, v), x in zip(fw.graph.edges, w)} for w in basis]
         report["conditions"] = [
             {"cycle": list(c.cycle), "sexpr": sexpr}
             for c, sexpr in zip(system.conditions, condition_sexprs(system))
@@ -192,7 +203,7 @@ def _draw_sample(g, constrained, index: int, sample_seed: int):
     for attempt in range(200):
         s = sample_seed * 211 + attempt
         fw = constrained(g, s) if use_constrained else random_placement(g, s, bound=60)
-        if framework_in_general_position(fw):
+        if fw.in_general_position:
             return fw
     raise PreconditionError(f"no general-position sample found for index {index}")
 

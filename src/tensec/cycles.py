@@ -15,7 +15,8 @@ projectivity of a line is fixed by the images of three distinct points, so
 the monodromy is trivial iff it fixes three points of its line.  A
 monodromy always fixes two of them, the base point and the base framing's
 meet with aux, so one more point decides it (`is_trivial_monodromy`).  A
-framed cycle decides its general position once, when first asked.
+framed cycle tests only its framings: its edge lines are in general position
+because the framework is (`Quantization`), so aux only misses the vertices.
 """
 
 from __future__ import annotations
@@ -25,15 +26,12 @@ from functools import cached_property
 
 from .errors import GeometryError, InputError, PreconditionError
 from .projective import (
-    TRUE,
     ProjLine,
     ProjPoint,
     _cross,
     _independent_pair,
-    distinct_crossings,
     join,
     meet,
-    pairwise_meets,
     random_line_avoiding,
     rel_incident,
 )
@@ -43,7 +41,7 @@ from .projective import (
 class FramedCycle:
     """Points p_1..p_k with a framing l_i through each p_i.  The edge lines
     (TRUE where consecutive points coincide) are joined once, at
-    construction, and their pairwise meets once, when first read."""
+    construction."""
 
     points: tuple
     framings: tuple
@@ -54,9 +52,9 @@ class FramedCycle:
         framings = tuple(framings)
         if len(points) != len(framings) or len(points) < 3:
             raise InputError("a framed cycle needs k >= 3 points with k framings")
-        for p, l in zip(points, framings):
+        for i, (p, l) in enumerate(zip(points, framings)):
             if not rel_incident(p, l):
-                raise GeometryError(f"framing {l} does not pass through {p}")
+                raise GeometryError(f"framing {i} does not pass through point {i}")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "framings", framings)
         object.__setattr__(self, "edge_lines", tuple(
@@ -66,22 +64,12 @@ class FramedCycle:
         return len(self.points)
 
     @cached_property
-    def crossings(self) -> tuple:
-        """`pairwise_meets` of the edge lines."""
-        return pairwise_meets(self.edge_lines)
-
-    @cached_property
     def in_general_position(self) -> bool:
-        """Edge lines in general position, and no framing through a
-        neighbor; decided once, when first read."""
-        if not distinct_crossings(self.crossings):
-            return False
-        k = len(self)
-        for i in range(k):
-            l = self.framings[i]
-            if l.contains(self.points[(i - 1) % k]) or l.contains(self.points[(i + 1) % k]):
-                return False
-        return True
+        """No framing passes through a neighbor (the module docstring);
+        decided once, when first read."""
+        p, k = self.points, len(self)
+        return not any(l.contains(p[i - 1]) or l.contains(p[(i + 1) % k])
+                       for i, l in enumerate(self.framings))
 
 
 def _three_points(l: ProjLine):
@@ -131,9 +119,10 @@ class LineMap:
 def monodromy(c: FramedCycle, start: int, aux: ProjLine) -> LineMap:
     """Composition of the k shift maps once around the cycle, based at the
     framing of `start`, as one chain: the step onto l_{i+1} has the center
-    (p_i p_{i+1}) ^ aux.  General position and an aux line through no vertex
-    meet every precondition of each shift: distinct endpoints, framings
-    other than the edge line, and aux through neither endpoint.
+    (p_i p_{i+1}) ^ aux.  Framings through no neighbor and an aux line
+    through no vertex meet every precondition of each shift: distinct
+    endpoints, framings other than the edge line, and aux through neither
+    endpoint.  The edge lines' general position is the caller's.
 
     The result fixes the base point and the intersection of the base framing
     with aux; both are asserted on every call.
@@ -170,9 +159,8 @@ def is_trivial_monodromy(c: FramedCycle, aux: ProjLine) -> bool:
 
 
 def pick_aux_line(c: FramedCycle, seed: int) -> ProjLine:
-    """Seeded auxiliary line avoiding all vertices and all pairwise
-    intersections of edge lines."""
-    return random_line_avoiding(set(c.points) | (set(c.crossings) - {TRUE}), seed)
+    """Seeded auxiliary line through no vertex of the cycle."""
+    return random_line_avoiding(c.points, seed)
 
 
 # ---------------------------------------------------------------------------

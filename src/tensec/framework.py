@@ -135,7 +135,7 @@ class Framework:
     """Graph with a placement of its vertices at pairwise distinct points.
     Each edge line is joined once, at construction."""
 
-    __slots__ = ("graph", "placement", "_lines")
+    __slots__ = ("graph", "placement", "_lines", "_general_position")
 
     def __init__(self, graph: Graph, placement):
         placement = dict(placement)
@@ -148,10 +148,18 @@ class Framework:
         self.graph = graph
         self.placement = {v: placement[v] for v in graph.vertices}
         self._lines = {(u, v): join(placement[u], placement[v]) for u, v in graph.edges}
+        self._general_position = None
 
     def edge_line(self, u: str, v: str):
         """The line of the edge uv."""
         return self._lines[edge_key(u, v)]
+
+    @property
+    def in_general_position(self) -> bool:
+        """`framework_in_general_position`, decided on the first read."""
+        if self._general_position is None:
+            self._general_position = framework_in_general_position(self)
+        return self._general_position
 
 
 class ForceLoad:

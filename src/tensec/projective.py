@@ -334,20 +334,6 @@ def pick_generic_line_through(p: ProjPoint, avoid, seed: int) -> ProjLine:
     return _pick_in_pencil(ProjLine, p.coords, avoid, seed, "degenerate point")
 
 
-def pairwise_meets(lines) -> tuple:
-    """Meet of every pair of the lines, (0, 1), (0, 2), ..., (1, 2), ...;
-    TRUE for a pair of equal lines."""
-    return tuple(meet(lines[i], lines[j])
-                 for i in range(len(lines)) for j in range(i + 1, len(lines)))
-
-
-def distinct_crossings(meets) -> bool:
-    """The pairwise meets of lines in general position: none is TRUE (no two
-    lines are equal) and no two coincide (no three lines are concurrent)."""
-    points = set(meets)
-    return TRUE not in points and len(points) == len(meets)
-
-
 #: Most vectors one subset enumeration takes, and so the highest vertex
 #: degree the subset tests accept.  The vanishing-subset test makes
 #: 2 * 2^(deg/2) sums, but the partial-sum line test still keys all

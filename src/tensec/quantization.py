@@ -80,7 +80,9 @@ class Quantization:
     Each vertex scheme is built once.  A scheme computes its canonical
     force-load, its leaf forces and its strong-genericity verdict once, so
     all framings at one vertex share them.  `trees` are the vertex trees the
-    labels sit on, the `default_trees` of the graph.
+    labels sit on, the `default_trees` of the graph.  The per-cycle lemma
+    needs the framework in general position (PreconditionError otherwise);
+    in `check` that reads the framework's kept verdict.
     """
 
     framework: Framework
@@ -98,6 +100,8 @@ class Quantization:
         for (v, _idx), line in self.interior_labels.items():
             if not line.contains(fw.placement[v]):
                 raise GeometryError(f"interior label at {v!r} misses its point")
+        if not fw.in_general_position:
+            raise PreconditionError("a quantization needs a framework in general position")
 
     def scheme_at(self, v: str) -> ResolutionScheme:
         scheme = self._schemes.get(v)
@@ -154,9 +158,10 @@ def framed_cycle_of(q: Quantization, cycle) -> FramedCycle:
 
 
 def is_consistent_at(q: Quantization, cycle) -> bool:
-    """Monodromy of the associated framed cycle is trivial.  The auxiliary
-    line is seeded by the cycle's vertex ids alone: triviality does not
-    depend on it."""
+    """Monodromy of the associated framed cycle is trivial.  The framework
+    is in general position (`Quantization`), so only the framings are
+    tested.  The auxiliary line is seeded by the cycle's vertex ids alone:
+    triviality does not depend on it."""
     fc = framed_cycle_of(q, cycle)
     if not fc.in_general_position:
         raise PreconditionError(

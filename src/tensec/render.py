@@ -20,12 +20,12 @@ HEIGHT = 560.0
 MARGIN = 50.0
 
 
-def _chart_xy(point, chart: AffineChart):
-    """Chart coordinates of the point as integer ratios (x, s), (y, s): its
-    coordinates on the chart's axes over its scale s = <p, V>."""
+def _chart_xy(label, point, chart: AffineChart):
+    """Chart coordinates of the labeled point as integer ratios (x, s),
+    (y, s): its coordinates on the chart's axes over its scale s = <p, V>."""
     s = _dot(point.coords, chart.field)
     if s == 0:
-        raise PointAtInfinityError(f"point {point} lies on the infinity line")
+        raise PointAtInfinityError(f"point {label} lies on the infinity line")
     _drop, keep = chart.axes()
     return (point.coords[keep[0]], s), (point.coords[keep[1]], s)
 
@@ -106,7 +106,7 @@ def _svg(elements) -> str:
 def _draw(points, edges, framings, chart: AffineChart) -> str:
     """SVG of ordered (label, point) pairs, edges given as label pairs, and
     framing lines drawn dashed across the view window."""
-    exact = {label: _chart_xy(p, chart) for label, p in points}
+    exact = {label: _chart_xy(label, p, chart) for label, p in points}
     xs = _floats((x for x, _ in exact.values()), "chart coordinate")
     ys = _floats((y for _, y in exact.values()), "chart coordinate")
     xy = dict(zip(exact, zip(xs, ys)))

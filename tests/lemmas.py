@@ -7,6 +7,13 @@ lemmas those verdicts rest on, and the tests check them (the criteria are
 those of `tests/test_acceptance.py`).
 
 * Framed cycles (`tests/test_cycles.py`, `tests/test_conditions.py`):
+  - `pairwise_meets`, `distinct_crossings` and `crossings` meet a framed
+    cycle's edge lines pairwise, and `framed_cycle_in_general_position`
+    is the per-cycle general-position test they make: the edge lines in
+    general position and no framing through a neighbor.  The library
+    tests only the framings (`FramedCycle.in_general_position`) and takes
+    the edge lines' part from the framework's general position; on an
+    arbitrary framed cycle, as the lemmas below draw, this is the test.
   - `shift_map`, the perspectivity along one cycle edge, is the step the
     monodromy chains; `is_trivial` and `proportional_to` compare line maps
     on three points.  Criterion 3 (trivial monodromy iff a nonzero
@@ -21,9 +28,10 @@ those of `tests/test_acceptance.py`).
   - `random_framed_cycle` and `random_cycle_points` draw the seeded framed
     cycles in general position that criteria 3 and 4 sample, with or
     without an equilibrium; `lines_in_general_position` is their test.
-  - `aux_line_avoiding` is `cycles.pick_aux_line` that misses given points
-    too, such as the vertices of a projection, so that two monodromies can
-    be compared on one auxiliary line (criterion 4).
+  - `aux_line_avoiding` is a seeded auxiliary line that misses the
+    vertices, every crossing and given points too, such as the vertices of
+    a projection, so that two monodromies can be compared on one auxiliary
+    line (criterion 4).
   - `framed_cycle_to_json` writes a framed cycle as `render` reads it.
 * Frameworks (`tests/test_framework.py`):
   - `hf_surgery_framework` (with `_fresh_id`), the H-to-Phi surgery of a
@@ -51,8 +59,8 @@ from tensec.errors import GeometryError, PreconditionError
 from tensec.framework import Framework, Graph, edge_key
 from tensec.numeric import nullspace_basis
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint, _cross,
-                               distinct_crossings, join, line_of_force, meet,
-                               pairwise_meets, random_fraction, random_line_avoiding)
+                               join, line_of_force, meet, random_fraction,
+                               random_line_avoiding)
 from tensec.resolution import (BinaryTree, ResolutionScheme, rewire, scheme_hf_surgery,
                                shared_node_edge)
 from tensec.sampling import random_affine_point
@@ -60,6 +68,32 @@ from tensec.sampling import random_affine_point
 
 # ---------------------------------------------------------------------------
 # Framed cycles
+
+def pairwise_meets(lines) -> tuple:
+    """Meet of every pair of the lines, (0, 1), (0, 2), ..., (1, 2), ...;
+    TRUE for a pair of equal lines."""
+    return tuple(meet(lines[i], lines[j])
+                 for i in range(len(lines)) for j in range(i + 1, len(lines)))
+
+
+def distinct_crossings(meets) -> bool:
+    """The pairwise meets of lines in general position: none is TRUE (no two
+    lines are equal) and no two coincide (no three lines are concurrent)."""
+    points = set(meets)
+    return TRUE not in points and len(points) == len(meets)
+
+
+def crossings(c: FramedCycle) -> tuple:
+    """`pairwise_meets` of the edge lines."""
+    return pairwise_meets(c.edge_lines)
+
+
+def framed_cycle_in_general_position(c: FramedCycle) -> bool:
+    """Edge lines in general position, and no framing through a neighbor:
+    the per-cycle test, which a framed cycle of a framework in general
+    position always passes."""
+    return distinct_crossings(crossings(c)) and c.in_general_position
+
 
 def proportional_to(m: LineMap, other: LineMap) -> bool:
     """Same lines and the same projectivity (proportional matrices in
@@ -117,7 +151,7 @@ def project_cycle(c: FramedCycle, i: int) -> FramedCycle:
     k = len(c)
     if k < 4:
         raise PreconditionError("projection needs k >= 4")
-    if not c.in_general_position:
+    if not framed_cycle_in_general_position(c):
         raise PreconditionError("framed cycle is not in general position")
     i %= k
     pts, frs = c.points, c.framings
@@ -133,7 +167,7 @@ def project_cycle(c: FramedCycle, i: int) -> FramedCycle:
         new_points = pts[:i] + (new_pt,) + pts[i + 2:]
         new_framings = frs[:i] + (new_fr,) + frs[i + 2:]
     out = FramedCycle(new_points, new_framings)
-    if not out.in_general_position:
+    if not framed_cycle_in_general_position(out):
         raise GeometryError("projection output is not in general position")
     return out
 
@@ -148,7 +182,7 @@ def cycle_equilibrium_basis(c: FramedCycle):
     coefficients.  Returns (edge_scalars, framing_scalars) pairs of int
     tuples; nonempty iff a nonzero equilibrium force-load exists.
     """
-    if not c.in_general_position:
+    if not framed_cycle_in_general_position(c):
         raise PreconditionError("framed cycle is not in general position")
     k = len(c)
     edge_reps = [l.coeffs for l in c.edge_lines]
@@ -166,10 +200,10 @@ def cycle_equilibrium_basis(c: FramedCycle):
 
 
 def aux_line_avoiding(c: FramedCycle, seed: int, points) -> ProjLine:
-    """The seeded line that `cycles.pick_aux_line` draws for `c` with
-    `points` forbidden too: it misses the vertices, every meet of two edge
-    lines and every given point."""
-    forbidden = set(c.points) | (set(c.crossings) - {TRUE}) | set(points)
+    """Seeded line that misses the vertices, every meet of two edge lines
+    (`crossings`) and every given point; with no given points, the line
+    `cycles.pick_aux_line` drew when it avoided the crossings too."""
+    forbidden = set(c.points) | (set(crossings(c)) - {TRUE}) | set(points)
     return random_line_avoiding(forbidden, seed)
 
 
@@ -250,7 +284,7 @@ def random_framed_cycle(k: int, seed: int, equilibrium: bool) -> FramedCycle:
             c = FramedCycle(pts, framings)
         except GeometryError:
             continue
-        if c.in_general_position:
+        if framed_cycle_in_general_position(c):
             return c
 
 

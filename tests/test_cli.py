@@ -334,9 +334,12 @@ def write_prism(rungs, tmp_path):
 @pytest.mark.parametrize("rungs", [20, 600])
 def test_check_on_large_prism_hits_cycle_limit(rungs, tmp_path, capsys):
     # the 600-rung prism once ended in a RecursionError (exit 1), and the
-    # 20-rung prism ran for more than 30 s
+    # 20-rung prism ran for more than 30 s.  The parallel rungs make both
+    # enumerate simple cycles for general position; the 600-rung prism's
+    # fundamental cycles (602 vertices) are refused first, by the graph
+    limit = {20: "MAX_CYCLE_EXTENSIONS = 20000", 600: "MAX_CONDITION_CYCLE = 64"}
     assert main(["check", write_prism(rungs, tmp_path)]) == 3
-    assert "MAX_CYCLE_EXTENSIONS = 20000" in capsys.readouterr().err
+    assert limit[rungs] in capsys.readouterr().err
 
 
 def write_generic_prism(rungs, tmp_path):
@@ -365,9 +368,9 @@ def test_check_generators_decides_12_rung_prism_in_general_position(tmp_path, ca
 
 def test_check_stops_at_condition_cycle_limit_before_the_oracle(tmp_path, capsys,
                                                                monkeypatch):
-    # the conditions are compiled right after general position, so a
-    # fundamental cycle on 65 vertices ends the run before any stress is
-    # computed; general position decides YES without enumerating cycles
+    # the conditions are compiled first, so a fundamental cycle on 65
+    # vertices ends the run before general position is tested or any stress
+    # is computed
     import tensec.cli
 
     calls = []
@@ -379,6 +382,39 @@ def test_check_stops_at_condition_cycle_limit_before_the_oracle(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MAX_CONDITION_CYCLE = 64" in captured.err
+    assert calls == []
+
+
+def generalized_petersen(n: int, k: int):
+    """GP(n, k): the outer cycle u, the spokes u_i v_i and the inner edges
+    v_i v_{i+k}."""
+    from tensec.framework import Graph
+
+    edges = [(f"u{i}", f"u{(i + 1) % n}") for i in range(n)]
+    edges += [(f"u{i}", f"v{i}") for i in range(n)]
+    edges += [(f"v{i}", f"v{(i + k) % n}") for i in range(n)]
+    return Graph([f"{a}{i}" for a in "uv" for i in range(n)], edges)
+
+
+def test_check_refuses_by_the_graph_before_the_geometry(tmp_path, capsys, monkeypatch):
+    # GP(600,7) has a 94-vertex fundamental cycle; the refusal comes from
+    # the compile, before the quadratic edge-line arrangement is built
+    import tensec.framework
+    from tensec.sampling import random_placement
+
+    calls = []
+    general = tensec.framework.framework_in_general_position
+    monkeypatch.setattr(tensec.framework, "framework_in_general_position",
+                        lambda fw: calls.append(fw) or general(fw))
+    path = tmp_path / "gp600.json"
+    path.write_text(json.dumps(framework_to_json(
+        random_placement(generalized_petersen(600, 7), 1, bound=1000))))
+    assert main(["check", str(path), "--timings"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: a consistency cycle has 94 vertices, more than" \
+        " MAX_CONDITION_CYCLE = 64" in captured.err
+    assert "[timing] general-position" not in captured.err
     assert calls == []
 
 
@@ -988,3 +1024,58 @@ def test_check_finds_the_stress_of_k11(tmp_path, capsys):
     assert payload["stress_dim"] == 36
     assert payload["oracle_nonparallelizable"] is True
     assert payload["verdict"] == "YES"
+
+
+def mapped_desargues(digits: int, tmp_path):
+    """`DESARGUES_POS` mapped by a seeded 3x3 integer matrix with entries of
+    `digits` digits: a projective image, so it still carries its stress,
+    whose weights now have more digits than the coordinates."""
+    import random
+
+    from tensec.framework import Framework
+
+    rng = random.Random(5)
+    m = [[rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(3)]
+         for _ in range(3)]
+    placement = {v: ProjPoint(tuple(sum(a * x for a, x in zip(row, p.coords)) for row in m))
+                 for v, p in DESARGUES_POS.placement.items()}
+    path = tmp_path / f"desargues{digits}.json"
+    path.write_text(json.dumps(framework_to_json(Framework(DESARGUES_GRAPH, placement))))
+    return str(path)
+
+
+LIMIT_MESSAGE = (f"error: a number in the report has more than"
+                 f" {sys.get_int_max_str_digits()} digits, the interpreter's"
+                 " int-to-str limit (sys.set_int_max_str_digits)\n")
+
+
+def test_report_past_the_int_to_str_limit_exits_3(tmp_path, capsys):
+    # the stress weights of the 3,000-digit image have more than 4,300
+    # digits, and once ended in a ValueError traceback in both formats
+    path = mapped_desargues(3000, tmp_path)
+    assert main(["check", path, "--format", "json"]) == 3
+    assert capsys.readouterr() == ("", LIMIT_MESSAGE)
+    # the text report prints no weight
+    assert main(["check", path]) == 0
+    assert "tensegrity: YES" in capsys.readouterr().out
+    assert main(["check", mapped_desargues(1500, tmp_path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "YES"
+    assert max(len(x) for x in report["stress_basis"][0].values()) > 3000
+    # a seed of 4,299 digits makes sample seeds of more than 4,300
+    seed = "9" * (sys.get_int_max_str_digits() - 1)
+    assert main(["verify", str(GOLDEN / "wheel6_framework.json"), "--samples", "1",
+                 "--seed", seed, "--format", "json"]) == 3
+    assert capsys.readouterr() == ("", LIMIT_MESSAGE)
+
+
+def test_render_names_a_point_at_infinity_by_its_label(tmp_path, capsys):
+    # the point's canonical triple has about 8,000 digits, too many to print
+    big = "7" * 4000
+    obj = {"vertices": [{"id": "a", "coords": [f"{big}/{big}1", f"1/{'3' * 3999}1", "0"]},
+                        {"id": "b", "coords": ["0", "0", "1"]}],
+           "edges": [["a", "b"]]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(obj))
+    assert main(["render", str(path), "-o", str(tmp_path / "far.svg")]) == 3
+    assert capsys.readouterr().err == "error: point a lies on the infinity line\n"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lemmas import (aux_line_avoiding, chart_avoiding, cycle_equilibrium_basis,
-                    framed_cycle_to_json,
+                    framed_cycle_in_general_position, framed_cycle_to_json,
                     is_trivial, lines_in_general_position, project_cycle,
                     proportional_to, random_framed_cycle, shift_map, stepwise_apply)
 from reference_resolution import solve_in_span
@@ -14,9 +14,9 @@ from tensec.cycles import (FramedCycle, LineMap, _three_points, framed_cycle_fro
                            is_trivial_monodromy, monodromy, pick_aux_line)
 from tensec.errors import GeometryError, PreconditionError
 from tensec.fixtures import DESARGUES_POS
-from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, distinct_crossings,
-                               join, meet, pick_generic_line_through,
-                               pick_generic_point_on, random_line_avoiding)
+from tensec.projective import (TRUE, ProjLine, ProjPoint, _cross, join, meet,
+                               pick_generic_line_through, pick_generic_point_on,
+                               random_line_avoiding)
 
 
 def concurrent_triangle():
@@ -318,18 +318,32 @@ def test_chain_apply_matches_stepwise_reference(k, seed, equilibrium):
 
 
 def test_framed_cycle_decides_general_position_once(monkeypatch):
+    # the edge lines' general position is the framework's, so a framed
+    # cycle tests only its framings, 2k incidences once, and its monodromy
+    # meets each edge line with aux alone: k centers and the base framing's
+    # meet with aux
     import tensec.cycles
 
-    calls = []
-    monkeypatch.setattr(tensec.cycles, "distinct_crossings",
-                        lambda meets: calls.append(meets) or distinct_crossings(meets))
-    c = random_framed_cycle(6, 5, equilibrium=True)
-    aux = pick_aux_line(c, 5)
+    drawn = random_framed_cycle(6, 5, equilibrium=True)
+    c = FramedCycle(drawn.points, drawn.framings)
+    k = len(c)
+    contains, meets = [], []
+    original = ProjLine.contains
+    monkeypatch.setattr(ProjLine, "contains",
+                        lambda l, p: contains.append(l) or original(l, p))
+    monkeypatch.setattr(tensec.cycles, "meet",
+                        lambda a, b: meets.append((a, b)) or meet(a, b))
     assert c.in_general_position
+    assert c.in_general_position
+    assert len(contains) == 2 * k
+    aux = pick_aux_line(c, 5)
+    assert meets == []
     assert is_trivial_monodromy(c, aux)
-    for start in range(len(c)):
+    for start in range(k):
         assert is_trivial(monodromy(c, start, aux))
-    assert len(calls) == 1
+    edges = set(c.edge_lines)
+    assert not any(a in edges and b in edges for a, b in meets)
+    assert len(meets) == (k + 1) + 1 + k * (k + 1)
 
 
 def checked_edge_lines(c: FramedCycle) -> list:
@@ -439,23 +453,30 @@ def degenerate_cycle(k: int, seed: int, equilibrium: bool, kind: str) -> FramedC
 @given(k=st.integers(3, 8), seed=st.integers(0, 10**6), equilibrium=st.booleans(),
        kind=st.sampled_from(DEGENERACIES))
 def test_cycle_pass_matches_reference(k, seed, equilibrium, kind):
+    # the per-cycle test of `tests/lemmas.py` is the old pass; the library's
+    # framed cycle tests its framings only, and its aux line misses the
+    # vertices only, since the edge lines' part is the framework's
     if kind == "concurrent":
         k = max(k, 5)
     c = degenerate_cycle(k, seed, equilibrium, kind)
-    general = c.in_general_position
+    general = framed_cycle_in_general_position(c)
     assert general == reference_cycle_general_position(c)
     assert general == (kind == "none")
+    framed = c.in_general_position
+    assert framed == (kind not in ("coincident", "framing"))
     auxes = [pick_aux_line(c, seed + d) for d in (0, 1)]
     for d, aux in enumerate(auxes):
+        assert aux == random_line_avoiding(c.points, seed + d)
+        assert not any(aux.contains(p) for p in c.points)
         if kind == "coincident":  # the reference cannot join p_0 with p_1
             with pytest.raises(GeometryError):
                 reference_pick_aux_line(c, seed + d)
-            assert not any(aux.contains(p) for p in c.points)
         else:
-            assert aux == reference_pick_aux_line(c, seed + d)
+            assert aux_line_avoiding(c, seed + d, ()) == reference_pick_aux_line(c, seed + d)
     for start in range(k):
         if not general:
-            for walk in (monodromy, reference_monodromy):
+            walks = (monodromy, reference_monodromy) if not framed else (reference_monodromy,)
+            for walk in walks:
                 with pytest.raises(PreconditionError):
                     walk(c, start, auxes[0])
             continue
@@ -466,6 +487,9 @@ def test_cycle_pass_matches_reference(k, seed, equilibrium, kind):
             assert is_trivial(chain) == is_trivial(ref)
             assert proportional_to(chain, ref)
         assert proportional_to(chains[0], chains[1]) == proportional_to(refs[0], refs[1])
+        # the aux line that also missed the crossings gives the same verdict
+        old = reference_monodromy(c, start, reference_pick_aux_line(c, seed))
+        assert is_trivial(old) == is_trivial(chains[0])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -44,6 +44,11 @@ EXTRA_ROOTS = (
     "framework.framework_to_json",
 )
 
+#: Definitions that left the library for `tests/lemmas.py`, where they are
+#: the reference: the per-cycle test of a framed cycle's edge lines, which
+#: the library takes from the framework's general position.
+LEMMAS_ONLY = ("crossings", "distinct_crossings", "pairwise_meets")
+
 #: The library functions that name Fraction: the reader parses input
 #: literals, and the seeded draw makes rationals (the Pascal placement reads
 #: the numerators and denominators of these draws and builds its conic
@@ -164,6 +169,13 @@ def test_lemmas_define_no_library_name():
     defs, _ = library()
     library_names = {qualified.rsplit(".", 1)[-1] for qualified in defs}
     assert sorted(set(lemmas) & library_names) == []
+
+
+def test_moved_definitions_stay_in_the_lemmas():
+    lemmas, _ = _definitions(LEMMAS)
+    defs, _ = library()
+    assert set(LEMMAS_ONLY) <= set(lemmas)
+    assert sorted(q for q in defs if q.rsplit(".", 1)[-1] in LEMMAS_ONLY) == []
 
 
 def test_library_imports_are_used():

@@ -4,14 +4,17 @@ from math import gcd
 from dataclasses import dataclass
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from all_cycles import all_cycles_system, simple_cycles
-from lemmas import has_edge
+from lemmas import crossings, distinct_crossings, framed_cycle_in_general_position, has_edge
 from reference_oracle import reference_stress_of_forceload
 from reference_resolution import _decompose, positive_scale
 from reference_resolution import construct_forceload as fraction_construct_forceload
+from test_census import census_graphs
+from test_lifts import LIFTED_GRAPHS, maxwell_cremona_lift, moved_first_vertex
 from tensec.errors import (GenericityError, GeometryError,
                            InconsistentQuantizationError, InputError,
                            PreconditionError)
@@ -22,7 +25,7 @@ from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
                               framework_in_general_position, is_equilibrium,
                               is_non_parallelizable, self_stress_basis)
 from tensec.conditions import fulfilled_with_witness, generate_system
-from tensec.projective import (AffineChart, Force, ProjLine, line_of_force,
+from tensec.projective import (AffineChart, Force, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.cycles import is_trivial_monodromy, pick_aux_line
 from tensec.quantization import (Quantization, construct_forceload,
@@ -683,3 +686,87 @@ def test_holonomy_inputs_separate_the_cycle_modes():
                     for c in consistency_cycles(fw.graph)}
         assert set(verdicts.values()) == {True, False}
     assert verdicts[("r0", "r1", "r2", "r3")]
+
+
+# ---------------------------------------------------------------------------
+# The lemma consistency rests on: on a framework in general position, every
+# framed cycle of a quantization passes the per-cycle test of
+# `tests/lemmas.py` (edge lines in general position, no framing through a
+# neighbor), so the library's framed cycle tests its framings alone.
+
+def assert_framed_cycles_pass_the_per_cycle_test(fw, cycles, seed):
+    assert fw.in_general_position
+    q = Quantization(fw, random_slot_lines(fw, fw.graph.vertices, seed),
+                     default_trees(fw.graph))
+    for cycle in cycles:
+        fc = framed_cycle_of(q, cycle)
+        assert distinct_crossings(crossings(fc)), cycle
+        assert framed_cycle_in_general_position(fc) == fc.in_general_position, cycle
+
+
+def test_census_framed_cycles_pass_the_per_cycle_test():
+    for index, g in census_graphs():
+        fw = random_placement(g, 1, bound=60)
+        assert_framed_cycles_pass_the_per_cycle_test(fw, simple_cycles(g), index)
+
+
+@pytest.mark.parametrize("name", LIFTED_GRAPHS)
+def test_lifted_framed_cycles_pass_the_per_cycle_test(name):
+    g = nx.convert_node_labels_to_integers(LIFTED_GRAPHS[name])
+    for seed in (1, 2, 3):
+        lift = maxwell_cremona_lift(g, seed)
+        for fw in (lift, moved_first_vertex(lift)):
+            cycles = consistency_cycles(fw.graph)
+            if len(fw.graph.vertices) <= 12:
+                cycles = simple_cycles(fw.graph)
+            assert_framed_cycles_pass_the_per_cycle_test(fw, cycles, seed)
+
+
+def test_desargues_and_pascal_framed_cycles_pass_the_per_cycle_test():
+    from tensec.sampling import pascal_conic_placement
+
+    for g, draw in ((DESARGUES_GRAPH, desargues_concurrent_placement),
+                    (PASCAL_GRAPH, pascal_conic_placement),
+                    (DESARGUES_GRAPH, lambda g, s: random_placement(g, s, bound=60))):
+        tested = 0
+        for seed in range(12):
+            fw = draw(g, seed)
+            if fw.in_general_position:
+                assert_framed_cycles_pass_the_per_cycle_test(fw, simple_cycles(g), seed)
+                tested += 1
+        assert tested >= 6
+
+
+def test_quantization_refuses_a_framework_outside_general_position():
+    # the collinear triple p5, p6 and p1 ... of `test_check_exit_codes`
+    placement = dict(DESARGUES_POS.placement)
+    placement["p5"] = ProjPoint((1, 1, 1))
+    placement["p6"] = ProjPoint((2, 2, 1))
+    fw = Framework(DESARGUES_GRAPH, placement)
+    assert not framework_in_general_position(fw)
+    with pytest.raises(PreconditionError, match="general position"):
+        Quantization(fw, {}, default_trees(DESARGUES_GRAPH))
+    wheel = random_placement(wheel_graph(4, "z"), 3, bound=60)
+    labels = random_slot_lines(wheel, ["z"], 3)
+    Quantization(wheel, labels, default_trees(wheel.graph))
+    rim = dict(wheel.placement)
+    a, b = (rim[v].coords for v in ("r0", "r1"))
+    rim["r2"] = ProjPoint(tuple(2 * x - y for x, y in zip(a, b)))
+    bent = Framework(wheel.graph, rim)
+    assert not framework_in_general_position(bent)
+    with pytest.raises(PreconditionError, match="general position"):
+        Quantization(bent, random_slot_lines(bent, ["z"], 3), default_trees(bent.graph))
+
+
+def test_framework_decides_general_position_once(monkeypatch):
+    import tensec.framework
+
+    calls = []
+    general = tensec.framework.framework_in_general_position
+    monkeypatch.setattr(tensec.framework, "framework_in_general_position",
+                        lambda fw: calls.append(fw) or general(fw))
+    fw = Framework(DESARGUES_GRAPH, DESARGUES_POS.placement)
+    q = Quantization(fw, {}, default_trees(DESARGUES_GRAPH))
+    assert fw.in_general_position
+    assert is_consistent(q, consistency_cycles(DESARGUES_GRAPH))
+    assert calls == [fw]

@@ -253,11 +253,19 @@ class Condition:
 @dataclass(frozen=True)
 class ConditionSystem:
     """Conditions over the Xi slots (vertex, k) of `xi_slots` of `trees`,
-    the default vertex trees the system was compiled over."""
+    the default vertex trees the system was compiled over.
+
+    `_sexprs` is the system's one `to_sexpr` memo: the text of each generic
+    node is built once, by the first evaluation that seeds a pick with it
+    or by the first report, and every later evaluation and report reads it.
+    It lives as long as the system, one command.
+    """
 
     slots: tuple
     conditions: tuple
     trees: dict = field(repr=False, compare=False)
+    _sexprs: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
 
 def generate_system(g: Graph) -> ConditionSystem:
@@ -294,17 +302,17 @@ def evaluate(expr, fw: Framework, line_assignment, seed: int):
     their structural avoid sets; the same (expression, seed) pair always
     evaluates identically.
     """
-    return _evaluator(fw, line_assignment, seed)(expr)
+    return _evaluator(fw, line_assignment, seed, {})(expr)
 
 
-def _evaluator(fw: Framework, line_assignment, seed: int):
+def _evaluator(fw: Framework, line_assignment, seed: int, sexprs: dict):
     """`evaluate` as a one-argument function that memoizes by subexpression.
 
     A node evaluates identically wherever it recurs under one (placement,
     assignment, seed), so each node is evaluated once.  No value is None.
+    The picks' seed texts go through the `to_sexpr` memo `sexprs`.
     """
     memo = {}
-    sexprs = {}
 
     def ev(expr):
         value = memo.get(expr)
@@ -356,7 +364,7 @@ def fulfilled_with_witness(system: ConditionSystem, fw: Framework,
     for slot in system.slots:
         if slot not in witness:
             raise InputError(f"witness misses slot {slot}")
-    ev = _evaluator(fw, witness, seed)
+    ev = _evaluator(fw, witness, seed, system._sexprs)
     return all(ev(cond.expr) for cond in system.conditions)
 
 
@@ -364,9 +372,9 @@ def fulfilled_with_witness(system: ConditionSystem, fw: Framework,
 # JSON
 
 def condition_sexprs(system: ConditionSystem) -> list:
-    """The s-expression of every condition, in order, each node built once."""
-    memo = {}
-    return [to_sexpr(cond.expr, memo) for cond in system.conditions]
+    """The s-expression of every condition, in order, each generic node's
+    text built once per system."""
+    return [to_sexpr(cond.expr, system._sexprs) for cond in system.conditions]
 
 
 def system_to_json(system: ConditionSystem) -> dict:

@@ -1,9 +1,10 @@
 """Exact rational scalars and the exact null space.
 
-Rationals are parsed from the input literals into :class:`fractions.Fraction`
-(arbitrary precision, lowest terms, positive denominator); the library
-clears them to integers once, where it first reads them
-(``clear_denominators``), and computes in ints from there on.
+An input literal "p" or "p/q" is read as two ints (``scalar_from_string``),
+and a triple of them is cleared to integers with one lcm of its
+denominators where it is first read, so no input builds a Fraction; the
+library computes in ints from there on.  ``clear_denominators`` clears
+rationals (ints or Fractions) the same way.
 ``nullspace_basis`` takes integer rows and runs the sparse, fraction-free
 integer elimination of ``tensec._kernel``, which is pure Python; its
 back-substitution stays in the integers too, and it returns the canonical
@@ -22,7 +23,6 @@ All JSON interfaces serialize rationals as strings ``"p/q"`` or ``"p"``.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import _kernel
@@ -30,22 +30,27 @@ from .errors import InputError
 
 
 #: A rational literal: optional sign, decimal digits, optional "/" and
-#: digits.  Decimals, exponents and underscores are refused: Fraction would
-#: accept them, and "1e10000000" alone takes seconds to expand.
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+#: digits.  Decimals, exponents and underscores are refused: "1e10000000"
+#: alone would expand to ten million digits.
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
 
 
-def scalar_from_string(text: str) -> Fraction:
-    """Parse a rational literal of the form "p" or "p/q"."""
+def scalar_from_string(text: str) -> tuple:
+    """Read a rational literal "p" or "p/q" as the ints (p, q), not reduced;
+    q is 1 for "p" and never zero.  Surrounding whitespace is ignored."""
     if not isinstance(text, str):
         raise InputError(f"rational literals are strings, got {text!r}")
-    literal = text.strip()
-    if not _RATIONAL.fullmatch(literal):
+    match = _RATIONAL.fullmatch(text.strip())
+    if not match:
         raise InputError(f"bad rational literal {text!r}: expected p or p/q")
+    num, den = match.groups()
     try:
-        return Fraction(literal)
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = int(num), int(den or 1)
+    except ValueError as exc:  # past the interpreter's int-from-str digit limit
         raise InputError(f"bad rational literal {text!r}: {exc}") from exc
+    if not den:
+        raise InputError(f"bad rational literal {text!r}: zero denominator")
+    return num, den
 
 
 def clear_denominators(values):

@@ -4,12 +4,14 @@ operations with their three relations.
 Points and lines are triples of exact rationals up to nonzero scale; we store
 the canonical representative (coprime integers, first nonzero entry positive:
 `numeric.primitive_triple`) so that equality and hashing are structural.  A
-triple with Fraction entries, as parsed from JSON, is cleared to integers
-once at construction; the triples the library computes (meets, joins,
-seeded picks and the affine, Desargues and Pascal draws) are built from
-ints.  A point lies on a line iff the dot
+triple read from JSON literals is cleared to integers with one lcm of its
+denominators before it is made canonical, and builds no Fraction; a triple
+with Fraction entries is cleared the same way at construction.  The triples
+the library computes (meets, joins, seeded picks and the affine, Desargues
+and Pascal draws) are built from ints.  A point lies on a line iff the dot
 product of the triples vanishes; the meet of two lines and the join of two
-points are both cross products.
+points are both cross products, and a zero cross product means the two
+canonical triples are equal.
 
 A force is a decomposable 2-form on R^3 stored through its Hodge dual: the
 dual of d(p) ^ d(q) is cross(p, q).  With that encoding force addition is
@@ -29,6 +31,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import GeometryError, InputError, PreconditionError
 from .numeric import clear_denominators, primitive_triple, scalar_from_string
@@ -50,14 +53,16 @@ def _canonical_triple(triple):
 
 
 def _triple_from_strings(strings):
-    """Rationals of an input triple, a list of three literals.  A zero triple
-    is malformed input here (InputError); computed ones raise GeometryError."""
+    """Integer triple of an input triple, a list of three literals, its
+    denominators cleared by their lcm.  A zero triple is malformed input
+    here (InputError); computed ones raise GeometryError."""
     if not isinstance(strings, list) or len(strings) != 3:
         raise InputError(f"a triple is a list of three rational literals, got {strings!r}")
-    xs = [scalar_from_string(s) for s in strings]
-    if not any(xs):
+    (a, p), (b, q), (c, r) = map(scalar_from_string, strings)
+    if not (a or b or c):
         raise InputError("zero triple is not a projective element")
-    return xs
+    den = lcm(p, q, r)
+    return a * (den // p), b * (den // q), c * (den // r)
 
 
 def _cross(a, b):
@@ -139,9 +144,10 @@ def meet(a, b):
         return TRUE
     if not isinstance(a, ProjLine) or not isinstance(b, ProjLine):
         raise InputError("meet expects lines or TRUE")
-    if a == b:
+    x, y, z = _cross(a.coeffs, b.coeffs)
+    if not (x or y or z):  # canonical triples: the lines are equal
         return TRUE
-    return ProjPoint(_cross(a.coeffs, b.coeffs))
+    return ProjPoint((x, y, z))
 
 
 def join(a, b):
@@ -150,9 +156,10 @@ def join(a, b):
         return TRUE
     if not isinstance(a, ProjPoint) or not isinstance(b, ProjPoint):
         raise InputError("join expects points or TRUE")
-    if a == b:
+    x, y, z = _cross(a.coords, b.coords)
+    if not (x or y or z):  # canonical triples: the points are equal
         return TRUE
-    return ProjLine(_cross(a.coords, b.coords))
+    return ProjLine((x, y, z))
 
 
 def rel_concurrent(l1, l2, l3) -> bool:

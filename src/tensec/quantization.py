@@ -55,9 +55,19 @@ from .resolution import (ResolutionScheme, associated_framing, default_tree,
 
 
 def default_trees(g: Graph) -> dict:
-    """Caterpillar tree at every vertex, leaves in sorted-neighbor order."""
-    return {v: default_tree([edge_key(v, u) for u in g.neighbors(v)])
-            for v in g.vertices}
+    """Caterpillar tree at every vertex, leaves in sorted-neighbor order.
+    Its shape depends only on the degree, so the caterpillar of each degree
+    is built and validated once, and every other vertex of that degree gets
+    its shape with its own leaf labels (`BinaryTree.relabeled`)."""
+    shapes, trees = {}, {}
+    for v in g.vertices:
+        labels = [edge_key(v, u) for u in g.neighbors(v)]
+        shape = shapes.get(len(labels))
+        if shape is None:
+            trees[v] = shapes[len(labels)] = default_tree(labels)
+        else:
+            trees[v] = shape.relabeled(dict(enumerate(labels)))
+    return trees
 
 
 def xi_slots(trees: dict) -> tuple:

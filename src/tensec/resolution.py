@@ -40,7 +40,8 @@ class BinaryTree:
     A tree is never changed after construction, so its sorted edges, its
     interior edges and the node of each leaf label are computed once, when
     it is built; `edges` and `interior_edges` return those lists themselves,
-    which callers must not change.
+    which callers must not change.  Trees of one shape (`relabeled`) share
+    their adjacency and edge lists.
     """
 
     __slots__ = ("adjacency", "leaf_labels", "_edges", "_interior", "_leaf_nodes")
@@ -59,10 +60,7 @@ class BinaryTree:
                 elif u == v:
                     raise InputError(f"loop edge at {u!r}")
         leaves = {u for u, vs in adjacency.items() if len(vs) == 1}
-        if set(leaf_labels) != leaves:
-            raise InputError("leaf labels must cover exactly the degree-1 nodes")
-        if len(set(leaf_labels.values())) != len(leaf_labels):
-            raise InputError("leaf labels must be distinct")
+        _check_leaf_labels(leaves, leaf_labels)
         if len(leaves) < 3:
             raise InputError("a full binary tree has at least 3 leaves")
         self.adjacency = adjacency
@@ -74,6 +72,20 @@ class BinaryTree:
         self._interior = [(u, v) for u, v in edges
                           if len(adjacency[u]) == 3 == len(adjacency[v])]
         self._leaf_nodes = {label: node for node, label in self.leaf_labels.items()}
+
+    def relabeled(self, leaf_labels) -> "BinaryTree":
+        """This tree's shape with other leaf labels.  The shape was
+        validated when this tree was built and is shared, not copied; only
+        the labels are checked: they cover exactly the degree-1 nodes and
+        are distinct."""
+        _check_leaf_labels(self.leaf_labels.keys(), leaf_labels)
+        tree = object.__new__(BinaryTree)
+        tree.adjacency = self.adjacency
+        tree.leaf_labels = dict(leaf_labels)
+        tree._edges = self._edges
+        tree._interior = self._interior
+        tree._leaf_nodes = {label: node for node, label in tree.leaf_labels.items()}
+        return tree
 
     def edges(self):
         """The edges (u, v), u < v, in sorted order."""
@@ -103,6 +115,15 @@ class BinaryTree:
     def path(self, a: int, b: int):
         """Nodes of the tree path from a to b."""
         return root_path(bfs_parents(self.adjacency, a), b)[::-1]
+
+
+def _check_leaf_labels(leaves, leaf_labels):
+    """Leaf labels {node: label} cover exactly the leaf nodes and are
+    distinct (InputError otherwise)."""
+    if leaf_labels.keys() != leaves:
+        raise InputError("leaf labels must cover exactly the degree-1 nodes")
+    if len(set(leaf_labels.values())) != len(leaf_labels):
+        raise InputError("leaf labels must be distinct")
 
 
 def default_tree(leaf_labels) -> BinaryTree:

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from all_cycles import all_cycles_system, both_systems, framing
 from lemmas import is_trivial, random_framed_cycle
-from tensec import resolution
+from tensec import conditions, resolution
+from tensec.cli import main
 from tensec.conditions import (_node_table, condition_sexprs,
                                cycle_condition_expression, evaluate,
                                fulfilled_with_witness, generate_system,
@@ -19,7 +21,7 @@ from tensec.errors import InputError, PreconditionError
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import (Framework, Graph, edge_key,
-                              find_nonparallelizable_stress,
+                              find_nonparallelizable_stress, framework_to_json,
                               forceload_from_stress, framework_from_json,
                               framework_in_general_position, read_json,
                               self_stress_basis)
@@ -778,7 +780,8 @@ def test_one_system_builds_each_node_once(graph):
     assert set(nodes).isdisjoint(_nodes(second))
 
 
-def test_compiling_builds_one_tree_per_vertex(monkeypatch):
+@pytest.mark.parametrize("name, shapes", [("K6", 1), ("cube-chord", 2)])
+def test_compiling_builds_one_tree_per_degree(monkeypatch, name, shapes):
     built = []
     init = resolution.BinaryTree.__init__
 
@@ -787,11 +790,59 @@ def test_compiling_builds_one_tree_per_vertex(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(resolution.BinaryTree, "__init__", counting_init)
-    g = complete_graph(6)
+    g = complete_graph(6) if name == "K6" else _GRAPHS[name]
     system = generate_system(g)
-    # K6's framings need surgeries, and none of them builds a tree
+    # the framings need surgeries, and none of them builds a tree; each
+    # vertex of a degree gets that degree's one validated caterpillar
     assert any(e.op == "generic-point" for e in _nodes(system).values())
-    assert len(built) == len(g.vertices)
+    assert len({len(g.neighbors(v)) for v in g.vertices}) == shapes
+    assert len(built) == shapes
+
+
+def _count_texts(monkeypatch):
+    """The generic nodes whose s-expression text `to_sexpr` builds, one
+    entry per memo miss."""
+    built = []
+    to_sexpr = conditions.to_sexpr
+
+    def counting(e, memo):
+        if e.op in ("generic-point", "generic-line") and e not in memo:
+            built.append(e)
+        return to_sexpr(e, memo)
+
+    monkeypatch.setattr(conditions, "to_sexpr", counting)
+    return built
+
+
+def _generic_count(g):
+    return sum(e.op in ("generic-point", "generic-line")
+               for e in _nodes(generate_system(g)).values())
+
+
+@pytest.mark.parametrize("samples", ["1", "4"])
+def test_verify_builds_each_generic_text_once(monkeypatch, tmp_path, capsys, samples):
+    # the picks of every sample read the system's one memo
+    path = tmp_path / "wheel5.json"
+    path.write_text(json.dumps({"vertices": list(WHEEL5_GRAPH.vertices),
+                                "edges": [list(e) for e in WHEEL5_GRAPH.edges]}))
+    built = _count_texts(monkeypatch)
+    assert main(["verify", str(path), "--samples", samples, "--seed", "2"]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert len(built) == len(set(built)) == _generic_count(WHEEL5_GRAPH)
+
+
+def test_check_json_builds_each_generic_text_once(monkeypatch, tmp_path, capsys):
+    # the picks' seeds and the report's s-expressions share the memo
+    g = complete_graph(6)
+    path = tmp_path / "k6.json"
+    path.write_text(json.dumps(framework_to_json(random_placement(g, 1, bound=60))))
+    built = _count_texts(monkeypatch)
+    assert main(["check", str(path), "--seed", "1", "--format", "json"]) == 0
+    monkeypatch.undo()
+    report = json.loads(capsys.readouterr().out)
+    assert report["conditions_fulfilled"] is not None  # the picks were drawn
+    assert len(built) == len(set(built)) == _generic_count(g)
 
 
 def _outcome(f, *args):

@@ -49,12 +49,13 @@ EXTRA_ROOTS = (
 #: the library takes from the framework's general position.
 LEMMAS_ONLY = ("crossings", "distinct_crossings", "pairwise_meets")
 
-#: The library functions that name Fraction: the reader parses input
-#: literals, and the seeded draw makes rationals (the Pascal placement reads
-#: the numerators and denominators of these draws and builds its conic
-#: points as integer triples).  A parsed rational is cleared to ints once,
-#: into a canonical triple (`numeric.clear_denominators`).
-FRACTION_BOUNDARY = ("numeric.scalar_from_string", "projective.random_fraction")
+#: The library functions that name Fraction: only the seeded draw, which
+#: makes rationals (the Pascal placement reads the numerators and
+#: denominators of these draws and builds its conic points as integer
+#: triples).  An input literal is read as two ints, and a triple of them is
+#: cleared to ints with one lcm; a Fraction triple given to a point or line
+#: is cleared once, into a canonical triple (`numeric.clear_denominators`).
+FRACTION_BOUNDARY = ("projective.random_fraction",)
 
 #: Defaults that library calls use one way only, each for its reason.
 ONE_SIDED_DEFAULTS = (

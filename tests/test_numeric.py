@@ -17,14 +17,48 @@ fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 def test_scalar_string_roundtrip():
     for text in ["3", "-7", "2/5", "-11/13", "0"]:
-        assert str(scalar_from_string(text)) == text
-    assert scalar_from_string(" 4/6 ") == Fraction(2, 3)
+        p, q = scalar_from_string(text)
+        assert str(Fraction(p, q)) == text
+    assert scalar_from_string(" 4/6 ") == (4, 6)  # read, not reduced
+    assert scalar_from_string("+05") == (5, 1)
     with pytest.raises(InputError):
         scalar_from_string("1/0")
     with pytest.raises(InputError):
         scalar_from_string("abc")
     with pytest.raises(InputError):
         scalar_from_string(3)  # JSON numbers are not rational literals
+
+
+def _literal(draw):
+    """A rational literal with an optional sign or leading "+", leading
+    zeros, surrounding spaces and an unreduced or absent denominator."""
+    sign = draw(st.sampled_from(("", "-", "+")))
+    zeros = "0" * draw(st.integers(0, 3))
+    num = draw(st.integers(0, 10**30))
+    text = f"{sign}{zeros}{num}"
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 10**6)) * draw(st.sampled_from((1, 2, 6, 35)))
+        text += f"/{'0' * draw(st.integers(0, 2))}{den}"
+    return " " * draw(st.integers(0, 2)) + text + " " * draw(st.integers(0, 2))
+
+
+literals = st.composite(_literal)()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(literals, min_size=3, max_size=3)
+       .filter(lambda t: any(Fraction(x) for x in t)))
+def test_literal_triples_match_the_fraction_reference(strings):
+    want = clear_denominators([Fraction(x) for x in strings])
+    assert ProjPoint.from_strings(strings) == ProjPoint(want)
+    assert ProjLine.from_strings(strings) == ProjLine(want)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/000", "1" * 4301, "1/" + "7" * 4301])
+def test_bad_literals_are_bad_rational_literals(text):
+    # past 4,300 digits the interpreter refuses to read an int
+    with pytest.raises(InputError, match="bad rational literal"):
+        ProjPoint.from_strings([text, "0", "1"])
 
 
 def apply(rows, vec):

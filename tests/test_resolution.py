@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from lemmas import enumerate_equivalent_schemes, topology_key, walk_to_shared_node
 from reference_resolution import _decompose, nonzero_scale, positive_scale
 from reference_resolution import scheme_forceload as fraction_scheme_forceload
+from test_census import census_graphs
+from test_integer_core import wheel
 from tensec.errors import GenericityError, GeometryError, InputError
 from tensec.framework import (edge_key, find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
@@ -314,6 +316,40 @@ def test_integer_decompose_matches_fraction_reference(force, a, b):
 def test_tree_validation():
     with pytest.raises(InputError):
         BinaryTree({0: (1, 2), 1: (0,), 2: (0,)}, {1: "a", 2: "b"})
+
+
+def _tree_view(tree):
+    """Everything a vertex tree answers: adjacency, edges, interior edges,
+    leaf labels, the node of each label and the Xi slots."""
+    return (tree.adjacency, list(tree.adjacency), tree.edges(), tree.interior_edges(),
+            tree.leaf_labels,
+            {label: tree.leaf_node(label) for label in tree.leaf_labels.values()},
+            slot_edges(tree))
+
+
+def test_shared_caterpillars_equal_fresh_ones():
+    # each degree's caterpillar is built once; every other vertex of that
+    # degree relabels it, and answers as a tree built for it would
+    graphs = [g for _, g in census_graphs()] + [wheel(m) for m in range(4, 17)]
+    for g in graphs:
+        trees = default_trees(g)
+        for v in g.vertices:
+            fresh = default_tree([edge_key(v, u) for u in g.neighbors(v)])
+            assert _tree_view(trees[v]) == _tree_view(fresh), v
+        shapes = {id(tree.adjacency) for tree in trees.values()}
+        assert len(shapes) == len({len(g.neighbors(v)) for v in g.vertices})
+
+
+def test_relabeling_checks_the_labels():
+    tree = default_tree(["a", "b", "c", "d"])
+    other = tree.relabeled({0: "w", 1: "x", 2: "y", 3: "z"})
+    assert other.leaf_node("z") == 3 and tree.leaf_node("d") == 3
+    with pytest.raises(InputError, match="cover exactly"):
+        tree.relabeled({0: "w", 1: "x", 2: "y"})
+    with pytest.raises(InputError, match="cover exactly"):
+        tree.relabeled({0: "w", 1: "x", 2: "y", 4: "z"})
+    with pytest.raises(InputError, match="distinct"):
+        tree.relabeled({0: "w", 1: "x", 2: "y", 3: "x"})
 
 
 def test_weak_genericity():

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GeometryError, InputError, PreconditionError
+from .framework import _document_list
 from .projective import (
     ProjLine,
     ProjPoint,
@@ -167,9 +168,10 @@ def pick_aux_line(c: FramedCycle, seed: int) -> ProjLine:
 # JSON interface: {"points":[["1","0","1"],...],"framings":[[coeffs],...]}
 
 def framed_cycle_from_json(obj) -> FramedCycle:
+    shape = 'an object {"points": [...], "framings": [...]}'
     try:
-        points = [ProjPoint.from_strings(p) for p in obj["points"]]
-        framings = [ProjLine.from_strings(l) for l in obj["framings"]]
-    except (KeyError, TypeError) as exc:
+        points, framings = (_document_list(obj, key, shape) for key in ("points", "framings"))
+    except InputError as exc:
         raise InputError(f"malformed framed-cycle JSON: {exc}") from exc
-    return FramedCycle(points, framings)
+    return FramedCycle([ProjPoint.from_strings(p) for p in points],
+                       [ProjLine.from_strings(l) for l in framings])

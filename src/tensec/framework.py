@@ -528,25 +528,58 @@ def framework_to_json(fw: Framework) -> dict:
     }
 
 
+def _json_kind(value) -> str:
+    """A JSON value as an error message names it: a container by its kind,
+    a scalar as written."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    return json.dumps(value)
+
+
 def _json_list(value, what: str) -> list:
     """`value` itself if it is a JSON list; a string or an object is never
     read as a sequence of its characters or keys."""
     if not isinstance(value, list):
-        raise InputError(f"{what} must be a list, got {value!r}")
+        raise InputError(f"{what} must be a list, got {_json_kind(value)}")
     return value
 
 
-def _edges_from_json(raw):
-    return [tuple(_json_list(e, "an edge")) for e in _json_list(raw, "edges")]
+def _json_field(obj, key: str, what: str, shape: str):
+    """obj[key] of the JSON object `what`; InputError naming the missing key,
+    or the expected `shape` when `obj` is not an object (a list or a string
+    is never indexed by the key)."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be {shape}, got {_json_kind(obj)}")
+    if key not in obj:
+        raise InputError(f'{what} has no "{key}"')
+    return obj[key]
+
+
+def _document_list(obj, key: str, shape: str) -> list:
+    """The list under `key` of a JSON document of the given shape."""
+    return _json_list(_json_field(obj, key, "the document", shape), key)
+
+
+_FRAMEWORK_SHAPE = 'an object {"vertices": [...], "edges": [...]}'
+_VERTEX_SHAPE = 'an object {"id": ..., "coords": [...]}'
+
+
+def _edges_from_json(obj):
+    return [tuple(_json_list(e, "an edge"))
+            for e in _document_list(obj, "edges", _FRAMEWORK_SHAPE)]
 
 
 def framework_from_json(obj) -> Framework:
     try:
-        entries = _json_list(obj["vertices"], "vertices")
-        vertices = [entry["id"] for entry in entries]
-        coords = [entry["coords"] for entry in entries]
-        edges = _edges_from_json(obj["edges"])
-    except (KeyError, TypeError) as exc:
+        entries = _document_list(obj, "vertices", _FRAMEWORK_SHAPE)
+        vertices = [_json_field(entry, "id", f"vertices[{i}]", _VERTEX_SHAPE)
+                    for i, entry in enumerate(entries)]
+        coords = [_json_field(entry, "coords", f"vertices[{i}]", _VERTEX_SHAPE)
+                  for i, entry in enumerate(entries)]
+        edges = _edges_from_json(obj)
+    except InputError as exc:
         raise InputError(f"malformed framework JSON: {exc}") from exc
     return Framework(Graph(vertices, edges),
                      {v: ProjPoint.from_strings(c) for v, c in zip(vertices, coords)})
@@ -564,9 +597,11 @@ def read_json(path):
 def graph_from_json(obj) -> Graph:
     """Graph-only JSON: vertices may be bare ids or framework-style objects."""
     try:
-        vertices = [entry["id"] if isinstance(entry, dict) else entry
-                    for entry in _json_list(obj["vertices"], "vertices")]
-        edges = _edges_from_json(obj["edges"])
-    except (KeyError, TypeError) as exc:
+        entries = _document_list(obj, "vertices", _FRAMEWORK_SHAPE)
+        vertices = [_json_field(entry, "id", f"vertices[{i}]", _VERTEX_SHAPE)
+                    if isinstance(entry, dict) else entry
+                    for i, entry in enumerate(entries)]
+        edges = _edges_from_json(obj)
+    except InputError as exc:
         raise InputError(f"malformed graph JSON: {exc}") from exc
     return Graph(vertices, edges)

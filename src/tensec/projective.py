@@ -27,10 +27,8 @@ it.
 
 from __future__ import annotations
 
-import random
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import GeometryError, InputError, PreconditionError
@@ -286,18 +284,37 @@ def _independent_pair(t, degenerate: str):
     raise GeometryError(degenerate)  # unreachable for nonzero t
 
 
-def random_fraction(rng: random.Random, bound: int) -> Fraction:
-    """Seeded rational p/q with |p| <= bound and 1 <= q <= bound."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int):
+    """Endless stream of 64-bit draws from SplitMix64 (Steele, Lea & Flood,
+    OOPSLA 2014) started at `seed` mod 2^64: each draw adds the golden-ratio
+    increment to the state and mixes it with two xor-shift-multiplies and a
+    final xor-shift.
+
+    The seeded picks and auxiliary lines read their candidates from it.
+    None of them reaches a report, and a new stream costs far less than
+    seeding a `random.Random`; the draws that are report data or decide a
+    verdict (`verify`'s samplers, the oracle's probes) keep `random.Random`.
+    """
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        yield z ^ (z >> 31)
 
 
 def random_line_avoiding(points, seed: int) -> ProjLine:
     """Seeded line through none of the given points: the first nonzero
-    coefficient triple, drawn uniformly from [-999, 999]^3, that qualifies."""
+    coefficient triple in [-999, 999]^3 that qualifies.  Candidate i takes
+    its three coefficients from the three low base-1999 digits of the i-th
+    `splitmix64(seed)` draw, each minus 999.  The line reaches no report
+    (`splitmix64` says why that stream, not `random.Random`)."""
     coords = [p.coords for p in points]
-    rng = random.Random(seed)
-    while True:
-        coeffs = tuple(rng.randint(-999, 999) for _ in range(3))
+    for r in splitmix64(seed):
+        coeffs = (r % 1999 - 999, r // 1999 % 1999 - 999, r // 1999 ** 2 % 1999 - 999)
         if any(coeffs) and all(_dot(coeffs, q) != 0 for q in coords):
             return ProjLine(coeffs)
 
@@ -311,17 +328,17 @@ def sub_seed(seed: int, text: str) -> int:
 
 def _pick_in_pencil(kind, triple, avoid, seed: int, degenerate: str):
     """Seeded `kind` (ProjPoint or ProjLine) orthogonal to `triple` and
-    outside `avoid`: b1 + (p/q) b2 for a seeded rational p/q (p drawn first,
-    as by `random_fraction`), built as the integer triple q b1 + p b2, with
-    b1, b2 the canonical forms of the first independent pair of
-    `_orthogonal_triples`."""
+    outside `avoid`: b1 + (p/q) b2, built as the integer triple q b1 + p b2,
+    with b1, b2 the canonical forms of the first independent pair of
+    `_orthogonal_triples`.  Candidate i takes p = r mod 1999 - 999 in
+    [-999, 999] and q = (r div 1999) mod 999 + 1 in [1, 999] from the i-th
+    `splitmix64(seed)` draw r.  The pick reaches no report (`splitmix64`
+    says why that stream, not `random.Random`)."""
     (x1, y1, z1), (x2, y2, z2) = (primitive_triple(*u)
                                   for u in _independent_pair(triple, degenerate))
     avoid = set(avoid)
-    rng = random.Random(seed)
-    while True:
-        p = rng.randint(-999, 999)
-        q = rng.randint(1, 999)
+    for r in splitmix64(seed):
+        p, q = r % 1999 - 999, r // 1999 % 999 + 1
         cand = kind((q * x1 + p * x2, q * y1 + p * y2, q * z1 + p * z2))
         if cand not in avoid:
             return cand
@@ -330,14 +347,16 @@ def _pick_in_pencil(kind, triple, avoid, seed: int, degenerate: str):
 def pick_generic_point_on(l: ProjLine, avoid, seed: int) -> ProjPoint:
     """Deterministic pseudo-random rational point on l outside `avoid`.
 
-    Draws b1 + t b2 for seeded rational t and rejects until the point misses
-    the (finite) avoid set; the same seed always yields the same point.
+    Draws b1 + t b2 for a rational t read from `splitmix64(seed)` and
+    rejects until the point misses the (finite) avoid set; the same seed
+    always yields the same point, in any process.
     """
     return _pick_in_pencil(ProjPoint, l.coeffs, avoid, seed, "degenerate line")
 
 
 def pick_generic_line_through(p: ProjPoint, avoid, seed: int) -> ProjLine:
-    """Dual of pick_generic_point_on: seeded line through p outside `avoid`."""
+    """Dual of pick_generic_point_on: seeded line through p outside `avoid`,
+    drawn from `splitmix64(seed)` the same way."""
     return _pick_in_pencil(ProjLine, p.coords, avoid, seed, "degenerate point")
 
 

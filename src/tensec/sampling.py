@@ -12,11 +12,16 @@ seed; generation is deterministic per (seed, arguments).
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from .errors import GeometryError
 from .framework import Framework, Graph
-from .projective import (ProjLine, ProjPoint, _orthogonal_triples, join,
-                         random_fraction)
+from .projective import ProjLine, ProjPoint, _orthogonal_triples, join
+
+
+def random_fraction(rng: random.Random, bound: int) -> Fraction:
+    """Seeded rational p/q with |p| <= bound and 1 <= q <= bound."""
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
 def random_affine_point(rng: random.Random, bound: int) -> ProjPoint:

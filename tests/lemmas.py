@@ -59,11 +59,10 @@ from tensec.errors import GeometryError, PreconditionError
 from tensec.framework import Framework, Graph, edge_key
 from tensec.numeric import nullspace_basis
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint, _cross,
-                               join, line_of_force, meet, random_fraction,
-                               random_line_avoiding)
+                               join, line_of_force, meet, random_line_avoiding)
 from tensec.resolution import (BinaryTree, ResolutionScheme, rewire, scheme_hf_surgery,
                                shared_node_edge)
-from tensec.sampling import random_affine_point
+from tensec.sampling import random_affine_point, random_fraction
 
 
 # ---------------------------------------------------------------------------

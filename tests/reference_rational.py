@@ -5,13 +5,19 @@ Fraction force-load.
 `reference_primitive` is `numeric.primitive` before the triple normal form
 (clear denominators, one gcd over a list, sign of the first nonzero entry).
 `reference_pick_generic_point_on` and `reference_pick_generic_line_through`
-build b1 + t b2 for a seeded Fraction t; `reference_random_affine_point`,
+build b1 + t b2 for a seeded Fraction t = p/q, with p and q read from
+`reference_splitmix64`, a SplitMix64 written out here rather than imported,
+so that a change to the library's stream shows.  The picks reach no report,
+so the library draws them from SplitMix64, which costs far less than
+seeding a `random.Random`.  `reference_random_affine_point`,
 `reference_random_placement`, `reference_desargues_concurrent_placement`
-and `reference_pascal_conic_placement` draw Fraction coordinates.  All are kept verbatim apart from the names.
+and `reference_pascal_conic_placement` draw Fraction coordinates with
+`random.Random`, as `verify`'s samplers do, since their draws are report
+data; they are kept verbatim apart from the names.
 `reference_slot_witness` derives the slot lines from
 `forceload_from_stress`, not from its integer multiple.  The library builds
-the same triples from integers with the same rng draws, and the tests
-require equal results from both.
+the same triples from integers with the same draws, and the tests require
+equal results from both.
 """
 
 import random
@@ -21,10 +27,9 @@ from math import gcd
 from tensec.errors import GeometryError
 from tensec.framework import Framework, forceload_from_stress
 from tensec.numeric import clear_denominators
-from tensec.projective import (ProjLine, ProjPoint, _independent_pair, join,
-                               random_fraction)
+from tensec.projective import ProjLine, ProjPoint, _independent_pair, join
 from tensec.quantization import quantization_from_stress
-from tensec.sampling import _direction
+from tensec.sampling import _direction, random_fraction
 
 
 def reference_primitive(values):
@@ -44,15 +49,30 @@ def reference_primitive(values):
     return tuple([v // g for v in ints])
 
 
+def reference_splitmix64(seed: int):
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the 64-bit outputs
+    of the generator seeded with `seed` mod 2^64."""
+    mask = 2 ** 64 - 1
+    state = seed % 2 ** 64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 def _reference_pick_in_pencil(kind, triple, avoid, seed: int, degenerate: str):
     """Seeded `kind` (ProjPoint or ProjLine) orthogonal to `triple` and
     outside `avoid`: b1 + t b2 for seeded rational t, with b1, b2 the
-    canonical forms of the first independent pair of `_orthogonal_triples`."""
+    canonical forms of the first independent pair of `_orthogonal_triples`.
+    Candidate i reads t = p/q from the i-th draw r of
+    `reference_splitmix64(seed)`: p = r mod 1999 - 999 and
+    q = (r div 1999) mod 999 + 1."""
     b1, b2 = (reference_primitive(u) for u in _independent_pair(triple, degenerate))
     avoid = set(avoid)
-    rng = random.Random(seed)
-    while True:
-        t = random_fraction(rng, 999)
+    for r in reference_splitmix64(seed):
+        t = Fraction(r % 1999 - 999, (r // 1999) % 999 + 1)
         cand = kind(tuple(Fraction(x) + t * Fraction(y) for x, y in zip(b1, b2)))
         if cand not in avoid:
             return cand

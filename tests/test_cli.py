@@ -15,7 +15,7 @@ from tensec.cli import main
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_POS, WHEEL5_GRAPH)
 from tensec.framework import framework_to_json
-from tensec.projective import ProjPoint, _dot
+from tensec.projective import ProjLine, ProjPoint, _dot
 from tensec.quantization import consistency_cycles
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +138,35 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
                  ["render", files["dpos"], "-o", str(tmp_path / "missing" / "x.svg")]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_malformed_json_names_the_missing_key_or_the_expected_shape(tmp_path, capsys):
+    # these once printed the bare KeyError or TypeError, e.g. "'coords'" or
+    # "string indices must be integers, not 'str'"
+    framework = 'an object {"vertices": [...], "edges": [...]}'
+    vertex = 'an object {"id": ..., "coords": [...]}'
+    point = ["0", "0", "1"]
+    for argv, obj, message in (
+            (["check"], {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+             f'malformed framework JSON: vertices[0] must be {vertex}, got "a"'),
+            (["check"], {"vertices": [{"id": "a"}], "edges": []},
+             'malformed framework JSON: vertices[0] has no "coords"'),
+            (["check"], {"vertices": [{"id": "a", "coords": point}]},
+             'malformed framework JSON: the document has no "edges"'),
+            (["check"], [{"id": "a", "coords": point}],
+             f"malformed framework JSON: the document must be {framework}, got a list"),
+            (["check"], {"vertices": "ab", "edges": []},
+             'malformed framework JSON: vertices must be a list, got "ab"'),
+            (["conditions"], {"vertices": [{"coords": point}], "edges": []},
+             'malformed graph JSON: vertices[0] has no "id"'),
+            (["verify"], ["a", "b"],
+             f"malformed graph JSON: the document must be {framework}, got a list"),
+            (["render", "-o", str(tmp_path / "x.svg")], {"framings": [point]},
+             'malformed framed-cycle JSON: the document has no "points"')):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        assert main([argv[0], str(path), *argv[1:]]) == 2, message
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Pools for framework-shaped JSON: each slot mostly holds what the format
@@ -836,6 +865,69 @@ def test_check_tests_non_parallelizability_once(monkeypatch, capsys):
                     monkeypatch.setattr(module, key, counted)
     check_wheel6(monkeypatch, capsys)
     assert len(calls) == 1
+
+
+#: `check` with its generic picks and auxiliary lines recorded and printed
+#: after the report, run in a fresh interpreter.
+_RECORDED_CHECK = """
+import sys
+from tensec import cycles, projective
+from tensec.cli import main
+
+made = []
+
+def recorded(kind, original):
+    def call(*args):
+        made.append((kind, original(*args)))
+        return made[-1][1]
+    return call
+
+projective._pick_in_pencil = recorded("pick", projective._pick_in_pencil)
+cycles.random_line_avoiding = recorded("aux", cycles.random_line_avoiding)
+code = main(sys.argv[1:])
+print(made)
+sys.exit(code)
+"""
+
+
+def test_check_repeats_its_picks_and_bytes_in_a_fresh_process(monkeypatch, capsys):
+    # the generic picks and auxiliary lines are seeded through crc32 of an
+    # s-expression or of vertex ids, never through the per-process string
+    # hash: under another PYTHONHASHSEED the report and every pick repeat
+    import tensec
+    from tensec import cycles, projective
+
+    made = []
+
+    def recorded(kind, original):
+        def call(*args):
+            made.append((kind, original(*args)))
+            return made[-1][1]
+        return call
+
+    monkeypatch.setattr(projective, "_pick_in_pencil",
+                        recorded("pick", projective._pick_in_pencil))
+    monkeypatch.setattr(cycles, "random_line_avoiding",
+                        recorded("aux", cycles.random_line_avoiding))
+    monkeypatch.chdir(GOLDEN)
+    hash_seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(Path(tensec.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    kinds = set()
+    for name, seed in (("k5", "5"), ("wheel6", "6")):
+        argv = ["check", f"{name}_framework.json", "--seed", seed, "--format", "json"]
+        made.clear()
+        assert main(argv) == 0
+        here = capsys.readouterr().out
+        fresh = subprocess.run([sys.executable, "-c", _RECORDED_CHECK, *argv], cwd=GOLDEN,
+                               env=env, capture_output=True, text=True)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == f"{here}{made}\n", name
+        kinds |= {(kind, type(x)) for kind, x in made}
+    # between them the two inputs pick points and lines and draw
+    # auxiliary lines
+    assert kinds == {("pick", ProjPoint), ("pick", ProjLine), ("aux", ProjLine)}, kinds
 
 
 def test_env_seed_fallback(files):

@@ -617,7 +617,7 @@ def test_framed_cycle_json_roundtrip():
 def test_seeded_lines_match_recorded_values():
     # pick_aux_line (with its points avoided too, as `aux_line_avoiding`
     # draws) and chart_avoiding draw coefficient triples from one seeded
-    # stream; the values were recorded before they shared a helper
+    # stream, `projective.splitmix64`; the values were recorded from it
     pts = [ProjPoint((0, 0, 1)), ProjPoint((4, 0, 1)), ProjPoint((5, 3, 1)),
            ProjPoint((1, 4, 1))]
     frs = [ProjLine((1, 2, 0)), ProjLine((1, -1, -4)), ProjLine((3, 1, -18)),
@@ -625,11 +625,11 @@ def test_seeded_lines_match_recorded_values():
     c = FramedCycle(pts, frs)
     # seed: (line, a point on it, line when that point is avoided too)
     recorded = {
-        0: ((730, -211, 553), (211, 730, 0), (824, -138, -917)),
-        1: ((362, -83, -368), (83, 362, 0), (644, 565, -870)),
-        2: ((479, 384, 471), (384, -479, 0), (739, -884, -812)),
-        3: ((512, -214, -115), (107, 256, 0), (366, 121, -438)),
-        4: ((258, 189, 394), (63, -86, 0), (478, -188, -19)),
+        0: ((953, 888, 744), (888, -953, 0), (9, 37, 591)),
+        1: ((84, -136, 139), (34, 21, 0), (295, -82, 5)),
+        2: ((624, -286, 431), (11, 24, 0), (191, 778, -899)),
+        3: ((583, -630, -735), (630, 583, 0), (239, -319, -519)),
+        4: ((391, 44, -504), (44, -391, 0), (795, -205, 106)),
     }
     for seed, (first, on_first, second) in recorded.items():
         assert pick_aux_line(c, seed).coeffs == first

@@ -49,13 +49,13 @@ EXTRA_ROOTS = (
 #: the library takes from the framework's general position.
 LEMMAS_ONLY = ("crossings", "distinct_crossings", "pairwise_meets")
 
-#: The library functions that name Fraction: only the seeded draw, which
-#: makes rationals (the Pascal placement reads the numerators and
-#: denominators of these draws and builds its conic points as integer
+#: The library functions that name Fraction: only the samplers' seeded
+#: draw, which makes rationals (the Pascal placement reads the numerators
+#: and denominators of these draws and builds its conic points as integer
 #: triples).  An input literal is read as two ints, and a triple of them is
 #: cleared to ints with one lcm; a Fraction triple given to a point or line
 #: is cleared once, into a canonical triple (`numeric.clear_denominators`).
-FRACTION_BOUNDARY = ("projective.random_fraction",)
+FRACTION_BOUNDARY = ("sampling.random_fraction",)
 
 #: Defaults that library calls use one way only, each for its reason.
 ONE_SIDED_DEFAULTS = (

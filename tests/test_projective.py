@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from integers import integer_forces
 from lemmas import affine_vector, lines_in_general_position
+from reference_rational import reference_splitmix64
 from tensec.errors import GeometryError
 from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
                                ZERO_FORCE, _cross, _proper_subset_sums,
@@ -15,7 +17,8 @@ from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
                                non_parallelizable_star, nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
                                pick_generic_line_through, pick_generic_point_on,
-                               rel_collinear, rel_concurrent, rel_incident)
+                               random_line_avoiding, rel_collinear, rel_concurrent,
+                               rel_incident, splitmix64)
 
 
 def force_between(p: ProjPoint, q: ProjPoint, scale) -> Force:
@@ -190,6 +193,28 @@ def test_generic_line_determinism_and_avoidance():
     assert l1 != X_AXIS
     assert rel_incident(ProjPoint((5, 7, 1)),
                         pick_generic_line_through(ProjPoint((5, 7, 1)), (), 9))
+
+
+def test_splitmix64_gives_the_published_outputs():
+    # the reference outputs of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014);
+    # the tests' own copy, which the Fraction reference picks read, agrees
+    for stream in (splitmix64, reference_splitmix64):
+        assert list(islice(stream(0), 3)) == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert list(islice(stream(1234567), 3)) == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+
+def test_picks_and_aux_lines_seed_no_random_generator(monkeypatch):
+    # a generic pick and an auxiliary line read SplitMix64 only; the
+    # samplers and the oracle's probes are the draws that seed random.Random
+    def refused(*args):
+        raise AssertionError("random.Random seeded")
+
+    monkeypatch.setattr(random, "Random", refused)
+    assert rel_incident(pick_generic_point_on(X_AXIS, {ORIGIN}, 5), X_AXIS)
+    assert rel_incident(ORIGIN, pick_generic_line_through(ORIGIN, {X_AXIS}, 5))
+    assert not rel_incident(ORIGIN, random_line_avoiding([ORIGIN], 5))
 
 
 points = st.builds(

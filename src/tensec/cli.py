@@ -168,9 +168,7 @@ def _tri(v) -> str:
 # conditions
 
 def cmd_conditions(args) -> int:
-    g = graph_from_json(read_json(args.graph))
-    g.require_min_degree()
-    system = generate_system(g)
+    system = generate_system(graph_from_json(read_json(args.graph)))
     payload = system_to_json(system)
     if args.format == "json":
         _emit(payload, [], "json")
@@ -212,7 +210,6 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise InputError(f"--samples must be at least 1, got {args.samples}")
     g = graph_from_json(read_json(args.graph))
-    g.require_min_degree()
     with _phase(args, "compile"):
         system = generate_system(g)
     constrained = _constrained_generator(g)

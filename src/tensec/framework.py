@@ -13,7 +13,10 @@ cross-validated against.  It runs on the placement's canonical integer
 triples p and their chart scales s = <p, V>, with no Fraction between the
 input coordinates and the verdict: the rigidity system is built with the
 column of edge uv scaled by s_u s_v, which makes every entry an integer,
-and its stresses have int weights.  There is one kind of force-load:
+and its stresses have int weights.  A force-load is a plain dict from
+each ordered pair (u, v) of an edge's ends to the force triple at u
+(`projective`); it holds both orientations of every edge, and (v, u) maps
+to the negation of (u, v).  There is one kind of force-load:
 `forceload_from_stress` builds a positive integer multiple of a stress's
 chart load, which has the same equilibrium, the same lines of force and the
 same subset tests.  The oracle tests its candidate stresses on these loads,
@@ -31,9 +34,7 @@ from .errors import GeometryError, InputError, PointAtInfinityError, Preconditio
 from .numeric import nullspace_basis, primitive, primitive_triple
 from .projective import (
     AffineChart,
-    Force,
     ProjPoint,
-    ZERO_FORCE,
     _cross,
     _dot,
     join,
@@ -162,40 +163,20 @@ class Framework:
         return self._general_position
 
 
-class ForceLoad:
-    """Antisymmetric assignment of forces to ordered vertex pairs."""
-
-    __slots__ = ("forces",)
-
-    def __init__(self, forces):
-        forces = dict(forces)
-        for (u, v), f in list(forces.items()):
-            back = forces.get((v, u))
-            if back is None:
-                forces[(v, u)] = -f
-            elif not (f + back).is_zero():
-                raise GeometryError(f"forces at ({u},{v}) are not antisymmetric")
-        self.forces = forces
-
-    def force(self, u: str, v: str) -> Force:
-        return self.forces.get((u, v), ZERO_FORCE)
-
-
-def vertex_force_sum(fw: Framework, fl: ForceLoad, v: str) -> Force:
-    """Sum of the forces at v, in the type of their entries, added as raw
-    dual triples."""
-    forces = fl.forces
+def vertex_force_sum(fw: Framework, fl: dict, v: str) -> tuple:
+    """Sum of the forces fl[(v, u)] at v, componentwise, in the type of
+    their entries."""
     x = y = z = 0
     for u in fw.graph.neighbors(v):
-        a, b, c = forces.get((v, u), ZERO_FORCE).dual
+        a, b, c = fl[(v, u)]
         x += a
         y += b
         z += c
-    return Force((x, y, z))
+    return (x, y, z)
 
 
-def is_equilibrium(fw: Framework, fl: ForceLoad) -> bool:
-    return all(vertex_force_sum(fw, fl, v).is_zero() for v in fw.graph.vertices)
+def is_equilibrium(fw: Framework, fl: dict) -> bool:
+    return all(vertex_force_sum(fw, fl, v) == (0, 0, 0) for v in fw.graph.vertices)
 
 
 def _chart_scales(fw: Framework, chart: AffineChart) -> dict:
@@ -269,7 +250,7 @@ def self_stress_basis(fw: Framework, chart: AffineChart):
             for vec in nullspace_basis(rows, len(edges))]
 
 
-def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
+def is_non_parallelizable(fw: Framework, fl: dict) -> bool:
     """Non-parallelizability of an equilibrium force-load, by exhaustive
     subset enumeration at every vertex.
 
@@ -277,13 +258,11 @@ def is_non_parallelizable(fw: Framework, fl: ForceLoad) -> bool:
     """
     if not is_equilibrium(fw, fl):
         raise PreconditionError("force-load is not an equilibrium force-load")
-    forces = fl.forces
-    return all(non_parallelizable_star([forces.get((v, u), ZERO_FORCE)
-                                        for u in fw.graph.neighbors(v)])
+    return all(non_parallelizable_star([fl[(v, u)] for u in fw.graph.neighbors(v)])
                for v in fw.graph.vertices)
 
 
-def forceload_from_stress(fw: Framework, w, chart: AffineChart) -> ForceLoad:
+def forceload_from_stress(fw: Framework, w, chart: AffineChart) -> dict:
     """Force-load of a stress w, its int weights in `fw.graph.edges` order:
     the positive multiple of the load whose chart vectors are w_ij (n_i -
     n_j) on every edge, n the chart representatives, in ints with gcd 1.
@@ -314,10 +293,13 @@ def _integer_forceloads(fw: Framework, chart: AffineChart):
                    for d in _cross(p[v].coords, p[u].coords)) for u, v in edges]
     contents = [gcd(*d) for d in duals]
 
-    def load(weights) -> ForceLoad:
+    def load(weights) -> dict:
         g = gcd(*(k * d for k, d in zip(weights, contents))) or 1
-        return ForceLoad({e: Force((k * a // g, k * b // g, k * c // g))
-                          for e, k, (a, b, c) in zip(edges, weights, duals)})
+        fl = {}
+        for (u, v), k, (a, b, c) in zip(edges, weights, duals):
+            a, b, c = k * a // g, k * b // g, k * c // g
+            fl[(u, v)], fl[(v, u)] = (a, b, c), (-a, -b, -c)
+        return fl
     return load
 
 
@@ -586,11 +568,14 @@ def framework_from_json(obj) -> Framework:
 
 
 def read_json(path):
-    """Parsed contents of a JSON file; InputError if it cannot be read."""
+    """Parsed contents of a JSON file; InputError if it cannot be read.  A
+    ValueError covers bytes that are not UTF-8, malformed JSON and an int
+    literal past the interpreter's int-from-str limit; RecursionError,
+    nesting deeper than the decoder's recursion."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 

@@ -8,9 +8,10 @@ rationals (ints or Fractions) the same way.
 ``nullspace_basis`` takes integer rows and runs the sparse, fraction-free
 integer elimination of ``tensec._kernel``, which is pure Python; its
 back-substitution stays in the integers too, and it returns the canonical
-null vectors as int tuples.  The oracle's rigidity system is built
-column-scaled from the integer point triples, and the framed-cycle
-equilibrium system from the integer line triples.  ``primitive_triple`` is
+null vectors as int tuples.  The library builds one system, the oracle's
+rigidity system, column-scaled from the integer point triples; the
+framed-cycle equilibrium system, built from the integer line triples, is
+the tests' lemma code (`tests/lemmas.py`).  ``primitive_triple`` is
 the normal form of an integer triple up to scale (one gcd, a sign, at most
 three exact divisions): every projective point and line is stored in it,
 and the meets, joins, seeded picks and subset-sum lines on the ``check``

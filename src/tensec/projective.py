@@ -13,12 +13,17 @@ product of the triples vanishes; the meet of two lines and the join of two
 points are both cross products, and a zero cross product means the two
 canonical triples are equal.
 
-A force is a decomposable 2-form on R^3 stored through its Hodge dual: the
-dual of d(p) ^ d(q) is cross(p, q).  With that encoding force addition is
-componentwise, the line of a nonzero force has exactly the dual triple as
-coefficients, and the chart vector of a force (its interior product with the
-chart's constant field V) is dual x V.  Unlike points and lines, forces keep
-their scale.
+A force is a decomposable 2-form on R^3 stored as the plain tuple of its
+Hodge dual: the dual of d(p) ^ d(q) is cross(p, q).  With that encoding
+forces add componentwise, the line of a nonzero force has exactly the
+triple as coefficients (`line_of_force`), and the chart vector of a force
+(its interior product with the chart's constant field V) is the triple x V.
+Unlike points and lines, forces keep their scale.  The star tests read a
+list of int triples.  Every load the library builds is in ints: the
+oracle's (`framework.forceload_from_stress`), the resolution schemes'
+(`resolution.scheme_forceload`) and the quantization's
+(`quantization.construct_forceload`) are each a positive multiple of the
+exact rational load, which changes no line of force and no subset test.
 
 Geometric computations may collapse to the absorbing ``TRUE`` token (meet of
 equal lines, join of equal points); every operation and relation propagates
@@ -189,53 +194,11 @@ def rel_incident(p, l) -> bool:
     return l.contains(p)
 
 
-@dataclass(frozen=True)
-class Force:
-    """Force on the projective plane: Hodge dual of a decomposable 2-form.
-
-    ``dual`` is a triple of exact scalars kept as given; forces add
-    componentwise and keep scale, and sums, negations and multiples keep the
-    entries' type.  The library builds one kind of force-load, in ints: the
-    oracle's (`framework.forceload_from_stress`), the resolution schemes'
-    (`resolution.scheme_forceload`) and the quantization's
-    (`quantization.construct_forceload`) are each a positive multiple of the
-    exact rational load, which changes no line of force and no subset test.
-    """
-
-    dual: tuple
-
-    def __init__(self, dual):
-        dual = tuple(dual)
-        if len(dual) != 3:
-            raise InputError("force duals have exactly 3 entries")
-        object.__setattr__(self, "dual", dual)
-
-    def is_zero(self) -> bool:
-        return not any(self.dual)
-
-    def __add__(self, other: "Force") -> "Force":
-        a, b = self.dual, other.dual
-        return Force((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-
-    def __neg__(self) -> "Force":
-        a = self.dual
-        return Force((-a[0], -a[1], -a[2]))
-
-    def scaled(self, k) -> "Force":
-        a = self.dual
-        return Force((k * a[0], k * a[1], k * a[2]))
-
-    def __repr__(self):
-        return "Force({}, {}, {})".format(*map(str, self.dual))
-
-
-ZERO_FORCE = Force((0, 0, 0))
-
-
-def line_of_force(f: Force) -> ProjLine:
-    if f.is_zero():
+def line_of_force(f) -> ProjLine:
+    """Line of a nonzero force, the line whose coefficients are its triple."""
+    if not any(f):
         raise GeometryError("zero force has no line of force")
-    return ProjLine(f.dual)
+    return ProjLine(f)
 
 
 @dataclass(frozen=True)
@@ -412,13 +375,12 @@ def nonvanishing_proper_subsets(forces) -> bool:
     full); every other pair is.  More than MAX_SUBSET_DEGREE forces raise
     PreconditionError.
     """
-    duals = [f.dual for f in forces]
-    _check_subset_degree(duals)
-    if len(duals) < 2:  # no proper nonempty subset
+    _check_subset_degree(forces)
+    if len(forces) < 2:  # no proper nonempty subset
         return True
-    half = len(duals) // 2
-    left = _subset_sums((0, 0, 0), duals[:half])
-    right = _subset_sums((0, 0, 0), duals[half:])
+    half = len(forces) // 2
+    left = _subset_sums((0, 0, 0), forces[:half])
+    right = _subset_sums((0, 0, 0), forces[half:])
     # (empty, B) is proper for B nonempty, (full, B) for B not full
     x, y, z = left[-1]
     if (0, 0, 0) in right[1:] or (-x, -y, -z) in right[:-1]:
@@ -436,8 +398,8 @@ def partial_sum_lines_distinct(forces) -> bool:
 
     Assumes no proper nonempty subset vanishes, so every partial sum has a
     line of force; a vanishing partial sum raises GeometryError, whether or
-    not two lines coincide.  The duals are ints, as in every load the
-    library builds.
+    not two lines coincide.  The forces are int triples, as in every load
+    the library builds.
 
     Each sum (x, y, z) is keyed by its float ratios (x/z, y/z), or x/y when
     z = 0.  CPython's int/int true division is correctly rounded, so
@@ -446,10 +408,9 @@ def partial_sum_lines_distinct(forces) -> bool:
     exactly, as `primitive_triple`s; so is a sum whose ratio overflows a
     float.
     """
-    duals = [f.dual for f in forces]
     keys = set()
     count = 0
-    for block in _proper_subset_sums(duals[0], duals[1:]):
+    for block in _proper_subset_sums(forces[0], forces[1:]):
         count += len(block)
         for x, y, z in block:
             try:
@@ -467,7 +428,7 @@ def partial_sum_lines_distinct(forces) -> bool:
     if len(keys) == count:
         return True
     lines = {primitive_triple(*total)
-             for block in _proper_subset_sums(duals[0], duals[1:]) for total in block}
+             for block in _proper_subset_sums(forces[0], forces[1:]) for total in block}
     return len(lines) == count
 
 
@@ -475,6 +436,6 @@ def non_parallelizable_star(forces) -> bool:
     """The forces at one point are non-parallelizable: none is zero, no
     proper nonempty 0/1-combination vanishes, and the 2^(s-1) - 1 lines of
     F1 + sum(a_i F_i, i >= 2), (a_2..a_s) != (1..1), are pairwise distinct."""
-    return ((0, 0, 0) not in [f.dual for f in forces]
+    return ((0, 0, 0) not in forces
             and nonvanishing_proper_subsets(forces)
             and partial_sum_lines_distinct(forces))

@@ -47,8 +47,7 @@ from math import gcd
 from .cycles import FramedCycle, is_trivial_monodromy, pick_aux_line
 from .errors import (GenericityError, GeometryError, InconsistentQuantizationError,
                      InputError, PreconditionError)
-from .framework import (ForceLoad, Framework, Graph, bfs_parents, cycle_corners,
-                        edge_key, root_path)
+from .framework import Framework, Graph, bfs_parents, cycle_corners, edge_key, root_path
 from .projective import ProjLine, line_of_force, sub_seed
 from .resolution import (ResolutionScheme, associated_framing, default_tree,
                          slot_edges, tree_labels)
@@ -128,7 +127,7 @@ class Quantization:
         return associated_framing(self.scheme_at(v), edge_a, edge_b)
 
 
-def quantization_from_stress(fw: Framework, fl: ForceLoad, trees: dict) -> Quantization:
+def quantization_from_stress(fw: Framework, fl: dict, trees: dict) -> Quantization:
     """Quantization associated to a non-parallelizable equilibrium load, such
     as the load of a stress that `find_nonparallelizable_stress` accepted,
     on `trees`, the `default_trees` of the graph (`check` passes the trees
@@ -143,15 +142,15 @@ def quantization_from_stress(fw: Framework, fl: ForceLoad, trees: dict) -> Quant
     that `check` and `verify` pass (`framework.forceload_from_stress`) they
     stay in ints.
     """
-    if any(fl.force(u, v).is_zero() for u, v in fw.graph.edges):
+    if any(fl[e] == (0, 0, 0) for e in fw.graph.edges):
         raise GenericityError("force-load vanishes on an edge")
     labels = {}
     for v, tree in trees.items():
         for idx, te in slot_edges(tree).items():
-            forces = [fl.force(v, j if i == v else i)
+            forces = [fl[(v, j if i == v else i)]
                       for i, j in sorted(tree.side_labels(te, te[0]))]
-            total = sum(forces[1:], forces[0])
-            if total.is_zero():
+            total = tuple(map(sum, zip(*forces)))
+            if total == (0, 0, 0):
                 raise GenericityError(f"force-load sum vanishes at slot ({v}, {idx})")
             labels[(v, idx)] = line_of_force(total)
     return Quantization(fw, labels, trees)
@@ -240,7 +239,7 @@ def is_consistent(q: Quantization, cycles) -> bool:
     return all(is_consistent_at(q, c) for c in cycles)
 
 
-def construct_forceload(q: Quantization) -> ForceLoad:
+def construct_forceload(q: Quantization) -> dict:
     """Equilibrium force-load of the framework carried by the quantization.
 
     Every vertex scheme has one equilibrium force-load up to scale
@@ -254,14 +253,14 @@ def construct_forceload(q: Quantization) -> ForceLoad:
     naming the cycle that edge closes in the walk's tree.  A zero force on
     any tree edge raises GeometryError.
 
-    Returns the load of the leaf forces, an int load unique up to one
-    global scalar.
+    Returns the load of the leaf forces on both orientations of every edge,
+    an int load unique up to one global scalar.
     """
     g = q.framework.graph
     leaf = {}
     for v in g.vertices:
         scheme = q.scheme_at(v)
-        if any(f.is_zero() for f in scheme.forceload.values()):
+        if (0, 0, 0) in scheme.forceload.values():
             raise GeometryError("constructed force-load vanishes on an edge")
         leaf[v] = scheme.leaf_forces
     parent = bfs_parents(g.adjacency, min(g.vertices))
@@ -271,7 +270,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
             scale[v] = 1
             continue
         e = edge_key(u, v)
-        a, b = leaf[u][e].dual, leaf[v][e].dual
+        a, b = leaf[u][e], leaf[v][e]
         i = next(i for i, x in enumerate(b) if x)
         k, r = -scale[u] * a[i], b[i]
         d = gcd(k, r) if r > 0 else -gcd(k, r)
@@ -280,10 +279,12 @@ def construct_forceload(q: Quantization) -> ForceLoad:
         scale[v] = k // d
     forces = {}
     for u, v in g.edges:
-        f = leaf[u][(u, v)].scaled(scale[u])
-        if not (f + leaf[v][(u, v)].scaled(scale[v])).is_zero():
+        s, t = scale[u], scale[v]
+        (a, b, c), (x, y, z) = leaf[u][(u, v)], leaf[v][(u, v)]
+        a, b, c = s * a, s * b, s * c
+        if (a + t * x, b + t * y, c + t * z) != (0, 0, 0):
             raise InconsistentQuantizationError(
                 "cycle closes with mismatched stress", _tree_cycle(parent, u, v))
-        forces[(u, v)] = f
-    return ForceLoad(forces)
+        forces[(u, v)], forces[(v, u)] = (a, b, c), (-a, -b, -c)
+    return forces
 

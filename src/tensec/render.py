@@ -105,7 +105,12 @@ def _svg(elements) -> str:
 
 def _draw(points, edges, framings, chart: AffineChart) -> str:
     """SVG of ordered (label, point) pairs, edges given as label pairs, and
-    framing lines drawn dashed across the view window."""
+    framing lines drawn dashed across the view window.  Labels are escaped
+    as XML text ("a&b" is written "a&amp;b")."""
+    # imported here, not with the module: `html` loads its entity table
+    # (about 0.5 MB), and every command imports this module through `cli`
+    from html import escape
+
     exact = {label: _chart_xy(label, p, chart) for label, p in points}
     xs = _floats((x for x, _ in exact.values()), "chart coordinate")
     ys = _floats((y for _, y in exact.values()), "chart coordinate")
@@ -130,7 +135,7 @@ def _draw(points, edges, framings, chart: AffineChart) -> str:
         elements.append(f'<circle cx="{u:.2f}" cy="{w:.2f}" r="4" fill="#b22222"/>')
         elements.append(
             f'<text x="{u + 7:.2f}" y="{w - 7:.2f}" '
-            f'font-family="monospace" font-size="14">{label}</text>')
+            f'font-family="monospace" font-size="14">{escape(label, quote=False)}</text>')
     return _svg(elements)
 
 

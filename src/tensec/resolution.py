@@ -26,8 +26,7 @@ from math import gcd
 
 from .errors import GenericityError, GeometryError, InputError
 from .framework import bfs_parents, edge_key, is_connected, root_path
-from .projective import Force, ProjLine, ProjPoint, line_of_force, \
-    non_parallelizable_star
+from .projective import ProjLine, ProjPoint, line_of_force, non_parallelizable_star
 
 
 class BinaryTree:
@@ -211,7 +210,7 @@ def is_weakly_generic(s: ResolutionScheme) -> bool:
     return True
 
 
-def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
+def _decompose(force: tuple, l1: ProjLine, l2: ProjLine):
     """Split a positive multiple of -force along two distinct concurrent
     lines, in integers: returns (k, f1, f2) with k a positive int,
     k force + f1 + f2 = 0 and line(f_i) <= l_i, for an int force.
@@ -221,7 +220,7 @@ def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
     two numerators.  The third coordinate is checked.  Raises GeometryError
     when the force is not in the span of the lines, or when they are equal.
     """
-    a, b, v = l1.coeffs, l2.coeffs, force.dual
+    a, b, v = l1.coeffs, l2.coeffs, force
     for r, t in ((0, 1), (0, 2), (1, 2)):
         det = a[r] * b[t] - a[t] * b[r]
         if det:
@@ -235,8 +234,8 @@ def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
                 g = -g
             x //= g
             y //= g
-            return (det // g, Force((x * a[0], x * a[1], x * a[2])),
-                    Force((y * b[0], y * b[1], y * b[2])))
+            return (det // g, (x * a[0], x * a[1], x * a[2]),
+                    (y * b[0], y * b[1], y * b[2]))
     raise GeometryError("cannot decompose along equal lines")
 
 
@@ -261,8 +260,8 @@ def scheme_forceload(s: ResolutionScheme):
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
     u, v = s.tree.edges()[0]
-    seed = Force(s.label(u, v).coeffs)
-    forces = {(u, v): seed, (v, u): -seed}
+    a, b, c = s.label(u, v).coeffs
+    forces = {(u, v): (a, b, c), (v, u): (-a, -b, -c)}
     # (node, the neighbor whose force at that node is known)
     stack = [(u, v), (v, u)]
     while stack:
@@ -272,9 +271,9 @@ def scheme_forceload(s: ResolutionScheme):
         n1, n2 = (n for n in s.tree.adjacency[w] if n != known)
         k, f1, f2 = _decompose(forces[(w, known)], s.label(w, n1), s.label(w, n2))
         if k != 1:
-            forces = {pair: f.scaled(k) for pair, f in forces.items()}
-        forces[(w, n1)], forces[(n1, w)] = f1, -f1
-        forces[(w, n2)], forces[(n2, w)] = f2, -f2
+            forces = {pair: (k * a, k * b, k * c) for pair, (a, b, c) in forces.items()}
+        for n, (a, b, c) in ((n1, f1), (n2, f2)):
+            forces[(w, n)], forces[(n, w)] = (a, b, c), (-a, -b, -c)
         stack.extend([(n1, w), (n2, w)])
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
@@ -395,8 +394,9 @@ def scheme_hf_surgery(s: ResolutionScheme, interior_edge, pairing) -> Resolution
     forces = s.forceload
 
     def paired_line(tree, labels, h):
-        combined = forces[h[1]] + forces[h[3]]
-        if combined.is_zero():
+        (a, b, c), (x, y, z) = forces[h[1]], forces[h[3]]
+        combined = (a + x, b + y, c + z)
+        if combined == (0, 0, 0):
             raise GeometryError("surgery undefined: the paired forces cancel")
         return line_of_force(combined)
 
@@ -424,5 +424,5 @@ def associated_framing(s: ResolutionScheme, leaf_a, leaf_b) -> ProjLine:
         return s.labels[edge]
     if not s.strongly_generic:
         raise GenericityError("scheme is not strongly generic")
-    lf = s.leaf_forces
-    return line_of_force(lf[leaf_a] + lf[leaf_b])
+    (a, b, c), (x, y, z) = s.leaf_forces[leaf_a], s.leaf_forces[leaf_b]
+    return line_of_force((a + x, b + y, c + z))

@@ -41,6 +41,9 @@ those of `tests/test_acceptance.py`).
   - `has_edge` tests adjacency in a graph.
   - `affine_vector`, the chart vector of a force, reads a stress back
     from a force-load (`tests/reference_oracle.py`).
+* Forces, which the library keeps as plain triples (`tensec.projective`):
+  `force_sum`, `negated` and `scaled` add, negate and scale them
+  componentwise, in the type of their entries.
 * Resolution schemes (`tests/test_resolution.py`):
   - `enumerate_equivalent_schemes` closes a strongly generic scheme under
     surgeries: 1, 3 and 15 topologies on 3, 4 and 5 leaves, criterion 6.
@@ -58,7 +61,7 @@ from tensec.cycles import FramedCycle, LineMap, _three_points
 from tensec.errors import GeometryError, PreconditionError
 from tensec.framework import Framework, Graph, edge_key
 from tensec.numeric import nullspace_basis
-from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint, _cross,
+from tensec.projective import (TRUE, AffineChart, ProjLine, ProjPoint, _cross,
                                join, line_of_force, meet, random_line_avoiding)
 from tensec.resolution import (BinaryTree, ResolutionScheme, rewire, scheme_hf_surgery,
                                shared_node_edge)
@@ -252,11 +255,10 @@ def random_framed_cycle(k: int, seed: int, equilibrium: bool) -> FramedCycle:
                 dual = tuple(ts[i] * Fraction(edge_reps[i][c])
                              - ts[i - 1] * Fraction(edge_reps[i - 1][c])
                              for c in range(3))
-                f = Force(dual)
-                if f.is_zero():
+                if not any(dual):
                     framings = None
                     break
-                framings.append(line_of_force(-f))
+                framings.append(line_of_force(negated(dual)))
             if framings is None:
                 continue
         else:
@@ -350,12 +352,32 @@ def chart_avoiding(points, seed: int = 0) -> AffineChart:
     return AffineChart(random_line_avoiding(points, seed))
 
 
-def affine_vector(f: Force, chart: AffineChart):
-    """Chart vector of the force: the 1-form iota_V F, as a covector triple.
+def affine_vector(f, chart: AffineChart):
+    """Chart vector of the force triple f: the 1-form iota_V F, as a covector
+    triple.
 
     Linear in f; always orthogonal to V.
     """
-    return tuple(Fraction(x) for x in _cross(f.dual, chart.field))
+    return tuple(Fraction(x) for x in _cross(f, chart.field))
+
+
+# ---------------------------------------------------------------------------
+# Forces: the library's plain triples, added and scaled componentwise
+
+def force_sum(forces) -> tuple:
+    """Componentwise sum of force triples; (0, 0, 0) for none."""
+    x = y = z = 0
+    for a, b, c in forces:
+        x, y, z = x + a, y + b, z + c
+    return (x, y, z)
+
+
+def negated(f) -> tuple:
+    return tuple(-x for x in f)
+
+
+def scaled(f, k) -> tuple:
+    return tuple(k * x for x in f)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from fractions import Fraction
 
 import reference_kernel as _kernel
 from tensec.errors import GeometryError, InputError, PointAtInfinityError
-from tensec.framework import ForceLoad, _PROBES, edge_key, is_non_parallelizable
+from tensec.framework import _PROBES, edge_key, is_non_parallelizable
 from tensec.numeric import clear_denominators, primitive
 from integers import integer_load, integer_rows
-from lemmas import affine_vector
-from tensec.projective import AffineChart, Force, _cross, _dot
+from lemmas import affine_vector, negated, scaled
+from tensec.projective import AffineChart, _cross, _dot
 
 
 def reference_nullspace_basis(rows, ncols: int):
@@ -98,7 +98,7 @@ def reference_self_stress_basis(fw, chart: AffineChart):
     return reference_nullspace_basis(rows, len(edges))
 
 
-def reference_forceload_from_stress(fw, w, chart: AffineChart) -> ForceLoad:
+def reference_forceload_from_stress(fw, w, chart: AffineChart) -> dict:
     """Force-load whose chart vectors are w_ij (p_i - p_j) on every edge."""
     if len(w) != len(fw.graph.edges):
         raise InputError("stress weights do not match framework edges")
@@ -108,19 +108,19 @@ def reference_forceload_from_stress(fw, w, chart: AffineChart) -> ForceLoad:
         # dual = w * cross(n_v, n_u) gives iota_V F_{u,v} = w (n_u - n_v);
         # the chart representatives must be used as-is, not recanonicalized.
         dual = _cross(normalized[v], normalized[u])
-        f = Force(tuple(weight * d for d in dual))
+        f = scaled(dual, weight)
         forces[(u, v)] = f
-        forces[(v, u)] = -f
-    return ForceLoad(forces)
+        forces[(v, u)] = negated(f)
+    return forces
 
 
-def reference_stress_of_forceload(fw, fl: ForceLoad, chart: AffineChart) -> tuple:
+def reference_stress_of_forceload(fw, fl: dict, chart: AffineChart) -> tuple:
     """Read back chart tensions: the w with iota_V F_{i,j} = w_ij (p_i - p_j),
     in edge order."""
     normalized = reference_chart_points(fw, chart)
     weights = []
     for u, v in fw.graph.edges:
-        vec = affine_vector(fl.force(u, v), chart)
+        vec = affine_vector(fl[(u, v)], chart)
         diff = tuple(normalized[u][i] - normalized[v][i] for i in range(3))
         c = next(i for i in range(3) if diff[i] != 0)
         w = vec[c] / diff[c]

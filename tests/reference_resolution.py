@@ -4,7 +4,9 @@ and the framework force-load construction that integer scales replaced.
 
 `solve_in_span` (from `numeric`), `_decompose` and `scheme_forceload` (from
 `resolution`), and `construct_forceload` and `_ratio` (from
-`quantization`) are kept verbatim.  `scheme_forceload` here returns the load
+`quantization`) are kept verbatim but for forces, which are plain triples
+of Fractions added and scaled by `lemmas`, and loads, which are dicts with
+both orientations of every edge.  `scheme_forceload` here returns the load
 extending a seed force on any edge exactly, in Fractions; the library's
 returns the one canonical load of the scheme in coprime integers.  The load
 is unique up to scale, so the tests compare the two up to one nonzero scale
@@ -17,8 +19,9 @@ compare the two up to one positive scale as well.
 from fractions import Fraction
 
 from tensec.errors import GenericityError, GeometryError, InconsistentQuantizationError
-from tensec.framework import ForceLoad, bfs_parents, edge_key
-from tensec.projective import Force, ProjLine, line_of_force
+from lemmas import force_sum, negated, scaled
+from tensec.framework import bfs_parents, edge_key
+from tensec.projective import ProjLine, line_of_force
 from tensec.quantization import Quantization, _tree_cycle
 from tensec.resolution import ResolutionScheme, is_weakly_generic
 
@@ -43,17 +46,17 @@ def solve_in_span(v, a, b, off_span: str, parallel: str):
     raise GeometryError(parallel)
 
 
-def _decompose(force: Force, l1: ProjLine, l2: ProjLine):
+def _decompose(force: tuple, l1: ProjLine, l2: ProjLine):
     """Split -force into components along two distinct concurrent lines:
     returns (f1, f2) with force + f1 + f2 = 0 and line(f_i) <= l_i."""
     a, b = l1.coeffs, l2.coeffs
-    x, y = solve_in_span([-x for x in force.dual], a, b,
+    x, y = solve_in_span(negated(force), a, b,
                          "force not in the span of the two lines",
                          "cannot decompose along equal lines")
-    return Force(tuple(x * c for c in a)), Force(tuple(y * c for c in b))
+    return scaled(a, x), scaled(b, y)
 
 
-def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
+def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: tuple):
     """Unique equilibrium force-load extending a nonzero seed stress.
 
     Returns a dict mapping ordered node pairs (u, v) to the force applied at
@@ -65,10 +68,10 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
     key = edge_key(*seed_edge)
-    if seed_force.is_zero() or line_of_force(seed_force) != s.labels[key]:
+    if not any(seed_force) or line_of_force(seed_force) != s.labels[key]:
         raise GeometryError("seed force must be nonzero along the seed edge label")
     u, v = seed_edge
-    forces = {(u, v): seed_force, (v, u): -seed_force}
+    forces = {(u, v): seed_force, (v, u): negated(seed_force)}
     # (node, the neighbor whose force at that node is known)
     stack = [(u, v), (v, u)]
     while stack:
@@ -77,8 +80,8 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
             continue
         n1, n2 = (n for n in s.tree.adjacency[w] if n != known)
         f1, f2 = _decompose(forces[(w, known)], s.label(w, n1), s.label(w, n2))
-        forces[(w, n1)], forces[(n1, w)] = f1, -f1
-        forces[(w, n2)], forces[(n2, w)] = f2, -f2
+        forces[(w, n1)], forces[(n1, w)] = f1, negated(f1)
+        forces[(w, n2)], forces[(n2, w)] = f2, negated(f2)
         stack.extend([(n1, w), (n2, w)])
     if len(forces) != 2 * len(s.tree.edges()):
         raise GeometryError("propagation did not reach every edge")
@@ -86,7 +89,7 @@ def scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
 
 
 
-def construct_forceload(q: Quantization) -> ForceLoad:
+def construct_forceload(q: Quantization) -> dict:
     """Equilibrium force-load of the framework carried by the quantization.
 
     Every vertex scheme has one equilibrium force-load up to scale
@@ -103,7 +106,7 @@ def construct_forceload(q: Quantization) -> ForceLoad:
     leaf = {}
     for v in g.vertices:
         scheme = q.scheme_at(v)
-        if any(f.is_zero() for f in scheme.forceload.values()):
+        if (0, 0, 0) in scheme.forceload.values():
             raise GeometryError("constructed force-load vanishes on an edge")
         leaf[v] = scheme.leaf_forces
     parent = bfs_parents(g.adjacency, min(g.vertices))
@@ -116,19 +119,19 @@ def construct_forceload(q: Quantization) -> ForceLoad:
             scale[v] = -scale[u] * _ratio(leaf[u][e], leaf[v][e])
     forces = {}
     for u, v in g.edges:
-        f = leaf[u][(u, v)].scaled(scale[u])
-        if not (f + leaf[v][(u, v)].scaled(scale[v])).is_zero():
+        f = scaled(leaf[u][(u, v)], scale[u])
+        if any(force_sum([f, scaled(leaf[v][(u, v)], scale[v])])):
             raise InconsistentQuantizationError(
                 "cycle closes with mismatched stress", _tree_cycle(parent, u, v))
-        forces[(u, v)] = f
-    return ForceLoad(forces)
+        forces[(u, v)], forces[(v, u)] = f, negated(f)
+    return forces
 
 
-def _ratio(a: Force, b: Force) -> Fraction:
+def _ratio(a: tuple, b: tuple) -> Fraction:
     """k with a = k b, for nonzero forces along one line; a Fraction for
     int forces too (int / int would be a float)."""
-    i = next(i for i, x in enumerate(b.dual) if x)
-    return Fraction(a.dual[i], b.dual[i])
+    i = next(i for i, x in enumerate(b) if x)
+    return Fraction(a[i], b[i])
 
 
 def nonzero_scale(got: dict, ref: dict):
@@ -137,9 +140,8 @@ def nonzero_scale(got: dict, ref: dict):
     assert got.keys() == ref.keys()
     scale = None
     for key, f in ref.items():
-        i = next(i for i in range(3) if f.dual[i])
-        k = Fraction(got[key].dual[i], f.dual[i])
-        assert got[key].dual == tuple(k * x for x in f.dual)
+        k = _ratio(got[key], f)
+        assert got[key] == scaled(f, k)
         assert scale is None or k == scale
         scale = k
     assert scale

@@ -169,6 +169,30 @@ def test_malformed_json_names_the_missing_key_or_the_expected_shape(tmp_path, ca
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _unreadable_json(tmp_path):
+    """{kind: path} of files that `read_json` cannot parse although they
+    open: a byte that is not UTF-8 in a vertex id, arrays nested 100,000
+    deep, and an int literal past the int-from-str limit.  Each once ended
+    in a traceback (exit 1)."""
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("not_utf8", "deep", "long_int")}
+    point = '["0", "0", "1"]'
+    paths["not_utf8"].write_bytes(
+        b'{"vertices": [{"id": "a\xff", "coords": %s}], "edges": []}' % point.encode())
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    paths["long_int"].write_text('{"vertices": [], "edges": [], "n": 1%s}' % ("0" * 5000))
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "deep", "long_int"])
+@pytest.mark.parametrize("argv", [["check"], ["conditions"], ["verify", "--samples", "1"],
+                                  ["render", "-o", "x.svg"]],
+                         ids=["check", "conditions", "verify", "render"])
+def test_unreadable_json_exits_2(argv, kind, tmp_path, capsys):
+    path = _unreadable_json(tmp_path)[kind]
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 # Pools for framework-shaped JSON: each slot mostly holds what the format
 # wants and sometimes any other JSON value.
 _junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
@@ -227,7 +251,8 @@ def test_fuzzed_framework_json_exits_0_2_or_3(tmp_path, document):
 
 def _fuzz_files(tmp_path):
     """Inputs of the argv fuzz: a placed framework, a graph without
-    coordinates, a framed cycle, and output paths of each kind."""
+    coordinates, a framed cycle, the files `read_json` cannot parse, and
+    output paths of each kind."""
     from lemmas import framed_cycle_to_json, random_framed_cycle
 
     inputs = []
@@ -238,6 +263,7 @@ def _fuzz_files(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
         inputs.append(str(path))
+    inputs += _unreadable_json(tmp_path).values()
     outputs = [str(tmp_path / "out.svg"), str(tmp_path),
                str(tmp_path / "missing" / "out.svg")]
     return inputs, outputs
@@ -976,6 +1002,23 @@ def test_render_framework(files, tmp_path, capsys):
     assert main(["render", files["dpos"], "-o", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
     assert out.read_bytes() == (GOLDEN / "desargues_pos.svg").read_bytes()
+
+
+def test_render_escapes_labels(tmp_path):
+    """Vertex ids are written as XML text: "a&b" and "<c>" once made an
+    SVG that no XML parser reads."""
+    from xml.dom.minidom import parseString
+
+    ids = ["a&b", "<c>", '"d"']
+    obj = {"vertices": [{"id": v, "coords": c} for v, c in
+                        zip(ids, (["0", "0", "1"], ["4", "0", "1"], ["0", "4", "1"]))],
+           "edges": [[ids[0], ids[1]], [ids[1], ids[2]], [ids[0], ids[2]]]}
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps(obj))
+    out = tmp_path / "labels.svg"
+    assert main(["render", str(p), "-o", str(out)]) == 0
+    texts = parseString(out.read_bytes()).getElementsByTagName("text")
+    assert sorted(t.firstChild.data for t in texts) == sorted(ids)
 
 
 def test_render_framed_cycle(tmp_path):

@@ -579,7 +579,7 @@ def test_almost_equilibrium_promotes_to_equilibrium():
     from fractions import Fraction
     from integers import integer_rows
     from tensec.numeric import nullspace_basis
-    from tensec.projective import Force, line_of_force
+    from tensec.projective import line_of_force
 
     for seed in range(8):
         k = 4 + seed % 3
@@ -599,10 +599,10 @@ def test_almost_equilibrium_promotes_to_equilibrium():
         assert len(basis) == 1  # almost-equilibrium loads are unique up to scale
         t = basis[0][:k]
         i = k - 1
-        residual = Force(tuple(t[i] * Fraction(edge_reps[i][coord])
-                               - t[i - 1] * Fraction(edge_reps[i - 1][coord])
-                               for coord in range(3)))
-        closes = residual.is_zero() or line_of_force(residual) == c.framings[i]
+        residual = tuple(t[i] * Fraction(edge_reps[i][coord])
+                         - t[i - 1] * Fraction(edge_reps[i - 1][coord])
+                         for coord in range(3))
+        closes = not any(residual) or line_of_force(residual) == c.framings[i]
         assert closes == positive
 
 

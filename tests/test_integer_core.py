@@ -153,7 +153,7 @@ def test_slot_witness_matches_fraction_forceload(spokes, placement, mixed, seed)
     if stress is not None:
         assert quant.interior_labels is labels
         load = forceload_from_stress(fw, stress, chart)
-        assert all(type(x) is int for f in load.forces.values() for x in f.dual)
+        assert all(type(x) is int for f in load.values() for x in f)
 
 
 def test_check_builds_one_quantization(monkeypatch, capsys):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from integers import integer_forces
-from lemmas import affine_vector, lines_in_general_position
+from lemmas import affine_vector, force_sum, lines_in_general_position, negated, scaled
 from reference_rational import reference_splitmix64
 from tensec.errors import GeometryError
-from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
-                               ZERO_FORCE, _cross, _proper_subset_sums,
+from tensec.numeric import primitive_triple
+from tensec.projective import (TRUE, AffineChart, ProjLine, ProjPoint,
+                               _cross, _proper_subset_sums,
                                join, line_of_force, meet,
                                non_parallelizable_star, nonvanishing_proper_subsets,
                                partial_sum_lines_distinct,
@@ -21,14 +22,14 @@ from tensec.projective import (TRUE, AffineChart, Force, ProjLine, ProjPoint,
                                rel_incident, splitmix64)
 
 
-def force_between(p: ProjPoint, q: ProjPoint, scale) -> Force:
+def force_between(p: ProjPoint, q: ProjPoint, scale) -> tuple:
     """Force scale * d(p) ^ d(q) built on the canonical representatives."""
     scale = Fraction(scale)
     if scale == 0:
-        return ZERO_FORCE
+        return (0, 0, 0)
     if p == q:
         raise GeometryError("force between coincident points is undefined")
-    return Force(tuple(scale * c for c in _cross(p.coords, q.coords)))
+    return scaled(_cross(p.coords, q.coords), scale)
 
 
 ORIGIN = ProjPoint((0, 0, 1))
@@ -105,28 +106,27 @@ def test_point_line_relation():
 def test_force_between_scale_and_antisymmetry():
     p, q = ProjPoint((1, 0, 1)), ProjPoint((0, 0, 1))
     f = force_between(p, q, 1)
-    assert not f.is_zero()
+    assert any(f)
     assert line_of_force(f) == join(p, q)
-    assert force_between(p, q, 0).is_zero()
-    assert (force_between(p, q, 1) + force_between(q, p, 1)).is_zero()
+    assert force_between(p, q, 0) == (0, 0, 0)
+    assert force_sum([force_between(p, q, 1), force_between(q, p, 1)]) == (0, 0, 0)
     with pytest.raises(GeometryError):
         force_between(p, p, 1)
     with pytest.raises(GeometryError):
-        line_of_force(ZERO_FORCE)
+        line_of_force((0, 0, 0))
 
 
 def test_line_of_force_scale_invariance():
     f = force_between(ProjPoint((1, 0, 1)), ProjPoint((2, 0, 1)), 1)
     assert line_of_force(f) == X_AXIS
-    assert line_of_force(f.scaled(5)) == line_of_force(f)
+    assert line_of_force(scaled(f, 5)) == line_of_force(f)
 
 
 def test_sum_of_concurrent_forces_passes_through_common_point():
     r = ProjPoint((3, 5, 1))
     f1 = force_between(r, ProjPoint((1, 0, 1)), 2)
     f2 = force_between(r, ProjPoint((0, 1, 1)), -3)
-    total = f1 + f2
-    assert rel_incident(r, line_of_force(total))
+    assert rel_incident(r, line_of_force(force_sum([f1, f2])))
 
 
 def test_affine_vector_matches_coordinate_differences():
@@ -134,26 +134,24 @@ def test_affine_vector_matches_coordinate_differences():
     a = (Fraction(2), Fraction(5), Fraction(1))
     b = (Fraction(-1), Fraction(3), Fraction(1))
     # dual built directly on the chart representatives
-    from tensec.projective import _cross
-    f = Force(_cross(a, b))
-    vec = affine_vector(f, chart)
+    vec = affine_vector(_cross(a, b), chart)
     diff = tuple(y - x for x, y in zip(a, b))
     assert vec == diff
     assert vec[2] == 0
-    assert affine_vector(ZERO_FORCE, chart) == (0, 0, 0)
+    assert affine_vector((0, 0, 0), chart) == (0, 0, 0)
 
 
-@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20),
-       st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20),
-       st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
+@given(st.tuples(*[st.integers(-20, 20)] * 3), st.integers(-5, 5).filter(bool))
 @settings(max_examples=40)
-def test_force_addition_commutative_associative(a1, a2, a3, b1, b2, b3, c1, c2, c3):
-    f, g, h = Force((a1, a2, a3)), Force((b1, b2, b3)), Force((c1, c2, c3))
-    assert f + g == g + f
-    assert (f + g) + h == f + (g + h)
-    # at k=2 every dual triple is a force: nonzero ones have a line of force
-    if not f.is_zero():
-        line_of_force(f)
+def test_line_of_force_of_every_triple(f, k):
+    """At k=2 every triple is a force: a nonzero one has the line with its
+    coefficients, the same for every nonzero multiple; zero has none."""
+    if any(f):
+        assert line_of_force(f).coeffs == primitive_triple(*f)
+        assert line_of_force(scaled(f, k)) == line_of_force(f)
+    else:
+        with pytest.raises(GeometryError):
+            line_of_force(f)
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20),
@@ -161,8 +159,8 @@ def test_force_addition_commutative_associative(a1, a2, a3, b1, b2, b3, c1, c2, 
 @settings(max_examples=60)
 def test_affine_vector_linear(a1, a2, a3, b1, b2, b3):
     chart = AffineChart(ProjLine((1, 2, 5)))
-    f1, f2 = Force((a1, a2, a3)), Force((b1, b2, b3))
-    lhs = affine_vector(f1 + f2, chart)
+    f1, f2 = (a1, a2, a3), (b1, b2, b3)
+    lhs = affine_vector(force_sum([f1, f2]), chart)
     rhs = tuple(x + y for x, y in zip(affine_vector(f1, chart),
                                       affine_vector(f2, chart)))
     assert lhs == rhs
@@ -261,11 +259,8 @@ def reference_nonvanishing_proper_subsets(forces) -> bool:
     """True iff no proper nonempty 0/1-combination of the forces vanishes."""
     n = len(forces)
     for mask in range(1, (1 << n) - 1):
-        total = ZERO_FORCE
-        for i in range(n):
-            if mask >> i & 1:
-                total = total + forces[i]
-        if total.is_zero():
+        total = force_sum(forces[i] for i in range(n) if mask >> i & 1)
+        if not any(total):
             return False
     return True
 
@@ -280,17 +275,14 @@ def reference_partial_sum_lines_distinct(forces) -> bool:
     s = len(forces)
     lines = []
     for mask in range((1 << (s - 1)) - 1):
-        total = forces[0]
-        for i in range(1, s):
-            if mask >> (i - 1) & 1:
-                total = total + forces[i]
+        total = force_sum([forces[0]] + [forces[i] for i in range(1, s)
+                                         if mask >> (i - 1) & 1])
         lines.append(line_of_force(total))
     return len(set(lines)) == len(lines)
 
 
 small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-any_force = st.builds(Force, st.tuples(small_fractions, small_fractions,
-                                      small_fractions))
+any_force = st.tuples(small_fractions, small_fractions, small_fractions)
 
 
 @st.composite
@@ -299,10 +291,8 @@ def with_vanishing_subset(draw):
     base = draw(st.lists(any_force, min_size=2, max_size=7))
     subset = draw(st.lists(st.sampled_from(range(len(base))), min_size=1,
                            max_size=len(base) - 1, unique=True))
-    total = ZERO_FORCE
-    for i in subset:
-        total = total + base[i]
-    return draw(st.permutations(base + [-total]))
+    total = force_sum(base[i] for i in subset)
+    return draw(st.permutations(base + [negated(total)]))
 
 
 @st.composite
@@ -312,7 +302,7 @@ def with_equal_partial_sum_lines(draw):
     first, a = draw(any_force), draw(any_force)
     t = draw(small_fractions.filter(lambda x: x not in (0, -1)))
     rest = draw(st.lists(any_force, max_size=5))
-    return [first] + draw(st.permutations([a, (first + a).scaled(t)] + rest))
+    return [first] + draw(st.permutations([a, scaled(force_sum([first, a]), t)] + rest))
 
 
 def _outcome(test, forces):
@@ -336,7 +326,7 @@ def test_integer_subset_tests_match_fraction_reference(forces):
 def reference_star(forces) -> bool:
     """The per-vertex test `is_non_parallelizable` ran inline before
     `non_parallelizable_star`; kept verbatim as the reference."""
-    if any(f.is_zero() for f in forces):
+    if any(not any(f) for f in forces):
         return False
     if not nonvanishing_proper_subsets(forces):
         return False
@@ -345,7 +335,7 @@ def reference_star(forces) -> bool:
     return True
 
 
-int_force = st.builds(Force, st.tuples(*[st.integers(-3, 3)] * 3))
+int_force = st.tuples(*[st.integers(-3, 3)] * 3)
 
 
 @st.composite
@@ -356,12 +346,12 @@ def star_forces(draw):
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("new", "new", "zero", "repeat", "opposite")))
         if kind == "zero":
-            forces.append(ZERO_FORCE)
+            forces.append((0, 0, 0))
         elif kind == "new" or not forces:
             forces.append(draw(int_force))
         else:
             f = draw(st.sampled_from(forces))
-            forces.append(f if kind == "repeat" else -f)
+            forces.append(f if kind == "repeat" else negated(f))
     return forces
 
 
@@ -379,16 +369,17 @@ def test_non_parallelizable_star_matches_two_step_test(forces):
 
 
 def test_integer_subset_tests_on_built_cases():
-    f, g, h = Force((1, 2, 0)), Force((0, 1, Fraction(1, 3))), Force((5, -1, 2))
+    f, g, h = (1, 2, 0), (0, 1, Fraction(1, 3)), (5, -1, 2)
+    fg = force_sum([f, g])
     assert nonvanishing_proper_subsets(integer_forces([f, g, h]))
     assert partial_sum_lines_distinct(integer_forces([f, g, h]))
     # a proper subset of four forces sums to zero
-    assert not nonvanishing_proper_subsets(integer_forces([f, g, -(f + g), h]))
+    assert not nonvanishing_proper_subsets(integer_forces([f, g, negated(fg), h]))
     # f + g and f + g + 2(f + g) span one line
-    assert not partial_sum_lines_distinct(integer_forces([f, g, (f + g).scaled(2), h]))
+    assert not partial_sum_lines_distinct(integer_forces([f, g, scaled(fg, 2), h]))
     # the partial sum f + (-f) vanishes and has no line of force
     with pytest.raises(GeometryError):
-        partial_sum_lines_distinct(integer_forces([f, -f, h]))
+        partial_sum_lines_distinct(integer_forces([f, negated(f), h]))
 
 
 @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=10),
@@ -414,10 +405,10 @@ def nonvanishing_inputs(draw):
     not, or two opposite forces."""
     kind = draw(st.sampled_from(("random", "straddling", "equilibrium", "one", "opposite")))
     if kind == "one":
-        return [draw(st.sampled_from((ZERO_FORCE, Force((2, -1, 3)))))]
+        return [draw(st.sampled_from(((0, 0, 0), (2, -1, 3))))]
     if kind == "opposite":
         f = draw(int_force)
-        return [f, -f]
+        return [f, negated(f)]
     forces = draw(st.lists(int_force, min_size=2, max_size=12))
     n = len(forces)
     if kind == "straddling":
@@ -425,15 +416,9 @@ def nonvanishing_inputs(draw):
         half = n // 2
         subset = sorted({draw(st.integers(0, half - 1)), draw(st.integers(half, n - 1))}
                         | set(draw(st.lists(st.integers(0, n - 1), max_size=n))))
-        total = ZERO_FORCE
-        for i in subset[:-1]:
-            total = total + forces[i]
-        forces[subset[-1]] = -total
+        forces[subset[-1]] = negated(force_sum(forces[i] for i in subset[:-1]))
     elif kind == "equilibrium":
-        total = ZERO_FORCE
-        for f in forces[:-1]:
-            total = total + f
-        forces[-1] = -total
+        forces[-1] = negated(force_sum(forces[:-1]))
     return forces
 
 
@@ -451,10 +436,10 @@ def test_meet_in_the_middle_finds_planted_subsets():
     rng = random.Random(26)
     for n in range(3, 13):
         half = n // 2
-        base = [Force(tuple(rng.randint(-2 ** 20, 2 ** 20) for _ in range(3)))
+        base = [tuple(rng.randint(-2 ** 20, 2 ** 20) for _ in range(3))
                 for _ in range(n)]
         assert nonvanishing_proper_subsets(base)
-        balanced = base[:-1] + [-sum(base[:-1], ZERO_FORCE)]
+        balanced = base[:-1] + [negated(force_sum(base[:-1]))]
         assert nonvanishing_proper_subsets(balanced)
         for a_mask in range(1, 1 << half):
             subset = [i for i in range(half) if a_mask >> i & 1]
@@ -462,7 +447,7 @@ def test_meet_in_the_middle_finds_planted_subsets():
             if len(subset) == n:
                 continue
             forces = list(base)
-            forces[subset[-1]] = -sum((base[i] for i in subset[:-1]), ZERO_FORCE)
+            forces[subset[-1]] = negated(force_sum(base[i] for i in subset[:-1]))
             assert not nonvanishing_proper_subsets(forces), subset
 
 
@@ -470,13 +455,13 @@ def test_partial_sum_lines_on_float_key_edge_cases():
     big = 2 ** 60
     # F1 and F1 + F2 are distinct lines with equal float keys
     assert big / 1 == (big + 1) / 1
-    forces = [Force((big, 0, 1)), Force((1, 0, 0)), Force((0, 1, 0))]
+    forces = [(big, 0, 1), (1, 0, 0), (0, 1, 0)]
     assert partial_sum_lines_distinct(forces)
     assert reference_partial_sum_lines_distinct(forces)
     # F1 + F2 = 3 F1: one line given by two proportional triples, for each
     # way a key is made (z != 0, z = 0, y = z = 0)
     for first in ((3, 5, 7), (3, 5, 0), (3, 0, 0)):
-        forces = [Force(first), Force(tuple(2 * x for x in first)), Force((1, 1, 1))]
+        forces = [first, scaled(first, 2), (1, 1, 1)]
         assert not partial_sum_lines_distinct(forces)
         assert not reference_partial_sum_lines_distinct(forces)
     # ratios beyond the float range take the exact key
@@ -484,7 +469,7 @@ def test_partial_sum_lines_on_float_key_edge_cases():
     with pytest.raises(OverflowError):
         huge / 1
     for second, distinct in (((1, 0, 0), True), ((huge, 1, 1), False)):
-        forces = [Force((huge, 1, 1)), Force(second), Force((0, 1, 0))]
+        forces = [(huge, 1, 1), second, (0, 1, 0)]
         assert partial_sum_lines_distinct(forces) is distinct
         assert reference_partial_sum_lines_distinct(forces) is distinct
 
@@ -494,7 +479,7 @@ def test_subset_sums_are_streamed():
     middle keeps the subset sums of the two halves, 2 * 2^8 of them, and
     not the 65,534 proper ones (a list of those took about 11 MiB)."""
     rng = random.Random(40)
-    forces = [Force(tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3)))
+    forces = [tuple(rng.randint(-2 ** 40, 2 ** 40) for _ in range(3))
               for _ in range(16)]
     tracemalloc.start()
     try:

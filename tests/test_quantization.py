@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from all_cycles import all_cycles_system, simple_cycles
-from lemmas import crossings, distinct_crossings, framed_cycle_in_general_position, has_edge
+from lemmas import (crossings, distinct_crossings, force_sum,
+                    framed_cycle_in_general_position, has_edge, negated, scaled)
 from reference_oracle import reference_stress_of_forceload
-from reference_resolution import _decompose, positive_scale
+from reference_resolution import _decompose, _ratio, positive_scale
 from reference_resolution import construct_forceload as fraction_construct_forceload
 from test_census import census_graphs
 from test_lifts import LIFTED_GRAPHS, maxwell_cremona_lift, moved_first_vertex
@@ -20,12 +21,12 @@ from tensec.errors import (GenericityError, GeometryError,
                            PreconditionError)
 from tensec.fixtures import (DESARGUES_GRAPH, DESARGUES_NEG, DESARGUES_POS,
                              PASCAL_GRAPH, PASCAL_NEG, PASCAL_POS, WHEEL5_GRAPH)
-from tensec.framework import (ForceLoad, Framework, Graph, edge_key,
+from tensec.framework import (Framework, Graph, edge_key,
                               find_nonparallelizable_stress, forceload_from_stress,
                               framework_in_general_position, is_equilibrium,
                               is_non_parallelizable, self_stress_basis)
 from tensec.conditions import fulfilled_with_witness, generate_system
-from tensec.projective import (AffineChart, Force, ProjLine, ProjPoint, line_of_force,
+from tensec.projective import (AffineChart, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.cycles import is_trivial_monodromy, pick_aux_line
 from tensec.quantization import (Quantization, construct_forceload,
@@ -65,10 +66,7 @@ def test_quantization_from_stress_deg3_has_no_interior_labels():
 
 
 def test_quantization_requires_nonparallelizable_load():
-    from tensec.framework import ForceLoad
-    from tensec.projective import ZERO_FORCE
-
-    zero = ForceLoad({(u, v): ZERO_FORCE for u, v in DESARGUES_POS.graph.edges})
+    zero = {(u, v): (0, 0, 0) for e in DESARGUES_POS.graph.edges for u, v in (e, e[::-1])}
     with pytest.raises(GenericityError):
         quantization_from_stress(DESARGUES_POS, zero, default_trees(DESARGUES_GRAPH))
 
@@ -87,8 +85,8 @@ def test_scaled_forceload_gives_identical_quantization():
     fl = forceload_from_stress(fw, w, STANDARD)
     trees = default_trees(fw.graph)
     q1 = quantization_from_stress(fw, fl, trees)
-    scaled = ForceLoad({p: f.scaled(Fraction(7, 3)) for p, f in fl.forces.items()})
-    q2 = quantization_from_stress(fw, scaled, trees)
+    q2 = quantization_from_stress(
+        fw, {p: scaled(f, Fraction(7, 3)) for p, f in fl.items()}, trees)
     assert q1.interior_labels == q2.interior_labels
 
 
@@ -188,7 +186,7 @@ def test_fundamental_cycles_generate_and_stay_short():
 def test_construct_forceload_roundtrip_desargues():
     q, w = stressed_quantization(DESARGUES_POS)
     ind = construct_forceload(q)
-    assert all(not f.is_zero() for f in ind.forces.values())
+    assert (0, 0, 0) not in ind.values()
     assert is_equilibrium(DESARGUES_POS, ind)
     assert is_non_parallelizable(DESARGUES_POS, ind)
     got = reference_stress_of_forceload(DESARGUES_POS, ind, STANDARD)
@@ -226,7 +224,7 @@ def test_oracle_load_has_content_one(spokes):
     entries; undivided, its gcd had 33-46 bits on these wheels."""
     fw, w = wheel_framework(graph=wheel_graph(spokes))
     fl = forceload_from_stress(fw, w, STANDARD)
-    assert gcd(*(x for f in fl.forces.values() for x in f.dual)) == 1
+    assert gcd(*(x for f in fl.values() for x in f)) == 1
     assert is_non_parallelizable(fw, fl)
 
 
@@ -243,8 +241,49 @@ def test_integer_forceload_is_a_positive_multiple_of_the_fraction_reference(name
     q = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD),
                                  default_trees(fw.graph))
     ours = construct_forceload(q)
-    assert all(type(x) is int for f in ours.forces.values() for x in f.dual)
-    positive_scale(ours.forces, fraction_construct_forceload(q).forces)
+    assert all(type(x) is int for f in ours.values() for x in f)
+    positive_scale(ours, fraction_construct_forceload(q))
+
+
+def assert_load_contract(load, edges):
+    """A load is a plain dict from both orientations of every edge to an int
+    triple, the force on (v, u) the negation of the one on (u, v)."""
+    assert type(load) is dict
+    assert load.keys() == {pair for u, v in edges for pair in ((u, v), (v, u))}
+    for (u, v), f in load.items():
+        assert type(f) is tuple and len(f) == 3 and all(type(x) is int for x in f)
+        assert load[(v, u)] == negated(f)
+
+
+def _contract_cases(name):
+    """(framework, a non-parallelizable stress or None): a placed wheel whose
+    oracle finds one, or every census graph at its census placement."""
+    if name.startswith("wheel"):
+        return [wheel_framework(graph=wheel_graph(int(name[5:])))]
+    cases = []
+    for _, g in census_graphs():
+        fw = random_placement(g, 1, bound=60)
+        basis = self_stress_basis(fw, STANDARD)
+        cases.append((fw, find_nonparallelizable_stress(fw, basis, STANDARD, 1)))
+    return cases
+
+
+@pytest.mark.parametrize("name", [*(f"wheel{n}" for n in range(4, 10)), "census"])
+def test_every_load_is_an_antisymmetric_dict_of_int_triples(name):
+    """The oracle's loads, every vertex scheme's load and the quantization's
+    framework load keep the load contract: on the stress's quantization, or
+    on seeded slot lines where the oracle finds no stress."""
+    for fw, w in _contract_cases(name):
+        edges, trees = fw.graph.edges, default_trees(fw.graph)
+        for stress in self_stress_basis(fw, STANDARD) + ([] if w is None else [w]):
+            assert_load_contract(forceload_from_stress(fw, stress, STANDARD), edges)
+        if w is None:
+            q = Quantization(fw, random_slot_lines(fw, fw.graph.vertices, 1), trees)
+        else:
+            q = quantization_from_stress(fw, forceload_from_stress(fw, w, STANDARD), trees)
+            assert_load_contract(construct_forceload(q), edges)
+        for v in fw.graph.vertices:
+            assert_load_contract(q.scheme_at(v).forceload, trees[v].edges())
 
 
 def test_consistency_cycle_set_modes():
@@ -378,8 +417,8 @@ def reference_resolution_forceload(q, seed_edge=None) -> dict:
     else:
         start = rg.glued_edge(edge_key(*seed_edge))
     a, b = start
-    f = Force(labels[start].coeffs)
-    forces = {(a, b): f, (b, a): -f}
+    f = labels[start].coeffs
+    forces = {(a, b): f, (b, a): negated(f)}
 
     resolved = set()
     pending = len(rg.nodes())
@@ -399,31 +438,25 @@ def reference_resolution_forceload(q, seed_edge=None) -> dict:
             for ek, fx in ((e1, f1), (e2, f2)):
                 other = _other(ek, node)
                 forces[(node, other)] = fx
-                forces[(other, node)] = -fx
+                forces[(other, node)] = negated(fx)
         elif len(unknown) == 1:
-            total = Force((0, 0, 0))
-            for ek in known:
-                total = total + forces[(node, _other(ek, node))]
-            f3 = -total
+            f3 = negated(force_sum(forces[(node, _other(ek, node))] for ek in known))
             ek = unknown[0]
             other = _other(ek, node)
-            if f3.is_zero() or line_of_force(f3) != labels[ek]:
+            if not any(f3) or line_of_force(f3) != labels[ek]:
                 raise InconsistentQuantizationError(
                     "cycle closes with mismatched stress",
                     _closing_cycle(forces, node, other))
             forces[(node, other)] = f3
-            forces[(other, node)] = -f3
+            forces[(other, node)] = negated(f3)
         else:
-            total = Force((0, 0, 0))
-            for ek in known:
-                total = total + forces[(node, _other(ek, node))]
-            if not total.is_zero():
+            if any(force_sum(forces[(node, _other(ek, node))] for ek in known)):
                 raise InconsistentQuantizationError(
                     "cycle closes with mismatched stress",
                     _closing_cycle(forces, node, _other(known[0], node)))
         resolved.add(node)
         pending -= 1
-    if any(f.is_zero() for f in forces.values()):
+    if any(not any(f) for f in forces.values()):
         raise GeometryError("constructed force-load vanishes on an edge")
     return forces
 
@@ -464,7 +497,7 @@ def _closing_cycle(forces, node, other):
     return tuple(verts)
 
 
-def reference_induced_stress(q, gt_forces: dict) -> ForceLoad:
+def reference_induced_stress(q, gt_forces: dict) -> dict:
     """Restriction of a resolution-graph force-load to the glued edges, as a
     force-load on the framework."""
     rg = q.rgraph
@@ -477,8 +510,8 @@ def reference_induced_stress(q, gt_forces: dict) -> ForceLoad:
         if f is None:
             raise InputError(f"missing force at glued edge {e}")
         out[(i, j)] = f
-        out[(j, i)] = -f
-    return ForceLoad(out)
+        out[(j, i)] = negated(f)
+    return out
 
 
 def wheel_graph(spokes, hub="h"):
@@ -542,10 +575,9 @@ def test_construct_forceload_matches_resolution_graph_reference(case):
     assert is_equilibrium(fw, ours)
     ratios = set()
     for u, v in fw.graph.edges:
-        a, b = ours.force(u, v), theirs.force(u, v)
-        i = next(i for i in range(3) if b.dual[i])
-        k = Fraction(a.dual[i], b.dual[i])
-        assert a.dual == tuple(k * x for x in b.dual)
+        a, b = ours[(u, v)], theirs[(u, v)]
+        k = _ratio(a, b)
+        assert a == scaled(b, k)
         ratios.add(k)
     assert len(ratios) == 1
 
@@ -566,9 +598,8 @@ def holonomy(q, cycle):
     h = Fraction(1)
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         a, b = leaf[u][edge_key(u, v)], leaf[v][edge_key(u, v)]
-        i = next(i for i in range(3) if b.dual[i])
-        assert a.dual == tuple(Fraction(a.dual[i], b.dual[i]) * x for x in b.dual)
-        h *= -Fraction(a.dual[i], b.dual[i])
+        assert a == scaled(b, _ratio(a, b))
+        h *= -_ratio(a, b)
     return h
 
 

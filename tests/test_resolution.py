@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lemmas import enumerate_equivalent_schemes, topology_key, walk_to_shared_node
-from reference_resolution import _decompose, nonzero_scale, positive_scale
+from lemmas import (enumerate_equivalent_schemes, force_sum, negated, scaled, topology_key,
+                    walk_to_shared_node)
+from reference_resolution import _decompose, _ratio, nonzero_scale, positive_scale
 from reference_resolution import scheme_forceload as fraction_scheme_forceload
 from test_census import census_graphs
 from test_integer_core import wheel
@@ -15,7 +16,7 @@ from tensec.errors import GenericityError, GeometryError, InputError
 from tensec.framework import (edge_key, find_nonparallelizable_stress,
                               forceload_from_stress, framework_from_json,
                               read_json, self_stress_basis)
-from tensec.projective import (AffineChart, Force, ProjLine, ProjPoint, line_of_force,
+from tensec.projective import (AffineChart, ProjLine, ProjPoint, line_of_force,
                                pick_generic_line_through)
 from tensec.quantization import default_trees, quantization_from_stress
 from tensec.resolution import _decompose as integer_decompose
@@ -112,15 +113,15 @@ def reference_default_tree(leaf_labels) -> BinaryTree:
     return BinaryTree(adjacency, {i: labels[i] for i in range(s)})
 
 
-def reference_scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force):
+def reference_scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: tuple):
     """Unique equilibrium force-load extending a nonzero seed stress."""
     if not is_weakly_generic(s):
         raise GenericityError("scheme is not weakly generic")
     key = edge_key(*seed_edge)
-    if seed_force.is_zero() or line_of_force(seed_force) != s.labels[key]:
+    if not any(seed_force) or line_of_force(seed_force) != s.labels[key]:
         raise GeometryError("seed force must be nonzero along the seed edge label")
     u, v = seed_edge
-    forces = {(u, v): seed_force, (v, u): -seed_force}
+    forces = {(u, v): seed_force, (v, u): negated(seed_force)}
     stack = [u, v]
     resolved = set()
     while stack:
@@ -135,8 +136,8 @@ def reference_scheme_forceload(s: ResolutionScheme, seed_edge, seed_force: Force
             incoming = forces[(w, known[0])]
             n1, n2 = unknown
             f1, f2 = _decompose(incoming, s.label(w, n1), s.label(w, n2))
-            forces[(w, n1)], forces[(n1, w)] = f1, -f1
-            forces[(w, n2)], forces[(n2, w)] = f2, -f2
+            forces[(w, n1)], forces[(n1, w)] = f1, negated(f1)
+            forces[(w, n2)], forces[(n2, w)] = f2, negated(f2)
             stack.extend([n1, n2])
         resolved.add(w)
     if len(forces) != 2 * len(s.tree.edges()):
@@ -256,7 +257,7 @@ def test_forceload_matches_reference_from_every_seed_edge(n_leaves, seed):
     got = scheme_forceload(s)
     for e in s.tree.edges():
         for seed_edge in (e, e[::-1]):
-            f0 = Force(s.labels[e].coeffs)
+            f0 = s.labels[e].coeffs
             exact = fraction_scheme_forceload(s, seed_edge, f0)
             # the Fraction loads: equal forces, propagated in the same order
             assert list(exact.items()) == list(
@@ -274,21 +275,21 @@ def test_integer_forceload_is_the_coprime_positive_multiple(n_leaves, seed, num,
     multiple of the load seeded on the first edge with its label."""
     s = distinct_lines_scheme(n_leaves, seed)
     e = s.tree.edges()[seed % len(s.tree.edges())]
-    f0 = Force(s.labels[e].coeffs).scaled(Fraction(num, den))
+    f0 = scaled(s.labels[e].coeffs, Fraction(num, den))
     got = scheme_forceload(s)
     exact = fraction_scheme_forceload(s, e, f0)
     scale = nonzero_scale(got, exact)
     if e == s.tree.edges()[0]:
         assert (scale > 0) == (num > 0)
     assert all(line_of_force(got[key]) == line_of_force(exact[key]) for key in got)
-    assert all(type(x) is int for f in got.values() for x in f.dual)
-    assert gcd(*(x for f in got.values() for x in f.dual)) == 1
+    assert all(type(x) is int for f in got.values() for x in f)
+    assert gcd(*(x for f in got.values() for x in f)) == 1
 
 
 def test_wheel_hub_forceload_matches_fraction_reference():
     s = wheel6_hub_scheme()
     seed_edge = s.tree.edges()[0]
-    exact = fraction_scheme_forceload(s, seed_edge, Force(s.labels[seed_edge].coeffs))
+    exact = fraction_scheme_forceload(s, seed_edge, s.labels[seed_edge].coeffs)
     positive_scale(s.forceload, exact)
     assert is_strongly_generic(s)
 
@@ -300,7 +301,7 @@ def test_integer_decompose_matches_fraction_reference(force, a, b):
     """k force + f1 + f2 = 0 for a positive int k, with f1 and f2 the
     reference's components times k; the same GeometryError otherwise."""
     assume(any(a) and any(b))
-    force, l1, l2 = Force(force), ProjLine(a), ProjLine(b)
+    l1, l2 = ProjLine(a), ProjLine(b)
     try:
         ref = _decompose(force, l1, l2)
     except GeometryError as exc:
@@ -309,8 +310,8 @@ def test_integer_decompose_matches_fraction_reference(force, a, b):
         return
     k, f1, f2 = integer_decompose(force, l1, l2)
     assert type(k) is int and k > 0
-    assert (force.scaled(k) + f1 + f2).is_zero()
-    assert (f1, f2) == (ref[0].scaled(k), ref[1].scaled(k))
+    assert force_sum([scaled(force, k), f1, f2]) == (0, 0, 0)
+    assert (f1, f2) == (scaled(ref[0], k), scaled(ref[1], k))
 
 
 def test_tree_validation():
@@ -368,11 +369,11 @@ def test_forceload_matches_hand_computation():
     s = worked_example()
     # seeded with the coefficients of L13 on the first edge, (0, 4)
     fl = scheme_forceload(s)
-    assert fl[(4, 0)] == Force((-1, 0, 0))
-    assert fl[(4, 1)] == Force((1, -1, 0))
-    assert fl[(4, 5)] == Force((0, 1, 0))
-    assert fl[(5, 2)] == Force((-6, 3, 0))
-    assert fl[(5, 3)] == Force((6, -2, 0))
+    assert fl[(4, 0)] == (-1, 0, 0)
+    assert fl[(4, 1)] == (1, -1, 0)
+    assert fl[(4, 5)] == (0, 1, 0)
+    assert fl[(5, 2)] == (-6, 3, 0)
+    assert fl[(5, 3)] == (6, -2, 0)
 
 
 def test_forceload_equilibrium_and_nonzero_everywhere():
@@ -381,19 +382,16 @@ def test_forceload_equilibrium_and_nonzero_everywhere():
         fl = scheme_forceload(s)
         for node, nbrs in s.tree.adjacency.items():
             if len(nbrs) == 3:
-                total = Force((0, 0, 0))
-                for w in nbrs:
-                    total = total + fl[(node, w)]
-                assert total.is_zero()
-        assert all(not f.is_zero() for f in fl.values())
+                assert force_sum(fl[(node, w)] for w in nbrs) == (0, 0, 0)
+        assert (0, 0, 0) not in fl.values()
 
 
 def test_forceload_scales_linearly():
     s = worked_example()
-    ref1 = fraction_scheme_forceload(s, (0, 4), Force((-1, 0, 0)))
-    ref3 = fraction_scheme_forceload(s, (0, 4), Force((-3, 0, 0)))
+    ref1 = fraction_scheme_forceload(s, (0, 4), (-1, 0, 0))
+    ref3 = fraction_scheme_forceload(s, (0, 4), (-3, 0, 0))
     for key in ref1:
-        assert ref3[key] == ref1[key].scaled(3)
+        assert ref3[key] == scaled(ref1[key], 3)
     # the integer load is the one coprime multiple of both
     assert nonzero_scale(scheme_forceload(s), ref1) == -1
     assert nonzero_scale(scheme_forceload(s), ref3) == Fraction(-1, 3)
@@ -403,7 +401,7 @@ def test_forceload_independent_of_propagation_order():
     # breadth-first reference propagation written independently
     def bfs_forceload(s, seed_edge, seed_force):
         u, v = seed_edge
-        forces = {(u, v): seed_force, (v, u): -seed_force}
+        forces = {(u, v): seed_force, (v, u): negated(seed_force)}
         from collections import deque
 
         queue = deque([u, v])
@@ -420,7 +418,7 @@ def test_forceload_independent_of_propagation_order():
                 f1, f2 = _decompose(forces[(w, known[0])],
                                     s.label(w, unknown[0]), s.label(w, unknown[1]))
                 for n, f in zip(unknown, (f1, f2)):
-                    forces[(w, n)], forces[(n, w)] = f, -f
+                    forces[(w, n)], forces[(n, w)] = f, negated(f)
                     queue.append(n)
             done.add(w)
         return forces
@@ -428,7 +426,7 @@ def test_forceload_independent_of_propagation_order():
     for seed in (5, 6):
         s = distinct_lines_scheme(6, seed)
         e = s.tree.edges()[2]
-        f0 = Force(s.labels[e].coeffs)
+        f0 = s.labels[e].coeffs
         ref = bfs_forceload(s, e, f0)
         assert fraction_scheme_forceload(s, e, f0) == ref
         nonzero_scale(scheme_forceload(s), ref)
@@ -490,12 +488,10 @@ def test_surgery_matches_hand_computation():
     scale = None
     for lab in before:
         f_b, f_a = before[lab], after[lab]
-        for i in range(3):
-            if f_b.dual[i]:
-                r = Fraction(f_a.dual[i], f_b.dual[i])
-                assert scale is None or r == scale
-                scale = r
-        assert f_a.dual == tuple(scale * x for x in f_b.dual)
+        r = _ratio(f_a, f_b)
+        assert scale is None or r == scale
+        scale = r
+        assert f_a == scaled(f_b, scale)
 
 
 def test_surgery_guard_and_interior_requirement():
@@ -591,11 +587,8 @@ def test_force_structure_invariant():
         s = distinct_lines_scheme(6, seed)
         lf = s.leaf_forces
         for e in s.tree.interior_edges():
-            side = s.tree.side_labels(e, e[0])
-            total = Force((0, 0, 0))
-            for lab in side:
-                total = total + lf[lab]
-            assert not total.is_zero()
+            total = force_sum(lf[lab] for lab in s.tree.side_labels(e, e[0]))
+            assert any(total)
             assert line_of_force(total) == s.labels[e]
 
 
@@ -612,10 +605,7 @@ def test_leaf_forces_determine_scheme():
             rebuilt[e] = line_of_force(lf[s.tree.leaf_labels[leaf]])
         else:
             side = s.tree.side_labels(e, e[0])
-            total = Force((0, 0, 0))
-            for lab in side:
-                total = total + lf[lab]
-            rebuilt[e] = line_of_force(total)
+            rebuilt[e] = line_of_force(force_sum(lf[lab] for lab in side))
     assert rebuilt == s.labels
 
 
